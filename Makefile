@@ -5,7 +5,12 @@
 
 GO ?= go
 
-.PHONY: all build lint tier1 test bench plan-bench stress store-bench incremental-bench fault-bench load-bench servecache-bench fuzz-smoke bench-smoke e2e crash-chaos
+# Core counts every test gate runs under: a cancelled or parallel run
+# behaves differently with one, two and more workers, and a suite that
+# only ever met one core hid a red tier-1 for six PRs.
+PROCS ?= 1 2 4
+
+.PHONY: all build lint tier1 test bench plan-bench stress store-bench incremental-bench fault-bench load-bench servecache-bench fuzz-smoke bench-smoke e2e crash-chaos repo-bench repo-bench-smoke
 
 all: build
 
@@ -28,8 +33,10 @@ lint:
 # picks up the race-hunting tests in internal/config/race_test.go,
 # internal/engine/race_test.go, and swap_test.go along with everything
 # else. `make stress` runs just those, with more iterations.
+# -count=1 because the test cache does not key on GOMAXPROCS: without it
+# the second and third passes would replay the first one's results.
 tier1: lint
-	$(GO) test -race ./...
+	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=1 ./... || exit 1; done
 
 test:
 	$(GO) test ./...
@@ -47,7 +54,7 @@ plan-bench:
 # multi-round watch sessions through injected ingestion faults, and the
 # serve/runner tests race concurrent tenants over shared sessions.
 stress:
-	$(GO) test -race -count=3 -run 'TestConcurrent|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos' ./internal/config/ ./internal/engine/ ./internal/runner/ ./internal/serve/ .
+	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TestConcurrent|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos' ./internal/config/ ./internal/engine/ ./internal/runner/ ./internal/serve/ . || exit 1; done
 
 # Full service round trip over real processes and a loopback socket:
 # build cvserve+cvcall+cvcheck, boot the server, drive it with cvcall
@@ -103,3 +110,23 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/cvbench -run load
+
+# The repository benchmark (BENCHMARK.json, bench/README.md): the
+# measurement of record for end-to-end time and allocation. repo-bench
+# runs all four workloads for the window BENCHMARK.json declares and
+# prints one result line each; compare two saved outputs with
+# `.bench_build/bench --compare before.txt after.txt`.
+repo-bench:
+	secs=$$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json); \
+	for w in novel_xml expert_eval repeat_hit cli_kv_b; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds $$secs --trace 0 || exit 1; \
+	done
+
+# Two-second pass over a cached and an evaluation-bound workload: the
+# benchmark still builds, its set-up gates hold, and every operation's
+# response matches the reference. Mirrors the CI "Repo bench smoke" step.
+repo-bench-smoke:
+	for w in repeat_hit expert_eval; do \
+		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0) || exit 1; \
+		echo "$$out" | tail -n 1 | grep -q '"failed": *0[,}]' || { echo "$$out"; echo "repo-bench-smoke: $$w reported failed operations"; exit 1; }; \
+	done

@@ -18,9 +18,10 @@
 // Data sources may also come from load commands inside the specification
 // file. With -watch, cvcheck revalidates whenever the specification or a
 // data file changes — the continuous-validation scenario of §5.1. Watch
-// rounds are incremental by default: only the specifications whose
+// rounds are incremental by default: each round hands its retained state
+// to the next (runner.Job.Prev), so only the specifications whose
 // footprint overlaps the keys changed since the last round re-run
-// (-no-incremental restores full revalidation). With both -watch and
+// (-no-incremental hands nothing on, so every round runs every spec). With both -watch and
 // -json, each round prints one wire-format JSON report object
 // (schema_version-stamped; see internal/report.Wire) to stdout, flushed
 // per round so pipe consumers see reports promptly; human-oriented text
@@ -31,7 +32,9 @@
 // for up to -max-stale rounds; 0 = forever, negative = never) instead of
 // aborting the round, with per-source accounting on stderr. -load-timeout
 // bounds each round; the deadline — or Ctrl-C — stops the round
-// mid-flight with a partial report marked as interrupted.
+// mid-flight with a partial report marked as interrupted, whose counted
+// specifications all ran to completion and which is never the baseline
+// of a later incremental round.
 //
 // The load→compile→validate→report orchestration itself lives in
 // internal/runner — the same code path cvserve drives per tenant — so
@@ -132,13 +135,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// compiled program and its cached executable plan survive rounds
 	// where only data changed), one graceful-degradation loader (so a
 	// source torn mid-write in round N serves round N-1's parse), and
-	// the swap-in of each round's freshly built store.
+	// the swap-in of each round's freshly built store. A watch round is
+	// incremental by handing the previous round's state to the next job.
 	incremental := *watch > 0 && !*noInc
+	var prev *confvalley.RunState
 	r := runner.New(runner.Options{
 		Parallel:    *parallel,
 		StopOnFirst: *stop,
 		Interpret:   *interp,
-		Incremental: incremental,
 		MaxStale:    *maxStale,
 		LoadTimeout: *loadTimeout,
 		SpecDir:     filepath.Dir(*specPath),
@@ -147,7 +151,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 
 	validateOnce := func(ctx context.Context) int {
-		res, err := r.Run(ctx, runner.Job{SpecPath: *specPath, Sources: dataSources})
+		res, err := r.Run(ctx, runner.Job{SpecPath: *specPath, Sources: dataSources, Prev: prev})
 		if err != nil {
 			var le *runner.LintError
 			if errors.As(err, &le) {
@@ -175,6 +179,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			res.SpecLoads.Render(stderr)
 		}
 		if incremental {
+			prev = res.State
 			rep := res.Report
 			fmt.Fprintf(stderr, "cvcheck: re-ran %d/%d specs (%d reused)\n",
 				rep.SpecsRun-rep.SpecsReused, rep.SpecsRun, rep.SpecsReused)

@@ -63,6 +63,33 @@ func K(segs ...string) Key {
 	return k
 }
 
+// ParseKey parses a dotted notation that names one concrete scope or
+// parameter, such as "Fabric::inst1.Timeout" — ParsePattern's grammar
+// with variables and empty names rejected. Flat-source drivers call it
+// once per line, so it builds the key directly, with no intermediate
+// Pattern.
+func ParseKey(s string) (Key, error) {
+	if s == "" {
+		return Key{}, fmt.Errorf("config: empty key")
+	}
+	k := Key{Segs: make([]Seg, 0, strings.Count(s, ".")+1)}
+	for rest, more := s, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ".")
+		ps := parsePatSeg(part)
+		if ps.InstVar != "" || ps.IndexVar != "" {
+			return Key{}, fmt.Errorf("config: key %q must not contain variables", s)
+		}
+		if ps.Name == "" {
+			// "A..B", and a name variable like "$x", which parses with an
+			// empty name: either would produce an unaddressable instance.
+			return Key{}, fmt.Errorf("config: key %q has an empty segment", s)
+		}
+		k.Segs = append(k.Segs, Seg{Name: ps.Name, Inst: ps.Inst, Index: ps.Index})
+	}
+	return k, nil
+}
+
 func parseSeg(s string) Seg {
 	var seg Seg
 	if i := strings.Index(s, "::"); i >= 0 {

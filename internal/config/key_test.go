@@ -63,3 +63,37 @@ func TestInstanceString(t *testing.T) {
 		t.Errorf("Instance.String() = %q", got)
 	}
 }
+
+// ParseKey is ParsePattern restricted to concrete keys: on every input
+// it accepts, the segments are the pattern's, and it accepts exactly the
+// patterns with no variable and no empty name.
+func TestParseKeyAgreesWithParsePattern(t *testing.T) {
+	for _, s := range []string{
+		"Fabric", "Fabric::inst1", "Fabric::inst1.Timeout", "Cloud[2].Tenant::SLB.SecretKey",
+		"A::b[3].C", "A[x].B", "A[2", "A::.B", "a.b.c.d.e",
+		"", ".", "a..b", "a.", ".a", "$x", "A.$x", "A::$i.B", "A[$n].B", "::i",
+	} {
+		k, err := ParseKey(s)
+		p, perr := ParsePattern(s)
+		want := perr == nil && !p.HasVars()
+		for _, ps := range p.Segs {
+			want = want && ps.Name != ""
+		}
+		if (err == nil) != want {
+			t.Errorf("ParseKey(%q) error = %v, want accepted = %t", s, err, want)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		if len(k.Segs) != len(p.Segs) {
+			t.Errorf("ParseKey(%q) = %d segments, pattern has %d", s, len(k.Segs), len(p.Segs))
+			continue
+		}
+		for i, ps := range p.Segs {
+			if got, want := k.Segs[i], (Seg{Name: ps.Name, Inst: ps.Inst, Index: ps.Index}); got != want {
+				t.Errorf("ParseKey(%q) segment %d = %+v, want %+v", s, i, got, want)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package config
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -197,22 +198,19 @@ const classSep = "\x00"
 
 // classID builds the unambiguous class identity of a key.
 func classID(k Key) string {
-	parts := make([]string, len(k.Segs))
+	n := len(k.Segs)
+	for _, s := range k.Segs {
+		n += len(s.Name)
+	}
+	var b strings.Builder
+	b.Grow(n)
 	for i, s := range k.Segs {
-		parts[i] = s.Name
-	}
-	return joinSep(parts)
-}
-
-func joinSep(parts []string) string {
-	out := ""
-	for i, p := range parts {
 		if i > 0 {
-			out += classSep
+			b.WriteString(classSep)
 		}
-		out += p
+		b.WriteString(s.Name)
 	}
-	return out
+	return b.String()
 }
 
 func displayClass(id string) string {

@@ -121,23 +121,11 @@ func ParseScoped(ctx context.Context, format string, data []byte, sourceName, sc
 
 // scopeSegs parses a dotted scope prefix like "Fabric" or "Fabric::inst1".
 func scopeSegs(scope string) ([]config.Seg, error) {
-	p, err := config.ParsePattern(scope)
+	k, err := config.ParseKey(scope)
 	if err != nil {
 		return nil, fmt.Errorf("driver: bad scope %q: %w", scope, err)
 	}
-	segs := make([]config.Seg, len(p.Segs))
-	for i, ps := range p.Segs {
-		if ps.InstVar != "" || ps.IndexVar != "" {
-			return nil, fmt.Errorf("driver: scope %q must not contain variables", scope)
-		}
-		if ps.Name == "" {
-			// A pattern like "$" parses, but an empty segment name would
-			// produce an unaddressable instance.
-			return nil, fmt.Errorf("driver: scope %q has an empty segment", scope)
-		}
-		segs[i] = config.Seg{Name: ps.Name, Inst: ps.Inst, Index: ps.Index}
-	}
-	return segs, nil
+	return k.Segs, nil
 }
 
 // indexer assigns 1-based sibling ordinals to repeated (parent, name, inst)

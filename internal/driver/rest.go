@@ -116,7 +116,12 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
-func sleepCtx(ctx context.Context, d time.Duration) error {
+// Wait sleeps for d through the policy's Sleep (or a timer), returning
+// early with ctx.Err() on cancellation.
+func (p RetryPolicy) Wait(ctx context.Context, d time.Duration) error {
+	if p.Sleep != nil {
+		return p.Sleep(ctx, d)
+	}
 	if d <= 0 {
 		return ctx.Err()
 	}
@@ -137,9 +142,11 @@ var (
 	jitterRNG = rand.New(rand.NewSource(time.Now().UnixNano()))
 )
 
-// backoffDelay returns the capped exponential delay before attempt n
-// (n = 1 is the delay after the first failure).
-func (p RetryPolicy) backoffDelay(n int) time.Duration {
+// BackoffDelay returns the capped exponential delay, jittered, to wait
+// after failed attempt n (n = 1 is the delay after the first failure).
+// It is the repository's one backoff: REST fetches and the service
+// client both wait by it.
+func (p RetryPolicy) BackoffDelay(n int) time.Duration {
 	d := p.BaseBackoff
 	for i := 1; i < n; i++ {
 		d *= 2
@@ -175,10 +182,6 @@ func Fetch(ctx context.Context, url string) ([]byte, error) {
 	if p.Attempts < 1 {
 		p.Attempts = 1
 	}
-	sleep := p.Sleep
-	if sleep == nil {
-		sleep = sleepCtx
-	}
 	var lastErr error
 	for attempt := 1; attempt <= p.Attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -195,7 +198,7 @@ func Fetch(ctx context.Context, url string) ([]byte, error) {
 		}
 		lastErr = err
 		if attempt < p.Attempts {
-			if err := sleep(ctx, p.backoffDelay(attempt)); err != nil {
+			if err := p.Wait(ctx, p.BackoffDelay(attempt)); err != nil {
 				return nil, fmt.Errorf("rest: %s: %w (after %d attempt(s): %v)", url, err, attempt, lastErr)
 			}
 		}

@@ -137,13 +137,13 @@ func TestBackoffDelayCapsAndJitters(t *testing.T) {
 		4: 200 * time.Millisecond, // capped
 		9: 200 * time.Millisecond, // stays capped, no overflow
 	} {
-		if got := p.backoffDelay(n); got != want {
+		if got := p.BackoffDelay(n); got != want {
 			t.Errorf("backoffDelay(%d) = %v, want %v", n, got, want)
 		}
 	}
 	p.Jitter = 0.5
 	for i := 0; i < 100; i++ {
-		d := p.backoffDelay(2)
+		d := p.BackoffDelay(2)
 		if d < 100*time.Millisecond || d >= 150*time.Millisecond {
 			t.Fatalf("jittered delay %v outside [100ms, 150ms)", d)
 		}

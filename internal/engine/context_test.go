@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -79,31 +80,118 @@ func cancelFixture(t *testing.T, nSpecs, cancelAt int) (*config.Store, *compiler
 	return st, compileSrc(t, src.String())
 }
 
-func TestRunContextCancelStopsMidRun(t *testing.T) {
-	for _, interpret := range []bool{false, true} {
-		t.Run(fmt.Sprintf("interpret=%v", interpret), func(t *testing.T) {
-			st, prog := cancelFixture(t, 10, 4)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			ctxHook.Store(func() { cancel() })
-			defer ctxHook.Store(func() {})
+// assertCancelContract checks an interrupted report against the
+// cancellation contract of runSpecs for a run over the given partitions:
+// marked Interrupted, no spec error from the cancel, every counted spec
+// completed, and within each partition the completed specs form a
+// prefix of its ascending index list. It returns the set of completed
+// spec positions.
+func assertCancelContract(t *testing.T, prog *compiler.Program, rep *report.Report, parts [][]int) map[int]bool {
+	t.Helper()
+	if !rep.Interrupted {
+		t.Fatalf("report not marked Interrupted")
+	}
+	if len(rep.SpecErrors) != 0 {
+		t.Fatalf("cancellation produced spec errors: %v", rep.SpecErrors)
+	}
+	done := make(map[int]bool)
+	for seq := range prog.Specs {
+		if _, ok := rep.Outcome(seq); ok {
+			done[seq] = true
+		}
+	}
+	if rep.SpecsRun != len(done) {
+		t.Fatalf("SpecsRun = %d but %d specs recorded a verdict: a counted spec did not complete", rep.SpecsRun, len(done))
+	}
+	for _, v := range rep.Violations {
+		if !done[v.Seq] {
+			t.Fatalf("violation from spec %d, which did not complete", v.Seq)
+		}
+	}
+	for pi, part := range parts {
+		cut := false
+		for _, j := range part {
+			if cut && done[j] {
+				t.Fatalf("partition %d %v: spec %d completed after an earlier spec did not (completed: %v)", pi, part, j, done)
+			}
+			cut = cut || !done[j]
+		}
+	}
+	return done
+}
 
-			eng := New(st)
-			eng.Opts.Interpret = interpret
-			rep := eng.RunContext(ctx, prog)
-			if !rep.Interrupted {
-				t.Fatalf("report not marked Interrupted")
+func TestRunContextCancelStopsMidRun(t *testing.T) {
+	const nSpecs, cancelAt = 10, 4
+	for _, interpret := range []bool{false, true} {
+		for _, parallel := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("interpret=%v/parallel=%d", interpret, parallel), func(t *testing.T) {
+				st, prog := cancelFixture(t, nSpecs, cancelAt)
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				ctxHook.Store(func() { cancel() })
+				defer ctxHook.Store(func() {})
+
+				eng := New(st)
+				eng.Opts.Interpret = interpret
+				eng.Opts.Parallel = parallel
+				rep := eng.RunContext(ctx, prog)
+				parts := eng.partitionSpecs(eng.planFor(prog), allSpecs(prog), parallel)
+				done := assertCancelContract(t, prog, rep, parts)
+				// The cancelling spec itself runs to completion, and
+				// nothing after it in its own partition starts.
+				if !done[cancelAt] {
+					t.Fatalf("the spec that cancelled (%d) was not counted: %v", cancelAt, done)
+				}
+				for _, part := range parts {
+					i := sort.SearchInts(part, cancelAt)
+					if i == len(part) || part[i] != cancelAt {
+						continue
+					}
+					for _, j := range part[i+1:] {
+						if done[j] {
+							t.Fatalf("spec %d ran after the cancel in partition %v", j, part)
+						}
+					}
+				}
+				if parallel == 1 && rep.SpecsRun != cancelAt+1 {
+					t.Fatalf("SpecsRun = %d; cancellation during spec %d should stop after it completes", rep.SpecsRun, cancelAt)
+				}
+				var b strings.Builder
+				rep.Render(&b)
+				if !strings.Contains(b.String(), "PARTIAL REPORT") {
+					t.Fatalf("render of interrupted report lacks the partial banner:\n%s", b.String())
+				}
+			})
+		}
+	}
+}
+
+// The incremental entry point honours the caller's context on every
+// branch. The all-rerun branch used to restart under a background
+// context, so a cancelled caller got a complete, unmarked report.
+func TestRunIncrementalContextCancelAllRerun(t *testing.T) {
+	const nSpecs = 5
+	for _, parallel := range []int{1, 2} {
+		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
+			stA, prog := cancelFixture(t, nSpecs, -1)
+			engA := New(stA)
+			engA.Opts.Parallel = parallel
+			prevRep := engA.Run(prog)
+			prevSnap := engA.PinnedSnapshot()
+
+			// Store B changes every key, so every footprint is touched.
+			stB := config.NewStore()
+			for i := 0; i < nSpecs; i++ {
+				kv(stB, fmt.Sprintf("app.k%d", i), "2")
 			}
-			if rep.SpecsRun != 5 {
-				t.Fatalf("SpecsRun = %d; cancellation during spec 4 should stop after it completes", rep.SpecsRun)
-			}
-			if len(rep.SpecErrors) != 0 {
-				t.Fatalf("cancellation produced spec errors: %v", rep.SpecErrors)
-			}
-			var b strings.Builder
-			rep.Render(&b)
-			if !strings.Contains(b.String(), "PARTIAL REPORT") {
-				t.Fatalf("render of interrupted report lacks the partial banner:\n%s", b.String())
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			engB := New(stB)
+			engB.Opts.Parallel = parallel
+			rep := engB.RunIncrementalContext(ctx, prog, prevSnap, prevRep)
+			assertCancelContract(t, prog, rep, engB.partitionSpecs(engB.planFor(prog), allSpecs(prog), parallel))
+			if rep.SpecsRun != 0 {
+				t.Fatalf("pre-cancelled all-rerun incremental run: SpecsRun = %d, want 0", rep.SpecsRun)
 			}
 		})
 	}

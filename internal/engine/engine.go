@@ -98,40 +98,89 @@ func (e *Engine) Run(prog *compiler.Program) *report.Report {
 }
 
 // RunContext is Run under a caller-supplied context: a deadline or
-// cancellation stops the run between specifications (and, on the plan
-// path, between domains and compartment groups inside one), returning
-// the partial report marked Interrupted. All worker goroutines of a
-// parallel run observe the same context and drain before RunContext
+// cancellation stops the run under the contract documented on runSpecs,
+// returning the partial report marked Interrupted. All worker goroutines
+// of a parallel run observe the same context and drain before RunContext
 // returns — cancellation never leaks a goroutine.
 func (e *Engine) RunContext(ctx context.Context, prog *compiler.Program) *report.Report {
+	start := time.Now()
+	e.begin(ctx, prog)
+	rep := e.runSpecs(prog, e.planFor(prog), allSpecs(prog))
+	rep.Duration = time.Since(start)
+	return rep
+}
+
+// begin pins what one run holds fixed: the program's stop policy, the
+// caller's context and the store's sealed snapshot.
+func (e *Engine) begin(ctx context.Context, prog *compiler.Program) {
 	if prog.Policies["on_violation"] == "stop" {
 		e.Opts.StopOnFirst = true
 	}
 	e.ctx = ctx
 	e.snap = e.Store.Snapshot()
-	start := time.Now()
-	if n := e.effectiveParallel(len(prog.Specs)); n > 1 {
-		rep := e.runParallel(prog, n)
-		rep.Duration = time.Since(start)
-		return rep
-	}
-	rep := &report.Report{}
+}
+
+// planFor returns the program's lowered plan, or nil when the run
+// interprets the AST instead.
+func (e *Engine) planFor(prog *compiler.Program) *plan.Plan {
 	if e.Opts.Interpret {
-		for i, spec := range prog.Specs {
+		return nil
+	}
+	return plan.For(prog)
+}
+
+// allSpecs lists every spec position of prog in execution order.
+func allSpecs(prog *compiler.Program) []int {
+	idxs := make([]int, len(prog.Specs))
+	for i := range idxs {
+		idxs[i] = i
+	}
+	return idxs
+}
+
+// runSpecs is the engine's one spec loop: every entry point — full runs,
+// every branch of an incremental run, partition timing — executes specs
+// by calling it with the ascending positions to run. It picks the
+// evaluator once (the lowered plan p, or the AST interpreter when p is
+// nil), resolves the worker count, and runs one partition inline on the
+// calling goroutine or several through runParts (cost-model LPT by
+// default; see partition.go), whose merge restores sequential order.
+//
+// It is also the only place a run decides to stop early. The contract:
+// a cancelled run returns Interrupted; every spec it counts ran to
+// completion (an in-flight spec is rolled back and not counted); the
+// cancel itself never produces a spec error; within each partition the
+// completed specs are a prefix of that partition's ascending index list
+// — with one partition, a prefix of the program. Stop-on-first is a
+// sequential policy: a one-partition run ends at the spec that set
+// Stopped, while the partitions of an explicitly parallel run do not
+// observe each other and run out their lists.
+func (e *Engine) runSpecs(prog *compiler.Program, p *plan.Plan, idxs []int) *report.Report {
+	eval := func(j int, rep *report.Report) { e.runSpec(prog, prog.Specs[j], j, rep) }
+	if p != nil {
+		rt := e.runtime() // read-only during execution; safe to share
+		eval = func(j int, rep *report.Report) { p.Specs[j].Run(rt, rep) }
+	}
+	ctx := e.context()
+	n := e.effectiveParallel(len(idxs))
+	runPart := func(idxs []int, rep *report.Report) {
+		for _, j := range idxs {
 			if ctx.Err() != nil {
 				rep.Interrupted = true
-				break
+				return
 			}
-			e.runSpec(prog, spec, i, rep)
-			if rep.Stopped || rep.Interrupted {
-				break
+			eval(j, rep)
+			if rep.Interrupted || (rep.Stopped && n == 1) {
+				return
 			}
 		}
-	} else {
-		plan.For(prog).Run(e.runtime(), rep)
 	}
-	rep.Duration = time.Since(start)
-	return rep
+	if n == 1 {
+		rep := &report.Report{}
+		runPart(idxs, rep)
+		return rep
+	}
+	return runParts(e.partitionSpecs(p, idxs, n), runPart)
 }
 
 // runtime binds the engine's pinned snapshot, environment and options
@@ -165,57 +214,6 @@ func (e *Engine) snapshot() *config.Snapshot {
 	return e.Store.Snapshot()
 }
 
-// runParallel partitions spec indexes by the configured strategy
-// (cost-model LPT by default; see partition.go) and validates
-// concurrently. Merged reports are deterministic: violations carry the
-// spec's execution position and report.Merge restores sequential order.
-func (e *Engine) runParallel(prog *compiler.Program, n int) *report.Report {
-	idxs := make([]int, len(prog.Specs))
-	for i := range idxs {
-		idxs[i] = i
-	}
-	var runPart func(idxs []int, rep *report.Report)
-	if e.Opts.Interpret {
-		runPart = func(idxs []int, rep *report.Report) {
-			sub := &Engine{Store: e.Store, Env: e.Env, snap: e.snapshot(), ctx: e.ctx, Opts: Options{
-				NaiveDiscovery: e.Opts.NaiveDiscovery,
-				StopOnFirst:    e.Opts.StopOnFirst,
-				Interpret:      true,
-			}}
-			for _, j := range idxs {
-				if sub.context().Err() != nil {
-					rep.Interrupted = true
-					return
-				}
-				sub.runSpec(prog, prog.Specs[j], j, rep)
-				if rep.Interrupted {
-					return
-				}
-			}
-		}
-	} else {
-		p := plan.For(prog)
-		rt := e.runtime() // read-only during execution; safe to share
-		runPart = func(idxs []int, rep *report.Report) {
-			for _, j := range idxs {
-				if rt.Canceled() {
-					rep.Interrupted = true
-					return
-				}
-				p.Specs[j].Run(rt, rep)
-				if rep.Interrupted {
-					return
-				}
-			}
-		}
-	}
-	var p *plan.Plan
-	if !e.Opts.Interpret {
-		p = plan.For(prog)
-	}
-	return runParts(e.partitionSpecs(p, idxs, n), runPart)
-}
-
 // reportPool recycles partition-local reports: a parallel run allocates
 // one report per partition per round, merges it and drops it, so watch
 // loops and service traffic churn violation slices and perSpec maps at
@@ -224,8 +222,7 @@ func (e *Engine) runParallel(prog *compiler.Program, n int) *report.Report {
 var reportPool = sync.Pool{New: func() any { return new(report.Report) }}
 
 // runParts executes each partition in its own goroutine against its own
-// pooled report and merges them in partition order. Shared by the full
-// parallel path and the incremental subset path.
+// pooled report and merges them in partition order.
 func runParts(parts [][]int, runPart func(idxs []int, rep *report.Report)) *report.Report {
 	reps := make([]*report.Report, len(parts))
 	var wg sync.WaitGroup
@@ -256,28 +253,14 @@ func runParts(parts [][]int, runPart func(idxs []int, rep *report.Report)) *repo
 // without depending on the host's core count. Partitions follow
 // Opts.Partition, clamped to the spec count.
 func (e *Engine) PartitionTimes(prog *compiler.Program, n int) []time.Duration {
-	e.snap = e.Store.Snapshot()
-	idxs := make([]int, len(prog.Specs))
-	for i := range idxs {
-		idxs[i] = i
-	}
-	var p *plan.Plan
-	var rt *plan.Runtime
-	if !e.Opts.Interpret {
-		p, rt = plan.For(prog), e.runtime()
-	}
-	parts := e.partitionSpecs(p, idxs, n)
+	e.begin(context.Background(), prog)
+	p := e.planFor(prog)
+	seq := *e
+	seq.Opts.Parallel = 1
 	out := make([]time.Duration, 0, n)
-	for _, part := range parts {
-		rep := &report.Report{}
+	for _, part := range e.partitionSpecs(p, allSpecs(prog), n) {
 		start := time.Now()
-		for _, j := range part {
-			if p != nil {
-				p.Specs[j].Run(rt, rep)
-			} else {
-				e.runSpec(prog, prog.Specs[j], j, rep)
-			}
-		}
+		seq.runSpecs(prog, p, part)
 		out = append(out, time.Since(start))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -21,7 +21,6 @@ import (
 
 	"confvalley/internal/compiler"
 	"confvalley/internal/config"
-	"confvalley/internal/plan"
 	"confvalley/internal/report"
 )
 
@@ -42,64 +41,56 @@ func (e *Engine) RunIncremental(prog *compiler.Program, prevSnap *config.Snapsho
 }
 
 // RunIncrementalContext is RunIncremental under a caller-supplied
-// context. An interrupted previous report is never spliced from (its
-// verdict set is incomplete), and an interrupted re-run subset yields a
-// partial report marked Interrupted without splicing — a partial splice
-// would claim reuse it cannot justify.
+// context. Every branch executes its specs through runSpecs, so the
+// full fallback, the all-rerun case and a re-run subset all stop under
+// the same cancellation contract. An interrupted previous report is
+// never spliced from (its verdict set is incomplete), and an interrupted
+// re-run yields a partial report marked Interrupted without splicing — a
+// partial splice would claim reuse it cannot justify.
 func (e *Engine) RunIncrementalContext(ctx context.Context, prog *compiler.Program, prevSnap *config.Snapshot, prevRep *report.Report) *report.Report {
-	if prog.Policies["on_violation"] == "stop" {
-		e.Opts.StopOnFirst = true
-	}
-	if prevSnap == nil || prevRep == nil || prevRep.Stopped || prevRep.Interrupted ||
-		!prevRep.Tagged() || e.Opts.Interpret || e.Opts.StopOnFirst {
-		return e.RunContext(ctx, prog)
-	}
 	start := time.Now()
-	e.ctx = ctx
-	e.snap = e.Store.Snapshot()
-	p := plan.For(prog)
-	delta := e.snap.Diff(prevSnap)
-
-	// Partition via the footprint index: a spec re-runs when it is
-	// dynamic, when any changed key matches its footprint, when the
-	// previous report holds no verdict for it, or when its previous
-	// verdict was an error. Errored verdicts are never reused: a spec can
-	// error transiently (a panicking plug-in, an injected fault, a
-	// resource blip) with no configuration delta to trigger a re-run, and
-	// caching the error would pin it forever.
-	rerun := make([]int, 0, len(p.Specs))
-	isRerun := make([]bool, len(p.Specs))
-	for i, n := range p.Specs {
-		fp := n.Footprint()
-		if o, cached := prevRep.Outcome(i); !cached || o.Errored || fp.Dynamic || delta.OverlapsAny(fp.Patterns) {
-			rerun = append(rerun, i)
-			isRerun[i] = true
+	e.begin(ctx, prog)
+	p := e.planFor(prog)
+	rerun := allSpecs(prog)
+	splice := prevSnap != nil && prevRep != nil && !prevRep.Stopped && !prevRep.Interrupted &&
+		prevRep.Tagged() && p != nil && !e.Opts.StopOnFirst
+	if splice {
+		// Partition via the footprint index: a spec re-runs when it is
+		// dynamic, when any changed key matches its footprint, when the
+		// previous report holds no verdict for it, or when its previous
+		// verdict was an error. Errored verdicts are never reused: a spec
+		// can error transiently (a panicking plug-in, an injected fault, a
+		// resource blip) with no configuration delta to trigger a re-run,
+		// and caching the error would pin it forever.
+		delta := e.snap.Diff(prevSnap)
+		rerun = rerun[:0]
+		for i, n := range p.Specs {
+			fp := n.Footprint()
+			if o, cached := prevRep.Outcome(i); !cached || o.Errored || fp.Dynamic || delta.OverlapsAny(fp.Patterns) {
+				rerun = append(rerun, i)
+			}
 		}
 	}
 
-	if len(rerun) == len(p.Specs) {
-		// Nothing to reuse — the delta touched every footprint. The plain
-		// full path produces the same report without splice bookkeeping.
-		return e.Run(prog)
-	}
-
-	if len(rerun) == 0 {
+	if splice && len(rerun) == 0 {
 		// Nothing to re-run — the delta touched no footprint (often because
 		// the diff's identity or content-address fast path proved the
 		// snapshots equal). Clone the previous report instead of splicing
 		// spec by spec: same bytes, none of the per-spec walk. This is the
 		// steady state of a service seeing repeated payloads.
 		out := prevRep.Clone()
-		out.SpecsReused = len(p.Specs)
+		out.SpecsReused = len(prog.Specs)
 		out.Duration = time.Since(start)
 		return out
 	}
 
-	fresh := e.runSubset(p, rerun)
-	if fresh.Interrupted {
-		// The re-run subset was cut off: return it as-is, partial and
-		// marked. No splicing — a spliced report must account for every
-		// spec, and an interrupted subset cannot.
+	fresh := e.runSpecs(prog, p, rerun)
+	if fresh.Interrupted || len(rerun) == len(prog.Specs) {
+		// Either nothing was reusable — no usable previous state, or the
+		// delta touched every footprint — and the fresh report is the full
+		// one; or the re-run was cut off, and it is returned as-is, partial
+		// and marked: a spliced report must account for every spec, and an
+		// interrupted subset cannot.
 		fresh.Duration = time.Since(start)
 		return fresh
 	}
@@ -108,11 +99,12 @@ func (e *Engine) RunIncrementalContext(ctx context.Context, prog *compiler.Progr
 	// from the fresh run or the previous report. Violations and spec
 	// errors append in Seq order, which is exactly the order a full run
 	// (sequential or merged-parallel) produces.
-	out := &report.Report{SpecsReused: len(p.Specs) - len(rerun)}
-	for seq := range p.Specs {
+	out := &report.Report{SpecsReused: len(prog.Specs) - len(rerun)}
+	for seq, next := 0, 0; seq < len(prog.Specs); seq++ {
 		src := prevRep
-		if isRerun[seq] {
+		if next < len(rerun) && rerun[next] == seq {
 			src = fresh
+			next++
 		}
 		o, _ := src.Outcome(seq)
 		out.SpecsRun++
@@ -128,41 +120,4 @@ func (e *Engine) RunIncrementalContext(ctx context.Context, prog *compiler.Progr
 	}
 	out.Duration = time.Since(start)
 	return out
-}
-
-// runSubset executes the given spec indexes against the pinned
-// snapshot, reusing the parallel partition machinery (the shared
-// partitioner, deterministic Seq-ordered merge) when the effective
-// parallelism exceeds one.
-func (e *Engine) runSubset(p *plan.Plan, idxs []int) *report.Report {
-	if len(idxs) == 0 {
-		return &report.Report{}
-	}
-	rt := e.runtime()
-	if n := e.effectiveParallel(len(idxs)); n > 1 {
-		return runParts(e.partitionSpecs(p, idxs, n), func(idxs []int, sub *report.Report) {
-			for _, j := range idxs {
-				if rt.Canceled() {
-					sub.Interrupted = true
-					return
-				}
-				p.Specs[j].Run(rt, sub)
-				if sub.Interrupted {
-					return
-				}
-			}
-		})
-	}
-	rep := &report.Report{}
-	for _, j := range idxs {
-		if rt.Canceled() {
-			rep.Interrupted = true
-			break
-		}
-		p.Specs[j].Run(rt, rep)
-		if rep.Interrupted {
-			break
-		}
-	}
-	return rep
 }

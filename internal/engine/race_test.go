@@ -52,8 +52,8 @@ $Cloud*.Cloud.ProxyIP -> nonempty
 	return src
 }
 
-// TestParallelRunColdStoreRace stress-tests runParallel against a store
-// whose snapshot has never been sealed and whose discovery cache is
+// TestParallelRunColdStoreRace stress-tests a parallel run against a
+// store whose snapshot has never been sealed and whose discovery cache is
 // cold: all partitions race to seal, then hammer the sharded cache with
 // wildcard discoveries. Run with -race. It also checks parallel,
 // sequential, and interpreted runs agree on the planted violation.

@@ -139,6 +139,11 @@ func (r *LoadReport) Render(w interface{ Write([]byte) (int, error) }) {
 	}
 }
 
+// goodKey identifies one retained parse. Scope and driver are part of
+// the identity because instances are stored scoped: one file loaded
+// under two scopes keeps two parses, and neither is served for the other.
+type goodKey struct{ name, format, scope string }
+
 // lastGood is the retained parse of one source.
 type lastGood struct {
 	ins         []*config.Instance
@@ -158,7 +163,7 @@ type Loader struct {
 	MaxStale int
 
 	mu   sync.Mutex
-	good map[string]*lastGood
+	good map[goodKey]*lastGood
 }
 
 // NewLoader returns a Loader with the given staleness bound.
@@ -189,15 +194,16 @@ func (l *Loader) loadOne(ctx context.Context, st *config.Store, src Source) Outc
 		format = FormatFromPath(src.Name)
 	}
 	out := Outcome{Source: src.Name, Driver: format}
+	key := goodKey{src.Name, format, src.Scope}
 	ins, err := fetchAndParse(ctx, src, format)
 	if err == nil {
 		st.AddAll(ins)
 		out.Instances = len(ins)
 		l.mu.Lock()
 		if l.good == nil {
-			l.good = make(map[string]*lastGood)
+			l.good = make(map[goodKey]*lastGood)
 		}
-		l.good[src.Name] = &lastGood{ins: ins}
+		l.good[key] = &lastGood{ins: ins}
 		l.mu.Unlock()
 		return out
 	}
@@ -206,7 +212,7 @@ func (l *Loader) loadOne(ctx context.Context, st *config.Store, src Source) Outc
 	// stale. Instances are immutable once parsed, so re-adding the same
 	// pointers to a fresh store is sound.
 	l.mu.Lock()
-	g := l.good[src.Name]
+	g := l.good[key]
 	if g != nil {
 		g.staleRounds++
 		if l.MaxStale < 0 || (l.MaxStale > 0 && g.staleRounds > l.MaxStale) {
@@ -273,10 +279,14 @@ func FormatFromPath(path string) string {
 	}
 }
 
-// Forget drops a source's retained last-good parse (test hygiene, or a
+// Forget drops a source's retained last-good parses (test hygiene, or a
 // source administratively removed from the set).
 func (l *Loader) Forget(name string) {
 	l.mu.Lock()
-	delete(l.good, name)
+	for k := range l.good {
+		if k.name == name {
+			delete(l.good, k)
+		}
+	}
 	l.mu.Unlock()
 }

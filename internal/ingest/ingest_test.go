@@ -210,6 +210,31 @@ func TestForgetDropsLastGood(t *testing.T) {
 	}
 }
 
+// One file loaded under two scopes keeps two last-good parses: instances
+// are stored scoped, so serving one scope's parse for the other would
+// put keys under the wrong prefix. The session's single loader makes
+// this reachable — a -data flag and a spec's load command may name the
+// same file.
+func TestStaleParseIsPerScope(t *testing.T) {
+	l := NewLoader(0)
+	scoped := func(scope string, data []byte) Source {
+		src := memSource("s.json", "json", data)
+		src.Scope = scope
+		return src
+	}
+	l.Load(context.Background(), config.NewStore(), []Source{scoped("A", goodJSON), scoped("B", goodJSON)})
+	st := config.NewStore()
+	rep := l.Load(context.Background(), st, []Source{scoped("A", []byte("{torn"))})
+	if o := rep.Outcomes[0]; !o.Stale || o.Instances != 2 {
+		t.Fatalf("torn scope-A source: %+v", o)
+	}
+	for _, in := range st.Snapshot().Instances() {
+		if !strings.HasPrefix(in.Key.String(), "A.") {
+			t.Errorf("scope A was served %s", in.Key)
+		}
+	}
+}
+
 func TestRenderMentionsDegradedSources(t *testing.T) {
 	l := NewLoader(0)
 	load := func(srcs ...Source) *LoadReport {

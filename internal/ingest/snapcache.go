@@ -1,10 +1,10 @@
 package ingest
 
 import (
-	"container/list"
 	"sync"
 
 	"confvalley/internal/config"
+	"confvalley/internal/lru"
 )
 
 // SnapshotCache is a bounded LRU of parsed request payloads, keyed by
@@ -21,16 +21,13 @@ import (
 // clean — a degraded parse depends on the loader's last-good history,
 // not just the bytes, and so is not content-addressable.
 type SnapshotCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recent
-	items map[string]*list.Element
+	mu      sync.Mutex
+	entries *lru.Cache[string, snapEntry]
 
 	hits, misses, evictions int64
 }
 
 type snapEntry struct {
-	key   string
 	store *config.Store
 	rep   *LoadReport
 }
@@ -42,11 +39,7 @@ func NewSnapshotCache(capacity int) *SnapshotCache {
 	if capacity <= 0 {
 		return nil
 	}
-	return &SnapshotCache{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[string]*list.Element, capacity),
-	}
+	return &SnapshotCache{entries: lru.New[string, snapEntry](capacity)}
 }
 
 // Get returns the cached store and load report for a content address.
@@ -56,14 +49,12 @@ func (c *SnapshotCache) Get(key string) (*config.Store, *LoadReport, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	e, ok := c.entries.Get(key)
 	if !ok {
 		c.misses++
 		return nil, nil, false
 	}
 	c.hits++
-	c.ll.MoveToFront(el)
-	e := el.Value.(*snapEntry)
 	return e.store, e.rep, true
 }
 
@@ -75,18 +66,7 @@ func (c *SnapshotCache) Put(key string, st *config.Store, rep *LoadReport) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*snapEntry).store, el.Value.(*snapEntry).rep = st, rep
-		return
-	}
-	c.items[key] = c.ll.PushFront(&snapEntry{key: key, store: st, rep: rep})
-	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*snapEntry).key)
-		c.evictions++
-	}
+	c.evictions += int64(c.entries.Put(key, snapEntry{store: st, rep: rep}))
 }
 
 // Len returns the number of cached entries.
@@ -96,7 +76,7 @@ func (c *SnapshotCache) Len() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.entries.Len()
 }
 
 // SnapshotCacheStats is a point-in-time counter snapshot.
@@ -114,5 +94,5 @@ func (c *SnapshotCache) Stats() SnapshotCacheStats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return SnapshotCacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: c.ll.Len()}
+	return SnapshotCacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: c.entries.Len()}
 }

@@ -19,22 +19,6 @@ import (
 // the run stopped.
 var errInterrupted = errors.New("plan: run interrupted")
 
-// Run executes every spec node sequentially, appending to rep. A
-// canceled runtime context stops the loop and marks the report
-// Interrupted: what ran so far is kept, the rest never executes.
-func (p *Plan) Run(rt *Runtime, rep *report.Report) {
-	for _, n := range p.Specs {
-		if rt.Canceled() {
-			rep.Interrupted = true
-			return
-		}
-		n.Run(rt, rep)
-		if rep.Stopped || rep.Interrupted {
-			break
-		}
-	}
-}
-
 // Run evaluates one specification node, appending violations to rep.
 //
 // Two containment layers live here. A panic anywhere under the spec —

@@ -95,15 +95,10 @@ type Runtime struct {
 	// StopOnFirst aborts at the first violation.
 	StopOnFirst bool
 	// Ctx carries the run's deadline and cancellation. Nil means
-	// uncancellable. Executors poll it between specs, between domains and
-	// between compartment groups; a canceled run produces a partial
-	// report marked Interrupted.
+	// uncancellable. The engine's spec loop polls it between specs; a
+	// spec node polls it between domains, compartment groups and bound
+	// values, rolling itself back when it fires.
 	Ctx context.Context
-}
-
-// Canceled reports whether the run's context has been canceled.
-func (rt *Runtime) Canceled() bool {
-	return rt.Ctx != nil && rt.Ctx.Err() != nil
 }
 
 // snapshot returns the pinned snapshot, or the store's current one for
@@ -143,11 +138,11 @@ type Ctx struct {
 	used  int
 }
 
-// canceled is the inner-loop variant of Runtime.Canceled. Consulting a
+// canceled polls the run's context from inside a spec. Consulting a
 // cancellable context costs a lock, which dominates tight per-value
 // loops, so those poll the context only once every 64 calls and latch
-// the answer. Spec boundaries use Runtime.Canceled directly and stay
-// exact; inside a spec, cancellation lands at most 63 elements late.
+// the answer. Spec boundaries are polled exactly by the engine's spec
+// loop; inside a spec, cancellation lands at most 63 elements late.
 func (c *Ctx) canceled() bool {
 	if c.rt.Ctx == nil {
 		return false

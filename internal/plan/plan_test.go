@@ -36,8 +36,10 @@ func mustCompile(t *testing.T, src string) *compiler.Program {
 }
 
 func runPlan(p *Plan, st *config.Store) *report.Report {
-	rep := &report.Report{}
-	p.Run(&Runtime{Store: st, Env: simenv.NewSim()}, rep)
+	rep, rt := &report.Report{}, &Runtime{Store: st, Env: simenv.NewSim()}
+	for _, n := range p.Specs {
+		n.Run(rt, rep)
+	}
 	return rep
 }
 

@@ -2,7 +2,13 @@ package runner
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"confvalley/internal/predicate"
+	"confvalley/internal/simenv"
+	"confvalley/internal/value"
 )
 
 const cacheSpec = "$app.timeout -> int & [1, 60]\n$app.retries -> int & [0, 5]\n"
@@ -98,5 +104,55 @@ func TestSnapshotCacheGating(t *testing.T) {
 	}
 	if got := r2.SnapshotCacheStats().Hits; got != 0 {
 		t.Errorf("degraded parse hit the cache: %d hits", got)
+	}
+}
+
+// stallHook is called by the stall predicate; a test installs a sleep
+// to push one run past its LoadTimeout from inside a spec.
+var stallHook atomic.Value // of func()
+
+func init() {
+	predicate.Register(&predicate.Func{
+		Name: "stall",
+		Check: func(simenv.Env, []value.V, value.V) (bool, error) {
+			if h, ok := stallHook.Load().(func()); ok {
+				h()
+			}
+			return true, nil
+		},
+	})
+}
+
+// LoadTimeout bounds an incremental run whichever branch it takes: a
+// delta that touches every footprint used to restart the run under a
+// background context, so the deadline was ignored for the whole run.
+// The interrupted run must report itself and hand Prev back unchanged.
+func TestLoadTimeoutInterruptsAllRerunIncremental(t *testing.T) {
+	const spec = "$app.a -> stall\n$app.b -> int & [0, 9]\n$app.c -> int & [0, 8]\n"
+	job := func(v string) Job {
+		return Job{SpecSrc: spec, Payloads: []Payload{{Name: "app.kv", Format: "kv",
+			Data: []byte("app.a = " + v + "\napp.b = " + v + "\napp.c = " + v + "\n")}}}
+	}
+	const timeout = 100 * time.Millisecond
+	r := New(Options{Parallel: 1, LoadTimeout: timeout})
+	seed, err := r.Run(context.Background(), job("1"))
+	if err != nil || seed.Report.Interrupted || seed.State == nil {
+		t.Fatalf("seed run: err=%v report=%+v", err, seed.Report)
+	}
+
+	stallHook.Store(func() { time.Sleep(2 * timeout) })
+	defer stallHook.Store(func() {})
+	next := job("2") // every key changed: nothing to reuse
+	next.Prev = seed.State
+	res, err := r.Run(context.Background(), next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Report.Interrupted || res.Report.SpecsRun != 1 {
+		t.Errorf("deadline inside an all-rerun incremental run: Interrupted=%t SpecsRun=%d, want true/1 (the stalled spec completes, nothing after it starts)",
+			res.Report.Interrupted, res.Report.SpecsRun)
+	}
+	if res.State != seed.State {
+		t.Error("an interrupted run replaced the incremental state instead of handing Prev back")
 	}
 }

@@ -5,9 +5,17 @@
 // caching the compiled program across rounds, swapping the store in
 // atomically, and folding the per-source accounting into an exit
 // code — is a policy any caller of the library needs, not a CLI
-// detail. cvcheck is now a thin flag-parsing shell over this package,
-// and cvserve drives the exact same code path per tenant, so the CLI
-// and the service cannot fork behaviorally.
+// detail. cvcheck is a thin flag-parsing shell over this package, and
+// cvserve drives the exact same code path per tenant, so the CLI and
+// the service cannot fork behaviorally.
+//
+// A run makes one call into the session —
+// Session.RunProgramIncremental — whatever the front end: it is
+// incremental iff the Job carries the previous run's State as Prev
+// (cvcheck -watch threads it round to round, cvserve keeps one per
+// registered spec), and job sources load through the session's one
+// graceful-degradation loader, the same one a spec's own load commands
+// use.
 package runner
 
 import (
@@ -24,10 +32,12 @@ import (
 	"confvalley/internal/lint"
 )
 
-// Options configures a Runner; the fields mirror cvcheck's flags and
-// the corresponding Session knobs. The zero value is a non-incremental,
-// degrading runner with no load timeout that validates with one worker
-// per hardware thread.
+// Options configures a Runner; the fields mirror cvcheck's flags. The
+// zero value is a runner with no load timeout that validates with one
+// worker per hardware thread. Two things are decisions, not options:
+// loading always degrades gracefully (a failing source is quarantined
+// or served stale, never fatal), and a run is incremental iff its Job
+// carries a Prev.
 type Options struct {
 	// Parallel sets the validation worker count: 0 or negative uses one
 	// worker per hardware thread, 1 forces sequential execution, and
@@ -37,13 +47,6 @@ type Options struct {
 	StopOnFirst bool
 	// Interpret selects the AST interpreter over lowered plans.
 	Interpret bool
-	// Incremental retains each run's (snapshot, report) pair and
-	// re-runs only the specs whose footprint overlaps the keys changed
-	// since — cvcheck's watch-round default.
-	Incremental bool
-	// Strict disables graceful degradation: the first source that
-	// fails to load aborts the run instead of being quarantined.
-	Strict bool
 	// MaxStale bounds how many consecutive rounds a failing source is
 	// served from its last good parse (0 = forever, negative = never).
 	MaxStale int
@@ -102,9 +105,8 @@ type Job struct {
 	// Prev threads a previous run's retained state into this one: when
 	// it was produced by an earlier job running the *same* compiled
 	// program, only the specs whose footprint overlaps the changed keys
-	// re-execute and the rest splice from the retained report. Ignored
-	// under Options.Incremental, which keeps the session-retained
-	// equivalent instead. The result's State carries this run forward.
+	// re-execute and the rest splice from the retained report. Nil runs
+	// every spec. The result's State carries this run forward.
 	Prev *confvalley.RunState
 	// PayloadHash optionally pre-supplies the content address of
 	// Payloads (runner.HashPayloads); empty computes it on demand when
@@ -121,14 +123,13 @@ type Result struct {
 	// job carried none.
 	Data *confvalley.LoadReport
 	// SpecLoads accounts for load commands inside the specification
-	// itself; nil when it has none (or in Strict mode).
+	// itself; nil when it has none.
 	SpecLoads *confvalley.LoadReport
 	// Program is the compiled program the run executed — callers reuse
 	// it to skip recompilation, and tests compare identity.
 	Program *confvalley.Program
 	// State is the run's retained incremental state for a future job's
-	// Prev; nil under Options.Incremental, and unchanged from Prev when
-	// the run was interrupted.
+	// Prev; unchanged from Prev when the run was interrupted.
 	State *confvalley.RunState
 	// SnapshotHash is the content address of the job's payload set,
 	// when one was computed (snapshot cache enabled and the job was
@@ -216,8 +217,8 @@ func (e *LintError) Error() string {
 	return fmt.Sprintf("specification failed lint with %d error(s); first: %s", errs, first)
 }
 
-// Runner is a persistent validation pipeline: one session, one
-// graceful-degradation loader, and one compiled-program cache, reused
+// Runner is a persistent validation pipeline: one session (and with it
+// one graceful-degradation loader) and one compiled-program cache, reused
 // across runs so watch rounds and service requests skip recompilation
 // and serve stale data across failures. A Runner is safe for
 // concurrent Run calls: each run builds and validates a private store,
@@ -225,7 +226,6 @@ func (e *LintError) Error() string {
 type Runner struct {
 	opts      Options
 	session   *confvalley.Session
-	loader    *confvalley.Loader
 	snapCache *ingest.SnapshotCache // nil unless Options.SnapshotCache > 0
 
 	// mu guards the compiled-program cache. Program identity matters
@@ -243,8 +243,7 @@ func New(opts Options) *Runner {
 	s.Parallel = opts.Parallel
 	s.StopOnFirst = opts.StopOnFirst
 	s.Interpret = opts.Interpret
-	s.Incremental = opts.Incremental
-	s.Degrade = !opts.Strict
+	s.Degrade = true
 	s.MaxStale = opts.MaxStale
 	s.SpecDir = opts.SpecDir
 	if opts.Env != nil {
@@ -253,7 +252,6 @@ func New(opts Options) *Runner {
 	return &Runner{
 		opts:      opts,
 		session:   s,
-		loader:    confvalley.NewLoader(opts.MaxStale),
 		snapCache: ingest.NewSnapshotCache(opts.SnapshotCache),
 	}
 }
@@ -332,7 +330,7 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 	if !cached {
 		st = confvalley.NewStore()
 		if sources := r.ingestSources(job); len(sources) > 0 {
-			dataRep = r.loader.Load(ctx, st, sources)
+			dataRep = r.session.LoadSources(ctx, st, sources)
 		}
 		// Cache only clean, complete parses: a degraded outcome depends
 		// on the loader's last-good history, not just the bytes, and an
@@ -357,20 +355,10 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 			}
 		}
 	}
-	var specLoads *confvalley.LoadReport
 	var err error
-	if r.opts.Incremental {
-		// Session-retained incremental state (cvcheck watch): one
-		// lineage per session, Prev ignored.
-		res.Report, specLoads, err = r.session.RunProgram(ctx, prog, st)
-	} else {
-		res.Report, specLoads, res.State, err = r.session.RunProgramIncremental(ctx, prog, st, job.Prev)
-	}
+	res.Report, res.SpecLoads, res.State, err = r.session.RunProgramIncremental(ctx, prog, st, job.Prev)
 	if err != nil {
 		return nil, err
-	}
-	if len(prog.Loads) > 0 {
-		res.SpecLoads = specLoads
 	}
 	return res, nil
 }
@@ -452,14 +440,4 @@ func ParseSourceArg(arg string) (confvalley.Source, error) {
 		}
 	}
 	return confvalley.Source{Name: rest, Format: format}, nil
-}
-
-// Forget drops a source's retained last-good parse, for sources
-// administratively removed between rounds.
-func (r *Runner) Forget(name string) { r.loader.Forget(name) }
-
-// String renders the options compactly for logs.
-func (o Options) String() string {
-	return fmt.Sprintf("parallel=%d stop=%t interpret=%t incremental=%t strict=%t max-stale=%d load-timeout=%s",
-		o.Parallel, o.StopOnFirst, o.Interpret, o.Incremental, o.Strict, o.MaxStale, o.LoadTimeout)
 }

@@ -13,8 +13,10 @@ package serve
 // payload byte that differs anywhere changes the content address.
 
 import (
-	"container/list"
+	"strings"
 	"sync"
+
+	"confvalley/internal/lru"
 )
 
 // resultCache is one tenant's response cache. A nil *resultCache is a
@@ -28,20 +30,12 @@ import (
 // entries. Alias hits count as hits; alias evictions are not
 // surfaced — Evictions reports canonical responses dropped.
 type resultCache struct {
-	mu       sync.Mutex
-	cap      int
-	ll       *list.List // front = most recent
-	items    map[string]*list.Element
-	rawLL    *list.List
-	rawItems map[string]*list.Element
-	flights  map[string]*flight
+	mu      sync.Mutex
+	items   *lru.Cache[string, *ValidateResponse]
+	raw     *lru.Cache[string, *ValidateResponse]
+	flights map[string]*flight
 
 	hits, misses, coalesced, evictions int64
-}
-
-type resultEntry struct {
-	key  string
-	resp *ValidateResponse
 }
 
 // flight is one in-progress validation that identical concurrent
@@ -57,12 +51,9 @@ func newResultCache(capacity int) *resultCache {
 		return nil
 	}
 	return &resultCache{
-		cap:      capacity,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element, capacity),
-		rawLL:    list.New(),
-		rawItems: make(map[string]*list.Element, capacity),
-		flights:  make(map[string]*flight),
+		items:   lru.New[string, *ValidateResponse](capacity),
+		raw:     lru.New[string, *ValidateResponse](capacity),
+		flights: make(map[string]*flight),
 	}
 }
 
@@ -71,16 +62,28 @@ func (c *resultCache) get(key string) (*ValidateResponse, bool) {
 	if c == nil {
 		return nil, false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
+	return c.lookup(c.items, key)
+}
+
+// getRaw looks up a raw-body alias.
+func (c *resultCache) getRaw(key string) (*ValidateResponse, bool) {
+	if c == nil {
 		return nil, false
 	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*resultEntry).resp, true
+	return c.lookup(c.raw, key)
+}
+
+// lookup reads one of the two tables, counting the hit or miss.
+func (c *resultCache) lookup(table *lru.Cache[string, *ValidateResponse], key string) (*ValidateResponse, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	resp, ok := table.Get(key)
+	if ok {
+		c.hits++
+	} else {
+		c.misses++
+	}
+	return resp, ok
 }
 
 // join enters the single-flight table: the first caller for a key
@@ -111,28 +114,11 @@ func (c *resultCache) complete(key string, f *flight, resp *ValidateResponse, er
 	c.mu.Lock()
 	delete(c.flights, key)
 	if store && err == nil && resp != nil {
-		c.insertLocked(key, resp)
+		c.evictions += int64(c.items.Put(key, resp))
 	}
 	c.mu.Unlock()
 	f.resp, f.err = resp, err
 	close(f.done)
-}
-
-// getRaw looks up a raw-body alias.
-func (c *resultCache) getRaw(key string) (*ValidateResponse, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.rawItems[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.rawLL.MoveToFront(el)
-	return el.Value.(*resultEntry).resp, true
 }
 
 // putRaw stores a raw-body alias, outside the single-flight protocol.
@@ -143,34 +129,7 @@ func (c *resultCache) putRaw(key string, resp *ValidateResponse) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.rawItems[key]; ok {
-		c.rawLL.MoveToFront(el)
-		el.Value.(*resultEntry).resp = resp
-		return
-	}
-	c.rawItems[key] = c.rawLL.PushFront(&resultEntry{key: key, resp: resp})
-	for c.rawLL.Len() > c.cap {
-		back := c.rawLL.Back()
-		c.rawLL.Remove(back)
-		delete(c.rawItems, back.Value.(*resultEntry).key)
-	}
-}
-
-// insertLocked adds or refreshes one canonical LRU entry and trims to
-// capacity.
-func (c *resultCache) insertLocked(key string, resp *ValidateResponse) {
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*resultEntry).resp = resp
-		return
-	}
-	c.items[key] = c.ll.PushFront(&resultEntry{key: key, resp: resp})
-	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*resultEntry).key)
-		c.evictions++
-	}
+	c.raw.Put(key, resp)
 }
 
 // purge drops every cached entry whose key starts with prefix — the
@@ -184,18 +143,9 @@ func (c *resultCache) purge(prefix string) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, el := range c.items {
-		if len(key) >= len(prefix) && key[:len(prefix)] == prefix {
-			c.ll.Remove(el)
-			delete(c.items, key)
-		}
-	}
-	for key, el := range c.rawItems {
-		if len(key) >= len(prefix) && key[:len(prefix)] == prefix {
-			c.rawLL.Remove(el)
-			delete(c.rawItems, key)
-		}
-	}
+	hasPrefix := func(key string) bool { return strings.HasPrefix(key, prefix) }
+	c.items.DeleteFunc(hasPrefix)
+	c.raw.DeleteFunc(hasPrefix)
 }
 
 // entries returns the number of cached responses.
@@ -205,7 +155,7 @@ func (c *resultCache) entries() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.items.Len()
 }
 
 // ResultCacheStats is one tenant's result-cache counter block.
@@ -229,6 +179,6 @@ func (c *resultCache) stats() ResultCacheStats {
 		Misses:    c.misses,
 		Coalesced: c.coalesced,
 		Evictions: c.evictions,
-		Entries:   c.ll.Len(),
+		Entries:   c.items.Len(),
 	}
 }

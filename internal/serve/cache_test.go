@@ -13,9 +13,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"confvalley"
+	"confvalley/internal/plan"
+	"confvalley/internal/predicate"
 	"confvalley/internal/report"
+	"confvalley/internal/runner"
+	"confvalley/internal/simenv"
+	"confvalley/internal/value"
 )
 
 // coldConfig disables every service-side cache layer: each request is
@@ -282,5 +290,119 @@ func TestConcurrentCoalescedValidate(t *testing.T) {
 	}
 	if st.Validations < 1 || st.Validations > workers {
 		t.Errorf("validations = %d, want 1..%d (identical requests must coalesce)", st.Validations, workers)
+	}
+}
+
+// stallHook is called by the stall predicate; a test installs a sleep
+// to push one request past the runner's LoadTimeout from inside a spec.
+var stallHook atomic.Value // of func()
+
+func init() {
+	predicate.Register(&predicate.Func{
+		Name: "stall",
+		Check: func(simenv.Env, []value.V, value.V) (bool, error) {
+			if h, ok := stallHook.Load().(func()); ok {
+				h()
+			}
+			return true, nil
+		},
+	})
+}
+
+// A request whose deadline lands inside an incremental run that re-runs
+// every spec comes back Interrupted — that branch used to ignore the
+// deadline and return (and cache) a complete report — and an interrupted
+// response is retained nowhere: not under its payload hash, not under
+// its raw-body alias, not as the spec's incremental state.
+func TestInterruptedAllRerunResponseNotCached(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	ctx := context.Background()
+	srv := New(Config{Runner: runner.Options{Parallel: 1, LoadTimeout: timeout}})
+	if _, err := srv.RegisterSpec("acme", "checks", "$app.a -> stall\n$app.b -> int & [0, 9]\n$app.c -> int & [0, 8]\n"); err != nil {
+		t.Fatal(err)
+	}
+	body := func(v string) []byte {
+		b, err := json.Marshal(kvRequest("app.a = " + v + "\napp.b = " + v + "\napp.c = " + v + "\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if resp, err := srv.ValidateBody(ctx, "acme", "checks", body("1")); err != nil || resp.Report.Interrupted {
+		t.Fatalf("seed request: %+v, %v", resp, err)
+	}
+
+	stallHook.Store(func() { time.Sleep(2 * timeout) })
+	resp, err := srv.ValidateBody(ctx, "acme", "checks", body("2")) // every key changed
+	stallHook.Store(func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Report.Interrupted || resp.Report.SpecsRun != 1 {
+		t.Fatalf("deadline inside an all-rerun incremental request: interrupted=%t specs_run=%d, want true/1",
+			resp.Report.Interrupted, resp.Report.SpecsRun)
+	}
+
+	// The identical body again, unhurried: a real validation, complete,
+	// with nothing spliced from the interrupted attempt.
+	before := srv.Stats()
+	again, err := srv.ValidateBody(ctx, "acme", "checks", body("2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := srv.Stats()
+	if after.Validations != before.Validations+1 || after.ResultCacheHits != before.ResultCacheHits {
+		t.Errorf("repeat of an interrupted request: %d validation(s), %d cache hit(s); want 1, 0",
+			after.Validations-before.Validations, after.ResultCacheHits-before.ResultCacheHits)
+	}
+	if again.Report.Interrupted || again.Report.SpecsRun != 3 || again.Report.SpecsReused != 0 {
+		t.Errorf("repeat of an interrupted request: %+v", again.Report)
+	}
+}
+
+// Retiring a registration releases its lowered plan: re-registering one
+// name over and over, validating each time, leaves the plan cache
+// holding the live program only — not one entry per registration until
+// the cache's wholesale flush.
+func TestRetiredSpecsReleaseTheirPlans(t *testing.T) {
+	ctx := context.Background()
+	srv := New(Config{})
+	var progs []*confvalley.Program
+	for i := 0; i < 5; i++ {
+		if _, err := srv.RegisterSpec("acme", "checks", fmt.Sprintf("$app.timeout -> int & [1, %d]", 60+i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Validate(ctx, "acme", "checks", kvRequest("app.timeout = 30\n")); err != nil {
+			t.Fatal(err)
+		}
+		tn, _ := srv.tenantFor("acme", false)
+		entry, _ := tn.spec("checks")
+		progs = append(progs, entry.prog)
+	}
+	// cached reports whether the plan cache still holds prog's plan,
+	// leaving the cache as it found it.
+	cached := func(prog *confvalley.Program) bool {
+		_, misses := plan.CacheStats()
+		plan.For(prog)
+		_, now := plan.CacheStats()
+		if now != misses {
+			plan.Forget(prog)
+		}
+		return now == misses
+	}
+	live := len(progs) - 1
+	for i, prog := range progs[:live] {
+		if cached(prog) {
+			t.Errorf("registration %d was replaced but its plan is still cached", i)
+		}
+	}
+	if !cached(progs[live]) {
+		t.Error("the live registration's plan is not cached")
+	}
+	if err := srv.DeleteSpec("acme", "checks"); err != nil {
+		t.Fatal(err)
+	}
+	if cached(progs[live]) {
+		t.Error("the deleted registration's plan is still cached")
 	}
 }

@@ -6,12 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
+
+	"confvalley/internal/driver"
 )
 
 // DefaultTimeout bounds each request of a Client whose Timeout is zero.
@@ -80,38 +80,18 @@ func (c *Client) url(parts ...string) string {
 	return strings.TrimSuffix(c.Base, "/") + "/" + strings.Join(parts, "/")
 }
 
-// retryJitter backs the retry backoff's jitter, shared across clients
-// the way the REST driver's jitterRNG is shared across fetches.
-var (
-	retryJitterMu  sync.Mutex
-	retryJitterRNG = rand.New(rand.NewSource(time.Now().UnixNano()))
-)
-
-// backoffDelay computes the capped exponential delay before retry n
-// (1-based), with 50% uniform jitter — the restDriver retry shape.
-func (c *Client) backoffDelay(n int) time.Duration {
-	base, max := c.RetryBackoff, c.RetryMaxBackoff
-	if base <= 0 {
-		base = 100 * time.Millisecond
+// retryPolicy is the client's retry schedule in the shape the REST
+// driver defines it: capped doubling from RetryBackoff to
+// RetryMaxBackoff with 50% uniform jitter, waited out through Sleep.
+func (c *Client) retryPolicy() driver.RetryPolicy {
+	p := driver.RetryPolicy{BaseBackoff: c.RetryBackoff, MaxBackoff: c.RetryMaxBackoff, Jitter: 0.5, Sleep: c.Sleep}
+	if p.BaseBackoff <= 0 {
+		p.BaseBackoff = 100 * time.Millisecond
 	}
-	if max <= 0 {
-		max = 2 * time.Second
+	if p.MaxBackoff <= 0 {
+		p.MaxBackoff = 2 * time.Second
 	}
-	d := base
-	for i := 1; i < n; i++ {
-		d *= 2
-		if d >= max {
-			d = max
-			break
-		}
-	}
-	if d > max {
-		d = max
-	}
-	retryJitterMu.Lock()
-	f := retryJitterRNG.Float64()
-	retryJitterMu.Unlock()
-	return d + time.Duration(f*0.5*float64(d))
+	return p
 }
 
 // retryAfter parses a 429/503 response's Retry-After header (seconds
@@ -139,10 +119,7 @@ func (c *Client) do(ctx context.Context, method, url string, body []byte, out an
 	if attempts < 1 {
 		attempts = 1
 	}
-	sleep := c.Sleep
-	if sleep == nil {
-		sleep = sleepRetry
-	}
+	policy := c.retryPolicy()
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		var rd io.Reader
@@ -162,7 +139,7 @@ func (c *Client) do(ctx context.Context, method, url string, body []byte, out an
 				return err
 			}
 			lastErr = err
-			if serr := sleep(ctx, c.backoffDelay(attempt)); serr != nil {
+			if serr := policy.Wait(ctx, policy.BackoffDelay(attempt)); serr != nil {
 				return fmt.Errorf("%w (after %d attempt(s): %v)", serr, attempt, lastErr)
 			}
 			continue
@@ -170,32 +147,17 @@ func (c *Client) do(ctx context.Context, method, url string, body []byte, out an
 		if (resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable) && attempt < attempts {
 			delay, ok := retryAfter(resp)
 			if !ok {
-				delay = c.backoffDelay(attempt)
+				delay = policy.BackoffDelay(attempt)
 			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			lastErr = fmt.Errorf("serve: %s", resp.Status)
-			if serr := sleep(ctx, delay); serr != nil {
+			if serr := policy.Wait(ctx, delay); serr != nil {
 				return fmt.Errorf("%w (after %d attempt(s): %v)", serr, attempt, lastErr)
 			}
 			continue
 		}
 		return decodeResponse(resp, out)
-	}
-}
-
-// sleepRetry is the default between-attempts wait.
-func sleepRetry(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
 	}
 }
 

@@ -185,7 +185,7 @@ func TestBackoffDelayCapsAndJitters(t *testing.T) {
 	c := &Client{RetryBackoff: 100 * time.Millisecond, RetryMaxBackoff: 400 * time.Millisecond}
 	for n, want := range map[int]time.Duration{1: 100 * time.Millisecond, 2: 200 * time.Millisecond, 3: 400 * time.Millisecond, 9: 400 * time.Millisecond} {
 		for i := 0; i < 50; i++ {
-			d := c.backoffDelay(n)
+			d := c.retryPolicy().BackoffDelay(n)
 			if d < want || d > want+want/2 {
 				t.Fatalf("backoffDelay(%d) = %v, want within [%v, %v]", n, d, want, want+want/2)
 			}

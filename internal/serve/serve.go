@@ -794,7 +794,7 @@ func (s *Server) validate(ctx context.Context, t *tenant, entry *specEntry, job 
 	if err != nil {
 		return nil, err
 	}
-	if !s.cfg.NoIncremental && res.State != nil && !res.Report.Interrupted {
+	if !s.cfg.NoIncremental && !res.Report.Interrupted {
 		entry.state.Store(res.State)
 	}
 	if n := res.Report.SpecsReused; n > 0 {

@@ -10,6 +10,7 @@ import (
 	"confvalley"
 	"confvalley/internal/durable"
 	"confvalley/internal/lint"
+	"confvalley/internal/plan"
 	"confvalley/internal/runner"
 )
 
@@ -76,9 +77,10 @@ func newTenant(name string, opts runner.Options, resultCacheSize int) *tenant {
 // register compiles and stores a spec under name, replacing any
 // previous program registered there. Replacement invalidates every
 // cache keyed to the old registration: the fresh entry carries a new
-// nonce and empty incremental state, and the old cached responses are
-// purged. The replaced entry (nil on first registration) comes back so
-// a durable caller whose journal append fails can roll the apply back.
+// nonce and empty incremental state, the old cached responses are
+// purged, and the old program's lowered plan is released. The replaced
+// entry (nil on first registration) comes back so a durable caller whose
+// journal append fails can roll the apply back.
 func (t *tenant) register(name, src string, maxSpecs int, diags []lint.Diagnostic) (SpecInfo, *specEntry, error) {
 	prog, err := t.runner.Session().Compile(src)
 	if err != nil {
@@ -93,7 +95,18 @@ func (t *tenant) register(name, src string, maxSpecs int, diags []lint.Diagnosti
 	entry := &specEntry{name: name, src: src, prog: prog, diags: diags, id: specIDs.Add(1)}
 	t.specs[name] = entry
 	t.results.purge(name + keySep)
+	releasePlan(prev)
 	return entry.info(), prev, nil
+}
+
+// releasePlan drops the lowered plan of an entry leaving the registry
+// (nil when there is none). Left cached, the plan — and the snapshot its
+// cost model last priced — would stay pinned until the plan cache's
+// wholesale flush.
+func releasePlan(e *specEntry) {
+	if e != nil {
+		plan.Forget(e.prog)
+	}
 }
 
 // rollback undoes one apply whose journal append failed: restore the
@@ -103,6 +116,7 @@ func (t *tenant) register(name, src string, maxSpecs int, diags []lint.Diagnosti
 func (t *tenant) rollback(name string, prev *specEntry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	releasePlan(t.specs[name])
 	if prev == nil {
 		delete(t.specs, name)
 	} else {
@@ -145,6 +159,7 @@ func (t *tenant) delete(name string) (*specEntry, error) {
 	}
 	delete(t.specs, name)
 	t.results.purge(name + keySep)
+	releasePlan(entry)
 	return entry, nil
 }
 

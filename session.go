@@ -41,14 +41,13 @@ type Session struct {
 	// plan executor — an escape hatch and semantic oracle; the two paths
 	// produce identical reports.
 	Interpret bool
-	// Incremental enables delta-driven revalidation: ValidateProgram
-	// retains each run's (snapshot, report) pair, and the next run of
-	// the *same* compiled program re-executes only the specifications
-	// whose static footprint overlaps the keys that changed since, with
-	// the rest spliced from the cached report (engine.RunIncremental).
-	// The retained pair survives SwapStore — a fresh store's snapshot is
-	// diffed against the previous one, which is exactly cvcheck's
-	// watch-round pattern. Incremental rounds assume the environment is
+	// Incremental is sugar over RunProgramIncremental for callers with
+	// one validation lineage: the session keeps each run's RunState and
+	// hands it to the next run itself, so the next run of the *same*
+	// compiled program re-executes only the specifications whose static
+	// footprint overlaps the keys that changed since. The retained state
+	// survives SwapStore — a fresh store's snapshot is diffed against
+	// the previous one. Incremental rounds assume the environment is
 	// unchanged between runs; call SetEnv only before the first run.
 	Incremental bool
 	// SpecDir resolves relative include paths; defaults to the working
@@ -71,24 +70,16 @@ type Session struct {
 	// registered in-memory data sources for hermetic loads.
 	sources map[string][]byte
 
-	// last retains the most recent validated (program, snapshot, report)
-	// triple for Incremental mode. All three are immutable once stored,
-	// so concurrent rounds may race on the pointer safely; last writer
-	// wins and the loser's state is simply not reused.
-	last atomic.Pointer[lastRun]
+	// last retains the most recent run's state for Incremental mode. A
+	// RunState is immutable, so concurrent rounds may race on the pointer
+	// safely; last writer wins and the loser's state is simply not reused.
+	last atomic.Pointer[RunState]
 
-	// loader retains last-good parses across Degrade-mode loads; lazily
-	// built with the session's MaxStale.
+	// loader retains last-good parses across LoadSources calls and
+	// Degrade-mode load commands; lazily built with the session's MaxStale.
 	loader atomic.Pointer[ingest.Loader]
 	// loadRep retains the most recent Degrade-mode load report.
 	loadRep atomic.Pointer[ingest.LoadReport]
-}
-
-// lastRun is one completed validation retained for incremental reuse.
-type lastRun struct {
-	prog *compiler.Program
-	snap *config.Snapshot
-	rep  *report.Report
 }
 
 // NewSession returns an empty session with a simulated environment.
@@ -205,53 +196,32 @@ func (s *Session) ValidateProgramContext(ctx context.Context, prog *Program) (*R
 	return rep, err
 }
 
-// RunProgram is the context-first core every validation entry point —
-// and the service layer — shares: it executes a compiled program's load
-// commands into an explicit store, validates against that store's
-// sealed snapshot, and returns the report plus the per-source
-// accounting of the program's own load commands (nil when the program
-// has none or Degrade is off). Because the store is an argument rather
-// than the session field, concurrent callers validating different
-// stores never contaminate each other: each run pins the snapshot of
-// exactly the store it was handed, no matter how SwapStore calls
-// interleave. ValidateProgramContext is RunProgram on the session's
-// current store.
+// RunProgram validates a compiled program against an explicit store —
+// RunProgramIncremental with the previous state supplied by the session
+// (its own retained RunState under Incremental, none otherwise).
+// ValidateProgramContext is RunProgram on the session's current store.
 func (s *Session) RunProgram(ctx context.Context, prog *Program, st *Store) (*Report, *LoadReport, error) {
-	specLoads, err := s.execLoads(ctx, prog, st)
-	if err != nil {
-		return nil, nil, err
+	var prev *RunState
+	if s.Incremental {
+		prev = s.last.Load()
 	}
-	eng := s.engineFor(st)
-	if !s.Incremental {
-		return eng.RunContext(ctx, prog), specLoads, nil
+	rep, specLoads, next, err := s.RunProgramIncremental(ctx, prog, st, prev)
+	if s.Incremental && err == nil && next != prev {
+		s.last.Store(next)
 	}
-	var rep *report.Report
-	if last := s.last.Load(); last != nil && last.prog == prog {
-		rep = eng.RunIncrementalContext(ctx, prog, last.snap, last.rep)
-	} else {
-		// First round, or a different program: full run seeds the cache.
-		rep = eng.RunContext(ctx, prog)
-	}
-	if rep.Interrupted {
-		// An interrupted round's verdict set is incomplete: keep the
-		// previous round's state so the next incremental round splices
-		// from something sound.
-		return rep, specLoads, nil
-	}
-	s.last.Store(&lastRun{prog: prog, snap: eng.PinnedSnapshot(), rep: rep})
-	return rep, specLoads, nil
+	return rep, specLoads, err
 }
 
 // RunState is one completed validation run's retained (program,
-// snapshot, report) triple, handed back by RunProgramIncremental for
-// the caller to thread into its next call. It is the externalized form
-// of the session-internal Incremental state: where the Incremental
-// option serves one watch loop per session, explicit RunStates let a
-// multi-tenant service keep independent incremental lineages per
-// registered spec without forking sessions. A RunState is immutable;
-// sharing one across concurrent runs is safe.
+// snapshot, report) triple — the one incremental lineage type. A caller
+// threads the state RunProgramIncremental returns into its next call;
+// callers with several lineages (a multi-tenant service keeps one per
+// registered spec) hold several states against one session. A RunState
+// is immutable; sharing one across concurrent runs is safe.
 type RunState struct {
-	run lastRun
+	prog *compiler.Program
+	snap *config.Snapshot
+	rep  *report.Report
 }
 
 // Report returns the state's retained validation report.
@@ -259,35 +229,44 @@ func (rs *RunState) Report() *Report {
 	if rs == nil {
 		return nil
 	}
-	return rs.run.rep
+	return rs.rep
 }
 
-// RunProgramIncremental is RunProgram with caller-held incremental
-// state instead of the session-retained kind. When prev was produced by
-// an earlier call with the *same* compiled program, validation goes
-// through engine.RunIncremental — only specifications whose footprint
-// overlaps the keys changed between prev's snapshot and this store's
-// are re-executed, the rest spliced from prev's report — and the result
-// is byte-identical to a full run (modulo Duration and SpecsReused). A
-// nil or mismatched prev runs the full path. The returned state
-// reflects this run, except after an interrupted run, whose incomplete
-// verdict set must not seed future splices: prev comes back unchanged.
+// RunProgramIncremental is the one entry every validation goes through:
+// it executes the compiled program's load commands into an explicit
+// store, validates against that store's sealed snapshot, and returns the
+// report, the per-source accounting of the program's own load commands
+// (nil when the program has none or Degrade is off) and the run's state.
+// Because the store is an argument rather than the session field,
+// concurrent callers validating different stores never contaminate each
+// other: each run pins the snapshot of exactly the store it was handed,
+// no matter how SwapStore calls interleave.
+//
+// A run is incremental iff prev is set: when prev was produced by an
+// earlier call with the *same* compiled program, only specifications
+// whose footprint overlaps the keys changed between prev's snapshot and
+// this store's are re-executed, the rest spliced from prev's report, and
+// the result is byte-identical to a full run (modulo Duration and
+// SpecsReused). A nil or mismatched prev runs every specification. The
+// returned state reflects this run, except after an interrupted run,
+// whose incomplete verdict set must not seed future splices: prev comes
+// back unchanged.
 func (s *Session) RunProgramIncremental(ctx context.Context, prog *Program, st *Store, prev *RunState) (*Report, *LoadReport, *RunState, error) {
 	specLoads, err := s.execLoads(ctx, prog, st)
 	if err != nil {
 		return nil, nil, prev, err
 	}
-	eng := s.engineFor(st)
-	var rep *report.Report
-	if prev != nil && prev.run.prog == prog {
-		rep = eng.RunIncrementalContext(ctx, prog, prev.run.snap, prev.run.rep)
-	} else {
-		rep = eng.RunContext(ctx, prog)
+	var prevSnap *config.Snapshot
+	var prevRep *report.Report
+	if prev != nil && prev.prog == prog {
+		prevSnap, prevRep = prev.snap, prev.rep
 	}
+	eng := s.engineFor(st)
+	rep := eng.RunIncrementalContext(ctx, prog, prevSnap, prevRep)
 	if rep.Interrupted {
 		return rep, specLoads, prev, nil
 	}
-	return rep, specLoads, &RunState{run: lastRun{prog: prog, snap: eng.PinnedSnapshot(), rep: rep}}, nil
+	return rep, specLoads, &RunState{prog: prog, snap: eng.PinnedSnapshot(), rep: rep}, nil
 }
 
 // execLoads runs the program's load commands into the store, strict or
@@ -327,6 +306,22 @@ func (s *Session) degradeLoads(ctx context.Context, prog *Program, st *Store) *L
 	if len(prog.Loads) == 0 {
 		return nil
 	}
+	sources := make([]ingest.Source, 0, len(prog.Loads))
+	for _, ld := range prog.Loads {
+		sources = append(sources, s.ingestSource(ld))
+	}
+	rep := s.LoadSources(ctx, st, sources)
+	s.loadRep.Store(rep)
+	return rep
+}
+
+// LoadSources loads configuration sources into st with graceful
+// degradation, through the session's one loader: the last-good parses it
+// retains serve these sources and the load commands of Degrade-mode
+// programs alike, so a session has a single answer to "what did this
+// source last parse to". A failing source is served stale within
+// MaxStale rounds or quarantined; the report accounts for every source.
+func (s *Session) LoadSources(ctx context.Context, st *Store, sources []Source) *LoadReport {
 	l := s.loader.Load()
 	if l == nil {
 		l = ingest.NewLoader(s.MaxStale)
@@ -334,13 +329,7 @@ func (s *Session) degradeLoads(ctx context.Context, prog *Program, st *Store) *L
 			l = s.loader.Load()
 		}
 	}
-	sources := make([]ingest.Source, 0, len(prog.Loads))
-	for _, ld := range prog.Loads {
-		sources = append(sources, s.ingestSource(ld))
-	}
-	rep := l.Load(ctx, st, sources)
-	s.loadRep.Store(rep)
-	return rep
+	return l.Load(ctx, st, sources)
 }
 
 // ingestSource maps one CPL load command to an ingest source: registered
@@ -363,12 +352,7 @@ func (s *Session) LastLoadReport() *LoadReport { return s.loadRep.Load() }
 
 // LastReport returns the report retained by the most recent Incremental
 // validation round, or nil when none has run.
-func (s *Session) LastReport() *Report {
-	if last := s.last.Load(); last != nil {
-		return last.rep
-	}
-	return nil
-}
+func (s *Session) LastReport() *Report { return s.last.Load().Report() }
 
 func (s *Session) execLoad(ctx context.Context, ld compiler.Load, st *Store) error {
 	src := s.ingestSource(ld)
@@ -417,8 +401,7 @@ func (s *Session) Check(line string) (*Report, error) {
 	if len(prog.Loads) > 0 {
 		return nil, fmt.Errorf("confvalley: Check does not execute load commands; use Validate")
 	}
-	eng := engine.Engine{Store: s.store.Load(), Env: s.env, Opts: engine.Options{Interpret: s.Interpret}}
-	return eng.Run(prog), nil
+	return s.engineFor(s.store.Load()).Run(prog), nil
 }
 
 // CheckSyntax parses and compiles CPL without executing anything — the
@@ -455,5 +438,3 @@ func (s *Session) Instances(notation string) ([]*Instance, error) {
 func RenderReport(rep *Report, w interface{ Write([]byte) (int, error) }) error {
 	return rep.Render(w)
 }
-
-var _ = report.Report{} // keep the report import explicit for the aliases
