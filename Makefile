@@ -10,7 +10,7 @@ GO ?= go
 # only ever met one core hid a red tier-1 for six PRs.
 PROCS ?= 1 2 4
 
-.PHONY: all build lint tier1 test bench plan-bench stress store-bench incremental-bench fault-bench load-bench servecache-bench fuzz-smoke bench-smoke e2e crash-chaos repo-bench repo-bench-smoke
+.PHONY: all build lint tier1 test bench plan-bench stress store-bench incremental-bench fault-bench load-bench servecache-bench fuzz-smoke bench-smoke e2e crash-chaos repo-bench repo-bench-smoke profile-expert
 
 all: build
 
@@ -110,6 +110,20 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/cvbench -run load
+
+# CPU and allocation profile of the evaluator on the expert_eval inputs
+# (BenchmarkExpertEval: the engine's share of that workload, nothing
+# reused between iterations). No change may touch bench/, so evaluator
+# work is profiled here and *measured* with repo-bench. Test binary and
+# profiles land in .bench_build/ (git-ignored); inspect further with
+# `go tool pprof -list <regexp> .bench_build/confvalley.test .bench_build/cpu.pprof`.
+profile-expert:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '^BenchmarkExpertEval$$' -benchtime 10s \
+		-o .bench_build/confvalley.test \
+		-cpuprofile .bench_build/cpu.pprof -memprofile .bench_build/mem.pprof .
+	$(GO) tool pprof -top -nodecount 15 .bench_build/confvalley.test .bench_build/cpu.pprof
+	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space .bench_build/confvalley.test .bench_build/mem.pprof
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): the
 # measurement of record for end-to-end time and allocation. repo-bench

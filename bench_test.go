@@ -7,6 +7,7 @@ package confvalley_test
 // EXPERIMENTS.md for the experiment index and paper-vs-measured values.
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
@@ -331,23 +332,73 @@ func BenchmarkPlanExecution(b *testing.B) {
 	plan.Forget(prog)
 }
 
-// BenchmarkCompartmentVsCartesian measures compartment-scoped pairing,
-// the design choice DESIGN.md calls out for ablation.
+// BenchmarkCompartmentVsCartesian is the DESIGN.md §10(3) ablation: the
+// same relation checked per compartment instance (each cluster's start
+// against its own end — linear in the clusters) and with no compartment
+// (every start against every end — the Cartesian product compartments
+// exist to avoid). ns/group is time per cluster: flat across sizes on the
+// compartment arm, growing with the cluster count on the Cartesian one.
 func BenchmarkCompartmentVsCartesian(b *testing.B) {
-	st := config.NewStore()
-	azuregen.AddExpertSubstrate(st, 40, 2015)
-	comp, err := compiler.Compile("compartment Cluster { $VipStart <= $VipEnd }")
+	// Only the compartment arm states the intended rule; the product
+	// compares unrelated clusters and reports violations.
+	arms := []struct {
+		name, src string
+		passes    bool
+	}{
+		{"compartment", "compartment Cluster { $VipStart <= $VipEnd }", true},
+		{"cartesian", "$VipStart <= $VipEnd", false},
+	}
+	for _, arm := range arms {
+		prog, err := compiler.Compile(arm.src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, clusters := range []int{50, 200, 800} {
+			st := config.NewStore()
+			azuregen.AddExpertSubstrate(st, clusters, 2015)
+			b.Run(fmt.Sprintf("%s/clusters=%d", arm.name, clusters), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					eng := engine.Engine{Store: st, Env: simenv.NewSim()}
+					if rep := eng.Run(prog); arm.passes && !rep.Passed() {
+						b.Fatal("clean substrate flagged")
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(clusters), "ns/group")
+			})
+		}
+		plan.Forget(prog)
+	}
+}
+
+// BenchmarkExpertEval is the engine's share of the repository benchmark's
+// expert_eval workload, for profiling (make profile-expert): the
+// hand-written Type A suite over 200 expert clusters with the benchmark's
+// 12 injected errors, against a store built fresh each iteration so no
+// discovery result, snapshot or verdict is reused — what the service pays
+// for a request whose keys it has not seen. The plan is cached, as it is
+// for a registered tenant.
+func BenchmarkExpertEval(b *testing.B) {
+	const clusters = 200
+	gen := config.NewStore()
+	azuregen.AddExpertSubstrate(gen, clusters, 2015)
+	azuregen.InjectExpertErrors(gen, clusters, 12, 2016)
+	ins := gen.Instances()
+	prog, err := compiler.Compile(specs.AzureTypeA())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("compartment", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			eng := engine.Engine{Store: st, Env: simenv.NewSim()}
-			if rep := eng.Run(comp); !rep.Passed() {
-				b.Fatal("clean substrate flagged")
-			}
+	defer plan.Forget(prog)
+	env := azuregen.ExpertEnv()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := config.NewStore()
+		st.AddAll(ins)
+		eng := engine.Engine{Store: st, Env: env}
+		if rep := eng.Run(prog); len(rep.SpecErrors) != 0 || len(rep.Violations) == 0 {
+			b.Fatalf("expert run: %d violations, spec errors %q", len(rep.Violations), rep.SpecErrors)
 		}
-	})
+	}
 }
 
 // BenchmarkCPLParser measures the hand-rolled front end.

@@ -35,17 +35,30 @@ type Seg struct {
 
 // String renders the segment in CPL's fully-qualified notation.
 func (s Seg) String() string {
-	switch {
-	case s.Inst != "" && s.Index > 0:
-		return s.Name + "::" + s.Inst + "[" + strconv.Itoa(s.Index) + "]"
-	case s.Inst != "":
-		return s.Name + "::" + s.Inst
-	case s.Index > 0:
-		return s.Name + "[" + strconv.Itoa(s.Index) + "]"
-	default:
-		return s.Name
-	}
+	var scratch [renderScratch]byte
+	return string(s.appendTo(scratch[:0]))
 }
+
+// appendTo appends the segment's rendering to b: the one place the
+// notation is spelled, shared by every rendering of a key.
+func (s Seg) appendTo(b []byte) []byte {
+	b = append(b, s.Name...)
+	if s.Inst != "" {
+		b = append(b, "::"...)
+		b = append(b, s.Inst...)
+	}
+	if s.Index > 0 {
+		b = append(b, '[')
+		b = strconv.AppendInt(b, int64(s.Index), 10)
+		b = append(b, ']')
+	}
+	return b
+}
+
+// renderScratch sizes the stack buffer a key is rendered into before the
+// single string allocation; a longer key spills to the heap and is still
+// rendered correctly.
+const renderScratch = 192
 
 // Key is a concrete, fully-qualified configuration instance key.
 type Key struct {
@@ -121,22 +134,27 @@ func atoiOr0(s string) int {
 }
 
 // String renders the full key, segments joined with dots.
-func (k Key) String() string {
-	parts := make([]string, len(k.Segs))
-	for i, s := range k.Segs {
-		parts[i] = s.String()
-	}
-	return strings.Join(parts, ".")
-}
+func (k Key) String() string { return k.PrefixString(len(k.Segs)) }
 
 // ClassPath returns the class identity of the key: segment names only,
 // joined with dots.
-func (k Key) ClassPath() string {
-	parts := make([]string, len(k.Segs))
-	for i, s := range k.Segs {
-		parts[i] = s.Name
+func (k Key) ClassPath() string { return joinNames(k, '.') }
+
+// joinNames joins the key's segment names with sep in one allocation.
+func joinNames(k Key, sep byte) string {
+	n := len(k.Segs)
+	for _, s := range k.Segs {
+		n += len(s.Name)
 	}
-	return strings.Join(parts, ".")
+	var b strings.Builder
+	b.Grow(n)
+	for i, s := range k.Segs {
+		if i > 0 {
+			b.WriteByte(sep)
+		}
+		b.WriteString(s.Name)
+	}
+	return b.String()
 }
 
 // Leaf returns the final segment name — the parameter name.
@@ -147,17 +165,26 @@ func (k Key) Leaf() string {
 	return k.Segs[len(k.Segs)-1].Name
 }
 
-// PrefixString returns the canonical rendering of the first n segments.
-// It identifies the compartment instance a key belongs to.
+// PrefixString returns the canonical rendering of the first n segments
+// (all of them when n exceeds the key). It identifies the compartment
+// instance a key belongs to.
 func (k Key) PrefixString(n int) string {
+	var scratch [renderScratch]byte
+	return string(k.appendPrefix(scratch[:0], n))
+}
+
+// appendPrefix appends PrefixString(n) to b.
+func (k Key) appendPrefix(b []byte, n int) []byte {
 	if n > len(k.Segs) {
 		n = len(k.Segs)
 	}
-	parts := make([]string, n)
 	for i := 0; i < n; i++ {
-		parts[i] = k.Segs[i].String()
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = k.Segs[i].appendTo(b)
 	}
-	return strings.Join(parts, ".")
+	return b
 }
 
 // Append returns a new key with an extra segment; the receiver is unchanged.

@@ -1,6 +1,10 @@
 package config
 
-import "testing"
+import (
+	"strconv"
+	"strings"
+	"testing"
+)
 
 func TestSegString(t *testing.T) {
 	cases := []struct {
@@ -42,6 +46,99 @@ func TestKeyPrefixString(t *testing.T) {
 	}
 	if got := k.PrefixString(99); got != k.String() {
 		t.Errorf("PrefixString over length should render full key: %q", got)
+	}
+}
+
+// refSeg, refPrefix and refClassPath are the renderings as they were
+// written before the single-buffer versions (one string per segment and a
+// join); the output format is an on-disk and on-wire contract (violation
+// keys, diff keys, compartment identities), so the fast versions are held
+// to them byte for byte.
+func refSeg(s Seg) string {
+	switch {
+	case s.Inst != "" && s.Index > 0:
+		return s.Name + "::" + s.Inst + "[" + strconv.Itoa(s.Index) + "]"
+	case s.Inst != "":
+		return s.Name + "::" + s.Inst
+	case s.Index > 0:
+		return s.Name + "[" + strconv.Itoa(s.Index) + "]"
+	default:
+		return s.Name
+	}
+}
+
+func refPrefix(k Key, n int) string {
+	if n > len(k.Segs) {
+		n = len(k.Segs)
+	}
+	parts := make([]string, n)
+	for i := 0; i < n; i++ {
+		parts[i] = refSeg(k.Segs[i])
+	}
+	return strings.Join(parts, ".")
+}
+
+func refClassPath(k Key) string {
+	parts := make([]string, len(k.Segs))
+	for i, s := range k.Segs {
+		parts[i] = s.Name
+	}
+	return strings.Join(parts, ".")
+}
+
+func TestKeyRenderingsMatchReference(t *testing.T) {
+	long := strings.Repeat("x", 2*renderScratch) // spills the stack scratch
+	shapes := []Seg{
+		{Name: "Cloud"},
+		{Name: "Cloud", Inst: "East1"},
+		{Name: "Cloud", Index: 12},
+		{Name: "Cloud", Inst: "East1", Index: 1234567},
+		{Name: "Cloud", Index: -3}, // not replicated: no ordinal rendered
+		{Name: "A::b"},             // renders like {A, b}
+		{Name: "A", Inst: "b"},     //
+		{Name: "dotted.name", Inst: "i.j"},
+		{Name: ""},
+		{Name: long, Inst: long, Index: 7},
+	}
+	keys := []Key{{}, {Segs: shapes}}
+	for i := range shapes {
+		keys = append(keys, Key{Segs: shapes[i : i+1]}, Key{Segs: shapes[:i]})
+	}
+	for _, s := range shapes {
+		if got, want := s.String(), refSeg(s); got != want {
+			t.Errorf("Seg%+v.String() = %q, want %q", s, got, want)
+		}
+	}
+	for _, k := range keys {
+		if got, want := k.String(), refPrefix(k, len(k.Segs)); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+		if got, want := k.ClassPath(), refClassPath(k); got != want {
+			t.Errorf("ClassPath() = %q, want %q", got, want)
+		}
+		for n := 0; n <= len(k.Segs)+2; n++ {
+			if got, want := k.PrefixString(n), refPrefix(k, n); got != want {
+				t.Errorf("PrefixString(%d) = %q, want %q", n, got, want)
+			}
+		}
+	}
+}
+
+var renderSink string // keeps the rendered strings escaping, as they do in real callers
+
+// A key that fits the scratch buffer renders in exactly one allocation:
+// the returned string.
+func TestKeyRenderingsAllocateOnce(t *testing.T) {
+	k := K("CloudGroup::East1", "Cloud::S1[2]", "Tenant[1]", "MonitorNodeHealth")
+	for name, f := range map[string]func(){
+		"String":       func() { renderSink = k.String() },
+		"PrefixString": func() { renderSink = k.PrefixString(2) },
+		"ClassPath":    func() { renderSink = k.ClassPath() },
+		"Seg.String":   func() { renderSink = k.Segs[1].String() },
+	} {
+		if got := testing.AllocsPerRun(100, f); got != 1 {
+			t.Errorf("%s: %v allocations per call, want 1", name, got)
+		}
 	}
 }
 

@@ -60,43 +60,59 @@ func (sn *Snapshot) ClassInstances(classPath string) []*Instance {
 	return out
 }
 
-// Discover finds all instances matching the pattern, using the sealed
-// class-path indexes and the discovery cache. This is the optimized
-// discovery implementation (§5.2 optimization #1). The returned slice
-// is owned by the caller.
-func (sn *Snapshot) Discover(p Pattern) []*Instance {
-	keyStr := p.String()
-	slot := cacheSlot(keyStr)
-	sn.stats.addQuery(slot)
-	if hit, ok := sn.cache.get(slot, keyStr); ok {
-		sn.stats.addCacheHit(slot)
-		return copyResult(hit)
+// Query is a discovery pattern with its canonical cache key rendered
+// once. A caller that asks the same question on every run — a lowered
+// plan's static references — builds the Query ahead of time and pays no
+// rendering per lookup.
+type Query struct {
+	Pattern Pattern
+	key     string
+	slot    int
+}
+
+// NewQuery renders p's cache key.
+func NewQuery(p Pattern) Query {
+	key := p.String()
+	return Query{Pattern: p, key: key, slot: cacheSlot(key)}
+}
+
+// View finds all instances matching the query, using the sealed
+// class-path indexes and the discovery cache (§5.2 optimization #1:
+// discover once, reuse). The result is borrowed: it is the cache's own
+// canonical slice, shared with every other reader of the snapshot, so
+// callers must not write to its elements or sort it. Its capacity is
+// clipped to its length, so an append copies instead of writing into
+// the cache. The plan executor reads through View; anything that wants
+// a slice to keep or modify calls Discover.
+func (sn *Snapshot) View(q Query) []*Instance {
+	sn.stats.addQuery(q.slot)
+	if hit, ok := sn.cache.get(q.slot, q.key); ok {
+		sn.stats.addCacheHit(q.slot)
+		return hit
 	}
 	// Concurrent misses on the same cold key may compute twice; discovery
 	// is deterministic over sealed indexes, so either result may win the
 	// cache slot.
-	res := sn.discover(p)
-	sn.cache.put(slot, keyStr, res)
-	return copyResult(res)
+	res := sn.discover(q.Pattern)
+	res = res[:len(res):len(res)]
+	sn.cache.put(q.slot, q.key, res)
+	return res
 }
 
-// Count reports how many instances match the pattern. It goes through
-// the discovery cache like Discover but never copies the result set, so
-// callers that only need cardinality — the engine's cost-model
-// partitioner estimates per-spec work from footprint match counts —
-// pay no per-call allocation, and the entries they warm are exactly the
-// ones the subsequent validation run will hit.
+// Discover is View plus a copy: the returned slice is owned by the
+// caller, who may sort, append to or overwrite it without disturbing
+// the cached result later queries are served from.
+func (sn *Snapshot) Discover(p Pattern) []*Instance {
+	return copyResult(sn.View(NewQuery(p)))
+}
+
+// Count reports how many instances match the pattern. Like View it
+// copies nothing, so callers that only need cardinality — the engine's
+// cost-model partitioner estimates per-spec work from footprint match
+// counts — pay no per-call allocation, and the entries they warm are
+// exactly the ones the subsequent validation run will hit.
 func (sn *Snapshot) Count(p Pattern) int {
-	keyStr := p.String()
-	slot := cacheSlot(keyStr)
-	sn.stats.addQuery(slot)
-	if hit, ok := sn.cache.get(slot, keyStr); ok {
-		sn.stats.addCacheHit(slot)
-		return len(hit)
-	}
-	res := sn.discover(p)
-	sn.cache.put(slot, keyStr, res)
-	return len(res)
+	return len(sn.View(NewQuery(p)))
 }
 
 func (sn *Snapshot) discover(p Pattern) []*Instance {

@@ -2,7 +2,6 @@ package config
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -194,24 +193,10 @@ func (st *Store) ClassInstances(classPath string) []*Instance {
 
 // classSep separates segment names inside a class ID; it cannot appear in
 // configuration names.
-const classSep = "\x00"
+const classSep = '\x00'
 
 // classID builds the unambiguous class identity of a key.
-func classID(k Key) string {
-	n := len(k.Segs)
-	for _, s := range k.Segs {
-		n += len(s.Name)
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for i, s := range k.Segs {
-		if i > 0 {
-			b.WriteString(classSep)
-		}
-		b.WriteString(s.Name)
-	}
-	return b.String()
-}
+func classID(k Key) string { return joinNames(k, classSep) }
 
 func displayClass(id string) string {
 	out := make([]byte, 0, len(id))
@@ -236,9 +221,7 @@ func hasClassSep(s string) bool {
 
 // Discover finds all instances matching the pattern on the current
 // snapshot, sealing one first if the store changed. The returned slice
-// is owned by the caller: the cache keeps the canonical result, and an
-// aliased slice would let a caller that sorts or appends corrupt every
-// later query.
+// is owned by the caller; see Snapshot.Discover.
 func (st *Store) Discover(p Pattern) []*Instance {
 	return st.Snapshot().Discover(p)
 }
@@ -344,18 +327,59 @@ func (n *trieNode) match(segs []PatSeg, depth int, out *[]string) {
 	}
 }
 
-// GroupByPrefix partitions instances by the canonical rendering of their
-// first n key segments. It implements compartment isolation (§4.2.2):
-// instances under the same compartment instance share a group. Group
-// order follows first appearance.
-func GroupByPrefix(ins []*Instance, n int) (order []string, groups map[string][]*Instance) {
-	groups = make(map[string][]*Instance)
-	for _, in := range ins {
-		p := in.Key.PrefixString(n)
-		if _, ok := groups[p]; !ok {
-			order = append(order, p)
-		}
-		groups[p] = append(groups[p], in)
+// Partition is a set of instances grouped by the canonical rendering of
+// their first key segments: compartment isolation (§4.2.2), where
+// instances under the same compartment instance share a group. The
+// rendering, not the segment structure, is the group identity.
+type Partition struct {
+	// Order lists the group identities in first-appearance order.
+	Order []string
+
+	index map[string]int
+	parts [][]*Instance
+}
+
+// Group returns the instances of one group in their original order, nil
+// for an identity that is not in Order. The slice is shared and clipped:
+// callers must not write to it.
+func (p *Partition) Group(id string) []*Instance {
+	if g, ok := p.index[id]; ok {
+		return p.parts[g]
 	}
-	return order, groups
+	return nil
+}
+
+// GroupByPrefix partitions instances by the rendering of their first n
+// key segments (Key.PrefixString) in one pass over ins: a string is built
+// per distinct group, not per instance.
+func GroupByPrefix(ins []*Instance, n int) *Partition {
+	p := &Partition{index: make(map[string]int)}
+	of := make([]int, len(ins)) // group number of each instance
+	var sizes []int
+	var scratch [renderScratch]byte
+	for i, in := range ins {
+		id := in.Key.appendPrefix(scratch[:0], n)
+		g, ok := p.index[string(id)]
+		if !ok {
+			g = len(p.Order)
+			p.Order = append(p.Order, string(id))
+			p.index[p.Order[g]] = g
+			sizes = append(sizes, 0)
+		}
+		of[i] = g
+		sizes[g]++
+	}
+	// One backing array carved into per-group slices, each clipped so an
+	// append to one group cannot run into the next.
+	backing := make([]*Instance, len(ins))
+	p.parts = make([][]*Instance, len(sizes))
+	off := 0
+	for g, size := range sizes {
+		p.parts[g] = backing[off : off : off+size]
+		off += size
+	}
+	for i, in := range ins {
+		p.parts[of[i]] = append(p.parts[of[i]], in)
+	}
+	return p
 }

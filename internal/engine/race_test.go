@@ -133,3 +133,56 @@ func TestConcurrentEngineRunsShareStore(t *testing.T) {
 	close(start)
 	wg.Wait()
 }
+
+// TestParallelRunBorrowedViewIntact: the plan executor reads discovery
+// results as borrowed views of the snapshot's cache (config.Snapshot.View)
+// instead of copies, so two specs over one pattern, running in different
+// partitions, read the very same slice. Run with -race: any write through
+// a view — an element store, an in-place sort in an aggregate predicate —
+// is a data race here, and is then also caught by comparing the cached
+// slice, element for element, with a copy taken before any spec ran.
+func TestParallelRunBorrowedViewIntact(t *testing.T) {
+	st := wideStore()
+	// Both references resolve through the cache key
+	// "CloudGroup.Cloud.Timeout": the first as written, the second as its
+	// in-compartment candidate. The aggregate predicates are the ones that
+	// reorder or bucket their input.
+	prog, err := compiler.Compile(`
+$CloudGroup.Cloud.Timeout -> int & unique
+compartment CloudGroup { $Cloud.Timeout -> consistent & ordered }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := st.Snapshot()
+	pat := config.P("CloudGroup", "Cloud", "Timeout")
+	want := sn.Discover(pat) // caller-owned copy of the canonical result
+	if len(want) != 32*32 {
+		t.Fatalf("fixture: %d instances, want %d", len(want), 32*32)
+	}
+	eng := New(st)
+	eng.Opts.Parallel = 2
+	for round := 0; round < 4; round++ {
+		if rep := eng.Run(prog); len(rep.SpecErrors) != 0 {
+			t.Fatalf("spec errors: %q", rep.SpecErrors)
+		}
+	}
+	if eng.PinnedSnapshot() != sn {
+		t.Fatal("the runs did not read the snapshot under test")
+	}
+	got := sn.View(config.NewQuery(pat))
+	if len(got) != len(want) || cap(got) != len(got) {
+		t.Fatalf("cached view: len %d cap %d, want len = cap = %d", len(got), cap(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("cached view element %d is %s, was %s before the runs", i, got[i], want[i])
+		}
+	}
+	// Discover still hands out a slice the caller may scribble on.
+	own := sn.Discover(pat)
+	own[0], own[1] = own[1], own[0]
+	if again := sn.View(config.NewQuery(pat)); again[0] != want[0] || again[1] != want[1] {
+		t.Error("writing to Discover's result reached the cache")
+	}
+}

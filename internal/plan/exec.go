@@ -174,56 +174,49 @@ func (n *SpecNode) runBody(c *Ctx, rep *report.Report) error {
 		// compartment instance, then evaluate the full domain (pipeline
 		// included) once per group, so reduce-style transformations and
 		// aggregate predicates stay inside the compartment instance.
-		order, err := de.groups(c)
+		if de.groupRef == nil {
+			return fmt.Errorf("compartment domain has no configuration reference to group by")
+		}
+		// runBody is the only place a compartment is entered and it does
+		// not nest (a nested block compiles to one combined pattern), so
+		// leaving one always returns to "no compartment".
+		c.compPattern = de.comp
+		err := n.runGroups(c, de, rep)
+		c.group, c.compPattern = "", nil
 		if err != nil {
 			return err
-		}
-		for _, g := range order {
-			if rep.Stopped {
-				return nil
-			}
-			if c.canceled() {
-				return errInterrupted
-			}
-			sg, sgl, scp := c.group, c.glen, c.compPattern
-			c.group, c.glen, c.compPattern = g, len(de.comp.Segs), de.comp
-			elems, err := de.resolve(c)
-			if err == nil {
-				err = n.evalElements(c, elems, rep)
-			}
-			c.group, c.glen, c.compPattern = sg, sgl, scp
-			if err != nil {
-				return err
-			}
 		}
 	}
 	return nil
 }
 
-// groups resolves the domain's base configuration reference inside the
-// compartment and returns the distinct compartment instance prefixes, in
-// first-appearance order.
-func (de *domainEval) groups(c *Ctx) ([]string, error) {
-	if de.groupRef == nil {
-		return nil, fmt.Errorf("compartment domain has no configuration reference to group by")
-	}
-	sgl, scp := c.glen, c.compPattern
-	c.glen, c.compPattern = len(de.comp.Segs), de.comp
-	ins, err := de.groupRef.resolveInstances(c)
-	c.glen, c.compPattern = sgl, scp
+// runGroups evaluates one compartment domain once per compartment
+// instance, in first-appearance order of the base reference's instances.
+// The base reference is resolved and partitioned once (resolution is
+// memoised on c), so the loop costs a lookup per group and the whole
+// domain is linear in its instances.
+func (n *SpecNode) runGroups(c *Ctx, de *domainEval, rep *report.Report) error {
+	base, err := de.groupRef.resolve(c)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	seen := make(map[string]bool)
-	var order []string
-	for _, in := range ins {
-		g := in.Key.PrefixString(len(de.comp.Segs))
-		if !seen[g] {
-			seen[g] = true
-			order = append(order, g)
+	for _, g := range base.partition(len(de.comp.Segs)).Order {
+		if rep.Stopped {
+			return nil
+		}
+		if c.canceled() {
+			return errInterrupted
+		}
+		c.group = g
+		elems, err := de.resolve(c)
+		if err != nil {
+			return err
+		}
+		if err := n.evalElements(c, elems, rep); err != nil {
+			return err
 		}
 	}
-	return order, nil
+	return nil
 }
 
 // evalElements applies the spec predicate to an element set and records

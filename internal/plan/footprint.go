@@ -12,7 +12,7 @@ package plan
 //
 // Soundness argument, in terms of the executor:
 //
-//   - refNode.resolveInstances tries candidates in resolution order
+//   - refNode.resolve tries candidates in resolution order
 //     (compartment+namespace, compartment, namespaces, bare) and stops
 //     at the first non-empty result. Which candidate wins depends on
 //     the data, so the footprint includes *every* candidate: a change

@@ -43,11 +43,30 @@ func Lower(prog *compiler.Program) *Plan {
 type lowerer struct {
 	prog *compiler.Program
 	spec *compiler.Spec // spec being lowered; its namespaces scope refs
+
+	// comps are the compartments of the spec's domains — every compartment
+	// a reference of this spec can be resolved under — and refs its
+	// lowered references by notation, so one reference written twice (a
+	// compartment's grouping reference and the domain itself, a bound and
+	// the domain it bounds) is one node, resolved and partitioned once.
+	comps []*config.Pattern
+	refs  map[string]*refNode
 }
 
 func (lw *lowerer) lowerSpec(spec *compiler.Spec, seq int) *SpecNode {
 	lw.spec = spec
+	lw.comps, lw.refs = nil, make(map[string]*refNode)
 	n := &SpecNode{Spec: spec, Seq: seq}
+	// Compartments first: lowering a static reference pre-builds its
+	// candidates under each of them.
+	n.domains = make([]domainEval, len(spec.Domains))
+	inners := make([]ast.Domain, len(spec.Domains))
+	for i, dom := range spec.Domains {
+		n.domains[i].comp, inners[i] = liftCompartment(spec, dom)
+		if n.domains[i].comp != nil {
+			lw.comps = append(lw.comps, n.domains[i].comp)
+		}
+	}
 	n.conds = make([]condNode, len(spec.Conds))
 	for i, cond := range spec.Conds {
 		n.conds[i] = condNode{
@@ -58,23 +77,28 @@ func (lw *lowerer) lowerSpec(spec *compiler.Spec, seq int) *SpecNode {
 			pred:    lw.lowerPred(cond.Spec.Pred),
 		}
 	}
-	n.domains = make([]domainEval, len(spec.Domains))
-	for i, dom := range spec.Domains {
-		n.domains[i] = lw.lowerDomainEval(spec, dom)
+	for i := range n.domains {
+		de := &n.domains[i]
+		de.resolve = lw.lowerDomain(inners[i])
+		if de.comp != nil {
+			if base := BaseRef(inners[i]); base != nil {
+				de.groupRef = lw.lowerRef(base.Pattern)
+			}
+		}
 	}
 	n.pred = lw.lowerPred(spec.Pred)
 	n.fp = extractFootprint(lw.prog, spec)
 	return n
 }
 
-// lowerDomainEval lifts an inline compartment ahead of the domain (the
-// #[Scope] $X# and #[Scope] $X# -> transform forms) and lowers what
-// remains. The compartment itself stays dynamic state on Ctx: domain
-// aggregation can attach differently-compartmented domains to one shared
-// predicate, so the reference lowering cannot bake it in.
-func (lw *lowerer) lowerDomainEval(spec *compiler.Spec, dom ast.Domain) domainEval {
-	comp := spec.Compartment
-	inner := dom
+// liftCompartment lifts an inline compartment ahead of the domain (the
+// #[Scope] $X# and #[Scope] $X# -> transform forms) and returns the
+// combined compartment with what remains of the domain. The compartment
+// itself stays dynamic state on Ctx: domain aggregation can attach
+// differently-compartmented domains to one shared predicate, so the
+// reference lowering cannot bake a single one in.
+func liftCompartment(spec *compiler.Spec, dom ast.Domain) (comp *config.Pattern, inner ast.Domain) {
+	comp, inner = spec.Compartment, dom
 	lift := func(cd *ast.CompartmentDomain) {
 		p := cd.Scope
 		if comp != nil {
@@ -94,13 +118,7 @@ func (lw *lowerer) lowerDomainEval(spec *compiler.Spec, dom ast.Domain) domainEv
 			inner = &ast.Pipe{Src: cd.Inner, Steps: t.Steps}
 		}
 	}
-	de := domainEval{comp: comp, resolve: lw.lowerDomain(inner)}
-	if comp != nil {
-		if base := BaseRef(inner); base != nil {
-			de.groupRef = lw.lowerRef(base.Pattern)
-		}
-	}
-	return de
+	return comp, inner
 }
 
 // ---- Domains ----
@@ -168,34 +186,89 @@ func (lw *lowerer) lowerDomain(d ast.Domain) domainFn {
 }
 
 // refNode is a lowered configuration reference. When the pattern has no
-// variables the namespace candidate patterns (§4.2.2 resolution order)
-// are pre-built, so hot-path resolution does zero pattern allocation;
-// compartment-prefixed candidates depend on the dynamic compartment and
-// are built per call.
+// variables its candidate queries (§4.2.2 resolution order) are pre-built
+// for every compartment of the spec, cache keys included, so resolving it
+// allocates no pattern and renders no key; a reference with variables
+// builds its candidates per substituted pattern.
 type refNode struct {
 	pat        config.Pattern
 	hasVars    bool
 	namespaces []config.Pattern
-	staticTail []config.Pattern // ns-prefixed then bare; only when !hasVars
+	static     map[*config.Pattern][]config.Query // compartment (nil = none) -> candidates; only when !hasVars
 }
 
 func (lw *lowerer) lowerRef(pat config.Pattern) *refNode {
+	id := pat.String()
+	if r, ok := lw.refs[id]; ok {
+		return r
+	}
 	r := &refNode{pat: pat, hasVars: pat.HasVars(), namespaces: lw.spec.Namespaces}
 	if !r.hasVars {
-		r.staticTail = make([]config.Pattern, 0, len(r.namespaces)+1)
-		for _, ns := range r.namespaces {
-			r.staticTail = append(r.staticTail, pat.Prefixed(ns))
+		r.static = make(map[*config.Pattern][]config.Query, len(lw.comps)+1)
+		r.static[nil] = r.candidates(pat, nil)
+		for _, comp := range lw.comps {
+			r.static[comp] = r.candidates(pat, comp)
 		}
-		r.staticTail = append(r.staticTail, pat)
 	}
+	lw.refs[id] = r
 	return r
 }
 
-// resolveInstances resolves the reference: substitute variables, try
-// candidate prefixes in resolution order (compartment+namespace,
-// compartment, namespaces, bare), and filter to the current compartment
-// group.
-func (r *refNode) resolveInstances(c *Ctx) ([]*config.Instance, error) {
+// candidates lists the queries a (substituted) reference is tried as, in
+// resolution order: compartment+namespace, compartment, namespaces, bare.
+// The first len(namespaces)+1 are the in-compartment ones when comp is
+// set.
+func (r *refNode) candidates(sub config.Pattern, comp *config.Pattern) []config.Query {
+	out := make([]config.Query, 0, 2*len(r.namespaces)+2)
+	if comp != nil {
+		for _, ns := range r.namespaces {
+			out = append(out, config.NewQuery(sub.Prefixed(ns).Prefixed(*comp)))
+		}
+		out = append(out, config.NewQuery(sub.Prefixed(*comp)))
+	}
+	for _, ns := range r.namespaces {
+		out = append(out, config.NewQuery(sub.Prefixed(ns)))
+	}
+	return append(out, config.NewQuery(sub))
+}
+
+// refKey identifies one resolution within a spec run: the reference, the
+// compartment in effect, and — for a reference with variables — the
+// substituted notation.
+type refKey struct {
+	ref  *refNode
+	comp *config.Pattern
+	sub  string
+}
+
+// resolution is a reference resolved under one compartment: the
+// instances of the first candidate that matched anything in the store,
+// and whether that candidate was an in-compartment one. Candidate
+// selection is decided on the whole store, never per compartment
+// instance: a candidate that matches anywhere wins even for a group it is
+// empty in. ins is a borrowed discovery view — read-only.
+type resolution struct {
+	ins    []*config.Instance
+	inComp bool
+	parts  *config.Partition // ins by compartment instance; built on first use
+}
+
+// partition groups the resolved instances by the rendering of their
+// first n key segments — the compartment instance — once per resolution.
+// n is fixed by the compartment in the resolution's key.
+func (res *resolution) partition(n int) *config.Partition {
+	if res.parts == nil {
+		res.parts = config.GroupByPrefix(res.ins, n)
+	}
+	return res.parts
+}
+
+// resolve resolves the reference under the current compartment:
+// substitute variables, then try the candidates in resolution order and
+// keep the first non-empty result. The outcome is memoised for the spec
+// run, so a compartment's groups share one resolution.
+func (r *refNode) resolve(c *Ctx) (*resolution, error) {
+	key := refKey{ref: r, comp: c.compPattern}
 	sub := r.pat
 	if r.hasVars {
 		sub = r.pat.Substitute(func(name string) (string, bool) {
@@ -208,53 +281,43 @@ func (r *refNode) resolveInstances(c *Ctx) ([]*config.Instance, error) {
 		if sub.HasVars() {
 			return nil, fmt.Errorf("unbound variable(s) %v in %s", sub.Vars(), r.pat)
 		}
+		key.sub = sub.String()
 	}
-	nsCount := len(r.namespaces)
-	var candidates []config.Pattern
-	switch {
-	case c.compPattern == nil && !r.hasVars:
-		candidates = r.staticTail
-	case c.compPattern == nil:
-		candidates = make([]config.Pattern, 0, nsCount+1)
-		for _, ns := range r.namespaces {
-			candidates = append(candidates, sub.Prefixed(ns))
-		}
-		candidates = append(candidates, sub)
-	default:
-		candidates = make([]config.Pattern, 0, 2*nsCount+2)
-		for _, ns := range r.namespaces {
-			candidates = append(candidates, sub.Prefixed(ns).Prefixed(*c.compPattern))
-		}
-		candidates = append(candidates, sub.Prefixed(*c.compPattern))
-		if !r.hasVars {
-			candidates = append(candidates, r.staticTail...)
-		} else {
-			for _, ns := range r.namespaces {
-				candidates = append(candidates, sub.Prefixed(ns))
-			}
-			candidates = append(candidates, sub)
+	if res, ok := c.refs[key]; ok {
+		return res, nil
+	}
+	cands := r.static[c.compPattern]
+	if r.hasVars {
+		cands = r.candidates(sub, c.compPattern)
+	}
+	res := &resolution{}
+	for i, q := range cands {
+		if ins := c.discover(q); len(ins) > 0 {
+			res.ins = ins
+			res.inComp = c.compPattern != nil && i <= len(r.namespaces)
+			break
 		}
 	}
-	for i, cand := range candidates {
-		ins := c.discover(cand)
-		if len(ins) == 0 {
-			continue
-		}
-		// Compartment-grouped filtering applies only when the reference
-		// resolved under the compartment prefix.
-		inComp := c.compPattern != nil && i < nsCount+1
-		if inComp && c.group != "" {
-			var filtered []*config.Instance
-			for _, in := range ins {
-				if in.Key.PrefixString(c.glen) == c.group {
-					filtered = append(filtered, in)
-				}
-			}
-			ins = filtered
-		}
-		return ins, nil
+	if c.refs == nil {
+		c.refs = make(map[refKey]*resolution)
 	}
-	return nil, nil
+	c.refs[key] = res
+	return res, nil
+}
+
+// resolveInstances returns the reference's instances for the current
+// compartment group. Grouping applies only when the reference resolved
+// under the compartment prefix; a group the reference has no instance in
+// gets none (the compartment instance is skipped, §4.2.2).
+func (r *refNode) resolveInstances(c *Ctx) ([]*config.Instance, error) {
+	res, err := r.resolve(c)
+	if err != nil {
+		return nil, err
+	}
+	if res.inComp && c.group != "" {
+		return res.partition(len(c.compPattern.Segs)).Group(c.group), nil
+	}
+	return res.ins, nil
 }
 
 // combineVals applies an arithmetic operator across two element sets:

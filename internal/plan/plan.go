@@ -118,13 +118,18 @@ type Ctx struct {
 	rt    *Runtime
 	env   map[string]string // variable bindings; nil until a cond binds one
 	group string            // current compartment instance prefix; "" = none
-	glen  int               // compartment prefix segment count
 	quant ast.Quant         // quantifier hint for Range/Rel candidates
 	cur   *value.V          // current element for $_ and per-element exprs
 
 	// compPattern is the combined compartment pattern in effect, used to
 	// prefix references resolved inside the compartment.
 	compPattern *config.Pattern
+
+	// refs memoises reference resolution for this spec run: each
+	// reference is resolved once per compartment it is evaluated under,
+	// and partitioned by compartment instance once (see resolution in
+	// lower.go). It dies with the run; nothing here outlives putCtx.
+	refs map[refKey]*resolution
 
 	polls       uint32 // inner-loop cancellation polls since the last real check
 	interrupted bool   // latched once the context reported canceled
@@ -160,12 +165,15 @@ func (c *Ctx) canceled() bool {
 	return false
 }
 
-func (c *Ctx) discover(p config.Pattern) []*config.Instance {
+// discover returns the instances matching q as a borrowed, read-only
+// view of the snapshot's discovery cache (config.Snapshot.View): every
+// consumer in this package only reads it.
+func (c *Ctx) discover(q config.Query) []*config.Instance {
 	sn := c.rt.snapshot()
 	if c.rt.NaiveDiscovery {
-		return sn.DiscoverNaive(p)
+		return sn.DiscoverNaive(q.Pattern)
 	}
-	return sn.Discover(p)
+	return sn.View(q)
 }
 
 // closure signatures: a domain resolves to an element set, a predicate

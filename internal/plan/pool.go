@@ -26,13 +26,16 @@ var ctxPool = sync.Pool{New: func() any { return new(Ctx) }}
 // retaining any arena block the pooled Ctx carried.
 func getCtx(rt *Runtime) *Ctx {
 	c := ctxPool.Get().(*Ctx)
-	chunk := c.chunk
-	*c = Ctx{rt: rt, quant: ast.QuantAll, chunk: chunk}
+	c.rt, c.quant = rt, ast.QuantAll
 	return c
 }
 
-// putCtx recycles a context after its spec run completes.
+// putCtx recycles a context after its spec run completes. Everything but
+// the arena block is dropped here, so the pool never keeps a finished
+// run's runtime, bindings or borrowed discovery results (the reference
+// memo) alive.
 func putCtx(c *Ctx) {
+	*c = Ctx{chunk: c.chunk}
 	ctxPool.Put(c)
 }
 
