@@ -7,6 +7,7 @@ package confvalley_test
 // EXPERIMENTS.md for the experiment index and paper-vs-measured values.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -397,6 +398,34 @@ func BenchmarkExpertEval(b *testing.B) {
 		eng := engine.Engine{Store: st, Env: env}
 		if rep := eng.Run(prog); len(rep.SpecErrors) != 0 || len(rep.Violations) == 0 {
 			b.Fatalf("expert run: %d violations, spec errors %q", len(rep.Violations), rep.SpecErrors)
+		}
+	}
+}
+
+// BenchmarkColdIngest is the ingest share of the repository benchmark's
+// novel_xml workload, for profiling (make profile-ingest): a full Type A
+// corpus as nested XML goes from bytes to a sealed snapshot — driver
+// parse, store build, seal — as it does for a payload the service has
+// never seen. Every iteration parses a fresh copy of the document, so
+// nothing an earlier parse retained can be what a later one reads.
+func BenchmarkColdIngest(b *testing.B) {
+	doc := azuregen.RenderXML(azuregen.GenerateA(1.0, 2015).Store)
+	ctx := context.Background()
+	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fresh := append([]byte(nil), doc...)
+		b.StartTimer()
+		ins, err := driver.ParseScoped(ctx, "xml", fresh, "corpus.xml", "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := config.NewStore()
+		st.AddAll(ins)
+		if sn := st.Snapshot(); sn.Len() == 0 {
+			b.Fatal("ingest produced an empty snapshot")
 		}
 	}
 }

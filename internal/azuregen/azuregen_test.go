@@ -1,6 +1,8 @@
 package azuregen
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -300,5 +302,55 @@ func TestRenderersRoundTrip(t *testing.T) {
 	}
 	if st4.Len() != st.Len() {
 		t.Errorf("xml round trip: %d vs %d", st4.Len(), st.Len())
+	}
+}
+
+// The gate bench/ holds its own renderer to: a rendered-and-reparsed
+// corpus checks as many instances as the generator's store (never 0) and
+// reports the same violations by (spec, class, value). Keys are not
+// compared: the xml driver numbers scopes the generator left unnumbered.
+func TestRenderXMLValidatesWhatTheStoreValidates(t *testing.T) {
+	good := GenerateA(0.15, 5)
+	prog, err := compiler.Compile(infer.Infer(good.Store, infer.Defaults()).GenerateCPL())
+	if err != nil {
+		t.Fatalf("inferred CPL does not compile: %v", err)
+	}
+	bad := GenerateA(0.15, 5)
+	injected := InjectInferredErrors(bad, 8, 0, 6)
+	own := engine.New(bad.Store).Run(prog)
+	if len(own.Violations) < len(injected) || own.InstancesChecked == 0 {
+		t.Fatalf("generator's store: %d violations for %d injected errors, %d instances checked",
+			len(own.Violations), len(injected), own.InstancesChecked)
+	}
+
+	st := config.NewStore()
+	n, err := driver.LoadInto(st, "xml", RenderXML(bad.Store), "corpus.xml", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != bad.Store.Len() {
+		t.Errorf("rendered %d instances, parsed back %d", bad.Store.Len(), n)
+	}
+	rep := engine.New(st).Run(prog)
+	if len(rep.SpecErrors) > 0 {
+		t.Fatalf("spec errors: %v", rep.SpecErrors)
+	}
+	if rep.InstancesChecked == 0 || rep.InstancesChecked != own.InstancesChecked {
+		t.Errorf("payload checks %d instances, the generator's store %d", rep.InstancesChecked, own.InstancesChecked)
+	}
+	blame := func(rep *report.Report) []string {
+		out := make([]string, len(rep.Violations))
+		for i, v := range rep.Violations {
+			key, err := config.ParseKey(v.Key)
+			if err != nil {
+				t.Fatalf("violation key %q: %v", v.Key, err)
+			}
+			out[i] = v.Spec + "\x00" + key.ClassPath() + "\x00" + v.Value
+		}
+		sort.Strings(out)
+		return out
+	}
+	if got, want := blame(rep), blame(own); !reflect.DeepEqual(got, want) {
+		t.Errorf("payload reports %d violations, the generator's store %d, or they differ by (spec, class, value)", len(got), len(want))
 	}
 }

@@ -1,6 +1,8 @@
 package azuregen
 
 import (
+	"bytes"
+	"encoding/xml"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -238,37 +240,89 @@ func RenderINI(st *config.Store) []byte {
 }
 
 // RenderXML serializes a store as the hierarchical XML settings format of
-// Listing 1 (scope elements with Name attributes, Setting leaves).
+// Listing 1, in the nested form the xml driver reads back into the same
+// classes: one element per key segment, the instance name in a Name
+// attribute, and a <Setting Key Value/> leaf per instance. The driver
+// numbers same-named siblings in document order, so they are written in
+// ordinal order whatever order the store holds them in; name groups keep
+// the order of first appearance. A Setting cannot carry its leaf
+// segment's instance name or ordinal; they are dropped.
 func RenderXML(st *config.Store) []byte {
-	var b strings.Builder
-	b.WriteString("<Configuration>\n")
-	// Group instances by their full scope path; emit scope elements
-	// nested to one level of flattening (Scope attribute carries the
-	// remaining path) to keep the renderer simple while producing valid
-	// hierarchical XML for driver benchmarks.
-	byScope := make(map[string][]*config.Instance)
-	var order []string
+	root := &xmlScope{}
 	for _, in := range st.Instances() {
-		scope := ""
-		if len(in.Key.Segs) > 1 {
-			scope = in.Key.PrefixString(len(in.Key.Segs) - 1)
+		sc := root
+		segs := in.Key.Segs
+		for _, seg := range segs[:len(segs)-1] {
+			sc = sc.child(seg)
 		}
-		if _, ok := byScope[scope]; !ok {
-			order = append(order, scope)
-		}
-		byScope[scope] = append(byScope[scope], in)
+		sc.settings = append(sc.settings, in)
 	}
-	for _, scope := range order {
-		if scope != "" {
-			fmt.Fprintf(&b, "  <Scope Name=%q>\n", scope)
-		}
-		for _, in := range byScope[scope] {
-			fmt.Fprintf(&b, "    <Setting Key=%q Value=%q/>\n", in.Key.Leaf(), in.Value)
-		}
-		if scope != "" {
-			b.WriteString("  </Scope>\n")
+	var b bytes.Buffer
+	b.WriteString("<Configuration>\n")
+	root.render(&b, 1)
+	b.WriteString("</Configuration>\n")
+	return b.Bytes()
+}
+
+// xmlScope is one scope element of the document RenderXML builds.
+type xmlScope struct {
+	seg      config.Seg
+	settings []*config.Instance
+	names    []string // child element names, first appearance first
+	byName   map[string][]*xmlScope
+	bySeg    map[config.Seg]*xmlScope
+}
+
+func (sc *xmlScope) child(seg config.Seg) *xmlScope {
+	if c := sc.bySeg[seg]; c != nil {
+		return c
+	}
+	if sc.bySeg == nil {
+		sc.bySeg = make(map[config.Seg]*xmlScope)
+		sc.byName = make(map[string][]*xmlScope)
+	}
+	c := &xmlScope{seg: seg}
+	sc.bySeg[seg] = c
+	if _, seen := sc.byName[seg.Name]; !seen {
+		sc.names = append(sc.names, seg.Name)
+	}
+	sc.byName[seg.Name] = append(sc.byName[seg.Name], c)
+	return c
+}
+
+func (sc *xmlScope) render(b *bytes.Buffer, depth int) {
+	indent := strings.Repeat("  ", depth)
+	for _, in := range sc.settings {
+		b.WriteString(indent)
+		b.WriteString(`<Setting Key="`)
+		escapeXML(b, in.Key.Leaf())
+		b.WriteString(`" Value="`)
+		escapeXML(b, in.Value)
+		b.WriteString("\"/>\n")
+	}
+	for _, name := range sc.names {
+		sibs := sc.byName[name]
+		sort.SliceStable(sibs, func(i, j int) bool { return sibs[i].seg.Index < sibs[j].seg.Index })
+		for _, c := range sibs {
+			b.WriteString(indent)
+			b.WriteByte('<')
+			b.WriteString(name)
+			if c.seg.Inst != "" {
+				b.WriteString(` Name="`)
+				escapeXML(b, c.seg.Inst)
+				b.WriteByte('"')
+			}
+			b.WriteString(">\n")
+			c.render(b, depth+1)
+			b.WriteString(indent)
+			b.WriteString("</")
+			b.WriteString(name)
+			b.WriteString(">\n")
 		}
 	}
-	b.WriteString("</Configuration>")
-	return []byte(b.String())
+}
+
+func escapeXML(b *bytes.Buffer, s string) {
+	// Writes to a bytes.Buffer cannot fail.
+	_ = xml.EscapeText(b, []byte(s))
 }

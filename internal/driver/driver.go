@@ -143,3 +143,34 @@ func (ix *indexer) next(parentKey, name string) int {
 	ix.counts[k]++
 	return ix.counts[k]
 }
+
+// ordinals assigns 1-based sibling ordinals per open element: each scope
+// element opens a scope of its own in which its children are counted by
+// name, so two parents never share a counter however their keys render.
+// One map for all scopes keeps a parent with n distinct child names
+// linear in n.
+type ordinals struct {
+	counts map[ordinalKey]int
+	scopes int
+}
+
+type ordinalKey struct {
+	scope int
+	name  string
+}
+
+// open returns a fresh scope; scope 0 is the top level and needs no open.
+func (o *ordinals) open() int {
+	o.scopes++
+	return o.scopes
+}
+
+// next returns the ordinal of the next child called name in scope.
+func (o *ordinals) next(scope int, name string) int {
+	if o.counts == nil {
+		o.counts = make(map[ordinalKey]int)
+	}
+	k := ordinalKey{scope, name}
+	o.counts[k]++
+	return o.counts[k]
+}

@@ -8,6 +8,7 @@ package driver
 // fuzzer briefly (go test -fuzz) on top of the seed corpus.
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -119,15 +120,76 @@ func FuzzJSON(f *testing.F) {
 	})
 }
 
+// FuzzXML is differential: on every input the hand-rolled scanner and
+// the strict encoding/xml oracle both accept or both reject, and on accept
+// they return the same instances. The seeds walk the strict-mode rules
+// the scanner re-implements.
 func FuzzXML(f *testing.F) {
 	commonSeeds(f)
-	f.Add([]byte(`<configuration><add key="a" value="1"/></configuration>`))
-	f.Add([]byte(`<a><b></a></b>`)) // mismatched tags
-	f.Add([]byte(`<a attr="unterminated`))
-	f.Add([]byte(`<?xml version="1.0"?><a/>`))
+	for _, seed := range xmlSeeds {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkParse(t, "xml", xmlDriver{}, data)
+		diffXML(t, data)
 	})
+}
+
+// diffXML holds the driver to the oracle's verdict and instances on data.
+func diffXML(t *testing.T, data []byte) {
+	t.Helper()
+	got, gotErr := xmlDriver{}.Parse(data, "fuzz-input")
+	want, wantErr := xmlOracle{}.Parse(data, "fuzz-input")
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("verdicts differ on %q:\n scanner: %v\n oracle:  %v", data, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("instances differ on %q:\n scanner: %v\n oracle:  %v", data, got, want)
+	}
+}
+
+var xmlSeeds = []string{
+	`<configuration><add key="a" value="1"/></configuration>`,
+	`<a><b></a></b>`, // mismatched tags
+	`<a attr="unterminated`,
+	`<?xml version="1.0"?><a/>`,
+	// Listing 1 of the paper.
+	`<CloudGroup Name="Storage"><Cloud Name="East1Storage1">
+  <MonitorNodeHealth><Setting Key="RepairTimeout" Value="300"/></MonitorNodeHealth>
+  <Tenant Type="Frontend" Region="East"><Setting Key="Instances" Value="12"/></Tenant>
+</Cloud></CloudGroup>`,
+	// End tags: unclosed, stray, spaced, junk before '>'.
+	`<a><b>`, `<a>`, `</a>`, `<a></a></a>`, `<a></a >`, `<a></a x>`, `<a></ a>`, `<a/ >`, `<a x="1"/><b`, `<`, `</`, `<a`,
+	// Attributes: unquoted, valueless, spaced, adjacent, duplicated.
+	`<a x=1/>`, `<a x/>`, `<a x = '1' y = "2"/>`, `<a x="1"y="2"/>`, `<a x="1" x="2"/>`, `<a ="1"/>`, `<a x=/>`,
+	`<r><A Name="n" Name="m" Type="t" p="1"/></r>`, `<r><A Name="" Type="t" Name="m"/></r>`, `<r><A Type="" Name=""/></r>`,
+	// Namespaces and colons.
+	`<p:a xmlns:p="urn:x" p:k="v"><p:b Name="n" xmlns="urn:y"/></p:a>`, `<p:a></q:a>`, `<p:a></a>`, `<a></p:a>`,
+	`<a:b:c/>`, `<:a x="1"></:a>`, `<a: x="1"></a:>`, `<: x="1"/>`, `<a x:y:z="1"/>`, `<a :x="1" y:="2"/>`, `<r><xml:a xmlns:Name="n" q="1"/></r>`,
+	// Names: bad starts, non-ASCII.
+	`<1a/>`, `<-a/>`, `<.a/>`, `<a 1x="1"/>`, `<a.b-c_d x="1"/>`, "<\u00e9l\u00e9ment cl\u00e9=\"valeur \u00e9\"/>", "<a\u00d7 x=\"1\"/>", "<a \u00b7x=\"1\"/>", "<a\xff x=\"1\"/>",
+	"<r><a x=\"\xc3\"/></r>", "<r><a x=\"\u4e16\u754c\ufffd\"/></r>", "<r><a x=\"\uffff\"/></r>", "<r><a x=\"\xed\xa0\x80\"/></r>", "<r>\u00e9\xc3</r>",
+	// References.
+	`<r><a x="&lt;&#65;&#x41;&gt;&amp;&apos;&quot;"/></r>`, `<r><a x="&bogus;"/></r>`, `<r><a x="&#0;"/></r>`, `<r><a x="&#xD800;"/></r>`, `<r><a x="&#xFFFE;"/></r>`,
+	`<r><a x="&#x110000;"/></r>`, `<r><a x="&#99999999999999999999;"/></r>`, `<r><a x="&amp"/></r>`, `<r><a x="&"/></r>`, `<r><a x="&;"/></r>`, `<r><a x="&#;"/></r>`, `<r><a x="&#x;"/></r>`,
+	`<r><a x="&#X41;"/></r>`, `<r><a x="&#13;&#10;"/></r>`, "<r><a x=\"&\u00e9;\"/></r>", `<r>&lt;&#65;&bogus;</r>`, `<r>&#0;</r>`, `<r>&#xD800;</r>`, `<r>&amp</r>`, `<r>a & b</r>`, `&amp;`, `&`, `&#x41`,
+	// Line ends and stray markup characters in values and text.
+	"<r><a x=\"1\r\n2\r3\n4\r\r\n\"/></r>", "<r><a x=\"\r&amp;\n\"/></r>", "<r>\r\n\r</r>", `<r><a x="a<b"/></r>`, `<r><a x="a>b"/></r>`, `<r><a x='"' y="'"/></r>`,
+	`<r>a ]]> b</r>`, `<r><a x="]]>"/></r>`, `<r>]]&gt;]]</r>`, `<r>]]<!-- -->></r>`,
+	// CDATA, comments, directives, processing instructions.
+	`<r><![CDATA[ <not> &markup; ]]]]><a x="1"/></r>`, `<r><![CDATA[`, `<r><![CDATA[ ]]`, `<r><![CDAT[]]></r>`, "<r><![CDATA[\x01]]></r>", "<r><![CDATA[\xff]]></r>", `<![CDATA[top]]>`,
+	`<r><!-- a -- b --></r>`, `<r><!---></r>`, `<r><!----></r>`, `<r><!-- a ---></r>`, `<r><!- a --></r>`, `<r><!-- <a x="1"/> --><b y="2"/></r>`, "<!-- \x00\xff --><a x='1'/>",
+	`<!DOCTYPE r [ <!ENTITY e "q'>'"> <!-- " ' > --> <!ELEMENT r ANY> ]><r><a x="1"/></r>`, `<!DOCTYPE r "unclosed><r/>`, `<!DOCTYPE r [ <!-- unclosed ]><r/>`, `<!>><r x="1"/>`, `<!"><r x="1"/>`, `<!x <!-x> <!--x--> > <r x="1"/>`, `<!`,
+	`<?xml version="1.1"?><a x="1"/>`, `<?xml version="1.0" encoding="latin1"?><a x="1"/>`, `<?xml version='1.0' encoding='Utf-8'?><a x="1"/>`, `<a><?xml encoding="x"?></a>`,
+	`<?xml?><a x="1"/>`, `<?xml version=1.1?><a x="1"/>`, `<?xml xversion="2.0"?><a x="1"/>`, `<?php echo "?"; ?><a x="1"/>`, `<??>`, `<?a`, `<?a ?`, `<?1a?>`,
+	// Settings.
+	`<r><Setting Key="k" Value="v"><x><y z="1"/></x>text</Setting><Setting Key="k2"/></r>`, `<r><Setting Key="k"><x></Setting></r>`, `<r><Setting Value="v"/></r>`, `<r><Setting Key="" Value="v"/></r>`,
+	`<r><Setting Key="a" Key="b" Value="1" Value="2"/></r>`, `<Setting Key="root" Value="1"/>`, `<Setting Key="root" Value="1"><a/>`, `<r><p:Setting p:Key="k" q:Value="v"/></r>`,
+	// Document shapes.
+	`<a x="1"/><b y="2"/><a z="3"/>`, `<r><a x="1"/></r><a y="2"/><r><a z="3"/></r>`, `<r x="1"><r x="2"><r x="3"/></r></r>`, `just text`, ` <a x="1"/> trailing`, "\xef\xbb\xbf<a x=\"1\"/>",
+	"<a x=\"\x01\"/>", "<a>\x02</a>", "<a\x00/>", "<a x=\"1\"\x00/>", "<r><a x=\"\x7f\"/></r>",
+	// Sibling ordinals are per parent element, whatever the parents' keys render as.
+	`<r><A Name="x[2].B"><C q="2"/></A><A Name="x"><B><C q="1"/></B></A></r>`,
 }
 
 // The never-panic contract holds for every registered driver over a

@@ -1,10 +1,7 @@
 package driver
 
 import (
-	"bytes"
-	"encoding/xml"
 	"fmt"
-	"io"
 
 	"confvalley/internal/config"
 )
@@ -13,7 +10,7 @@ import (
 // throughout the paper (Listing 1): elements form scopes, a Name (or Type)
 // attribute names the scope instance, <Setting Key=... Value=...> elements
 // define parameters, and any other attribute becomes a parameter of its
-// element's scope.
+// element's scope. The tokenizer is xmlscan.go.
 type xmlDriver struct{}
 
 func init() { Register(xmlDriver{}) }
@@ -21,86 +18,154 @@ func init() { Register(xmlDriver{}) }
 func (xmlDriver) Name() string { return "xml" }
 
 func (xmlDriver) Parse(data []byte, sourceName string) ([]*config.Instance, error) {
-	dec := xml.NewDecoder(bytes.NewReader(data))
-	var out []*config.Instance
-	var stack []config.Seg
-	ix := newIndexer()
+	// One private copy of the document: names and values of the returned
+	// instances are substrings of it, never of the caller's buffer.
+	p := xmlParse{sc: xmlScanner{s: string(data)}, source: sourceName}
+	if err := p.run(); err != nil {
+		return nil, fmt.Errorf("xml: %w", err)
+	}
+	return p.out, nil
+}
+
+// xmlParse is the state of one Parse call.
+type xmlParse struct {
+	sc     xmlScanner
+	source string
+	out    []*config.Instance
+
+	// stack is the scope path of the open scope elements; scopes[i] is the
+	// ordinal scope in which the children of stack[i] are numbered.
+	stack  []config.Seg
+	scopes []int
+	ords   ordinals
+
+	// Instances and key segments are carved from slabs instead of being
+	// allocated one by one.
+	insts []config.Instance
+	segs  []config.Seg
+}
+
+func (p *xmlParse) run() error {
 	// The document root is a container, not a configuration scope: the
 	// paper parses Listing 1's MonitorNodeHealth into
 	// CloudGroup.Cloud.MonitorNodeHealth with no root segment. A root
 	// element carrying attributes is a real scope and is kept.
 	sawRoot := false
-
-	parentKey := func() string {
-		return config.Key{Segs: stack}.String()
-	}
 	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
+		ev, name, err := p.sc.next()
 		if err != nil {
-			return nil, fmt.Errorf("xml: %w", err)
+			return err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			name := t.Name.Local
-			if !sawRoot {
-				sawRoot = true
-				if len(t.Attr) == 0 && name != "Setting" {
-					// Attribute-less document root: container only.
-					continue
-				}
+		switch ev {
+		case xmlEOF:
+			return nil
+		case xmlEnd:
+			if n := len(p.stack); n > 0 {
+				p.stack, p.scopes = p.stack[:n-1], p.scopes[:n-1]
 			}
-			if name == "Setting" {
-				// Parameter element: <Setting Key="K" Value="V"/>
-				var key, val string
-				for _, a := range t.Attr {
-					switch a.Name.Local {
-					case "Key":
-						key = a.Value
-					case "Value":
-						val = a.Value
-					}
-				}
-				if key == "" {
-					return nil, fmt.Errorf("xml: Setting element without Key attribute in %s", sourceName)
-				}
-				k := config.Key{Segs: append(append([]config.Seg{}, stack...), config.Seg{Name: key})}
-				out = append(out, &config.Instance{Key: k, Value: val, Source: sourceName})
-				if err := dec.Skip(); err != nil {
-					return nil, fmt.Errorf("xml: %w", err)
-				}
+			continue
+		}
+		attrs := p.sc.attrs
+		if !sawRoot {
+			sawRoot = true
+			if len(attrs) == 0 && name != "Setting" {
 				continue
 			}
-			// Scope element. Name or Type attribute names the instance.
-			seg := config.Seg{Name: name}
-			var attrs []xml.Attr
-			for _, a := range t.Attr {
-				switch a.Name.Local {
-				case "Name", "Type":
-					if seg.Inst == "" {
-						seg.Inst = a.Value
-						continue
-					}
-				}
-				attrs = append(attrs, a)
-			}
-			seg.Index = ix.next(parentKey(), name)
-			stack = append(stack, seg)
-			// Remaining attributes are parameters of the new scope.
+		}
+		if name == "Setting" {
+			// Parameter element: <Setting Key="K" Value="V"/>
+			var key, val string
 			for _, a := range attrs {
-				k := config.Key{Segs: append(append([]config.Seg{}, stack...), config.Seg{Name: a.Name.Local})}
-				out = append(out, &config.Instance{Key: k, Value: a.Value, Source: sourceName})
+				switch a.name {
+				case "Key":
+					key = a.value
+				case "Value":
+					val = a.value
+				}
 			}
-		case xml.EndElement:
-			if len(stack) > 0 {
-				stack = stack[:len(stack)-1]
+			if key == "" {
+				return fmt.Errorf("Setting element without Key attribute in %s", p.source)
+			}
+			p.emit(key, val)
+			// Whatever a Setting encloses is not configuration, but it
+			// must still be well formed.
+			for depth := 1; depth > 0; {
+				ev, _, err := p.sc.next()
+				switch {
+				case err != nil:
+					return err
+				case ev == xmlStart:
+					depth++
+				case ev == xmlEnd:
+					depth--
+				default:
+					return fmt.Errorf("unbalanced elements in %s", p.source)
+				}
+			}
+			continue
+		}
+		// Scope element. The first non-empty Name or Type attribute names
+		// the instance; the remaining attributes are its parameters.
+		seg := config.Seg{Name: name, Index: p.ords.next(p.scope(), name)}
+		for _, a := range attrs {
+			if seg.Inst == "" && (a.name == "Name" || a.name == "Type") {
+				seg.Inst = a.value
 			}
 		}
+		p.stack, p.scopes = append(p.stack, seg), append(p.scopes, p.ords.open())
+		naming := true // still inside the run of attributes that could name the instance
+		for _, a := range attrs {
+			if naming && (a.name == "Name" || a.name == "Type") {
+				naming = a.value == ""
+				continue
+			}
+			p.emit(a.name, a.value)
+		}
 	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xml: unbalanced elements in %s", sourceName)
+}
+
+// scope is the ordinal scope of the innermost open scope element; the
+// top level (and an attribute-less root's children) is scope 0, which
+// persists across top-level elements.
+func (p *xmlParse) scope() int {
+	if n := len(p.scopes); n > 0 {
+		return p.scopes[n-1]
 	}
-	return out, nil
+	return 0
+}
+
+// emit appends the instance <scope path>.leaf = value.
+func (p *xmlParse) emit(leaf, value string) {
+	n := len(p.stack) + 1
+	if cap(p.segs)-len(p.segs) < n {
+		p.segs = make([]config.Seg, 0, slabSize(cap(p.segs), n, 8192))
+	}
+	// Clipped: an append to one key can never write into the next.
+	segs := p.segs[len(p.segs) : len(p.segs)+n : len(p.segs)+n]
+	p.segs = p.segs[:len(p.segs)+n]
+	copy(segs, p.stack)
+	segs[n-1] = config.Seg{Name: leaf}
+
+	if len(p.insts) == cap(p.insts) {
+		p.insts = make([]config.Instance, 0, slabSize(cap(p.insts), 1, 2048))
+	}
+	p.insts = append(p.insts, config.Instance{Key: config.Key{Segs: segs}, Value: value, Source: p.source})
+	p.out = append(p.out, &p.insts[len(p.insts)-1])
+}
+
+// slabSize doubles the previous slab up to limit, so a small document
+// pays for a small slab and a large one allocates a few hundred times;
+// need is the one request that must fit whatever the limit.
+func slabSize(prev, need, limit int) int {
+	n := 2 * prev
+	if n < 16 {
+		n = 16
+	}
+	if n > limit {
+		n = limit
+	}
+	if n < need {
+		n = need
+	}
+	return n
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -85,7 +86,7 @@ func (s *Server) Handler() http.Handler {
 		// framing; the precise byte quota is enforced in Validate. The
 		// whole body is read up front so ValidateBody can content-address
 		// the raw bytes before paying for a JSON decode.
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 2*s.cfg.Quotas.MaxPayloadBytes+(1<<20)))
+		body, err := readBody(w, r, 2*s.cfg.Quotas.MaxPayloadBytes+(1<<20))
 		if err != nil {
 			writeError(w, bodyReadError(err))
 			return
@@ -122,6 +123,35 @@ func errBody(msg string) errorBody { return errorBody{Error: msg} }
 // retrying client backs off the hot path, short enough that recovery
 // or a freed validation slot is picked up promptly.
 const retryAfterSeconds = "1"
+
+// readBody reads a request body of at most limit bytes into one buffer
+// sized from the declared Content-Length, so a multi-megabyte payload is
+// not copied through io.ReadAll's successive doublings. The declaration
+// is only a hint: an absent one, and one past the limit (a request about
+// to be refused), starts small as io.ReadAll does, and a wrong one is
+// corrected by growth or by the transport's own error — the bytes and
+// the error are what io.ReadAll over the same MaxBytesReader returns.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	src := http.MaxBytesReader(w, r.Body, limit)
+	hint := r.ContentLength
+	if hint < bytes.MinRead || hint > limit {
+		hint = bytes.MinRead
+	}
+	buf := make([]byte, 0, hint)
+	for {
+		n, err := src.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+}
 
 // bodyReadError classifies a request-body read failure: only the
 // MaxBytesReader tripping is the client exceeding a byte-size quota

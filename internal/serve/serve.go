@@ -672,7 +672,11 @@ func (s *Server) Validate(ctx context.Context, tenantName, specName string, req 
 	if err != nil {
 		return nil, err
 	}
-	return s.validateReq(ctx, t, entry, req, "")
+	payloads := make([]runner.Payload, len(req.Payloads))
+	for i, p := range req.Payloads {
+		payloads[i] = runner.Payload{Name: p.Name, Format: p.Format, Scope: p.Scope, Data: []byte(p.Data)}
+	}
+	return s.validateReq(ctx, t, entry, payloads, req.Sources, "")
 }
 
 // ValidateBody is the transport's entry point: it content-addresses the
@@ -705,35 +709,34 @@ func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, 
 			return resp, nil
 		}
 	}
-	var req ValidateRequest
+	var req wireRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, fmt.Errorf("%w: decoding request body: %v", ErrBadRequest, err)
 	}
-	return s.validateReq(ctx, t, entry, req, rawKey)
+	payloads := make([]runner.Payload, len(req.Payloads))
+	for i, p := range req.Payloads {
+		payloads[i] = runner.Payload{Name: p.Name, Format: p.Format, Scope: p.Scope, Data: p.Data}
+	}
+	return s.validateReq(ctx, t, entry, payloads, req.Sources, rawKey)
 }
 
-// validateReq runs one parsed request through the cache stack. rawKey,
+// validateReq runs one decoded request through the cache stack. rawKey,
 // when non-empty, is the transport's raw-body alias to populate
 // whenever a cacheable response is produced or found.
-func (s *Server) validateReq(ctx context.Context, t *tenant, entry *specEntry, req ValidateRequest, rawKey string) (*ValidateResponse, error) {
-	if err := s.checkRequestQuotas(req); err != nil {
+func (s *Server) validateReq(ctx context.Context, t *tenant, entry *specEntry, payloads []runner.Payload, sources []SourceRef, rawKey string) (*ValidateResponse, error) {
+	if err := s.checkRequestQuotas(payloads, len(sources)); err != nil {
 		return nil, err
 	}
 
-	job := runner.Job{Prog: entry.prog}
-	for _, p := range req.Payloads {
-		job.Payloads = append(job.Payloads, runner.Payload{
-			Name: p.Name, Format: p.Format, Scope: p.Scope, Data: []byte(p.Data),
-		})
-	}
-	for _, src := range req.Sources {
+	job := runner.Job{Prog: entry.prog, Payloads: payloads}
+	for _, src := range sources {
 		job.Sources = append(job.Sources, confvalley.Source{
 			Name: src.Name, Format: src.Format, Scope: src.Scope,
 		})
 	}
 
 	var key string
-	if t.results != nil && len(req.Sources) == 0 && len(req.Payloads) > 0 && len(entry.prog.Loads) == 0 {
+	if t.results != nil && len(sources) == 0 && len(payloads) > 0 && len(entry.prog.Loads) == 0 {
 		job.PayloadHash = runner.HashPayloads(job.Payloads)
 		key = entry.cacheKey(job.PayloadHash)
 	}
@@ -831,14 +834,14 @@ func cacheableResponse(resp *ValidateResponse, err error) bool {
 
 // checkRequestQuotas enforces the per-request source-count and
 // payload-byte bounds.
-func (s *Server) checkRequestQuotas(req ValidateRequest) error {
+func (s *Server) checkRequestQuotas(payloads []runner.Payload, sources int) error {
 	q := s.cfg.Quotas
-	if n := len(req.Payloads) + len(req.Sources); n > q.MaxSources {
+	if n := len(payloads) + sources; n > q.MaxSources {
 		s.denied.Add(1)
 		return fmt.Errorf("%w: %d sources > limit %d", ErrQuota, n, q.MaxSources)
 	}
 	var bytes int64
-	for _, p := range req.Payloads {
+	for _, p := range payloads {
 		bytes += int64(len(p.Data))
 	}
 	if bytes > q.MaxPayloadBytes {
