@@ -10,7 +10,7 @@ GO ?= go
 # only ever met one core hid a red tier-1 for six PRs.
 PROCS ?= 1 2 4
 
-.PHONY: all build lint tier1 test bench plan-bench stress store-bench incremental-bench fault-bench load-bench servecache-bench fuzz-smoke bench-smoke e2e crash-chaos repo-bench repo-bench-smoke profile-expert profile-ingest
+.PHONY: all build lint tier1 test bench plan-bench stress store-bench incremental-bench fault-bench load-bench servecache-bench fuzz-smoke bench-smoke e2e crash-chaos repo-bench repo-bench-smoke profile-expert profile-ingest profile-request
 
 all: build
 
@@ -99,13 +99,15 @@ servecache-bench:
 # Short coverage-guided run of each fuzzer on top of the checked-in
 # seeds: the format drivers (FuzzXML differentially, against the
 # encoding/xml oracle) and the service's request-envelope decoder
-# (against encoding/json into the public wire type). Mirrors the CI
-# "Fuzz smoke" step; a crasher or a divergence fails the target.
+# (against encoding/json into the public wire type; three times as long,
+# because this run is all that holds the hand-rolled decoder to
+# encoding/json). Mirrors the CI "Fuzz smoke" step; a crasher or a
+# divergence fails the target.
 fuzz-smoke:
 	for f in FuzzINI FuzzKV FuzzCSV FuzzYAML FuzzJSON FuzzXML; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/driver/ || exit 1; \
 	done
-	$(GO) test -run '^$$' -fuzz '^FuzzValidateEnvelope$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzValidateEnvelope$$' -fuzztime 30s ./internal/serve/
 
 # One iteration of every benchmark — compile/panic smoke, no timing
 # claims — plus a quick-scale pass of the load harness (both drivers and
@@ -136,6 +138,18 @@ profile-expert:
 profile-ingest:
 	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench '^BenchmarkColdIngest$$' -benchtime 10s \
+		-o .bench_build/confvalley.test \
+		-cpuprofile .bench_build/cpu.pprof -memprofile .bench_build/mem.pprof .
+	$(GO) tool pprof -top -nodecount 15 .bench_build/confvalley.test .bench_build/cpu.pprof
+	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space .bench_build/confvalley.test .bench_build/mem.pprof
+
+# The same for the whole cold request (BenchmarkColdRequest: the
+# novel_xml operation in-process through Server.ValidateBody — envelope
+# decode, payload hash, parse, store build, seal, diff, incremental
+# splice, report). Same output layout, which it overwrites.
+profile-request:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '^BenchmarkColdRequest$$' -benchtime 10s \
 		-o .bench_build/confvalley.test \
 		-cpuprofile .bench_build/cpu.pprof -memprofile .bench_build/mem.pprof .
 	$(GO) tool pprof -top -nodecount 15 .bench_build/confvalley.test .bench_build/cpu.pprof

@@ -7,9 +7,14 @@ package confvalley_test
 // EXPERIMENTS.md for the experiment index and paper-vs-measured values.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 	"testing"
 
 	confvalley "confvalley"
@@ -24,6 +29,8 @@ import (
 	"confvalley/internal/infer"
 	"confvalley/internal/legacy"
 	"confvalley/internal/plan"
+	"confvalley/internal/runner"
+	"confvalley/internal/serve"
 	"confvalley/internal/simenv"
 	"confvalley/specs"
 )
@@ -426,6 +433,119 @@ func BenchmarkColdIngest(b *testing.B) {
 		st.AddAll(ins)
 		if sn := st.Snapshot(); sn.Len() == 0 {
 			b.Fatal("ingest produced an empty snapshot")
+		}
+	}
+}
+
+// coldRequest is the repository benchmark's novel_xml operation, built
+// here because no change but a benchmark one may touch bench/: a full
+// Type A corpus as nested XML in an encoded validate request, the
+// inferred suite it is checked against, and the offset of the ten digits
+// of a setting no specification reads. Stamping them makes the body one
+// the service has never seen while the splice can still reuse every spec.
+func coldRequest(tb testing.TB) (spec string, body []byte, nonceOff int) {
+	const digits = "0000000000"
+	good := azuregen.GenerateA(1.0, 2015)
+	spec = infer.Infer(good.Store, infer.Defaults()).GenerateCPL()
+	st := config.NewStore()
+	st.Add(&config.Instance{Key: config.K("BenchRun", "Nonce"), Value: digits})
+	st.AddAll(good.Store.Instances())
+	body, err := json.Marshal(serve.ValidateRequest{Payloads: []serve.PayloadRef{
+		{Name: "corpus.xml", Format: "xml", Data: string(azuregen.RenderXML(st))},
+	}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	marker := []byte(`Key=\"Nonce\" Value=\"` + digits)
+	if bytes.Count(body, marker) != 1 {
+		tb.Fatal("nonce setting not found exactly once in the encoded body")
+	}
+	return spec, body, bytes.Index(body, marker) + len(marker) - len(digits)
+}
+
+// stampNonce overwrites the body's ten nonce digits with n.
+func stampNonce(body []byte, off int, n int) {
+	d := strconv.AppendInt(nil, int64(n), 10)
+	copy(body[off+10-len(d):off+10], d)
+}
+
+// BenchmarkColdRequest is the whole novel_xml operation below the
+// transport, for profiling (make profile-request): envelope decode,
+// payload hash, driver parse, store build, seal, diff against the
+// previous request's snapshot, incremental splice, report — a request
+// every cache layer misses on, in-process through Server.ValidateBody.
+func BenchmarkColdRequest(b *testing.B) {
+	spec, body, nonceOff := coldRequest(b)
+	ctx := context.Background()
+	srv := serve.New(serve.Config{Runner: runner.Options{Env: azuregen.ExpertEnv()}})
+	info, err := srv.RegisterSpec("bench", "inferred", spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The first request runs every spec and leaves the lineage to splice.
+	if _, err := srv.ValidateBody(ctx, "bench", "inferred", body); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stampNonce(body, nonceOff, i+1)
+		resp, err := srv.ValidateBody(ctx, "bench", "inferred", body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resp.Report.SpecsReused != info.Specs {
+			b.Fatalf("request %d reused %d of %d specs", i+1, resp.Report.SpecsReused, info.Specs)
+		}
+	}
+}
+
+// BenchmarkEnvelopeDecode is the envelope's share of that request, and
+// nothing else: sixty-four server-side sources after the payload put the
+// body one over the source quota, so the server decodes the whole payload
+// and then refuses the request, and with the result cache off there is no
+// raw-body key to hash first.
+func BenchmarkEnvelopeDecode(b *testing.B) {
+	_, body, _ := coldRequest(b)
+	body = append(body[:len(body)-1], `,"sources":[`+strings.Repeat("{},", 63)+`{}]}`...)
+	ctx := context.Background()
+	srv := serve.New(serve.Config{ResultCacheSize: -1})
+	if _, err := srv.RegisterSpec("bench", "none", "$Nothing.here -> int\n"); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := srv.ValidateBody(ctx, "bench", "none", body); !errors.Is(err, serve.ErrQuota) {
+			b.Fatalf("a request over the source quota: %v", err)
+		}
+	}
+}
+
+// BenchmarkDiffRebuilt is the diff's share: two parses of the same
+// document, one setting re-valued, in stores that share nothing.
+func BenchmarkDiffRebuilt(b *testing.B) {
+	doc := azuregen.RenderXML(azuregen.GenerateA(1.0, 2015).Store)
+	seal := func(doc []byte) *config.Snapshot {
+		ins, err := driver.ParseScoped(context.Background(), "xml", doc, "corpus.xml", "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := config.NewStore()
+		st.AddAll(ins)
+		return st.Snapshot()
+	}
+	old := seal(doc)
+	marker := []byte(`" Value="`)
+	at := bytes.LastIndex(doc, marker) + len(marker)
+	sn := seal(append(append(append([]byte(nil), doc[:at]...), "changed "...), doc[at:]...))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if d := sn.Diff(old); d.Len() != 1 {
+			b.Fatalf("delta of %d keys, want 1", d.Len())
 		}
 	}
 }

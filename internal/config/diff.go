@@ -9,9 +9,11 @@ package config
 // snapshots of one store share the per-class instance slices of every
 // class untouched between seals, so those classes are skipped by slice
 // identity without looking at a single instance. Snapshots of unrelated
-// stores (a watch round builds a fresh store per reload) share nothing
-// and fall back to a per-class key walk, which itself fast-paths the
-// common rebuilt-store case of positionally aligned keys.
+// stores (a watch round builds a fresh store per reload) share nothing:
+// when they hold the same keys in the same load order — two parses of
+// nearly the same content — one sequential pass finds the few classes
+// with a changed value, and otherwise a per-class key walk compares them,
+// which itself fast-paths positionally aligned keys.
 
 // Delta is the set of key-level changes from an old snapshot to a new
 // one. Added, Removed and Modified list each changed key once, in the
@@ -56,7 +58,15 @@ func (sn *Snapshot) Diff(old *Snapshot) Delta {
 		d.index()
 		return d
 	}
+	// When the load-order pass finds both snapshots holding the same keys
+	// in the same order, every class does too, and only a class with a
+	// re-valued instance can contribute: the walk visits just those, still
+	// in class order, so the delta lists exactly what it always did.
+	changed := sn.loadOrderDiff(old)
 	for _, id := range sn.classes {
+		if _, ok := changed[id]; changed != nil && !ok {
+			continue
+		}
 		var oldIns []*Instance
 		if old != nil {
 			oldIns = old.byClass[id]
@@ -79,6 +89,36 @@ func (sn *Snapshot) Diff(old *Snapshot) Delta {
 	}
 	d.index()
 	return d
+}
+
+// loadOrderDiff is the pass for two parses of nearly the same content: it
+// walks both snapshots' instances once in load order — sequentially over
+// the slabs the drivers carved them from, where the class walk hops from
+// class to class — and returns the set of classes holding an instance
+// whose value differs. It returns nil, the walk abandoned, when the
+// snapshots differ in size or at the first position whose keys differ.
+func (sn *Snapshot) loadOrderDiff(old *Snapshot) map[string]struct{} {
+	if old == nil || len(sn.instances) != len(old.instances) || len(sn.classes) != len(old.classes) {
+		return nil
+	}
+	changed := make(map[string]struct{})
+	var scratch [renderScratch]byte
+	for i, in := range sn.instances {
+		was := old.instances[i]
+		if was == in {
+			continue
+		}
+		if !sameKey(was.Key, in.Key) {
+			return nil
+		}
+		if was.Value != in.Value {
+			id := appendNames(scratch[:0], in.Key, classSep)
+			if _, ok := changed[string(id)]; !ok {
+				changed[string(id)] = struct{}{}
+			}
+		}
+	}
+	return changed
 }
 
 // sameInstanceSlice reports whether two per-class slices are the same

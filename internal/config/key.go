@@ -142,19 +142,19 @@ func (k Key) ClassPath() string { return joinNames(k, '.') }
 
 // joinNames joins the key's segment names with sep in one allocation.
 func joinNames(k Key, sep byte) string {
-	n := len(k.Segs)
-	for _, s := range k.Segs {
-		n += len(s.Name)
-	}
-	var b strings.Builder
-	b.Grow(n)
+	var scratch [renderScratch]byte
+	return string(appendNames(scratch[:0], k, sep))
+}
+
+// appendNames appends the key's segment names, joined with sep, to b.
+func appendNames(b []byte, k Key, sep byte) []byte {
 	for i, s := range k.Segs {
 		if i > 0 {
-			b.WriteByte(sep)
+			b = append(b, sep)
 		}
-		b.WriteString(s.Name)
+		b = append(b, s.Name...)
 	}
-	return b.String()
+	return b
 }
 
 // Leaf returns the final segment name — the parameter name.

@@ -1,0 +1,365 @@
+package config
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// The store's build and the snapshot diff as they stood before the bulk
+// build and the load-order pass, kept verbatim as the oracles the new
+// paths are held to.
+
+// addLockedOracle is the one-instance insertion AddAll used to loop over.
+func (st *Store) addLockedOracle(in *Instance) {
+	if st.shared {
+		// A sealed snapshot aliases the staging maps: clone before the
+		// first mutation so its view stays frozen. Slices need no clone —
+		// snapshots hold full-expression headers, so staging appends
+		// never land inside a sealed view.
+		st.byClass = cloneMap(st.byClass)
+		st.classSegs = cloneMap(st.classSegs)
+		st.byLeaf = cloneMap(st.byLeaf)
+		st.shared = false
+	}
+	st.snap.Store(nil)
+	st.contentID = "" // content changed; any prior address is stale
+	st.instances = append(st.instances, in)
+	cp := classID(in.Key)
+	if _, seen := st.byClass[cp]; !seen {
+		st.classes = append(st.classes, cp)
+		names := make([]string, len(in.Key.Segs))
+		for i, seg := range in.Key.Segs {
+			names[i] = seg.Name
+		}
+		st.classSegs[cp] = names
+		leaf := in.Key.Leaf()
+		st.byLeaf[leaf] = append(st.byLeaf[leaf], cp)
+	}
+	st.byClass[cp] = append(st.byClass[cp], in)
+}
+
+func (st *Store) addAllOracle(ins []*Instance) {
+	st.mu.Lock()
+	for _, in := range ins {
+		st.addLockedOracle(in)
+	}
+	st.mu.Unlock()
+}
+
+// diffOracle is Snapshot.Diff's class walk, with nothing in front of it.
+func diffOracle(sn, old *Snapshot) Delta {
+	d := Delta{}
+	if old == sn {
+		d.index()
+		return d
+	}
+	if old != nil && sn.contentID != "" && sn.contentID == old.contentID {
+		d.index()
+		return d
+	}
+	for _, id := range sn.classes {
+		var oldIns []*Instance
+		if old != nil {
+			oldIns = old.byClass[id]
+		}
+		newIns := sn.byClass[id]
+		if sameInstanceSlice(oldIns, newIns) {
+			continue
+		}
+		diffClass(oldIns, newIns, &d)
+	}
+	if old != nil {
+		for _, id := range old.classes {
+			if _, ok := sn.byClass[id]; !ok {
+				diffClass(old.byClass[id], nil, &d)
+			}
+		}
+	}
+	d.index()
+	return d
+}
+
+// nestedInstances generates what a driver hands the store for a nested
+// document: replicated scopes, so that the classes interleave in load
+// order, a few duplicate keys, and keys whose renderings collide while
+// their classes differ ("A::x" as one name against name A, instance x; a
+// dotted name against two segments).
+func nestedInstances(rng *rand.Rand, clouds, tenants, params int) []*Instance {
+	var ins []*Instance
+	add := func(v string, segs ...Seg) {
+		ins = append(ins, &Instance{Key: Key{Segs: segs}, Value: v, Source: "gen"})
+	}
+	for c := 1; c <= clouds; c++ {
+		cloud := Seg{Name: "Cloud", Inst: fmt.Sprintf("c%d", c), Index: c}
+		add(fmt.Sprint(rng.Intn(100)), cloud, Seg{Name: "Region"})
+		for t := 1; t <= tenants; t++ {
+			tenant := Seg{Name: "Tenant", Inst: fmt.Sprintf("t%d", t), Index: t}
+			for p := 0; p < params; p++ {
+				leaf := Seg{Name: fmt.Sprintf("Param%d", p)}
+				add(fmt.Sprint(rng.Intn(100)), cloud, tenant, leaf)
+				if rng.Intn(20) == 0 { // a duplicate key
+					add(fmt.Sprint(rng.Intn(100)), cloud, tenant, leaf)
+				}
+			}
+		}
+		add("x", Seg{Name: "Cloud", Inst: "x"}, Seg{Name: "Limit"})
+		add("y", Seg{Name: "Cloud::x"}, Seg{Name: "Limit"})
+		add("z", Seg{Name: "Cloud.Tenant"}, Seg{Name: "Param0"})
+	}
+	return ins
+}
+
+// cloneInstances copies the instances, so that two stores share nothing.
+func cloneInstances(ins []*Instance) []*Instance {
+	out := make([]*Instance, len(ins))
+	for i, in := range ins {
+		cp := *in
+		cp.Key.Segs = append([]Seg(nil), in.Key.Segs...)
+		out[i] = &cp
+	}
+	return out
+}
+
+func oraclePatterns(t *testing.T) []Pattern {
+	t.Helper()
+	var pats []Pattern
+	for _, s := range []string{
+		"Param0", "Param*", "Limit", "Region", "*", "NoSuch",
+		"Cloud.Region", "Cloud.Tenant.Param1", "Cloud::c1.Tenant.Param2", "Cloud.Tenant::t2.Param0",
+		"Cloud[2].Tenant[1].Param*", "Cloud.*.Param3", "Cloud::x.Limit", "*.Limit", "Extra.Knob", "Cloud.Tenant.Extra",
+	} {
+		p, err := ParsePattern(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pats = append(pats, p)
+	}
+	return pats
+}
+
+// sameStoreIndexes compares everything a seal reads from the staging area.
+func sameStoreIndexes(t *testing.T, label string, got, want *Store) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Classes(), want.Classes()) {
+		t.Fatalf("%s: classes differ:\n bulk:   %q\n oracle: %q", label, got.Classes(), want.Classes())
+	}
+	if !reflect.DeepEqual(got.instances, want.instances) {
+		t.Fatalf("%s: load order differs", label)
+	}
+	if len(got.byClass) != len(want.byClass) {
+		t.Fatalf("%s: %d classes indexed, oracle %d", label, len(got.byClass), len(want.byClass))
+	}
+	for id, w := range want.byClass {
+		g := got.byClass[id]
+		if len(g) != len(w) {
+			t.Fatalf("%s: class %q holds %d instances, oracle %d", label, id, len(g), len(w))
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("%s: class %q instance %d is %v, oracle %v", label, id, i, g[i], w[i])
+			}
+		}
+	}
+	if !reflect.DeepEqual(got.byLeaf, want.byLeaf) {
+		t.Fatalf("%s: leaf index differs:\n bulk:   %q\n oracle: %q", label, got.byLeaf, want.byLeaf)
+	}
+	if !reflect.DeepEqual(got.classSegs, want.classSegs) {
+		t.Fatalf("%s: class segments differ", label)
+	}
+	for _, p := range oraclePatterns(t) {
+		if g, w := got.Discover(p), want.Discover(p); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: Discover(%s) finds %d instances, oracle %d", label, p, len(g), len(w))
+		}
+	}
+}
+
+// The bulk build against one-by-one insertion: same indexes after every
+// batch, whatever was sealed in between, and no list it carved can be
+// appended to into its neighbour.
+func TestAddAllMatchesAdd(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		all := nestedInstances(rng, 2+rng.Intn(3), 1+rng.Intn(4), 1+rng.Intn(6))
+		// A class that arrives only with the last batch, next to ones that
+		// already hold instances.
+		all = append(all, &Instance{Key: K("Extra", "Knob"), Value: "1"}, &Instance{Key: K("Cloud::c1[1]", "Region"), Value: "late"})
+
+		bulk, oracle := NewStore(), NewStore()
+		var sealed []*Snapshot
+		var sealedAs []string
+		for rest, batch := all, 0; ; batch++ {
+			n := rng.Intn(len(rest) + 1)
+			if batch == 1 {
+				n = 0 // an empty batch changes nothing and drops no seal
+			}
+			if batch == 6 {
+				n = len(rest)
+			}
+			before := bulk.snap.Load()
+			bulk.AddAll(rest[:n])
+			oracle.addAllOracle(rest[:n])
+			if n == 0 && bulk.snap.Load() != before {
+				t.Fatalf("seed %d: an empty batch dropped the seal", seed)
+			}
+			label := fmt.Sprintf("seed %d batch %d", seed, batch)
+			if rest = rest[n:]; rng.Intn(2) == 0 || len(rest) == 0 {
+				// A seal between batches: the next one must copy on write.
+				sameStoreIndexes(t, label, bulk, oracle)
+				sn := bulk.Snapshot()
+				sealed, sealedAs = append(sealed, sn), append(sealedAs, renderSnapshot(sn))
+			}
+			if len(rest) == 0 {
+				break
+			}
+		}
+		for i, sn := range sealed {
+			if got := renderSnapshot(sn); got != sealedAs[i] {
+				t.Fatalf("seed %d: a later AddAll changed snapshot %d", seed, i)
+			}
+		}
+
+		// One by one through Add is the same store again.
+		single := NewStore()
+		for _, in := range all {
+			single.Add(in)
+		}
+		sameStoreIndexes(t, fmt.Sprintf("seed %d via Add", seed), single, oracle)
+
+		// Appending to any class list must copy it out, not write on.
+		for id := range bulk.byClass {
+			_ = append(bulk.byClass[id], &Instance{Value: "intruder"})
+		}
+		sameStoreIndexes(t, fmt.Sprintf("seed %d after appends", seed), bulk, oracle)
+	}
+}
+
+// renderSnapshot spells out everything a reader of the snapshot can see.
+func renderSnapshot(sn *Snapshot) string {
+	s := fmt.Sprintf("%q\n%q\n%q\n", sn.classes, sn.classSegs, sn.byLeaf)
+	for _, id := range sn.classes {
+		s += id + ":" + render(sn.byClass[id]) + "\n"
+	}
+	return s + render(sn.instances)
+}
+
+// The bulk build allocates per class, not per instance.
+func TestAddAllAllocations(t *testing.T) {
+	ins := nestedInstances(rand.New(rand.NewSource(1)), 10, 5, 1000) // about a thousand classes
+	if len(ins) < 50000 {
+		t.Fatalf("generated %d instances, want 50k", len(ins))
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		NewStore().AddAll(ins)
+	})
+	if perInstance := allocs / float64(len(ins)); perInstance > 0.2 {
+		t.Errorf("%.0f allocations for %d instances: %.3f per instance, want under 0.2", allocs, len(ins), perInstance)
+	}
+}
+
+// The load-order pass against the class walk it stands in front of: the
+// same delta, key for key and in the same order, whether the pass applies
+// (same keys in the same order), gives up half way, or never starts.
+func TestDiffLoadOrderMatchesClassWalk(t *testing.T) {
+	pats := oraclePatterns(t)
+	check := func(label string, old, sn *Snapshot) {
+		t.Helper()
+		got, want := sn.Diff(old), diffOracle(sn, old)
+		if !reflect.DeepEqual(got.Added, want.Added) || !reflect.DeepEqual(got.Removed, want.Removed) || !reflect.DeepEqual(got.Modified, want.Modified) {
+			t.Fatalf("%s: deltas differ:\n Diff:   +%v -%v ~%v\n oracle: +%v -%v ~%v", label,
+				got.Added, got.Removed, got.Modified, want.Added, want.Removed, want.Modified)
+		}
+		for _, p := range pats {
+			if g, w := got.Overlaps(p), want.Overlaps(p); g != w {
+				t.Fatalf("%s: Overlaps(%s) = %v, oracle %v", label, p, g, w)
+			}
+		}
+	}
+	seal := func(ins []*Instance) *Snapshot {
+		st := NewStore()
+		st.AddAll(ins)
+		return st.Snapshot()
+	}
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		base := nestedInstances(rng, 2+rng.Intn(3), 1+rng.Intn(3), 1+rng.Intn(5))
+		old := seal(base)
+		variant := func(name string, edit func(ins []*Instance) []*Instance) {
+			t.Helper()
+			sn := seal(edit(cloneInstances(base)))
+			check(fmt.Sprintf("seed %d %s", seed, name), old, sn)
+			check(fmt.Sprintf("seed %d %s reversed", seed, name), sn, old)
+		}
+
+		variant("identical", func(ins []*Instance) []*Instance { return ins })
+		for _, churn := range []int{1, 2, len(base) / 3, len(base)} {
+			variant(fmt.Sprintf("churn %d", churn), func(ins []*Instance) []*Instance {
+				for _, i := range rng.Perm(len(ins))[:churn] {
+					ins[i].Value += "'"
+				}
+				return ins
+			})
+		}
+		variant("duplicates re-valued", func(ins []*Instance) []*Instance {
+			seen := make(map[string]bool)
+			for _, in := range ins {
+				if ks := in.Key.String(); seen[ks] {
+					in.Value += "'"
+				} else {
+					seen[ks] = true
+				}
+			}
+			return ins
+		})
+		variant("key inserted", func(ins []*Instance) []*Instance {
+			at := rng.Intn(len(ins))
+			extra := &Instance{Key: ins[at].Key.Append(Seg{Name: "Extra"}), Value: "new"}
+			return append(ins[:at:at], append([]*Instance{extra}, ins[at:]...)...)
+		})
+		variant("key removed", func(ins []*Instance) []*Instance {
+			at := rng.Intn(len(ins))
+			return append(ins[:at:at], ins[at+1:]...)
+		})
+		variant("key moved", func(ins []*Instance) []*Instance {
+			from, to := rng.Intn(len(ins)), rng.Intn(len(ins))
+			in := ins[from]
+			ins = append(ins[:from:from], ins[from+1:]...)
+			return append(ins[:to:to], append([]*Instance{in}, ins[to:]...)...)
+		})
+		variant("class added", func(ins []*Instance) []*Instance {
+			return append(ins, &Instance{Key: K("Extra", "Knob"), Value: "1"})
+		})
+		variant("class swapped", func(ins []*Instance) []*Instance {
+			// As many instances and classes as before, under another name.
+			for _, in := range ins {
+				if in.Key.Leaf() == "Region" {
+					in.Key.Segs[len(in.Key.Segs)-1].Name = "Zone"
+				}
+			}
+			return ins
+		})
+		variant("permuted", func(ins []*Instance) []*Instance {
+			rng.Shuffle(len(ins), func(i, j int) { ins[i], ins[j] = ins[j], ins[i] })
+			return ins
+		})
+		variant("instance renamed and re-valued", func(ins []*Instance) []*Instance {
+			ins[0].Value += "'"
+			last := ins[len(ins)/2]
+			last.Key.Segs[0].Inst += "'"
+			return ins
+		})
+
+		// Two snapshots of one store: resealed as it is, and grown.
+		st := NewStore()
+		st.AddAll(cloneInstances(base))
+		first := st.Snapshot()
+		st.SetCacheMode(CacheSharded)
+		check(fmt.Sprintf("seed %d resealed", seed), first, st.Snapshot())
+		st.Add(&Instance{Key: base[0].Key, Value: "appended"})
+		st.AddAll([]*Instance{{Key: K("Extra", "Knob"), Value: "1"}})
+		check(fmt.Sprintf("seed %d grown", seed), first, st.Snapshot())
+		check(fmt.Sprintf("seed %d shrunk", seed), st.Snapshot(), first)
+	}
+	check("against nothing", nil, seal(nestedInstances(rand.New(rand.NewSource(0)), 2, 2, 2)))
+}

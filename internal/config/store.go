@@ -64,20 +64,45 @@ func NewStore() *Store {
 // are unaffected.
 func (st *Store) Add(in *Instance) {
 	st.mu.Lock()
-	st.addLocked(in)
-	st.mu.Unlock()
-}
-
-// AddAll inserts a batch of instances under one lock acquisition.
-func (st *Store) AddAll(ins []*Instance) {
-	st.mu.Lock()
-	for _, in := range ins {
-		st.addLocked(in)
+	defer st.mu.Unlock()
+	st.beginMutation()
+	st.instances = append(st.instances, in)
+	id := classID(in.Key)
+	if _, seen := st.byClass[id]; !seen {
+		st.addClass(id, in.Key)
 	}
-	st.mu.Unlock()
+	st.byClass[id] = append(st.byClass[id], in)
 }
 
-func (st *Store) addLocked(in *Instance) {
+// AddAll inserts a batch of instances, in order, as Add would one by one.
+// It is a bulk build over one grouping of the batch by class: a class
+// costs one ID string and one instance list, carved from an array the
+// whole batch shares, and an instance costs no allocation at all.
+func (st *Store) AddAll(ins []*Instance) {
+	if len(ins) == 0 {
+		return
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.beginMutation()
+	st.instances = append(st.instances, ins...)
+	p := groupBy(ins, func(b []byte, k Key) []byte { return appendNames(b, k, classSep) })
+	for g, id := range p.Order {
+		list := p.parts[g]
+		old, seen := st.byClass[id]
+		if !seen {
+			st.addClass(id, list[0].Key)
+		}
+		if len(old) > 0 {
+			// The class already held instances: append, as Add would have.
+			list = append(old, list...)
+		}
+		st.byClass[id] = list
+	}
+}
+
+// beginMutation readies the staging area for a change, under st.mu.
+func (st *Store) beginMutation() {
 	if st.shared {
 		// A sealed snapshot aliases the staging maps: clone before the
 		// first mutation so its view stays frozen. Slices need no clone —
@@ -90,19 +115,19 @@ func (st *Store) addLocked(in *Instance) {
 	}
 	st.snap.Store(nil)
 	st.contentID = "" // content changed; any prior address is stale
-	st.instances = append(st.instances, in)
-	cp := classID(in.Key)
-	if _, seen := st.byClass[cp]; !seen {
-		st.classes = append(st.classes, cp)
-		names := make([]string, len(in.Key.Segs))
-		for i, seg := range in.Key.Segs {
-			names[i] = seg.Name
-		}
-		st.classSegs[cp] = names
-		leaf := in.Key.Leaf()
-		st.byLeaf[leaf] = append(st.byLeaf[leaf], cp)
+}
+
+// addClass registers the class of key k, seen for the first time, in every
+// index but byClass, which the caller fills.
+func (st *Store) addClass(id string, k Key) {
+	st.classes = append(st.classes, id)
+	names := make([]string, len(k.Segs))
+	for i, seg := range k.Segs {
+		names[i] = seg.Name
 	}
-	st.byClass[cp] = append(st.byClass[cp], in)
+	st.classSegs[id] = names
+	leaf := k.Leaf()
+	st.byLeaf[leaf] = append(st.byLeaf[leaf], id)
 }
 
 func cloneMap[V any](m map[string]V) map[string]V {
@@ -350,15 +375,21 @@ func (p *Partition) Group(id string) []*Instance {
 }
 
 // GroupByPrefix partitions instances by the rendering of their first n
-// key segments (Key.PrefixString) in one pass over ins: a string is built
-// per distinct group, not per instance.
+// key segments (Key.PrefixString).
 func GroupByPrefix(ins []*Instance, n int) *Partition {
+	return groupBy(ins, func(b []byte, k Key) []byte { return k.appendPrefix(b, n) })
+}
+
+// groupBy partitions instances by the identity render appends for their
+// key, in one pass over ins: render writes into a reused scratch and a
+// string is built per distinct group, not per instance.
+func groupBy(ins []*Instance, render func(b []byte, k Key) []byte) *Partition {
 	p := &Partition{index: make(map[string]int)}
-	of := make([]int, len(ins)) // group number of each instance
+	of := make([]int32, len(ins)) // group number of each instance
 	var sizes []int
 	var scratch [renderScratch]byte
 	for i, in := range ins {
-		id := in.Key.appendPrefix(scratch[:0], n)
+		id := render(scratch[:0], in.Key)
 		g, ok := p.index[string(id)]
 		if !ok {
 			g = len(p.Order)
@@ -366,7 +397,7 @@ func GroupByPrefix(ins []*Instance, n int) *Partition {
 			p.index[p.Order[g]] = g
 			sizes = append(sizes, 0)
 		}
-		of[i] = g
+		of[i] = int32(g)
 		sizes[g]++
 	}
 	// One backing array carved into per-group slices, each clipped so an

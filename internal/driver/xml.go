@@ -24,14 +24,13 @@ func (xmlDriver) Parse(data []byte, sourceName string) ([]*config.Instance, erro
 	if err := p.run(); err != nil {
 		return nil, fmt.Errorf("xml: %w", err)
 	}
-	return p.out, nil
+	return p.instances(), nil
 }
 
 // xmlParse is the state of one Parse call.
 type xmlParse struct {
 	sc     xmlScanner
 	source string
-	out    []*config.Instance
 
 	// stack is the scope path of the open scope elements; scopes[i] is the
 	// ordinal scope in which the children of stack[i] are numbered.
@@ -40,8 +39,11 @@ type xmlParse struct {
 	ords   ordinals
 
 	// Instances and key segments are carved from slabs instead of being
-	// allocated one by one.
+	// allocated one by one: insts is the instance slab being filled, full
+	// holds the ones before it, count the instances in all of them.
 	insts []config.Instance
+	full  [][]config.Instance
+	count int
 	segs  []config.Seg
 }
 
@@ -147,10 +149,29 @@ func (p *xmlParse) emit(leaf, value string) {
 	segs[n-1] = config.Seg{Name: leaf}
 
 	if len(p.insts) == cap(p.insts) {
+		if len(p.insts) > 0 {
+			p.full = append(p.full, p.insts)
+		}
 		p.insts = make([]config.Instance, 0, slabSize(cap(p.insts), 1, 2048))
 	}
 	p.insts = append(p.insts, config.Instance{Key: config.Key{Segs: segs}, Value: value, Source: p.source})
-	p.out = append(p.out, &p.insts[len(p.insts)-1])
+	p.count++
+}
+
+// instances is the parse's result, in document order: one slice made at
+// its final size, where growing it by append would have left several
+// times that behind as garbage.
+func (p *xmlParse) instances() []*config.Instance {
+	if p.count == 0 {
+		return nil
+	}
+	out := make([]*config.Instance, 0, p.count)
+	for _, slab := range append(p.full, p.insts) {
+		for i := range slab {
+			out = append(out, &slab[i])
+		}
+	}
+	return out
 }
 
 // slabSize doubles the previous slab up to limit, so a small document

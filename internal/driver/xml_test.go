@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -87,6 +88,18 @@ func TestXMLParseAllocations(t *testing.T) {
 	})
 	if perInstance := allocs / float64(len(ins)); perInstance > 0.05 {
 		t.Errorf("%.0f allocations for %d instances: %.3f per instance, want under 0.05", allocs, len(ins), perInstance)
+	}
+	// Bytes: the document's copy, the slabs and a result slice made once at
+	// its final size come to 250 per instance here; grown by append the
+	// result slice alone added 23 to that.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := (xmlDriver{}).Parse(doc, "alloc.xml"); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if perInstance := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(ins)); perInstance > 255 {
+		t.Errorf("%.1f bytes allocated per instance, want under 255", perInstance)
 	}
 }
 

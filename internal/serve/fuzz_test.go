@@ -2,16 +2,20 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// FuzzValidateEnvelope holds the server's one-copy envelope decode to the
-// public wire type: a body decodes into wireRequest iff json.Unmarshal
-// accepts it into ValidateRequest, and then names, formats, scopes,
-// sources and payload bytes are equal.
+// FuzzValidateEnvelope holds the server's one-pass envelope decoder to the
+// public wire type: decodeEnvelope, its quotas off, accepts a body iff
+// json.Unmarshal accepts it into ValidateRequest, and then names, formats,
+// scopes, sources and payload bytes are equal. The seeds run as plain
+// tests under `go test`.
 func FuzzValidateEnvelope(f *testing.F) {
-	for _, seed := range []string{
+	nest := func(n int) string { return strings.Repeat("[", n) + strings.Repeat("]", n) }
+	seeds := []string{
 		`{"payloads":[{"name":"a.xml","format":"xml","scope":"Fabric","data":"<a x=\"1\"/>\n"}]}`,
 		`{"payloads":[{"name":"a","data":"tab\there \\ \/ \b\f\r \u003c\u00e9\u4e16 \ud83d\ude00"}],"sources":[{"name":"/etc/app.ini","format":"ini","scope":"S"}]}`,
 		`{"payloads":[{"data":"\ud800"},{"data":"\udc00\ud800x"},{"data":"\ud83d\u0041"},{"data":"\ud83d\\ude00"},{"data":"\uD83D\uDE00"}]}`,
@@ -23,27 +27,76 @@ func FuzzValidateEnvelope(f *testing.F) {
 		`{"payloads":[{"name":7,"data":"x"}]}`, `{"payloads":{"data":"x"}}`, `{"Payloads":[{"DATA":"case","Name":"N"}]}`,
 		`{"payloads":[{"data":"unterminated`, `{"payloads":[{"data":"bad \x escape"}]}`, `{"payloads":[{"data":"\u12"}]}`, "{\"payloads\":[{\"data\":\"raw\nnewline\"}]}",
 		`{}`, `null`, `[]`, `"string"`, ``, `{"payloads":null,"sources":null}`, `{"unknown":1,"payloads":[{"extra":[1,2],"data":"x"}]}`,
-	} {
+
+		// A member repeated: the second array is decoded into the first
+		// one's elements, shrinking, growing and growing back over what a
+		// shrink left behind.
+		`{"payloads":[{"name":"a","data":"A"},{"name":"b","data":"B"},{"name":"c","scope":"C"}],"payloads":[{"format":"kv"}]}`,
+		`{"payloads":[{"name":"a","data":"A"}],"payloads":[{"format":"kv"},{"name":"b"},{"data":"C"}]}`,
+		`{"payloads":[{"name":"a","data":"A"},{"name":"b","data":"B"},{"name":"c"}],"payloads":[{"scope":"s"}],"payloads":[{},{"format":"f"},null,{"name":"d"},{"name":"e"}]}`,
+		`{"sources":[{"name":"a","scope":"x"},{"name":"b"}],"sources":[],"sources":[{"format":"ini"},null]}`,
+		`{"payloads":[{"name":"a"},{"name":"b"}],"payloads":null,"payloads":[{"data":"z"},{}]}`,
+		`{"payloads":[{"data":"a"}],"sources":[{"name":"s"}],"PAYLOADS":[null,{"data":"b"}],"Sources":[{"scope":"t"}]}`,
+		`{"payloads":[null,{"name":"a"},null,null,{"data":"b"},null],"sources":[null]}`,
+
+		// Member names: exact, folded, escaped, and near misses.
+		`{"PAYLOADS":[{"NAME":"n","Format":"f","sCoPe":"s","daTa":"d"}]}`,
+		`{"ſources":[{"ſcope":"long s","name":"n"}],"payloadſ":[{"data":"x"}]}`,
+		`{"payloads":[{"\u0064ata":"escaped key","\u006eame":"n","\u017fcope":"s"}]}`,
+		`{"payloads":[{"data ":"no","dat":"no","datas":"no","d\u0000ata":"no","":"no","namé":"no"}]}`,
+		"{\"payloads\":[{\"data\xff\":\"no\",\"\xffdata\":\"no\",\"data\":\"yes\"}]}",
+		`{"payloads":[{"` + strings.Repeat("k", 70<<10) + `":1,"data":"after a long key","` + strings.Repeat(`\u0064`, 40) + `":2}]}`,
+		`{"Kpayloads":1,"payloads\u212a":2,"payloads":[]}`,
+
+		// Unknown members are skipped with the whole grammar checked.
+		`{"x":{"a":[1,2,{"b":null}],"c":"s","d":true,"e":false},"payloads":[{"y":[[],{}],"data":"ok"}]}`,
+		`{"x":-}`, `{"x":-0}`, `{"x":01}`, `{"x":1.}`, `{"x":.5}`, `{"x":1e}`, `{"x":1e+}`, `{"x":1E-2}`, `{"x":-0.0e+00}`, `{"x":12.50E7}`, `{"x":+1}`, `{"x":0x1}`, `{"x":1 2}`,
+		`{"x":tru}`, `{"x":truex}`, `{"x":True}`, `{"x":nul}`, `{"x":falsey}`, `{"x":[1,]}`, `{"x":[,1]}`, `{"x":{"a":1,}}`, `{"x":{,}}`, `{"x":{"a"}}`, `{"x":{"a":}}`, `{"x":{a:1}}`, `{"x":[1 2]}`, `{"x"}`, `{"x":}`, `{,}`, `{"x":1,}`,
+		`{"x":"\u0000 \" \\ \/ \b \f \n \r \t \u00e9 \uD83D\uDE00 \ud83d"}`, `{"x":"\a"}`, `{"x":"\u00g0"}`, `{"x":"\U0041"}`, `{"x":"\`, `{"x":"\u004`, `{"x":"`,
+		"{\"x\":\"raw \x00 nul\"}", "{\"x\":\"raw \x1f unit separator\"}", "{\"x\":\"del \x7f is fine\"}", "{\"x\x01\":1}",
+		`{"x":` + nest(maxNesting-1) + `}`, `{"x":` + nest(maxNesting) + `}`,
+		`{"payloads":[{"x":` + nest(maxNesting-3) + `}]}`, `{"payloads":[{"x":` + nest(maxNesting-2) + `}]}`,
+		`{"x":` + strings.Repeat(`{"a":`, maxNesting-1) + `1` + strings.Repeat(`}`, maxNesting-1) + `}`,
+		`{"x":` + strings.Repeat(`{"a":`, maxNesting) + `1` + strings.Repeat(`}`, maxNesting) + `}`,
+		nest(maxNesting), nest(maxNesting + 1),
+
+		// Around the value: BOM, leading and trailing bytes.
+		"\xef\xbb\xbf{}", " \t\r\n{} \t\r\n", `{}}`, `{}garbage`, `{} {}`, `{}` + "\x00", "\v{}", `nullx`, ` null `, `nul`,
+		`[]`, `[{}]`, `"s"`, `1`, `true`, `false`, `-`, `{`, `}`, `]`, `:`, `,`,
+
+		// Strings the envelope keeps: control bytes, every escape,
+		// surrogates joined and split, malformed UTF-8.
+		`{"payloads":[{"name":"nul \u0000 in a name","data":"nul \u0000 in data"}]}`,
+		"{\"payloads\":[{\"name\":\"raw \x01 control\"}]}", "{\"payloads\":[{\"data\":\"raw \x1f control\"}]}", "{\"payloads\":[{\"data\":\"tab\tinside\"}]}",
+		`{"payloads":[{"name":"\" \\ \/ \b \f \n \r \t \u0041 \u00e9 \u4e16 \uFFFD","scope":"\u0022\u005c\u002F","data":"\" \\ \/ \b \f \n \r \t \u0041 \u00e9 \u4e16 \uffFD"}]}`,
+		"{\"payloads\":[{\"data\":\"\\ud83d\xed\xb8\x80\"},{\"data\":\"\xed\xa0\xbd\\ude00\"},{\"data\":\"\xed\xa0\xbd\xed\xb8\x80\"},{\"data\":\"\xf0\x9f\x98\x80\"}]}",
+		`{"payloads":[{"data":"\ud83d\ud83d\ude00"},{"data":"\ude00\ud83d"},{"data":"\ud83d\u"},{"data":"\ud83d\ude0"},{"data":"\udbff\udfff\ud800\udc00"}]}`,
+		"{\"payloads\":[{\"name\":\"\xc0\x80 \xe0\x80\x80 \xf4\x90\x80\x80 \x80 \xbf \xfe\xff\",\"data\":\"\xc2\",\"scope\":\"\xe2\x82\"}]}",
+		`{"payloads":[{"name":"` + strings.Repeat("n", 70<<10) + `","format":"` + strings.Repeat(`\n`, 3000) + `","data":"x"}]}`,
+		`{"payloads":[{"data":3.5}]}`, `{"payloads":[{"data":{}}]}`, `{"payloads":[{"data":[]}]}`, `{"payloads":[{"data":false}]}`,
+		`{"payloads":[{"name":{}}]}`, `{"payloads":[{"scope":[]}]}`, `{"payloads":[{"format":true}]}`, `{"sources":[{"name":1}]}`, `{"sources":[1]}`, `{"sources":["s"]}`, `{"sources":[[]]}`, `{"sources":{}}`, `{"sources":"s"}`, `{"sources":1}`, `{"payloads":true}`,
+		`{"payloads":[{"data":"x"}`, `{"payloads":[{"data":"x"}]`, `{"payloads":[{"data":"x"},]}`, `{"payloads":[{"data":"x",}]}`, `{"payloads":[{"data" "x"}]}`, `{"payloads":[{"data":"x"}{}]}`,
+	}
+	for _, seed := range seeds {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var want ValidateRequest
 		wantErr := json.Unmarshal(body, &want)
-		var got wireRequest
-		gotErr := json.Unmarshal(body, &got)
+		payloads, sources, gotErr := decodeEnvelope(body, math.MaxInt, math.MaxInt64)
 		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("verdicts differ on %q:\n wire:   %v\n public: %v", body, gotErr, wantErr)
+			t.Fatalf("verdicts differ on %.200q:\n decoder:       %v\n encoding/json: %v", body, gotErr, wantErr)
 		}
 		if wantErr != nil {
 			return
 		}
-		if len(got.Payloads) != len(want.Payloads) || !reflect.DeepEqual(got.Sources, want.Sources) {
-			t.Fatalf("shape differs on %q:\n wire:   %+v\n public: %+v", body, got, want)
+		if len(payloads) != len(want.Payloads) || (payloads == nil) != (want.Payloads == nil) || !reflect.DeepEqual(sources, want.Sources) {
+			t.Fatalf("shape differs on %.200q:\n decoder:       %+v %+v\n encoding/json: %+v", body, payloads, sources, want)
 		}
 		for i, w := range want.Payloads {
-			g := got.Payloads[i]
+			g := payloads[i]
 			if g.Name != w.Name || g.Format != w.Format || g.Scope != w.Scope || string(g.Data) != w.Data {
-				t.Fatalf("payload %d differs on %q:\n wire:   %+v\n public: %+v", i, body, g, w)
+				t.Fatalf("payload %d differs on %.200q:\n decoder:       %+v\n encoding/json: %+v", i, body, g, w)
 			}
 		}
 	})

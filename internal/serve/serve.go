@@ -18,7 +18,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"regexp"
@@ -709,15 +708,16 @@ func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, 
 			return resp, nil
 		}
 	}
-	var req wireRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	q := s.cfg.Quotas
+	payloads, sources, err := decodeEnvelope(body, q.MaxSources, q.MaxPayloadBytes)
+	switch {
+	case errors.Is(err, ErrQuota), errors.Is(err, ErrTooLarge):
+		s.denied.Add(1)
+		return nil, err
+	case err != nil:
 		return nil, fmt.Errorf("%w: decoding request body: %v", ErrBadRequest, err)
 	}
-	payloads := make([]runner.Payload, len(req.Payloads))
-	for i, p := range req.Payloads {
-		payloads[i] = runner.Payload{Name: p.Name, Format: p.Format, Scope: p.Scope, Data: p.Data}
-	}
-	return s.validateReq(ctx, t, entry, payloads, req.Sources, rawKey)
+	return s.validateReq(ctx, t, entry, payloads, sources, rawKey)
 }
 
 // validateReq runs one decoded request through the cache stack. rawKey,
