@@ -10,7 +10,7 @@ GO ?= go
 # only ever met one core hid a red tier-1 for six PRs.
 PROCS ?= 1 2 4
 
-.PHONY: all build lint tier1 test bench plan-bench stress store-bench incremental-bench fault-bench load-bench servecache-bench fuzz-smoke bench-smoke e2e crash-chaos repo-bench repo-bench-smoke profile-expert profile-ingest profile-request
+.PHONY: all build lint tier1 test bench plan-bench stress store-bench incremental-bench fault-bench load-bench servecache-bench fuzz-smoke bench-smoke e2e crash-chaos repo-bench repo-bench-smoke profile-expert profile-ingest profile-request profile-cli
 
 all: build
 
@@ -23,9 +23,14 @@ build:
 # deliberately broken and skipped by the directory walk). staticcheck
 # would slot in after vet, but the offline build cannot vendor it;
 # cvlint is the project-specific analyzer this gate is really about.
+# `unsafe` belongs to the two drivers that borrow their strings from a
+# document they own (DESIGN.md §5) and to no other file, tests included.
 lint:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
+	@bad=$$(grep -rlE --include='*.go' --exclude-dir=.bench_build '^(import)?[[:space:]]*"unsafe"' . \
+		| grep -vxE '\./internal/driver/(xml|ini)\.go'); if [ -n "$$bad" ]; then \
+		echo "unsafe imported outside internal/driver/xml.go and ini.go:"; echo "$$bad"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/cvlint ./specs
 
@@ -98,15 +103,17 @@ servecache-bench:
 
 # Short coverage-guided run of each fuzzer on top of the checked-in
 # seeds: the format drivers (FuzzXML differentially, against the
-# encoding/xml oracle) and the service's request-envelope decoder
-# (against encoding/json into the public wire type; three times as long,
-# because this run is all that holds the hand-rolled decoder to
-# encoding/json). Mirrors the CI "Fuzz smoke" step; a crasher or a
-# divergence fails the target.
+# encoding/xml oracle; FuzzKV differentially, against the strings.Split
+# oracle, and three times as long, because this run is all that holds
+# the index-walking scanner to it) and the service's request-envelope
+# decoder (against encoding/json into the public wire type; three times
+# as long for the same reason). Mirrors the CI "Fuzz smoke" step; a
+# crasher or a divergence fails the target.
 fuzz-smoke:
-	for f in FuzzINI FuzzKV FuzzCSV FuzzYAML FuzzJSON FuzzXML; do \
+	for f in FuzzINI FuzzCSV FuzzYAML FuzzJSON FuzzXML; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/driver/ || exit 1; \
 	done
+	$(GO) test -run '^$$' -fuzz '^FuzzKV$$' -fuzztime 30s ./internal/driver/
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateEnvelope$$' -fuzztime 30s ./internal/serve/
 
 # One iteration of every benchmark — compile/panic smoke, no timing
@@ -150,6 +157,18 @@ profile-ingest:
 profile-request:
 	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench '^BenchmarkColdRequest$$' -benchtime 10s \
+		-o .bench_build/confvalley.test \
+		-cpuprofile .bench_build/cpu.pprof -memprofile .bench_build/mem.pprof .
+	$(GO) tool pprof -top -nodecount 15 .bench_build/confvalley.test .bench_build/cpu.pprof
+	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space .bench_build/confvalley.test .bench_build/mem.pprof
+
+# The same for the command line (BenchmarkCLIRun: the cli_kv_b operation
+# in-process — compile, lower, read and parse a Type B KV file, full run,
+# text render, with a fresh runner per iteration). Same output layout,
+# which it overwrites.
+profile-cli:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '^BenchmarkCLIRun$$' -benchtime 10s \
 		-o .bench_build/confvalley.test \
 		-cpuprofile .bench_build/cpu.pprof -memprofile .bench_build/mem.pprof .
 	$(GO) tool pprof -top -nodecount 15 .bench_build/confvalley.test .bench_build/cpu.pprof

@@ -13,6 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -520,6 +522,46 @@ func BenchmarkEnvelopeDecode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := srv.ValidateBody(ctx, "bench", "none", body); !errors.Is(err, serve.ErrQuota) {
 			b.Fatalf("a request over the source quota: %v", err)
+		}
+	}
+}
+
+// BenchmarkCLIRun is the repository benchmark's cli_kv_b operation, for
+// profiling (make profile-cli): what one cvcheck process does through the
+// runner it calls — compile and lower the hand-written Type B suite, read
+// and parse a Type B corpus written as a KV file, run every spec, render
+// the text report — with a fresh runner per iteration and the plan
+// forgotten after it, as a process that exits would leave things.
+func BenchmarkCLIRun(b *testing.B) {
+	dir := b.TempDir()
+	specPath, dataPath := filepath.Join(dir, "typeb.cpl"), filepath.Join(dir, "typeb.kv")
+	data := azuregen.RenderKV(azuregen.GenerateB(0.05, 2015).Store)
+	if err := os.WriteFile(specPath, []byte(specs.AzureTypeB()), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	if err := os.WriteFile(dataPath, data, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	var out bytes.Buffer
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.Reset()
+		res, err := runner.New(runner.Options{}).Run(ctx, runner.Job{
+			SpecPath: specPath,
+			Sources:  []confvalley.Source{{Name: dataPath, Format: "kv"}},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := confvalley.RenderReport(res.Report, &out); err != nil {
+			b.Fatal(err)
+		}
+		plan.Forget(res.Program)
+		if rep := res.Report; res.Data.Degraded() || rep.InstancesChecked == 0 || len(rep.SpecErrors) != 0 {
+			b.Fatalf("cli run: degraded %t, %d instances checked, spec errors %q", res.Data.Degraded(), rep.InstancesChecked, rep.SpecErrors)
 		}
 	}
 }

@@ -78,29 +78,37 @@ func K(segs ...string) Key {
 
 // ParseKey parses a dotted notation that names one concrete scope or
 // parameter, such as "Fabric::inst1.Timeout" — ParsePattern's grammar
-// with variables and empty names rejected. Flat-source drivers call it
-// once per line, so it builds the key directly, with no intermediate
-// Pattern.
+// with variables and empty names rejected.
 func ParseKey(s string) (Key, error) {
+	segs, err := AppendKey(make([]Seg, 0, strings.Count(s, ".")+1), s)
+	return Key{Segs: segs}, err
+}
+
+// AppendKey is ParseKey into storage the caller supplies: it appends the
+// strings.Count(s, ".")+1 segments of s to dst and returns the extended
+// slice, or nil and ParseKey's error. The segments' strings are
+// substrings of s. Flat-source drivers call it once per line with room
+// carved from a slab, so it builds the key directly, with no
+// intermediate Pattern and no allocation.
+func AppendKey(dst []Seg, s string) ([]Seg, error) {
 	if s == "" {
-		return Key{}, fmt.Errorf("config: empty key")
+		return nil, fmt.Errorf("config: empty key")
 	}
-	k := Key{Segs: make([]Seg, 0, strings.Count(s, ".")+1)}
 	for rest, more := s, true; more; {
 		var part string
 		part, rest, more = strings.Cut(rest, ".")
 		ps := parsePatSeg(part)
 		if ps.InstVar != "" || ps.IndexVar != "" {
-			return Key{}, fmt.Errorf("config: key %q must not contain variables", s)
+			return nil, fmt.Errorf("config: key %q must not contain variables", s)
 		}
 		if ps.Name == "" {
 			// "A..B", and a name variable like "$x", which parses with an
 			// empty name: either would produce an unaddressable instance.
-			return Key{}, fmt.Errorf("config: key %q has an empty segment", s)
+			return nil, fmt.Errorf("config: key %q has an empty segment", s)
 		}
-		k.Segs = append(k.Segs, Seg{Name: ps.Name, Inst: ps.Inst, Index: ps.Index})
+		dst = append(dst, Seg{Name: ps.Name, Inst: ps.Inst, Index: ps.Index})
 	}
-	return k, nil
+	return dst, nil
 }
 
 func parseSeg(s string) Seg {

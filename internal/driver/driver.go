@@ -15,12 +15,30 @@ import (
 )
 
 // Driver parses one configuration format into unified instances.
+//
+// Input bytes have one owner. Whoever is handed them owns them, may keep
+// them, and nobody writes to them again; an entry that does not take
+// ownership copies whatever it keeps.
 type Driver interface {
 	// Name is the format name used in CPL load commands ("xml", "ini", ...).
 	Name() string
 	// Parse converts raw source bytes into instances. sourceName is kept
-	// as provenance on every instance.
+	// as provenance on every instance. data stays the caller's: Parse
+	// only reads it, and the instances it returns hold no reference into
+	// it, so the caller may reuse the buffer as soon as Parse returns.
 	Parse(data []byte, sourceName string) ([]*config.Instance, error)
+}
+
+// OwnedDriver is implemented by drivers whose instances borrow their
+// strings from the document (xml, kv). For them Parse is
+// ParseOwned(bytes.Clone(data)): one parser, the copy at the boundary.
+type OwnedDriver interface {
+	Driver
+	// ParseOwned is Parse of bytes the caller hands over: the returned
+	// instances point into data and keep it alive for as long as any of
+	// them lives, and nothing may write to data again — not the caller
+	// and not the driver.
+	ParseOwned(data []byte, sourceName string) ([]*config.Instance, error)
 }
 
 // ContextDriver is implemented by drivers whose parsing involves I/O that
@@ -82,6 +100,7 @@ func Names() []string {
 // LoadInto parses data with the named driver and adds the instances to the
 // store, optionally prefixing every key with scope segments (the CPL
 // "load ... as Scope" form: §4.2.2 way #3 of attaching scope information).
+// data stays the caller's, as for Parse.
 func LoadInto(st *config.Store, format string, data []byte, sourceName, scope string) (int, error) {
 	ins, err := ParseScoped(context.Background(), format, data, sourceName, scope)
 	if err != nil {
@@ -93,14 +112,34 @@ func LoadInto(st *config.Store, format string, data []byte, sourceName, scope st
 
 // ParseScoped parses data with the named driver under ctx and applies the
 // scope prefix, returning the instances without adding them to any store.
-// Graceful-degradation loaders use it so a parse failure can be
-// quarantined per source instead of aborting a whole load batch.
+// data stays the caller's, as for Parse.
 func ParseScoped(ctx context.Context, format string, data []byte, sourceName, scope string) ([]*config.Instance, error) {
+	return parseScoped(ctx, format, data, sourceName, scope, false)
+}
+
+// ParseScopedOwned is ParseScoped of bytes the caller hands over, as for
+// ParseOwned: the instances may point into data, which nothing writes to
+// again. Graceful-degradation loaders use it on the bytes they have just
+// read or fetched, so a parse failure can be quarantined per source
+// instead of aborting a whole load batch and the document is not copied
+// on its way in.
+func ParseScopedOwned(ctx context.Context, format string, data []byte, sourceName, scope string) ([]*config.Instance, error) {
+	return parseScoped(ctx, format, data, sourceName, scope, true)
+}
+
+// parseScoped parses data, which the instances may point into only if it
+// is owned; a driver with no owned entry copies what it keeps either way.
+func parseScoped(ctx context.Context, format string, data []byte, sourceName, scope string, owned bool) ([]*config.Instance, error) {
 	d, err := Lookup(format)
 	if err != nil {
 		return nil, err
 	}
-	ins, err := ParseWith(ctx, d, data, sourceName)
+	var ins []*config.Instance
+	if od, ok := d.(OwnedDriver); ok && owned {
+		ins, err = od.ParseOwned(data, sourceName)
+	} else {
+		ins, err = ParseWith(ctx, d, data, sourceName)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("driver %s: parsing %s: %w", format, sourceName, err)
 	}
@@ -123,9 +162,13 @@ func ParseScoped(ctx context.Context, format string, data []byte, sourceName, sc
 func scopeSegs(scope string) ([]config.Seg, error) {
 	k, err := config.ParseKey(scope)
 	if err != nil {
-		return nil, fmt.Errorf("driver: bad scope %q: %w", scope, err)
+		return nil, badScope(scope, err)
 	}
 	return k.Segs, nil
+}
+
+func badScope(scope string, err error) error {
+	return fmt.Errorf("driver: bad scope %q: %w", scope, err)
 }
 
 // indexer assigns 1-based sibling ordinals to repeated (parent, name, inst)
@@ -173,4 +216,71 @@ func (o *ordinals) next(scope int, name string) int {
 	k := ordinalKey{scope, name}
 	o.counts[k]++
 	return o.counts[k]
+}
+
+// slabs holds the instances of one parse and their key segments, carved
+// from slabs instead of being allocated one by one: insts is the instance
+// slab being filled, full holds the ones before it, count the instances
+// in all of them.
+type slabs struct {
+	insts []config.Instance
+	full  [][]config.Instance
+	count int
+	segs  []config.Seg
+}
+
+// key returns room for a key of n segments, clipped: an append to one key
+// can never write into the next.
+func (s *slabs) key(n int) []config.Seg {
+	if cap(s.segs)-len(s.segs) < n {
+		s.segs = make([]config.Seg, 0, slabSize(cap(s.segs), n, 8192))
+	}
+	at := len(s.segs)
+	s.segs = s.segs[:at+n]
+	return s.segs[at : at+n : at+n]
+}
+
+// add appends one instance.
+func (s *slabs) add(in config.Instance) {
+	if len(s.insts) == cap(s.insts) {
+		if len(s.insts) > 0 {
+			s.full = append(s.full, s.insts)
+		}
+		s.insts = make([]config.Instance, 0, slabSize(cap(s.insts), 1, 2048))
+	}
+	s.insts = append(s.insts, in)
+	s.count++
+}
+
+// instances is the parse's result, in document order: one slice made at
+// its final size, where growing it by append would have left several
+// times that behind as garbage.
+func (s *slabs) instances() []*config.Instance {
+	if s.count == 0 {
+		return nil
+	}
+	out := make([]*config.Instance, 0, s.count)
+	for _, slab := range append(s.full, s.insts) {
+		for i := range slab {
+			out = append(out, &slab[i])
+		}
+	}
+	return out
+}
+
+// slabSize doubles the previous slab up to limit, so a small document
+// pays for a small slab and a large one allocates a few hundred times;
+// need is the one request that must fit whatever the limit.
+func slabSize(prev, need, limit int) int {
+	n := 2 * prev
+	if n < 16 {
+		n = 16
+	}
+	if n > limit {
+		n = limit
+	}
+	if n < need {
+		n = need
+	}
+	return n
 }

@@ -68,6 +68,10 @@ func FuzzINI(f *testing.F) {
 	})
 }
 
+// FuzzKV is differential: on every input the index-walking scanner and
+// the strings.Split oracle return the same error text or the same
+// instances, line numbers included. The seeds after the first five walk
+// what the scanner does by hand: line ends, trimming, the key grammar.
 func FuzzKV(f *testing.F) {
 	commonSeeds(f)
 	f.Add([]byte("port = 8080\n"))
@@ -75,9 +79,28 @@ func FuzzKV(f *testing.F) {
 	f.Add([]byte("key with spaces = v\n"))
 	f.Add([]byte("k =\n= v\n"))
 	f.Add([]byte("$=")) // regression: parsed to an instance with an empty key
+	for _, seed := range kvSeeds {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkParse(t, "kv", kvDriver{}, data)
+		diffKV(t, data)
 	})
+}
+
+var kvSeeds = []string{
+	// Line ends: none, CRLF, lone CR, blank runs, an error on the last line.
+	"a = 1", "a = 1\r\nb = 2\r\n", "a = 1\rb = 2\n", "\n\n a = 1 \n\n\n b = 2", "a = 1\nb = 2\nnovalue", "a = 1\n\n\nx..y = 2\n",
+	// Comments and what only looks like one.
+	"# c\na = 1\n  # indented\nb = 2 # kept\n", "; not a comment\n", "#", "a # b = c\n",
+	// Trimming: Unicode spaces around lines, keys and values.
+	"\u00a0a\u2003=\u3000v\u0085\n", "\t a.b \t = \t v \t\n", "\v\f a = 1 \v\f\n", "a = \xa0\n", "a\x00 = \x00\n",
+	// The equals sign: first one splits, none is an error, nothing either side.
+	"a = b = c\n", "a==\n", "=\n", "a =\n", " = v\n", "novalue\n", "a.b\n",
+	// The key grammar: instances, ordinals, variables, empty segments.
+	"Cluster::c1.Node::n3[2].Timeout = 30\n", "A[1].B[x].C[] = 1\n", "A::.B = 1\n", "A::b::c.D = 1\n", "A[1][2] = 1\n", "A::b[1]x = 1\n",
+	"a..b = 1\n", ".a = 1\n", "a. = 1\n", ". = 1\n", "$a = 1\n", "a.$b = 1\n", "A::$i.b = 1\n", "A[$i].b = 1\n", "$A::x.b = 1\n", "a . b = 1\n",
+	"\u00e9.\u4e16\u754c = \u00e9\n", "a.\xff = \xc3\n",
 }
 
 func FuzzCSV(f *testing.F) {

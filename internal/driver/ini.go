@@ -1,8 +1,10 @@
 package driver
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
+	"unsafe"
 
 	"confvalley/internal/config"
 )
@@ -87,29 +89,43 @@ func init() { Register(kvDriver{}) }
 
 func (kvDriver) Name() string { return "kv" }
 
-func (kvDriver) Parse(data []byte, sourceName string) ([]*config.Instance, error) {
-	var out []*config.Instance
-	for ln, raw := range strings.Split(string(data), "\n") {
-		line := strings.TrimSpace(raw)
+func (d kvDriver) Parse(data []byte, sourceName string) ([]*config.Instance, error) {
+	return d.ParseOwned(bytes.Clone(data), sourceName)
+}
+
+// ParseOwned walks data in place, line by line: key segment names and
+// values of the returned instances are substrings of it.
+func (kvDriver) ParseOwned(data []byte, sourceName string) ([]*config.Instance, error) {
+	// Sound because data is never written again (OwnedDriver).
+	s := unsafe.String(unsafe.SliceData(data), len(data))
+	var out slabs
+	for ln, pos := 1, 0; pos <= len(s); ln++ {
+		end := len(s)
+		if i := strings.IndexByte(s[pos:], '\n'); i >= 0 {
+			end = pos + i
+		}
+		line := strings.TrimSpace(s[pos:end])
+		pos = end + 1
 		if line == "" || line[0] == '#' {
 			continue
 		}
 		eq := strings.IndexByte(line, '=')
 		if eq < 0 {
-			return nil, fmt.Errorf("kv: %s:%d: expected key=value, got %q", sourceName, ln+1, line)
+			return nil, fmt.Errorf("kv: %s:%d: expected key=value, got %q", sourceName, ln, line)
 		}
 		keyStr := strings.TrimSpace(line[:eq])
-		val := strings.TrimSpace(line[eq+1:])
-		segs, err := scopeSegs(keyStr)
+		// Room for exactly the key's segments: AppendKey fills it in place.
+		room := out.key(strings.Count(keyStr, ".") + 1)
+		segs, err := config.AppendKey(room[:0], keyStr)
 		if err != nil {
-			return nil, fmt.Errorf("kv: %s:%d: %w", sourceName, ln+1, err)
+			return nil, fmt.Errorf("kv: %s:%d: %w", sourceName, ln, badScope(keyStr, err))
 		}
-		out = append(out, &config.Instance{
+		out.add(config.Instance{
 			Key:    config.Key{Segs: segs},
-			Value:  val,
+			Value:  strings.TrimSpace(line[eq+1:]),
 			Source: sourceName,
-			Line:   ln + 1,
+			Line:   ln,
 		})
 	}
-	return out, nil
+	return out.instances(), nil
 }

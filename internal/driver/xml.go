@@ -1,7 +1,9 @@
 package driver
 
 import (
+	"bytes"
 	"fmt"
+	"unsafe"
 
 	"confvalley/internal/config"
 )
@@ -17,14 +19,19 @@ func init() { Register(xmlDriver{}) }
 
 func (xmlDriver) Name() string { return "xml" }
 
-func (xmlDriver) Parse(data []byte, sourceName string) ([]*config.Instance, error) {
-	// One private copy of the document: names and values of the returned
-	// instances are substrings of it, never of the caller's buffer.
-	p := xmlParse{sc: xmlScanner{s: string(data)}, source: sourceName}
+func (d xmlDriver) Parse(data []byte, sourceName string) ([]*config.Instance, error) {
+	return d.ParseOwned(bytes.Clone(data), sourceName)
+}
+
+// ParseOwned scans data in place: names and plain values of the returned
+// instances are substrings of it.
+func (xmlDriver) ParseOwned(data []byte, sourceName string) ([]*config.Instance, error) {
+	// Sound because data is never written again (OwnedDriver).
+	p := xmlParse{sc: xmlScanner{s: unsafe.String(unsafe.SliceData(data), len(data))}, source: sourceName}
 	if err := p.run(); err != nil {
 		return nil, fmt.Errorf("xml: %w", err)
 	}
-	return p.instances(), nil
+	return p.out.instances(), nil
 }
 
 // xmlParse is the state of one Parse call.
@@ -38,13 +45,7 @@ type xmlParse struct {
 	scopes []int
 	ords   ordinals
 
-	// Instances and key segments are carved from slabs instead of being
-	// allocated one by one: insts is the instance slab being filled, full
-	// holds the ones before it, count the instances in all of them.
-	insts []config.Instance
-	full  [][]config.Instance
-	count int
-	segs  []config.Seg
+	out slabs
 }
 
 func (p *xmlParse) run() error {
@@ -138,55 +139,8 @@ func (p *xmlParse) scope() int {
 
 // emit appends the instance <scope path>.leaf = value.
 func (p *xmlParse) emit(leaf, value string) {
-	n := len(p.stack) + 1
-	if cap(p.segs)-len(p.segs) < n {
-		p.segs = make([]config.Seg, 0, slabSize(cap(p.segs), n, 8192))
-	}
-	// Clipped: an append to one key can never write into the next.
-	segs := p.segs[len(p.segs) : len(p.segs)+n : len(p.segs)+n]
-	p.segs = p.segs[:len(p.segs)+n]
+	segs := p.out.key(len(p.stack) + 1)
 	copy(segs, p.stack)
-	segs[n-1] = config.Seg{Name: leaf}
-
-	if len(p.insts) == cap(p.insts) {
-		if len(p.insts) > 0 {
-			p.full = append(p.full, p.insts)
-		}
-		p.insts = make([]config.Instance, 0, slabSize(cap(p.insts), 1, 2048))
-	}
-	p.insts = append(p.insts, config.Instance{Key: config.Key{Segs: segs}, Value: value, Source: p.source})
-	p.count++
-}
-
-// instances is the parse's result, in document order: one slice made at
-// its final size, where growing it by append would have left several
-// times that behind as garbage.
-func (p *xmlParse) instances() []*config.Instance {
-	if p.count == 0 {
-		return nil
-	}
-	out := make([]*config.Instance, 0, p.count)
-	for _, slab := range append(p.full, p.insts) {
-		for i := range slab {
-			out = append(out, &slab[i])
-		}
-	}
-	return out
-}
-
-// slabSize doubles the previous slab up to limit, so a small document
-// pays for a small slab and a large one allocates a few hundred times;
-// need is the one request that must fit whatever the limit.
-func slabSize(prev, need, limit int) int {
-	n := 2 * prev
-	if n < 16 {
-		n = 16
-	}
-	if n > limit {
-		n = limit
-	}
-	if n < need {
-		n = need
-	}
-	return n
+	segs[len(p.stack)] = config.Seg{Name: leaf}
+	p.out.add(config.Instance{Key: config.Key{Segs: segs}, Value: value, Source: p.source})
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -91,15 +90,22 @@ func TestXMLParseAllocations(t *testing.T) {
 	}
 	// Bytes: the document's copy, the slabs and a result slice made once at
 	// its final size come to 250 per instance here; grown by append the
-	// result slice alone added 23 to that.
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := (xmlDriver{}).Parse(doc, "alloc.xml"); err != nil {
-		t.Fatal(err)
+	// result slice alone added 23 to that. The owned entry allocates all of
+	// that but the copy, which is 45 per instance.
+	if perInstance := float64(allocatedBytes(func() {
+		if _, err := (xmlDriver{}).Parse(doc, "alloc.xml"); err != nil {
+			t.Fatal(err)
+		}
+	})) / float64(len(ins)); perInstance > 255 {
+		t.Errorf("Parse: %.1f bytes allocated per instance, want under 255", perInstance)
 	}
-	runtime.ReadMemStats(&after)
-	if perInstance := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(ins)); perInstance > 255 {
-		t.Errorf("%.1f bytes allocated per instance, want under 255", perInstance)
+	owned := bytes.Clone(doc)
+	if perInstance := float64(allocatedBytes(func() {
+		if _, err := (xmlDriver{}).ParseOwned(owned, "alloc.xml"); err != nil {
+			t.Fatal(err)
+		}
+	})) / float64(len(ins)); perInstance > 210 {
+		t.Errorf("ParseOwned: %.1f bytes allocated per instance, want under 210", perInstance)
 	}
 }
 

@@ -44,7 +44,10 @@ type Source struct {
 	Scope string
 	// Fetch retrieves the raw bytes. Nil reads the file at Name from
 	// disk. The rest driver ignores the bytes' content beyond the URL,
-	// so REST sources pass the URL itself.
+	// so REST sources pass the URL itself. The bytes are handed over:
+	// parsed instances may point into them for as long as they live, so
+	// nothing may write to them after Fetch returns. Returning the same
+	// never-written bytes on every call is fine.
 	Fetch func(ctx context.Context) ([]byte, error)
 }
 
@@ -237,7 +240,9 @@ func (l *Loader) loadOne(ctx context.Context, st *config.Store, src Source) Outc
 }
 
 // fetchAndParse reads a source's bytes and parses them, converting a
-// fetch error, parse error or driver panic into a per-source error.
+// fetch error, parse error or driver panic into a per-source error. The
+// bytes are the loader's by now — it read them, or Fetch handed them
+// over — so the driver gets them to keep.
 func fetchAndParse(ctx context.Context, src Source, format string) (ins []*config.Instance, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -253,7 +258,7 @@ func fetchAndParse(ctx context.Context, src Source, format string) (ins []*confi
 	if err != nil {
 		return nil, fmt.Errorf("reading %s: %w", src.Name, err)
 	}
-	return driver.ParseScoped(ctx, format, data, src.Name, src.Scope)
+	return driver.ParseScopedOwned(ctx, format, data, src.Name, src.Scope)
 }
 
 // FormatFromPath guesses a driver name from a file extension; the root

@@ -82,7 +82,11 @@ type Payload struct {
 	Format string
 	// Scope optionally prefixes every key.
 	Scope string
-	// Data is the raw configuration bytes.
+	// Data is the raw configuration bytes, handed over to the runner:
+	// the instances parsed from them may point into them for as long as
+	// the run's snapshot is retained, so the caller must not write to
+	// them after Run is called. (The server decodes a request's payloads
+	// into one buffer, so one retained snapshot pins all of them.)
 	Data []byte
 }
 

@@ -217,7 +217,10 @@ func (d *envelopeDecoder) text(dst *string) error {
 
 // payloadData decodes a payload's data member into the decoder's data
 // buffer, which is allocated once, for the rest of the body: nothing
-// decodes to more bytes than it occupies except malformed UTF-8.
+// decodes to more bytes than it occupies except malformed UTF-8. The
+// buffer lives as long as the snapshot parsed from it (the drivers borrow
+// from runner.Payload.Data), unused tail included; DESIGN.md §12 has the
+// size of that tail and what a tighter reservation would cost.
 func (d *envelopeDecoder) payloadData(p *runner.Payload) error {
 	if isNull, err := d.stringOrNull(); isNull || err != nil {
 		return err

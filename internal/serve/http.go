@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"confvalley/internal/lint"
 )
@@ -85,13 +86,16 @@ func (s *Server) Handler() http.Handler {
 		// The read bound leaves headroom over the payload quota for JSON
 		// framing; the precise byte quota is enforced in Validate. The
 		// whole body is read up front so ValidateBody can content-address
-		// the raw bytes before paying for a JSON decode.
+		// the raw bytes before paying for a JSON decode. The buffer goes
+		// back to the pool when the handler is done: ValidateBody keeps no
+		// reference into the body it is handed.
 		body, err := readBody(w, r, 2*s.cfg.Quotas.MaxPayloadBytes+(1<<20))
+		defer releaseBody(body)
 		if err != nil {
 			writeError(w, bodyReadError(err))
 			return
 		}
-		resp, err := s.ValidateBody(r.Context(), r.PathValue("tenant"), r.PathValue("spec"), body)
+		resp, err := s.ValidateBody(r.Context(), r.PathValue("tenant"), r.PathValue("spec"), *body)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -124,33 +128,67 @@ func errBody(msg string) errorBody { return errorBody{Error: msg} }
 // or a freed validation slot is picked up promptly.
 const retryAfterSeconds = "1"
 
-// readBody reads a request body of at most limit bytes into one buffer
-// sized from the declared Content-Length, so a multi-megabyte payload is
-// not copied through io.ReadAll's successive doublings. The declaration
-// is only a hint: an absent one, and one past the limit (a request about
-// to be refused), starts small as io.ReadAll does, and a wrong one is
-// corrected by growth or by the transport's own error — the bytes and
-// the error are what io.ReadAll over the same MaxBytesReader returns.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+// bodyPool holds validate request bodies between requests: a body is read
+// to be hashed and decoded and nothing of it outlives the handler, so a
+// stream of requests reads into one buffer instead of allocating a body's
+// worth of garbage each.
+var bodyPool sync.Pool // of *[]byte
+
+// poisonReleasedBodies makes releaseBody overwrite a buffer with 0xFF
+// before pooling it. The package's tests switch it on (TestMain), so that
+// a reference kept into a body fails a test instead of reading a later
+// request's bytes in production.
+var poisonReleasedBodies bool
+
+// readBody reads a request body of at most limit bytes into one pooled
+// buffer, replaced by one sized from the declared Content-Length when it
+// is too small, so a multi-megabyte payload is not copied through
+// io.ReadAll's successive doublings. The declaration is only a hint: an
+// absent one, and one past the limit (a request about to be refused),
+// starts small as io.ReadAll does, and a wrong one is corrected by growth
+// or by the transport's own error — the bytes and the error are what
+// io.ReadAll over the same MaxBytesReader returns. The buffer is the
+// caller's until it calls releaseBody, error or not.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (*[]byte, error) {
 	src := http.MaxBytesReader(w, r.Body, limit)
 	hint := r.ContentLength
 	if hint < bytes.MinRead || hint > limit {
 		hint = bytes.MinRead
 	}
-	buf := make([]byte, 0, hint)
+	body, _ := bodyPool.Get().(*[]byte)
+	if body == nil {
+		body = new([]byte)
+	}
+	buf := (*body)[:0]
+	if int64(cap(buf)) < hint {
+		buf = make([]byte, 0, hint)
+	}
 	for {
 		n, err := src.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
 		if err != nil {
-			return buf, err
+			if err == io.EOF {
+				err = nil
+			}
+			*body = buf
+			return body, err
 		}
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
 	}
+}
+
+// releaseBody returns a buffer readBody handed out to the pool; the
+// caller must hold no reference into it.
+func releaseBody(body *[]byte) {
+	if poisonReleasedBodies {
+		buf := (*body)[:cap(*body)]
+		for i := range buf {
+			buf[i] = 0xFF
+		}
+	}
+	bodyPool.Put(body)
 }
 
 // bodyReadError classifies a request-body read failure: only the

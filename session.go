@@ -1,6 +1,7 @@
 package confvalley
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -141,9 +142,11 @@ func LoadFileInto(st *config.Store, format, path, scope string) (int, error) {
 
 // RegisterSource installs an in-memory data source that CPL load commands
 // can reference by name, keeping sessions hermetic (the rest driver's
-// endpoint registry serves the same purpose for REST loads).
+// endpoint registry serves the same purpose for REST loads). The session
+// keeps a copy, which every load of the source hands to the loader as
+// bytes nobody writes again; data stays the caller's.
 func (s *Session) RegisterSource(name string, data []byte) {
-	s.sources[name] = data
+	s.sources[name] = bytes.Clone(data)
 }
 
 // RegisterInclude installs an in-memory specification file for CPL

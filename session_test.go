@@ -44,6 +44,31 @@ func TestSessionLoadCommandFromRegisteredSource(t *testing.T) {
 	}
 }
 
+// A registered source is the session's own copy: with graceful loading the
+// instances point into the bytes the loader was handed, which must not be
+// the slice the caller still holds.
+func TestRegisterSourceCopiesItsData(t *testing.T) {
+	s := NewSession()
+	s.Degrade = true
+	data := []byte("Fabric.Timeout = 30")
+	s.RegisterSource("cloudsettings", data)
+	prog, err := s.Compile("load 'kv' 'cloudsettings'\n$Fabric.Timeout -> int & [1, 60]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		s.SwapStore(NewStore())
+		rep, err := s.ValidateProgram(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Passed() || rep.InstancesChecked != 1 {
+			t.Errorf("round %d: %d instances checked, violations = %v", round, rep.InstancesChecked, rep.Violations)
+		}
+		copy(data, "Fabric.Timeout = 99") // the caller reuses its buffer
+	}
+}
+
 func TestSessionLoadFileAndFormats(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "conf.yaml")
