@@ -56,10 +56,12 @@ plan-bench:
 # Focused run of the concurrency stress suite under the race detector.
 # -count=3 re-interleaves the schedules; the cold-cache discovery test
 # is the regression gate for the buildTrie race, the chaos suite drives
-# multi-round watch sessions through injected ingestion faults, and the
-# serve/runner tests race concurrent tenants over shared sessions.
+# multi-round watch sessions through injected ingestion faults, the
+# serve/runner tests race concurrent tenants over shared sessions, and
+# the two retention tests wait on finalizers, so a collector-timing
+# flake shows up here first.
 stress:
-	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TestConcurrent|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos' ./internal/config/ ./internal/engine/ ./internal/runner/ ./internal/serve/ . || exit 1; done
+	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TestConcurrent|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos|TestTenantRetainsOneSnapshotPerSpec|TestCostsDoesNotRetainSnapshot' ./internal/config/ ./internal/engine/ ./internal/plan/ ./internal/runner/ ./internal/serve/ . || exit 1; done
 
 # Full service round trip over real processes and a loopback socket:
 # build cvserve+cvcall+cvcheck, boot the server, drive it with cvcall

@@ -46,8 +46,10 @@ type Store struct {
 
 	// Stats counts discovery work for the Figure 4 / §5.2 ablations.
 	// Counters are striped and atomic so parallel validation runs
-	// race-free; they accumulate across snapshots.
-	Stats DiscoveryStats
+	// race-free; they accumulate across snapshots. Allocated apart from
+	// the Store so that a snapshot, which counts into them, holds no
+	// pointer back into the store that holds it.
+	Stats *DiscoveryStats
 }
 
 // NewStore returns an empty store.
@@ -56,6 +58,7 @@ func NewStore() *Store {
 		byClass:   make(map[string][]*Instance),
 		classSegs: make(map[string][]string),
 		byLeaf:    make(map[string][]string),
+		Stats:     new(DiscoveryStats),
 	}
 }
 
@@ -159,7 +162,7 @@ func (st *Store) Snapshot() *Snapshot {
 		byLeaf:    st.byLeaf,
 		trie:      buildTrie(st.classes, st.classSegs),
 		cache:     newDiscoveryCache(st.cacheMode),
-		stats:     &st.Stats,
+		stats:     st.Stats,
 		contentID: st.contentID,
 	}
 	st.snap.Store(sn)

@@ -81,7 +81,7 @@ func ServeCache(cfg Config) ServeCacheResult {
 		name string
 		opts loadgen.Options
 	}{
-		{"cold", loadgen.Options{SnapshotCacheSize: -1, ResultCacheSize: -1, NoIncremental: true}},
+		{"cold", loadgen.Options{ResultCacheSize: -1, NoIncremental: true}},
 		{"repeat", loadgen.Options{}},
 		{"churn-0.1%", loadgen.Options{PayloadFor: func(w, r int) []byte { return mille[r%rounds] }}},
 		{"churn-1%", loadgen.Options{PayloadFor: func(w, r int) []byte { return cent[r%rounds] }}},
@@ -89,8 +89,8 @@ func ServeCache(cfg Config) ServeCacheResult {
 
 	cfg.printf("Service cache: %d workers × %d rounds, %d instances, %d specs (GOMAXPROCS=%d)\n",
 		workers, rounds, out.Instances, out.Specs, runtime.GOMAXPROCS(0))
-	cfg.printf("%-12s %10s %10s %8s %8s %8s %8s %8s %8s\n",
-		"scenario", "valid/sec", "p50_ms", "x_cold", "runs", "hits", "coalesc", "snaphit", "reused")
+	cfg.printf("%-12s %10s %10s %8s %8s %8s %8s %8s\n",
+		"scenario", "valid/sec", "p50_ms", "x_cold", "runs", "hits", "coalesc", "reused")
 	for _, sc := range scenarios {
 		opts := sc.opts
 		opts.Workers, opts.Rounds = workers, rounds
@@ -104,10 +104,9 @@ func ServeCache(cfg Config) ServeCacheResult {
 			row.SpeedupP50 = out.Rows[0].Result.P50MS / res.P50MS
 		}
 		out.Rows = append(out.Rows, row)
-		cfg.printf("%-12s %10.1f %10.3f %8.1f %8d %8d %8d %8d %8d\n",
+		cfg.printf("%-12s %10.1f %10.3f %8.1f %8d %8d %8d %8d\n",
 			row.Scenario, res.ValidationsPerSec, res.P50MS, row.SpeedupP50,
-			res.ServerValidations, res.ResultCacheHits, res.Coalesced,
-			res.SnapshotCacheHits, res.SpecsReused)
+			res.ServerValidations, res.ResultCacheHits, res.Coalesced, res.SpecsReused)
 	}
 	return out
 }

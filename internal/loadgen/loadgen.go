@@ -56,9 +56,8 @@ type Options struct {
 
 	// Service-side cache configuration, HTTP driver only; passed through
 	// to serve.Config verbatim (0 = server default, negative = disable).
-	SnapshotCacheSize int
-	ResultCacheSize   int
-	NoIncremental     bool
+	ResultCacheSize int
+	NoIncremental   bool
 }
 
 // payload returns the round's configuration bytes.
@@ -101,12 +100,11 @@ type Result struct {
 
 	// Server-side counters, HTTP mode only: how many requests actually
 	// executed a validation versus being served by the result cache,
-	// coalesced onto an identical in-flight request, fed by the snapshot
-	// cache, or spliced incrementally. In-process mode leaves them zero.
+	// coalesced onto an identical in-flight request, or spliced
+	// incrementally. In-process mode leaves them zero.
 	ServerValidations int64 `json:"server_validations,omitempty"`
 	ResultCacheHits   int64 `json:"result_cache_hits,omitempty"`
 	Coalesced         int64 `json:"coalesced_requests,omitempty"`
-	SnapshotCacheHits int64 `json:"snapshot_cache_hits,omitempty"`
 	IncrementalRuns   int64 `json:"incremental_runs,omitempty"`
 	SpecsReused       int64 `json:"specs_reused,omitempty"`
 }
@@ -144,11 +142,10 @@ func InProcess(opts Options) (Result, error) {
 func HTTP(opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	srv := serve.New(serve.Config{
-		MaxConcurrent:     opts.Workers,
-		SnapshotCacheSize: opts.SnapshotCacheSize,
-		ResultCacheSize:   opts.ResultCacheSize,
-		NoIncremental:     opts.NoIncremental,
-		Runner:            runner.Options{Parallel: opts.Parallel},
+		MaxConcurrent:   opts.Workers,
+		ResultCacheSize: opts.ResultCacheSize,
+		NoIncremental:   opts.NoIncremental,
+		Runner:          runner.Options{Parallel: opts.Parallel},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -172,7 +169,6 @@ func HTTP(opts Options) (Result, error) {
 	res.ServerValidations = st.Validations
 	res.ResultCacheHits = st.ResultCacheHits
 	res.Coalesced = st.CoalescedRequests
-	res.SnapshotCacheHits = st.SnapshotCacheHits
 	res.IncrementalRuns = st.IncrementalRuns
 	res.SpecsReused = st.SpecsReused
 	return res, err

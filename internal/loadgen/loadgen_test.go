@@ -87,7 +87,7 @@ func TestHTTPCacheCounters(t *testing.T) {
 	}
 
 	// Disabling every layer forces full validations with zero counters.
-	opts.SnapshotCacheSize, opts.ResultCacheSize, opts.NoIncremental = -1, -1, true
+	opts.ResultCacheSize, opts.NoIncremental = -1, true
 	opts.PayloadFor = nil
 	res, err = HTTP(opts)
 	if err != nil {

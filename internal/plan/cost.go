@@ -20,20 +20,12 @@ const CostUnknown int64 = -1
 // Costs estimates each spec's execution cost against one snapshot, in
 // execution order: 1 (the fixed per-spec overhead) plus the number of
 // instances each footprint pattern matches. Dynamic specs report
-// CostUnknown. The result is cached per (plan, snapshot) — the counting
-// pass itself warms the snapshot's discovery cache with exactly the
-// patterns the validation run is about to discover, so the estimate's
-// cost is largely repaid before the run starts. The returned slice is
-// shared; callers must not modify it.
+// CostUnknown. The plan must keep no reference to sn — it outlives every
+// snapshot it prices — and has no need to: each count is a view the
+// snapshot's own discovery cache memoises, so the counting pass warms it
+// with exactly the patterns the validation run is about to discover, and
+// asking again costs a lookup per pattern.
 func (p *Plan) Costs(sn *config.Snapshot) []int64 {
-	p.costMu.Lock()
-	if p.costSnap == sn && p.costs != nil {
-		costs := p.costs
-		p.costMu.Unlock()
-		return costs
-	}
-	p.costMu.Unlock()
-
 	costs := make([]int64, len(p.Specs))
 	for i, n := range p.Specs {
 		if n.fp.Dynamic {
@@ -46,11 +38,5 @@ func (p *Plan) Costs(sn *config.Snapshot) []int64 {
 		}
 		costs[i] = c
 	}
-
-	// Concurrent computations of the same (plan, snapshot) pair are
-	// deterministic; either result may win the slot.
-	p.costMu.Lock()
-	p.costSnap, p.costs = sn, costs
-	p.costMu.Unlock()
 	return costs
 }

@@ -54,14 +54,6 @@ type Plan struct {
 	Specs []*SpecNode
 	// StopOnViolation mirrors the program's on_violation 'stop' policy.
 	StopOnViolation bool
-
-	// One-entry cost cache: per-spec cost estimates are a function of
-	// (plan, snapshot), and the dominant callers — parallel watch rounds,
-	// repeated service requests against one corpus — re-ask for the same
-	// snapshot many times. See Costs in cost.go.
-	costMu   sync.Mutex
-	costSnap *config.Snapshot
-	costs    []int64
 }
 
 // SpecNode is one specification lowered to closures.

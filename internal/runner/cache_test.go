@@ -2,10 +2,13 @@ package runner
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"confvalley"
 	"confvalley/internal/predicate"
 	"confvalley/internal/simenv"
 	"confvalley/internal/value"
@@ -17,19 +20,18 @@ func payloadJob(data string) Job {
 	return Job{SpecSrc: cacheSpec, Payloads: []Payload{{Name: "app.kv", Format: "kv", Data: []byte(data)}}}
 }
 
-// A repeated payload is served from the snapshot cache and, threaded
-// through Prev, reuses every spec verdict; a churned payload re-parses
-// and re-runs only the touched spec.
-func TestSnapshotCacheAndPrevState(t *testing.T) {
-	r := New(Options{SnapshotCache: 4})
+// Prev threads one run's state into the next: a repeated payload reuses
+// every spec verdict, a churned payload re-runs only the touched spec.
+func TestPrevThreadsIncrementalState(t *testing.T) {
+	r := New(Options{})
 	ctx := context.Background()
 
 	res1, err := r.Run(ctx, payloadJob("app.timeout = 400\napp.retries = 2\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res1.SnapshotCached || res1.SnapshotHash == "" || res1.State == nil {
-		t.Fatalf("seed run: cached=%t hash=%q state=%v", res1.SnapshotCached, res1.SnapshotHash, res1.State)
+	if res1.State == nil {
+		t.Fatal("seed run returned no state")
 	}
 
 	job := payloadJob("app.timeout = 400\napp.retries = 2\n")
@@ -37,9 +39,6 @@ func TestSnapshotCacheAndPrevState(t *testing.T) {
 	res2, err := r.Run(ctx, job)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !res2.SnapshotCached || res2.SnapshotHash != res1.SnapshotHash {
-		t.Errorf("repeat run not served from cache: cached=%t", res2.SnapshotCached)
 	}
 	if res2.Report.SpecsReused != res2.Report.SpecsRun || res2.Report.SpecsRun == 0 {
 		t.Errorf("repeat run reused %d of %d specs", res2.Report.SpecsReused, res2.Report.SpecsRun)
@@ -54,56 +53,63 @@ func TestSnapshotCacheAndPrevState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res3.SnapshotCached {
-		t.Error("distinct payload claimed a cache hit")
-	}
 	if res3.Report.SpecsReused != 1 {
 		t.Errorf("churn run reused %d specs, want 1 (retries untouched)", res3.Report.SpecsReused)
 	}
 	if !res3.Report.Passed() {
 		t.Errorf("churn run violations = %+v", res3.Report.Violations)
 	}
-
-	st := r.SnapshotCacheStats()
-	if st.Hits != 1 || st.Entries != 2 {
-		t.Errorf("snapshot cache stats = %+v, want 1 hit / 2 entries", st)
-	}
 }
 
-// Jobs that are not pure functions of their payload bytes never enter
-// the snapshot cache: spec-driven loads, degraded parses, or a
-// disabled cache.
-func TestSnapshotCacheGating(t *testing.T) {
+// A store is sealed under the job's content address only when it is a
+// pure function of the payload bytes: server-side sources, spec-driven
+// loads and degraded parses never are, and an address the snapshot diff
+// trusted for them would splice verdicts over changed data.
+func TestContentIDSealGating(t *testing.T) {
 	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "extra.kv")
+	if err := os.WriteFile(path, []byte("app.retries = 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	clean := payloadJob("app.timeout = 30\n")
+	withSource := payloadJob("app.timeout = 30\n")
+	withSource.Sources = []confvalley.Source{{Name: path, Format: "kv"}}
+	withLoad := payloadJob("app.timeout = 30\n")
+	withLoad.SpecSrc = "load 'kv' '" + path + "'\n" + cacheSpec
+	degraded := Job{SpecSrc: cacheSpec, Payloads: []Payload{{Name: "app.json", Format: "json", Data: []byte("{broken")}}}
 
-	// Disabled cache: no hash computed, no state lost.
+	for _, tc := range []struct {
+		name   string
+		job    Job
+		sealed bool
+	}{
+		{"payload only", clean, true},
+		{"server-side source", withSource, false},
+		{"spec load command", withLoad, false},
+		{"degraded parse", degraded, false},
+	} {
+		tc.job.PayloadHash = HashPayloads(tc.job.Payloads)
+		r := New(Options{})
+		if _, err := r.Run(ctx, tc.job); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := ""
+		if tc.sealed {
+			want = tc.job.PayloadHash
+		}
+		if got := r.Session().Store().Snapshot().ContentID(); got != want {
+			t.Errorf("%s: snapshot content ID = %q, want %q", tc.name, got, want)
+		}
+	}
+
+	// No address supplied: nothing to seal with, and state still flows.
 	r := New(Options{})
-	res, err := r.Run(ctx, payloadJob("app.timeout = 30\n"))
+	res, err := r.Run(ctx, clean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SnapshotHash != "" || res.SnapshotCached {
-		t.Errorf("disabled cache still hashed: %+v", res)
-	}
-	if res.State == nil {
-		t.Error("explicit state should flow even without the snapshot cache")
-	}
-
-	// A malformed payload degrades (quarantine) and must not be cached:
-	// its outcome depends on loader history, not content.
-	r2 := New(Options{SnapshotCache: 4})
-	bad := Job{SpecSrc: cacheSpec, Payloads: []Payload{{Name: "app.json", Format: "json", Data: []byte("{broken")}}}
-	if _, err := r2.Run(ctx, bad); err != nil {
-		t.Fatal(err)
-	}
-	if got := r2.SnapshotCacheStats().Entries; got != 0 {
-		t.Errorf("degraded parse cached: %d entries", got)
-	}
-	if _, err := r2.Run(ctx, bad); err != nil {
-		t.Fatal(err)
-	}
-	if got := r2.SnapshotCacheStats().Hits; got != 0 {
-		t.Errorf("degraded parse hit the cache: %d hits", got)
+	if got := r.Session().Store().Snapshot().ContentID(); got != "" || res.State == nil {
+		t.Errorf("unaddressed job: content ID = %q, state = %v", got, res.State)
 	}
 }
 

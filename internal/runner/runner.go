@@ -52,13 +52,6 @@ type Options struct {
 	MaxStale int
 	// LoadTimeout bounds each run (loading plus validation); 0 = none.
 	LoadTimeout time.Duration
-	// SnapshotCache bounds the content-addressed cache of parsed
-	// payload sets: a job whose payloads hash to a cached entry reuses
-	// the sealed store instead of parsing, and repeated payloads reduce
-	// to a snapshot-identity diff. 0 or negative disables the cache
-	// (the cvcheck default — file-backed sources are not
-	// content-addressable by name alone).
-	SnapshotCache int
 	// SpecDir resolves relative include paths.
 	SpecDir string
 	// Env answers dynamic predicate queries; nil keeps the session's
@@ -112,9 +105,11 @@ type Job struct {
 	// re-execute and the rest splice from the retained report. Nil runs
 	// every spec. The result's State carries this run forward.
 	Prev *confvalley.RunState
-	// PayloadHash optionally pre-supplies the content address of
-	// Payloads (runner.HashPayloads); empty computes it on demand when
-	// the snapshot cache is enabled.
+	// PayloadHash is the content address of Payloads
+	// (runner.HashPayloads), when the caller has computed one. A job
+	// that carries it, no Sources, and a program without load commands
+	// has its store sealed under that address once it loads cleanly, so
+	// a Prev derived from the same bytes diffs in O(1).
 	PayloadHash string
 }
 
@@ -135,13 +130,6 @@ type Result struct {
 	// State is the run's retained incremental state for a future job's
 	// Prev; unchanged from Prev when the run was interrupted.
 	State *confvalley.RunState
-	// SnapshotHash is the content address of the job's payload set,
-	// when one was computed (snapshot cache enabled and the job was
-	// content-addressable).
-	SnapshotHash string
-	// SnapshotCached reports that the payload parse was served from the
-	// snapshot cache.
-	SnapshotCached bool
 	// Diagnostics are the lint findings for the job's specification
 	// source; populated only under Options.Lint for jobs that carry
 	// spec source (not a pre-compiled program).
@@ -228,9 +216,8 @@ func (e *LintError) Error() string {
 // concurrent Run calls: each run builds and validates a private store,
 // and the published session store is only ever swapped whole.
 type Runner struct {
-	opts      Options
-	session   *confvalley.Session
-	snapCache *ingest.SnapshotCache // nil unless Options.SnapshotCache > 0
+	opts    Options
+	session *confvalley.Session
 
 	// mu guards the compiled-program cache. Program identity matters
 	// beyond speed: the plan cache and incremental splice state are
@@ -253,11 +240,7 @@ func New(opts Options) *Runner {
 	if opts.Env != nil {
 		s.SetEnv(opts.Env)
 	}
-	return &Runner{
-		opts:      opts,
-		session:   s,
-		snapCache: ingest.NewSnapshotCache(opts.SnapshotCache),
-	}
+	return &Runner{opts: opts, session: s}
 }
 
 // Session exposes the underlying session (stats, stores, inference).
@@ -294,10 +277,6 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 		defer cancel()
 	}
 
-	// Resolve the program first: whether the parsed payloads are
-	// cacheable depends on it (a program with its own load commands
-	// appends to the store mid-run, so its store is not a pure function
-	// of the payload bytes).
 	prog := job.Prog
 	src, haveSrc := "", false
 	if prog == nil {
@@ -316,41 +295,24 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 		}
 	}
 
-	// A job is content-addressable when its configuration is carried
-	// entirely in payload bytes: no file/REST sources (same name, new
-	// content tomorrow) and no spec-driven loads.
-	hash := job.PayloadHash
-	cacheable := r.snapCache != nil && len(job.Sources) == 0 && len(job.Payloads) > 0 && len(prog.Loads) == 0
-	if cacheable && hash == "" {
-		hash = HashPayloads(job.Payloads)
-	}
-
-	var st *confvalley.Store
+	st := confvalley.NewStore()
 	var dataRep *confvalley.LoadReport
-	cached := false
-	if cacheable {
-		st, dataRep, cached = r.snapCache.Get(hash)
+	if sources := r.ingestSources(job); len(sources) > 0 {
+		dataRep = r.session.LoadSources(ctx, st, sources)
 	}
-	if !cached {
-		st = confvalley.NewStore()
-		if sources := r.ingestSources(job); len(sources) > 0 {
-			dataRep = r.session.LoadSources(ctx, st, sources)
-		}
-		// Cache only clean, complete parses: a degraded outcome depends
-		// on the loader's last-good history, not just the bytes, and an
-		// interrupted one is missing sources — neither is a function of
-		// the content address. Sealing with the address now means every
-		// later hit shares this one snapshot, so diffs against state
-		// derived from it are O(1) identity checks.
-		if cacheable && dataRep != nil && !dataRep.Interrupted && !dataRep.Degraded() {
-			st.SetContentID(hash)
-			st.Snapshot()
-			r.snapCache.Put(hash, st, dataRep)
-		}
+	// A store is a function of the job's content address only when its
+	// configuration is carried entirely in payload bytes — no file/REST
+	// sources (same name, new content tomorrow), no spec-driven loads
+	// appending mid-run — and the parse was clean and complete: a
+	// degraded outcome depends on the loader's last-good history and an
+	// interrupted one is missing sources.
+	if job.PayloadHash != "" && len(job.Sources) == 0 && len(job.Payloads) > 0 && len(prog.Loads) == 0 &&
+		!dataRep.Interrupted && !dataRep.Degraded() {
+		st.SetContentID(job.PayloadHash)
 	}
 
 	r.session.SwapStore(st)
-	res := &Result{Data: dataRep, Program: prog, SnapshotHash: hash, SnapshotCached: cached}
+	res := &Result{Data: dataRep, Program: prog}
 	if r.opts.Lint && haveSrc {
 		res.Diagnostics = r.lintSpec(job, src, st)
 		for _, d := range res.Diagnostics {
@@ -403,10 +365,6 @@ func HashPayloads(ps []Payload) string {
 	}
 	return ingest.CombineDigests(ds)
 }
-
-// SnapshotCacheStats returns the runner's snapshot-cache counters;
-// zero when the cache is disabled.
-func (r *Runner) SnapshotCacheStats() ingest.SnapshotCacheStats { return r.snapCache.Stats() }
 
 // ingestSources merges the job's file/REST sources and in-memory
 // payloads into one loader batch, payloads last so their accounting

@@ -1,11 +1,12 @@
 package serve
 
-// The service-side result cache: layer 3 of the request-caching stack
-// (DESIGN.md §12). Each tenant holds one bounded LRU mapping (spec
-// name, registration nonce, payload content address) → the completed
-// ValidateResponse, plus a single-flight table so identical requests
-// in flight share one validation instead of racing N copies of the
-// same work through admission control.
+// The service-side result cache: layer 2 of the request-caching stack
+// (DESIGN.md §12), and the owner of layer 1's raw-body alias table. Each
+// tenant holds one bounded LRU mapping (spec name, registration nonce,
+// payload content address) → the completed ValidateResponse, plus a
+// single-flight table so identical requests in flight share one
+// validation instead of racing N copies of the same work through
+// admission control.
 //
 // Invalidation is strict by construction: the key embeds the spec's
 // registration nonce, so re-registering a name orphans every cached

@@ -1,23 +1,25 @@
 package serve
 
 // The caching contract of the service hot path: whichever layer serves
-// a request — the result cache, a coalesced flight, the snapshot cache
-// feeding an incremental run, or a cold full run — the wire report is
-// byte-identical modulo the timing and reuse-accounting fields
-// (duration_ns, specs_reused). These tests pin that, plus the bounds
-// and invalidation rules that make the caches safe to leave on.
+// a request — the result cache, a coalesced flight, an incremental run,
+// or a cold full run — the wire report is byte-identical modulo the
+// timing and reuse-accounting fields (duration_ns, specs_reused). These
+// tests pin that, plus the bounds and invalidation rules that make the
+// caches safe to leave on.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"confvalley"
+	"confvalley/internal/config"
 	"confvalley/internal/plan"
 	"confvalley/internal/predicate"
 	"confvalley/internal/report"
@@ -29,7 +31,7 @@ import (
 // coldConfig disables every service-side cache layer: each request is
 // a full parse + full run, the baseline the cached paths must match.
 func coldConfig() Config {
-	return Config{SnapshotCacheSize: -1, ResultCacheSize: -1, NoIncremental: true}
+	return Config{ResultCacheSize: -1, NoIncremental: true}
 }
 
 // wireModuloCaching re-encodes a wire report with the fields the
@@ -358,6 +360,114 @@ func TestInterruptedAllRerunResponseNotCached(t *testing.T) {
 	if again.Report.Interrupted || again.Report.SpecsRun != 3 || again.Report.SpecsReused != 0 {
 		t.Errorf("repeat of an interrupted request: %+v", again.Report)
 	}
+}
+
+// A request coalesced onto a leader that is cut short by its deadline
+// inherits neither the leader's partial report nor its deadline: the
+// follower leads a run of its own, and nothing it was handed reaches the
+// cache — not even under the raw-body alias, which used to answer every
+// later byte-identical body "interrupted, 1 spec run" without validating.
+func TestCoalescedFollowerOfInterruptedLeader(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	ctx := context.Background()
+	srv := New(Config{Runner: runner.Options{Parallel: 1, LoadTimeout: timeout}})
+	if _, err := srv.RegisterSpec("acme", "checks", "$app.a -> stall\n$app.b -> int & [0, 9]\n$app.c -> int & [0, 8]\n"); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(kvRequest("app.a = 1\napp.b = 1\napp.c = 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Every run stalls past its deadline; the first to do so says when.
+	stalled := make(chan struct{})
+	var once sync.Once
+	stallHook.Store(func() {
+		once.Do(func() { close(stalled) })
+		time.Sleep(2 * timeout)
+	})
+	type result struct {
+		resp *ValidateResponse
+		err  error
+	}
+	leader := make(chan result, 1)
+	go func() {
+		resp, err := srv.ValidateBody(ctx, "acme", "checks", body)
+		leader <- result{resp, err}
+	}()
+	<-stalled // the leader's flight is open for another 2×timeout
+	followed, ferr := srv.ValidateBody(ctx, "acme", "checks", body)
+	led := <-leader
+	stallHook.Store(func() {})
+	if led.err != nil || ferr != nil {
+		t.Fatalf("leader: %v, follower: %v", led.err, ferr)
+	}
+	if !led.resp.Report.Interrupted || !followed.Report.Interrupted {
+		t.Fatalf("stalled runs: leader interrupted=%t, follower interrupted=%t, want both (each past its own deadline)",
+			led.resp.Report.Interrupted, followed.Report.Interrupted)
+	}
+	if st := srv.Stats(); st.CoalescedRequests != 1 || st.Validations != 2 {
+		t.Errorf("%d coalesced, %d validations; want 1, 2 (the follower joined the flight, then led its own run)",
+			st.CoalescedRequests, st.Validations)
+	}
+
+	// The identical body again, unhurried: a real validation, complete.
+	before := srv.Stats()
+	again, err := srv.ValidateBody(ctx, "acme", "checks", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := srv.Stats()
+	if after.Validations != before.Validations+1 || after.ResultCacheHits != before.ResultCacheHits {
+		t.Errorf("repeat of an interrupted, coalesced request: %d validation(s), %d cache hit(s); want 1, 0",
+			after.Validations-before.Validations, after.ResultCacheHits-before.ResultCacheHits)
+	}
+	if again.Report.Interrupted || again.Report.SpecsRun != 3 {
+		t.Errorf("repeat of an interrupted, coalesced request: %+v", again.Report)
+	}
+}
+
+// A tenant keeps one parsed snapshot alive per registered spec — the one
+// the next request's splice diffs against — however many distinct
+// payloads it has answered and still holds responses for.
+func TestTenantRetainsOneSnapshotPerSpec(t *testing.T) {
+	ctx := context.Background()
+	srv := New(Config{})
+	if _, err := srv.RegisterSpec("acme", "checks", cacheSpec); err != nil {
+		t.Fatal(err)
+	}
+	tn, err := srv.tenantFor("acme", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const requests = 12
+	var finalized atomic.Int32
+	for i := 0; i < requests; i++ {
+		body, err := json.Marshal(kvRequest(fmt.Sprintf("app.timeout = %d\napp.retries = 2\ndb.host = db1\n", 10+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.ValidateBody(ctx, "acme", "checks", body)
+		if !cacheableResponse(resp, err) {
+			t.Fatalf("request %d: %+v, %v", i, resp, err)
+		}
+		runtime.SetFinalizer(tn.runner.Session().Store().Snapshot(), func(*config.Snapshot) { finalized.Add(1) })
+	}
+	if got := srv.Stats().Validations; got != requests {
+		t.Fatalf("%d validations for %d distinct payloads", got, requests)
+	}
+	// Finalizers run on their own goroutine some time after the cycle
+	// that found the object dead; one slot of slack for a snapshot still
+	// named by a dead stack slot.
+	for i := 0; i < 20 && finalized.Load() < requests-2; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := finalized.Load(); got < requests-2 {
+		t.Errorf("%d of %d request snapshots were collected, want at least %d: something besides the spec's lineage retains parsed payloads",
+			got, requests, requests-2)
+	}
+	runtime.KeepAlive(srv)
 }
 
 // Retiring a registration releases its lowered plan: re-registering one

@@ -88,13 +88,12 @@ $db.host -> nonempty
 func TestConcurrentTenantsPinIndependentSnapshots(t *testing.T) {
 	// Caching is disabled here on purpose: this test pins isolation by
 	// counting real validations, so every round must execute rather than
-	// be served from the result or snapshot cache.
+	// be served from the result cache.
 	srv := New(Config{
-		MaxConcurrent:     8,
-		MaxQueue:          64,
-		SnapshotCacheSize: -1,
-		ResultCacheSize:   -1,
-		NoIncremental:     true,
+		MaxConcurrent:   8,
+		MaxQueue:        64,
+		ResultCacheSize: -1,
+		NoIncremental:   true,
 	})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()

@@ -144,11 +144,6 @@ type Config struct {
 	// QueueWait bounds how long a queued request waits for a slot
 	// before ErrBusy (default 10s).
 	QueueWait time.Duration
-	// SnapshotCacheSize bounds each tenant's content-addressed cache of
-	// parsed payload sets: a request whose payload bytes match a cached
-	// entry reuses the sealed store instead of re-parsing. Default 8;
-	// negative disables.
-	SnapshotCacheSize int
 	// ResultCacheSize bounds each tenant's (spec, payload content) →
 	// response cache, which also coalesces identical in-flight requests
 	// into one validation. Default 256; negative disables.
@@ -169,8 +164,7 @@ type Config struct {
 	// meaningful with StateDir.
 	CompactEvery int
 	// Runner configures each tenant's validation pipeline (parallelism,
-	// staleness policy). Its SnapshotCache field is overwritten from
-	// SnapshotCacheSize.
+	// staleness policy).
 	Runner runner.Options
 }
 
@@ -243,12 +237,6 @@ func New(cfg Config) *Server {
 		cfg.QueueWait = 10 * time.Second
 	}
 	switch {
-	case cfg.SnapshotCacheSize == 0:
-		cfg.SnapshotCacheSize = 8
-	case cfg.SnapshotCacheSize < 0:
-		cfg.SnapshotCacheSize = 0
-	}
-	switch {
 	case cfg.ResultCacheSize == 0:
 		cfg.ResultCacheSize = 256
 	case cfg.ResultCacheSize < 0:
@@ -260,7 +248,6 @@ func New(cfg Config) *Server {
 	case cfg.CompactEvery < 0:
 		cfg.CompactEvery = 0
 	}
-	cfg.Runner.SnapshotCache = cfg.SnapshotCacheSize
 	s := &Server{
 		cfg:     cfg,
 		start:   time.Now(),
@@ -650,10 +637,10 @@ func (s *Server) DeleteSpec(tenantName, specName string) error {
 //     control (a cache hit consumes no validation slot);
 //  2. an identical request already in flight is coalesced onto it
 //     (single-flight) instead of validating twice;
-//  3. a miss validates under admission control, re-parsing only
-//     payloads the snapshot cache has not seen and re-running only the
-//     specs whose footprint the payload delta touches (cross-request
-//     incremental validation, unless NoIncremental).
+//  3. a miss validates under admission control: the payloads are parsed
+//     and only the specs whose footprint the payload delta touches are
+//     re-run (cross-request incremental validation, unless
+//     NoIncremental).
 //
 // Requests that are not pure functions of their payload bytes —
 // server-side sources, specs with their own load commands, degraded or
@@ -755,18 +742,19 @@ func (s *Server) validateReq(ctx context.Context, t *tenant, entry *specEntry, p
 		if !leader {
 			select {
 			case <-f.done:
-				if f.err == nil {
+				if cacheableResponse(f.resp, f.err) {
 					t.results.putRaw(rawKey, f.resp)
 					entry.lastResp.Store(f.resp)
 					return f.resp, nil
 				}
-				if ctx.Err() == nil && (errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
-					// The leader died of its own cancellation; this
-					// caller is still live, so retry as its own leader
-					// rather than inherit a stranger's deadline.
+				if ctx.Err() == nil && (interruptedResponse(f.resp) || errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
+					// The leader died of its own cancellation or
+					// deadline; this caller is still live, so retry as
+					// its own leader rather than inherit a stranger's
+					// deadline.
 					continue
 				}
-				return nil, f.err
+				return f.resp, f.err
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
@@ -823,13 +811,19 @@ func (s *Server) validate(ctx context.Context, t *tenant, entry *specEntry, job 
 // complete, non-degraded runs are pure functions of the request's
 // content address.
 func cacheableResponse(resp *ValidateResponse, err error) bool {
-	if err != nil || resp == nil || resp.Report == nil || resp.Report.Interrupted {
+	if err != nil || resp == nil || resp.Report == nil || interruptedResponse(resp) {
 		return false
 	}
-	if resp.Load != nil && (resp.Load.Interrupted || resp.Load.Degraded()) {
+	return resp.Load == nil || !resp.Load.Degraded()
+}
+
+// interruptedResponse reports a run cut short by its context: whatever
+// it says is partial, and true only of the deadline that cut it.
+func interruptedResponse(resp *ValidateResponse) bool {
+	if resp == nil {
 		return false
 	}
-	return true
+	return (resp.Report != nil && resp.Report.Interrupted) || (resp.Load != nil && resp.Load.Interrupted)
 }
 
 // checkRequestQuotas enforces the per-request source-count and
@@ -909,7 +903,6 @@ func (s *Server) tenantsSorted() []*tenant {
 func (t *tenant) cacheInfo() TenantCaches {
 	return TenantCaches{
 		Name:            t.name,
-		SnapshotCache:   t.runner.SnapshotCacheStats(),
 		ResultCache:     t.results.stats(),
 		IncrementalRuns: t.incrementalRuns.Load(),
 		SpecsReused:     t.specsReused.Load(),
@@ -950,7 +943,6 @@ func (s *Server) Stats() StatsInfo {
 		ts.Caches = t.cacheInfo()
 		info.ResultCacheHits += ts.Caches.ResultCache.Hits
 		info.CoalescedRequests += ts.Caches.ResultCache.Coalesced
-		info.SnapshotCacheHits += ts.Caches.SnapshotCache.Hits
 		info.IncrementalRuns += ts.Caches.IncrementalRuns
 		info.SpecsReused += ts.Caches.SpecsReused
 		info.Lint.Findings += ts.Lint.Findings
@@ -1016,18 +1008,28 @@ type HealthInfo struct {
 	Caches []TenantCaches `json:"caches,omitempty"`
 }
 
-// TenantCaches is one tenant's service-side cache counters: the
-// content-addressed snapshot cache (parse reuse), the result cache
-// (whole-response reuse plus single-flight coalescing), and the
+// TenantCaches is one tenant's service-side cache counters: the result
+// cache (whole-response reuse plus single-flight coalescing) and the
 // cross-request incremental splice accounting.
 type TenantCaches struct {
-	Name          string                    `json:"name"`
-	SnapshotCache ingest.SnapshotCacheStats `json:"snapshot_cache"`
-	ResultCache   ResultCacheStats          `json:"result_cache"`
+	Name string `json:"name"`
+	// SnapshotCache is always zero: the cache is gone and bench/trace.go
+	// still reads the field; deleted with the benchmark PR (ROADMAP item 1).
+	SnapshotCache SnapshotCacheStats `json:"snapshot_cache"`
+	ResultCache   ResultCacheStats   `json:"result_cache"`
 	// IncrementalRuns counts validations that spliced at least one
 	// cached verdict; SpecsReused totals the verdicts spliced.
 	IncrementalRuns int64 `json:"incremental_runs"`
 	SpecsReused     int64 `json:"specs_reused"`
+}
+
+// SnapshotCacheStats is the counter block of the deleted snapshot
+// cache, kept for TenantCaches.SnapshotCache's wire shape.
+type SnapshotCacheStats struct {
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
+	Entries   int   `json:"entries"`
 }
 
 // StatsInfo is the stats endpoint's body.
@@ -1049,6 +1051,8 @@ type StatsInfo struct {
 	// admitted past the quota checks.
 	ResultCacheHits   int64 `json:"result_cache_hits"`
 	CoalescedRequests int64 `json:"coalesced_requests"`
+	// SnapshotCacheHits is always zero; deleted with the benchmark PR,
+	// like TenantCaches.SnapshotCache.
 	SnapshotCacheHits int64 `json:"snapshot_cache_hits"`
 	IncrementalRuns   int64 `json:"incremental_runs"`
 	SpecsReused       int64 `json:"specs_reused"`

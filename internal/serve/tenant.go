@@ -16,8 +16,8 @@ import (
 
 // tenant is one isolated customer of the service: its own spec-program
 // registry and its own runner (hence its own session, store lineage,
-// degradation loader, plan/incremental state, and snapshot cache), plus
-// its own result cache. Nothing a tenant registers or validates is
+// degradation loader and plan/incremental state), plus its own result
+// cache. Nothing a tenant registers or validates is
 // visible to another tenant — isolation is structural, not checked, and
 // that extends to every cache layer.
 type tenant struct {
@@ -100,9 +100,8 @@ func (t *tenant) register(name, src string, maxSpecs int, diags []lint.Diagnosti
 }
 
 // releasePlan drops the lowered plan of an entry leaving the registry
-// (nil when there is none). Left cached, the plan — and the snapshot its
-// cost model last priced — would stay pinned until the plan cache's
-// wholesale flush.
+// (nil when there is none). Left cached, the plan would stay pinned until
+// the plan cache's wholesale flush.
 func releasePlan(e *specEntry) {
 	if e != nil {
 		plan.Forget(e.prog)
