@@ -58,10 +58,10 @@ plan-bench:
 # is the regression gate for the buildTrie race, the chaos suite drives
 # multi-round watch sessions through injected ingestion faults, the
 # serve/runner tests race concurrent tenants over shared sessions, and
-# the two retention tests wait on finalizers, so a collector-timing
+# the three retention tests wait on finalizers, so a collector-timing
 # flake shows up here first.
 stress:
-	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TestConcurrent|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos|TestTenantRetainsOneSnapshotPerSpec|TestCostsDoesNotRetainSnapshot' ./internal/config/ ./internal/engine/ ./internal/plan/ ./internal/runner/ ./internal/serve/ . || exit 1; done
+	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TestConcurrent|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos|TestTenantRetainsOneSnapshotPerSpec|TestCostsDoesNotRetainSnapshot|TestLoaderRetainsOneBatch' ./internal/config/ ./internal/engine/ ./internal/ingest/ ./internal/plan/ ./internal/runner/ ./internal/serve/ . || exit 1; done
 
 # Full service round trip over real processes and a loopback socket:
 # build cvserve+cvcall+cvcheck, boot the server, drive it with cvcall
@@ -107,16 +107,21 @@ servecache-bench:
 # seeds: the format drivers (FuzzXML differentially, against the
 # encoding/xml oracle; FuzzKV differentially, against the strings.Split
 # oracle, and three times as long, because this run is all that holds
-# the index-walking scanner to it) and the service's request-envelope
+# the index-walking scanner to it), the service's request-envelope
 # decoder (against encoding/json into the public wire type; three times
-# as long for the same reason). Mirrors the CI "Fuzz smoke" step; a
-# crasher or a divergence fails the target.
+# as long for the same reason) and the snapshot diff's lazy Delta (against
+# the eager key-listing one in internal/config/oracle_test.go, on two KV
+# documents; as long again, with minimisation bounded, since each of its
+# executions asks a few thousand questions of both deltas and minimising
+# one new input would otherwise take most of the window). Mirrors the CI
+# "Fuzz smoke" step; a crasher or a divergence fails the target.
 fuzz-smoke:
 	for f in FuzzINI FuzzCSV FuzzYAML FuzzJSON FuzzXML; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/driver/ || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzKV$$' -fuzztime 30s ./internal/driver/
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateEnvelope$$' -fuzztime 30s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzDeltaOverlaps$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/config/
 
 # One iteration of every benchmark — compile/panic smoke, no timing
 # claims — plus a quick-scale pass of the load harness (both drivers and

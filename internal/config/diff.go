@@ -1,7 +1,7 @@
 package config
 
 // Snapshot diffing: the substrate for incremental validation. Two sealed
-// snapshots are compared key by key, producing a Delta that can answer
+// snapshots are compared class by class, producing a Delta that can answer
 // "does any changed key match this discovery pattern?" — the question the
 // engine asks per specification footprint to decide re-run vs reuse.
 //
@@ -12,41 +12,62 @@ package config
 // stores (a watch round builds a fresh store per reload) share nothing:
 // when they hold the same keys in the same load order — two parses of
 // nearly the same content — one sequential pass finds the few classes
-// with a changed value, and otherwise a per-class key walk compares them,
-// which itself fast-paths positionally aligned keys.
+// with a changed value, and otherwise every class whose instance lists
+// differ is recorded.
+//
+// Nothing is rendered per key up front. A footprint pattern that constrains
+// no instance name or ordinal matches a class's keys exactly when it
+// matches the class's segment names, so for it the delta only has to prove
+// that a candidate class holds some changed key, which a positional walk
+// over the class's two instance lists does without allocating. Only a
+// constrained pattern, a reordered class, or a caller asking for the keys
+// themselves (Len, Keys) materialises a class's key lists, once.
 
 // Delta is the set of key-level changes from an old snapshot to a new
-// one. Added, Removed and Modified list each changed key once, in the
-// deterministic order the walk encounters them (new snapshot's load
-// order, then removed keys in the old snapshot's order).
+// one, computed lazily per class. It is built once by Diff and then
+// memoises what it proves; use it from a single goroutine (the engine
+// partitions specs before fanning out).
 type Delta struct {
-	Added    []Key
-	Removed  []Key
-	Modified []Key
+	// classes holds every class whose instance lists are not provably
+	// identical, in the new snapshot's class order and then the removed
+	// classes in the old snapshot's order.
+	classes []classDelta
 
-	// Overlap index over all changed keys: exact-leaf and segment-count
-	// buckets mirror Pattern.MatchKey's two matching regimes (one-segment
-	// patterns match by leaf, multi-segment patterns by full path).
-	keys   []Key
-	byLeaf map[string][]int
-	byLen  map[int][]int
+	// Overlap index over the recorded classes: exact-leaf and
+	// segment-count buckets mirror Pattern.MatchKey's two matching regimes
+	// (one-segment patterns match by leaf, multi-segment patterns by full
+	// path). Each bucket is a chain through classDelta.nextLeaf/nextLen of
+	// 1-based class positions; 0 ends it.
+	byLeaf map[string]int32
+	byLen  map[int]int32
 	memo   map[string]bool // pattern string -> overlap verdict
 }
 
-// Len returns the number of changed keys.
-func (d *Delta) Len() int { return len(d.keys) }
+// classDelta is one recorded class: its two instance lists (either may be
+// nil when the class was added or removed wholesale), its segment names,
+// and what has been proven about it so far.
+type classDelta struct {
+	old, new []*Instance
+	names    []string
 
-// Empty reports whether the snapshots were identical.
-func (d *Delta) Empty() bool { return len(d.keys) == 0 }
+	nextLeaf, nextLen int32
 
-// Diff computes the key-level changes from old to the receiver. A nil
-// old snapshot yields a delta with every key added. The result is built
-// once and then read-only except for its internal pattern memo; use from
-// a single goroutine (the engine partitions specs before fanning out).
+	proof int8      // 0 unproven, 1 holds a changed key, -1 holds none
+	keys  *keyLists // materialised on demand
+}
+
+// keyLists is the key-level change set of one class, each changed key
+// once: new keys in the new list's order, then removed keys in the old
+// list's order, modified keys as the new list meets them.
+type keyLists struct {
+	added, removed, modified []Key
+}
+
+// Diff computes the changes from old to the receiver. A nil old snapshot
+// yields a delta with every key added.
 func (sn *Snapshot) Diff(old *Snapshot) Delta {
 	d := Delta{}
 	if old == sn {
-		d.index()
 		return d
 	}
 	if old != nil && sn.contentID != "" && sn.contentID == old.contentID {
@@ -55,13 +76,12 @@ func (sn *Snapshot) Diff(old *Snapshot) Delta {
 		// even when the snapshots come from unrelated stores — the case a
 		// service hits when a payload repeats after its cached store was
 		// evicted.
-		d.index()
 		return d
 	}
 	// When the load-order pass finds both snapshots holding the same keys
 	// in the same order, every class does too, and only a class with a
-	// re-valued instance can contribute: the walk visits just those, still
-	// in class order, so the delta lists exactly what it always did.
+	// re-valued instance can hold a change: just those are recorded, still
+	// in class order, so the delta lists exactly what the full walk would.
 	changed := sn.loadOrderDiff(old)
 	for _, id := range sn.classes {
 		if _, ok := changed[id]; changed != nil && !ok {
@@ -78,12 +98,12 @@ func (sn *Snapshot) Diff(old *Snapshot) Delta {
 			// instances was added, removed or re-valued in between.
 			continue
 		}
-		diffClass(oldIns, newIns, &d)
+		d.classes = append(d.classes, classDelta{old: oldIns, new: newIns, names: sn.classSegs[id]})
 	}
 	if old != nil {
 		for _, id := range old.classes {
 			if _, ok := sn.byClass[id]; !ok {
-				diffClass(old.byClass[id], nil, &d)
+				d.classes = append(d.classes, classDelta{old: old.byClass[id], names: old.classSegs[id]})
 			}
 		}
 	}
@@ -132,9 +152,78 @@ func sameInstanceSlice(a, b []*Instance) bool {
 	return len(a) == 0 || &a[0] == &b[0]
 }
 
+// index chains the recorded classes into the leaf and length buckets.
+func (d *Delta) index() {
+	if len(d.classes) == 0 {
+		return
+	}
+	d.byLeaf = make(map[string]int32, len(d.classes))
+	d.byLen = make(map[int]int32, 8)
+	for i := range d.classes {
+		c := &d.classes[i]
+		if len(c.names) == 0 {
+			continue
+		}
+		leaf := c.names[len(c.names)-1]
+		c.nextLeaf, d.byLeaf[leaf] = d.byLeaf[leaf], int32(i+1)
+		c.nextLen, d.byLen[len(c.names)] = d.byLen[len(c.names)], int32(i+1)
+	}
+}
+
+// changed reports whether the class holds any changed key, proving it
+// without rendering a key wherever the lists allow.
+func (c *classDelta) changed() bool {
+	if c.proof == 0 {
+		c.proof = -1
+		if c.prove() {
+			c.proof = 1
+		}
+	}
+	return c.proof > 0
+}
+
+func (c *classDelta) prove() bool {
+	if len(c.old) != len(c.new) {
+		// A key whose occurrences differ in number has a different value
+		// sequence, and a class that grew or shrank has such a key.
+		return true
+	}
+	for i, in := range c.new {
+		was := c.old[i]
+		if sameKey(was.Key, in.Key) {
+			if was.Value != in.Value {
+				// Every position before i holds the same key and value on
+				// both sides, so this is the same occurrence of the key on
+				// both sides, re-valued.
+				return true
+			}
+			continue
+		}
+		// The first misaligned key: new, unless the old list holds it
+		// somewhere (a reorder), which only the key-level walk settles.
+		for _, o := range c.old {
+			if sameKey(o.Key, in.Key) {
+				k := c.keyLists()
+				return len(k.added)+len(k.removed)+len(k.modified) > 0
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// keyLists materialises the class's key-level change set, once.
+func (c *classDelta) keyLists() *keyLists {
+	if c.keys == nil {
+		c.keys = new(keyLists)
+		diffClass(c.old, c.new, c.keys)
+	}
+	return c.keys
+}
+
 // diffClass compares one class's instance lists. Either side may be nil
 // (class added or removed wholesale).
-func diffClass(oldIns, newIns []*Instance, d *Delta) {
+func diffClass(oldIns, newIns []*Instance, d *keyLists) {
 	// Aligned fast path: a rebuilt store that reloads the same sources
 	// yields the same keys in the same order, so a value-churn round
 	// reduces to a positional scan with no map allocation.
@@ -151,20 +240,19 @@ func diffClass(oldIns, newIns []*Instance, d *Delta) {
 			// must still be listed once, so dedupe against the entries this
 			// class already emitted; churn per class is small, so the scan
 			// beats allocating a set.
-			start := len(d.Modified)
 			for i := range newIns {
 				if oldIns[i].Value == newIns[i].Value {
 					continue
 				}
 				dup := false
-				for _, m := range d.Modified[start:] {
+				for _, m := range d.modified {
 					if sameKey(m, newIns[i].Key) {
 						dup = true
 						break
 					}
 				}
 				if !dup {
-					d.Modified = append(d.Modified, newIns[i].Key)
+					d.modified = append(d.modified, newIns[i].Key)
 				}
 			}
 			return
@@ -205,16 +293,16 @@ func diffClass(oldIns, newIns []*Instance, d *Delta) {
 		ne := newBy[ks]
 		oe, ok := oldBy[ks]
 		if !ok {
-			d.Added = append(d.Added, ne.key)
+			d.added = append(d.added, ne.key)
 			continue
 		}
 		if !sameValues(oe.vals, ne.vals) {
-			d.Modified = append(d.Modified, ne.key)
+			d.modified = append(d.modified, ne.key)
 		}
 	}
 	for _, ks := range oldOrder {
 		if _, ok := newBy[ks]; !ok {
-			d.Removed = append(d.Removed, oldBy[ks].key)
+			d.removed = append(d.removed, oldBy[ks].key)
 		}
 	}
 }
@@ -243,40 +331,82 @@ func sameValues(a, b []string) bool {
 	return true
 }
 
-// index builds the overlap buckets over every changed key.
-func (d *Delta) index() {
-	n := len(d.Added) + len(d.Removed) + len(d.Modified)
-	d.keys = make([]Key, 0, n)
-	d.keys = append(d.keys, d.Added...)
-	d.keys = append(d.keys, d.Removed...)
-	d.keys = append(d.keys, d.Modified...)
-	d.byLeaf = make(map[string][]int, n)
-	d.byLen = make(map[int][]int, 8)
-	for i, k := range d.keys {
-		if len(k.Segs) == 0 {
-			continue
-		}
-		leaf := k.Segs[len(k.Segs)-1].Name
-		d.byLeaf[leaf] = append(d.byLeaf[leaf], i)
-		d.byLen[len(k.Segs)] = append(d.byLen[len(k.Segs)], i)
+// Keys lists every changed key once, by kind; each list runs through the
+// recorded classes in order. It materialises every class's key lists.
+func (d *Delta) Keys() (added, removed, modified []Key) {
+	for i := range d.classes {
+		k := d.classes[i].keyLists()
+		added = append(added, k.added...)
+		removed = append(removed, k.removed...)
+		modified = append(modified, k.modified...)
 	}
-	d.memo = make(map[string]bool)
+	return added, removed, modified
+}
+
+// Len returns the number of changed keys. It materialises every class's
+// key lists.
+func (d *Delta) Len() int {
+	n := 0
+	for i := range d.classes {
+		k := d.classes[i].keyLists()
+		n += len(k.added) + len(k.removed) + len(k.modified)
+	}
+	return n
+}
+
+// Empty reports whether the snapshots hold the same keys and values.
+func (d *Delta) Empty() bool {
+	for i := range d.classes {
+		if d.classes[i].changed() {
+			return false
+		}
+	}
+	return true
 }
 
 // Overlaps reports whether any changed key matches the discovery
 // pattern, under the exact semantics of Pattern.MatchKey. Patterns with
 // unsubstituted variables match nothing — callers deal with those by
 // marking the owning spec dynamic. Verdicts are memoized per pattern
-// string; the memo makes Overlaps single-goroutine only.
+// string once a candidate class exists; the memo makes Overlaps
+// single-goroutine only.
 func (d *Delta) Overlaps(p Pattern) bool {
-	if len(d.keys) == 0 || len(p.Segs) == 0 || p.HasVars() {
+	if len(d.classes) == 0 || len(p.Segs) == 0 || p.HasVars() {
+		return false
+	}
+	// The candidates, as 1-based positions: the leaf's bucket when the leaf
+	// is exact, else the pattern length's bucket, else — a one-segment
+	// glob — every class.
+	var head int32
+	var next func(i int32) int32
+	switch last := p.Segs[len(p.Segs)-1].Name; {
+	case !hasGlob(last):
+		head, next = d.byLeaf[last], func(i int32) int32 { return d.classes[i-1].nextLeaf }
+	case len(p.Segs) > 1:
+		head, next = d.byLen[len(p.Segs)], func(i int32) int32 { return d.classes[i-1].nextLen }
+	default:
+		head, next = 1, func(i int32) int32 {
+			if int(i) == len(d.classes) {
+				return 0
+			}
+			return i + 1
+		}
+	}
+	if head == 0 {
 		return false
 	}
 	ps := p.String()
 	if v, ok := d.memo[ps]; ok {
 		return v
 	}
-	v := d.overlaps(p)
+	free := unconstrained(p)
+	v := false
+	for i := head; i != 0 && !v; i = next(i) {
+		v = d.classes[i-1].overlaps(p, free)
+	}
+	if d.memo == nil {
+		d.memo = make(map[string]bool)
+	}
 	d.memo[ps] = v
 	return v
 }
@@ -291,44 +421,60 @@ func (d *Delta) OverlapsAny(pats []Pattern) bool {
 	return false
 }
 
-func (d *Delta) overlaps(p Pattern) bool {
-	if len(p.Segs) == 1 {
-		// One-segment patterns match by leaf across all depths.
-		s := p.Segs[0]
-		if !hasGlob(s.Name) {
-			for _, i := range d.byLeaf[s.Name] {
-				k := d.keys[i]
-				if s.matchSeg(k.Segs[len(k.Segs)-1]) {
-					return true
-				}
-			}
-			return false
-		}
-		for _, k := range d.keys {
-			if p.MatchKey(k) {
-				return true
-			}
-		}
+// overlaps reports whether a changed key of the class matches p. free
+// says that p constrains no instance name or ordinal, so that a key
+// matches exactly when its class's names do.
+func (c *classDelta) overlaps(p Pattern, free bool) bool {
+	if !namesMatch(p, c.names) {
 		return false
 	}
-	// Multi-segment patterns match positionally, so the key's leaf must
-	// match the pattern's last segment: a non-glob leaf narrows the scan
-	// to its (small) leaf bucket instead of every changed key of the
-	// right depth — the difference between microseconds and milliseconds
-	// when a large delta meets a large footprint index.
-	if last := p.Segs[len(p.Segs)-1]; !hasGlob(last.Name) {
-		for _, i := range d.byLeaf[last.Name] {
-			k := d.keys[i]
-			if len(k.Segs) == len(p.Segs) && p.MatchKey(k) {
+	if free {
+		return c.changed()
+	}
+	k := c.keyLists()
+	for _, keys := range [...][]Key{k.added, k.removed, k.modified} {
+		for _, key := range keys {
+			if p.MatchKey(key) {
 				return true
 			}
-		}
-		return false
-	}
-	for _, i := range d.byLen[len(p.Segs)] {
-		if p.MatchKey(d.keys[i]) {
-			return true
 		}
 	}
 	return false
+}
+
+// namesMatch reports whether a class's segment names satisfy the
+// pattern's name globs as Pattern.MatchKey applies them: the leaf for a
+// one-segment pattern, every segment at equal length otherwise.
+func namesMatch(p Pattern, names []string) bool {
+	if len(names) == 0 {
+		return false
+	}
+	if len(p.Segs) == 1 {
+		return Glob(p.Segs[0].Name, names[len(names)-1])
+	}
+	if len(p.Segs) != len(names) {
+		return false
+	}
+	for i, s := range p.Segs {
+		if !Glob(s.Name, names[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// unconstrained reports whether the segments MatchKey reads constrain no
+// instance name (empty, or nothing but '*') and no ordinal.
+func unconstrained(p Pattern) bool {
+	for _, s := range p.Segs {
+		if s.Index != 0 {
+			return false
+		}
+		for i := 0; i < len(s.Inst); i++ {
+			if s.Inst[i] != '*' {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -65,10 +65,11 @@ func sortedKeys(m map[string]bool) []string {
 func checkDelta(t *testing.T, label string, d Delta, old, new *Snapshot) {
 	t.Helper()
 	wantAdd, wantRem, wantMod := naiveDiff(old, new)
+	added, removed, modified := d.Keys()
 	for name, pair := range map[string][2]map[string]bool{
-		"added":    {keySet(d.Added), wantAdd},
-		"removed":  {keySet(d.Removed), wantRem},
-		"modified": {keySet(d.Modified), wantMod},
+		"added":    {keySet(added), wantAdd},
+		"removed":  {keySet(removed), wantRem},
+		"modified": {keySet(modified), wantMod},
 	} {
 		got, want := pair[0], pair[1]
 		if len(got) != len(want) {
@@ -196,9 +197,9 @@ func TestDiffEdgeCases(t *testing.T) {
 		t.Fatalf("reseal-diff not empty: %d changes", d.Len())
 	}
 	d := sn.Diff(nil)
-	if len(d.Added) != 2 || len(d.Removed) != 0 || len(d.Modified) != 0 {
+	if added, removed, modified := d.Keys(); len(added) != 2 || len(removed) != 0 || len(modified) != 0 {
 		t.Fatalf("nil-diff: added=%d removed=%d modified=%d, want 2/0/0",
-			len(d.Added), len(d.Removed), len(d.Modified))
+			len(added), len(removed), len(modified))
 	}
 }
 
@@ -214,10 +215,11 @@ func TestPropDeltaOverlapsAgreesWithMatchKey(t *testing.T) {
 		newSnap := newSt.Snapshot()
 		d := newSnap.Diff(oldSnap)
 
-		var changed []Key
-		changed = append(changed, d.Added...)
-		changed = append(changed, d.Removed...)
-		changed = append(changed, d.Modified...)
+		// The keys come from a second delta, so d answers Overlaps with no
+		// key list materialised beforehand.
+		ref := newSnap.Diff(oldSnap)
+		added, removed, modified := ref.Keys()
+		changed := append(append(added, removed...), modified...)
 		for _, p := range pats {
 			want := false
 			for _, k := range changed {

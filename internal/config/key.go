@@ -88,8 +88,8 @@ func ParseKey(s string) (Key, error) {
 // strings.Count(s, ".")+1 segments of s to dst and returns the extended
 // slice, or nil and ParseKey's error. The segments' strings are
 // substrings of s. Flat-source drivers call it once per line with room
-// carved from a slab, so it builds the key directly, with no
-// intermediate Pattern and no allocation.
+// carved from a slab, so it parses each segment straight into a Seg, in
+// one pass and with no allocation.
 func AppendKey(dst []Seg, s string) ([]Seg, error) {
 	if s == "" {
 		return nil, fmt.Errorf("config: empty key")
@@ -97,18 +97,54 @@ func AppendKey(dst []Seg, s string) ([]Seg, error) {
 	for rest, more := s, true; more; {
 		var part string
 		part, rest, more = strings.Cut(rest, ".")
-		ps := parsePatSeg(part)
-		if ps.InstVar != "" || ps.IndexVar != "" {
-			return nil, fmt.Errorf("config: key %q must not contain variables", s)
+		// parsePatSeg's grammar: Name, then "::Inst", then "[Index]"; a
+		// '$' opens a variable wherever it starts a part, and a lone '$'
+		// names none (that part is left empty).
+		var seg Seg
+		name, idx := part, ""
+		if i := strings.Index(part, "::"); i >= 0 {
+			name, seg.Inst = part[:i], part[i+2:]
+			if j := strings.IndexByte(seg.Inst, '['); j >= 0 {
+				seg.Inst, idx = seg.Inst[:j], seg.Inst[j:]
+			}
+			if strings.HasPrefix(seg.Inst, "$") {
+				if len(seg.Inst) > 1 {
+					return nil, fmt.Errorf("config: key %q must not contain variables", s)
+				}
+				seg.Inst = ""
+			}
+		} else if j := strings.IndexByte(part, '['); j >= 0 {
+			name, idx = part[:j], part[j:]
 		}
-		if ps.Name == "" {
-			// "A..B", and a name variable like "$x", which parses with an
-			// empty name: either would produce an unaddressable instance.
+		if len(idx) >= 2 && idx[len(idx)-1] == ']' {
+			if n := idx[1 : len(idx)-1]; !strings.HasPrefix(n, "$") {
+				seg.Index = atoiOr0(n)
+			} else if len(n) > 1 {
+				return nil, fmt.Errorf("config: key %q must not contain variables", s)
+			}
+		}
+		if name == "" || name[0] == '$' {
+			// "A..B", and a name variable like "$x": either would produce an
+			// unaddressable instance.
 			return nil, fmt.Errorf("config: key %q has an empty segment", s)
 		}
-		dst = append(dst, Seg{Name: ps.Name, Inst: ps.Inst, Index: ps.Index})
+		if hasClassSep(name) {
+			return nil, fmt.Errorf("config: key %q has a NUL byte in a name", s)
+		}
+		seg.Name = name
+		dst = append(dst, seg)
 	}
 	return dst, nil
+}
+
+// CheckName refuses a scope or parameter name that a driver read from a
+// document and the store could not index: one holding classSep, which
+// would let two different name sequences share one class.
+func CheckName(name string) error {
+	if hasClassSep(name) {
+		return fmt.Errorf("config: name %q has a NUL byte", name)
+	}
+	return nil
 }
 
 func parseSeg(s string) Seg {

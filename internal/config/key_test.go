@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -163,18 +164,31 @@ func TestInstanceString(t *testing.T) {
 
 // ParseKey is ParsePattern restricted to concrete keys: on every input
 // it accepts, the segments are the pattern's, and it accepts exactly the
-// patterns with no variable and no empty name.
+// patterns with no variable, no empty name and no NUL byte in a name.
 func TestParseKeyAgreesWithParsePattern(t *testing.T) {
-	for _, s := range []string{
+	inputs := []string{
 		"Fabric", "Fabric::inst1", "Fabric::inst1.Timeout", "Cloud[2].Tenant::SLB.SecretKey",
 		"A::b[3].C", "A[x].B", "A[2", "A::.B", "a.b.c.d.e",
 		"", ".", "a..b", "a.", ".a", "$x", "A.$x", "A::$i.B", "A[$n].B", "::i",
-	} {
+		"$", "A::$.B", "A[$].B", "A::b[$i]", "$x::y", "$x[$i]", "A[1]::b.C", "A::b[]", "A[]", "A[1]x", "A::b::c[2]",
+		"\x00", "a\x00b.c", "a.b\x00c", "A::x\x00y.B", "A[\x00].B",
+	}
+	// And short strings over the grammar's own bytes, drawn at random.
+	rng := rand.New(rand.NewSource(1))
+	const alphabet = "Ab.:[]$1\x00"
+	for i := 0; i < 20000; i++ {
+		b := make([]byte, rng.Intn(10))
+		for j := range b {
+			b[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		inputs = append(inputs, string(b))
+	}
+	for _, s := range inputs {
 		k, err := ParseKey(s)
 		p, perr := ParsePattern(s)
 		want := perr == nil && !p.HasVars()
 		for _, ps := range p.Segs {
-			want = want && ps.Name != ""
+			want = want && ps.Name != "" && !strings.Contains(ps.Name, "\x00")
 		}
 		if (err == nil) != want {
 			t.Errorf("ParseKey(%q) error = %v, want accepted = %t", s, err, want)

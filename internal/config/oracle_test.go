@@ -8,8 +8,8 @@ import (
 )
 
 // The store's build and the snapshot diff as they stood before the bulk
-// build and the load-order pass, kept verbatim as the oracles the new
-// paths are held to.
+// build, the load-order pass and the lazy class-level Delta, kept verbatim
+// as the oracles the new paths are held to.
 
 // addLockedOracle is the one-instance insertion AddAll used to loop over.
 func (st *Store) addLockedOracle(in *Instance) {
@@ -49,8 +49,8 @@ func (st *Store) addAllOracle(ins []*Instance) {
 }
 
 // diffOracle is Snapshot.Diff's class walk, with nothing in front of it.
-func diffOracle(sn, old *Snapshot) Delta {
-	d := Delta{}
+func diffOracle(sn, old *Snapshot) eagerDelta {
+	d := eagerDelta{}
 	if old == sn {
 		d.index()
 		return d
@@ -68,17 +68,266 @@ func diffOracle(sn, old *Snapshot) Delta {
 		if sameInstanceSlice(oldIns, newIns) {
 			continue
 		}
-		diffClass(oldIns, newIns, &d)
+		eagerDiffClass(oldIns, newIns, &d)
 	}
 	if old != nil {
 		for _, id := range old.classes {
 			if _, ok := sn.byClass[id]; !ok {
-				diffClass(old.byClass[id], nil, &d)
+				eagerDiffClass(old.byClass[id], nil, &d)
 			}
 		}
 	}
 	d.index()
 	return d
+}
+
+// eagerDelta is the Delta that listed and indexed every changed key up
+// front, and eagerDiff the Snapshot.Diff that built it: the oracle the
+// lazy class-level Delta is held to, key list for key list and verdict for
+// verdict.
+type eagerDelta struct {
+	Added    []Key
+	Removed  []Key
+	Modified []Key
+
+	// Overlap index over all changed keys: exact-leaf and segment-count
+	// buckets mirror Pattern.MatchKey's two matching regimes (one-segment
+	// patterns match by leaf, multi-segment patterns by full path).
+	keys   []Key
+	byLeaf map[string][]int
+	byLen  map[int][]int
+	memo   map[string]bool // pattern string -> overlap verdict
+}
+
+// Len returns the number of changed keys.
+func (d *eagerDelta) Len() int { return len(d.keys) }
+
+// Empty reports whether the snapshots were identical.
+func (d *eagerDelta) Empty() bool { return len(d.keys) == 0 }
+
+func eagerDiff(sn, old *Snapshot) eagerDelta {
+	d := eagerDelta{}
+	if old == sn {
+		d.index()
+		return d
+	}
+	if old != nil && sn.contentID != "" && sn.contentID == old.contentID {
+		// Content-address fast path: both snapshots were sealed from the
+		// same bytes (Store.SetContentID contract), so the delta is empty
+		// even when the snapshots come from unrelated stores — the case a
+		// service hits when a payload repeats after its cached store was
+		// evicted.
+		d.index()
+		return d
+	}
+	// When the load-order pass finds both snapshots holding the same keys
+	// in the same order, every class does too, and only a class with a
+	// re-valued instance can contribute: the walk visits just those, still
+	// in class order, so the delta lists exactly what it always did.
+	changed := sn.loadOrderDiff(old)
+	for _, id := range sn.classes {
+		if _, ok := changed[id]; changed != nil && !ok {
+			continue
+		}
+		var oldIns []*Instance
+		if old != nil {
+			oldIns = old.byClass[id]
+		}
+		newIns := sn.byClass[id]
+		if sameInstanceSlice(oldIns, newIns) {
+			// Copy-on-write fast path: the class's instance slice is the
+			// very slice sealed into the old snapshot, so not one of its
+			// instances was added, removed or re-valued in between.
+			continue
+		}
+		eagerDiffClass(oldIns, newIns, &d)
+	}
+	if old != nil {
+		for _, id := range old.classes {
+			if _, ok := sn.byClass[id]; !ok {
+				eagerDiffClass(old.byClass[id], nil, &d)
+			}
+		}
+	}
+	d.index()
+	return d
+}
+
+// eagerDiffClass compares one class's instance lists. Either side may be nil
+// (class added or removed wholesale).
+func eagerDiffClass(oldIns, newIns []*Instance, d *eagerDelta) {
+	// Aligned fast path: a rebuilt store that reloads the same sources
+	// yields the same keys in the same order, so a value-churn round
+	// reduces to a positional scan with no map allocation.
+	if len(oldIns) == len(newIns) {
+		aligned := true
+		for i := range newIns {
+			if !sameKey(oldIns[i].Key, newIns[i].Key) {
+				aligned = false
+				break
+			}
+		}
+		if aligned {
+			// A key appearing more than once (duplicate keys in a source)
+			// must still be listed once, so dedupe against the entries this
+			// class already emitted; churn per class is small, so the scan
+			// beats allocating a set.
+			start := len(d.Modified)
+			for i := range newIns {
+				if oldIns[i].Value == newIns[i].Value {
+					continue
+				}
+				dup := false
+				for _, m := range d.Modified[start:] {
+					if sameKey(m, newIns[i].Key) {
+						dup = true
+						break
+					}
+				}
+				if !dup {
+					d.Modified = append(d.Modified, newIns[i].Key)
+				}
+			}
+			return
+		}
+	}
+	// General path: compare the per-key value sequences. A key may appear
+	// more than once (duplicate keys in a source file); the whole value
+	// sequence must match for the key to count as unchanged.
+	type entry struct {
+		key  Key
+		vals []string
+	}
+	oldBy := make(map[string]*entry, len(oldIns))
+	var oldOrder []string
+	for _, in := range oldIns {
+		ks := in.Key.String()
+		e, ok := oldBy[ks]
+		if !ok {
+			e = &entry{key: in.Key}
+			oldBy[ks] = e
+			oldOrder = append(oldOrder, ks)
+		}
+		e.vals = append(e.vals, in.Value)
+	}
+	newBy := make(map[string]*entry, len(newIns))
+	var newOrder []string
+	for _, in := range newIns {
+		ks := in.Key.String()
+		e, ok := newBy[ks]
+		if !ok {
+			e = &entry{key: in.Key}
+			newBy[ks] = e
+			newOrder = append(newOrder, ks)
+		}
+		e.vals = append(e.vals, in.Value)
+	}
+	for _, ks := range newOrder {
+		ne := newBy[ks]
+		oe, ok := oldBy[ks]
+		if !ok {
+			d.Added = append(d.Added, ne.key)
+			continue
+		}
+		if !sameValues(oe.vals, ne.vals) {
+			d.Modified = append(d.Modified, ne.key)
+		}
+	}
+	for _, ks := range oldOrder {
+		if _, ok := newBy[ks]; !ok {
+			d.Removed = append(d.Removed, oldBy[ks].key)
+		}
+	}
+}
+
+// index builds the overlap buckets over every changed key.
+func (d *eagerDelta) index() {
+	n := len(d.Added) + len(d.Removed) + len(d.Modified)
+	d.keys = make([]Key, 0, n)
+	d.keys = append(d.keys, d.Added...)
+	d.keys = append(d.keys, d.Removed...)
+	d.keys = append(d.keys, d.Modified...)
+	d.byLeaf = make(map[string][]int, n)
+	d.byLen = make(map[int][]int, 8)
+	for i, k := range d.keys {
+		if len(k.Segs) == 0 {
+			continue
+		}
+		leaf := k.Segs[len(k.Segs)-1].Name
+		d.byLeaf[leaf] = append(d.byLeaf[leaf], i)
+		d.byLen[len(k.Segs)] = append(d.byLen[len(k.Segs)], i)
+	}
+	d.memo = make(map[string]bool)
+}
+
+// Overlaps reports whether any changed key matches the discovery
+// pattern, under the exact semantics of Pattern.MatchKey. Patterns with
+// unsubstituted variables match nothing — callers deal with those by
+// marking the owning spec dynamic. Verdicts are memoized per pattern
+// string; the memo makes Overlaps single-goroutine only.
+func (d *eagerDelta) Overlaps(p Pattern) bool {
+	if len(d.keys) == 0 || len(p.Segs) == 0 || p.HasVars() {
+		return false
+	}
+	ps := p.String()
+	if v, ok := d.memo[ps]; ok {
+		return v
+	}
+	v := d.overlaps(p)
+	d.memo[ps] = v
+	return v
+}
+
+// OverlapsAny reports whether any pattern overlaps the delta.
+func (d *eagerDelta) OverlapsAny(pats []Pattern) bool {
+	for _, p := range pats {
+		if d.Overlaps(p) {
+			return true
+		}
+	}
+	return false
+}
+
+func (d *eagerDelta) overlaps(p Pattern) bool {
+	if len(p.Segs) == 1 {
+		// One-segment patterns match by leaf across all depths.
+		s := p.Segs[0]
+		if !hasGlob(s.Name) {
+			for _, i := range d.byLeaf[s.Name] {
+				k := d.keys[i]
+				if s.matchSeg(k.Segs[len(k.Segs)-1]) {
+					return true
+				}
+			}
+			return false
+		}
+		for _, k := range d.keys {
+			if p.MatchKey(k) {
+				return true
+			}
+		}
+		return false
+	}
+	// Multi-segment patterns match positionally, so the key's leaf must
+	// match the pattern's last segment: a non-glob leaf narrows the scan
+	// to its (small) leaf bucket instead of every changed key of the
+	// right depth — the difference between microseconds and milliseconds
+	// when a large delta meets a large footprint index.
+	if last := p.Segs[len(p.Segs)-1]; !hasGlob(last.Name) {
+		for _, i := range d.byLeaf[last.Name] {
+			k := d.keys[i]
+			if len(k.Segs) == len(p.Segs) && p.MatchKey(k) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, i := range d.byLen[len(p.Segs)] {
+		if p.MatchKey(d.keys[i]) {
+			return true
+		}
+	}
+	return false
 }
 
 // nestedInstances generates what a driver hands the store for a nested
@@ -266,9 +515,10 @@ func TestDiffLoadOrderMatchesClassWalk(t *testing.T) {
 	check := func(label string, old, sn *Snapshot) {
 		t.Helper()
 		got, want := sn.Diff(old), diffOracle(sn, old)
-		if !reflect.DeepEqual(got.Added, want.Added) || !reflect.DeepEqual(got.Removed, want.Removed) || !reflect.DeepEqual(got.Modified, want.Modified) {
+		added, removed, modified := got.Keys()
+		if !reflect.DeepEqual(added, want.Added) || !reflect.DeepEqual(removed, want.Removed) || !reflect.DeepEqual(modified, want.Modified) {
 			t.Fatalf("%s: deltas differ:\n Diff:   +%v -%v ~%v\n oracle: +%v -%v ~%v", label,
-				got.Added, got.Removed, got.Modified, want.Added, want.Removed, want.Modified)
+				added, removed, modified, want.Added, want.Removed, want.Modified)
 		}
 		for _, p := range pats {
 			if g, w := got.Overlaps(p), want.Overlaps(p); g != w {

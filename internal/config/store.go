@@ -219,8 +219,9 @@ func (st *Store) ClassInstances(classPath string) []*Instance {
 	return st.Snapshot().ClassInstances(classPath)
 }
 
-// classSep separates segment names inside a class ID; it cannot appear in
-// configuration names.
+// classSep separates segment names inside a class ID. Names read from a
+// document never hold it (AppendKey and CheckName refuse it), so a class
+// ID names exactly one sequence of segment names, which Delta relies on.
 const classSep = '\x00'
 
 // classID builds the unambiguous class identity of a key.
@@ -240,7 +241,7 @@ func displayClass(id string) string {
 
 func hasClassSep(s string) bool {
 	for i := 0; i < len(s); i++ {
-		if s[i] == 0 {
+		if s[i] == classSep {
 			return true
 		}
 	}

@@ -49,6 +49,12 @@ func (csvDriver) Parse(data []byte, sourceName string) ([]*config.Instance, erro
 		if h == "Name" {
 			nameCol = i
 		}
+		if err := config.CheckName(h); err != nil {
+			return nil, fmt.Errorf("csv: %s: %w", sourceName, err)
+		}
+	}
+	if err := config.CheckName(class); err != nil {
+		return nil, fmt.Errorf("csv: %s: %w", sourceName, err)
 	}
 	var out []*config.Instance
 	for ri, row := range rows[1:] {

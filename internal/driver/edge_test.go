@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -169,6 +170,45 @@ func TestINIQuoteStripping(t *testing.T) {
 		}
 		if ins[0].Value != c.want {
 			t.Errorf("ini value %s: got %q, want %q", c.raw, ins[0].Value, c.want)
+		}
+	}
+}
+
+// A NUL byte in a name is refused where the name is read. The store joins
+// a class's names with NUL, so a.b\x00c and a\x00b.c would otherwise share
+// one class — and discovering either would find instances of the other or
+// miss its own. XML cannot spell a NUL at all; that is pinned too.
+func TestNULInNameRefused(t *testing.T) {
+	for _, tc := range []struct{ format, doc, scope string }{
+		{"kv", "a\x00b.c = 1\n", ""},
+		{"kv", "a.b\x00c = 1\n", ""},
+		{"ini", "[a\x00b]\nc = 1\n", ""},
+		{"ini", "[a]\nb\x00c = 1\n", ""},
+		{"json", `{"a\u0000b": {"c": 1}}`, ""},
+		{"json", `{"a": {"b\u0000c": 1}}`, ""},
+		{"yaml", "a\x00b:\n  c: 1\n", ""},
+		{"yaml", "a:\n  b\x00c: 1\n", ""},
+		{"csv", "a\x00b,c\n1,2\n", ""},
+		{"csv", "#class R\x00w\na,b\n1,2\n", ""},
+		{"kv", "c = 1\n", "a\x00b"},
+		{"xml", "<a\x00b><Setting Key=\"c\" Value=\"1\"/></a\x00b>", ""},
+		{"xml", "<a b\x00c=\"1\"/>", ""},
+		{"xml", "<a><Setting Key=\"b&#0;c\" Value=\"1\"/></a>", ""},
+		{"xml", "<a><Setting Key=\"b\x00c\" Value=\"1\"/></a>", ""},
+	} {
+		ins, err := ParseScoped(context.Background(), tc.format, []byte(tc.doc), "nul", tc.scope)
+		if err == nil {
+			t.Errorf("%s %q (scope %q): parsed to %v, want an error", tc.format, tc.doc, tc.scope, ins)
+		}
+	}
+	// A NUL in a value, or in an instance name, is data, not a name.
+	for _, tc := range []struct{ format, doc string }{
+		{"kv", "a.b = x\x00y\n"},
+		{"kv", "a::x\x00y.b = 1\n"},
+		{"json", `{"a": {"Name": "x\u0000y", "b": "1"}}`},
+	} {
+		if _, err := ParseScoped(context.Background(), tc.format, []byte(tc.doc), "nul", ""); err != nil {
+			t.Errorf("%s %q: %v", tc.format, tc.doc, err)
 		}
 	}
 }

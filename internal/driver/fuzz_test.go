@@ -40,6 +40,11 @@ func checkParse(t *testing.T, name string, d interface {
 		if in.Key.String() == "" {
 			t.Fatalf("%s driver returned an instance with an empty key for %q", name, data)
 		}
+		for _, s := range in.Key.Segs {
+			if err := config.CheckName(s.Name); err != nil {
+				t.Fatalf("%s driver returned key %q for %q: %v", name, in.Key, data, err)
+			}
+		}
 	}
 }
 

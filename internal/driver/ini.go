@@ -54,6 +54,9 @@ func (iniDriver) Parse(data []byte, sourceName string) ([]*config.Instance, erro
 		if key == "" {
 			return nil, fmt.Errorf("ini: %s:%d: empty key", sourceName, ln+1)
 		}
+		if err := config.CheckName(key); err != nil {
+			return nil, fmt.Errorf("ini: %s:%d: %w", sourceName, ln+1, err)
+		}
 		val = unquoteINI(val)
 		segs := make([]config.Seg, 0, len(scope)+1)
 		segs = append(segs, scope...)

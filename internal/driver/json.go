@@ -44,6 +44,9 @@ func walkJSON(v interface{}, stack []config.Seg, src string, out *[]*config.Inst
 			if k == "" {
 				return fmt.Errorf("json: %s: empty member name", src)
 			}
+			if err := config.CheckName(k); err != nil {
+				return fmt.Errorf("json: %s: %w", src, err)
+			}
 			child := t[k]
 			switch c := child.(type) {
 			case map[string]interface{}:

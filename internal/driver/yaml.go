@@ -57,6 +57,9 @@ func (yamlDriver) Parse(data []byte, sourceName string) ([]*config.Instance, err
 		if l.key == "" {
 			return nil, fmt.Errorf("yaml: %s:%d: empty key", sourceName, ln+1)
 		}
+		if err := config.CheckName(l.key); err != nil {
+			return nil, fmt.Errorf("yaml: %s:%d: %w", sourceName, ln+1, err)
+		}
 		lines = append(lines, l)
 	}
 

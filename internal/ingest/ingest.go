@@ -11,7 +11,8 @@
 //     structured LoadReport entry (source, driver, error, instance
 //     count) instead of aborting the batch;
 //   - a Loader retained across validation rounds keeps the *last good
-//     parse* of every source, so a torn mid-write file degrades that one
+//     parse* of every source its latest batch named, so a torn mid-write
+//     file degrades that one
 //     source to stale data instead of killing the round, with the
 //     staleness (and its age in rounds) surfaced in the report;
 //   - loading honors a context: a deadline or Ctrl-C stops between
@@ -158,6 +159,12 @@ type lastGood struct {
 // to use. A Loader is safe for concurrent use; watch-style callers keep
 // one alive for the life of the session so a source torn mid-write in
 // round N serves round N-1's parse.
+//
+// A Loader retains the parses of the sources of the batch it loaded last
+// and of no other: each Load drops every parse its batch does not name.
+// A watch session loads one fixed source set every round and keeps all of
+// it; a service, whose requests name their payloads, keeps one request's
+// per concurrent load however many names it has been sent.
 type Loader struct {
 	// MaxStale bounds how many consecutive rounds a failing source is
 	// served from its last good parse before it degrades to quarantined.
@@ -176,7 +183,8 @@ func NewLoader(maxStale int) *Loader { return &Loader{MaxStale: maxStale} }
 // on a per-source failure: failed sources are served stale (within
 // MaxStale) or quarantined, and the returned LoadReport accounts for
 // every source examined. Cancellation between sources stops the batch
-// with Interrupted set.
+// with Interrupted set. Afterwards the loader retains the parses of this
+// batch's sources only, examined or not.
 func (l *Loader) Load(ctx context.Context, st *config.Store, sources []Source) *LoadReport {
 	rep := &LoadReport{}
 	for _, src := range sources {
@@ -186,19 +194,40 @@ func (l *Loader) Load(ctx context.Context, st *config.Store, sources []Source) *
 		}
 		rep.Outcomes = append(rep.Outcomes, l.loadOne(ctx, st, src))
 	}
+	l.retainOnly(sources)
 	return rep
+}
+
+// retainOnly drops every retained parse that no source of the batch names.
+func (l *Loader) retainOnly(sources []Source) {
+	named := make(map[goodKey]bool, len(sources))
+	for _, src := range sources {
+		named[keyOf(src)] = true
+	}
+	l.mu.Lock()
+	for k := range l.good {
+		if !named[k] {
+			delete(l.good, k)
+		}
+	}
+	l.mu.Unlock()
+}
+
+// keyOf is the key a source's parse is retained under.
+func keyOf(src Source) goodKey {
+	format := src.Format
+	if format == "" {
+		format = FormatFromPath(src.Name)
+	}
+	return goodKey{src.Name, format, src.Scope}
 }
 
 // loadOne handles one source: fetch, parse (panic-contained), store, and
 // last-good bookkeeping.
 func (l *Loader) loadOne(ctx context.Context, st *config.Store, src Source) Outcome {
-	format := src.Format
-	if format == "" {
-		format = FormatFromPath(src.Name)
-	}
-	out := Outcome{Source: src.Name, Driver: format}
-	key := goodKey{src.Name, format, src.Scope}
-	ins, err := fetchAndParse(ctx, src, format)
+	key := keyOf(src)
+	out := Outcome{Source: src.Name, Driver: key.format}
+	ins, err := fetchAndParse(ctx, src, key.format)
 	if err == nil {
 		st.AddAll(ins)
 		out.Instances = len(ins)

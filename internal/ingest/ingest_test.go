@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"confvalley/internal/config"
 )
@@ -304,5 +307,57 @@ func TestConcurrentLoadRounds(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// A loader keeps the parses of its latest batch and no others. A service
+// tenant's requests name their own payloads, so without the bound a
+// thousand names meant a thousand retained parses, each pinning its
+// payload's bytes; a source named in every batch is still served stale.
+func TestLoaderRetainsOneBatch(t *testing.T) {
+	const loads = 1000
+	l := NewLoader(0)
+	var collected atomic.Int64
+	previous := make(chan struct{})
+	for i := 0; i < loads; i++ {
+		// Bytes of their own, which the KV parse borrows its strings from.
+		doc := append(make([]byte, 0, 256), fmt.Sprintf("request = %d\n", i)...)
+		runtime.SetFinalizer(&doc[0], func(*byte) {
+			collected.Add(1)
+			if i == loads-2 {
+				close(previous)
+			}
+		})
+		batch := []Source{memSource(fmt.Sprintf("payload-%d.kv", i), "kv", doc), memSource("fixed.json", "json", goodJSON)}
+		if rep := l.Load(context.Background(), config.NewStore(), batch); rep.Loaded() != len(batch) {
+			t.Fatalf("load %d: %+v", i, rep.Outcomes)
+		}
+		l.mu.Lock()
+		held := len(l.good)
+		l.mu.Unlock()
+		if held > len(batch) {
+			t.Fatalf("after load %d the loader holds %d parses, want at most the batch's %d", i, held, len(batch))
+		}
+	}
+	// Finalizers run on their own goroutine some time after the cycle that
+	// found the object dead.
+	done := false
+	for i := 0; i < 20 && !done; i++ {
+		runtime.GC()
+		select {
+		case <-previous:
+			done = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if !done {
+		t.Fatalf("the previous batch's parse was not collected (%d of %d collected)", collected.Load(), loads)
+	}
+	if got := collected.Load(); got < loads-2 {
+		t.Errorf("%d of %d earlier parses were collected, want at least %d", got, loads-1, loads-2)
+	}
+	rep := l.Load(context.Background(), config.NewStore(), []Source{memSource("fixed.json", "json", []byte("{torn"))})
+	if o := rep.Outcomes[0]; !o.Stale || o.Instances != 2 {
+		t.Fatalf("a source named in every batch lost its last good parse: %+v", o)
 	}
 }

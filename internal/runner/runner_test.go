@@ -124,31 +124,38 @@ func TestRunSpecLoadAccounting(t *testing.T) {
 	}
 }
 
-// The loader persists across runs: a source torn in round 2 is served
-// from round 1's parse.
+// The loaders persist across runs: sources torn in round 2 are served
+// from round 1's parses. A round loads two batches — the job's sources,
+// then the spec's own load commands — and a loader keeps only its latest
+// batch's parses, so each batch needs a loader of its own.
 func TestRunServesStaleAcrossRounds(t *testing.T) {
 	dir := t.TempDir()
-	data := filepath.Join(dir, "d.json")
-	if err := os.WriteFile(data, []byte(`{"app": {"timeout": "30"}}`), 0o644); err != nil {
-		t.Fatal(err)
+	data, loaded := filepath.Join(dir, "d.json"), filepath.Join(dir, "l.json")
+	write := func(path, doc string) {
+		t.Helper()
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+	write(data, `{"app": {"timeout": "30"}}`)
+	write(loaded, `{"db": {"port": "5432"}}`)
 	r := New(Options{})
 	job := Job{
-		SpecSrc: "$app.timeout -> int & [1, 60]",
+		SpecSrc: "load 'json' '" + loaded + "'\n$app.timeout -> int & [1, 60]\n$db.port -> int\n",
 		Sources: []confvalley.Source{{Name: data, Format: "json"}},
 	}
 	if res, err := r.Run(context.Background(), job); err != nil || res.Code() != 0 {
 		t.Fatalf("round 1: res=%+v err=%v", res, err)
 	}
-	if err := os.WriteFile(data, []byte(`{"app":`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	write(data, `{"app":`)
+	write(loaded, `{"db":`)
 	res, err := r.Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Code() != 0 || res.Data.Stale() != 1 {
-		t.Errorf("round 2 should serve stale: code=%d stale=%d", res.Code(), res.Data.Stale())
+	if res.Code() != 0 || res.Data.Stale() != 1 || res.SpecLoads.Stale() != 1 {
+		t.Errorf("round 2 should serve both stale: code=%d sources stale=%d spec loads stale=%d",
+			res.Code(), res.Data.Stale(), res.SpecLoads.Stale())
 	}
 }
 

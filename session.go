@@ -76,9 +76,12 @@ type Session struct {
 	// safely; last writer wins and the loser's state is simply not reused.
 	last atomic.Pointer[RunState]
 
-	// loader retains last-good parses across LoadSources calls and
-	// Degrade-mode load commands; lazily built with the session's MaxStale.
-	loader atomic.Pointer[ingest.Loader]
+	// dataLoader retains last-good parses across LoadSources calls and
+	// specLoader across Degrade-mode load commands; each is lazily built
+	// with the session's MaxStale. A loader keeps its latest batch's
+	// parses only, so the two kinds of batch, which alternate in a runner
+	// round, each have their own.
+	dataLoader, specLoader atomic.Pointer[ingest.Loader]
 	// loadRep retains the most recent Degrade-mode load report.
 	loadRep atomic.Pointer[ingest.LoadReport]
 }
@@ -313,23 +316,28 @@ func (s *Session) degradeLoads(ctx context.Context, prog *Program, st *Store) *L
 	for _, ld := range prog.Loads {
 		sources = append(sources, s.ingestSource(ld))
 	}
-	rep := s.LoadSources(ctx, st, sources)
+	rep := s.loadWith(ctx, &s.specLoader, st, sources)
 	s.loadRep.Store(rep)
 	return rep
 }
 
 // LoadSources loads configuration sources into st with graceful
-// degradation, through the session's one loader: the last-good parses it
-// retains serve these sources and the load commands of Degrade-mode
-// programs alike, so a session has a single answer to "what did this
-// source last parse to". A failing source is served stale within
-// MaxStale rounds or quarantined; the report accounts for every source.
+// degradation, through the session's loader for them: a source that
+// fails is served stale, within MaxStale rounds, when the previous call
+// named it too, and is quarantined otherwise; the report accounts for
+// every source.
 func (s *Session) LoadSources(ctx context.Context, st *Store, sources []Source) *LoadReport {
-	l := s.loader.Load()
+	return s.loadWith(ctx, &s.dataLoader, st, sources)
+}
+
+// loadWith loads sources through the loader at p, building it first if
+// none has been.
+func (s *Session) loadWith(ctx context.Context, p *atomic.Pointer[ingest.Loader], st *Store, sources []Source) *LoadReport {
+	l := p.Load()
 	if l == nil {
 		l = ingest.NewLoader(s.MaxStale)
-		if !s.loader.CompareAndSwap(nil, l) {
-			l = s.loader.Load()
+		if !p.CompareAndSwap(nil, l) {
+			l = p.Load()
 		}
 	}
 	return l.Load(ctx, st, sources)
