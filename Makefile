@@ -10,7 +10,7 @@ GO ?= go
 # only ever met one core hid a red tier-1 for six PRs.
 PROCS ?= 1 2 4
 
-.PHONY: all build lint tier1 test bench plan-bench stress store-bench incremental-bench fault-bench load-bench servecache-bench fuzz-smoke bench-smoke e2e crash-chaos repo-bench repo-bench-smoke profile-expert profile-ingest profile-request profile-cli
+.PHONY: all build lint tier1 test bench plan-bench stress store-bench incremental-bench fault-bench fuzz-smoke bench-smoke e2e crash-chaos repo-bench repo-bench-smoke profile-expert profile-ingest profile-request profile-cli
 
 all: build
 
@@ -92,17 +92,6 @@ incremental-bench:
 fault-bench:
 	$(GO) run ./cmd/cvbench -run fault -full
 
-# Regenerate the throughput numbers recorded in BENCH_load.json.
-load-bench:
-	$(GO) run ./cmd/cvbench -run load -full
-
-# Regenerate the service-cache numbers recorded in
-# BENCH_servecache.json (cold vs repeat vs low-churn request streams;
-# the identity gate panics if any cached answer diverges from a cold
-# CLI-path run).
-servecache-bench:
-	$(GO) run ./cmd/cvbench -run servecache -full
-
 # Short coverage-guided run of each fuzzer on top of the checked-in
 # seeds: the format drivers (FuzzXML differentially, against the
 # encoding/xml oracle; FuzzKV differentially, against the strings.Split
@@ -124,12 +113,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaOverlaps$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/config/
 
 # One iteration of every benchmark — compile/panic smoke, no timing
-# claims — plus a quick-scale pass of the load harness (both drivers and
-# the partition ablation run; the ablation's report-identity gate panics
-# on any divergence). Mirrors the CI "Bench smoke" step.
+# claims. Mirrors the CI "Bench smoke" step.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
-	$(GO) run ./cmd/cvbench -run load
 
 # CPU and allocation profile of the evaluator on the expert_eval inputs
 # (BenchmarkExpertEval: the engine's share of that workload, nothing

@@ -622,6 +622,36 @@ func BenchmarkEndToEndSession(b *testing.B) {
 	}
 }
 
+// checkDiscoveryWork repeats experiments.Discovery's two arms on the
+// same workload and checks the store's counters: the indexed arm issues
+// the experiment's queries, scans no instance and answers repeats from
+// its cache; the naive arm scans the whole store on every query.
+func checkDiscoveryWork(t *testing.T, cfg experiments.Config, queries int64) {
+	t.Helper()
+	a := azuregen.GenerateA(cfg.ScaleA, cfg.Seed)
+	prog, err := compiler.Compile(infer.Infer(a.Store, infer.Defaults()).GenerateCPL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := a.Store.Stats
+	run := func(naive bool) {
+		a.Store.InvalidateCache()
+		a.Store.ResetStats()
+		eng := engine.Engine{Store: a.Store, Env: simenv.NewSim(), Opts: engine.Options{NaiveDiscovery: naive, Interpret: true}}
+		eng.Run(prog)
+	}
+	run(false)
+	if stats.Queries() != queries || stats.Scanned() != 0 || stats.CacheHits() == 0 {
+		t.Errorf("discovery, indexed arm: %d queries (experiment: %d), %d scanned, %d cache hits; want equal queries, 0 scanned, some hits",
+			stats.Queries(), queries, stats.Scanned(), stats.CacheHits())
+	}
+	run(true)
+	if want := queries * int64(a.Store.Len()); queries < 2 || stats.Scanned() != want {
+		t.Errorf("discovery, naive arm: %d instances scanned over %d queries, want %d (a full scan per query)",
+			stats.Scanned(), queries, want)
+	}
+}
+
 // TestExperimentsSmoke runs every cvbench experiment once at reduced
 // scale, asserting the qualitative shapes the paper reports.
 func TestExperimentsSmoke(t *testing.T) {
@@ -683,10 +713,8 @@ func TestExperimentsSmoke(t *testing.T) {
 		t.Fatalf("Table 8 rows = %d", len(t8))
 	}
 	for _, r := range t8 {
-		// P10 max should not exceed sequential by more than scheduling
-		// noise (tiny workloads jitter on loaded machines).
-		if r.P10Max > r.Sequential*2 {
-			t.Errorf("Table 8 %s: P10 max %v exceeds sequential %v", r.Name, r.P10Max, r.Sequential)
+		if r.Instances == 0 || r.SpecCount == 0 {
+			t.Errorf("Table 8 %s: %d instances, %d specs", r.Name, r.Instances, r.SpecCount)
 		}
 	}
 
@@ -713,17 +741,18 @@ func TestExperimentsSmoke(t *testing.T) {
 		t.Error("trap archetypes produced no inaccuracies; the §6.3 experiment is vacuous")
 	}
 
+	// The ablations below assert counted work, not wall-clock ratios:
+	// the experiments print their times, which a loaded host skews.
 	d := experiments.Discovery(cfg)
-	if d.Speedup < 2 {
-		t.Errorf("discovery speedup = %.1fx, want ≥2x (paper: 5x–40x)", d.Speedup)
-	}
+	checkDiscoveryWork(t, cfg, d.Queries)
 
-	pa := experiments.PlanAblation(cfg)
-	if pa.SpeedupCached < 2 {
-		t.Errorf("cached-plan speedup = %.1fx over AST interpretation, want ≥2x", pa.SpeedupCached)
-	}
-	if pa.PlanCold > pa.PlanCached*3 {
-		t.Errorf("cold plan %v is implausibly slower than cached %v; lowering cost regressed", pa.PlanCold, pa.PlanCached)
+	hits0, misses0 := plan.CacheStats()
+	experiments.PlanAblation(cfg)
+	hits1, misses1 := plan.CacheStats()
+	// Three cold runs lower the plan again each time; three cached runs
+	// reuse it.
+	if misses1-misses0 != 3 || hits1-hits0 != 3 {
+		t.Errorf("plan ablation: %d lowerings, %d cache hits; want 3 and 3", misses1-misses0, hits1-hits0)
 	}
 
 	t2 := experiments.Table2(cfg)

@@ -5,7 +5,7 @@
 //
 //	cvbench [-run all|table2|table3|table4|table5|figure5|table6|table7|
 //	         table8|table9|figure4|discovery|plan|storecache|incremental|
-//	         fault|load|servecache]
+//	         fault]
 //	        [-full] [-scale S] [-seed N]
 //
 // With -full the corpora are generated at paper scale (Type B holds 2.3
@@ -122,14 +122,6 @@ func run() int {
 	if all || want["fault"] {
 		sep()
 		experiments.FaultTolerance(cfg)
-	}
-	if all || want["load"] {
-		sep()
-		experiments.Load(cfg)
-	}
-	if all || want["servecache"] {
-		sep()
-		experiments.ServeCache(cfg)
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "cvbench: unknown experiment %q\n", *which)

@@ -57,10 +57,6 @@ type Options struct {
 	// partition count is always clamped to the spec count. StopOnFirst
 	// runs stay sequential unless Parallel > 1 is set explicitly.
 	Parallel int
-	// Partition selects how parallel runs split specs across workers;
-	// the zero value is cost-model LPT bin-packing with round-robin
-	// fallback (see partition.go).
-	Partition PartitionStrategy
 	// Interpret evaluates the program by walking its AST instead of
 	// executing the lowered plan — the pre-lowering implementation, kept
 	// for the interpreted-vs-planned ablation and as a semantic oracle
@@ -248,10 +244,10 @@ func runParts(parts [][]int, runPart func(idxs []int, rep *report.Report)) *repo
 }
 
 // PartitionTimes runs each of n partitions sequentially and reports each
-// partition's wall time; cvbench uses it for Table 8's P10 columns — and
-// the load harness for the partition-strategy ablation's makespan —
-// without depending on the host's core count. Partitions follow
-// Opts.Partition, clamped to the spec count.
+// partition's wall time; cvbench uses it for Table 8's P10 columns
+// without depending on the host's core count. Partitions are the ones a
+// parallel run would use (see partitionSpecs), clamped to the spec
+// count.
 func (e *Engine) PartitionTimes(prog *compiler.Program, n int) []time.Duration {
 	e.begin(context.Background(), prog)
 	p := e.planFor(prog)

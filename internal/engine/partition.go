@@ -1,11 +1,11 @@
 package engine
 
-// Spec partitioning for parallel validation. Two strategies exist: the
-// default cost-model partitioner bin-packs specs onto workers by their
-// estimated cost (LPT — longest processing time first — on footprint
-// match counts, see plan.Costs), and the original round-robin splitter
-// is kept both as the fallback when the cost model covers too little of
-// the program and as the baseline for the load-harness ablation.
+// Spec partitioning for parallel validation. The cost-model partitioner
+// bin-packs specs onto workers by their estimated cost (LPT — longest
+// processing time first — on footprint match counts, see plan.Costs);
+// the round-robin splitter is its fallback when the run bypasses the
+// plan layer (Interpret) or the cost model covers too little of the
+// program.
 //
 // Partition composition never affects report content: violations carry
 // the spec's execution position and the merge restores sequential
@@ -18,28 +18,6 @@ import (
 
 	"confvalley/internal/plan"
 )
-
-// PartitionStrategy selects how a parallel run splits specifications
-// across workers.
-type PartitionStrategy int
-
-const (
-	// PartitionCost is the default: LPT bin-packing on per-spec cost
-	// estimated from the footprint index, falling back to round-robin
-	// when most footprints are Dynamic (no usable cost model) or the
-	// run bypasses the plan layer (Interpret).
-	PartitionCost PartitionStrategy = iota
-	// PartitionRoundRobin forces the index round-robin splitter.
-	PartitionRoundRobin
-)
-
-// String renders the strategy for logs and benchmark tables.
-func (s PartitionStrategy) String() string {
-	if s == PartitionRoundRobin {
-		return "round-robin"
-	}
-	return "cost-model"
-}
 
 // effectiveParallel resolves Opts.Parallel to the worker count for a
 // run over nspecs specifications: 0 (or negative) means one partition
@@ -69,7 +47,7 @@ func (e *Engine) effectiveParallel(nspecs int) int {
 // positions) into exactly min(n, len(idxs)) non-empty partitions, each
 // kept in ascending order so every partition report is Seq-sorted by
 // construction. p may be nil (interpreted runs), which forces
-// round-robin.
+// round-robin, as does a program whose costs are mostly unknown.
 func (e *Engine) partitionSpecs(p *plan.Plan, idxs []int, n int) [][]int {
 	if n > len(idxs) {
 		n = len(idxs)
@@ -77,7 +55,7 @@ func (e *Engine) partitionSpecs(p *plan.Plan, idxs []int, n int) [][]int {
 	if n <= 1 {
 		return [][]int{idxs}
 	}
-	if e.Opts.Partition == PartitionRoundRobin || p == nil {
+	if p == nil {
 		return roundRobin(idxs, n)
 	}
 	costs := p.Costs(e.snapshot())
@@ -153,16 +131,4 @@ func lptPartition(idxs []int, costs []int64, n int) [][]int {
 		sort.Ints(parts[i])
 	}
 	return parts
-}
-
-// partitionLoads sums estimated cost per partition — the load harness
-// reports the balance the ablation compares.
-func partitionLoads(parts [][]int, costs []int64) []int64 {
-	out := make([]int64, len(parts))
-	for i, part := range parts {
-		for _, j := range part {
-			out[i] += costs[j]
-		}
-	}
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"confvalley/internal/compiler"
@@ -37,37 +38,53 @@ func TestEffectiveParallel(t *testing.T) {
 	}
 }
 
-// No strategy may ever produce an empty partition: every partition is a
-// goroutine, and a goroutine with no work is the bug this PR removes.
+// Neither splitter may ever produce an empty partition: every partition
+// is a goroutine, and a goroutine with no work is wasted.
 func TestPartitionSpecsNeverEmpty(t *testing.T) {
-	for _, strat := range []PartitionStrategy{PartitionRoundRobin, PartitionCost} {
+	splitters := []struct {
+		name  string
+		split func(idxs []int, n int) [][]int
+	}{
+		{"round-robin", roundRobin},
+		{"lpt", func(idxs []int, n int) [][]int {
+			costs := make([]int64, len(idxs))
+			for i := range costs {
+				costs[i] = int64(1 + i%5*100) // skewed, so LPT reorders
+			}
+			return lptPartition(idxs, costs, n)
+		}},
+	}
+	for _, sp := range splitters {
 		for _, nspecs := range []int{1, 2, 3, 7, 24} {
 			for _, n := range []int{1, 2, 3, 8, 50} {
 				idxs := make([]int, nspecs)
 				for i := range idxs {
 					idxs[i] = i
 				}
-				e := &Engine{Opts: Options{Partition: strat}}
-				parts := e.partitionSpecs(nil, idxs, n) // nil plan: round-robin path
 				wantParts := n
 				if wantParts > nspecs {
 					wantParts = nspecs
 				}
+				parts := sp.split(idxs, wantParts)
 				if len(parts) != wantParts {
-					t.Fatalf("%v nspecs=%d n=%d: %d partitions, want %d", strat, nspecs, n, len(parts), wantParts)
+					t.Fatalf("%s nspecs=%d n=%d: %d partitions, want %d", sp.name, nspecs, n, len(parts), wantParts)
 				}
 				seen := 0
 				for _, p := range parts {
 					if len(p) == 0 {
-						t.Fatalf("%v nspecs=%d n=%d: empty partition", strat, nspecs, n)
+						t.Fatalf("%s nspecs=%d n=%d: empty partition", sp.name, nspecs, n)
 					}
 					seen += len(p)
 				}
 				if seen != nspecs {
-					t.Fatalf("%v nspecs=%d n=%d: %d specs partitioned, want %d", strat, nspecs, n, seen, nspecs)
+					t.Fatalf("%s nspecs=%d n=%d: %d specs partitioned, want %d", sp.name, nspecs, n, seen, nspecs)
 				}
 			}
 		}
+	}
+	// partitionSpecs clamps n to the spec count before splitting.
+	if parts := (&Engine{}).partitionSpecs(nil, []int{0, 1, 2}, 8); len(parts) != 3 {
+		t.Fatalf("partitionSpecs(3 specs, n=8) = %d partitions, want 3", len(parts))
 	}
 }
 
@@ -116,6 +133,17 @@ func TestLPTPartitionBalance(t *testing.T) {
 	}
 }
 
+// partitionLoads sums estimated cost per partition.
+func partitionLoads(parts [][]int, costs []int64) []int64 {
+	out := make([]int64, len(parts))
+	for i, part := range parts {
+		for _, j := range part {
+			out[i] += costs[j]
+		}
+	}
+	return out
+}
+
 func TestFillUnknownCosts(t *testing.T) {
 	costs := []int64{10, plan.CostUnknown, 20, plan.CostUnknown}
 	// Half known (2 of 4): the model stays usable, unknowns get the mean.
@@ -153,11 +181,19 @@ func reportJSON(t *testing.T, rep *report.Report) string {
 	return string(b)
 }
 
-// Metamorphic property: partitioning strategy and width are invisible
-// in the report — cost-model and round-robin parallel runs are
-// byte-identical to the sequential run, violations in the same order,
-// not merely the same set.
+// Metamorphic property: partitioning and its width are invisible in the
+// report — LPT and round-robin parallel runs are byte-identical to the
+// sequential run, violations in the same order, not merely the same set.
+// The plan path prices each spec and bin-packs (LPT); an interpreted run
+// has no plan and deals round-robin.
 func TestPropPartitionStrategiesByteIdentical(t *testing.T) {
+	partitioners := []struct {
+		name string
+		opts Options
+	}{
+		{"lpt", Options{}},
+		{"round-robin", Options{Interpret: true}},
+	}
 	for seed := int64(60); seed < 72; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		st := randomCorpus(rng, 20)
@@ -166,14 +202,17 @@ func TestPropPartitionStrategiesByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		seq := reportJSON(t, (&Engine{Store: st, Env: simenv.NewSim(), Opts: Options{Parallel: 1}}).Run(prog))
-		for _, workers := range []int{2, 3, 4, 8} {
-			for _, strat := range []PartitionStrategy{PartitionCost, PartitionRoundRobin} {
-				eng := &Engine{Store: st, Env: simenv.NewSim(), Opts: Options{Parallel: workers, Partition: strat}}
-				par := reportJSON(t, eng.Run(prog))
+		for _, pt := range partitioners {
+			seqOpts := pt.opts
+			seqOpts.Parallel = 1
+			seq := reportJSON(t, (&Engine{Store: st, Env: simenv.NewSim(), Opts: seqOpts}).Run(prog))
+			for _, workers := range []int{2, 3, 4, 8} {
+				opts := pt.opts
+				opts.Parallel = workers
+				par := reportJSON(t, (&Engine{Store: st, Env: simenv.NewSim(), Opts: opts}).Run(prog))
 				if par != seq {
-					t.Errorf("seed %d: %v parallel(%d) report differs from sequential\nseq: %s\npar: %s",
-						seed, strat, workers, seq, par)
+					t.Errorf("seed %d: %s parallel(%d) report differs from sequential\nseq: %s\npar: %s",
+						seed, pt.name, workers, seq, par)
 				}
 			}
 		}
@@ -181,27 +220,46 @@ func TestPropPartitionStrategiesByteIdentical(t *testing.T) {
 }
 
 // The incremental subset path shares the partitioner; its spliced
-// report must stay byte-identical to a full run under every strategy.
+// report must stay byte-identical to a full run under both splitters.
+// An interpreted run never splices, so the subset path reaches
+// round-robin only through the cost model's fallback: the second arm
+// adds enough Dynamic specs (no static cost) to trigger it.
 func TestIncrementalSubsetUsesPartitioner(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	st := randomCorpus(rng, 20)
 	src := randomSuite(rng, 20)
-	prog, err := compiler.Compile(src)
-	if err != nil {
-		t.Fatal(err)
+	var dynamic strings.Builder
+	for i := 0; i < 30; i++ {
+		fmt.Fprintf(&dynamic, "if ($Pick%d -> nonempty) {\n  $Data::$Pick%d.Val -> nonempty\n}\n", i, i)
 	}
-	for _, strat := range []PartitionStrategy{PartitionCost, PartitionRoundRobin} {
-		prev := &Engine{Store: st, Env: simenv.NewSim(), Opts: Options{Parallel: 4, Partition: strat}}
+	arms := []struct {
+		name, src string
+		lpt       bool
+	}{
+		{"lpt", src, true},
+		{"round-robin", src + dynamic.String(), false},
+	}
+	for _, arm := range arms {
+		prog, err := compiler.Compile(arm.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		costs := plan.For(prog).Costs(st.Snapshot())
+		if gotLPT := fillUnknownCosts(allSpecs(prog), costs) != nil; gotLPT != arm.lpt {
+			t.Fatalf("%s: cost model usable = %t, want %t", arm.name, gotLPT, arm.lpt)
+		}
+		opts := Options{Parallel: 4}
+		prev := &Engine{Store: st, Env: simenv.NewSim(), Opts: opts}
 		prevRep := prev.Run(prog)
 		prevSnap := prev.PinnedSnapshot()
 
 		// Mutate a slice of the corpus so a subset of specs re-runs.
 		mutated := mutateCorpus(rng, st)
-		full := (&Engine{Store: mutated, Env: simenv.NewSim(), Opts: Options{Parallel: 4, Partition: strat}}).Run(prog)
-		incEng := &Engine{Store: mutated, Env: simenv.NewSim(), Opts: Options{Parallel: 4, Partition: strat}}
+		full := (&Engine{Store: mutated, Env: simenv.NewSim(), Opts: opts}).Run(prog)
+		incEng := &Engine{Store: mutated, Env: simenv.NewSim(), Opts: opts}
 		inc := incEng.RunIncremental(prog, prevSnap, prevRep)
 		if inc.SpecsReused == 0 {
-			t.Fatalf("%v: incremental run reused nothing — subset path not exercised", strat)
+			t.Fatalf("%s: incremental run reused nothing — subset path not exercised", arm.name)
 		}
 		fj, ij := reportJSON(t, full), reportJSON(t, inc)
 		// SpecsReused legitimately differs; zero it for the comparison.
@@ -211,7 +269,7 @@ func TestIncrementalSubsetUsesPartitioner(t *testing.T) {
 		fb, _ := fullC.JSON()
 		ib, _ := incC.JSON()
 		if string(fb) != string(ib) {
-			t.Errorf("%v: incremental report differs from full run\nfull: %s\ninc: %s", strat, fj, ij)
+			t.Errorf("%s: incremental report differs from full run\nfull: %s\ninc: %s", arm.name, fj, ij)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package plan
 
 // Evaluation-context pooling. Every SpecNode.Run used to allocate a
 // fresh Ctx plus one []outcome per predicate closure per element batch;
-// under the parallel engine and the load harness those allocations
+// under the parallel engine and a busy service those allocations
 // dominate the profile. A Ctx is instead drawn from a pool and carries
 // a retained outcome arena that predicate closures carve slices from.
 //

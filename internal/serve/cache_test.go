@@ -19,7 +19,9 @@ import (
 	"time"
 
 	"confvalley"
+	"confvalley/internal/azuregen"
 	"confvalley/internal/config"
+	"confvalley/internal/infer"
 	"confvalley/internal/plan"
 	"confvalley/internal/predicate"
 	"confvalley/internal/report"
@@ -118,47 +120,118 @@ func TestResultCacheRepeatByteIdentity(t *testing.T) {
 	}
 }
 
-// A low-churn request stream — each payload differs from the previous
-// in one key — takes the incremental path (snapshot diff, spec-level
-// reuse) yet stays byte-identical to running every request cold.
+// A low-churn request stream takes the incremental path (snapshot diff,
+// spec-level reuse) yet stays byte-identical to running every request
+// cold. Two inputs: a 3-key KV payload where each request changes one
+// key, and the inferred Type A suite over its corpus as XML, sent as is,
+// repeated, and with 0.1 % and 1 % of instances churned.
 func TestIncrementalChurnMatchesFullRuns(t *testing.T) {
-	ctx := context.Background()
-	_, cold := testClient(t, coldConfig())
-	srv, warm := testClient(t, Config{})
-	for _, c := range []*Client{cold, warm} {
-		if _, err := c.Register(ctx, "checks", cacheSpec); err != nil {
-			t.Fatal(err)
+	t.Run("kv", func(t *testing.T) {
+		ctx := context.Background()
+		_, cold := testClient(t, coldConfig())
+		srv, warm := testClient(t, Config{})
+		for _, c := range []*Client{cold, warm} {
+			if _, err := c.Register(ctx, "checks", cacheSpec); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
 
-	for round := 0; round < 5; round++ {
-		data := fmt.Sprintf("app.timeout = %d\napp.retries = 2\ndb.host = db1\n", 10+round)
-		coldResp, err := cold.Validate(ctx, "checks", kvRequest(data))
-		if err != nil {
-			t.Fatal(err)
+		for round := 0; round < 5; round++ {
+			data := fmt.Sprintf("app.timeout = %d\napp.retries = 2\ndb.host = db1\n", 10+round)
+			coldResp, err := cold.Validate(ctx, "checks", kvRequest(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			warmResp, err := warm.Validate(ctx, "checks", kvRequest(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := wireModuloCaching(t, warmResp.Report), wireModuloCaching(t, coldResp.Report)
+			if !bytes.Equal(got, want) {
+				t.Errorf("round %d diverged:\nincremental: %s\n       cold: %s", round, got, want)
+			}
+			if round > 0 && warmResp.Report.SpecsReused != 2 {
+				t.Errorf("round %d reused %d specs, want 2 (only $app.timeout churned)",
+					round, warmResp.Report.SpecsReused)
+			}
 		}
-		warmResp, err := warm.Validate(ctx, "checks", kvRequest(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, want := wireModuloCaching(t, warmResp.Report), wireModuloCaching(t, coldResp.Report)
-		if !bytes.Equal(got, want) {
-			t.Errorf("round %d diverged:\nincremental: %s\n       cold: %s", round, got, want)
-		}
-		if round > 0 && warmResp.Report.SpecsReused != 2 {
-			t.Errorf("round %d reused %d specs, want 2 (only $app.timeout churned)",
-				round, warmResp.Report.SpecsReused)
-		}
-	}
 
-	st := srv.Stats()
-	if st.IncrementalRuns != 4 || st.SpecsReused != 8 {
-		t.Errorf("incremental accounting = %d runs / %d reused, want 4 / 8",
-			st.IncrementalRuns, st.SpecsReused)
+		st := srv.Stats()
+		if st.IncrementalRuns != 4 || st.SpecsReused != 8 {
+			t.Errorf("incremental accounting = %d runs / %d reused, want 4 / 8",
+				st.IncrementalRuns, st.SpecsReused)
+		}
+		if st.ResultCacheHits != 0 {
+			t.Errorf("distinct payloads hit the result cache %d times", st.ResultCacheHits)
+		}
+	})
+
+	t.Run("typeA-xml", func(t *testing.T) {
+		ctx := context.Background()
+		a := azuregen.GenerateA(0.05, 2015)
+		spec := infer.Infer(a.Store, infer.Defaults()).GenerateCPL()
+		base := azuregen.RenderXML(a.Store)
+		payloads := [][]byte{base, base} // the repeat is a result-cache hit
+		for round := 0; round < 2; round++ {
+			payloads = append(payloads, churnXML(a.Store, 0.001, round), churnXML(a.Store, 0.01, round))
+		}
+
+		_, cold := testClient(t, coldConfig())
+		srv, warm := testClient(t, Config{})
+		for _, c := range []*Client{cold, warm} {
+			if _, err := c.Register(ctx, "suite", spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, payload := range payloads {
+			req := ValidateRequest{Payloads: []PayloadRef{{Name: "corpus.xml", Format: "xml", Data: string(payload)}}}
+			coldResp, err := cold.Validate(ctx, "suite", req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if coldResp.Report.InstancesChecked == 0 {
+				t.Fatalf("payload %d: the suite checked no instance; the comparison would be vacuous", i)
+			}
+			warmResp, err := warm.Validate(ctx, "suite", req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := wireModuloCaching(t, warmResp.Report), wireModuloCaching(t, coldResp.Report)
+			if !bytes.Equal(got, want) {
+				t.Errorf("payload %d diverged from a cold run:\n got: %.400s\nwant: %.400s", i, got, want)
+			}
+		}
+
+		st := srv.Stats()
+		if st.ResultCacheHits != 1 {
+			t.Errorf("result cache hits = %d, want 1 (the repeated payload)", st.ResultCacheHits)
+		}
+		if st.IncrementalRuns != 4 || st.SpecsReused == 0 {
+			t.Errorf("churned payloads took %d incremental runs reusing %d specs; want 4 runs that reuse specs",
+				st.IncrementalRuns, st.SpecsReused)
+		}
+	})
+}
+
+// churnXML renders the corpus with a round-dependent window of ~frac of
+// its instances re-valued — a low-churn request stream, deterministic
+// per (frac, round).
+func churnXML(st *config.Store, frac float64, round int) []byte {
+	ins := st.Instances()
+	n := int(frac * float64(len(ins)))
+	if n < 1 {
+		n = 1
 	}
-	if st.ResultCacheHits != 0 {
-		t.Errorf("distinct payloads hit the result cache %d times", st.ResultCacheHits)
+	variant := config.NewStore()
+	lo := (round * n) % len(ins)
+	for i, in := range ins {
+		cp := *in
+		if d := (i - lo + len(ins)) % len(ins); d < n {
+			cp.Value += "~churned"
+		}
+		variant.Add(&cp)
 	}
+	return azuregen.RenderXML(variant)
 }
 
 // The result cache is LRU-bounded: overflowing it evicts the oldest

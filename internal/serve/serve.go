@@ -912,8 +912,7 @@ func (t *tenant) cacheInfo() TenantCaches {
 // Stats aggregates the service and per-tenant counters: admission and
 // quota decisions, cumulative validations, the global plan cache, and
 // each tenant's current-store discovery counters plus last load
-// accounting — the counters the multi-core load harness (ROADMAP) will
-// watch while it drives this server.
+// accounting.
 func (s *Server) Stats() StatsInfo {
 	hits, misses := confvalley.PlanCacheStats()
 	info := StatsInfo{
