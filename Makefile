@@ -58,10 +58,10 @@ plan-bench:
 # is the regression gate for the buildTrie race, the chaos suite drives
 # multi-round watch sessions through injected ingestion faults, the
 # serve/runner tests race concurrent tenants over shared sessions, and
-# the three retention tests wait on finalizers, so a collector-timing
+# the four retention tests wait on finalizers, so a collector-timing
 # flake shows up here first.
 stress:
-	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TestConcurrent|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos|TestTenantRetainsOneSnapshotPerSpec|TestCostsDoesNotRetainSnapshot|TestLoaderRetainsOneBatch' ./internal/config/ ./internal/engine/ ./internal/ingest/ ./internal/plan/ ./internal/runner/ ./internal/serve/ . || exit 1; done
+	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TestConcurrent|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos|TestTenantRetainsOneSnapshotPerSpec|TestCostsDoesNotRetainSnapshot|TestLoaderRetainsOneBatch|TestLoaderReleasesReparsedBuffers' ./internal/config/ ./internal/engine/ ./internal/ingest/ ./internal/plan/ ./internal/runner/ ./internal/serve/ . || exit 1; done
 
 # Full service round trip over real processes and a loopback socket:
 # build cvserve+cvcall+cvcheck, boot the server, drive it with cvcall
@@ -102,8 +102,9 @@ fault-bench:
 # the eager key-listing one in internal/config/oracle_test.go, on two KV
 # documents; as long again, with minimisation bounded, since each of its
 # executions asks a few thousand questions of both deltas and minimising
-# one new input would otherwise take most of the window). Mirrors the CI
-# "Fuzz smoke" step; a crasher or a divergence fails the target.
+# one new input would otherwise take most of the window), and the
+# loader's delta re-parse (against a full parse of the edited bytes, XML
+# and KV; thirty seconds). Mirrors the CI "Fuzz smoke" step; a crasher or a divergence fails the target.
 fuzz-smoke:
 	for f in FuzzINI FuzzCSV FuzzYAML FuzzJSON FuzzXML; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/driver/ || exit 1; \
@@ -111,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKV$$' -fuzztime 30s ./internal/driver/
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateEnvelope$$' -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaOverlaps$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/config/
+	$(GO) test -run '^$$' -fuzz '^FuzzReparse$$' -fuzztime 30s ./internal/driver/
 
 # One iteration of every benchmark — compile/panic smoke, no timing
 # claims. Mirrors the CI "Bench smoke" step.
@@ -132,9 +134,10 @@ profile-expert:
 	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space .bench_build/confvalley.test .bench_build/mem.pprof
 
 # The same for ingest (BenchmarkColdIngest: a full Type A corpus as
-# nested XML from bytes to a sealed snapshot — driver parse, store
-# build, seal — the novel_xml stages below the envelope). Same output
-# layout as profile-expert, which it overwrites.
+# nested XML from bytes to a sealed snapshot — the full driver parse,
+# store build, seal — the novel_xml stages below the envelope for a
+# payload the service cannot re-parse). Same output layout as
+# profile-expert, which it overwrites.
 profile-ingest:
 	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench '^BenchmarkColdIngest$$' -benchtime 10s \
@@ -145,8 +148,9 @@ profile-ingest:
 
 # The same for the whole cold request (BenchmarkColdRequest: the
 # novel_xml operation in-process through Server.ValidateBody — envelope
-# decode, payload hash, parse, store build, seal, diff, incremental
-# splice, report). Same output layout, which it overwrites.
+# decode, payload hash, the delta re-parse of a one-value change, store
+# build, seal, diff, incremental splice, report; profile-ingest is the
+# full parse). Same output layout, which it overwrites.
 profile-request:
 	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench '^BenchmarkColdRequest$$' -benchtime 10s \

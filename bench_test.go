@@ -415,8 +415,10 @@ func BenchmarkExpertEval(b *testing.B) {
 // novel_xml workload, for profiling (make profile-ingest): a full Type A
 // corpus as nested XML goes from bytes to a sealed snapshot — driver
 // parse, store build, seal — as it does for a payload the service has
-// never seen. Every iteration parses a fresh copy of the document, so
-// nothing an earlier parse retained can be what a later one reads.
+// never seen. Every iteration parses a fresh copy of the document in
+// full, so nothing an earlier parse retained can be what a later one
+// reads: the service re-parses a payload that differs from its previous
+// one only inside values, and this is the parse that skips.
 func BenchmarkColdIngest(b *testing.B) {
 	doc := azuregen.RenderXML(azuregen.GenerateA(1.0, 2015).Store)
 	ctx := context.Background()
@@ -473,9 +475,12 @@ func stampNonce(body []byte, off int, n int) {
 
 // BenchmarkColdRequest is the whole novel_xml operation below the
 // transport, for profiling (make profile-request): envelope decode,
-// payload hash, driver parse, store build, seal, diff against the
-// previous request's snapshot, incremental splice, report — a request
-// every cache layer misses on, in-process through Server.ValidateBody.
+// payload hash, load, store build, seal, diff against the previous
+// request's snapshot, incremental splice, report — a request every cache
+// layer misses on, in-process through Server.ValidateBody. The payload
+// differs from the previous request's in the nonce only, so the load is
+// the delta re-parse against the first request's parse, not a full
+// parse (BenchmarkColdIngest times that), and the diff walks pointers.
 func BenchmarkColdRequest(b *testing.B) {
 	spec, body, nonceOff := coldRequest(b)
 	ctx := context.Background()
@@ -500,6 +505,9 @@ func BenchmarkColdRequest(b *testing.B) {
 		if resp.Report.SpecsReused != info.Specs {
 			b.Fatalf("request %d reused %d of %d specs", i+1, resp.Report.SpecsReused, info.Specs)
 		}
+	}
+	if st := srv.Stats(); st.SourcesParsed != 1 || st.SourcesReparsed != int64(b.N) {
+		b.Fatalf("%d requests after the first: %d payloads parsed, %d re-parsed; want 1, %d", b.N, st.SourcesParsed, st.SourcesReparsed, b.N)
 	}
 }
 

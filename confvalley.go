@@ -94,6 +94,9 @@ type (
 	// Loader loads source batches with graceful degradation, retaining
 	// each source's last good parse across validation rounds.
 	Loader = ingest.Loader
+	// ParseStats counts a loader's clean loads by full parse and by delta
+	// re-parse against a retained parse.
+	ParseStats = ingest.ParseStats
 )
 
 // Severity levels for validation policies.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"unsafe"
 
 	"confvalley/internal/config"
 )
@@ -99,8 +98,7 @@ func (d kvDriver) Parse(data []byte, sourceName string) ([]*config.Instance, err
 // ParseOwned walks data in place, line by line: key segment names and
 // values of the returned instances are substrings of it.
 func (kvDriver) ParseOwned(data []byte, sourceName string) ([]*config.Instance, error) {
-	// Sound because data is never written again (OwnedDriver).
-	s := unsafe.String(unsafe.SliceData(data), len(data))
+	s := borrow(data)
 	var out slabs
 	for ln, pos := 1, 0; pos <= len(s); ln++ {
 		end := len(s)
@@ -131,4 +129,37 @@ func (kvDriver) ParseOwned(data []byte, sourceName string) ([]*config.Instance, 
 		})
 	}
 	return out.instances(), nil
+}
+
+// Reparse re-parses data against base, a document ParseOwned parsed into
+// ins (Reparser).
+func (kvDriver) Reparse(base []byte, ins []*config.Instance, data []byte) ([]*config.Instance, bool) {
+	return reparse(borrow(base), borrow(data), ins, kvValueEnd)
+}
+
+// kvValueEnd reads a changed value as ParseOwned reads any value: the new
+// line trimmed, then its part behind the first '=' trimmed. The line's
+// bytes before the value must be the old line's, so its key is too, and
+// the value must start where the walk expects it, so a value that would
+// now trim differently declines.
+func kvValueEnd(base, doc string, s, at int) (int, bool) {
+	from := strings.LastIndexByte(base[:s], '\n') + 1
+	lineAt := strings.LastIndexByte(doc[:at], '\n') + 1
+	if doc[lineAt:at] != base[from:s] {
+		return 0, false
+	}
+	end := len(doc)
+	if i := strings.IndexByte(doc[at:], '\n'); i >= 0 {
+		end = at + i
+	}
+	line := strings.TrimSpace(doc[lineAt:end])
+	eq := strings.IndexByte(line, '=')
+	if eq < 0 {
+		return 0, false
+	}
+	v := strings.TrimSpace(line[eq+1:])
+	if off, ok := offsetIn(doc, v); !ok || off != at {
+		return 0, false
+	}
+	return at + len(v), true
 }

@@ -26,12 +26,61 @@ func (d xmlDriver) Parse(data []byte, sourceName string) ([]*config.Instance, er
 // ParseOwned scans data in place: names and plain values of the returned
 // instances are substrings of it.
 func (xmlDriver) ParseOwned(data []byte, sourceName string) ([]*config.Instance, error) {
-	// Sound because data is never written again (OwnedDriver).
-	p := xmlParse{sc: xmlScanner{s: unsafe.String(unsafe.SliceData(data), len(data))}, source: sourceName}
+	p := xmlParse{sc: xmlScanner{s: borrow(data)}, source: sourceName}
 	if err := p.run(); err != nil {
 		return nil, fmt.Errorf("xml: %w", err)
 	}
 	return p.out.instances(), nil
+}
+
+// Reparse re-parses data against base, a document ParseOwned parsed into
+// ins (Reparser).
+func (xmlDriver) Reparse(base []byte, ins []*config.Instance, data []byte) ([]*config.Instance, bool) {
+	return reparse(borrow(base), borrow(data), ins, xmlValueEnd)
+}
+
+// xmlValueEnd ends a changed value where attrValue's borrowed path would:
+// at the quote that opened the value it replaces, reached over bytes that
+// path passes. A reference, a '<', a carriage return, a control byte or a
+// byte ≥ 0x80 — whatever the full parse would rewrite or refuse —
+// declines, and so does the end of the document.
+func xmlValueEnd(base, doc string, s, at int) (int, bool) {
+	if s == 0 {
+		return 0, false
+	}
+	quote := base[s-1]
+	for i := at; i < len(doc); i++ {
+		c := doc[i]
+		switch {
+		case xmlClass[c]&cValue == 0:
+		case c == quote:
+			return i, true
+		case c != '"' && c != '\'':
+			return 0, false
+		}
+	}
+	return 0, false
+}
+
+// borrow is a document the caller hands over, as a string: sound because
+// nothing writes to it again (OwnedDriver). Both owned drivers scan their
+// document through it.
+func borrow(data []byte) string {
+	return unsafe.String(unsafe.SliceData(data), len(data))
+}
+
+// offsetIn returns where s starts in doc when s is a non-empty string
+// borrowed from doc's bytes, and false for any other string: an empty one,
+// which records no position, or one with bytes of its own.
+func offsetIn(doc, s string) (int, bool) {
+	if len(s) == 0 || len(s) > len(doc) {
+		return 0, false
+	}
+	off := uintptr(unsafe.Pointer(unsafe.StringData(s))) - uintptr(unsafe.Pointer(unsafe.StringData(doc)))
+	if off > uintptr(len(doc)-len(s)) {
+		return 0, false
+	}
+	return int(off), true
 }
 
 // xmlParse is the state of one Parse call.

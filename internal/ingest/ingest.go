@@ -27,6 +27,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"confvalley/internal/config"
 	"confvalley/internal/driver"
@@ -152,6 +153,27 @@ type goodKey struct{ name, format, scope string }
 type lastGood struct {
 	ins         []*config.Instance
 	staleRounds int
+	// base is the source's latest full parse when its driver re-parses
+	// (driver.Reparser), nil otherwise: ins is base's instances or a delta
+	// re-parse of base, which shares them. Only a full parse replaces it.
+	base *document
+}
+
+// document is a full parse of bytes the loader owns: the bytes, and the
+// instances that borrow from them.
+type document struct {
+	data []byte
+	ins  []*config.Instance
+}
+
+// ParseStats counts a loader's clean loads by how their instances were
+// obtained; Parsed + Reparsed is every source it has loaded cleanly.
+type ParseStats struct {
+	// Parsed counts full parses.
+	Parsed int64
+	// Reparsed counts delta re-parses against a retained full parse
+	// (driver.Reparser): bytes that differed from it inside values only.
+	Reparsed int64
 }
 
 // Loader loads batches of sources with graceful degradation, retaining
@@ -165,6 +187,13 @@ type lastGood struct {
 // A watch session loads one fixed source set every round and keeps all of
 // it; a service, whose requests name their payloads, keeps one request's
 // per concurrent load however many names it has been sent.
+//
+// A source whose driver re-parses (xml, kv) is first re-parsed against
+// its latest full parse, when the loader holds one: if the new bytes
+// differ from the parsed ones inside values only, the unchanged instances
+// are reused and the changed values copied, so the new bytes are not
+// retained. Anything else is parsed in full, and that parse is what later
+// loads are measured against.
 type Loader struct {
 	// MaxStale bounds how many consecutive rounds a failing source is
 	// served from its last good parse before it degrades to quarantined.
@@ -174,10 +203,17 @@ type Loader struct {
 
 	mu   sync.Mutex
 	good map[goodKey]*lastGood
+
+	parsed, reparsed atomic.Int64 // ParseStats
 }
 
 // NewLoader returns a Loader with the given staleness bound.
 func NewLoader(maxStale int) *Loader { return &Loader{MaxStale: maxStale} }
+
+// ParseStats reports how the loader's clean loads so far were parsed.
+func (l *Loader) ParseStats() ParseStats {
+	return ParseStats{Parsed: l.parsed.Load(), Reparsed: l.reparsed.Load()}
+}
 
 // Load fetches, parses and stores every source, never aborting the batch
 // on a per-source failure: failed sources are served stale (within
@@ -227,15 +263,26 @@ func keyOf(src Source) goodKey {
 func (l *Loader) loadOne(ctx context.Context, st *config.Store, src Source) Outcome {
 	key := keyOf(src)
 	out := Outcome{Source: src.Name, Driver: key.format}
-	ins, err := fetchAndParse(ctx, src, key.format)
+	var base *document
+	l.mu.Lock()
+	if g := l.good[key]; g != nil {
+		base = g.base
+	}
+	l.mu.Unlock()
+	ins, doc, err := fetchAndParse(ctx, src, key.format, base)
 	if err == nil {
+		if base != nil && doc == base {
+			l.reparsed.Add(1)
+		} else {
+			l.parsed.Add(1)
+		}
 		st.AddAll(ins)
 		out.Instances = len(ins)
 		l.mu.Lock()
 		if l.good == nil {
 			l.good = make(map[goodKey]*lastGood)
 		}
-		l.good[key] = &lastGood{ins: ins}
+		l.good[key] = &lastGood{ins: ins, base: doc}
 		l.mu.Unlock()
 		return out
 	}
@@ -271,11 +318,14 @@ func (l *Loader) loadOne(ctx context.Context, st *config.Store, src Source) Outc
 // fetchAndParse reads a source's bytes and parses them, converting a
 // fetch error, parse error or driver panic into a per-source error. The
 // bytes are the loader's by now — it read them, or Fetch handed them
-// over — so the driver gets them to keep.
-func fetchAndParse(ctx context.Context, src Source, format string) (ins []*config.Instance, err error) {
+// over — so the driver gets them to keep. Given base, the source's latest
+// full parse, it re-parses against that first (driver.Reparser) and
+// returns base itself as doc when the re-parse holds; otherwise doc is
+// this full parse when the driver re-parses, nil when it does not.
+func fetchAndParse(ctx context.Context, src Source, format string, base *document) (ins []*config.Instance, doc *document, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			ins, err = nil, fmt.Errorf("driver %s: panic parsing %s: %v", format, src.Name, r)
+			ins, doc, err = nil, nil, fmt.Errorf("driver %s: panic parsing %s: %v", format, src.Name, r)
 		}
 	}()
 	var data []byte
@@ -285,9 +335,20 @@ func fetchAndParse(ctx context.Context, src Source, format string) (ins []*confi
 		data, err = os.ReadFile(src.Name)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("reading %s: %w", src.Name, err)
+		return nil, nil, fmt.Errorf("reading %s: %w", src.Name, err)
 	}
-	return driver.ParseScopedOwned(ctx, format, data, src.Name, src.Scope)
+	d, _ := driver.Lookup(format) // an unknown format is ParseScopedOwned's error
+	r, reparses := d.(driver.Reparser)
+	if base != nil && reparses {
+		if ins, ok := r.Reparse(base.data, base.ins, data); ok {
+			return ins, base, nil
+		}
+	}
+	ins, err = driver.ParseScopedOwned(ctx, format, data, src.Name, src.Scope)
+	if err != nil || !reparses {
+		return ins, nil, err
+	}
+	return ins, &document{data: data, ins: ins}, nil
 }
 
 // FormatFromPath guesses a driver name from a file extension; the root

@@ -1,7 +1,9 @@
 package runner
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -261,4 +263,76 @@ func TestRunNoLintByDefault(t *testing.T) {
 	if len(res.Diagnostics) != 0 {
 		t.Errorf("diagnostics without Lint option: %v", res.Diagnostics)
 	}
+}
+
+// The job cvcheck -watch submits each round, on one runner: a KV file
+// edited in place, rounds alternating between value-only edits, which the
+// loader re-parses against its latest full parse of the file, and
+// structural ones, which it parses in full and measures later rounds
+// against. Every round's report is a fresh runner's, and the parse
+// counters say which path each round took.
+func TestWatchRoundsReparseValueEdits(t *testing.T) {
+	dir := t.TempDir()
+	spec, data := filepath.Join(dir, "s.cpl"), filepath.Join(dir, "d.kv")
+	write := func(path, doc string) {
+		t.Helper()
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(spec, "$app.timeout -> int & [1, 60]\n$app.retries -> int & [0, 5]\n$db.host -> nonempty\n")
+	rounds := []struct {
+		doc      string
+		reparsed bool
+	}{
+		{"app.timeout = 30\napp.retries = 2\ndb.host = db1\n", false},
+		{"app.timeout = 300\napp.retries = 2\ndb.host = db1\n", true},
+		{"app.timeout = 300\napp.retries = 2\napp.retries = 9\ndb.host = db1\n", false}, // a line added
+		{"app.timeout = 30\napp.retries = 7\napp.retries = 9\ndb.host = db2\n", true},
+		{"app.timeout = 30\ndb.host = db2\n", false}, // lines removed
+		{"app.timeout = 45\ndb.host = db3\n", true},
+		{"# a comment\napp.timeout = 45\ndb.host = db3\n", false},
+		{"# a comment\napp.timeout = 46\ndb.host = db3\n", true},
+	}
+	ctx := context.Background()
+	r := New(Options{})
+	sources := []confvalley.Source{{Name: data, Format: "kv"}}
+	var prev *confvalley.RunState
+	var want confvalley.ParseStats
+	for i, round := range rounds {
+		write(data, round.doc)
+		res, err := r.Run(ctx, Job{SpecPath: spec, Sources: sources, Prev: prev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev = res.State
+		if round.reparsed {
+			want.Reparsed++
+		} else {
+			want.Parsed++
+		}
+		if got := r.Session().ParseStats(); got != want {
+			t.Errorf("round %d: parse stats %+v, want %+v", i, got, want)
+		}
+		fresh, err := New(Options{}).Run(ctx, Job{SpecPath: spec, Sources: sources})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := wireModuloReuse(t, res), wireModuloReuse(t, fresh); !bytes.Equal(got, want) {
+			t.Errorf("round %d diverged from a fresh runner:\n got: %s\nwant: %s", i, got, want)
+		}
+	}
+}
+
+// wireModuloReuse is a result's wire report with the fields a reusing run
+// may change zeroed: its duration and its count of spliced verdicts.
+func wireModuloReuse(t *testing.T, res *Result) []byte {
+	t.Helper()
+	w := res.Report.Wire()
+	w.DurationNS, w.SpecsReused = 0, 0
+	b, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

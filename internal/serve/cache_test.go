@@ -30,8 +30,9 @@ import (
 	"confvalley/internal/value"
 )
 
-// coldConfig disables every service-side cache layer: each request is
-// a full parse + full run, the baseline the cached paths must match.
+// coldConfig disables the service's result cache and its cross-request
+// splice: each request is a full run. (Its loader still re-parses a
+// payload against the previous one; fullRun is the oracle with no state.)
 func coldConfig() Config {
 	return Config{ResultCacheSize: -1, NoIncremental: true}
 }
@@ -120,33 +121,27 @@ func TestResultCacheRepeatByteIdentity(t *testing.T) {
 	}
 }
 
-// A low-churn request stream takes the incremental path (snapshot diff,
-// spec-level reuse) yet stays byte-identical to running every request
-// cold. Two inputs: a 3-key KV payload where each request changes one
+// A low-churn request stream takes the incremental path (delta re-parse,
+// snapshot diff, spec-level reuse) yet stays byte-identical to running
+// every request through a fresh runner. Two inputs: a 3-key KV payload where each request changes one
 // key, and the inferred Type A suite over its corpus as XML, sent as is,
 // repeated, and with 0.1 % and 1 % of instances churned.
 func TestIncrementalChurnMatchesFullRuns(t *testing.T) {
 	t.Run("kv", func(t *testing.T) {
 		ctx := context.Background()
-		_, cold := testClient(t, coldConfig())
 		srv, warm := testClient(t, Config{})
-		for _, c := range []*Client{cold, warm} {
-			if _, err := c.Register(ctx, "checks", cacheSpec); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := warm.Register(ctx, "checks", cacheSpec); err != nil {
+			t.Fatal(err)
 		}
 
 		for round := 0; round < 5; round++ {
 			data := fmt.Sprintf("app.timeout = %d\napp.retries = 2\ndb.host = db1\n", 10+round)
-			coldResp, err := cold.Validate(ctx, "checks", kvRequest(data))
+			req := kvRequest(data)
+			warmResp, err := warm.Validate(ctx, "checks", req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			warmResp, err := warm.Validate(ctx, "checks", kvRequest(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, want := wireModuloCaching(t, warmResp.Report), wireModuloCaching(t, coldResp.Report)
+			got, want := wireModuloCaching(t, warmResp.Report), fullRun(t, cacheSpec, req)
 			if !bytes.Equal(got, want) {
 				t.Errorf("round %d diverged:\nincremental: %s\n       cold: %s", round, got, want)
 			}
@@ -164,6 +159,15 @@ func TestIncrementalChurnMatchesFullRuns(t *testing.T) {
 		if st.ResultCacheHits != 0 {
 			t.Errorf("distinct payloads hit the result cache %d times", st.ResultCacheHits)
 		}
+		// Each request changed one value of the one before: after the first
+		// full parse every payload is a re-parse, and every validation
+		// loaded its one payload cleanly.
+		if st.SourcesParsed != 1 || st.SourcesReparsed != 4 {
+			t.Errorf("parse accounting = %d parsed / %d re-parsed, want 1 / 4", st.SourcesParsed, st.SourcesReparsed)
+		}
+		if n := st.SourcesParsed + st.SourcesReparsed; n != st.Validations {
+			t.Errorf("%d parses and re-parses for %d validations of one payload each", n, st.Validations)
+		}
 	})
 
 	t.Run("typeA-xml", func(t *testing.T) {
@@ -176,27 +180,20 @@ func TestIncrementalChurnMatchesFullRuns(t *testing.T) {
 			payloads = append(payloads, churnXML(a.Store, 0.001, round), churnXML(a.Store, 0.01, round))
 		}
 
-		_, cold := testClient(t, coldConfig())
 		srv, warm := testClient(t, Config{})
-		for _, c := range []*Client{cold, warm} {
-			if _, err := c.Register(ctx, "suite", spec); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := warm.Register(ctx, "suite", spec); err != nil {
+			t.Fatal(err)
 		}
 		for i, payload := range payloads {
 			req := ValidateRequest{Payloads: []PayloadRef{{Name: "corpus.xml", Format: "xml", Data: string(payload)}}}
-			coldResp, err := cold.Validate(ctx, "suite", req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if coldResp.Report.InstancesChecked == 0 {
-				t.Fatalf("payload %d: the suite checked no instance; the comparison would be vacuous", i)
-			}
 			warmResp, err := warm.Validate(ctx, "suite", req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, want := wireModuloCaching(t, warmResp.Report), wireModuloCaching(t, coldResp.Report)
+			if warmResp.Report.InstancesChecked == 0 {
+				t.Fatalf("payload %d: the suite checked no instance; the comparison would be vacuous", i)
+			}
+			got, want := wireModuloCaching(t, warmResp.Report), fullRun(t, spec, req)
 			if !bytes.Equal(got, want) {
 				t.Errorf("payload %d diverged from a cold run:\n got: %.400s\nwant: %.400s", i, got, want)
 			}
@@ -210,7 +207,29 @@ func TestIncrementalChurnMatchesFullRuns(t *testing.T) {
 			t.Errorf("churned payloads took %d incremental runs reusing %d specs; want 4 runs that reuse specs",
 				st.IncrementalRuns, st.SpecsReused)
 		}
+		if st.SourcesReparsed == 0 || st.SourcesParsed+st.SourcesReparsed != st.Validations {
+			t.Errorf("parse accounting = %d parsed / %d re-parsed over %d validations; want re-parses, summing to the validations",
+				st.SourcesParsed, st.SourcesReparsed, st.Validations)
+		}
 	})
+}
+
+// fullRun is the churn tests' oracle: the request's payloads through a
+// fresh runner, with no retained parse to re-parse against and no lineage
+// to splice from, as cvcheck runs them once (TestServiceReportMatchesCLIPath).
+// A second server would be no oracle, since it re-parses too.
+func fullRun(t *testing.T, spec string, req ValidateRequest) []byte {
+	t.Helper()
+	job := runner.Job{SpecSrc: spec}
+	for _, p := range req.Payloads {
+		job.Payloads = append(job.Payloads, runner.Payload{Name: p.Name, Format: p.Format, Scope: p.Scope, Data: []byte(p.Data)})
+	}
+	res, err := runner.New(runner.Options{}).Run(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plan.Forget(res.Program)
+	return wireModuloCaching(t, res.Report.Wire())
 }
 
 // churnXML renders the corpus with a round-dependent window of ~frac of

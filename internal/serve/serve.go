@@ -901,11 +901,14 @@ func (s *Server) tenantsSorted() []*tenant {
 
 // cacheInfo assembles one tenant's cache counter block.
 func (t *tenant) cacheInfo() TenantCaches {
+	ps := t.runner.Session().ParseStats()
 	return TenantCaches{
 		Name:            t.name,
 		ResultCache:     t.results.stats(),
 		IncrementalRuns: t.incrementalRuns.Load(),
 		SpecsReused:     t.specsReused.Load(),
+		SourcesParsed:   ps.Parsed,
+		SourcesReparsed: ps.Reparsed,
 	}
 }
 
@@ -944,6 +947,8 @@ func (s *Server) Stats() StatsInfo {
 		info.CoalescedRequests += ts.Caches.ResultCache.Coalesced
 		info.IncrementalRuns += ts.Caches.IncrementalRuns
 		info.SpecsReused += ts.Caches.SpecsReused
+		info.SourcesParsed += ts.Caches.SourcesParsed
+		info.SourcesReparsed += ts.Caches.SourcesReparsed
 		info.Lint.Findings += ts.Lint.Findings
 		info.Lint.Errors += ts.Lint.Errors
 		info.Lint.Warnings += ts.Lint.Warnings
@@ -1020,6 +1025,12 @@ type TenantCaches struct {
 	// cached verdict; SpecsReused totals the verdicts spliced.
 	IncrementalRuns int64 `json:"incremental_runs"`
 	SpecsReused     int64 `json:"specs_reused"`
+	// SourcesParsed and SourcesReparsed count the sources the tenant's
+	// runs loaded cleanly, parsed in full or re-parsed against the
+	// loader's retained parse of that source (a change inside values
+	// only); together they are every source loaded cleanly.
+	SourcesParsed   int64 `json:"sources_parsed"`
+	SourcesReparsed int64 `json:"sources_reparsed"`
 }
 
 // SnapshotCacheStats is the counter block of the deleted snapshot
@@ -1055,6 +1066,10 @@ type StatsInfo struct {
 	SnapshotCacheHits int64 `json:"snapshot_cache_hits"`
 	IncrementalRuns   int64 `json:"incremental_runs"`
 	SpecsReused       int64 `json:"specs_reused"`
+	// SourcesParsed + SourcesReparsed is every source loaded cleanly, as
+	// in TenantCaches.
+	SourcesParsed   int64 `json:"sources_parsed"`
+	SourcesReparsed int64 `json:"sources_reparsed"`
 
 	// Lint totals the registration-time lint diagnostics across tenants.
 	Lint LintCounters `json:"lint"`

@@ -343,6 +343,20 @@ func (s *Session) loadWith(ctx context.Context, p *atomic.Pointer[ingest.Loader]
 	return l.Load(ctx, st, sources)
 }
 
+// ParseStats sums how the session's loaders parsed the sources they
+// loaded cleanly: in full, or by a delta re-parse of a retained parse.
+func (s *Session) ParseStats() ParseStats {
+	var sum ParseStats
+	for _, p := range [...]*atomic.Pointer[ingest.Loader]{&s.dataLoader, &s.specLoader} {
+		if l := p.Load(); l != nil {
+			ps := l.ParseStats()
+			sum.Parsed += ps.Parsed
+			sum.Reparsed += ps.Reparsed
+		}
+	}
+	return sum
+}
+
 // ingestSource maps one CPL load command to an ingest source: registered
 // in-memory data first, REST endpoints by URL, files last.
 func (s *Session) ingestSource(ld compiler.Load) ingest.Source {
