@@ -10,7 +10,7 @@ GO ?= go
 # only ever met one core hid a red tier-1 for six PRs.
 PROCS ?= 1 2 4
 
-.PHONY: all build lint tier1 test bench plan-bench stress store-bench incremental-bench fault-bench fuzz-smoke bench-smoke e2e crash-chaos repo-bench repo-bench-smoke profile-expert profile-ingest profile-request profile-cli
+.PHONY: all build lint tier1 test bench plan-bench stress incremental-bench fault-bench fuzz-smoke bench-smoke e2e crash-chaos repo-bench repo-bench-smoke profile-expert profile-ingest profile-request profile-cli
 
 all: build
 
@@ -79,10 +79,6 @@ crash-chaos:
 	$(GO) test -race -count=1 ./internal/durable/
 	$(GO) test -race -count=1 -run 'TestRecover|TestCrashMid|TestReadyz|TestConcurrentRegisterDrain' ./internal/serve/
 	$(GO) test -count=1 -run 'TestE2ECrashRecovery|TestE2EInMemory' -v ./cmd/cvserve/
-
-# Regenerate the numbers recorded in BENCH_store.json.
-store-bench:
-	$(GO) test -run xxx -bench BenchmarkShardedDiscovery -benchtime 1s ./internal/config/
 
 # Regenerate the churn sweep recorded in BENCH_incremental.json.
 incremental-bench:

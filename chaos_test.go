@@ -80,7 +80,6 @@ func TestChaosWatchSession(t *testing.T) {
 	s := NewSession()
 	s.Degrade = true
 	s.MaxStale = 0 // serve stale data for as long as the fault lasts
-	s.Incremental = true
 	src := fmt.Sprintf("load 'json' '%s'\nload 'ini' '%s'\nload 'yaml' '%s'\n", aPath, bPath, cPath) +
 		"$app.timeout -> int & [1, 60]\n" +
 		"$db.port -> int & [1, 65535]\n" +
@@ -93,6 +92,7 @@ func TestChaosWatchSession(t *testing.T) {
 
 	const rounds = 25
 	var steady string
+	var state *RunState // each round hands its state to the next, as cvcheck -watch does
 	outcomeFor := func(lr *LoadReport, name string) SourceOutcome {
 		t.Helper()
 		for _, o := range lr.Outcomes {
@@ -133,11 +133,11 @@ func TestChaosWatchSession(t *testing.T) {
 			writeAll()
 		}
 
-		s.SwapStore(NewStore())
-		rep, err := s.ValidateProgram(prog)
+		rep, _, next, err := s.RunProgramIncremental(context.Background(), prog, NewStore(), state)
 		if err != nil {
-			t.Fatalf("round %d: ValidateProgram errored under Degrade: %v", r, err)
+			t.Fatalf("round %d: RunProgramIncremental errored under Degrade: %v", r, err)
 		}
+		state = next
 		lr := s.LastLoadReport()
 		if lr == nil || len(lr.Outcomes) != 3 {
 			t.Fatalf("round %d: load report %+v", r, lr)

@@ -4,8 +4,7 @@
 // Usage:
 //
 //	cvbench [-run all|table2|table3|table4|table5|figure5|table6|table7|
-//	         table8|table9|figure4|discovery|plan|storecache|incremental|
-//	         fault]
+//	         table8|table9|figure4|discovery|plan|incremental|fault]
 //	        [-full] [-scale S] [-seed N]
 //
 // With -full the corpora are generated at paper scale (Type B holds 2.3
@@ -110,10 +109,6 @@ func run() int {
 	if all || want["plan"] {
 		sep()
 		experiments.PlanAblation(cfg)
-	}
-	if all || want["storecache"] {
-		sep()
-		experiments.StoreCache(cfg)
 	}
 	if all || want["incremental"] {
 		sep()

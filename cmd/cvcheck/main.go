@@ -6,8 +6,7 @@
 //
 //	cvcheck -spec checks.cpl [-data xml:/path/settings.xml[:Scope]]...
 //	        [-parallel N] [-stop] [-json] [-watch 2s] [-interpret]
-//	        [-no-incremental] [-load-timeout 5s] [-max-stale N] [-lint]
-//	        [-version]
+//	        [-load-timeout 5s] [-max-stale N] [-lint] [-version]
 //
 // -lint runs the static-analysis passes (internal/lint, the same ones
 // cvlint runs) over the specification before validating, using the
@@ -18,11 +17,10 @@
 // Data sources may also come from load commands inside the specification
 // file. With -watch, cvcheck revalidates whenever the specification or a
 // data file changes — the continuous-validation scenario of §5.1. Watch
-// rounds are incremental by default: each round hands its retained state
-// to the next (runner.Job.Prev), so only the specifications whose
-// footprint overlaps the keys changed since the last round re-run
-// (-no-incremental hands nothing on, so every round runs every spec). With both -watch and
-// -json, each round prints one wire-format JSON report object
+// rounds are incremental: each round hands its retained state to the
+// next (runner.Job.Prev), so only the specifications whose footprint
+// overlaps the keys changed since the last round re-run. With both
+// -watch and -json, each round prints one wire-format JSON report object
 // (schema_version-stamped; see internal/report.Wire) to stdout, flushed
 // per round so pipe consumers see reports promptly; human-oriented text
 // goes to stderr.
@@ -92,7 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		watch       = fs.Duration("watch", 0, "revalidate at this interval when spec or data files change (0 = run once)")
 		interp      = fs.Bool("interpret", false, "execute via the AST interpreter instead of lowered plans")
 		rounds      = fs.Int("watch-rounds", 0, "with -watch, exit after this many validation rounds (0 = forever; for tests)")
-		noInc       = fs.Bool("no-incremental", false, "with -watch, fully revalidate every round instead of re-running only the specs affected by changed keys")
 		loadTimeout = fs.Duration("load-timeout", 0, "bound each validation round (loading plus validation); 0 = no bound")
 		maxStale    = fs.Int("max-stale", 0, "serve a failing source from its last good parse for at most N watch rounds (0 = forever, negative = never)")
 		doLint      = fs.Bool("lint", false, "run the static-analysis passes over the specification before validating; error-severity findings reject the spec (exit 2)")
@@ -137,7 +134,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// source torn mid-write in round N serves round N-1's parse), and
 	// the swap-in of each round's freshly built store. A watch round is
 	// incremental by handing the previous round's state to the next job.
-	incremental := *watch > 0 && !*noInc
 	var prev *confvalley.RunState
 	r := runner.New(runner.Options{
 		Parallel:    *parallel,
@@ -178,7 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if res.SpecLoads != nil {
 			res.SpecLoads.Render(stderr)
 		}
-		if incremental {
+		if *watch > 0 {
 			prev = res.State
 			rep := res.Report
 			fmt.Fprintf(stderr, "cvcheck: re-ran %d/%d specs (%d reused)\n",

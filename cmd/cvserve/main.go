@@ -9,7 +9,7 @@
 //	        [-state-dir DIR] [-compact-every N]
 //	        [-max-stale N] [-load-timeout 5s]
 //	        [-max-concurrent N] [-max-queue N] [-queue-wait 10s]
-//	        [-result-cache N] [-no-incremental]
+//	        [-result-cache N]
 //	        [-max-tenants N] [-max-specs N] [-max-spec-bytes N]
 //	        [-max-sources N] [-max-payload-bytes N] [-version]
 //
@@ -31,15 +31,14 @@
 // Admission control bounds concurrent validations; excess requests wait
 // in a bounded queue and overflow is rejected with 429.
 //
-// Two mechanisms, both on by default, serve the hot path: a per-tenant
-// result cache with request coalescing (repeat payloads return the
-// cached response without consuming a validation slot; a byte-identical
-// body is answered before it is even decoded) and cross-request
+// Two mechanisms serve the hot path: a per-tenant result cache with
+// request coalescing (repeat payloads return the cached response without
+// consuming a validation slot; a byte-identical body is answered before
+// it is even decoded), which -result-cache -1 disables, and cross-request
 // incremental validation (a request that misses is parsed, and re-runs
 // only the specs its payload delta touches — which keeps one parsed
-// snapshot alive per registered spec). Disable with -result-cache -1
-// and -no-incremental; /healthz and /statsz expose per-tenant
-// hit/miss/reuse counters.
+// snapshot alive per registered spec). /healthz and /statsz expose
+// per-tenant hit/miss/reuse counters.
 //
 // With -state-dir, registrations and deletions are journaled (fsync'd
 // before the 201) to the directory and replayed on startup, so a crash
@@ -87,8 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stateDir     = fs.String("state-dir", "", "journal registrations/deletions to this directory and recover them on startup (empty = in-memory only)")
 		compactEvery = fs.Int("compact-every", 0, "fold the journal into a snapshot every N appends (0 = default 1024, negative = never)")
 
-		noIncremental = fs.Bool("no-incremental", false, "run every spec on every request instead of re-running only specs affected by keys changed since the spec's last validation")
-		resultCache   = fs.Int("result-cache", 0, "per-tenant (spec, payload) response cache + request coalescing (0 = default 256, negative = disable)")
+		resultCache = fs.Int("result-cache", 0, "per-tenant (spec, payload) response cache + request coalescing (0 = default 256, negative = disable)")
 
 		maxConcurrent = fs.Int("max-concurrent", 0, "validations running at once (0 = default 4)")
 		maxQueue      = fs.Int("max-queue", 0, "requests waiting for a slot before 429 (0 = 2x max-concurrent)")
@@ -126,7 +124,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MaxQueue:        *maxQueue,
 		QueueWait:       *queueWait,
 		ResultCacheSize: *resultCache,
-		NoIncremental:   *noIncremental,
 		StateDir:        *stateDir,
 		CompactEvery:    *compactEvery,
 		Runner: runner.Options{

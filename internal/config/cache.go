@@ -2,148 +2,43 @@ package config
 
 import "sync"
 
-// CacheMode selects the discovery-cache implementation behind a
-// Snapshot. The sharded cache is the default; the single-mutex cache is
-// kept for the sharded-vs-single-mutex scaling ablation
-// (BenchmarkShardedDiscovery, cvbench -run storecache), the way
-// DiscoverNaive preserves the paper's pre-optimization discovery.
-type CacheMode int
+// discoveryCacheBound caps the entries a snapshot's discovery cache holds.
+// Past it the cache is flushed wholesale (the plan cache uses the same
+// policy): -watch mode and million-query runs must not grow without
+// limit, and the workloads that matter re-warm in one round.
+const discoveryCacheBound = 16 * 4096
 
-const (
-	// CacheSharded memoizes discovery results in cacheShardCount
-	// independently locked shards keyed by pattern hash.
-	CacheSharded CacheMode = iota
-	// CacheSingleMutex memoizes behind one RWMutex — the pre-snapshot
-	// design, preserved for the ablation benchmark.
-	CacheSingleMutex
-)
-
-func (m CacheMode) String() string {
-	if m == CacheSingleMutex {
-		return "single-mutex"
-	}
-	return "sharded"
-}
-
-const (
-	// cacheShardCount must be a power of two; it also strides the
-	// discovery stat slots.
-	cacheShardCount = 16
-	// cacheShardBound caps entries per shard. Past it the shard is
-	// flushed wholesale (the plan cache uses the same policy): -watch
-	// mode and million-query runs must not grow without limit, and the
-	// workloads that matter re-warm in one round.
-	cacheShardBound = 4096
-)
-
-// discoveryCache memoizes canonical pattern → result. Implementations
-// are internally synchronized; slot is the pattern-hash shard index
-// (precomputed by the caller, which reuses it for stat striping).
-type discoveryCache interface {
-	get(slot int, key string) ([]*Instance, bool)
-	put(slot int, key string, res []*Instance)
-	reset()
-	entries() int
-}
-
-func newDiscoveryCache(m CacheMode) discoveryCache {
-	if m == CacheSingleMutex {
-		return &mutexCache{}
-	}
-	return &shardedCache{}
-}
-
-// cacheSlot hashes a canonical pattern key to a shard index (FNV-1a).
-func cacheSlot(key string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return int(h & (cacheShardCount - 1))
-}
-
-// shardedCache spreads entries over independently locked shards so
-// concurrent discoveries contend only when their patterns hash to the
-// same shard.
-type shardedCache struct {
-	shards [cacheShardCount]cacheShard
-}
-
-type cacheShard struct {
-	mu sync.RWMutex
-	m  map[string][]*Instance
-	_  [64 - 32]byte // pad shards onto distinct cache lines
-}
-
-func (c *shardedCache) get(slot int, key string) ([]*Instance, bool) {
-	s := &c.shards[slot]
-	s.mu.RLock()
-	res, ok := s.m[key]
-	s.mu.RUnlock()
-	return res, ok
-}
-
-func (c *shardedCache) put(slot int, key string, res []*Instance) {
-	s := &c.shards[slot]
-	s.mu.Lock()
-	if s.m == nil || len(s.m) >= cacheShardBound {
-		s.m = make(map[string][]*Instance)
-	}
-	s.m[key] = res
-	s.mu.Unlock()
-}
-
-func (c *shardedCache) reset() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.m = nil
-		s.mu.Unlock()
-	}
-}
-
-func (c *shardedCache) entries() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
-}
-
-// mutexCache is the single-RWMutex cache the Store used before the
-// snapshot model, bounded the same way.
-type mutexCache struct {
+// discoveryCache memoizes canonical pattern → result behind one RWMutex.
+// Warm hits share the read lock; the measured load (DESIGN.md §10 item 6)
+// never made that lock contended enough for sharding to pay.
+type discoveryCache struct {
 	mu sync.RWMutex
 	m  map[string][]*Instance
 }
 
-func (c *mutexCache) get(_ int, key string) ([]*Instance, bool) {
+func (c *discoveryCache) get(key string) ([]*Instance, bool) {
 	c.mu.RLock()
 	res, ok := c.m[key]
 	c.mu.RUnlock()
 	return res, ok
 }
 
-func (c *mutexCache) put(_ int, key string, res []*Instance) {
+func (c *discoveryCache) put(key string, res []*Instance) {
 	c.mu.Lock()
-	if c.m == nil || len(c.m) >= cacheShardCount*cacheShardBound {
+	if c.m == nil || len(c.m) >= discoveryCacheBound {
 		c.m = make(map[string][]*Instance)
 	}
 	c.m[key] = res
 	c.mu.Unlock()
 }
 
-func (c *mutexCache) reset() {
+func (c *discoveryCache) reset() {
 	c.mu.Lock()
 	c.m = nil
 	c.mu.Unlock()
 }
 
-func (c *mutexCache) entries() int {
+func (c *discoveryCache) entries() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.m)

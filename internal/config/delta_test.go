@@ -264,7 +264,7 @@ func TestDeltaMatchesEagerOracle(t *testing.T) {
 		st := NewStore()
 		st.AddAll(cloneInstances(base))
 		first := st.Snapshot()
-		st.SetCacheMode(CacheSharded)
+		st.SetContentID("") // drops the seal; the maps stay shared
 		check("resealed", st.Snapshot(), first)
 		st.Add(&Instance{Key: base[0].Key, Value: "appended"})
 		st.AddAll([]*Instance{{Key: K("Extra", "Knob"), Value: "1"}})

@@ -213,7 +213,7 @@ func TestDiscoveryCacheBounded(t *testing.T) {
 	st.Add(&Instance{Key: K("App", "Timeout"), Value: "30"})
 	sn := st.Snapshot()
 
-	limit := cacheShardCount * cacheShardBound
+	limit := discoveryCacheBound
 	for i := 0; i < limit+limit/2; i++ {
 		sn.Discover(P(fmt.Sprintf("NoSuchKey%d", i)))
 		if n := sn.CacheEntries(); n > limit {
@@ -229,48 +229,60 @@ func TestDiscoveryCacheBounded(t *testing.T) {
 	}
 }
 
-// TestCacheModesAgree runs the same query mix through both cache
-// implementations; results must be identical and both must count hits.
-func TestCacheModesAgree(t *testing.T) {
-	for _, mode := range []CacheMode{CacheSharded, CacheSingleMutex} {
-		st := raceStore()
-		st.SetCacheMode(mode)
-		st.ResetStats()
-		pats := coldPatterns()
-		for round := 0; round < 2; round++ {
-			for _, p := range pats {
-				fast := st.Discover(p)
-				slow := st.DiscoverNaive(p)
-				if len(fast) != len(slow) {
-					t.Fatalf("[%s] pattern %s: cached=%d naive=%d", mode, p, len(fast), len(slow))
-				}
+// TestCachedDiscoveryAgreesWithNaive runs the same query mix through the
+// cached discovery and the naive scan twice: results must be identical
+// and the second round must be served from the cache.
+func TestCachedDiscoveryAgreesWithNaive(t *testing.T) {
+	st := raceStore()
+	st.ResetStats()
+	pats := coldPatterns()
+	for round := 0; round < 2; round++ {
+		for _, p := range pats {
+			fast := st.Discover(p)
+			slow := st.DiscoverNaive(p)
+			if len(fast) != len(slow) {
+				t.Fatalf("pattern %s: cached=%d naive=%d", p, len(fast), len(slow))
 			}
 		}
-		if st.Stats.CacheHits() == 0 {
-			t.Errorf("[%s] second round produced no cache hits", mode)
-		}
+	}
+	if st.Stats.CacheHits() == 0 {
+		t.Error("second round produced no cache hits")
 	}
 }
 
-// TestConcurrentDiscoverSingleMutexMode re-runs the cold-cache stress
-// against the ablation cache so -race covers both implementations.
-func TestConcurrentDiscoverSingleMutexMode(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+// TestConcurrentViewCountsEveryQuery has eight goroutines View one warm
+// snapshot at once: the unstriped counters must lose no increment, so
+// Queries is exactly the number of calls made, all of them hits.
+func TestConcurrentViewCountsEveryQuery(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const workers, perWorker = 8, 500
 	st := raceStore()
-	st.SetCacheMode(CacheSingleMutex)
-	pats := coldPatterns()
+	sn := st.Snapshot()
+	qs := make([]Query, 0, len(coldPatterns()))
+	for _, p := range coldPatterns() {
+		q := NewQuery(p)
+		sn.View(q) // warm
+		qs = append(qs, q)
+	}
+	st.ResetStats()
 	var wg sync.WaitGroup
 	start := make(chan struct{})
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			<-start
-			for i := 0; i < len(pats); i++ {
-				st.Discover(pats[(w*3+i)%len(pats)])
+			for i := 0; i < perWorker; i++ {
+				sn.View(qs[(w+i)%len(qs)])
 			}
 		}(w)
 	}
 	close(start)
 	wg.Wait()
+	if got := st.Stats.Queries(); got != workers*perWorker {
+		t.Errorf("Queries = %d, want %d", got, workers*perWorker)
+	}
+	if got := st.Stats.CacheHits(); got != workers*perWorker {
+		t.Errorf("CacheHits = %d, want %d", got, workers*perWorker)
+	}
 }

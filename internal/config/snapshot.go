@@ -6,10 +6,10 @@ import "sort"
 // class indexes and the class-path trie are fixed when the snapshot is
 // sealed, so any number of goroutines may discover against it with no
 // locking at all; the only mutable component is the discovery cache,
-// which is internally synchronized (sharded by pattern hash) and
-// bounded. A run that wants one consistent view of the configuration —
-// a parallel plan execution, a watch round — pins a snapshot once and
-// reads it throughout, unaffected by concurrent Store mutations.
+// one bounded map behind one RWMutex. A run that wants one consistent
+// view of the configuration — a parallel plan execution, a watch round —
+// pins a snapshot once and reads it throughout, unaffected by concurrent
+// Store mutations.
 type Snapshot struct {
 	instances []*Instance
 	byClass   map[string][]*Instance // class ID -> instances, load order
@@ -67,13 +67,11 @@ func (sn *Snapshot) ClassInstances(classPath string) []*Instance {
 type Query struct {
 	Pattern Pattern
 	key     string
-	slot    int
 }
 
 // NewQuery renders p's cache key.
 func NewQuery(p Pattern) Query {
-	key := p.String()
-	return Query{Pattern: p, key: key, slot: cacheSlot(key)}
+	return Query{Pattern: p, key: p.String()}
 }
 
 // View finds all instances matching the query, using the sealed
@@ -85,9 +83,9 @@ func NewQuery(p Pattern) Query {
 // the cache. The plan executor reads through View; anything that wants
 // a slice to keep or modify calls Discover.
 func (sn *Snapshot) View(q Query) []*Instance {
-	sn.stats.addQuery(q.slot)
-	if hit, ok := sn.cache.get(q.slot, q.key); ok {
-		sn.stats.addCacheHit(q.slot)
+	sn.stats.queries.Add(1)
+	if hit, ok := sn.cache.get(q.key); ok {
+		sn.stats.cacheHits.Add(1)
 		return hit
 	}
 	// Concurrent misses on the same cold key may compute twice; discovery
@@ -95,7 +93,7 @@ func (sn *Snapshot) View(q Query) []*Instance {
 	// cache slot.
 	res := sn.discover(q.Pattern)
 	res = res[:len(res):len(res)]
-	sn.cache.put(q.slot, q.key, res)
+	sn.cache.put(q.key, res)
 	return res
 }
 
@@ -165,8 +163,7 @@ func (sn *Snapshot) matchClassPaths(p Pattern) []string {
 // segment count, then compare segment by segment. It bypasses all
 // indexes and the cache.
 func (sn *Snapshot) DiscoverNaive(p Pattern) []*Instance {
-	slot := cacheSlot(p.String())
-	sn.stats.addQuery(slot)
+	sn.stats.queries.Add(1)
 	scanned := 0
 	var out []*Instance
 	for _, in := range sn.instances {
@@ -184,11 +181,11 @@ func (sn *Snapshot) DiscoverNaive(p Pattern) []*Instance {
 			out = append(out, in)
 		}
 	}
-	sn.stats.addScanned(slot, int64(scanned))
+	sn.stats.scanned.Add(int64(scanned))
 	return out
 }
 
 // CacheEntries reports how many discovery results the snapshot's cache
-// currently holds; the bound tests and the watch-mode memory ceiling
-// depend on it staying below the configured limits.
+// currently holds; the bound test and the watch-mode memory ceiling
+// depend on it staying below discoveryCacheBound.
 func (sn *Snapshot) CacheEntries() int { return sn.cache.entries() }

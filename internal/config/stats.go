@@ -2,64 +2,25 @@ package config
 
 import "sync/atomic"
 
-// statSlots stripes the discovery counters. Discovery is the hot path
-// of parallel validation; a single trio of atomic counters serializes
-// every worker on one cache line, which is exactly the contention the
-// sharded discovery cache exists to avoid. Counters are striped across
-// padded slots (indexed by the same pattern hash that picks the cache
-// shard) and summed on read.
-const statSlots = 16
-
 // DiscoveryStats counts discovery work for the Figure 4 / §5.2
 // ablations. Increments and reads are safe from any goroutine.
 type DiscoveryStats struct {
-	slots [statSlots]statSlot
-}
-
-type statSlot struct {
 	queries   atomic.Int64
 	cacheHits atomic.Int64
 	scanned   atomic.Int64
-	_         [64 - 3*8]byte // pad to a cache line; stop slot false sharing
 }
 
 // Queries returns the number of Discover/DiscoverNaive calls.
-func (s *DiscoveryStats) Queries() int64 {
-	var n int64
-	for i := range s.slots {
-		n += s.slots[i].queries.Load()
-	}
-	return n
-}
+func (s *DiscoveryStats) Queries() int64 { return s.queries.Load() }
 
 // CacheHits returns the number of queries served from the cache.
-func (s *DiscoveryStats) CacheHits() int64 {
-	var n int64
-	for i := range s.slots {
-		n += s.slots[i].cacheHits.Load()
-	}
-	return n
-}
+func (s *DiscoveryStats) CacheHits() int64 { return s.cacheHits.Load() }
 
 // Scanned returns the number of instances examined by naive scans.
-func (s *DiscoveryStats) Scanned() int64 {
-	var n int64
-	for i := range s.slots {
-		n += s.slots[i].scanned.Load()
-	}
-	return n
-}
-
-func (s *DiscoveryStats) addQuery(slot int)    { s.slots[slot&(statSlots-1)].queries.Add(1) }
-func (s *DiscoveryStats) addCacheHit(slot int) { s.slots[slot&(statSlots-1)].cacheHits.Add(1) }
-func (s *DiscoveryStats) addScanned(slot int, n int64) {
-	s.slots[slot&(statSlots-1)].scanned.Add(n)
-}
+func (s *DiscoveryStats) Scanned() int64 { return s.scanned.Load() }
 
 func (s *DiscoveryStats) reset() {
-	for i := range s.slots {
-		s.slots[i].queries.Store(0)
-		s.slots[i].cacheHits.Store(0)
-		s.slots[i].scanned.Store(0)
-	}
+	s.queries.Store(0)
+	s.cacheHits.Store(0)
+	s.scanned.Store(0)
 }

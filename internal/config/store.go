@@ -10,7 +10,7 @@ import (
 // sources and answers instance-discovery queries from the validation
 // engine. Discovery is the hot path (§5.2 reports >5 million queries in
 // some Azure validation runs), so the store maintains a trie over class
-// paths, per-class instance lists, and a sharded query cache.
+// paths, per-class instance lists, and a query cache per snapshot.
 //
 // Concurrency model (see DESIGN.md "Concurrency model"): mutations
 // (Add/AddAll) build into a mutable staging area under the store lock;
@@ -42,13 +42,11 @@ type Store struct {
 	// outlive the content it named.
 	contentID string
 
-	cacheMode CacheMode
-
 	// Stats counts discovery work for the Figure 4 / §5.2 ablations.
-	// Counters are striped and atomic so parallel validation runs
-	// race-free; they accumulate across snapshots. Allocated apart from
-	// the Store so that a snapshot, which counts into them, holds no
-	// pointer back into the store that holds it.
+	// Counters are atomic so parallel validation runs race-free; they
+	// accumulate across snapshots. Allocated apart from the Store so
+	// that a snapshot, which counts into them, holds no pointer back
+	// into the store that holds it.
 	Stats *DiscoveryStats
 }
 
@@ -161,7 +159,6 @@ func (st *Store) Snapshot() *Snapshot {
 		classSegs: st.classSegs,
 		byLeaf:    st.byLeaf,
 		trie:      buildTrie(st.classes, st.classSegs),
-		cache:     newDiscoveryCache(st.cacheMode),
 		stats:     st.Stats,
 		contentID: st.contentID,
 	}
@@ -185,17 +182,6 @@ func (st *Store) SetContentID(id string) {
 	st.mu.Lock()
 	st.contentID = id
 	st.snap.Store(nil) // shared stays true: an old snapshot may live on
-	st.mu.Unlock()
-}
-
-// SetCacheMode selects the discovery-cache implementation for snapshots
-// sealed from now on (the current snapshot is dropped). The single-mutex
-// mode exists for the scaling ablation; production code never calls
-// this.
-func (st *Store) SetCacheMode(m CacheMode) {
-	st.mu.Lock()
-	st.cacheMode = m
-	st.snap.Store(nil) // shared stays true: the old snapshot may live on
 	st.mu.Unlock()
 }
 

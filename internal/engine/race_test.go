@@ -54,7 +54,7 @@ $Cloud*.Cloud.ProxyIP -> nonempty
 
 // TestParallelRunColdStoreRace stress-tests a parallel run against a
 // store whose snapshot has never been sealed and whose discovery cache is
-// cold: all partitions race to seal, then hammer the sharded cache with
+// cold: all partitions race to seal, then hammer the discovery cache with
 // wildcard discoveries. Run with -race. It also checks parallel,
 // sequential, and interpreted runs agree on the planted violation.
 func TestParallelRunColdStoreRace(t *testing.T) {

@@ -8,10 +8,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"confvalley/internal/azuregen"
@@ -801,88 +799,6 @@ func PlanAblation(cfg Config) PlanResult {
 		out.PlanCold.Round(time.Millisecond), out.SpeedupCold,
 		out.PlanCached.Round(time.Millisecond), out.SpeedupCached)
 	return out
-}
-
-// ---- store-cache ablation: sharded vs single-mutex discovery cache ----
-
-// StoreCacheRow is one (cache mode, GOMAXPROCS) throughput measurement.
-type StoreCacheRow struct {
-	Mode    config.CacheMode
-	Procs   int
-	NsPerOp float64
-}
-
-// StoreCache measures warm-cache discovery throughput of the snapshot's
-// sharded cache against the pre-snapshot single-RWMutex design at
-// increasing parallelism. The query mix is fully-qualified patterns with
-// single-instance results so the cache lookup — the part the sharding
-// changes — dominates each operation; on a multi-core host the
-// single-mutex rows stop scaling past one core while the sharded rows
-// keep improving. BENCH_store.json records one run and the host caveat
-// (a single-hardware-thread machine cannot exhibit the contention).
-func StoreCache(cfg Config) []StoreCacheRow {
-	st := config.NewStore()
-	for g := 0; g < 32; g++ {
-		for c := 0; c < 32; c++ {
-			st.Add(&config.Instance{
-				Key:   config.K(fmt.Sprintf("CloudGroup::g%d", g), fmt.Sprintf("Cloud::c%d", c), "Timeout"),
-				Value: "30",
-			})
-		}
-	}
-	var pats []config.Pattern
-	for g := 0; g < 16; g++ {
-		p, err := config.ParsePattern(fmt.Sprintf("CloudGroup::g%d.Cloud::c%d.Timeout", g, g))
-		if err != nil {
-			panic(err)
-		}
-		pats = append(pats, p)
-	}
-
-	opsPerWorker := 50000
-	if cfg.ScaleA >= 1.0 { // -full configuration: longer, steadier runs
-		opsPerWorker = 500000
-	}
-	var rows []StoreCacheRow
-	cfg.printf("Store-cache ablation: warm discovery, %d ops/worker\n", opsPerWorker)
-	cfg.printf("%-14s %8s %12s %14s\n", "cache", "procs", "ns/op", "ops/sec")
-	for _, mode := range []config.CacheMode{config.CacheSharded, config.CacheSingleMutex} {
-		st.SetCacheMode(mode)
-		sn := st.Snapshot()
-		for _, p := range pats {
-			sn.Discover(p) // warm
-		}
-		for _, procs := range []int{1, 4, 8} {
-			prev := runtime.GOMAXPROCS(procs)
-			var wg sync.WaitGroup
-			start := make(chan struct{})
-			for w := 0; w < procs; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					<-start
-					for i := 0; i < opsPerWorker; i++ {
-						sn.Discover(pats[(w+i)%len(pats)])
-					}
-				}(w)
-			}
-			t0 := time.Now()
-			close(start)
-			wg.Wait()
-			elapsed := time.Since(t0)
-			runtime.GOMAXPROCS(prev)
-			ops := procs * opsPerWorker
-			row := StoreCacheRow{
-				Mode:    mode,
-				Procs:   procs,
-				NsPerOp: float64(elapsed.Nanoseconds()) / float64(ops),
-			}
-			rows = append(rows, row)
-			cfg.printf("%-14s %8d %12.1f %14.0f\n", mode, procs, row.NsPerOp,
-				float64(ops)/elapsed.Seconds())
-		}
-	}
-	return rows
 }
 
 // ---- incremental validation: churn sweep ----

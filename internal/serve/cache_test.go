@@ -30,13 +30,6 @@ import (
 	"confvalley/internal/value"
 )
 
-// coldConfig disables the service's result cache and its cross-request
-// splice: each request is a full run. (Its loader still re-parses a
-// payload against the previous one; fullRun is the oracle with no state.)
-func coldConfig() Config {
-	return Config{ResultCacheSize: -1, NoIncremental: true}
-}
-
 // wireModuloCaching re-encodes a wire report with the fields the
 // caching layers are allowed to change zeroed: duration_ns (timing)
 // and specs_reused (reuse accounting).
@@ -61,21 +54,23 @@ func kvRequest(data string) ValidateRequest {
 	return ValidateRequest{Payloads: []PayloadRef{{Name: "app.kv", Format: "kv", Data: data}}}
 }
 
-// A repeated request is served from the result cache — no validation
-// slot consumed, no run executed — and its body is byte-identical to
-// the cold run's, modulo duration and reuse accounting.
-func TestResultCacheRepeatByteIdentity(t *testing.T) {
-	const data = "app.timeout = 400\napp.retries = 2\ndb.host = db1\n"
-	ctx := context.Background()
-
-	_, cold := testClient(t, coldConfig())
-	if _, err := cold.Register(ctx, "checks", cacheSpec); err != nil {
-		t.Fatal(err)
-	}
-	coldResp, err := cold.Validate(ctx, "checks", kvRequest(data))
+// requestBody encodes req as the body ValidateBody takes.
+func requestBody(t *testing.T, req ValidateRequest) []byte {
+	t.Helper()
+	b, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return b
+}
+
+// A repeated request is served from the result cache — no validation
+// slot consumed, no run executed — and its body is byte-identical to
+// a fresh runner's, modulo duration and reuse accounting.
+func TestResultCacheRepeatByteIdentity(t *testing.T) {
+	const data = "app.timeout = 400\napp.retries = 2\ndb.host = db1\n"
+	ctx := context.Background()
+	want, wantCode := fullRun(t, cacheSpec, kvRequest(data))
 
 	srv, c := testClient(t, Config{})
 	if _, err := c.Register(ctx, "checks", cacheSpec); err != nil {
@@ -90,13 +85,12 @@ func TestResultCacheRepeatByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := wireModuloCaching(t, coldResp.Report)
 	for i, resp := range []*ValidateResponse{first, second} {
 		if got := wireModuloCaching(t, resp.Report); !bytes.Equal(got, want) {
-			t.Errorf("request %d diverged from cold run:\n got: %s\nwant: %s", i, got, want)
+			t.Errorf("request %d diverged from a fresh run:\n got: %s\nwant: %s", i, got, want)
 		}
-		if resp.Code != coldResp.Code {
-			t.Errorf("request %d code = %d, cold = %d", i, resp.Code, coldResp.Code)
+		if resp.Code != wantCode {
+			t.Errorf("request %d code = %d, fresh run = %d", i, resp.Code, wantCode)
 		}
 	}
 
@@ -141,7 +135,8 @@ func TestIncrementalChurnMatchesFullRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, want := wireModuloCaching(t, warmResp.Report), fullRun(t, cacheSpec, req)
+			got := wireModuloCaching(t, warmResp.Report)
+			want, _ := fullRun(t, cacheSpec, req)
 			if !bytes.Equal(got, want) {
 				t.Errorf("round %d diverged:\nincremental: %s\n       cold: %s", round, got, want)
 			}
@@ -193,7 +188,8 @@ func TestIncrementalChurnMatchesFullRuns(t *testing.T) {
 			if warmResp.Report.InstancesChecked == 0 {
 				t.Fatalf("payload %d: the suite checked no instance; the comparison would be vacuous", i)
 			}
-			got, want := wireModuloCaching(t, warmResp.Report), fullRun(t, spec, req)
+			got := wireModuloCaching(t, warmResp.Report)
+			want, _ := fullRun(t, spec, req)
 			if !bytes.Equal(got, want) {
 				t.Errorf("payload %d diverged from a cold run:\n got: %.400s\nwant: %.400s", i, got, want)
 			}
@@ -214,11 +210,12 @@ func TestIncrementalChurnMatchesFullRuns(t *testing.T) {
 	})
 }
 
-// fullRun is the churn tests' oracle: the request's payloads through a
+// fullRun is the caching tests' oracle: the request's payloads through a
 // fresh runner, with no retained parse to re-parse against and no lineage
 // to splice from, as cvcheck runs them once (TestServiceReportMatchesCLIPath).
-// A second server would be no oracle, since it re-parses too.
-func fullRun(t *testing.T, spec string, req ValidateRequest) []byte {
+// It returns the wire report modulo caching and the exit code. A second
+// server would be no oracle, since it re-parses and splices too.
+func fullRun(t *testing.T, spec string, req ValidateRequest) ([]byte, int) {
 	t.Helper()
 	job := runner.Job{SpecSrc: spec}
 	for _, p := range req.Payloads {
@@ -229,7 +226,7 @@ func fullRun(t *testing.T, spec string, req ValidateRequest) []byte {
 		t.Fatal(err)
 	}
 	defer plan.Forget(res.Program)
-	return wireModuloCaching(t, res.Report.Wire())
+	return wireModuloCaching(t, res.Report.Wire()), res.Code()
 }
 
 // churnXML renders the corpus with a round-dependent window of ~frac of
@@ -416,11 +413,7 @@ func TestInterruptedAllRerunResponseNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := func(v string) []byte {
-		b, err := json.Marshal(kvRequest("app.a = " + v + "\napp.b = " + v + "\napp.c = " + v + "\n"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+		return requestBody(t, kvRequest("app.a = "+v+"\napp.b = "+v+"\napp.c = "+v+"\n"))
 	}
 	if resp, err := srv.ValidateBody(ctx, "acme", "checks", body("1")); err != nil || resp.Report.Interrupted {
 		t.Fatalf("seed request: %+v, %v", resp, err)
@@ -466,10 +459,7 @@ func TestCoalescedFollowerOfInterruptedLeader(t *testing.T) {
 	if _, err := srv.RegisterSpec("acme", "checks", "$app.a -> stall\n$app.b -> int & [0, 9]\n$app.c -> int & [0, 8]\n"); err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(kvRequest("app.a = 1\napp.b = 1\napp.c = 1\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := requestBody(t, kvRequest("app.a = 1\napp.b = 1\napp.c = 1\n"))
 
 	// Every run stalls past its deadline; the first to do so says when.
 	stalled := make(chan struct{})
@@ -535,10 +525,7 @@ func TestTenantRetainsOneSnapshotPerSpec(t *testing.T) {
 	const requests = 12
 	var finalized atomic.Int32
 	for i := 0; i < requests; i++ {
-		body, err := json.Marshal(kvRequest(fmt.Sprintf("app.timeout = %d\napp.retries = 2\ndb.host = db1\n", 10+i)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		body := requestBody(t, kvRequest(fmt.Sprintf("app.timeout = %d\napp.retries = 2\ndb.host = db1\n", 10+i)))
 		resp, err := srv.ValidateBody(ctx, "acme", "checks", body)
 		if !cacheableResponse(resp, err) {
 			t.Fatalf("request %d: %+v, %v", i, resp, err)
@@ -574,7 +561,7 @@ func TestRetiredSpecsReleaseTheirPlans(t *testing.T) {
 		if _, err := srv.RegisterSpec("acme", "checks", fmt.Sprintf("$app.timeout -> int & [1, %d]", 60+i)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := srv.Validate(ctx, "acme", "checks", kvRequest("app.timeout = 30\n")); err != nil {
+		if _, err := srv.ValidateBody(ctx, "acme", "checks", requestBody(t, kvRequest("app.timeout = 30\n"))); err != nil {
 			t.Fatal(err)
 		}
 		tn, _ := srv.tenantFor("acme", false)

@@ -55,11 +55,9 @@ func listJSON(t *testing.T, s *Server, tenant string) []byte {
 
 func validateOnce(t *testing.T, s *Server, tenant, spec string) *ValidateResponse {
 	t.Helper()
-	resp, err := s.Validate(context.Background(), tenant, spec, ValidateRequest{
-		Payloads: []PayloadRef{{Name: "app.kv", Format: "kv", Data: "app.timeout = 400\ndb.host = db1\n"}},
-	})
+	resp, err := s.ValidateBody(context.Background(), tenant, spec, requestBody(t, kvRequest("app.timeout = 400\ndb.host = db1\n")))
 	if err != nil {
-		t.Fatalf("Validate(%s/%s): %v", tenant, spec, err)
+		t.Fatalf("ValidateBody(%s/%s): %v", tenant, spec, err)
 	}
 	return resp
 }

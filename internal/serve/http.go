@@ -84,7 +84,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/tenants/{tenant}/specs/{spec}/validate", func(w http.ResponseWriter, r *http.Request) {
 		// The read bound leaves headroom over the payload quota for JSON
-		// framing; the precise byte quota is enforced in Validate. The
+		// framing; the precise byte quota is enforced in ValidateBody. The
 		// whole body is read up front so ValidateBody can content-address
 		// the raw bytes before paying for a JSON decode. The buffer goes
 		// back to the pool when the handler is done: ValidateBody keeps no

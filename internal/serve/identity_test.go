@@ -88,12 +88,12 @@ $db.host -> nonempty
 func TestConcurrentTenantsPinIndependentSnapshots(t *testing.T) {
 	// Caching is disabled here on purpose: this test pins isolation by
 	// counting real validations, so every round must execute rather than
-	// be served from the result cache.
+	// be served from the result cache. Each round also writes a new value,
+	// so the incremental splice re-runs the spec instead of reusing it.
 	srv := New(Config{
 		MaxConcurrent:   8,
 		MaxQueue:        64,
 		ResultCacheSize: -1,
-		NoIncremental:   true,
 	})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -108,14 +108,15 @@ func TestConcurrentTenantsPinIndependentSnapshots(t *testing.T) {
 		go func(n int) {
 			defer wg.Done()
 			c := &Client{Base: hs.URL, Tenant: fmt.Sprintf("tenant-%d", n), HTTP: hs.Client()}
-			// Each tenant's spec accepts exactly its own replica count.
-			spec := fmt.Sprintf("$cluster.replicas -> int & [%d, %d]", n*10, n*10)
+			// Each tenant's spec accepts exactly its own range of replica
+			// counts; the ranges are disjoint, so foreign data violates.
+			spec := fmt.Sprintf("$cluster.replicas -> int & [%d, %d]", n*100, n*100+rounds)
 			if _, err := c.Register(ctx, "pin", spec); err != nil {
 				errs <- fmt.Errorf("tenant %d register: %w", n, err)
 				return
 			}
 			for round := 0; round < rounds; round++ {
-				data := fmt.Sprintf("cluster.replicas = %d\n", n*10)
+				data := fmt.Sprintf("cluster.replicas = %d\n", n*100+round)
 				resp, err := c.Validate(ctx, "pin", ValidateRequest{
 					Payloads: []PayloadRef{{Name: "c.kv", Format: "kv", Data: data}},
 				})
@@ -128,9 +129,9 @@ func TestConcurrentTenantsPinIndependentSnapshots(t *testing.T) {
 						n, round, resp.Report.Violations)
 					return
 				}
-				if resp.Report.InstancesChecked != 1 {
-					errs <- fmt.Errorf("tenant %d round %d checked %d instances, want 1 (snapshot not isolated)",
-						n, round, resp.Report.InstancesChecked)
+				if resp.Report.InstancesChecked != 1 || resp.Report.SpecsReused != 0 {
+					errs <- fmt.Errorf("tenant %d round %d checked %d instances reusing %d specs, want 1 reusing 0 (snapshot not isolated, or not validated)",
+						n, round, resp.Report.InstancesChecked, resp.Report.SpecsReused)
 					return
 				}
 			}

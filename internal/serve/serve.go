@@ -10,8 +10,8 @@
 //
 // The layering is strict: serve knows nothing about HTTP status codes
 // (http.go maps its typed errors), and nothing in here forks off the
-// CLI's behavior — a Validate call is a runner.Job, the same structure
-// cvcheck submits per round.
+// CLI's behavior — a ValidateBody call is a runner.Job, the same
+// structure cvcheck submits per round.
 package serve
 
 import (
@@ -148,12 +148,6 @@ type Config struct {
 	// response cache, which also coalesces identical in-flight requests
 	// into one validation. Default 256; negative disables.
 	ResultCacheSize int
-	// NoIncremental disables cross-request incremental validation: with
-	// it set, every request that misses the result cache runs every
-	// spec, instead of re-running only the specs whose footprint
-	// overlaps the keys changed since the spec's last validated
-	// snapshot.
-	NoIncremental bool
 	// StateDir, when non-empty, makes tenant registries durable: every
 	// accepted registration/deletion is journaled (fsync'd) to this
 	// directory before it is acknowledged, and Recover replays the
@@ -626,54 +620,33 @@ func (s *Server) DeleteSpec(tenantName, specName string) error {
 	return nil
 }
 
-// Validate runs one registered spec against the request's payloads and
-// source pointers, returning the wire-format report plus load
-// accounting. The run goes through the tenant's runner — the identical
-// code path cvcheck uses — so a report obtained here matches the CLI's
-// for the same inputs, whichever cache layer serves it:
+// ValidateBody runs one registered spec against a request body — the
+// JSON encoding of a ValidateRequest — returning the wire-format report
+// plus load accounting. The run goes through the tenant's runner — the
+// identical code path cvcheck uses — so a report obtained here matches
+// the CLI's for the same inputs, whichever cache layer serves it:
 //
-//  1. a request whose payload content address matches a cached response
-//     for the same registration returns it outright, before admission
-//     control (a cache hit consumes no validation slot);
-//  2. an identical request already in flight is coalesced onto it
+//  1. a body byte-identical to one already answered is content-addressed
+//     *before* JSON decoding and returns the cached response outright,
+//     skipping decode, payload hashing and the run — the cheapest hit the
+//     service can serve. The raw-body key is an alias stored next to the
+//     canonical payload-hash entry (only for responses that entry
+//     admits), and it embeds the registration nonce, so re-registration
+//     invalidates both together. A raw hit skips the per-request quota
+//     checks; the identical bytes already passed them when the entry was
+//     populated, and quotas are fixed per server;
+//  2. a request whose payload content address matches a cached response
+//     for the same registration returns it, before admission control (a
+//     cache hit consumes no validation slot);
+//  3. an identical request already in flight is coalesced onto it
 //     (single-flight) instead of validating twice;
-//  3. a miss validates under admission control: the payloads are parsed
+//  4. a miss validates under admission control: the payloads are parsed
 //     and only the specs whose footprint the payload delta touches are
-//     re-run (cross-request incremental validation, unless
-//     NoIncremental).
+//     re-run (cross-request incremental validation).
 //
 // Requests that are not pure functions of their payload bytes —
 // server-side sources, specs with their own load commands, degraded or
-// interrupted runs — skip layers 1 and 2 entirely and are never
-// cached.
-func (s *Server) Validate(ctx context.Context, tenantName, specName string, req ValidateRequest) (*ValidateResponse, error) {
-	if err := s.checkReady(); err != nil {
-		return nil, err
-	}
-	t, err := s.tenantFor(tenantName, false)
-	if err != nil {
-		return nil, err
-	}
-	entry, err := t.spec(specName)
-	if err != nil {
-		return nil, err
-	}
-	payloads := make([]runner.Payload, len(req.Payloads))
-	for i, p := range req.Payloads {
-		payloads[i] = runner.Payload{Name: p.Name, Format: p.Format, Scope: p.Scope, Data: []byte(p.Data)}
-	}
-	return s.validateReq(ctx, t, entry, payloads, req.Sources, "")
-}
-
-// ValidateBody is the transport's entry point: it content-addresses the
-// raw request body *before* JSON decoding, so a byte-identical repeat
-// of a cached request skips decode, payload hashing, and the run
-// entirely — the cheapest hit the service can serve. The raw-body key
-// is an alias stored next to the canonical payload-hash entry (only
-// for responses that entry admits), and it embeds the registration
-// nonce, so re-registration invalidates both together. A raw hit skips
-// the per-request quota checks; the identical bytes already passed them
-// when the entry was populated, and quotas are fixed per server.
+// interrupted runs — skip layers 1 to 3 entirely and are never cached.
 func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, body []byte) (*ValidateResponse, error) {
 	if err := s.checkReady(); err != nil {
 		return nil, err
@@ -778,14 +751,12 @@ func (s *Server) validate(ctx context.Context, t *tenant, entry *specEntry, job 
 	}
 	defer release()
 
-	if !s.cfg.NoIncremental {
-		job.Prev = entry.state.Load()
-	}
+	job.Prev = entry.state.Load()
 	res, err := t.runner.Run(ctx, job)
 	if err != nil {
 		return nil, err
 	}
-	if !s.cfg.NoIncremental && !res.Report.Interrupted {
+	if !res.Report.Interrupted {
 		entry.state.Store(res.State)
 	}
 	if n := res.Report.SpecsReused; n > 0 {

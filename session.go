@@ -42,15 +42,6 @@ type Session struct {
 	// plan executor — an escape hatch and semantic oracle; the two paths
 	// produce identical reports.
 	Interpret bool
-	// Incremental is sugar over RunProgramIncremental for callers with
-	// one validation lineage: the session keeps each run's RunState and
-	// hands it to the next run itself, so the next run of the *same*
-	// compiled program re-executes only the specifications whose static
-	// footprint overlaps the keys that changed since. The retained state
-	// survives SwapStore — a fresh store's snapshot is diffed against
-	// the previous one. Incremental rounds assume the environment is
-	// unchanged between runs; call SetEnv only before the first run.
-	Incremental bool
 	// SpecDir resolves relative include paths; defaults to the working
 	// directory.
 	SpecDir string
@@ -70,11 +61,6 @@ type Session struct {
 	includes map[string]string
 	// registered in-memory data sources for hermetic loads.
 	sources map[string][]byte
-
-	// last retains the most recent run's state for Incremental mode. A
-	// RunState is immutable, so concurrent rounds may race on the pointer
-	// safely; last writer wins and the loser's state is simply not reused.
-	last atomic.Pointer[RunState]
 
 	// dataLoader retains last-good parses across LoadSources calls and
 	// specLoader across Degrade-mode load commands; each is lazily built
@@ -202,19 +188,12 @@ func (s *Session) ValidateProgramContext(ctx context.Context, prog *Program) (*R
 	return rep, err
 }
 
-// RunProgram validates a compiled program against an explicit store —
-// RunProgramIncremental with the previous state supplied by the session
-// (its own retained RunState under Incremental, none otherwise).
-// ValidateProgramContext is RunProgram on the session's current store.
+// RunProgram validates a compiled program against an explicit store, in
+// full: RunProgramIncremental with no previous state, its returned state
+// dropped. ValidateProgramContext is RunProgram on the session's current
+// store.
 func (s *Session) RunProgram(ctx context.Context, prog *Program, st *Store) (*Report, *LoadReport, error) {
-	var prev *RunState
-	if s.Incremental {
-		prev = s.last.Load()
-	}
-	rep, specLoads, next, err := s.RunProgramIncremental(ctx, prog, st, prev)
-	if s.Incremental && err == nil && next != prev {
-		s.last.Store(next)
-	}
+	rep, specLoads, _, err := s.RunProgramIncremental(ctx, prog, st, nil)
 	return rep, specLoads, err
 }
 
@@ -253,10 +232,11 @@ func (rs *RunState) Report() *Report {
 // whose footprint overlaps the keys changed between prev's snapshot and
 // this store's are re-executed, the rest spliced from prev's report, and
 // the result is byte-identical to a full run (modulo Duration and
-// SpecsReused). A nil or mismatched prev runs every specification. The
-// returned state reflects this run, except after an interrupted run,
-// whose incomplete verdict set must not seed future splices: prev comes
-// back unchanged.
+// SpecsReused). The splice assumes the environment is unchanged since
+// prev's run: call SetEnv only before a lineage's first run. A nil or
+// mismatched prev runs every specification. The returned state reflects
+// this run, except after an interrupted run, whose incomplete verdict set
+// must not seed future splices: prev comes back unchanged.
 func (s *Session) RunProgramIncremental(ctx context.Context, prog *Program, st *Store, prev *RunState) (*Report, *LoadReport, *RunState, error) {
 	specLoads, err := s.execLoads(ctx, prog, st)
 	if err != nil {
@@ -374,10 +354,6 @@ func (s *Session) ingestSource(ld compiler.Load) ingest.Source {
 // LastLoadReport returns the per-source accounting of the most recent
 // Degrade-mode load, or nil when none has run.
 func (s *Session) LastLoadReport() *LoadReport { return s.loadRep.Load() }
-
-// LastReport returns the report retained by the most recent Incremental
-// validation round, or nil when none has run.
-func (s *Session) LastReport() *Report { return s.last.Load().Report() }
 
 func (s *Session) execLoad(ctx context.Context, ld compiler.Load, st *Store) error {
 	src := s.ingestSource(ld)

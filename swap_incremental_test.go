@@ -1,6 +1,7 @@
 package confvalley
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -11,20 +12,31 @@ import (
 )
 
 // TestSwapStoreIncremental runs the swap-under-validation scenario with
-// Incremental mode on: concurrent rounds race on the session's retained
-// (snapshot, report) pair while whole store generations are swapped in
-// underneath. Every report must still see a single, consistent
-// generation — a spliced round may be built from a stale-but-sound
-// baseline, never from a torn one. Run with -race; the stress target
-// picks this up via its TestSwapStore pattern.
+// one shared incremental lineage: concurrent rounds race on one retained
+// RunState while whole store generations are swapped in underneath.
+// Every report must still see a single, consistent generation — a
+// spliced round may be built from a stale-but-sound baseline, never from
+// a torn one. Run with -race; the stress target picks this up via its
+// TestSwapStore pattern.
 func TestSwapStoreIncremental(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	s := NewSession()
-	s.Incremental = true
 	s.SwapStore(swapGeneration(t, 0))
 	prog, err := s.Compile("$Cluster.Replicas -> int & consistent")
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	// round validates the session's current store against the shared
+	// lineage; a RunState is immutable, so rounds race on the pointer
+	// safely and the last completed writer wins.
+	var state atomic.Pointer[RunState]
+	round := func() (*Report, error) {
+		rep, _, next, err := s.RunProgramIncremental(context.Background(), prog, s.Store(), state.Load())
+		if err == nil {
+			state.Store(next)
+		}
+		return rep, err
 	}
 
 	const generations = 40
@@ -49,7 +61,7 @@ func TestSwapStoreIncremental(t *testing.T) {
 			defer wg.Done()
 			runs := 0
 			for !done.Load() || runs == 0 {
-				rep, err := s.ValidateProgram(prog)
+				rep, err := round()
 				if err != nil {
 					t.Errorf("validate: %v", err)
 					return
@@ -71,11 +83,11 @@ func TestSwapStoreIncremental(t *testing.T) {
 	// A final quiet round, revalidating the last generation with no
 	// further swaps: the retained pair must now line up so the round is
 	// fully spliced.
-	rep, err := s.ValidateProgram(prog)
+	rep, err := round()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := s.ValidateProgram(prog)
+	rep2, err := round()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +97,8 @@ func TestSwapStoreIncremental(t *testing.T) {
 	if rep2.SpecsReused != 1 {
 		t.Errorf("quiet round reused %d specs, want 1", rep2.SpecsReused)
 	}
-	if s.LastReport() != rep2 {
-		t.Error("LastReport does not return the latest round's report")
+	if state.Load().Report() != rep2 {
+		t.Error("the retained state does not hold the latest round's report")
 	}
 
 	// The incremental rounds answered from consistent generations; the
