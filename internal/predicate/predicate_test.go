@@ -299,3 +299,18 @@ func TestRelSkipsIncomparableOrdering(t *testing.T) {
 		t.Error("equality must not be vacuous")
 	}
 }
+
+// A "nan" or "inf" number with a duration suffix is not a duration: it
+// fails the duration type check, and against a duration bound it is a
+// mixed-domain pair that range checks leave to that type check, instead
+// of ordering as a typed duration inside [1s, 60s].
+func TestNonFiniteDurationIsNotADuration(t *testing.T) {
+	for _, s := range []string{"nans", "infs", "nanmin"} {
+		if TypeCheck(vtype.Scalar(vtype.KindDuration), value.Scalar(s)) {
+			t.Errorf("%q passed the duration type check", s)
+		}
+		if _, ok := Orderable("1s", s); ok {
+			t.Errorf("%q orders against the duration bound 1s", s)
+		}
+	}
+}

@@ -327,7 +327,11 @@ func IsSize(s string) bool {
 	return ok
 }
 
-// ParseSize parses a byte-size literal into bytes.
+// maxBytes is 2^63, the first byte count an int64 cannot hold.
+const maxBytes = 1 << 63
+
+// ParseSize parses a byte-size literal into bytes. The number takes
+// ParseFloat's grammar, and a size past the int64 range is not a size.
 func ParseSize(s string) (int64, bool) {
 	low := strings.ToLower(strings.TrimSpace(s))
 	for _, e := range sizeSuffixes {
@@ -336,11 +340,15 @@ func ParseSize(s string) (int64, bool) {
 			if num == "" {
 				return 0, false
 			}
-			v, err := strconv.ParseFloat(num, 64)
-			if err != nil || v < 0 {
+			v, ok := ParseFloat(num)
+			if !ok || v < 0 {
 				return 0, false
 			}
-			return int64(v * float64(e.mult)), true
+			b := v * float64(e.mult)
+			if b >= maxBytes {
+				return 0, false
+			}
+			return int64(b), true
 		}
 	}
 	return 0, false
@@ -361,7 +369,8 @@ func IsDuration(s string) bool {
 	return ok
 }
 
-// ParseDuration parses a duration literal into milliseconds.
+// ParseDuration parses a duration literal into milliseconds. The number
+// takes ParseFloat's grammar.
 func ParseDuration(s string) (float64, bool) {
 	low := strings.ToLower(strings.TrimSpace(s))
 	for _, e := range durationSuffixes {
@@ -370,8 +379,8 @@ func ParseDuration(s string) (float64, bool) {
 			if num == "" {
 				return 0, false
 			}
-			v, err := strconv.ParseFloat(num, 64)
-			if err != nil || v < 0 {
+			v, ok := ParseFloat(num)
+			if !ok || v < 0 {
 				return 0, false
 			}
 			return v * e.ms, true

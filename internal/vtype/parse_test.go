@@ -239,3 +239,39 @@ func TestPropJoinLattice(t *testing.T) {
 		}
 	}
 }
+
+// Sizes and durations take ParseFloat's numeric grammar: a "nan" or "inf"
+// number with a unit suffix is not a size or a duration, so it can
+// neither conform to those types nor order against their values.
+func TestSizeAndDurationRejectNonFinite(t *testing.T) {
+	for _, s := range []string{"nans", "NaNs", "infs", "-infms", "+Infmin", "infinityh", "nanMB", "InfKB", "0x1p4s", "0x10MB"} {
+		if _, ok := ParseDuration(s); ok {
+			t.Errorf("ParseDuration(%q) should fail", s)
+		}
+		if _, ok := ParseSize(s); ok {
+			t.Errorf("ParseSize(%q) should fail", s)
+		}
+		if Conforms(s, Scalar(KindDuration)) || Conforms(s, Scalar(KindSize)) {
+			t.Errorf("%q should conform to neither duration nor size", s)
+		}
+	}
+	if c, typed := CompareValues("nans", "5s"); typed {
+		t.Errorf(`CompareValues("nans", "5s") = %d, typed; want an untyped string order`, c)
+	}
+}
+
+// A size past the int64 byte range is not a size: it used to convert to
+// MinInt64 and order below "1B".
+func TestParseSizeRejectsOverflow(t *testing.T) {
+	for _, s := range []string{"99999999TB", "8388608TB", "1e30B", "9223372036854775808B"} {
+		if v, ok := ParseSize(s); ok {
+			t.Errorf("ParseSize(%q) = %d, ok; want a failure", s, v)
+		}
+	}
+	if v, ok := ParseSize("8388607TB"); !ok || v != 8388607<<40 {
+		t.Errorf(`ParseSize("8388607TB") = %d,%v; want %d,true`, v, ok, int64(8388607)<<40)
+	}
+	if c, typed := CompareValues("99999999TB", "1B"); typed && c < 0 {
+		t.Errorf(`CompareValues("99999999TB", "1B") = %d, typed; an overflowing size must not order below 1B`, c)
+	}
+}
