@@ -293,25 +293,54 @@ func PairBounds(los, his []value.V) [][2]value.V {
 // Aggregate predicates (unique, consistent, ordered) apply per class: a
 // predicate over class C characterizes C's instances (§4.2.1), and a
 // wildcard reference denotes a set of classes, each checked on its own.
-// Derived values with no provenance share one partition.
+// Derived values with no provenance share one partition. Groups come in
+// order of first appearance. Each class path is rendered into a stack
+// buffer and looked up without a copy, so the grouping allocates one
+// string per distinct class, not one per element.
 func PartitionByClass(elems []value.V) [][]int {
-	byClass := make(map[string][]int)
-	var order []string
+	index := make(map[string]int)
+	of := make([]int, len(elems)) // class number of each element
+	var sizes []int
+	var scratch [192]byte
 	for i, v := range elems {
-		cp := ""
+		cp := scratch[:0]
 		if v.Inst != nil {
-			cp = v.Inst.Key.ClassPath()
+			cp = appendClassPath(cp, v.Inst.Key)
 		}
-		if _, ok := byClass[cp]; !ok {
-			order = append(order, cp)
+		g, ok := index[string(cp)]
+		if !ok {
+			g = len(sizes)
+			index[string(cp)] = g
+			sizes = append(sizes, 0)
 		}
-		byClass[cp] = append(byClass[cp], i)
+		of[i] = g
+		sizes[g]++
 	}
-	out := make([][]int, 0, len(order))
-	for _, cp := range order {
-		out = append(out, byClass[cp])
+	// One backing array carved into per-class slices, each clipped so an
+	// append to one class cannot run into the next.
+	backing := make([]int, len(elems))
+	out := make([][]int, len(sizes))
+	off := 0
+	for g, size := range sizes {
+		out[g] = backing[off : off : off+size]
+		off += size
+	}
+	for i, g := range of {
+		out[g] = append(out[g], i)
 	}
 	return out
+}
+
+// appendClassPath appends k.ClassPath(), the key's segment names joined
+// with dots, to b.
+func appendClassPath(b []byte, k config.Key) []byte {
+	for i, s := range k.Segs {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = append(b, s.Name...)
+	}
+	return b
 }
 
 // Subset selects elems at the given indexes.

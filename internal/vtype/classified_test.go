@@ -44,3 +44,36 @@ func sign(c int) int {
 	}
 	return 0
 }
+
+// Typing a value allocates nothing, whether or not it is a member of the
+// type: a non-number reaches no strconv error, an address becomes no
+// net.IP, and no value is lowered or split into a fresh slice.
+func TestTypingDoesNotAllocate(t *testing.T) {
+	vals := append(append([]string(nil), classifySamples...),
+		"alpha", "Beta", "10.0.0.99x", "id-1", "not a number")
+	var types []Type
+	for k := KindBool; k <= KindString; k++ {
+		types = append(types, Scalar(k), ListOf(k))
+	}
+	check := func(name string, f func()) {
+		t.Helper()
+		if n := testing.AllocsPerRun(20, f); n != 0 {
+			t.Errorf("%s: %v allocations per run, want 0", name, n)
+		}
+	}
+	for _, a := range vals {
+		check("Detect("+a+")", func() { Detect(a) })
+		check("Conforms("+a+")", func() {
+			for _, typ := range types {
+				Conforms(a, typ)
+			}
+		})
+		for _, b := range vals {
+			check("CompareValues("+a+", "+b+")", func() { CompareValues(a, b) })
+			check("Classify("+b+").Compare("+a+")", func() {
+				c := Classify(b)
+				c.Compare(a)
+			})
+		}
+	}
+}

@@ -2,33 +2,73 @@ package vtype
 
 import (
 	"net"
+	"net/netip"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
+
+// Typing a value allocates nothing. Each parser checks the syntax of its
+// input before it calls strconv or netip, so a value that cannot be a
+// number or an address is turned away without an error being built, and
+// letters are compared without lowering a copy. FuzzVtype holds every
+// parser to the strconv- and net-based original kept in oracle_test.go.
 
 // IsBool reports whether s is a boolean literal. Configuration data uses
 // several spellings; all of true/false, yes/no, on/off (case-insensitive)
 // and 0/1 are NOT accepted for 0/1 (those are integers), matching the
 // paper's treatment of booleans as a distinct narrow type.
 func IsBool(s string) bool {
-	switch strings.ToLower(s) {
-	case "true", "false", "yes", "no", "on", "off":
-		return true
-	}
-	return false
+	_, ok := ParseBool(s)
+	return ok
 }
 
 // ParseBool converts a boolean literal to its value. The second result is
 // false when s is not a boolean literal.
 func ParseBool(s string) (bool, bool) {
-	switch strings.ToLower(s) {
-	case "true", "yes", "on":
+	s = foldable(s)
+	switch {
+	case equalFold(s, "true"), equalFold(s, "yes"), equalFold(s, "on"):
 		return true, true
-	case "false", "no", "off":
+	case equalFold(s, "false"), equalFold(s, "no"), equalFold(s, "off"):
 		return false, true
 	}
 	return false, false
 }
+
+// foldable returns s ready for the ASCII case-insensitive comparisons
+// below: s itself when it is ASCII, strings.ToLower(s) otherwise, because
+// lowering maps a few non-ASCII letters onto ASCII ones (the Kelvin sign
+// onto k, the dotted capital I onto i) and the comparisons must see that.
+func foldable(s string) string {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return strings.ToLower(s)
+		}
+	}
+	return s
+}
+
+// equalFold reports whether s equals the lower-case ASCII word w, ignoring
+// ASCII case.
+func equalFold(s, w string) bool {
+	if len(s) != len(w) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != w[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func hasPrefixFold(s, w string) bool { return len(s) >= len(w) && equalFold(s[:len(w)], w) }
+func hasSuffixFold(s, w string) bool { return len(s) >= len(w) && equalFold(s[len(s)-len(w):], w) }
 
 // IsInt reports whether s is a decimal or 0x-prefixed integer.
 func IsInt(s string) bool {
@@ -51,7 +91,10 @@ func ParseInt(s string) (int64, bool) {
 		base = 16
 		body = body[2:]
 	}
-	v, err := strconv.ParseInt(body, base, 64)
+	if !isDigits(body, base) {
+		return 0, false
+	}
+	v, err := strconv.ParseInt(body, base, 64) // fails only out of range
 	if err != nil {
 		return 0, false
 	}
@@ -59,6 +102,24 @@ func ParseInt(s string) (int64, bool) {
 		v = -v
 	}
 	return v, true
+}
+
+// isDigits reports whether s is an optional sign and one or more digits of
+// base 10 or 16: all that strconv.ParseInt accepts at that base but for
+// values out of range.
+func isDigits(s string, base int) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; !('0' <= c && c <= '9' || base == 16 && isHexDigit(c)) {
+			return false
+		}
+	}
+	return true
 }
 
 // IsFloat reports whether s parses as a floating-point number. Integers
@@ -72,18 +133,61 @@ func IsFloat(s string) bool {
 // rejected; "inf"/"nan" spellings are rejected because they never appear
 // intentionally in configuration data.
 func ParseFloat(s string) (float64, bool) {
-	if s == "" {
+	if !isDecimal(s) {
 		return 0, false
 	}
-	low := strings.ToLower(s)
-	if strings.Contains(low, "inf") || strings.Contains(low, "nan") || strings.Contains(low, "x") {
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(s, 64)
+	v, err := strconv.ParseFloat(s, 64) // fails only out of range
 	if err != nil {
 		return 0, false
 	}
 	return v, true
+}
+
+// isDecimal reports whether s is a decimal floating-point literal in Go's
+// syntax: an optional sign, digits with at most one decimal point and at
+// least one digit, then an optional exponent with at least one digit, an
+// underscore allowed only between two digits. That is all
+// strconv.ParseFloat accepts but its inf/nan spellings and hexadecimal
+// floats, which ParseFloat rejects.
+func isDecimal(s string) bool {
+	i := 0
+	if i < len(s) && (s[i] == '+' || s[i] == '-') {
+		i++
+	}
+	digits, dot := false, false
+	for ; i < len(s); i++ {
+		if c := s[i]; isDigit(c) {
+			digits = true
+		} else if c == '.' && !dot {
+			dot = true
+		} else if !digitSeparator(s, i) {
+			break
+		}
+	}
+	if !digits {
+		return false
+	}
+	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
+		i++
+		if i < len(s) && (s[i] == '+' || s[i] == '-') {
+			i++
+		}
+		j := i
+		for i < len(s) && (isDigit(s[i]) || digitSeparator(s, i)) {
+			i++
+		}
+		if i == j {
+			return false
+		}
+	}
+	return i == len(s)
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// digitSeparator reports whether s[i] is an underscore between two digits.
+func digitSeparator(s string, i int) bool {
+	return s[i] == '_' && i > 0 && isDigit(s[i-1]) && i+1 < len(s) && isDigit(s[i+1])
 }
 
 // IsPort reports whether s is an integer in the valid TCP/UDP port range.
@@ -93,13 +197,98 @@ func IsPort(s string) bool {
 }
 
 // IsIP reports whether s is an IPv4 or IPv6 address.
-func IsIP(s string) bool { return net.ParseIP(s) != nil }
+func IsIP(s string) bool {
+	_, ok := parseIP(s)
+	return ok
+}
 
 // ParseIP parses an IP address; the second result is false on failure.
+// The result is 16 bytes long, as net.ParseIP's is.
 func ParseIP(s string) (net.IP, bool) {
-	ip := net.ParseIP(s)
-	return ip, ip != nil
+	a, ok := parseIP(s)
+	if !ok {
+		return nil, false
+	}
+	return ipSlice(a), true
 }
+
+func ipSlice(a netip.Addr) net.IP {
+	b := a.As16()
+	return net.IP(b[:])
+}
+
+// parseIP accepts exactly what net.ParseIP does: netip.ParseAddr's syntax
+// without a zone. It reads a dotted IPv4 address itself and hands netip
+// only text that can be IPv6, so a value that is no address never reaches
+// a parser that builds an error for it.
+func parseIP(s string) (netip.Addr, bool) {
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '.':
+			return parseIPv4(s)
+		case ':':
+			if !maybeIPv6(s) {
+				return netip.Addr{}, false
+			}
+			a, err := netip.ParseAddr(s)
+			return a, err == nil
+		case '%':
+			return netip.Addr{}, false
+		}
+	}
+	return netip.Addr{}, false
+}
+
+// parseIPv4 parses a dotted quad with netip's rules: four decimal fields
+// of at most 255, none with a leading zero.
+func parseIPv4(s string) (netip.Addr, bool) {
+	var fields [4]byte
+	val, pos, digits := 0, 0, 0
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case '0' <= c && c <= '9':
+			if digits == 1 && val == 0 {
+				return netip.Addr{}, false
+			}
+			val = val*10 + int(c-'0')
+			digits++
+			if val > 255 {
+				return netip.Addr{}, false
+			}
+		case c == '.':
+			if digits == 0 || pos == 3 {
+				return netip.Addr{}, false
+			}
+			fields[pos] = byte(val)
+			pos++
+			val, digits = 0, 0
+		default:
+			return netip.Addr{}, false
+		}
+	}
+	if pos < 3 || digits == 0 {
+		return netip.Addr{}, false
+	}
+	fields[3] = byte(val)
+	return netip.AddrFrom4(fields), true
+}
+
+// maybeIPv6 reports whether s is made only of what an IPv6 address
+// without a zone is made of: hex digits, colons and the dots of an
+// embedded IPv4 address.
+func maybeIPv6(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; !isHexDigit(c) && c != ':' && c != '.' {
+			return false
+		}
+	}
+	return true
+}
+
+// compareAddr orders two addresses as CompareIP orders their net.IP forms:
+// an IPv4-mapped IPv6 address is the IPv4 address, and IPv4 orders before
+// IPv6.
+func compareAddr(a, b netip.Addr) int { return a.Unmap().Compare(b.Unmap()) }
 
 // IsIPRange reports whether s has the form "ip1-ip2" with ip1 <= ip2.
 func IsIPRange(s string) bool {
@@ -109,17 +298,22 @@ func IsIPRange(s string) bool {
 
 // ParseIPRange parses an "ip1-ip2" range, returning both endpoints.
 func ParseIPRange(s string) (lo, hi net.IP, ok bool) {
-	i := strings.IndexByte(s, '-')
-	if i <= 0 || i == len(s)-1 {
+	a, b, ok := parseIPRange(s)
+	if !ok {
 		return nil, nil, false
 	}
-	lo = net.ParseIP(strings.TrimSpace(s[:i]))
-	hi = net.ParseIP(strings.TrimSpace(s[i+1:]))
-	if lo == nil || hi == nil {
-		return nil, nil, false
+	return ipSlice(a), ipSlice(b), true
+}
+
+func parseIPRange(s string) (lo, hi netip.Addr, ok bool) {
+	l, h, _ := strings.Cut(s, "-")
+	if l == "" || h == "" {
+		return netip.Addr{}, netip.Addr{}, false
 	}
-	if CompareIP(lo, hi) > 0 {
-		return nil, nil, false
+	lo, okL := parseIP(strings.TrimSpace(l))
+	hi, okH := parseIP(strings.TrimSpace(h))
+	if !okL || !okH || compareAddr(lo, hi) > 0 {
+		return netip.Addr{}, netip.Addr{}, false
 	}
 	return lo, hi, true
 }
@@ -152,10 +346,30 @@ func compareBytes(a, b []byte) int {
 	return 0
 }
 
-// IsCIDR reports whether s is CIDR notation ("10.0.0.0/24").
+// IsCIDR reports whether s is CIDR notation ("10.0.0.0/24"), by
+// net.ParseCIDR's rules: an address without a zone, then a decimal prefix
+// length of at most 32 for IPv4 and 128 for IPv6.
 func IsCIDR(s string) bool {
-	_, _, err := net.ParseCIDR(s)
-	return err == nil
+	addr, bits, _ := strings.Cut(s, "/")
+	ip, ok := parseIP(addr)
+	if !ok || bits == "" {
+		return false
+	}
+	max := 128
+	if ip.Is4() {
+		max = 32
+	}
+	n := 0
+	for i := 0; i < len(bits); i++ {
+		c := bits[i]
+		if c < '0' || c > '9' {
+			return false
+		}
+		if n = n*10 + int(c-'0'); n > max {
+			return false
+		}
+	}
+	return true
 }
 
 // IPInCIDR reports whether the address lies inside the CIDR block.
@@ -171,13 +385,41 @@ func IPInCIDR(ipStr, cidrStr string) bool {
 	return block.Contains(ip)
 }
 
-// IsMAC reports whether s is a MAC address in any form net.ParseMAC accepts.
+// IsMAC reports whether s is a MAC address in any form net.ParseMAC
+// accepts: 6, 8 or 20 hex octets, either each pair split by ':' or '-'
+// ("01:23:45:67:89:ab") or each four digits split by '.'
+// ("0123.4567.89ab").
 func IsMAC(s string) bool {
 	if len(s) < 14 { // "01:23:45:67:89:ab" is 17; reject short EUI forms rarely seen in configs
 		return false
 	}
-	_, err := net.ParseMAC(s)
-	return err == nil
+	sep, group, octets := s[2], 3, (len(s)+1)/3
+	switch {
+	case sep == ':' || sep == '-':
+		if (len(s)+1)%3 != 0 {
+			return false
+		}
+	case s[4] == '.':
+		sep, group, octets = '.', 5, 2*(len(s)+1)/5
+		if (len(s)+1)%5 != 0 {
+			return false
+		}
+	default:
+		return false
+	}
+	if octets != 6 && octets != 8 && octets != 20 {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if i%group == group-1 {
+			if s[i] != sep {
+				return false
+			}
+		} else if !isHexDigit(s[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // IsGUID reports whether s is a GUID/UUID like
@@ -212,9 +454,9 @@ var urlSchemes = []string{"http://", "https://", "ftp://", "tcp://", "udp://", "
 // IsURL reports whether s looks like a URL with a known scheme and a
 // nonempty host part.
 func IsURL(s string) bool {
-	low := strings.ToLower(s)
+	low := foldable(s)
 	for _, scheme := range urlSchemes {
-		if strings.HasPrefix(low, scheme) && len(s) > len(scheme) {
+		if hasPrefixFold(low, scheme) && len(s) > len(scheme) {
 			rest := s[len(scheme):]
 			return !strings.ContainsAny(rest, " \t")
 		}
@@ -245,14 +487,12 @@ func isAlpha(c byte) bool { return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' 
 // IsHostname reports whether s is a DNS hostname with at least two labels
 // (single labels are indistinguishable from identifiers).
 func IsHostname(s string) bool {
-	if len(s) == 0 || len(s) > 253 || strings.ContainsAny(s, " \t/\\") {
+	if len(s) == 0 || len(s) > 253 || strings.IndexByte(s, '.') < 0 || strings.ContainsAny(s, " \t/\\") {
 		return false
 	}
-	labels := strings.Split(s, ".")
-	if len(labels) < 2 {
-		return false
-	}
-	for _, l := range labels {
+	for rest, more := s, true; more; {
+		var l string
+		l, rest, more = strings.Cut(rest, ".")
 		if len(l) == 0 || len(l) > 63 {
 			return false
 		}
@@ -295,13 +535,12 @@ func IsEmail(s string) bool {
 // IsVersion reports whether s is a dotted version like "1.2", "2.0.14" or
 // "v3.1.4", with 2 to 4 numeric components.
 func IsVersion(s string) bool {
-	s = strings.TrimPrefix(s, "v")
-	parts := strings.Split(s, ".")
-	if len(parts) < 2 || len(parts) > 4 {
-		return false
-	}
-	for _, p := range parts {
-		if p == "" || len(p) > 6 {
+	rest := strings.TrimPrefix(s, "v")
+	parts := 0
+	for more := true; more; {
+		var p string
+		p, rest, more = strings.Cut(rest, ".")
+		if parts++; parts > 4 || p == "" || len(p) > 6 {
 			return false
 		}
 		for i := 0; i < len(p); i++ {
@@ -310,7 +549,7 @@ func IsVersion(s string) bool {
 			}
 		}
 	}
-	return true
+	return parts >= 2
 }
 
 // sizeSuffixes maps size suffixes to their byte multipliers.
@@ -333,10 +572,10 @@ const maxBytes = 1 << 63
 // ParseSize parses a byte-size literal into bytes. The number takes
 // ParseFloat's grammar, and a size past the int64 range is not a size.
 func ParseSize(s string) (int64, bool) {
-	low := strings.ToLower(strings.TrimSpace(s))
+	low := foldable(strings.TrimSpace(s))
 	for _, e := range sizeSuffixes {
-		if strings.HasSuffix(low, e.suffix) {
-			num := strings.TrimSpace(strings.TrimSuffix(low, e.suffix))
+		if hasSuffixFold(low, e.suffix) {
+			num := strings.TrimSpace(low[:len(low)-len(e.suffix)])
 			if num == "" {
 				return 0, false
 			}
@@ -372,10 +611,10 @@ func IsDuration(s string) bool {
 // ParseDuration parses a duration literal into milliseconds. The number
 // takes ParseFloat's grammar.
 func ParseDuration(s string) (float64, bool) {
-	low := strings.ToLower(strings.TrimSpace(s))
+	low := foldable(strings.TrimSpace(s))
 	for _, e := range durationSuffixes {
-		if strings.HasSuffix(low, e.suffix) {
-			num := strings.TrimSpace(strings.TrimSuffix(low, e.suffix))
+		if hasSuffixFold(low, e.suffix) {
+			num := strings.TrimSpace(low[:len(low)-len(e.suffix)])
 			if num == "" {
 				return 0, false
 			}
@@ -423,9 +662,9 @@ func CompareValues(a, b string) (int, bool) {
 			return 0, true
 		}
 	}
-	if ipa, oka := ParseIP(a); oka {
-		if ipb, okb := ParseIP(b); okb {
-			return CompareIP(ipa, ipb), true
+	if ipa, oka := parseIP(a); oka {
+		if ipb, okb := parseIP(b); okb {
+			return compareAddr(ipa, ipb), true
 		}
 	}
 	if IsVersion(a) && IsVersion(b) {
@@ -460,17 +699,20 @@ func compareInt64(a, b int64) int {
 	return 0
 }
 
+// compareVersions orders two versions component by component, a missing
+// component counting as 0.
 func compareVersions(a, b string) int {
-	pa := strings.Split(strings.TrimPrefix(a, "v"), ".")
-	pb := strings.Split(strings.TrimPrefix(b, "v"), ".")
-	for i := 0; i < len(pa) || i < len(pb); i++ {
-		var va, vb int64
-		if i < len(pa) {
-			va, _ = ParseInt(pa[i])
+	a, b = strings.TrimPrefix(a, "v"), strings.TrimPrefix(b, "v")
+	for moreA, moreB := true, true; moreA || moreB; {
+		var pa, pb string
+		if moreA {
+			pa, a, moreA = strings.Cut(a, ".")
 		}
-		if i < len(pb) {
-			vb, _ = ParseInt(pb[i])
+		if moreB {
+			pb, b, moreB = strings.Cut(b, ".")
 		}
+		va, _ := ParseInt(pa)
+		vb, _ := ParseInt(pb)
 		if c := compareInt64(va, vb); c != 0 {
 			return c
 		}
@@ -487,7 +729,7 @@ type Classified struct {
 	Raw   string
 	f     float64
 	isF   bool
-	ip    net.IP
+	ip    netip.Addr // unmapped, so it orders as CompareIP does
 	isIP  bool
 	isVer bool
 	sz    int64
@@ -503,7 +745,8 @@ type Classified struct {
 func Classify(raw string) Classified {
 	c := Classified{Raw: raw}
 	c.f, c.isF = ParseFloat(raw)
-	c.ip, c.isIP = ParseIP(raw)
+	c.ip, c.isIP = parseIP(raw)
+	c.ip = c.ip.Unmap()
 	c.isVer = IsVersion(raw)
 	c.sz, c.isSz = ParseSize(raw)
 	c.dur, c.isDur = ParseDuration(raw)
@@ -528,8 +771,8 @@ func (c *Classified) Compare(a string) (int, bool) {
 		}
 	}
 	if c.isIP {
-		if ipa, ok := ParseIP(a); ok {
-			return CompareIP(ipa, c.ip), true
+		if ipa, ok := parseIP(a); ok {
+			return ipa.Unmap().Compare(c.ip), true
 		}
 	}
 	if c.isVer && IsVersion(a) {

@@ -232,31 +232,35 @@ func Detect(raw string) Type {
 		if !strings.Contains(s, sep) {
 			continue
 		}
-		parts := strings.Split(s, sep)
-		elem := KindInvalid
-		ok := true
-		for _, p := range parts {
-			p = strings.TrimSpace(p)
-			if p == "" {
-				ok = false
-				break
-			}
-			k := detectScalar(p)
-			if k == KindString {
-				ok = false
-				break
-			}
-			if elem == KindInvalid {
-				elem = k
-			} else {
-				elem = scalarJoin(elem, k)
-			}
-		}
-		if ok && elem != KindInvalid && elem != KindString {
+		if elem := detectList(s, sep); elem != KindString {
 			return ListOf(elem)
 		}
 	}
 	return TString
+}
+
+// detectList joins the kinds of the sep-separated parts of s, or returns
+// KindString when a part is blank or plain text.
+func detectList(s, sep string) Kind {
+	elem := KindInvalid
+	for more := true; more; {
+		var p string
+		p, s, more = strings.Cut(s, sep)
+		p = strings.TrimSpace(p)
+		if p == "" {
+			return KindString
+		}
+		k := detectScalar(p)
+		if k == KindString {
+			return KindString
+		}
+		if elem == KindInvalid {
+			elem = k
+		} else {
+			elem = scalarJoin(elem, k)
+		}
+	}
+	return elem
 }
 
 // detectScalar classifies a single non-list token.
@@ -310,15 +314,7 @@ func Conforms(raw string, t Type) bool {
 			return false
 		}
 		for _, sep := range listSeparators {
-			parts := strings.Split(s, sep)
-			ok := true
-			for _, p := range parts {
-				if !conformsScalar(strings.TrimSpace(p), t.Elem) {
-					ok = false
-					break
-				}
-			}
-			if ok {
+			if allConform(s, sep, t.Elem) {
 				return true
 			}
 			if strings.Contains(s, sep) {
@@ -328,6 +324,18 @@ func Conforms(raw string, t Type) bool {
 		return false
 	}
 	return conformsScalar(s, t.Kind)
+}
+
+// allConform reports whether every sep-separated part of s conforms to k.
+func allConform(s, sep string, k Kind) bool {
+	for more := true; more; {
+		var p string
+		p, s, more = strings.Cut(s, sep)
+		if !conformsScalar(strings.TrimSpace(p), k) {
+			return false
+		}
+	}
+	return true
 }
 
 func conformsScalar(s string, k Kind) bool {
