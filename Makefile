@@ -10,7 +10,7 @@ GO ?= go
 # only ever met one core hid a red tier-1 for six PRs.
 PROCS ?= 1 2 4
 
-.PHONY: all build lint tier1 test bench plan-bench stress incremental-bench fault-bench fuzz-smoke bench-smoke e2e crash-chaos repo-bench repo-bench-smoke profile-expert profile-ingest profile-request profile-cli
+.PHONY: all build lint tier1 test bench plan-bench stress incremental-bench fault-bench fuzz-smoke bench-smoke e2e crash-chaos repo-bench repo-bench-smoke profile-expert profile-ingest profile-request profile-cli profile-infer
 
 all: build
 
@@ -100,7 +100,11 @@ fault-bench:
 # executions asks a few thousand questions of both deltas and minimising
 # one new input would otherwise take most of the window), and the
 # loader's delta re-parse (against a full parse of the edited bytes, XML
-# and KV; thirty seconds). Mirrors the CI "Fuzz smoke" step; a crasher or a divergence fails the target.
+# and KV; thirty seconds), the value typer (FuzzVtype: every vtype parser
+# against the strconv/net originals in internal/vtype/oracle_test.go;
+# thirty seconds) and the CPL front end (FuzzCompile: lexer, parser and
+# compiler must not panic; thirty seconds). Mirrors the CI "Fuzz smoke"
+# step; a crasher or a divergence fails the target.
 fuzz-smoke:
 	for f in FuzzINI FuzzCSV FuzzYAML FuzzJSON FuzzXML; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/driver/ || exit 1; \
@@ -109,6 +113,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateEnvelope$$' -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaOverlaps$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/config/
 	$(GO) test -run '^$$' -fuzz '^FuzzReparse$$' -fuzztime 30s ./internal/driver/
+	$(GO) test -run '^$$' -fuzz '^FuzzVtype$$' -fuzztime 30s ./internal/vtype/
+	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 30s ./internal/compiler/
 
 # One iteration of every benchmark — compile/panic smoke, no timing
 # claims. Mirrors the CI "Bench smoke" step.
@@ -162,6 +168,17 @@ profile-request:
 profile-cli:
 	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench '^BenchmarkCLIRun$$' -benchtime 10s \
+		-o .bench_build/confvalley.test \
+		-cpuprofile .bench_build/cpu.pprof -memprofile .bench_build/mem.pprof .
+	$(GO) tool pprof -top -nodecount 15 .bench_build/confvalley.test .bench_build/cpu.pprof
+	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space .bench_build/confvalley.test .bench_build/mem.pprof
+
+# The same for the miner (BenchmarkInferTypeA: infer.Infer over a
+# full-scale Type A corpus, generated once outside the timer). Same output
+# layout, which it overwrites.
+profile-infer:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '^BenchmarkInferTypeA$$' -benchtime 10s \
 		-o .bench_build/confvalley.test \
 		-cpuprofile .bench_build/cpu.pprof -memprofile .bench_build/mem.pprof .
 	$(GO) tool pprof -top -nodecount 15 .bench_build/confvalley.test .bench_build/cpu.pprof

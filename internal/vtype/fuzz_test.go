@@ -12,7 +12,7 @@ import (
 // addresses, over-long versions and the letter cases of units, booleans
 // and URL schemes.
 var vtypeSeeds = strings.Fields(`1e5 .5 5. +1 -0x1F 0X1f 1_000 Inf nan 1e400 1e
-	::ffff:1.2.3.4 fe80::1%eth0 01.2.3.4 1.2.3 v1.2.3.4.5 512MB 4Gb 30SEC
+	::ffff:1.2.3.4 fe80::1%eth0 fe80::1%1 01.2.3.4 1.2.3 v1.2.3.4.5 512MB 4Gb 30SEC
 	a.b -a.b ON Yes HTTP://x` +
 	// strings.ToLower maps the Kelvin sign onto k and the dotted capital
 	// I onto i, so the first three are a size, a URL and a duration; the
