@@ -115,7 +115,7 @@ func isDigits(s string, base int) bool {
 		return false
 	}
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; !('0' <= c && c <= '9' || base == 16 && isHexDigit(c)) {
+		if c := s[i]; !(isDigit(c) || base == 16 && isHexDigit(c)) {
 			return false
 		}
 	}
@@ -246,7 +246,7 @@ func parseIPv4(s string) (netip.Addr, bool) {
 	val, pos, digits := 0, 0, 0
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
-		case '0' <= c && c <= '9':
+		case isDigit(c):
 			if digits == 1 && val == 0 {
 				return netip.Addr{}, false
 			}
@@ -355,17 +355,17 @@ func IsCIDR(s string) bool {
 	if !ok || bits == "" {
 		return false
 	}
-	max := 128
+	maxBits := 128
 	if ip.Is4() {
-		max = 32
+		maxBits = 32
 	}
 	n := 0
 	for i := 0; i < len(bits); i++ {
 		c := bits[i]
-		if c < '0' || c > '9' {
+		if !isDigit(c) {
 			return false
 		}
-		if n = n*10 + int(c-'0'); n > max {
+		if n = n*10 + int(c-'0'); n > maxBits {
 			return false
 		}
 	}
