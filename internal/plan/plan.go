@@ -301,7 +301,7 @@ func PartitionByClass(elems []value.V) [][]int {
 	index := make(map[string]int)
 	of := make([]int, len(elems)) // class number of each element
 	var sizes []int
-	var scratch [192]byte
+	var scratch [192]byte // a longer class path spills to the heap
 	for i, v := range elems {
 		cp := scratch[:0]
 		if v.Inst != nil {
