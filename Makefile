@@ -10,7 +10,7 @@ GO ?= go
 # only ever met one core hid a red tier-1 for six PRs.
 PROCS ?= 1 2 4
 
-.PHONY: all build lint tier1 test bench plan-bench stress incremental-bench fault-bench fuzz-smoke bench-smoke e2e crash-chaos repo-bench repo-bench-smoke profile-expert profile-ingest profile-request profile-cli profile-infer
+.PHONY: all build lint tier1 test bench stress incremental-bench fuzz-smoke bench-smoke e2e crash-chaos repo-bench repo-bench-smoke profile-expert profile-ingest profile-request profile-cli profile-infer
 
 all: build
 
@@ -49,10 +49,6 @@ test:
 bench:
 	$(GO) test -bench=. -run '^$$' .
 
-# Regenerate the numbers recorded in BENCH_plan.json.
-plan-bench:
-	$(GO) test -bench BenchmarkPlanExecution -benchtime=100x -run '^$$' .
-
 # Focused run of the concurrency stress suite under the race detector.
 # -count=3 re-interleaves the schedules; the cold-cache discovery test
 # is the regression gate for the buildTrie race, the chaos suite drives
@@ -84,10 +80,6 @@ crash-chaos:
 incremental-bench:
 	$(GO) run ./cmd/cvbench -run incremental -full
 
-# Regenerate the happy-path overhead numbers recorded in BENCH_fault.json.
-fault-bench:
-	$(GO) run ./cmd/cvbench -run fault -full
-
 # Short coverage-guided run of each fuzzer on top of the checked-in
 # seeds: the format drivers (FuzzXML differentially, against the
 # encoding/xml oracle; FuzzKV differentially, against the strings.Split
@@ -102,9 +94,12 @@ fault-bench:
 # loader's delta re-parse (against a full parse of the edited bytes, XML
 # and KV; thirty seconds), the value typer (FuzzVtype: every vtype parser
 # against the strconv/net originals in internal/vtype/oracle_test.go;
-# thirty seconds) and the CPL front end (FuzzCompile: lexer, parser and
-# compiler must not panic; thirty seconds). Mirrors the CI "Fuzz smoke"
-# step; a crasher or a divergence fails the target.
+# thirty seconds), the CPL front end (FuzzCompile: lexer, parser and
+# compiler must not panic; thirty seconds) and the journal's frame decoder
+# (FuzzReadFrames: no error, a good offset that ends whole CRC-valid frames
+# and decodes the same alone, records that round-trip through frame;
+# thirty seconds). Mirrors the CI "Fuzz smoke" step; a crasher or a
+# divergence fails the target.
 fuzz-smoke:
 	for f in FuzzINI FuzzCSV FuzzYAML FuzzJSON FuzzXML; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/driver/ || exit 1; \
@@ -115,6 +110,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReparse$$' -fuzztime 30s ./internal/driver/
 	$(GO) test -run '^$$' -fuzz '^FuzzVtype$$' -fuzztime 30s ./internal/vtype/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 30s ./internal/compiler/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrames$$' -fuzztime 30s ./internal/durable/
 
 # One iteration of every benchmark — compile/panic smoke, no timing
 # claims. Mirrors the CI "Bench smoke" step.

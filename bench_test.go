@@ -786,19 +786,10 @@ func TestExperimentsSmoke(t *testing.T) {
 		t.Error("trap archetypes produced no inaccuracies; the §6.3 experiment is vacuous")
 	}
 
-	// The ablations below assert counted work, not wall-clock ratios:
-	// the experiments print their times, which a loaded host skews.
+	// The ablation below asserts counted work, not a wall-clock ratio:
+	// the experiment prints its times, which a loaded host skews.
 	d := experiments.Discovery(cfg)
 	checkDiscoveryWork(t, cfg, d.Queries)
-
-	hits0, misses0 := plan.CacheStats()
-	experiments.PlanAblation(cfg)
-	hits1, misses1 := plan.CacheStats()
-	// Three cold runs lower the plan again each time; three cached runs
-	// reuse it.
-	if misses1-misses0 != 3 || hits1-hits0 != 3 {
-		t.Errorf("plan ablation: %d lowerings, %d cache hits; want 3 and 3", misses1-misses0, hits1-hits0)
-	}
 
 	t2 := experiments.Table2(cfg)
 	if len(t2) < 6 {

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	cvbench [-run all|table2|table3|table4|table5|figure5|table6|table7|
-//	         table8|table9|figure4|discovery|plan|incremental|fault]
+//	         table8|table9|figure4|discovery|incremental]
 //	        [-full] [-scale S] [-seed N]
 //
 // With -full the corpora are generated at paper scale (Type B holds 2.3
@@ -106,17 +106,9 @@ func run() int {
 		sep()
 		experiments.Discovery(cfg)
 	}
-	if all || want["plan"] {
-		sep()
-		experiments.PlanAblation(cfg)
-	}
 	if all || want["incremental"] {
 		sep()
 		experiments.Incremental(cfg)
-	}
-	if all || want["fault"] {
-		sep()
-		experiments.FaultTolerance(cfg)
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "cvbench: unknown experiment %q\n", *which)

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	cvcheck -spec checks.cpl [-data xml:/path/settings.xml[:Scope]]...
-//	        [-parallel N] [-stop] [-json] [-watch 2s] [-interpret]
+//	        [-parallel N] [-stop] [-json] [-watch 2s]
 //	        [-load-timeout 5s] [-max-stale N] [-lint] [-version]
 //
 // -lint runs the static-analysis passes (internal/lint, the same ones
@@ -88,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stop        = fs.Bool("stop", false, "stop at the first violation")
 		asJSON      = fs.Bool("json", false, "emit the report as wire-format JSON")
 		watch       = fs.Duration("watch", 0, "revalidate at this interval when spec or data files change (0 = run once)")
-		interp      = fs.Bool("interpret", false, "execute via the AST interpreter instead of lowered plans")
 		rounds      = fs.Int("watch-rounds", 0, "with -watch, exit after this many validation rounds (0 = forever; for tests)")
 		loadTimeout = fs.Duration("load-timeout", 0, "bound each validation round (loading plus validation); 0 = no bound")
 		maxStale    = fs.Int("max-stale", 0, "serve a failing source from its last good parse for at most N watch rounds (0 = forever, negative = never)")
@@ -138,7 +137,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	r := runner.New(runner.Options{
 		Parallel:    *parallel,
 		StopOnFirst: *stop,
-		Interpret:   *interp,
 		MaxStale:    *maxStale,
 		LoadTimeout: *loadTimeout,
 		SpecDir:     filepath.Dir(*specPath),

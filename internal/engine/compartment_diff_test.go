@@ -12,10 +12,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
 	"confvalley/internal/config"
+	"confvalley/internal/report"
 	"confvalley/internal/simenv"
 )
 
@@ -130,8 +132,19 @@ func TestCompartmentPlanMatchesInterpreter(t *testing.T) {
 		for _, m := range modes {
 			iOpts := m.opts
 			iOpts.Interpret = true
+			// NaiveDiscovery runs the interpreter only: its case holds the
+			// interpreter over the naive scan to the plan over the index.
+			pOpts := m.opts
+			pOpts.NaiveDiscovery = false
 			interp := (&Engine{Store: st, Env: simenv.NewSim(), Opts: iOpts}).Run(prog)
-			planned := (&Engine{Store: st, Env: simenv.NewSim(), Opts: m.opts}).Run(prog)
+			planned := (&Engine{Store: st, Env: simenv.NewSim(), Opts: pOpts}).Run(prog)
+			if m.opts.NaiveDiscovery {
+				// The scan lists instances in store order, the index by
+				// class, so one spec's violations may come out in either
+				// order; everything else must still be byte-identical.
+				specOrder(interp)
+				specOrder(planned)
+			}
 			if len(interp.SpecErrors) != 0 {
 				t.Fatalf("seed %d %s: the suite does not evaluate: %q", seed, m.name, interp.SpecErrors)
 			}
@@ -155,6 +168,18 @@ func TestCompartmentPlanMatchesInterpreter(t *testing.T) {
 	if violations == 0 || checked == 0 || emptyRHS == 0 {
 		t.Errorf("generated stores went bland: %d instances checked, %d violations, %d empty right-hand sides", checked, violations, emptyRHS)
 	}
+}
+
+// specOrder sorts each spec's violations by key, keeping specs in
+// execution order.
+func specOrder(rep *report.Report) {
+	sort.SliceStable(rep.Violations, func(i, j int) bool {
+		a, b := rep.Violations[i], rep.Violations[j]
+		if a.Seq != b.Seq {
+			return a.Seq < b.Seq
+		}
+		return a.Key < b.Key
+	})
 }
 
 // TestCompartmentCancelMidGroup cancels from inside a compartment's group

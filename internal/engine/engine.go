@@ -38,7 +38,6 @@ import (
 	"confvalley/internal/simenv"
 	"confvalley/internal/transform"
 	"confvalley/internal/value"
-	"confvalley/internal/vtype"
 )
 
 // Options tune an engine.
@@ -46,9 +45,10 @@ type Options struct {
 	// StopOnFirst aborts the run at the first violation (policy
 	// on_violation 'stop').
 	StopOnFirst bool
-	// NaiveDiscovery bypasses the store's indexes, reproducing the
-	// paper's initial (pre-optimization) discovery implementation for
-	// the §5.2 ablation.
+	// NaiveDiscovery runs the reference interpreter over the naive scan
+	// (Snapshot.DiscoverNaive) instead of the store's indexes: the
+	// paper's initial, pre-§5.2 implementation, kept for the §5.2
+	// ablation. It implies Interpret.
 	NaiveDiscovery bool
 	// Parallel > 1 splits the specifications into that many partitions
 	// validated concurrently (Table 8's P10 mode); 0 (the zero value) or
@@ -59,8 +59,7 @@ type Options struct {
 	Parallel int
 	// Interpret evaluates the program by walking its AST instead of
 	// executing the lowered plan — the pre-lowering implementation, kept
-	// for the interpreted-vs-planned ablation and as a semantic oracle
-	// for the plan executor's golden tests.
+	// as the semantic oracle for the plan executor's golden tests.
 	Interpret bool
 }
 
@@ -119,7 +118,7 @@ func (e *Engine) begin(ctx context.Context, prog *compiler.Program) {
 // planFor returns the program's lowered plan, or nil when the run
 // interprets the AST instead.
 func (e *Engine) planFor(prog *compiler.Program) *plan.Plan {
-	if e.Opts.Interpret {
+	if e.Opts.Interpret || e.Opts.NaiveDiscovery {
 		return nil
 	}
 	return plan.For(prog)
@@ -183,12 +182,11 @@ func (e *Engine) runSpecs(prog *compiler.Program, p *plan.Plan, idxs []int) *rep
 // to a plan runtime.
 func (e *Engine) runtime() *plan.Runtime {
 	return &plan.Runtime{
-		Store:          e.Store,
-		Snap:           e.snapshot(),
-		Env:            e.Env,
-		NaiveDiscovery: e.Opts.NaiveDiscovery,
-		StopOnFirst:    e.Opts.StopOnFirst,
-		Ctx:            e.context(),
+		Store:       e.Store,
+		Snap:        e.snapshot(),
+		Env:         e.Env,
+		StopOnFirst: e.Opts.StopOnFirst,
+		Ctx:         e.context(),
 	}
 }
 
@@ -1233,12 +1231,3 @@ func (e *Engine) evalExpr(ctx *evalCtx, x ast.Expr) ([]value.V, error) {
 // exprUsesCur reports whether the expression depends on the current
 // element ($_ or a transform over it).
 func exprUsesCur(x ast.Expr) bool { return plan.ExprUsesCur(x) }
-
-// TypeOfValue names a value's detected type; the interactive console uses
-// it for its :type command.
-func TypeOfValue(v value.V) string {
-	if v.IsList() {
-		return "tuple"
-	}
-	return vtype.Detect(v.Raw).String()
-}

@@ -7,6 +7,7 @@ import (
 
 	"confvalley/internal/compiler"
 	"confvalley/internal/config"
+	"confvalley/internal/plan"
 	"confvalley/internal/report"
 	"confvalley/internal/simenv"
 )
@@ -450,6 +451,23 @@ func TestNaiveDiscoveryAgrees(t *testing.T) {
 	rep := naive.Run(prog)
 	if len(rep.Violations) != 1 {
 		t.Errorf("violations = %v", rep.Violations)
+	}
+}
+
+// TestNaiveDiscoveryInterprets: the naive scan is the paper's pre-§5.2
+// implementation, so a NaiveDiscovery run goes to the reference
+// interpreter and never asks the plan cache for a plan.
+func TestNaiveDiscoveryInterprets(t *testing.T) {
+	st := config.NewStore()
+	kv(st, "Fabric.Timeout", "abc")
+	prog, err := compiler.Compile("$Fabric.Timeout -> int")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits0, misses0 := plan.CacheStats()
+	(&Engine{Store: st, Env: simenv.NewSim(), Opts: Options{NaiveDiscovery: true}}).Run(prog)
+	if hits, misses := plan.CacheStats(); hits != hits0 || misses != misses0 {
+		t.Errorf("a naive-discovery run moved the plan cache: hits %d -> %d, misses %d -> %d", hits0, hits, misses0, misses)
 	}
 }
 

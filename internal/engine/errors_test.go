@@ -8,7 +8,6 @@ import (
 	"confvalley/internal/compiler"
 	"confvalley/internal/config"
 	"confvalley/internal/simenv"
-	"confvalley/internal/value"
 )
 
 // runExpectSpecError compiles and runs, expecting exactly one spec error
@@ -179,15 +178,6 @@ func TestPartitionTimes(t *testing.T) {
 	}
 	if total == 0 {
 		t.Error("all partitions reported zero time")
-	}
-}
-
-func TestTypeOfValue(t *testing.T) {
-	if TypeOfValue(value.Scalar("10.0.0.1")) != "ip" {
-		t.Error("scalar type wrong")
-	}
-	if TypeOfValue(value.ListOf([]value.V{value.Scalar("a")})) != "tuple" {
-		t.Error("tuple type wrong")
 	}
 }
 

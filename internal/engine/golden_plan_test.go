@@ -86,7 +86,9 @@ $keystone.auth_protocol -> {'http', 'https'}
 // interpreter produce byte-identical reports — same violations in the
 // same order with the same messages — across the specs/ corpus,
 // azuregen workloads, error-injected suites and random corpora, under
-// sequential, stop-on-first and parallel execution.
+// sequential, stop-on-first and parallel execution. NaiveDiscovery runs
+// the interpreter only, so its case holds the interpreter over the naive
+// scan to the plan over the index.
 func TestPlanGoldenReports(t *testing.T) {
 	opts := []struct {
 		name string
@@ -102,8 +104,10 @@ func TestPlanGoldenReports(t *testing.T) {
 			t.Run(w.name+"/"+o.name, func(t *testing.T) {
 				iOpts := o.opts
 				iOpts.Interpret = true
+				pOpts := o.opts
+				pOpts.NaiveDiscovery = false
 				interp := (&Engine{Store: w.store, Env: simenv.NewSim(), Opts: iOpts}).Run(w.prog)
-				planned := (&Engine{Store: w.store, Env: simenv.NewSim(), Opts: o.opts}).Run(w.prog)
+				planned := (&Engine{Store: w.store, Env: simenv.NewSim(), Opts: pOpts}).Run(w.prog)
 				ib, pb := goldenJSON(t, interp), goldenJSON(t, planned)
 				if !bytes.Equal(ib, pb) {
 					t.Errorf("planned report differs from interpreted\ninterpreted:\n%s\nplanned:\n%s", ib, pb)

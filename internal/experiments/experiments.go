@@ -21,7 +21,6 @@ import (
 	"confvalley/internal/engine"
 	"confvalley/internal/infer"
 	"confvalley/internal/legacy"
-	"confvalley/internal/plan"
 	"confvalley/internal/report"
 	"confvalley/internal/simenv"
 	"confvalley/specs"
@@ -742,62 +741,6 @@ func Discovery(cfg Config) DiscoveryResult {
 	}
 	cfg.printf("Discovery ablation (§5.2): %d queries — naive %v vs trie+cache %v (%.1fx speedup)\n",
 		out.Queries, out.NaiveTime.Round(time.Millisecond), out.IndexedTime.Round(time.Millisecond), out.Speedup)
-	return out
-}
-
-// ---- plan-layer ablation: AST interpretation vs lowered plans ----
-
-// PlanResult compares AST interpretation with cold and cached plan
-// execution on the same program and store.
-type PlanResult struct {
-	Interpreted   time.Duration
-	PlanCold      time.Duration // lowering + execution
-	PlanCached    time.Duration // execution via the plan cache
-	SpeedupCold   float64
-	SpeedupCached float64
-}
-
-// PlanAblation measures the plan layer: the inferred Type A program run
-// through the AST interpreter, through a freshly lowered plan (lowering
-// cost included), and through the cached plan. Each configuration takes
-// the best of three runs to damp scheduler noise.
-func PlanAblation(cfg Config) PlanResult {
-	a := azuregen.GenerateA(cfg.ScaleA, cfg.Seed)
-	res := infer.Infer(a.Store, infer.Defaults())
-	prog, err := compiler.Compile(res.GenerateCPL())
-	if err != nil {
-		panic(err)
-	}
-	run := func(interpret bool) time.Duration {
-		a.Store.InvalidateCache()
-		eng := engine.Engine{Store: a.Store, Env: simenv.NewSim(), Opts: engine.Options{Interpret: interpret}}
-		start := time.Now()
-		eng.Run(prog)
-		return time.Since(start)
-	}
-	best := func(f func() time.Duration) time.Duration {
-		min := f()
-		for i := 0; i < 2; i++ {
-			if d := f(); d < min {
-				min = d
-			}
-		}
-		return min
-	}
-	out := PlanResult{
-		Interpreted: best(func() time.Duration { return run(true) }),
-		PlanCold: best(func() time.Duration {
-			plan.Forget(prog)
-			return run(false)
-		}),
-		PlanCached: best(func() time.Duration { return run(false) }),
-	}
-	out.SpeedupCold = float64(out.Interpreted) / float64(out.PlanCold)
-	out.SpeedupCached = float64(out.Interpreted) / float64(out.PlanCached)
-	cfg.printf("Plan ablation: interpreted %v, plan cold %v (%.1fx), plan cached %v (%.1fx)\n",
-		out.Interpreted.Round(time.Millisecond),
-		out.PlanCold.Round(time.Millisecond), out.SpeedupCold,
-		out.PlanCached.Round(time.Millisecond), out.SpeedupCached)
 	return out
 }
 

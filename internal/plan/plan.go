@@ -82,8 +82,6 @@ type Runtime struct {
 	// pinned across store swaps).
 	Snap *config.Snapshot
 	Env  simenv.Env
-	// NaiveDiscovery bypasses the store's indexes (the §5.2 ablation).
-	NaiveDiscovery bool
 	// StopOnFirst aborts at the first violation.
 	StopOnFirst bool
 	// Ctx carries the run's deadline and cancellation. Nil means
@@ -161,11 +159,7 @@ func (c *Ctx) canceled() bool {
 // view of the snapshot's discovery cache (config.Snapshot.View): every
 // consumer in this package only reads it.
 func (c *Ctx) discover(q config.Query) []*config.Instance {
-	sn := c.rt.snapshot()
-	if c.rt.NaiveDiscovery {
-		return sn.DiscoverNaive(q.Pattern)
-	}
-	return sn.View(q)
+	return c.rt.snapshot().View(q)
 }
 
 // closure signatures: a domain resolves to an element set, a predicate
