@@ -95,7 +95,10 @@ incremental-bench:
 # and KV; thirty seconds), the value typer (FuzzVtype: every vtype parser
 # against the strconv/net originals in internal/vtype/oracle_test.go;
 # thirty seconds), the CPL front end (FuzzCompile: lexer, parser and
-# compiler must not panic; thirty seconds) and the journal's frame decoder
+# compiler must not panic; thirty seconds), the AST walks (FuzzFootprint:
+# the footprint and the lowerer's $_-dependence test against the
+# hand-written walks in internal/plan/walk_oracle_test.go, on every
+# source that compiles; thirty seconds) and the journal's frame decoder
 # (FuzzReadFrames: no error, a good offset that ends whole CRC-valid frames
 # and decodes the same alone, records that round-trip through frame;
 # thirty seconds). Mirrors the CI "Fuzz smoke" step; a crasher or a
@@ -110,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReparse$$' -fuzztime 30s ./internal/driver/
 	$(GO) test -run '^$$' -fuzz '^FuzzVtype$$' -fuzztime 30s ./internal/vtype/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 30s ./internal/compiler/
+	$(GO) test -run '^$$' -fuzz '^FuzzFootprint$$' -fuzztime 30s ./internal/plan/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrames$$' -fuzztime 30s ./internal/durable/
 
 # One iteration of every benchmark — compile/panic smoke, no timing

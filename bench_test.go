@@ -10,13 +10,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"testing"
 
 	confvalley "confvalley"
@@ -545,29 +543,6 @@ func BenchmarkColdRequest(b *testing.B) {
 	}
 	if st := srv.Stats(); st.SourcesParsed != 1 || st.SourcesReparsed != int64(b.N) {
 		b.Fatalf("%d requests after the first: %d payloads parsed, %d re-parsed; want 1, %d", b.N, st.SourcesParsed, st.SourcesReparsed, b.N)
-	}
-}
-
-// BenchmarkEnvelopeDecode is the envelope's share of that request, and
-// nothing else: sixty-four server-side sources after the payload put the
-// body one over the source quota, so the server decodes the whole payload
-// and then refuses the request, and with the result cache off there is no
-// raw-body key to hash first.
-func BenchmarkEnvelopeDecode(b *testing.B) {
-	_, body, _ := coldRequest(b)
-	body = append(body[:len(body)-1], `,"sources":[`+strings.Repeat("{},", 63)+`{}]}`...)
-	ctx := context.Background()
-	srv := serve.New(serve.Config{ResultCacheSize: -1})
-	if _, err := srv.RegisterSpec("bench", "none", "$Nothing.here -> int\n"); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := srv.ValidateBody(ctx, "bench", "none", body); !errors.Is(err, serve.ErrQuota) {
-			b.Fatalf("a request over the source quota: %v", err)
-		}
 	}
 }
 

@@ -34,7 +34,7 @@
 // Two mechanisms serve the hot path: a per-tenant result cache with
 // request coalescing (repeat payloads return the cached response without
 // consuming a validation slot; a byte-identical body is answered before
-// it is even decoded), which -result-cache -1 disables, and cross-request
+// it is even decoded), sized per tenant by -result-cache, and cross-request
 // incremental validation (a request that misses is parsed, and re-runs
 // only the specs its payload delta touches — which keeps one parsed
 // snapshot alive per registered spec). /healthz and /statsz expose
@@ -46,7 +46,7 @@
 // replay completes, so load balancers never route to a server that has
 // not rehydrated its registries. Without it, state is in-memory as
 // before. The journal folds into a snapshot every -compact-every
-// appends (negative disables compaction).
+// appends.
 //
 // cvserve exits 0 on clean shutdown (SIGINT/SIGTERM), 2 on usage,
 // listen, or state-recovery errors.
@@ -84,9 +84,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		loadTimeout = fs.Duration("load-timeout", 0, "bound each validation (loading plus validation); 0 = no bound")
 
 		stateDir     = fs.String("state-dir", "", "journal registrations/deletions to this directory and recover them on startup (empty = in-memory only)")
-		compactEvery = fs.Int("compact-every", 0, "fold the journal into a snapshot every N appends (0 = default 1024, negative = never)")
+		compactEvery = fs.Int("compact-every", 0, "fold the journal into a snapshot every N appends (0 or negative = default 1024)")
 
-		resultCache = fs.Int("result-cache", 0, "per-tenant (spec, payload) response cache + request coalescing (0 = default 256, negative = disable)")
+		resultCache = fs.Int("result-cache", 0, "entries in the per-tenant (spec, payload) response cache (0 or negative = default 256)")
 
 		maxConcurrent = fs.Int("max-concurrent", 0, "validations running at once (0 = default 4)")
 		maxQueue      = fs.Int("max-queue", 0, "requests waiting for a slot before 429 (0 = 2x max-concurrent)")

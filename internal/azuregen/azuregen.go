@@ -408,18 +408,6 @@ func GenerateC(scale float64, seed int64) *Corpus {
 	return &Corpus{Type: TypeC, Store: st, Classes: len(st.Classes()), Instances: instances}
 }
 
-// Generate builds the corpus for a type at a scale.
-func Generate(t CorpusType, scale float64, seed int64) *Corpus {
-	switch t {
-	case TypeA:
-		return GenerateA(scale, seed)
-	case TypeB:
-		return GenerateB(scale, seed)
-	default:
-		return GenerateC(scale, seed)
-	}
-}
-
 func pickArchetype(r *rand.Rand, archs []archetype) archetype {
 	total := 0.0
 	for _, a := range archs {

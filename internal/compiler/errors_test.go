@@ -123,7 +123,7 @@ func TestFlattenJoinRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conj := flattenAnd(prog.Specs[0].Pred)
+	conj := FlattenAnd(prog.Specs[0].Pred)
 	if len(conj) != 4 {
 		t.Fatalf("conjuncts = %d", len(conj))
 	}
@@ -208,6 +208,37 @@ func TestErrorsCarryPositions(t *testing.T) {
 		}
 		if !strings.Contains(ce.Error(), fmt.Sprintf("cpl:%d:", c.line)) {
 			t.Errorf("Compile(%q) message %q lacks line:col prefix", c.src, ce.Error())
+		}
+	}
+}
+
+// TestCompileChecksGuardsAndConditions: an unknown predicate or an
+// undefined macro is a positioned compile error in a pipeline step guard
+// and in an if-statement's condition too, with the message the same
+// mistake gets at the top of a spec's predicate.
+func TestCompileChecksGuardsAndConditions(t *testing.T) {
+	cases := []struct{ src, bad, topLevel string }{
+		{"$x -> if (bogus(1)) trim() -> nonempty", "bogus", "$x -> bogus(1)"},
+		{"$x -> if (@nomacro) trim() -> nonempty", "@nomacro", "$x -> @nomacro"},
+		{"if ($x -> bogus(1)) { $y -> nonempty }", "bogus", "$x -> bogus(1)"},
+		{"if ($x -> @nomacro) { $y -> nonempty }", "@nomacro", "$x -> @nomacro"},
+	}
+	for _, c := range cases {
+		var want *Error
+		if _, err := Compile(c.topLevel); !errors.As(err, &want) {
+			t.Fatalf("Compile(%q) err = %v, want *compiler.Error", c.topLevel, err)
+		}
+		_, err := Compile(c.src)
+		var ce *Error
+		if !errors.As(err, &ce) {
+			t.Errorf("Compile(%q) err = %v, want *compiler.Error", c.src, err)
+			continue
+		}
+		if ce.Msg != want.Msg {
+			t.Errorf("Compile(%q) message %q, want %q", c.src, ce.Msg, want.Msg)
+		}
+		if col := strings.Index(c.src, c.bad) + 1; ce.Pos.Line != 1 || ce.Pos.Col != col {
+			t.Errorf("Compile(%q) pos = %s, want 1:%d", c.src, ce.Pos, col)
 		}
 	}
 }

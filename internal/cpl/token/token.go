@@ -134,15 +134,5 @@ func (k Kind) IsRelOp() bool {
 	return false
 }
 
-// IsBinOp reports whether the kind is an arithmetic binary operator usable
-// between domains.
-func (k Kind) IsBinOp() bool {
-	switch k {
-	case PLUS, MINUS, STAR, SLASH:
-		return true
-	}
-	return false
-}
-
 // IsQuantifier reports whether the kind is a quantifier keyword.
 func (k Kind) IsQuantifier() bool { return k == ALL || k == EXISTS || k == ONE }

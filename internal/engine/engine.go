@@ -74,8 +74,7 @@ type Engine struct {
 	// it — reads one consistent, lock-free view even if the store is
 	// mutated concurrently (watch-round swaps, live loads).
 	snap *config.Snapshot
-	// ctx carries the current run's deadline/cancellation; nil outside a
-	// RunContext call.
+	// ctx carries the current run's deadline/cancellation.
 	ctx context.Context
 }
 
@@ -156,7 +155,7 @@ func (e *Engine) runSpecs(prog *compiler.Program, p *plan.Plan, idxs []int) *rep
 		rt := e.runtime() // read-only during execution; safe to share
 		eval = func(j int, rep *report.Report) { p.Specs[j].Run(rt, rep) }
 	}
-	ctx := e.context()
+	ctx := e.ctx
 	n := e.effectiveParallel(len(idxs))
 	runPart := func(idxs []int, rep *report.Report) {
 		for _, j := range idxs {
@@ -182,30 +181,11 @@ func (e *Engine) runSpecs(prog *compiler.Program, p *plan.Plan, idxs []int) *rep
 // to a plan runtime.
 func (e *Engine) runtime() *plan.Runtime {
 	return &plan.Runtime{
-		Store:       e.Store,
-		Snap:        e.snapshot(),
+		Snap:        e.snap,
 		Env:         e.Env,
 		StopOnFirst: e.Opts.StopOnFirst,
-		Ctx:         e.context(),
+		Ctx:         e.ctx,
 	}
-}
-
-// context returns the run's context, defaulting to Background for
-// callers that evaluate without going through RunContext.
-func (e *Engine) context() context.Context {
-	if e.ctx != nil {
-		return e.ctx
-	}
-	return context.Background()
-}
-
-// snapshot returns the run-pinned snapshot, falling back to the store's
-// current one for callers that evaluate without going through Run.
-func (e *Engine) snapshot() *config.Snapshot {
-	if e.snap != nil {
-		return e.snap
-	}
-	return e.Store.Snapshot()
 }
 
 // reportPool recycles partition-local reports: a parallel run allocates
@@ -679,7 +659,7 @@ func (e *Engine) resolveRef(ctx *evalCtx, pat config.Pattern) ([]*config.Instanc
 }
 
 func (e *Engine) discover(p config.Pattern) []*config.Instance {
-	sn := e.snapshot()
+	sn := e.snap
 	if e.Opts.NaiveDiscovery {
 		return sn.DiscoverNaive(p)
 	}

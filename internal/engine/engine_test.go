@@ -237,6 +237,35 @@ if ($CloudName -> ~match('UtilityFabric')) {
 	}
 }
 
+// TestBindingVariableInStepGuard: a condition's reference binds its leaf
+// as a variable wherever the body uses it — here only inside a pipeline
+// step guard — on both executors.
+func TestBindingVariableInStepGuard(t *testing.T) {
+	st := config.NewStore()
+	kv(st, "CloudName", "UtilityFabric")
+	kv(st, "Fabric::UtilityFabric.Expected", "a:b")
+	kv(st, "Setting", "a:b")
+	const tmpl = `if ($CloudName -> match('UtilityFabric')) {
+  $Setting -> if (== $Fabric::$CloudName.Expected) split(':') -> at(0) -> == '%s'
+}`
+	for _, interpret := range []bool{false, true} {
+		for _, c := range []struct {
+			want       string
+			violations int
+		}{{"a", 0}, {"zzz", 1}} {
+			prog, err := compiler.Compile(fmt.Sprintf(tmpl, c.want))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := (&Engine{Store: st, Env: simenv.NewSim(), Opts: Options{Interpret: interpret}}).Run(prog)
+			if len(rep.SpecErrors) != 0 || rep.InstancesChecked != 1 || len(rep.Violations) != c.violations {
+				t.Errorf("interpret=%v, == '%s': errors %v, %d instance(s) checked, violations %v; want no error, 1 instance, %d violation(s)",
+					interpret, c.want, rep.SpecErrors, rep.InstancesChecked, rep.Violations, c.violations)
+			}
+		}
+	}
+}
+
 func TestPipelineSplitAt(t *testing.T) {
 	st := config.NewStore()
 	kv(st, "Endpoint", "cache01:6379")

@@ -58,7 +58,7 @@ func (e *Engine) partitionSpecs(p *plan.Plan, idxs []int, n int) [][]int {
 	if p == nil {
 		return roundRobin(idxs, n)
 	}
-	costs := p.Costs(e.snapshot())
+	costs := p.Costs(e.snap)
 	if costs = fillUnknownCosts(idxs, costs); costs == nil {
 		return roundRobin(idxs, n)
 	}

@@ -21,6 +21,7 @@ import (
 	"math"
 	"strconv"
 
+	"confvalley/internal/compiler"
 	"confvalley/internal/cpl/ast"
 	"confvalley/internal/cpl/token"
 )
@@ -86,7 +87,7 @@ func (iv interval) empty() bool { return iv.lo > iv.hi }
 // checkConjunction inspects one flattened conjunction for impossible
 // combinations of literal constraints.
 func checkConjunction(p *Pass, pred ast.Pred, inQuant bool) {
-	conjuncts := flattenAndPred(pred)
+	conjuncts := compiler.FlattenAnd(pred)
 	iv := newInterval()
 	var enums []*ast.Enum   // enums with all-literal members
 	var eqs []*ast.Rel      // == literal relations
@@ -228,16 +229,6 @@ func checkConjunction(p *Pass, pred ast.Pred, inQuant bool) {
 }
 
 // ---- shared literal helpers ----
-
-func flattenAndPred(p ast.Pred) []ast.Pred {
-	if and, ok := p.(*ast.And); ok {
-		return append(flattenAndPred(and.L), flattenAndPred(and.R)...)
-	}
-	if p == nil {
-		return nil
-	}
-	return []ast.Pred{p}
-}
 
 func litNum(e ast.Expr) (float64, bool) {
 	l, ok := e.(*ast.Lit)

@@ -92,7 +92,7 @@ func runDeadSpec(p *Pass) {
 	// sibling never changes the verdict. (p implies p, so compare
 	// distinct indices only, and prefer blaming the weaker conjunct.)
 	for _, s := range p.Prog.Specs {
-		conjuncts := flattenAndPred(s.Pred)
+		conjuncts := compiler.FlattenAnd(s.Pred)
 		for i, weak := range conjuncts {
 			for j, strong := range conjuncts {
 				if i == j {

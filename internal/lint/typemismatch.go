@@ -81,7 +81,7 @@ func checkTypes(p *Pass, pred ast.Pred) {
 }
 
 func checkTypeConjunction(p *Pass, pred ast.Pred) {
-	conjuncts := flattenAndPred(pred)
+	conjuncts := compiler.FlattenAnd(pred)
 
 	// The asserted type is the meet of all type assertions in the
 	// conjunction; for cross-checking one suffices — take the most

@@ -33,7 +33,7 @@ func TestCompartmentEvaluationIsLinear(t *testing.T) {
 			for i, clusters := range sizes {
 				st := config.NewStore()
 				azuregen.AddExpertSubstrate(st, clusters, 2015)
-				rt := &Runtime{Store: st, Snap: st.Snapshot(), Env: simenv.NewSim()}
+				rt := &Runtime{Snap: st.Snapshot(), Env: simenv.NewSim()}
 				var checked int
 				allocs[i] = testing.AllocsPerRun(3, func() {
 					rep := &report.Report{}
@@ -67,7 +67,7 @@ func TestReferenceResolvedOncePerCompartmentDomain(t *testing.T) {
 	queries := func(clusters int) int64 {
 		st := config.NewStore()
 		azuregen.AddExpertSubstrate(st, clusters, 2015)
-		rt := &Runtime{Store: st, Snap: st.Snapshot(), Env: simenv.NewSim()}
+		rt := &Runtime{Snap: st.Snapshot(), Env: simenv.NewSim()}
 		st.ResetStats()
 		node.Run(rt, &report.Report{})
 		return st.Stats.Queries()

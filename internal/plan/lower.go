@@ -13,6 +13,7 @@ package plan
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"strings"
 
 	"confvalley/internal/compiler"
@@ -1232,85 +1233,22 @@ func errStep(err error) stepFn {
 // deepUsesCur decides whether hoisting an expression out of a per-element
 // loop is sound. Unlike ExprUsesCur (which mirrors the interpreter's
 // shallow check and therefore its semantics), this walk descends into
-// pipeline step guards and arguments and answers conservatively: any
-// construct it cannot see through counts as depending on $_.
+// pipeline step guards and arguments and answers conservatively: $_, a
+// macro reference and any node it does not know count as depending on
+// $_.
 func deepUsesCur(x ast.Expr) bool {
-	switch t := x.(type) {
-	case *ast.Lit:
-		return false
-	case *ast.DomainExpr:
-		return domainUsesCur(t.D)
-	}
-	return true
-}
-
-func domainUsesCur(d ast.Domain) bool {
-	switch t := d.(type) {
-	case *ast.PipeVar:
-		return true
-	case *ast.Ref:
-		for _, v := range t.Pattern.Vars() {
-			if v == "_" {
-				return true
-			}
+	uses := false
+	ast.Inspect(x, func(n ast.Node) bool {
+		switch t := n.(type) {
+		case *ast.Ref:
+			uses = slices.Contains(t.Pattern.Vars(), "_")
+		case *ast.Lit, *ast.DomainExpr, *ast.Pipe, *ast.BinaryDomain, *ast.CompartmentDomain,
+			*ast.And, *ast.Or, *ast.Not, *ast.QuantPred, *ast.IfPred,
+			*ast.TypePred, *ast.Prim, *ast.Match, *ast.Range, *ast.Enum, *ast.Rel, *ast.Call:
+		default:
+			uses = true
 		}
-		return false
-	case *ast.Pipe:
-		if domainUsesCur(t.Src) {
-			return true
-		}
-		for _, s := range t.Steps {
-			if s.Guard != nil && predUsesCur(s.Guard) {
-				return true
-			}
-			for _, a := range s.T.Args {
-				if deepUsesCur(a) {
-					return true
-				}
-			}
-		}
-		return false
-	case *ast.BinaryDomain:
-		return domainUsesCur(t.L) || domainUsesCur(t.R)
-	case *ast.CompartmentDomain:
-		return domainUsesCur(t.Inner)
-	}
-	return true
-}
-
-func predUsesCur(p ast.Pred) bool {
-	switch t := p.(type) {
-	case *ast.And:
-		return predUsesCur(t.L) || predUsesCur(t.R)
-	case *ast.Or:
-		return predUsesCur(t.L) || predUsesCur(t.R)
-	case *ast.Not:
-		return predUsesCur(t.X)
-	case *ast.QuantPred:
-		return predUsesCur(t.X)
-	case *ast.IfPred:
-		return predUsesCur(t.Cond) || predUsesCur(t.Then) ||
-			(t.Else != nil && predUsesCur(t.Else))
-	case *ast.TypePred, *ast.Prim, *ast.Match:
-		return false
-	case *ast.Range:
-		return deepUsesCur(t.Lo) || deepUsesCur(t.Hi)
-	case *ast.Enum:
-		for _, e := range t.Elems {
-			if deepUsesCur(e) {
-				return true
-			}
-		}
-		return false
-	case *ast.Rel:
-		return deepUsesCur(t.Rhs)
-	case *ast.Call:
-		for _, a := range t.Args {
-			if deepUsesCur(a) {
-				return true
-			}
-		}
-		return false
-	}
-	return true // MacroRef and unknown constructs: assume dependence
+		return !uses
+	})
+	return uses
 }

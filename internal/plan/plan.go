@@ -73,13 +73,9 @@ type SpecNode struct {
 
 // Runtime binds a plan to the data one validation run checks.
 type Runtime struct {
-	Store *config.Store
 	// Snap pins one sealed store view for the whole run: every partition
 	// of a parallel execution discovers against the same immutable
-	// indexes with no locking. The engine sets it before sharing the
-	// runtime across goroutines; when nil, each discovery falls back to
-	// the store's current snapshot (an atomic load — cheap, but not
-	// pinned across store swaps).
+	// indexes with no locking.
 	Snap *config.Snapshot
 	Env  simenv.Env
 	// StopOnFirst aborts at the first violation.
@@ -89,15 +85,6 @@ type Runtime struct {
 	// spec node polls it between domains, compartment groups and bound
 	// values, rolling itself back when it fires.
 	Ctx context.Context
-}
-
-// snapshot returns the pinned snapshot, or the store's current one for
-// single-threaded callers that built a bare Runtime.
-func (rt *Runtime) snapshot() *config.Snapshot {
-	if rt.Snap != nil {
-		return rt.Snap
-	}
-	return rt.Store.Snapshot()
 }
 
 // Ctx carries the evaluation state for one specification. It is the
@@ -159,7 +146,7 @@ func (c *Ctx) canceled() bool {
 // view of the snapshot's discovery cache (config.Snapshot.View): every
 // consumer in this package only reads it.
 func (c *Ctx) discover(q config.Query) []*config.Instance {
-	return c.rt.snapshot().View(q)
+	return c.rt.Snap.View(q)
 }
 
 // closure signatures: a domain resolves to an element set, a predicate

@@ -36,7 +36,7 @@ func mustCompile(t *testing.T, src string) *compiler.Program {
 }
 
 func runPlan(p *Plan, st *config.Store) *report.Report {
-	rep, rt := &report.Report{}, &Runtime{Store: st, Env: simenv.NewSim()}
+	rep, rt := &report.Report{}, &Runtime{Snap: st.Snapshot(), Env: simenv.NewSim()}
 	for _, n := range p.Specs {
 		n.Run(rt, rep)
 	}

@@ -20,9 +20,7 @@ import (
 	"confvalley/internal/lru"
 )
 
-// resultCache is one tenant's response cache. A nil *resultCache is a
-// valid, disabled cache: every lookup misses and every request leads
-// its own flight.
+// resultCache is one tenant's response cache.
 //
 // Two LRUs share the lock: the canonical (payload-hash) cache, whose
 // capacity is what ResultCacheSize configures, and an equally-bounded
@@ -48,9 +46,6 @@ type flight struct {
 }
 
 func newResultCache(capacity int) *resultCache {
-	if capacity <= 0 {
-		return nil
-	}
 	return &resultCache{
 		items:   lru.New[string, *ValidateResponse](capacity),
 		raw:     lru.New[string, *ValidateResponse](capacity),
@@ -60,17 +55,11 @@ func newResultCache(capacity int) *resultCache {
 
 // get returns the cached response for a key.
 func (c *resultCache) get(key string) (*ValidateResponse, bool) {
-	if c == nil {
-		return nil, false
-	}
 	return c.lookup(c.items, key)
 }
 
 // getRaw looks up a raw-body alias.
 func (c *resultCache) getRaw(key string) (*ValidateResponse, bool) {
-	if c == nil {
-		return nil, false
-	}
 	return c.lookup(c.raw, key)
 }
 
@@ -89,12 +78,8 @@ func (c *resultCache) lookup(table *lru.Cache[string, *ValidateResponse], key st
 
 // join enters the single-flight table: the first caller for a key
 // becomes the leader (leader == true) and must call complete exactly
-// once; later callers get the same flight to wait on. A nil cache
-// makes every caller a leader with a nil flight.
+// once; later callers get the same flight to wait on.
 func (c *resultCache) join(key string) (f *flight, leader bool) {
-	if c == nil {
-		return nil, true
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if f, ok := c.flights[key]; ok {
@@ -109,9 +94,6 @@ func (c *resultCache) join(key string) (f *flight, leader bool) {
 // complete resolves the leader's flight, waking every coalesced waiter,
 // and inserts the response into the LRU when store is set.
 func (c *resultCache) complete(key string, f *flight, resp *ValidateResponse, err error, store bool) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	delete(c.flights, key)
 	if store && err == nil && resp != nil {
@@ -125,7 +107,7 @@ func (c *resultCache) complete(key string, f *flight, resp *ValidateResponse, er
 // putRaw stores a raw-body alias, outside the single-flight protocol.
 // Callers gate cacheability themselves.
 func (c *resultCache) putRaw(key string, resp *ValidateResponse) {
-	if c == nil || key == "" || resp == nil {
+	if resp == nil {
 		return
 	}
 	c.mu.Lock()
@@ -139,9 +121,6 @@ func (c *resultCache) putRaw(key string, resp *ValidateResponse) {
 // registration nonce, so whatever they insert afterwards can never be
 // served for the new program.
 func (c *resultCache) purge(prefix string) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	hasPrefix := func(key string) bool { return strings.HasPrefix(key, prefix) }
@@ -151,9 +130,6 @@ func (c *resultCache) purge(prefix string) {
 
 // entries returns the number of cached responses.
 func (c *resultCache) entries() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.items.Len()
@@ -168,11 +144,8 @@ type ResultCacheStats struct {
 	Entries   int   `json:"entries"`
 }
 
-// stats returns the counters; zero for a disabled cache.
+// stats returns the counters.
 func (c *resultCache) stats() ResultCacheStats {
-	if c == nil {
-		return ResultCacheStats{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return ResultCacheStats{

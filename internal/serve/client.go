@@ -48,13 +48,11 @@ type Client struct {
 	// disables retries. Every API operation is safe to retry — PUT,
 	// DELETE and GET are idempotent and a validate POST is a pure
 	// function of its payload — so the policy applies uniformly.
+	// The delay before the first retry is 100ms, doubling per attempt
+	// up to 2s, each with 50% uniform jitter so retrying clients spread
+	// out. A Retry-After header on a 429/503 response overrides the
+	// computed delay.
 	Retries int
-	// RetryBackoff is the delay before the first retry, doubling per
-	// attempt up to RetryMaxBackoff, each with 50% uniform jitter so
-	// retrying clients spread out (defaults 100ms / 2s). A Retry-After
-	// header on a 429/503 response overrides the computed delay.
-	RetryBackoff    time.Duration
-	RetryMaxBackoff time.Duration
 	// Sleep waits between attempts, returning early with ctx.Err() on
 	// cancellation. Nil selects a timer-based default; tests inject a
 	// no-op to keep retry schedules instantaneous.
@@ -81,17 +79,10 @@ func (c *Client) url(parts ...string) string {
 }
 
 // retryPolicy is the client's retry schedule in the shape the REST
-// driver defines it: capped doubling from RetryBackoff to
-// RetryMaxBackoff with 50% uniform jitter, waited out through Sleep.
+// driver defines it: capped doubling from 100ms to 2s with 50% uniform
+// jitter, waited out through Sleep.
 func (c *Client) retryPolicy() driver.RetryPolicy {
-	p := driver.RetryPolicy{BaseBackoff: c.RetryBackoff, MaxBackoff: c.RetryMaxBackoff, Jitter: 0.5, Sleep: c.Sleep}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 100 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 2 * time.Second
-	}
-	return p
+	return driver.RetryPolicy{BaseBackoff: 100 * time.Millisecond, MaxBackoff: 2 * time.Second, Jitter: 0.5, Sleep: c.Sleep}
 }
 
 // retryAfter parses a 429/503 response's Retry-After header (seconds

@@ -10,6 +10,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"confvalley/internal/azuregen"
+	"confvalley/internal/config"
 )
 
 // allocatedBy reports the bytes f allocates.
@@ -144,6 +147,31 @@ func TestEnvelopePayloadsDoNotShareCapacity(t *testing.T) {
 	for i, want := range []string{"first", "", "second é", "third"} {
 		if got := string(payloads[i].Data); got != want {
 			t.Errorf("payload %d reads %q after appends to its neighbours, want %q", i, got, want)
+		}
+	}
+}
+
+// BenchmarkEnvelopeDecode is the envelope's share of the repository
+// benchmark's novel_xml request, and nothing else: decodeEnvelope over
+// that body — a full Type A corpus as nested XML, with the nonce setting
+// the root package's coldRequest stamps — under the default quotas.
+func BenchmarkEnvelopeDecode(b *testing.B) {
+	st := config.NewStore()
+	st.Add(&config.Instance{Key: config.K("BenchRun", "Nonce"), Value: "0000000000"})
+	st.AddAll(azuregen.GenerateA(1.0, 2015).Store.Instances())
+	body, err := json.Marshal(ValidateRequest{Payloads: []PayloadRef{
+		{Name: "corpus.xml", Format: "xml", Data: string(azuregen.RenderXML(st))},
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := DefaultQuotas()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := decodeEnvelope(body, q.MaxSources, q.MaxPayloadBytes); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -86,14 +86,12 @@ $db.host -> nonempty
 // across rounds within one tenant) produces a violation. Run with
 // -race; the stress suite picks this up by name.
 func TestConcurrentTenantsPinIndependentSnapshots(t *testing.T) {
-	// Caching is disabled here on purpose: this test pins isolation by
-	// counting real validations, so every round must execute rather than
-	// be served from the result cache. Each round also writes a new value,
-	// so the incremental splice re-runs the spec instead of reusing it.
+	// Every round writes a new value, so no round is a result-cache hit
+	// and the incremental splice re-runs the spec instead of reusing it;
+	// the final validation count proves every round executed.
 	srv := New(Config{
-		MaxConcurrent:   8,
-		MaxQueue:        64,
-		ResultCacheSize: -1,
+		MaxConcurrent: 8,
+		MaxQueue:      64,
 	})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()

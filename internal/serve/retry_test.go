@@ -112,8 +112,7 @@ func TestClientRetries429WithComputedBackoff(t *testing.T) {
 	var delays []time.Duration
 	c := &Client{
 		Base: hs.URL, Tenant: "acme", HTTP: hs.Client(),
-		Retries: 2, RetryBackoff: 80 * time.Millisecond, RetryMaxBackoff: time.Second,
-		Sleep: noSleep(&delays),
+		Retries: 2, Sleep: noSleep(&delays),
 	}
 	if _, err := c.ListSpecs(context.Background()); err != nil {
 		t.Fatalf("list through one 429: %v", err)
@@ -121,9 +120,9 @@ func TestClientRetries429WithComputedBackoff(t *testing.T) {
 	if len(delays) != 1 {
 		t.Fatalf("slept %d times, want 1", len(delays))
 	}
-	// First retry: base delay plus up to 50% jitter.
-	if delays[0] < 80*time.Millisecond || delays[0] > 120*time.Millisecond {
-		t.Errorf("first backoff = %v, want within [80ms, 120ms]", delays[0])
+	// First retry: the 100ms base delay plus up to 50% jitter.
+	if delays[0] < 100*time.Millisecond || delays[0] > 150*time.Millisecond {
+		t.Errorf("first backoff = %v, want within [100ms, 150ms]", delays[0])
 	}
 }
 
@@ -182,8 +181,8 @@ func TestClientRetryStopsOnContextCancel(t *testing.T) {
 }
 
 func TestBackoffDelayCapsAndJitters(t *testing.T) {
-	c := &Client{RetryBackoff: 100 * time.Millisecond, RetryMaxBackoff: 400 * time.Millisecond}
-	for n, want := range map[int]time.Duration{1: 100 * time.Millisecond, 2: 200 * time.Millisecond, 3: 400 * time.Millisecond, 9: 400 * time.Millisecond} {
+	c := &Client{}
+	for n, want := range map[int]time.Duration{1: 100 * time.Millisecond, 2: 200 * time.Millisecond, 3: 400 * time.Millisecond, 5: 1600 * time.Millisecond, 6: 2 * time.Second, 9: 2 * time.Second} {
 		for i := 0; i < 50; i++ {
 			d := c.retryPolicy().BackoffDelay(n)
 			if d < want || d > want+want/2 {

@@ -146,7 +146,7 @@ type Config struct {
 	QueueWait time.Duration
 	// ResultCacheSize bounds each tenant's (spec, payload content) →
 	// response cache, which also coalesces identical in-flight requests
-	// into one validation. Default 256; negative disables.
+	// into one validation. Zero or negative selects the default, 256.
 	ResultCacheSize int
 	// StateDir, when non-empty, makes tenant registries durable: every
 	// accepted registration/deletion is journaled (fsync'd) to this
@@ -154,7 +154,7 @@ type Config struct {
 	// journal on startup. Empty keeps today's purely in-memory state.
 	StateDir string
 	// CompactEvery folds the journal into a snapshot after this many
-	// appends (default 1024; negative disables compaction). Only
+	// appends; zero or negative selects the default, 1024. Only
 	// meaningful with StateDir.
 	CompactEvery int
 	// Runner configures each tenant's validation pipeline (parallelism,
@@ -230,17 +230,11 @@ func New(cfg Config) *Server {
 	if cfg.QueueWait == 0 {
 		cfg.QueueWait = 10 * time.Second
 	}
-	switch {
-	case cfg.ResultCacheSize == 0:
+	if cfg.ResultCacheSize <= 0 {
 		cfg.ResultCacheSize = 256
-	case cfg.ResultCacheSize < 0:
-		cfg.ResultCacheSize = 0
 	}
-	switch {
-	case cfg.CompactEvery == 0:
+	if cfg.CompactEvery <= 0 {
 		cfg.CompactEvery = 1024
-	case cfg.CompactEvery < 0:
-		cfg.CompactEvery = 0
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -556,9 +550,6 @@ func (s *Server) durable() bool {
 // maybeCompactLocked folds the journal into a snapshot once enough
 // appends accumulated. Caller holds commitMu.
 func (s *Server) maybeCompactLocked() {
-	if s.cfg.CompactEvery <= 0 {
-		return
-	}
 	st := s.log.Stats()
 	if st.Appends == 0 || st.Appends%int64(s.cfg.CompactEvery) != 0 {
 		return
@@ -659,14 +650,11 @@ func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, 
 	if err != nil {
 		return nil, err
 	}
-	var rawKey string
-	if t.results != nil {
-		sum := sha256.Sum256(body)
-		rawKey = entry.cacheKey("raw" + keySep + hex.EncodeToString(sum[:]))
-		if resp, ok := t.results.getRaw(rawKey); ok {
-			entry.lastResp.Store(resp)
-			return resp, nil
-		}
+	sum := sha256.Sum256(body)
+	rawKey := entry.cacheKey("raw" + keySep + hex.EncodeToString(sum[:]))
+	if resp, ok := t.results.getRaw(rawKey); ok {
+		entry.lastResp.Store(resp)
+		return resp, nil
 	}
 	q := s.cfg.Quotas
 	payloads, sources, err := decodeEnvelope(body, q.MaxSources, q.MaxPayloadBytes)
@@ -680,9 +668,9 @@ func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, 
 	return s.validateReq(ctx, t, entry, payloads, sources, rawKey)
 }
 
-// validateReq runs one decoded request through the cache stack. rawKey,
-// when non-empty, is the transport's raw-body alias to populate
-// whenever a cacheable response is produced or found.
+// validateReq runs one decoded request through the cache stack. rawKey
+// is the transport's raw-body alias to populate whenever a cacheable
+// response is produced or found.
 func (s *Server) validateReq(ctx context.Context, t *tenant, entry *specEntry, payloads []runner.Payload, sources []SourceRef, rawKey string) (*ValidateResponse, error) {
 	if err := s.checkRequestQuotas(payloads, len(sources)); err != nil {
 		return nil, err
@@ -696,7 +684,7 @@ func (s *Server) validateReq(ctx context.Context, t *tenant, entry *specEntry, p
 	}
 
 	var key string
-	if t.results != nil && len(sources) == 0 && len(payloads) > 0 && len(entry.prog.Loads) == 0 {
+	if len(sources) == 0 && len(payloads) > 0 && len(entry.prog.Loads) == 0 {
 		job.PayloadHash = runner.HashPayloads(job.Payloads)
 		key = entry.cacheKey(job.PayloadHash)
 	}

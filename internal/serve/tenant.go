@@ -23,7 +23,7 @@ import (
 type tenant struct {
 	name    string
 	runner  *runner.Runner
-	results *resultCache // nil when disabled
+	results *resultCache
 
 	// Incremental accounting: requests that spliced at least one cached
 	// verdict, and the total verdicts spliced.

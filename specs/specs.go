@@ -48,18 +48,6 @@ func OpenStackConfig() []byte { return []byte(mustRead("openstack.yaml")) }
 // CloudStackConfig returns the sample CloudStack JSON configuration.
 func CloudStackConfig() []byte { return []byte(mustRead("cloudstack.json")) }
 
-// Suites enumerates the suite names with their sources, for the LoC
-// measurements of cmd/cvbench.
-func Suites() map[string]string {
-	return map[string]string{
-		"azure_type_a": AzureTypeA(),
-		"azure_type_b": AzureTypeB(),
-		"azure_type_c": AzureTypeC(),
-		"openstack":    OpenStack(),
-		"cloudstack":   CloudStack(),
-	}
-}
-
 // CountLoC counts non-blank, non-comment lines of CPL source.
 func CountLoC(src string) int {
 	n := 0
@@ -69,26 +57,6 @@ func CountLoC(src string) int {
 			continue
 		}
 		n++
-	}
-	return n
-}
-
-// CountSpecs counts the validation statements in a CPL suite:
-// specification statements plus condition statements, excluding comments,
-// block braces and commands — the "Count" column of Tables 3 and 4.
-func CountSpecs(src string) int {
-	n := 0
-	for _, line := range strings.Split(src, "\n") {
-		t := strings.TrimSpace(line)
-		switch {
-		case t == "" || strings.HasPrefix(t, "//"):
-		case strings.HasPrefix(t, "compartment") || strings.HasPrefix(t, "namespace"):
-		case t == "}" || t == "{":
-		case strings.HasPrefix(t, "let ") || strings.HasPrefix(t, "load ") ||
-			strings.HasPrefix(t, "include ") || strings.HasPrefix(t, "policy "):
-		default:
-			n++
-		}
 	}
 	return n
 }
