@@ -53,11 +53,12 @@ bench:
 # -count=3 re-interleaves the schedules; the cold-cache discovery test
 # is the regression gate for the buildTrie race, the chaos suite drives
 # multi-round watch sessions through injected ingestion faults, the
-# serve/runner tests race concurrent tenants over shared sessions, and
-# the four retention tests wait on finalizers, so a collector-timing
-# flake shows up here first.
+# serve/runner tests race concurrent tenants over shared sessions, the
+# plan-vs-interpreter compartment test races a run's shared compartment
+# numbering across four partitions, and the five retention tests wait on
+# finalizers, so a collector-timing flake shows up here first.
 stress:
-	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TestConcurrent|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos|TestTenantRetainsOneSnapshotPerSpec|TestCostsDoesNotRetainSnapshot|TestLoaderRetainsOneBatch|TestLoaderReleasesReparsedBuffers' ./internal/config/ ./internal/engine/ ./internal/ingest/ ./internal/plan/ ./internal/runner/ ./internal/serve/ . || exit 1; done
+	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TestConcurrent|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos|TestCompartmentPlanMatchesInterpreter|TestTenantRetainsOneSnapshotPerSpec|TestCostsDoesNotRetainSnapshot|TestPooledCtxRetainsAtMostTheCap|TestLoaderRetainsOneBatch|TestLoaderReleasesReparsedBuffers' ./internal/config/ ./internal/engine/ ./internal/ingest/ ./internal/plan/ ./internal/runner/ ./internal/serve/ . || exit 1; done
 
 # Full service round trip over real processes and a loopback socket:
 # build cvserve+cvcall+cvcheck, boot the server, drive it with cvcall

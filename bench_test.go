@@ -432,17 +432,20 @@ func BenchmarkExpertEval(b *testing.B) {
 }
 
 // The expert suite's engine run types and groups values without
-// allocating. Over 20 clusters it made 4,126 allocations while a failed
-// numeric or IP parse built an error, a parsed IP a net.IP and each
-// aggregate element its class-path string, and 2,463 since (AllocsPerRun
-// runs at GOMAXPROCS 1, so the count does not depend on the core count).
-// The bound sits between the two.
+// allocating, and numbers compartment instances once per run. Over 20
+// clusters it made 4,126 allocations while a failed numeric or IP parse
+// built an error, a parsed IP a net.IP and each aggregate element its
+// class-path string; 2,463 while every compartment partition rendered
+// one string and one map entry per group and every reference domain
+// allocated its element set; and 1,637 since (AllocsPerRun runs at
+// GOMAXPROCS 1, so the count does not depend on the core count). The
+// bound sits between the last two.
 func TestExpertEvalAllocs(t *testing.T) {
 	run := expertRun(t, 20)
 	n := testing.AllocsPerRun(5, run)
 	t.Logf("expert suite over 20 clusters: %.0f allocations per run", n)
-	if n > 3300 {
-		t.Errorf("expert suite over 20 clusters: %.0f allocations per run, want at most 3,300", n)
+	if n > 2100 {
+		t.Errorf("expert suite over 20 clusters: %.0f allocations per run, want at most 2,100", n)
 	}
 }
 

@@ -613,3 +613,48 @@ func TestDiffLoadOrderMatchesClassWalk(t *testing.T) {
 	}
 	check("against nothing", nil, seal(nestedInstances(rand.New(rand.NewSource(0)), 2, 2, 2)))
 }
+
+// classInstancesOracle is Snapshot.ClassInstances as it stood while it
+// rendered every class's display path to find the one it was asked for.
+func (sn *Snapshot) classInstancesOracle(classPath string) []*Instance {
+	var out []*Instance
+	for _, id := range sn.classes {
+		if displayClass(id) == classPath {
+			out = append(out, sn.byClass[id]...)
+		}
+	}
+	return out
+}
+
+// ClassInstances finds a class by its display path without rendering
+// one, and returns what the rendering lookup returned: the same
+// instances in the same order, including the union of the classes a
+// dotted segment name makes ambiguous ("Cloud.Tenant" then Param0
+// against Cloud, Tenant, Param0), and nothing for a path no class has.
+func TestClassInstancesMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 20; round++ {
+		st := NewStore()
+		st.AddAll(nestedInstances(rng, 1+rng.Intn(4), 1+rng.Intn(4), 1+rng.Intn(6)))
+		sn := st.Snapshot()
+		paths := append(sn.Classes(), "", "Cloud", "Cloud.Tenant", "Cloud.Tenant.Param", "Cloud\x00Tenant\x00Param0", "NoSuch.Param0")
+		unions := 0
+		for _, cp := range paths {
+			got, want := sn.ClassInstances(cp), sn.classInstancesOracle(cp)
+			if len(got) != len(want) {
+				t.Fatalf("round %d: %q: %d instances, oracle %d", round, cp, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("round %d: %q: instance %d is %v, oracle %v", round, cp, i, got[i], want[i])
+				}
+			}
+			if cp == "Cloud.Tenant.Param0" && len(want) > len(st.byClass["Cloud\x00Tenant\x00Param0"]) {
+				unions++
+			}
+		}
+		if unions == 0 {
+			t.Fatalf("round %d: the dotted-name union case did not arise", round)
+		}
+	}
+}

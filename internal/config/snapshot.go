@@ -53,11 +53,29 @@ func (sn *Snapshot) Classes() []string {
 func (sn *Snapshot) ClassInstances(classPath string) []*Instance {
 	var out []*Instance
 	for _, id := range sn.classes {
-		if displayClass(id) == classPath {
+		if displaysAs(id, classPath) {
 			out = append(out, sn.byClass[id]...)
 		}
 	}
 	return out
+}
+
+// displaysAs reports whether displayClass(id) == path without rendering
+// it: byte by byte, reading classSep as '.'.
+func displaysAs(id, path string) bool {
+	if len(id) != len(path) {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		if c == classSep {
+			c = '.'
+		}
+		if c != path[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Query is a discovery pattern with its canonical cache key rendered

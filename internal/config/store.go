@@ -87,8 +87,8 @@ func (st *Store) AddAll(ins []*Instance) {
 	defer st.mu.Unlock()
 	st.beginMutation()
 	st.instances = append(st.instances, ins...)
-	p := groupBy(ins, func(b []byte, k Key) []byte { return appendNames(b, k, classSep) })
-	for g, id := range p.Order {
+	p := groupByClass(ins)
+	for g, id := range p.order {
 		list := p.parts[g]
 		old, seen := st.byClass[id]
 		if !seen {
@@ -342,56 +342,37 @@ func (n *trieNode) match(segs []PatSeg, depth int, out *[]string) {
 	}
 }
 
-// Partition is a set of instances grouped by the canonical rendering of
-// their first key segments: compartment isolation (§4.2.2), where
-// instances under the same compartment instance share a group. The
-// rendering, not the segment structure, is the group identity.
-type Partition struct {
-	// Order lists the group identities in first-appearance order.
-	Order []string
-
-	index map[string]int
+// partition is a batch of instances grouped by class: order lists the
+// class IDs in first-appearance order and parts[g] the instances of
+// class order[g], in their original order.
+type partition struct {
+	order []string
 	parts [][]*Instance
 }
 
-// Group returns the instances of one group in their original order, nil
-// for an identity that is not in Order. The slice is shared and clipped:
-// callers must not write to it.
-func (p *Partition) Group(id string) []*Instance {
-	if g, ok := p.index[id]; ok {
-		return p.parts[g]
-	}
-	return nil
-}
-
-// GroupByPrefix partitions instances by the rendering of their first n
-// key segments (Key.PrefixString).
-func GroupByPrefix(ins []*Instance, n int) *Partition {
-	return groupBy(ins, func(b []byte, k Key) []byte { return k.appendPrefix(b, n) })
-}
-
-// groupBy partitions instances by the identity render appends for their
-// key, in one pass over ins: render writes into a reused scratch and a
-// string is built per distinct group, not per instance.
-func groupBy(ins []*Instance, render func(b []byte, k Key) []byte) *Partition {
-	p := &Partition{index: make(map[string]int)}
-	of := make([]int32, len(ins)) // group number of each instance
+// groupByClass partitions instances by class ID in one pass over ins:
+// each ID is rendered into a reused scratch and a string is built per
+// distinct class, not per instance.
+func groupByClass(ins []*Instance) *partition {
+	p := &partition{}
+	index := make(map[string]int)
+	of := make([]int32, len(ins)) // class number of each instance
 	var sizes []int
 	var scratch [renderScratch]byte
 	for i, in := range ins {
-		id := render(scratch[:0], in.Key)
-		g, ok := p.index[string(id)]
+		id := appendNames(scratch[:0], in.Key, classSep)
+		g, ok := index[string(id)]
 		if !ok {
-			g = len(p.Order)
-			p.Order = append(p.Order, string(id))
-			p.index[p.Order[g]] = g
+			g = len(p.order)
+			p.order = append(p.order, string(id))
+			index[p.order[g]] = g
 			sizes = append(sizes, 0)
 		}
 		of[i] = int32(g)
 		sizes[g]++
 	}
-	// One backing array carved into per-group slices, each clipped so an
-	// append to one group cannot run into the next.
+	// One backing array carved into per-class slices, each clipped so an
+	// append to one class cannot run into the next.
 	backing := make([]*Instance, len(ins))
 	p.parts = make([][]*Instance, len(sizes))
 	off := 0

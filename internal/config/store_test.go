@@ -1,9 +1,6 @@
 package config
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // listingOneStore builds the store corresponding to Listing 1 of the paper.
 func listingOneStore() *Store {
@@ -149,79 +146,6 @@ func TestDiscoverUnsubstitutedVars(t *testing.T) {
 	st := listingOneStore()
 	if got := st.Discover(P("CloudGroup::$g", "MonitorNodeHealth")); got != nil {
 		t.Errorf("pattern with vars should discover nothing, got %d", len(got))
-	}
-}
-
-func TestGroupByPrefix(t *testing.T) {
-	st := NewStore()
-	for i := 1; i <= 3; i++ {
-		st.Add(&Instance{Key: K(fmt.Sprintf("VLAN::v%d", i), "StartIP"), Value: fmt.Sprintf("10.0.%d.1", i)})
-		st.Add(&Instance{Key: K(fmt.Sprintf("VLAN::v%d", i), "EndIP"), Value: fmt.Sprintf("10.0.%d.9", i)})
-	}
-	ins := st.Discover(P("VLAN", "StartIP"))
-	part := GroupByPrefix(ins, 1)
-	if len(part.Order) != 3 {
-		t.Fatalf("groups = %d, want 3", len(part.Order))
-	}
-	if part.Order[0] != "VLAN::v1" {
-		t.Errorf("group order[0] = %q", part.Order[0])
-	}
-	for _, g := range part.Order {
-		if len(part.Group(g)) != 1 {
-			t.Errorf("group %q has %d members, want 1", g, len(part.Group(g)))
-		}
-	}
-	if got := part.Group("VLAN::nope"); got != nil {
-		t.Errorf("unknown group = %v, want nil", got)
-	}
-}
-
-// TestGroupByPrefixMatchesPrefixString holds the one-pass partition to
-// the definition the interpreter evaluates: group identity is
-// Key.PrefixString(n), first-appearance order, members in input order —
-// over interleaved groups, keys shorter than n, and segments whose
-// structure differs but whose rendering collides.
-func TestGroupByPrefixMatchesPrefixString(t *testing.T) {
-	mk := func(v string, segs ...Seg) *Instance { return &Instance{Key: Key{Segs: segs}, Value: v} }
-	ins := []*Instance{
-		mk("0", Seg{Name: "A", Inst: "b"}, Seg{Name: "x"}),
-		mk("1", Seg{Name: "C", Index: 2}, Seg{Name: "x"}),
-		mk("2", Seg{Name: "A::b"}, Seg{Name: "x"}), // collides with instance 0's group
-		mk("3", Seg{Name: "C", Index: 2}),          // shorter than n = 2
-		mk("4", Seg{Name: "C", Index: 2}, Seg{Name: "x"}),
-		mk("5", Seg{Name: "A", Inst: "b"}, Seg{Name: "y"}),
-	}
-	for n := 0; n <= 3; n++ {
-		var wantOrder []string
-		want := map[string][]*Instance{}
-		for _, in := range ins {
-			g := in.Key.PrefixString(n)
-			if _, ok := want[g]; !ok {
-				wantOrder = append(wantOrder, g)
-			}
-			want[g] = append(want[g], in)
-		}
-		part := GroupByPrefix(ins, n)
-		if fmt.Sprint(part.Order) != fmt.Sprint(wantOrder) {
-			t.Fatalf("n=%d: order = %q, want %q", n, part.Order, wantOrder)
-		}
-		for _, g := range wantOrder {
-			got := part.Group(g)
-			if len(got) != len(want[g]) || cap(got) != len(got) {
-				t.Fatalf("n=%d group %q: len %d cap %d, want len = cap = %d", n, g, len(got), cap(got), len(want[g]))
-			}
-			for i := range got {
-				if got[i] != want[g][i] {
-					t.Errorf("n=%d group %q member %d = %s, want %s", n, g, i, got[i], want[g][i])
-				}
-			}
-		}
-	}
-	if n1 := GroupByPrefix(ins, 1); len(n1.Group("A::b")) != 3 {
-		t.Errorf("A::b group has %d members, want the 3 whose renderings collide", len(n1.Group("A::b")))
-	}
-	if empty := GroupByPrefix(nil, 1); len(empty.Order) != 0 || empty.Group("") != nil {
-		t.Errorf("empty partition = %+v", empty)
 	}
 }
 

@@ -152,7 +152,9 @@ func allSpecs(prog *compiler.Program) []int {
 func (e *Engine) runSpecs(prog *compiler.Program, p *plan.Plan, idxs []int) *report.Report {
 	eval := func(j int, rep *report.Report) { e.runSpec(prog, prog.Specs[j], j, rep) }
 	if p != nil {
-		rt := e.runtime() // read-only during execution; safe to share
+		// One runtime for the whole run, shared by its partitions: read-only
+		// but for the compartment numbering table, which has its own lock.
+		rt := e.runtime()
 		eval = func(j int, rep *report.Report) { p.Specs[j].Run(rt, rep) }
 	}
 	ctx := e.ctx

@@ -1,10 +1,12 @@
 package infer
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
 
+	"confvalley/internal/azuregen"
 	"confvalley/internal/compiler"
 	"confvalley/internal/config"
 	"confvalley/internal/engine"
@@ -251,5 +253,21 @@ func TestCountByKindFoldsEnumIntoRange(t *testing.T) {
 	counts := res.CountByKind()
 	if counts["Enum"] != 0 || counts["Range"] == 0 {
 		t.Errorf("counts = %v", counts)
+	}
+}
+
+// The miner's output on the full-scale Type A corpus, pinned by digest:
+// it is byte-identical to what it was while Snapshot.ClassInstances
+// rendered every class's display path per lookup. A change to the
+// heuristics that moves it must re-record the digest.
+func TestTypeAConstraintSetPinned(t *testing.T) {
+	res := Infer(azuregen.GenerateA(1.0, 2015).Store, Defaults())
+	h := sha256.New()
+	for _, c := range res.Constraints {
+		fmt.Fprintf(h, "%d\t%s\t%q\t%s\n", c.Kind, c.Class, c.Peers, c.CPL)
+	}
+	const want = "79810412ab5104c910daf4f66a89d8af54d69f594c4bcaa10961e2954dd126b4"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); len(res.Constraints) != 2934 || got != want {
+		t.Errorf("Type A: %d constraints, digest %s; want 2934, %s", len(res.Constraints), got, want)
 	}
 }

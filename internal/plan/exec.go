@@ -30,9 +30,14 @@ var errInterrupted = errors.New("plan: run interrupted")
 // in-flight spec back and marks the report Interrupted instead of
 // reporting a half-checked spec.
 func (n *SpecNode) Run(rt *Runtime, rep *report.Report) {
-	rep.SpecsRun++
 	c := getCtx(rt)
 	defer putCtx(c)
+	n.run(c, rep)
+}
+
+// run is Run on a context the caller binds and releases.
+func (n *SpecNode) run(c *Ctx, rep *report.Report) {
+	rep.SpecsRun++
 	before := len(rep.Violations)
 	instBefore := rep.InstancesChecked
 	panicked := false
@@ -70,7 +75,7 @@ func (n *SpecNode) Run(rt *Runtime, rep *report.Report) {
 	failed := len(rep.Violations) > before
 	if failed {
 		rep.SpecsFailed++
-		if rt.StopOnFirst {
+		if c.rt.StopOnFirst {
 			rep.Stopped = true
 		}
 	}
@@ -182,7 +187,7 @@ func (n *SpecNode) runBody(c *Ctx, rep *report.Report) error {
 		// leaving one always returns to "no compartment".
 		c.compPattern = de.comp
 		err := n.runGroups(c, de, rep)
-		c.group, c.compPattern = "", nil
+		c.group, c.compPattern = -1, nil
 		if err != nil {
 			return err
 		}
@@ -200,7 +205,7 @@ func (n *SpecNode) runGroups(c *Ctx, de *domainEval, rep *report.Report) error {
 	if err != nil {
 		return err
 	}
-	for _, g := range base.partition(len(de.comp.Segs)).Order {
+	for _, g := range base.partition(c.rt, len(de.comp.Segs)).order {
 		if rep.Stopped {
 			return nil
 		}

@@ -15,6 +15,7 @@ import (
 	"regexp"
 	"slices"
 	"strings"
+	"sync"
 
 	"confvalley/internal/compiler"
 	"confvalley/internal/config"
@@ -133,7 +134,7 @@ func (lw *lowerer) lowerDomain(d ast.Domain) domainFn {
 			if err != nil {
 				return nil, err
 			}
-			out := make([]value.V, len(ins))
+			out := c.values(len(ins))
 			for i, in := range ins {
 				out[i] = value.FromInstance(in)
 			}
@@ -251,17 +252,126 @@ type refKey struct {
 type resolution struct {
 	ins    []*config.Instance
 	inComp bool
-	parts  *config.Partition // ins by compartment instance; built on first use
+	parts  *partition // ins by compartment instance; built on first use
 }
 
-// partition groups the resolved instances by the rendering of their
-// first n key segments — the compartment instance — once per resolution.
-// n is fixed by the compartment in the resolution's key.
-func (res *resolution) partition(n int) *config.Partition {
+// partition groups the resolved instances by compartment instance — the
+// rendering of their first n key segments, numbered run-wide — once per
+// resolution. n is fixed by the compartment in the resolution's key.
+func (res *resolution) partition(rt *Runtime, n int) *partition {
 	if res.parts == nil {
-		res.parts = config.GroupByPrefix(res.ins, n)
+		res.parts = rt.groups.partition(res.ins, n)
 	}
 	return res.parts
+}
+
+// groupNumbers numbers a run's compartment instances: one table per
+// compartment depth n, keyed by the rendering of the first n key segments
+// (Key.PrefixString(n)). The rendering, not the segment structure, is the
+// group identity, so a segment named "A::b" and a segment "A" with
+// instance "b" share a number, exactly as in the interpreter, which
+// compares renderings. Every partition at one depth draws from the same
+// table, so a compartment's grouping reference and each reference
+// resolved under it agree on what a number names. A rendering costs one
+// string per run, not one per partition; the lock is taken once per
+// partition build, and a group lookup reads its partition alone.
+type groupNumbers struct {
+	mu      sync.Mutex
+	byDepth []map[string]int32
+}
+
+// partition groups ins by compartment instance at depth n, numbering the
+// renderings the table has not seen yet.
+func (t *groupNumbers) partition(ins []*config.Instance, n int) *partition {
+	p := &partition{}
+	if len(ins) == 0 {
+		return p
+	}
+	of := make([]int32, len(ins)) // group number of each instance
+	var scratch [192]byte         // a longer prefix spills to the heap
+	t.mu.Lock()
+	for len(t.byDepth) <= n {
+		t.byDepth = append(t.byDepth, nil)
+	}
+	tab := t.byDepth[n]
+	if tab == nil {
+		tab = make(map[string]int32)
+		t.byDepth[n] = tab
+	}
+	for i, in := range ins {
+		id := appendPrefix(scratch[:0], in.Key, n)
+		g, ok := tab[string(id)]
+		if !ok {
+			g = int32(len(tab))
+			tab[string(id)] = g
+		}
+		of[i] = g
+	}
+	t.mu.Unlock()
+	// A counting sort by number over the span the partition holds,
+	// [lo, hi]: other references' groups at this depth may lie outside
+	// it. starts first counts each group's members, then (negated) marks
+	// the groups already placed in order, then holds the running end of
+	// each group, which the backwards fill moves down to its start.
+	lo, hi := of[0], of[0]
+	for _, g := range of {
+		lo, hi = min(lo, g), max(hi, g)
+	}
+	p.lo, p.starts = lo, make([]int32, hi-lo+1)
+	groups := 0
+	for _, g := range of {
+		if p.starts[g-lo]++; p.starts[g-lo] == 1 {
+			groups++
+		}
+	}
+	p.order = make([]int32, 0, groups)
+	for _, g := range of {
+		if s := &p.starts[g-lo]; *s > 0 {
+			p.order = append(p.order, g)
+			*s = -*s
+		}
+	}
+	end := int32(0)
+	for j, s := range p.starts {
+		end -= s
+		p.starts[j] = end
+	}
+	p.members = make([]*config.Instance, len(ins))
+	for i := len(ins) - 1; i >= 0; i-- {
+		j := of[i] - lo
+		p.starts[j]--
+		p.members[p.starts[j]] = ins[i]
+	}
+	return p
+}
+
+// partition is a resolution's instances grouped by compartment instance:
+// order lists the run-wide group numbers in first-appearance order, and
+// members holds the instances grouped by number, each group in its
+// original order, group g from starts[g-lo] up to the next group's start.
+type partition struct {
+	order   []int32
+	lo      int32
+	starts  []int32
+	members []*config.Instance
+}
+
+// group returns the instances of group g, nil for a number the partition
+// does not hold. The slice is shared and clipped: callers must not write
+// to it.
+func (p *partition) group(g int32) []*config.Instance {
+	j := int(g - p.lo)
+	if j < 0 || j >= len(p.starts) {
+		return nil
+	}
+	start, end := int(p.starts[j]), len(p.members)
+	if j+1 < len(p.starts) {
+		end = int(p.starts[j+1])
+	}
+	if start == end {
+		return nil
+	}
+	return p.members[start:end:end]
 }
 
 // resolve resolves the reference under the current compartment:
@@ -315,8 +425,8 @@ func (r *refNode) resolveInstances(c *Ctx) ([]*config.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	if res.inComp && c.group != "" {
-		return res.partition(len(c.compPattern.Segs)).Group(c.group), nil
+	if res.inComp && c.group >= 0 {
+		return res.partition(c.rt, len(c.compPattern.Segs)).group(c.group), nil
 	}
 	return res.ins, nil
 }
@@ -326,7 +436,7 @@ func (r *refNode) resolveInstances(c *Ctx) ([]*config.Instance, error) {
 // Cartesian otherwise (§4.2.1).
 func combineVals(c *Ctx, op string, l, r []value.V) ([]value.V, error) {
 	var out []value.V
-	if c.group != "" && len(l) == len(r) {
+	if c.group >= 0 && len(l) == len(r) {
 		for i := range l {
 			v, err := transform.Arith(op, l[i], r[i])
 			if err != nil {

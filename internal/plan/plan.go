@@ -33,6 +33,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,6 +86,11 @@ type Runtime struct {
 	// spec node polls it between domains, compartment groups and bound
 	// values, rolling itself back when it fires.
 	Ctx context.Context
+
+	// groups numbers the run's compartment instances (see groupNumbers
+	// in lower.go). It is the one piece of Runtime that execution
+	// writes, under its own lock; it dies with the run.
+	groups groupNumbers
 }
 
 // Ctx carries the evaluation state for one specification. It is the
@@ -94,7 +100,7 @@ type Runtime struct {
 type Ctx struct {
 	rt    *Runtime
 	env   map[string]string // variable bindings; nil until a cond binds one
-	group string            // current compartment instance prefix; "" = none
+	group int32             // current compartment instance's run-wide number; -1 = none
 	quant ast.Quant         // quantifier hint for Range/Rel candidates
 	cur   *value.V          // current element for $_ and per-element exprs
 
@@ -111,13 +117,13 @@ type Ctx struct {
 	polls       uint32 // inner-loop cancellation polls since the last real check
 	interrupted bool   // latched once the context reported canceled
 
-	// chunk/used back the outcome arena (see Ctx.outcomes): predicate
-	// closures carve per-element result slices out of one retained block
-	// instead of allocating each, which is the dominant allocation in a
-	// validation run's hot path. The block survives pooling (putCtx) so
-	// steady-state runs stop allocating outcomes entirely.
-	chunk []outcome
-	used  int
+	// outs and vals are the outcome and value arenas (see pool.go):
+	// predicate closures carve per-element results, and reference
+	// domains their element sets, out of retained blocks instead of
+	// allocating each. The blocks survive pooling (putCtx), so
+	// steady-state runs stop allocating either.
+	outs arena[outcome]
+	vals arena[value.V]
 }
 
 // canceled polls the run's context from inside a spec. Consulting a
@@ -320,6 +326,28 @@ func appendClassPath(b []byte, k config.Key) []byte {
 			b = append(b, '.')
 		}
 		b = append(b, s.Name...)
+	}
+	return b
+}
+
+// appendPrefix appends k.PrefixString(n), the rendering of the key's
+// first n segments in CPL notation (Name, "::Inst", "[Index]") joined
+// with dots, to b.
+func appendPrefix(b []byte, k config.Key, n int) []byte {
+	for i, s := range k.Segs[:min(n, len(k.Segs))] {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = append(b, s.Name...)
+		if s.Inst != "" {
+			b = append(b, "::"...)
+			b = append(b, s.Inst...)
+		}
+		if s.Index > 0 {
+			b = append(b, '[')
+			b = strconv.AppendInt(b, int64(s.Index), 10)
+			b = append(b, ']')
+		}
 	}
 	return b
 }
