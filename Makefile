@@ -151,9 +151,9 @@ profile-ingest:
 
 # The same for the whole cold request (BenchmarkColdRequest: the
 # novel_xml operation in-process through Server.ValidateBody — envelope
-# decode, payload hash, the delta re-parse of a one-value change, store
-# build, seal, diff, incremental splice, report; profile-ingest is the
-# full parse). Same output layout, which it overwrites.
+# decode, the delta re-parse of a one-value change, store build, seal,
+# diff, incremental splice, report; profile-ingest is the full parse).
+# Same output layout, which it overwrites.
 profile-request:
 	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench '^BenchmarkColdRequest$$' -benchtime 10s \

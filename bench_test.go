@@ -512,13 +512,13 @@ func stampNonce(body []byte, off int, n int) {
 }
 
 // BenchmarkColdRequest is the whole novel_xml operation below the
-// transport, for profiling (make profile-request): envelope decode,
-// payload hash, load, store build, seal, diff against the previous
-// request's snapshot, incremental splice, report — a request every cache
-// layer misses on, in-process through Server.ValidateBody. The payload
-// differs from the previous request's in the nonce only, so the load is
-// the delta re-parse against the first request's parse, not a full
-// parse (BenchmarkColdIngest times that), and the diff walks pointers.
+// transport, for profiling (make profile-request): envelope decode, load,
+// store build, seal, diff against the previous request's snapshot,
+// incremental splice, report — a request every cache layer misses on,
+// in-process through Server.ValidateBody. The payload differs from the
+// previous request's in the nonce only, so the load is the delta re-parse
+// against the first request's parse, not a full parse
+// (BenchmarkColdIngest times that), and the diff walks pointers.
 func BenchmarkColdRequest(b *testing.B) {
 	spec, body, nonceOff := coldRequest(b)
 	ctx := context.Background()

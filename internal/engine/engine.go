@@ -450,7 +450,7 @@ func (e *Engine) runBody(ctx *evalCtx, spec *compiler.Spec, rep *report.Report) 
 // inside the compartment and returns the distinct compartment instance
 // prefixes, in first-appearance order.
 func (e *Engine) compartmentGroups(ctx *evalCtx, comp config.Pattern, dom ast.Domain) ([]string, error) {
-	base := baseRef(dom)
+	base := plan.BaseRef(dom)
 	if base == nil {
 		return nil, fmt.Errorf("compartment domain has no configuration reference to group by")
 	}
@@ -472,9 +472,6 @@ func (e *Engine) compartmentGroups(ctx *evalCtx, comp config.Pattern, dom ast.Do
 	}
 	return order, nil
 }
-
-// baseRef finds the leftmost configuration reference of a domain tree.
-func baseRef(d ast.Domain) *ast.Ref { return plan.BaseRef(d) }
 
 // evalOneDomain resolves a domain globally and applies the predicate.
 func (e *Engine) evalOneDomain(ctx *evalCtx, spec *compiler.Spec, dom ast.Domain, rep *report.Report) error {
@@ -992,8 +989,8 @@ func (e *Engine) evalPrim(ctx *evalCtx, t *ast.Prim, elems []value.V) ([]outcome
 		for i := range out {
 			out[i] = outcome{pass: true}
 		}
-		for _, part := range partitionByClass(elems) {
-			sub := subset(elems, part)
+		for _, part := range plan.PartitionByClass(elems) {
+			sub := plan.Subset(elems, part)
 			for _, j := range predicate.UniqueViolations(sub) {
 				i := part[j]
 				out[i] = outcome{msg: fmt.Sprintf("value %q duplicates another instance's value", elems[i])}
@@ -1005,13 +1002,13 @@ func (e *Engine) evalPrim(ctx *evalCtx, t *ast.Prim, elems []value.V) ([]outcome
 		for i := range out {
 			out[i] = outcome{pass: true}
 		}
-		for _, part := range partitionByClass(elems) {
-			sub := subset(elems, part)
+		for _, part := range plan.PartitionByClass(elems) {
+			sub := plan.Subset(elems, part)
 			viols := predicate.ConsistentViolations(sub)
 			if len(viols) == 0 {
 				continue
 			}
-			majority := majorityValue(sub, viols)
+			majority := plan.MajorityValue(sub, viols)
 			for _, j := range viols {
 				i := part[j]
 				out[i] = outcome{msg: fmt.Sprintf("value %q is inconsistent with the majority value %q", elems[i], majority)}
@@ -1023,8 +1020,8 @@ func (e *Engine) evalPrim(ctx *evalCtx, t *ast.Prim, elems []value.V) ([]outcome
 		for i := range out {
 			out[i] = outcome{pass: true}
 		}
-		for _, part := range partitionByClass(elems) {
-			sub := subset(elems, part)
+		for _, part := range plan.PartitionByClass(elems) {
+			sub := plan.Subset(elems, part)
 			for _, j := range predicate.OrderedViolations(sub) {
 				i := part[j]
 				out[i] = outcome{msg: fmt.Sprintf("value %q breaks the expected ordering (previous: %q)", elems[i], sub[j-1])}
@@ -1034,15 +1031,6 @@ func (e *Engine) evalPrim(ctx *evalCtx, t *ast.Prim, elems []value.V) ([]outcome
 	}
 	return nil, fmt.Errorf("unknown primitive predicate %q", t.Name)
 }
-
-// partitionByClass, subset and majorityValue are shared with the plan
-// executor so both evaluation paths agree on aggregate-predicate corner
-// cases.
-func partitionByClass(elems []value.V) [][]int { return plan.PartitionByClass(elems) }
-
-func subset(elems []value.V, idx []int) []value.V { return plan.Subset(elems, idx) }
-
-func majorityValue(elems []value.V, viols []int) string { return plan.MajorityValue(elems, viols) }
 
 func (e *Engine) evalRange(ctx *evalCtx, t *ast.Range, elems []value.V) ([]outcome, error) {
 	out := make([]outcome, len(elems))
@@ -1057,7 +1045,7 @@ func (e *Engine) evalRange(ctx *evalCtx, t *ast.Range, elems []value.V) ([]outco
 		if err != nil {
 			return nil, err
 		}
-		pairs := pairBounds(los, his)
+		pairs := plan.PairBounds(los, his)
 		if len(pairs) == 0 {
 			out[i] = outcome{msg: "range bounds resolved to no values"}
 			continue
@@ -1068,7 +1056,7 @@ func (e *Engine) evalRange(ctx *evalCtx, t *ast.Range, elems []value.V) ([]outco
 				matches++
 			}
 		}
-		ok := quantHolds(ctx.quant, matches, len(pairs))
+		ok := plan.QuantHolds(ctx.quant, matches, len(pairs))
 		msg := ""
 		if !ok {
 			msg = fmt.Sprintf("value %q is out of range [%s, %s]", elems[i], pairs[0][0], pairs[0][1])
@@ -1081,19 +1069,13 @@ func (e *Engine) evalRange(ctx *evalCtx, t *ast.Range, elems []value.V) ([]outco
 	return out, nil
 }
 
-// pairBounds zips lo/hi candidates when they have equal cardinality (the
-// compartment-paired case) and takes the Cartesian product otherwise.
-func pairBounds(los, his []value.V) [][2]value.V { return plan.PairBounds(los, his) }
-
-func quantHolds(q ast.Quant, matches, total int) bool { return plan.QuantHolds(q, matches, total) }
-
 func (e *Engine) evalEnum(ctx *evalCtx, t *ast.Enum, elems []value.V) ([]outcome, error) {
 	// Enum membership is inherently existential over the member set; the
 	// member set is the union of all candidate values.
 	var members []value.V
 	needPerElement := false
 	for _, el := range t.Elems {
-		if exprUsesCur(el) {
+		if plan.ExprUsesCur(el) {
 			needPerElement = true
 			break
 		}
@@ -1125,13 +1107,11 @@ func (e *Engine) evalEnum(ctx *evalCtx, t *ast.Enum, elems []value.V) ([]outcome
 		if predicate.InEnum(ms, elems[i]) {
 			out[i] = outcome{pass: true}
 		} else {
-			out[i] = outcome{msg: fmt.Sprintf("value %q is not one of %s", elems[i], renderMembers(ms))}
+			out[i] = outcome{msg: fmt.Sprintf("value %q is not one of %s", elems[i], plan.RenderMembers(ms))}
 		}
 	}
 	return out, nil
 }
-
-func renderMembers(ms []value.V) string { return plan.RenderMembers(ms) }
 
 func (e *Engine) evalRel(ctx *evalCtx, t *ast.Rel, elems []value.V) ([]outcome, error) {
 	op := t.Op.String()
@@ -1157,7 +1137,7 @@ func (e *Engine) evalRel(ctx *evalCtx, t *ast.Rel, elems []value.V) ([]outcome, 
 				matches++
 			}
 		}
-		ok := quantHolds(ctx.quant, matches, len(rhs))
+		ok := plan.QuantHolds(ctx.quant, matches, len(rhs))
 		msg := ""
 		if !ok {
 			msg = fmt.Sprintf("value %q violates '%s %s'", elems[i], op, rhs[0])
@@ -1209,7 +1189,3 @@ func (e *Engine) evalExpr(ctx *evalCtx, x ast.Expr) ([]value.V, error) {
 	}
 	return nil, fmt.Errorf("unsupported expression %T", x)
 }
-
-// exprUsesCur reports whether the expression depends on the current
-// element ($_ or a transform over it).
-func exprUsesCur(x ast.Expr) bool { return plan.ExprUsesCur(x) }

@@ -1,8 +1,9 @@
 package ingest
 
-// Content addressing for request payloads (the service-side caching
-// substrate, DESIGN.md §12). A source's digest covers everything that
-// influences its parse — name, driver, scope, raw bytes — so equal
+// Content addressing for payload sets, reached only through
+// runner.HashPayloads (the service addresses a request by its body's
+// sha256 instead, DESIGN.md §12). A source's digest covers everything
+// that influences its parse — name, driver, scope, raw bytes — so equal
 // digests imply an identical instance sequence, which is exactly the
 // Store.SetContentID contract the snapshot diff fast path relies on.
 

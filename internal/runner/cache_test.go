@@ -88,14 +88,14 @@ func TestContentIDSealGating(t *testing.T) {
 		{"spec load command", withLoad, false},
 		{"degraded parse", degraded, false},
 	} {
-		tc.job.PayloadHash = HashPayloads(tc.job.Payloads)
+		tc.job.ContentID = HashPayloads(tc.job.Payloads)
 		r := New(Options{})
 		if _, err := r.Run(ctx, tc.job); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		want := ""
 		if tc.sealed {
-			want = tc.job.PayloadHash
+			want = tc.job.ContentID
 		}
 		if got := r.Session().Store().Snapshot().ContentID(); got != want {
 			t.Errorf("%s: snapshot content ID = %q, want %q", tc.name, got, want)

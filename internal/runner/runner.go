@@ -105,12 +105,12 @@ type Job struct {
 	// re-execute and the rest splice from the retained report. Nil runs
 	// every spec. The result's State carries this run forward.
 	Prev *confvalley.RunState
-	// PayloadHash is the content address of Payloads
-	// (runner.HashPayloads), when the caller has computed one. A job
-	// that carries it, no Sources, and a program without load commands
-	// has its store sealed under that address once it loads cleanly, so
-	// a Prev derived from the same bytes diffs in O(1).
-	PayloadHash string
+	// ContentID is a digest that determines the payload bytes; the
+	// service passes its request body's sha256. A job that carries it,
+	// no Sources, and a program without load commands has its store
+	// sealed under that address once it loads cleanly, so a Prev derived
+	// from the same bytes diffs in O(1).
+	ContentID string
 }
 
 // Result is one completed run: the validation report plus the load
@@ -306,9 +306,9 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 	// appending mid-run — and the parse was clean and complete: a
 	// degraded outcome depends on the loader's last-good history and an
 	// interrupted one is missing sources.
-	if job.PayloadHash != "" && len(job.Sources) == 0 && len(job.Payloads) > 0 && len(prog.Loads) == 0 &&
+	if job.ContentID != "" && len(job.Sources) == 0 && len(job.Payloads) > 0 && len(prog.Loads) == 0 &&
 		!dataRep.Interrupted && !dataRep.Degraded() {
-		st.SetContentID(job.PayloadHash)
+		st.SetContentID(job.ContentID)
 	}
 
 	r.session.SwapStore(st)
@@ -350,7 +350,9 @@ func (r *Runner) lintSpec(job Job, src string, st *confvalley.Store) []lint.Diag
 // HashPayloads returns the content address of a payload set, or "" for
 // an empty one. The driver name is normalized through the same
 // extension inference loading uses, so an explicit format and an
-// inferred identical one share an address.
+// inferred identical one share an address. The service does not call
+// it: a validate request is addressed by its body's sha256 (DESIGN.md
+// §12), and only the benchmark's trace and tests hash payloads.
 func HashPayloads(ps []Payload) string {
 	if len(ps) == 0 {
 		return ""

@@ -1,17 +1,16 @@
 package serve
 
-// The service-side result cache: layer 2 of the request-caching stack
-// (DESIGN.md §12), and the owner of layer 1's raw-body alias table. Each
-// tenant holds one bounded LRU mapping (spec name, registration nonce,
-// payload content address) → the completed ValidateResponse, plus a
-// single-flight table so identical requests in flight share one
-// validation instead of racing N copies of the same work through
-// admission control.
+// The service-side result cache: the first layer of the request-caching
+// stack (DESIGN.md §12). Each tenant holds one bounded LRU mapping
+// (spec name, registration nonce, request body sha256) → the completed
+// ValidateResponse, plus a single-flight table under the same keys so
+// identical requests in flight share one validation instead of racing N
+// copies of the same work through admission control.
 //
 // Invalidation is strict by construction: the key embeds the spec's
 // registration nonce, so re-registering a name orphans every cached
 // entry for the old program even before the purge removes them, and a
-// payload byte that differs anywhere changes the content address.
+// body byte that differs anywhere changes the content address.
 
 import (
 	"strings"
@@ -20,18 +19,11 @@ import (
 	"confvalley/internal/lru"
 )
 
-// resultCache is one tenant's response cache.
-//
-// Two LRUs share the lock: the canonical (payload-hash) cache, whose
-// capacity is what ResultCacheSize configures, and an equally-bounded
-// side table of raw-body aliases (sha256 of the undecoded request →
-// the same responses) so alias churn can never evict canonical
-// entries. Alias hits count as hits; alias evictions are not
-// surfaced — Evictions reports canonical responses dropped.
+// resultCache is one tenant's response cache. Its capacity is what
+// ResultCacheSize configures. Every lookup counts one hit or one miss.
 type resultCache struct {
 	mu      sync.Mutex
 	items   *lru.Cache[string, *ValidateResponse]
-	raw     *lru.Cache[string, *ValidateResponse]
 	flights map[string]*flight
 
 	hits, misses, coalesced, evictions int64
@@ -48,26 +40,15 @@ type flight struct {
 func newResultCache(capacity int) *resultCache {
 	return &resultCache{
 		items:   lru.New[string, *ValidateResponse](capacity),
-		raw:     lru.New[string, *ValidateResponse](capacity),
 		flights: make(map[string]*flight),
 	}
 }
 
-// get returns the cached response for a key.
+// get returns the cached response for a key, counting the hit or miss.
 func (c *resultCache) get(key string) (*ValidateResponse, bool) {
-	return c.lookup(c.items, key)
-}
-
-// getRaw looks up a raw-body alias.
-func (c *resultCache) getRaw(key string) (*ValidateResponse, bool) {
-	return c.lookup(c.raw, key)
-}
-
-// lookup reads one of the two tables, counting the hit or miss.
-func (c *resultCache) lookup(table *lru.Cache[string, *ValidateResponse], key string) (*ValidateResponse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resp, ok := table.Get(key)
+	resp, ok := c.items.Get(key)
 	if ok {
 		c.hits++
 	} else {
@@ -104,17 +85,6 @@ func (c *resultCache) complete(key string, f *flight, resp *ValidateResponse, er
 	close(f.done)
 }
 
-// putRaw stores a raw-body alias, outside the single-flight protocol.
-// Callers gate cacheability themselves.
-func (c *resultCache) putRaw(key string, resp *ValidateResponse) {
-	if resp == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.raw.Put(key, resp)
-}
-
 // purge drops every cached entry whose key starts with prefix — the
 // re-registration and deletion hook (prefix = spec name + separator).
 // In-flight leaders are untouched; their keys carry the old
@@ -123,9 +93,7 @@ func (c *resultCache) putRaw(key string, resp *ValidateResponse) {
 func (c *resultCache) purge(prefix string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	hasPrefix := func(key string) bool { return strings.HasPrefix(key, prefix) }
-	c.items.DeleteFunc(hasPrefix)
-	c.raw.DeleteFunc(hasPrefix)
+	c.items.DeleteFunc(func(key string) bool { return strings.HasPrefix(key, prefix) })
 }
 
 // entries returns the number of cached responses.

@@ -384,6 +384,125 @@ func TestConcurrentCoalescedValidate(t *testing.T) {
 	}
 }
 
+// Every request is one lookup under one address, so it counts one hit
+// or one miss: A, B, A sent in turn is two misses, two validations and
+// one hit.
+func TestResultCacheCountsEachLookupOnce(t *testing.T) {
+	ctx := context.Background()
+	srv := New(Config{})
+	if _, err := srv.RegisterSpec("acme", "checks", cacheSpec); err != nil {
+		t.Fatal(err)
+	}
+	a := requestBody(t, kvRequest("app.timeout = 30\napp.retries = 2\ndb.host = db1\n"))
+	b := requestBody(t, kvRequest("app.timeout = 31\napp.retries = 2\ndb.host = db1\n"))
+	for _, body := range [][]byte{a, b, a} {
+		if _, err := srv.ValidateBody(ctx, "acme", "checks", body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := srv.Stats()
+	rc := st.Tenants[0].Caches.ResultCache
+	if st.Validations != 2 || rc.Hits != 1 || rc.Misses != 2 {
+		t.Errorf("A, B, A: %d validations, %d hits, %d misses; want 2, 1, 2", st.Validations, rc.Hits, rc.Misses)
+	}
+}
+
+// TestConcurrentResultCacheAccounting sends a mix of repeated and fresh
+// bodies from several clients at once. Each request is exactly one hit
+// or one miss, and exactly one hit, one coalesced wait or one
+// validation. Run with -race; the stress suite picks this up by name.
+func TestConcurrentResultCacheAccounting(t *testing.T) {
+	ctx := context.Background()
+	srv := New(Config{MaxConcurrent: 4, MaxQueue: 256})
+	if _, err := srv.RegisterSpec("acme", "checks", cacheSpec); err != nil {
+		t.Fatal(err)
+	}
+	const workers = 8
+	const rounds = 12
+	var bodies [workers][rounds][]byte
+	for w := range bodies {
+		for r := range bodies[w] {
+			timeout := r % 3 // repeated across clients
+			if r%2 == 1 {
+				timeout = 100 + w*rounds + r // fresh
+			}
+			bodies[w][r] = requestBody(t, kvRequest(fmt.Sprintf("app.timeout = %d\napp.retries = 2\ndb.host = db1\n", timeout)))
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, workers*rounds)
+	for w := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, body := range bodies[w] {
+				if _, err := srv.ValidateBody(ctx, "acme", "checks", body); err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	st := srv.Stats()
+	rc := st.Tenants[0].Caches.ResultCache
+	const requests = workers * rounds
+	if rc.Hits+rc.Misses != requests {
+		t.Errorf("%d hits + %d misses = %d, want %d", rc.Hits, rc.Misses, rc.Hits+rc.Misses, requests)
+	}
+	if n := rc.Hits + rc.Coalesced + st.Validations; n != requests {
+		t.Errorf("%d hits + %d coalesced + %d validations = %d, want %d",
+			rc.Hits, rc.Coalesced, st.Validations, n, requests)
+	}
+}
+
+// Two bodies that differ in bytes but carry equal payloads have two
+// content addresses: the second misses the result cache and validates,
+// but the snapshot diff finds no change, so every spec is reused and the
+// report is the first one's. Sent again, the second body hits.
+func TestEqualPayloadsInDifferentBytes(t *testing.T) {
+	ctx := context.Background()
+	srv := New(Config{})
+	if _, err := srv.RegisterSpec("acme", "checks", cacheSpec); err != nil {
+		t.Fatal(err)
+	}
+	first := []byte(`{"payloads":[{"name":"app.kv","format":"kv","data":"app.timeout = 400\napp.retries = 2\ndb.host = db1\n"}]}`)
+	second := []byte(` {"payloads":[{"data":"app.timeout = 400\napp.retries = 2\ndb.host = db1\n","format":"kv","name":"app.kv"}]}`)
+	want, err := srv.ValidateBody(ctx, "acme", "checks", first)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	before := srv.Stats()
+	got, err := srv.ValidateBody(ctx, "acme", "checks", second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := srv.Stats()
+	if after.Validations != before.Validations+1 || after.ResultCacheHits != before.ResultCacheHits {
+		t.Errorf("byte-different body: %d validation(s), %d cache hit(s); want 1, 0",
+			after.Validations-before.Validations, after.ResultCacheHits-before.ResultCacheHits)
+	}
+	if r := got.Report; r.SpecsRun == 0 || r.SpecsReused != r.SpecsRun {
+		t.Errorf("byte-different body: %d of %d specs reused, want all", r.SpecsReused, r.SpecsRun)
+	}
+	if g, w := wireModuloCaching(t, got.Report), wireModuloCaching(t, want.Report); !bytes.Equal(g, w) {
+		t.Errorf("byte-different body diverged:\n got: %s\nwant: %s", g, w)
+	}
+
+	if _, err := srv.ValidateBody(ctx, "acme", "checks", second); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.Validations != after.Validations || st.ResultCacheHits != after.ResultCacheHits+1 {
+		t.Errorf("second body again: %d validation(s), %d cache hit(s); want 0, 1",
+			st.Validations-after.Validations, st.ResultCacheHits-after.ResultCacheHits)
+	}
+}
+
 // stallHook is called by the stall predicate; a test installs a sleep
 // to push one request past the runner's LoadTimeout from inside a spec.
 var stallHook atomic.Value // of func()
@@ -403,8 +522,8 @@ func init() {
 // A request whose deadline lands inside an incremental run that re-runs
 // every spec comes back Interrupted — that branch used to ignore the
 // deadline and return (and cache) a complete report — and an interrupted
-// response is retained nowhere: not under its payload hash, not under
-// its raw-body alias, not as the spec's incremental state.
+// response is retained nowhere: not in the result cache, not as the
+// spec's incremental state.
 func TestInterruptedAllRerunResponseNotCached(t *testing.T) {
 	const timeout = 100 * time.Millisecond
 	ctx := context.Background()
@@ -450,8 +569,8 @@ func TestInterruptedAllRerunResponseNotCached(t *testing.T) {
 // A request coalesced onto a leader that is cut short by its deadline
 // inherits neither the leader's partial report nor its deadline: the
 // follower leads a run of its own, and nothing it was handed reaches the
-// cache — not even under the raw-body alias, which used to answer every
-// later byte-identical body "interrupted, 1 spec run" without validating.
+// cache, which would otherwise answer every later byte-identical body
+// "interrupted, 1 spec run" without validating.
 func TestCoalescedFollowerOfInterruptedLeader(t *testing.T) {
 	const timeout = 100 * time.Millisecond
 	ctx := context.Background()

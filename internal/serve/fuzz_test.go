@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -11,8 +12,13 @@ import (
 // FuzzValidateEnvelope holds the server's one-pass envelope decoder to the
 // public wire type: decodeEnvelope, its quotas off, accepts a body iff
 // json.Unmarshal accepts it into ValidateRequest, and then names, formats,
-// scopes, sources and payload bytes are equal. The seeds run as plain
-// tests under `go test`.
+// scopes, sources and payload bytes are equal. The decoder is also the
+// only place the service enforces its two request quotas, so each body is
+// decoded again with them set at and one below the count and the bytes
+// json.Unmarshal decoded: whatever it then accepts is within both bounds
+// and decodes as with quotas off, and it refuses only with a quota error
+// (also a body within bounds, when a repeated member was over them before
+// it shrank). The seeds run as plain tests under `go test`.
 func FuzzValidateEnvelope(f *testing.F) {
 	nest := func(n int) string { return strings.Repeat("[", n) + strings.Repeat("]", n) }
 	seeds := []string{
@@ -97,6 +103,29 @@ func FuzzValidateEnvelope(f *testing.F) {
 			g := payloads[i]
 			if g.Name != w.Name || g.Format != w.Format || g.Scope != w.Scope || string(g.Data) != w.Data {
 				t.Fatalf("payload %d differs on %.200q:\n decoder:       %+v\n encoding/json: %+v", i, body, g, w)
+			}
+		}
+
+		n, size := len(want.Payloads)+len(want.Sources), int64(0)
+		for _, w := range want.Payloads {
+			size += int64(len(w.Data))
+		}
+		for _, q := range []struct {
+			sources int
+			bytes   int64
+		}{{n, size}, {max(n-1, 0), size}, {n, max(size-1, 0)}} {
+			qp, qs, err := decodeEnvelope(body, q.sources, q.bytes)
+			if err != nil {
+				if !errors.Is(err, ErrQuota) && !errors.Is(err, ErrTooLarge) {
+					t.Fatalf("quotas %d sources, %d bytes on %.200q: %v, where quotas off accept", q.sources, q.bytes, body, err)
+				}
+				continue
+			}
+			if n > q.sources || size > q.bytes {
+				t.Fatalf("quotas %d sources, %d bytes accept %.200q: %d sources, %d bytes", q.sources, q.bytes, body, n, size)
+			}
+			if !reflect.DeepEqual(qp, payloads) || !reflect.DeepEqual(qs, sources) {
+				t.Fatalf("quotas %d sources, %d bytes change the decoding of %.200q", q.sources, q.bytes, body)
 			}
 		}
 	})

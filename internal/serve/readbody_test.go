@@ -123,7 +123,7 @@ func rawValidate(t *testing.T, addr, body string, declared int) int {
 	return resp.StatusCode
 }
 
-// An alias hit reads the body to hash it and keeps nothing of it, so a
+// A cache hit reads the body to hash it and keeps nothing of it, so a
 // stream of hits reads into one pooled buffer: what is left per hit is the
 // transport's and the response's garbage, not the body's.
 func TestRepeatHitDoesNotAllocateBody(t *testing.T) {
@@ -147,7 +147,7 @@ func TestRepeatHitDoesNotAllocateBody(t *testing.T) {
 			t.Fatalf("status %d", resp.StatusCode)
 		}
 	}
-	post() // validates, and leaves the alias behind
+	post() // validates, and leaves the cached response behind
 	// The pool keeps a buffer per processor (whichever one a handler ran
 	// on), so that many hits may each still allocate one.
 	hits := 16 * runtime.GOMAXPROCS(0)
@@ -157,6 +157,6 @@ func TestRepeatHitDoesNotAllocateBody(t *testing.T) {
 		}
 	})
 	if perHit := total / uint64(hits); perHit > uint64(len(body))/4 {
-		t.Errorf("%d bytes allocated per alias hit on a %d-byte body, want under a quarter of it", perHit, len(body))
+		t.Errorf("%d bytes allocated per cache hit on a %d-byte body, want under a quarter of it", perHit, len(body))
 	}
 }

@@ -615,29 +615,29 @@ func (s *Server) DeleteSpec(tenantName, specName string) error {
 // JSON encoding of a ValidateRequest — returning the wire-format report
 // plus load accounting. The run goes through the tenant's runner — the
 // identical code path cvcheck uses — so a report obtained here matches
-// the CLI's for the same inputs, whichever cache layer serves it:
+// the CLI's for the same inputs, whichever layer serves it. The body's
+// sha256 is the request's one content address (DESIGN.md §12):
 //
-//  1. a body byte-identical to one already answered is content-addressed
-//     *before* JSON decoding and returns the cached response outright,
-//     skipping decode, payload hashing and the run — the cheapest hit the
-//     service can serve. The raw-body key is an alias stored next to the
-//     canonical payload-hash entry (only for responses that entry
-//     admits), and it embeds the registration nonce, so re-registration
-//     invalidates both together. A raw hit skips the per-request quota
-//     checks; the identical bytes already passed them when the entry was
-//     populated, and quotas are fixed per server;
-//  2. a request whose payload content address matches a cached response
-//     for the same registration returns it, before admission control (a
-//     cache hit consumes no validation slot);
-//  3. an identical request already in flight is coalesced onto it
-//     (single-flight) instead of validating twice;
-//  4. a miss validates under admission control: the payloads are parsed
-//     and only the specs whose footprint the payload delta touches are
-//     re-run (cross-request incremental validation).
+//  1. the result cache is looked up under it before the body is
+//     decoded, so a byte-identical repeat returns the cached response
+//     outright, before admission control: no decode, no run, no
+//     validation slot. The key embeds the registration nonce, so
+//     re-registration orphans every entry for the old program. A hit
+//     skips the decoder's quota checks; the identical bytes passed them
+//     when the entry was stored, and quotas are fixed per server;
+//  2. on a miss, an identical body already in flight is coalesced onto
+//     it (single-flight) instead of validating twice;
+//  3. otherwise the request validates under admission control with the
+//     address as its ContentID: the payloads are parsed, the snapshot is
+//     diffed against the spec's last one, and only the specs whose
+//     footprint the delta touches re-run (cross-request incremental
+//     validation). A body whose bytes differ from a cached one's but
+//     whose payloads are equal lands here, finds no change and reuses
+//     every spec.
 //
-// Requests that are not pure functions of their payload bytes —
-// server-side sources, specs with their own load commands, degraded or
-// interrupted runs — skip layers 1 to 3 entirely and are never cached.
+// Requests that are not pure functions of their bytes — server-side
+// sources, specs with their own load commands — skip layer 2 and are
+// never cached, and neither is a degraded or interrupted run.
 func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, body []byte) (*ValidateResponse, error) {
 	if err := s.checkReady(); err != nil {
 		return nil, err
@@ -651,8 +651,9 @@ func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, 
 		return nil, err
 	}
 	sum := sha256.Sum256(body)
-	rawKey := entry.cacheKey("raw" + keySep + hex.EncodeToString(sum[:]))
-	if resp, ok := t.results.getRaw(rawKey); ok {
+	contentID := hex.EncodeToString(sum[:])
+	key := entry.cacheKey(contentID)
+	if resp, ok := t.results.get(key); ok {
 		entry.lastResp.Store(resp)
 		return resp, nil
 	}
@@ -665,16 +666,6 @@ func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, 
 	case err != nil:
 		return nil, fmt.Errorf("%w: decoding request body: %v", ErrBadRequest, err)
 	}
-	return s.validateReq(ctx, t, entry, payloads, sources, rawKey)
-}
-
-// validateReq runs one decoded request through the cache stack. rawKey
-// is the transport's raw-body alias to populate whenever a cacheable
-// response is produced or found.
-func (s *Server) validateReq(ctx context.Context, t *tenant, entry *specEntry, payloads []runner.Payload, sources []SourceRef, rawKey string) (*ValidateResponse, error) {
-	if err := s.checkRequestQuotas(payloads, len(sources)); err != nil {
-		return nil, err
-	}
 
 	job := runner.Job{Prog: entry.prog, Payloads: payloads}
 	for _, src := range sources {
@@ -682,51 +673,35 @@ func (s *Server) validateReq(ctx context.Context, t *tenant, entry *specEntry, p
 			Name: src.Name, Format: src.Format, Scope: src.Scope,
 		})
 	}
-
-	var key string
-	if len(sources) == 0 && len(payloads) > 0 && len(entry.prog.Loads) == 0 {
-		job.PayloadHash = runner.HashPayloads(job.Payloads)
-		key = entry.cacheKey(job.PayloadHash)
-	}
-	if key == "" {
-		// Not a pure function of the payload bytes — never cached, and
-		// the raw alias must not be stored either.
+	if len(sources) > 0 || len(payloads) == 0 || len(entry.prog.Loads) > 0 {
+		// Not a pure function of the body's bytes: never coalesced,
+		// never cached, never sealed.
 		return s.validate(ctx, t, entry, job)
 	}
+	job.ContentID = contentID
 	for {
-		if resp, ok := t.results.get(key); ok {
-			t.results.putRaw(rawKey, resp)
-			entry.lastResp.Store(resp)
-			return resp, nil
-		}
 		f, leader := t.results.join(key)
-		if !leader {
-			select {
-			case <-f.done:
-				if cacheableResponse(f.resp, f.err) {
-					t.results.putRaw(rawKey, f.resp)
-					entry.lastResp.Store(f.resp)
-					return f.resp, nil
-				}
-				if ctx.Err() == nil && (interruptedResponse(f.resp) || errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
-					// The leader died of its own cancellation or
-					// deadline; this caller is still live, so retry as
-					// its own leader rather than inherit a stranger's
-					// deadline.
-					continue
-				}
-				return f.resp, f.err
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
+		if leader {
+			resp, err := s.validate(ctx, t, entry, job)
+			t.results.complete(key, f, resp, err, cacheableResponse(resp, err))
+			return resp, err
 		}
-		resp, err := s.validate(ctx, t, entry, job)
-		ok := cacheableResponse(resp, err)
-		t.results.complete(key, f, resp, err, ok)
-		if ok {
-			t.results.putRaw(rawKey, resp)
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		return resp, err
+		if cacheableResponse(f.resp, f.err) {
+			entry.lastResp.Store(f.resp)
+			return f.resp, nil
+		}
+		if ctx.Err() == nil && (interruptedResponse(f.resp) || errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
+			// The leader died of its own cancellation or deadline; this
+			// caller is still live, so it leads a run of its own rather
+			// than inherit a stranger's deadline.
+			continue
+		}
+		return f.resp, f.err
 	}
 }
 
@@ -783,25 +758,6 @@ func interruptedResponse(resp *ValidateResponse) bool {
 		return false
 	}
 	return (resp.Report != nil && resp.Report.Interrupted) || (resp.Load != nil && resp.Load.Interrupted)
-}
-
-// checkRequestQuotas enforces the per-request source-count and
-// payload-byte bounds.
-func (s *Server) checkRequestQuotas(payloads []runner.Payload, sources int) error {
-	q := s.cfg.Quotas
-	if n := len(payloads) + sources; n > q.MaxSources {
-		s.denied.Add(1)
-		return fmt.Errorf("%w: %d sources > limit %d", ErrQuota, n, q.MaxSources)
-	}
-	var bytes int64
-	for _, p := range payloads {
-		bytes += int64(len(p.Data))
-	}
-	if bytes > q.MaxPayloadBytes {
-		s.denied.Add(1)
-		return fmt.Errorf("%w: %d payload bytes > limit %d", ErrTooLarge, bytes, q.MaxPayloadBytes)
-	}
-	return nil
 }
 
 // LastReport returns the most recent ValidateResponse for one spec, or

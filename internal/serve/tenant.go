@@ -181,10 +181,10 @@ func (t *tenant) dump() []durable.Record {
 // contain it (nameRE).
 const keySep = "\x00"
 
-// cacheKey builds the result-cache key for one payload content address
-// under this registration.
-func (e *specEntry) cacheKey(payloadHash string) string {
-	return e.name + keySep + strconv.FormatUint(e.id, 10) + keySep + payloadHash
+// cacheKey builds the result-cache key for one request's content
+// address (its body's sha256) under this registration.
+func (e *specEntry) cacheKey(contentID string) string {
+	return e.name + keySep + strconv.FormatUint(e.id, 10) + keySep + contentID
 }
 
 func (e *specEntry) info() SpecInfo {
