@@ -163,7 +163,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if res.Data != nil {
 			for _, o := range res.Data.Outcomes {
-				if o.Err == "" {
+				switch {
+				case o.Err != "":
+				case o.Projected != nil:
+					fmt.Fprintf(stderr, "cvcheck: loaded %d instance(s) from %s (%d read by the specification)\n", o.Instances, o.Source, *o.Projected)
+				default:
 					fmt.Fprintf(stderr, "cvcheck: loaded %d instance(s) from %s\n", o.Instances, o.Source)
 				}
 			}

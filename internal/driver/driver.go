@@ -114,7 +114,8 @@ func LoadInto(st *config.Store, format string, data []byte, sourceName, scope st
 // scope prefix, returning the instances without adding them to any store.
 // data stays the caller's, as for Parse.
 func ParseScoped(ctx context.Context, format string, data []byte, sourceName, scope string) ([]*config.Instance, error) {
-	return parseScoped(ctx, format, data, sourceName, scope, false)
+	ins, _, err := parseScoped(ctx, format, data, sourceName, scope, false, nil)
+	return ins, err
 }
 
 // ParseScopedOwned is ParseScoped of bytes the caller hands over, as for
@@ -123,31 +124,51 @@ func ParseScoped(ctx context.Context, format string, data []byte, sourceName, sc
 // read or fetched, so a parse failure can be quarantined per source
 // instead of aborting a whole load batch and the document is not copied
 // on its way in.
-func ParseScopedOwned(ctx context.Context, format string, data []byte, sourceName, scope string) ([]*config.Instance, error) {
-	return parseScoped(ctx, format, data, sourceName, scope, true)
+//
+// Given a projection, a driver that projects (Projects) returns only the
+// instances whose scoped key proj keeps; every other driver, and a nil
+// proj, parses in full. parsed counts the document's instances either
+// way, kept or not.
+func ParseScopedOwned(ctx context.Context, format string, data []byte, sourceName, scope string, proj *Projection) (ins []*config.Instance, parsed int, err error) {
+	return parseScoped(ctx, format, data, sourceName, scope, true, proj)
 }
 
 // parseScoped parses data, which the instances may point into only if it
 // is owned; a driver with no owned entry copies what it keeps either way.
-func parseScoped(ctx context.Context, format string, data []byte, sourceName, scope string, owned bool) ([]*config.Instance, error) {
+// A bad scope is reported after the document's own errors, so it parses
+// in full.
+func parseScoped(ctx context.Context, format string, data []byte, sourceName, scope string, owned bool, proj *Projection) ([]*config.Instance, int, error) {
 	d, err := Lookup(format)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	var pre []config.Seg
+	var scopeErr error
+	if scope != "" {
+		pre, scopeErr = scopeSegs(scope)
 	}
 	var ins []*config.Instance
-	if od, ok := d.(OwnedDriver); ok && owned {
+	parsed := -1
+	kv, projects := d.(kvDriver)
+	od, ownedDriver := d.(OwnedDriver)
+	switch {
+	case projects && owned && proj != nil && scopeErr == nil:
+		ins, parsed, err = kv.parseProjected(data, sourceName, proj.filter(pre))
+	case ownedDriver && owned:
 		ins, err = od.ParseOwned(data, sourceName)
-	} else {
+	default:
 		ins, err = ParseWith(ctx, d, data, sourceName)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("driver %s: parsing %s: %w", format, sourceName, err)
+		return nil, 0, fmt.Errorf("driver %s: parsing %s: %w", format, sourceName, err)
 	}
-	if scope != "" {
-		pre, err := scopeSegs(scope)
-		if err != nil {
-			return nil, err
-		}
+	if scopeErr != nil {
+		return nil, 0, scopeErr
+	}
+	if parsed < 0 {
+		parsed = len(ins)
+	}
+	if len(pre) > 0 {
 		for _, in := range ins {
 			segs := make([]config.Seg, 0, len(pre)+len(in.Key.Segs))
 			segs = append(segs, pre...)
@@ -155,7 +176,7 @@ func parseScoped(ctx context.Context, format string, data []byte, sourceName, sc
 			in.Key = config.Key{Segs: segs}
 		}
 	}
-	return ins, nil
+	return ins, parsed, nil
 }
 
 // scopeSegs parses a dotted scope prefix like "Fabric" or "Fabric::inst1".

@@ -49,14 +49,12 @@ func checkParse(t *testing.T, name string, d interface {
 }
 
 func commonSeeds(f *testing.F) {
-	f.Add([]byte(""))
-	f.Add([]byte("\x00\x01\x02"))
-	f.Add([]byte("\xff\xfe invalid utf8 \xc3\x28"))
-	f.Add([]byte(strings.Repeat("a", 1<<12)))
-	f.Add([]byte("\n\n\n"))
-	f.Add([]byte("="))
-	f.Add([]byte(" = "))
+	for _, seed := range commonData {
+		f.Add([]byte(seed))
+	}
 }
+
+var commonData = []string{"", "\x00\x01\x02", "\xff\xfe invalid utf8 \xc3\x28", strings.Repeat("a", 1<<12), "\n\n\n", "=", " = "}
 
 func FuzzINI(f *testing.F) {
 	commonSeeds(f)
@@ -77,20 +75,41 @@ func FuzzINI(f *testing.F) {
 // the strings.Split oracle return the same error text or the same
 // instances, line numbers included. The seeds after the first five walk
 // what the scanner does by hand: line ends, trimming, the key grammar.
+// pats is a projection, one pattern per line: the projected parse must
+// be the full parse filtered by it (diffProjected).
 func FuzzKV(f *testing.F) {
-	commonSeeds(f)
-	f.Add([]byte("port = 8080\n"))
-	f.Add([]byte("a.b.c = deep\n"))
-	f.Add([]byte("key with spaces = v\n"))
-	f.Add([]byte("k =\n= v\n"))
-	f.Add([]byte("$=")) // regression: parsed to an instance with an empty key
-	for _, seed := range kvSeeds {
-		f.Add([]byte(seed))
+	for _, seed := range commonData {
+		f.Add([]byte(seed), "")
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte("port = 8080\n"), "port")
+	f.Add([]byte("a.b.c = deep\n"), "a.b.c")
+	f.Add([]byte("key with spaces = v\n"), "key*")
+	f.Add([]byte("k =\n= v\n"), "k")
+	f.Add([]byte("$="), "") // regression: parsed to an instance with an empty key
+	for _, seed := range kvSeeds {
+		f.Add([]byte(seed), "")
+	}
+	for _, seed := range projectionSeeds {
+		f.Add([]byte(seed[0]), seed[1])
+	}
+	f.Fuzz(func(t *testing.T, data []byte, pats string) {
 		checkParse(t, "kv", kvDriver{}, data)
 		diffKV(t, data)
+		diffProjected(t, data, pats)
 	})
+}
+
+// projectionSeeds pair a document with a projection: leaf and path
+// patterns, wildcards, instance and ordinal constraints (ignored), keys
+// of other lengths, and an error after a dropped line.
+var projectionSeeds = [][2]string{
+	{"a.b = 1\nc.b = 2\nb = 3\nx.y = 4\n", "b"},
+	{"C::c1.N[2].T = 1\nC::c2.N[1].T = 2\nC.M = 3\n", "C::c9.N[7].T"},
+	{"A.Timeout = 1\nB.Retry = 2\nA.B.Timeout = 3\n", "*out\nA.*"},
+	{"a.b = 1\nz.q = 2\nnovalue\n", "a.b"},
+	{"a.b = 1\nz..q = 2\n", "a.b"},
+	{"S.a = 1\na = 2\n", "Sc.a\nS.a"},
+	{"x = 1\n", ""},
 }
 
 var kvSeeds = []string{

@@ -97,9 +97,20 @@ func (d kvDriver) Parse(data []byte, sourceName string) ([]*config.Instance, err
 
 // ParseOwned walks data in place, line by line: key segment names and
 // values of the returned instances are substrings of it.
-func (kvDriver) ParseOwned(data []byte, sourceName string) ([]*config.Instance, error) {
+func (d kvDriver) ParseOwned(data []byte, sourceName string) ([]*config.Instance, error) {
+	ins, _, err := d.parseProjected(data, sourceName, nil)
+	return ins, err
+}
+
+// parseProjected is the scanner behind ParseOwned: with a filter it
+// still reads and checks every line, parsing each key into one scratch
+// slice, so a document fails with the same error whatever the
+// projection, but carves key room and an instance only for the lines
+// whose class f keeps. parsed counts every instance line, kept or not.
+func (kvDriver) parseProjected(data []byte, sourceName string, f *filter) (ins []*config.Instance, parsed int, err error) {
 	s := borrow(data)
 	var out slabs
+	var scratch []config.Seg
 	for ln, pos := 1, 0; pos <= len(s); ln++ {
 		end := len(s)
 		if i := strings.IndexByte(s[pos:], '\n'); i >= 0 {
@@ -112,15 +123,19 @@ func (kvDriver) ParseOwned(data []byte, sourceName string) ([]*config.Instance, 
 		}
 		eq := strings.IndexByte(line, '=')
 		if eq < 0 {
-			return nil, fmt.Errorf("kv: %s:%d: expected key=value, got %q", sourceName, ln, line)
+			return nil, 0, fmt.Errorf("kv: %s:%d: expected key=value, got %q", sourceName, ln, line)
 		}
 		keyStr := strings.TrimSpace(line[:eq])
-		// Room for exactly the key's segments: AppendKey fills it in place.
-		room := out.key(strings.Count(keyStr, ".") + 1)
-		segs, err := config.AppendKey(room[:0], keyStr)
-		if err != nil {
-			return nil, fmt.Errorf("kv: %s:%d: %w", sourceName, ln, badScope(keyStr, err))
+		if scratch, err = config.AppendKey(scratch[:0], keyStr); err != nil {
+			return nil, 0, fmt.Errorf("kv: %s:%d: %w", sourceName, ln, badScope(keyStr, err))
 		}
+		parsed++
+		if f != nil && !f.keep(scratch) {
+			continue
+		}
+		// Room for exactly the key's segments.
+		segs := out.key(len(scratch))
+		copy(segs, scratch)
 		out.add(config.Instance{
 			Key:    config.Key{Segs: segs},
 			Value:  strings.TrimSpace(line[eq+1:]),
@@ -128,7 +143,7 @@ func (kvDriver) ParseOwned(data []byte, sourceName string) ([]*config.Instance, 
 			Line:   ln,
 		})
 	}
-	return out.instances(), nil
+	return out.instances(), parsed, nil
 }
 
 // Reparse re-parses data against base, a document ParseOwned parsed into

@@ -1,6 +1,8 @@
 package driver
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -55,5 +57,41 @@ func diffKV(t *testing.T, data []byte) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("instances differ on %q:\n scanner: %v\n oracle:  %v", data, got, want)
+	}
+}
+
+// diffProjected holds the projected parse to the full one on data, under
+// the projection pats (one pattern per line; lines that do not parse, or
+// carry variables, are dropped) and with and without a scope: the same
+// error, word for word, or the full parse's instances that the
+// projection keeps, field for field, and the full parse's count.
+func diffProjected(t *testing.T, data []byte, pats string) {
+	t.Helper()
+	var ps []config.Pattern
+	for _, line := range strings.Split(pats, "\n") {
+		if p, err := config.ParsePattern(line); err == nil && !p.HasVars() {
+			ps = append(ps, p)
+		}
+	}
+	proj := NewProjection(ps)
+	for _, scope := range []string{"", "Sc"} {
+		got, parsed, gotErr := ParseScopedOwned(context.Background(), "kv", bytes.Clone(data), "fuzz-input", scope, proj)
+		full, _, wantErr := ParseScopedOwned(context.Background(), "kv", bytes.Clone(data), "fuzz-input", scope, nil)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("scope %q, projection %q: errors differ on %q:\n projected: %v\n full:      %v", scope, pats, data, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			continue
+		}
+		var want []*config.Instance
+		for _, in := range full {
+			if proj.Keeps(in.Key) {
+				want = append(want, in)
+			}
+		}
+		if parsed != len(full) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("scope %q, projection %q on %q: parsed %d of %d:\n projected: %v\n filtered:  %v",
+				scope, pats, data, parsed, len(full), got, want)
+		}
 	}
 }

@@ -80,7 +80,7 @@ func TestParseDoesNotAliasInput(t *testing.T) {
 func TestParseOwnedBorrowsInput(t *testing.T) {
 	for _, tc := range ownershipDocs {
 		data := []byte(tc.doc)
-		ins, err := ParseScopedOwned(context.Background(), tc.format, data, "own", "")
+		ins, _, err := ParseScopedOwned(context.Background(), tc.format, data, "own", "", nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.format, err)
 		}
@@ -96,7 +96,7 @@ func TestParseOwnedBorrowsInput(t *testing.T) {
 		}
 	}
 	data := []byte(`{"app": {"timeout": "30"}}`)
-	ins, err := ParseScopedOwned(context.Background(), "json", data, "own", "")
+	ins, _, err := ParseScopedOwned(context.Background(), "json", data, "own", "", nil)
 	if err != nil || len(ins) != 1 {
 		t.Fatalf("json: %d instances, err %v", len(ins), err)
 	}

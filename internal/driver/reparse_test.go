@@ -21,7 +21,7 @@ func checkReparse(t *testing.T, format, scope string, base, doc []byte) bool {
 	t.Helper()
 	ctx := context.Background()
 	owned := bytes.Clone(base)
-	baseIns, err := ParseScopedOwned(ctx, format, owned, "fuzz-input", scope)
+	baseIns, _, err := ParseScopedOwned(ctx, format, owned, "fuzz-input", scope, nil)
 	if err != nil {
 		return false
 	}
@@ -203,7 +203,7 @@ func TestReparseTakesValueEdits(t *testing.T) {
 		{"kv", "", flatKV(4, 5, 6)},
 		{"kv", "Pre::p", flatKV(3, 3, 3)},
 	} {
-		ins, err := ParseScopedOwned(context.Background(), tc.format, tc.doc, "gen", tc.scope)
+		ins, _, err := ParseScopedOwned(context.Background(), tc.format, tc.doc, "gen", tc.scope, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,9 +22,11 @@
 package ingest
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -51,14 +53,24 @@ type Source struct {
 	// nothing may write to them after Fetch returns. Returning the same
 	// never-written bytes on every call is fine.
 	Fetch func(ctx context.Context) ([]byte, error)
+	// Projection, when set, keeps only the classes a program can read:
+	// a driver that projects (kv) builds instances for those alone, and
+	// every other driver ignores it. A projected parse is retained under
+	// the projection's identity, so one loaded under one projection is
+	// never served to a load under another.
+	Projection *driver.Projection
 }
 
 // Outcome is one source's per-round result.
 type Outcome struct {
 	Source string `json:"source"`
 	Driver string `json:"driver"`
-	// Instances contributed to the store this round (fresh or stale).
+	// Instances the source's parse holds this round (fresh or stale):
+	// every instance of the document, projected or not.
 	Instances int `json:"instances"`
+	// Projected counts the instances that reached the store when a
+	// projection applied — possibly none — and is nil when none did.
+	Projected *int `json:"projected,omitempty"`
 	// Err is the fetch/parse failure, empty on a clean load.
 	Err string `json:"err,omitempty"`
 	// Stale means the source failed this round but its last good parse
@@ -147,12 +159,28 @@ func (r *LoadReport) Render(w interface{ Write([]byte) (int, error) }) {
 // goodKey identifies one retained parse. Scope and driver are part of
 // the identity because instances are stored scoped: one file loaded
 // under two scopes keeps two parses, and neither is served for the other.
-type goodKey struct{ name, format, scope string }
+// So is the projection's identity, for a driver that projects: a parse
+// projected for one program lacks classes another reads.
+type goodKey struct{ name, format, scope, proj string }
+
+// source is the key with the projection left out: the source a parse
+// is of, whichever program it was projected for.
+func (k goodKey) source() goodKey {
+	k.proj = ""
+	return k
+}
+
+// maxViews bounds the parses one source keeps under distinct
+// projections. Each holds its own copy of the source's bytes, so the
+// bound is what stops a service whose programs keep changing from
+// accumulating one per retired program.
+const maxViews = 8
 
 // lastGood is the retained parse of one source.
 type lastGood struct {
-	ins         []*config.Instance
+	parse
 	staleRounds int
+	used        uint64 // Loader.clock when it was last stored or served
 	// base is the source's latest full parse when its driver re-parses
 	// (driver.Reparser), nil otherwise: ins is base's instances or a delta
 	// re-parse of base, which shares them. Only a full parse replaces it.
@@ -163,7 +191,7 @@ type lastGood struct {
 // instances that borrow from them.
 type document struct {
 	data []byte
-	ins  []*config.Instance
+	parse
 }
 
 // ParseStats counts a loader's clean loads by how their instances were
@@ -186,7 +214,10 @@ type ParseStats struct {
 // and of no other: each Load drops every parse its batch does not name.
 // A watch session loads one fixed source set every round and keeps all of
 // it; a service, whose requests name their payloads, keeps one request's
-// per concurrent load however many names it has been sent.
+// per concurrent load however many names it has been sent. A source
+// loaded through projections keeps one parse per projection, so programs
+// that take turns over it each keep theirs, up to maxViews of them: the
+// least recently loaded goes first.
 //
 // A source whose driver re-parses (xml, kv) is first re-parsed against
 // its latest full parse, when the loader holds one: if the new bytes
@@ -201,8 +232,9 @@ type Loader struct {
 	// serving entirely (every failure quarantines).
 	MaxStale int
 
-	mu   sync.Mutex
-	good map[goodKey]*lastGood
+	mu    sync.Mutex
+	good  map[goodKey]*lastGood
+	clock uint64 // counts parses stored or served, ordering lastGood.used
 
 	parsed, reparsed atomic.Int64 // ParseStats
 }
@@ -234,19 +266,37 @@ func (l *Loader) Load(ctx context.Context, st *config.Store, sources []Source) *
 	return rep
 }
 
-// retainOnly drops every retained parse that no source of the batch names.
+// retainOnly drops every retained parse of a source the batch does not
+// name, whatever its projection, and a named source's least recently
+// used parses beyond maxViews.
 func (l *Loader) retainOnly(sources []Source) {
 	named := make(map[goodKey]bool, len(sources))
 	for _, src := range sources {
-		named[keyOf(src)] = true
+		named[keyOf(src).source()] = true
 	}
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	var views map[goodKey][]goodKey
 	for k := range l.good {
-		if !named[k] {
+		switch {
+		case !named[k.source()]:
+			delete(l.good, k)
+		case k.proj != "":
+			if views == nil {
+				views = make(map[goodKey][]goodKey)
+			}
+			views[k.source()] = append(views[k.source()], k)
+		}
+	}
+	for _, ks := range views {
+		if len(ks) <= maxViews {
+			continue
+		}
+		slices.SortFunc(ks, func(a, b goodKey) int { return cmp.Compare(l.good[b].used, l.good[a].used) })
+		for _, k := range ks[maxViews:] {
 			delete(l.good, k)
 		}
 	}
-	l.mu.Unlock()
 }
 
 // keyOf is the key a source's parse is retained under.
@@ -255,7 +305,11 @@ func keyOf(src Source) goodKey {
 	if format == "" {
 		format = FormatFromPath(src.Name)
 	}
-	return goodKey{src.Name, format, src.Scope}
+	k := goodKey{name: src.Name, format: format, scope: src.Scope}
+	if driver.Projects(format) {
+		k.proj = src.Projection.ID()
+	}
+	return k
 }
 
 // loadOne handles one source: fetch, parse (panic-contained), store, and
@@ -269,20 +323,21 @@ func (l *Loader) loadOne(ctx context.Context, st *config.Store, src Source) Outc
 		base = g.base
 	}
 	l.mu.Unlock()
-	ins, doc, err := fetchAndParse(ctx, src, key.format, base)
+	p, doc, err := fetchAndParse(ctx, src, key.format, base)
 	if err == nil {
 		if base != nil && doc == base {
 			l.reparsed.Add(1)
 		} else {
 			l.parsed.Add(1)
 		}
-		st.AddAll(ins)
-		out.Instances = len(ins)
+		st.AddAll(p.ins)
+		p.count(&out)
 		l.mu.Lock()
 		if l.good == nil {
 			l.good = make(map[goodKey]*lastGood)
 		}
-		l.good[key] = &lastGood{ins: ins, base: doc}
+		l.clock++
+		l.good[key] = &lastGood{parse: p, base: doc, used: l.clock}
 		l.mu.Unlock()
 		return out
 	}
@@ -298,15 +353,20 @@ func (l *Loader) loadOne(ctx context.Context, st *config.Store, src Source) Outc
 			g = nil
 		}
 	}
-	var stale []*config.Instance
+	var stale parse
 	var rounds int
 	if g != nil {
-		stale, rounds = g.ins, g.staleRounds
+		l.clock++
+		g.used = l.clock
+		stale, rounds = g.parse, g.staleRounds
 	}
 	l.mu.Unlock()
-	if stale != nil {
-		st.AddAll(stale)
-		out.Instances = len(stale)
+	// An empty document's parse is not served: its instances are nil.
+	// A projection that kept none of a document's is, as the full parse
+	// would be.
+	if stale.parsed > 0 {
+		st.AddAll(stale.ins)
+		stale.count(&out)
 		out.Stale = true
 		out.StaleRounds = rounds
 		return out
@@ -315,17 +375,34 @@ func (l *Loader) loadOne(ctx context.Context, st *config.Store, src Source) Outc
 	return out
 }
 
-// fetchAndParse reads a source's bytes and parses them, converting a
-// fetch error, parse error or driver panic into a per-source error. The
-// bytes are the loader's by now — it read them, or Fetch handed them
-// over — so the driver gets them to keep. Given base, the source's latest
-// full parse, it re-parses against that first (driver.Reparser) and
+// parse is one source's instances as a load obtained them.
+type parse struct {
+	ins       []*config.Instance
+	parsed    int  // instances in the document
+	projected bool // ins holds the projection's classes only
+}
+
+// count records the parse's instances on the source's outcome.
+func (p parse) count(out *Outcome) {
+	out.Instances = p.parsed
+	if p.projected {
+		n := len(p.ins)
+		out.Projected = &n
+	}
+}
+
+// fetchAndParse reads a source's bytes and parses them, through the
+// source's projection, converting a fetch error, parse error or driver
+// panic into a per-source error. The bytes are the loader's by now — it
+// read them, or Fetch handed them over — so the driver gets them to
+// keep. Given base, the source's latest full parse under the same
+// projection, it re-parses against that first (driver.Reparser) and
 // returns base itself as doc when the re-parse holds; otherwise doc is
 // this full parse when the driver re-parses, nil when it does not.
-func fetchAndParse(ctx context.Context, src Source, format string, base *document) (ins []*config.Instance, doc *document, err error) {
+func fetchAndParse(ctx context.Context, src Source, format string, base *document) (p parse, doc *document, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			ins, doc, err = nil, nil, fmt.Errorf("driver %s: panic parsing %s: %v", format, src.Name, r)
+			p, doc, err = parse{}, nil, fmt.Errorf("driver %s: panic parsing %s: %v", format, src.Name, r)
 		}
 	}()
 	var data []byte
@@ -335,20 +412,24 @@ func fetchAndParse(ctx context.Context, src Source, format string, base *documen
 		data, err = os.ReadFile(src.Name)
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("reading %s: %w", src.Name, err)
+		return parse{}, nil, fmt.Errorf("reading %s: %w", src.Name, err)
 	}
 	d, _ := driver.Lookup(format) // an unknown format is ParseScopedOwned's error
 	r, reparses := d.(driver.Reparser)
 	if base != nil && reparses {
+		// Outside base's values the bytes are equal, so a projected base
+		// re-parses to the projection of the new document; a change to a
+		// line the projection dropped is outside them and declines.
 		if ins, ok := r.Reparse(base.data, base.ins, data); ok {
-			return ins, base, nil
+			return parse{ins, base.parsed, base.projected}, base, nil
 		}
 	}
-	ins, err = driver.ParseScopedOwned(ctx, format, data, src.Name, src.Scope)
+	p.ins, p.parsed, err = driver.ParseScopedOwned(ctx, format, data, src.Name, src.Scope, src.Projection)
+	p.projected = src.Projection != nil && driver.Projects(format)
 	if err != nil || !reparses {
-		return ins, nil, err
+		return p, nil, err
 	}
-	return ins, &document{data: data, ins: ins}, nil
+	return p, &document{data: data, parse: p}, nil
 }
 
 // FormatFromPath guesses a driver name from a file extension; the root

@@ -61,7 +61,7 @@ func TestReparseAllocations(t *testing.T) {
 	if got := l.ParseStats(); got != (ParseStats{Parsed: 1, Reparsed: 1}) {
 		t.Fatalf("parse stats %+v, want one full parse and one re-parse", got)
 	}
-	ins := l.good[goodKey{"corpus.xml", "xml", ""}].ins
+	ins := l.good[goodKey{name: "corpus.xml", format: "xml"}].ins
 	build := allocatedBytes(func() { config.NewStore().AddAll(ins) })
 	if alloc < build || alloc-build > 1<<20 {
 		t.Errorf("a one-value load of %d instances allocated %.2f MB besides its store build's %.2f MB, want under 1 MB",

@@ -6,10 +6,24 @@ package plan
 // predicate-embedded domains (range bounds, enum members, relation
 // right-hand sides, call and transform arguments, step guards) —
 // expanded across all namespace and compartment prefixes the runtime
-// resolution order could try. The incremental
-// engine re-runs a spec when any changed key matches any footprint
-// pattern; a spec whose reads cannot be bounded statically is marked
-// Dynamic and re-runs every round.
+// resolution order could try. A spec whose reads cannot be bounded
+// statically is marked Dynamic.
+//
+// Two things rest on footprints being sound, and a missed read breaks
+// each silently:
+//
+//   - every full run of a program with no Dynamic spec and no load
+//     commands: its data is loaded through the union of the footprints
+//     (Plan.Projection), so a class no footprint names is never built and
+//     a read the walk missed finds nothing;
+//   - every incremental run: a spec re-runs only when a changed key
+//     matches a pattern of its footprint, and a Dynamic spec re-runs
+//     every round.
+//
+// The read-set oracle (readset_test.go) checks them against what the
+// executor reads: every instance a non-Dynamic spec's queries return
+// must match its footprint and be kept by the projection, over the
+// shipped suites and FuzzFootprint's programs.
 //
 // Soundness argument, in terms of the executor:
 //

@@ -8,6 +8,7 @@ import (
 
 	"confvalley/internal/compiler"
 	"confvalley/internal/cpl/ast"
+	"confvalley/internal/simenv"
 )
 
 // maxFuzzSource bounds a FuzzFootprint input; every seed file is smaller.
@@ -30,7 +31,9 @@ var walkSeeds = []string{
 // with and without the optimizer, every spec's footprint must equal the
 // oracle's — patterns in order, Dynamic and Reason — and deepUsesCur
 // must agree with its oracle on every expression ast.Inspect reaches.
-// The program must also lower without panicking.
+// The program must also lower without panicking, and pass the read-set
+// oracle (readset_test.go) against a store generated from its own
+// references.
 func FuzzFootprint(f *testing.F) {
 	files, _ := filepath.Glob("../../specs/*.cpl")
 	corpus, _ := filepath.Glob("../../specs/lintcorpus/*.cpl")
@@ -54,7 +57,7 @@ func FuzzFootprint(f *testing.F) {
 				return
 			}
 			checkWalks(t, prog)
-			Lower(prog)
+			checkReadSet(t, prog, generatedStore(prog), simenv.NewSim())
 		}
 	})
 }

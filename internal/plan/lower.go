@@ -20,6 +20,7 @@ import (
 	"confvalley/internal/compiler"
 	"confvalley/internal/config"
 	"confvalley/internal/cpl/ast"
+	"confvalley/internal/driver"
 	"confvalley/internal/predicate"
 	"confvalley/internal/transform"
 	"confvalley/internal/value"
@@ -38,7 +39,26 @@ func Lower(prog *compiler.Program) *Plan {
 	for i, spec := range prog.Specs {
 		p.Specs[i] = lw.lowerSpec(spec, i)
 	}
+	p.Projection = projection(p)
 	return p
+}
+
+// projection is the class filter a full run of p may load its data
+// through (DESIGN.md §5, "Projected ingest"): the union of every spec's
+// footprint, or nil when some read is unbounded — a Dynamic spec — or
+// the program loads data of its own, which lands in the same store.
+func projection(p *Plan) *driver.Projection {
+	if len(p.Program.Loads) > 0 {
+		return nil
+	}
+	var pats []config.Pattern
+	for _, n := range p.Specs {
+		if n.fp.Dynamic {
+			return nil
+		}
+		pats = append(pats, n.fp.Patterns...)
+	}
+	return driver.NewProjection(pats)
 }
 
 // lowerer carries the compile-time context of the walk.

@@ -41,6 +41,7 @@ import (
 	"confvalley/internal/compiler"
 	"confvalley/internal/config"
 	"confvalley/internal/cpl/ast"
+	"confvalley/internal/driver"
 	"confvalley/internal/simenv"
 	"confvalley/internal/value"
 )
@@ -55,6 +56,10 @@ type Plan struct {
 	Specs []*SpecNode
 	// StopOnViolation mirrors the program's on_violation 'stop' policy.
 	StopOnViolation bool
+	// Projection keeps the configuration classes the program can read;
+	// a full run loads through it. Nil when some spec is Dynamic or the
+	// program has load commands: then every class may be read.
+	Projection *driver.Projection
 }
 
 // SpecNode is one specification lowered to closures.
@@ -150,10 +155,19 @@ func (c *Ctx) canceled() bool {
 
 // discover returns the instances matching q as a borrowed, read-only
 // view of the snapshot's discovery cache (config.Snapshot.View): every
-// consumer in this package only reads it.
+// consumer in this package only reads it. It is the executor's only
+// read of the store.
 func (c *Ctx) discover(q config.Query) []*config.Instance {
-	return c.rt.Snap.View(q)
+	ins := c.rt.Snap.View(q)
+	if discoverHook != nil {
+		discoverHook(q, ins)
+	}
+	return ins
 }
+
+// discoverHook, when set, sees every query the executor makes and its
+// answer. Only tests set it: the read-set oracle holds footprints to it.
+var discoverHook func(q config.Query, ins []*config.Instance)
 
 // closure signatures: a domain resolves to an element set, a predicate
 // maps an element set to per-element outcomes, an expression yields its
@@ -224,6 +238,17 @@ func For(prog *compiler.Program) *Plan {
 		cacheLen.Add(1)
 	}
 	return p
+}
+
+// ProjectionFor is For(prog).Projection for a caller that loads the data
+// a run of prog is about to validate. A cached plan is read without
+// counting a hit, since the run counts its own lookup; a missing one is
+// lowered through For, which counts the miss.
+func ProjectionFor(prog *compiler.Program) *driver.Projection {
+	if p, ok := planCache.Load(prog); ok {
+		return p.(*Plan).Projection
+	}
+	return For(prog).Projection
 }
 
 // Forget drops prog's cached plan, forcing the next For to lower again.

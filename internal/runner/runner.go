@@ -28,8 +28,10 @@ import (
 	"time"
 
 	"confvalley"
+	"confvalley/internal/driver"
 	"confvalley/internal/ingest"
 	"confvalley/internal/lint"
+	"confvalley/internal/plan"
 )
 
 // Options configures a Runner; the fields mirror cvcheck's flags. The
@@ -295,9 +297,11 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 		}
 	}
 
+	linted := r.opts.Lint && haveSrc
+	proj := r.projection(prog, linted)
 	st := confvalley.NewStore()
 	var dataRep *confvalley.LoadReport
-	if sources := r.ingestSources(job); len(sources) > 0 {
+	if sources := r.ingestSources(job, proj); len(sources) > 0 {
 		dataRep = r.session.LoadSources(ctx, st, sources)
 	}
 	// A store is a function of the job's content address only when its
@@ -305,7 +309,9 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 	// sources (same name, new content tomorrow), no spec-driven loads
 	// appending mid-run — and the parse was clean and complete: a
 	// degraded outcome depends on the loader's last-good history and an
-	// interrupted one is missing sources.
+	// interrupted one is missing sources. A projected store lacks
+	// classes the bytes hold, but only ones no spec of the program reads,
+	// and the address is only ever compared within one program's lineage.
 	if job.ContentID != "" && len(job.Sources) == 0 && len(job.Payloads) > 0 && len(prog.Loads) == 0 &&
 		!dataRep.Interrupted && !dataRep.Degraded() {
 		st.SetContentID(job.ContentID)
@@ -313,7 +319,7 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 
 	r.session.SwapStore(st)
 	res := &Result{Data: dataRep, Program: prog}
-	if r.opts.Lint && haveSrc {
+	if linted {
 		res.Diagnostics = r.lintSpec(job, src, st)
 		for _, d := range res.Diagnostics {
 			if d.Severity == lint.Error {
@@ -368,19 +374,35 @@ func HashPayloads(ps []Payload) string {
 	return ingest.CombineDigests(ds)
 }
 
+// projection returns the class filter the job's sources load through:
+// the program's (plan.Plan.Projection), nil when something reads the
+// whole store. The reference interpreter stays unprojected, as an
+// oracle, and lint's corpus drift reads every class.
+func (r *Runner) projection(prog *confvalley.Program, linted bool) *driver.Projection {
+	if r.opts.Interpret || linted {
+		return nil
+	}
+	return plan.ProjectionFor(prog)
+}
+
 // ingestSources merges the job's file/REST sources and in-memory
 // payloads into one loader batch, payloads last so their accounting
-// renders after the flag-ordered sources, matching cvcheck output.
-func (r *Runner) ingestSources(job Job) []confvalley.Source {
+// renders after the flag-ordered sources, matching cvcheck output. Every
+// source loads through proj.
+func (r *Runner) ingestSources(job Job, proj *driver.Projection) []confvalley.Source {
 	out := make([]confvalley.Source, 0, len(job.Sources)+len(job.Payloads))
-	out = append(out, job.Sources...)
+	for _, src := range job.Sources {
+		src.Projection = proj
+		out = append(out, src)
+	}
 	for _, p := range job.Payloads {
 		data := p.Data
 		out = append(out, confvalley.Source{
-			Name:   p.Name,
-			Format: p.Format,
-			Scope:  p.Scope,
-			Fetch:  func(context.Context) ([]byte, error) { return data, nil },
+			Name:       p.Name,
+			Format:     p.Format,
+			Scope:      p.Scope,
+			Fetch:      func(context.Context) ([]byte, error) { return data, nil },
+			Projection: proj,
 		})
 	}
 	return out
