@@ -1,7 +1,7 @@
 # Developer entry points. `make tier1` is the gate every change must
 # pass: vet plus the full test suite under the race detector (the plan
-# executor shares cached plans across parallel partitions, so racing the
-# suite is part of the contract, not an optional extra).
+# executor shares a program's one plan across parallel partitions, so
+# racing the suite is part of the contract, not an optional extra).
 
 GO ?= go
 
@@ -55,10 +55,10 @@ bench:
 # multi-round watch sessions through injected ingestion faults, the
 # serve/runner tests race concurrent tenants over shared sessions, the
 # plan-vs-interpreter compartment test races a run's shared compartment
-# numbering across four partitions, and the five retention tests wait on
+# numbering across four partitions, and the six retention tests wait on
 # finalizers, so a collector-timing flake shows up here first.
 stress:
-	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TestConcurrent|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos|TestCompartmentPlanMatchesInterpreter|TestTenantRetainsOneSnapshotPerSpec|TestCostsDoesNotRetainSnapshot|TestPooledCtxRetainsAtMostTheCap|TestLoaderRetainsOneBatch|TestLoaderReleasesReparsedBuffers' ./internal/config/ ./internal/engine/ ./internal/ingest/ ./internal/plan/ ./internal/runner/ ./internal/serve/ . || exit 1; done
+	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TestConcurrent|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos|TestCompartmentPlanMatchesInterpreter|TestTenantRetainsOneSnapshotPerSpec|TestCostsDoesNotRetainSnapshot|TestPooledCtxRetainsAtMostTheCap|TestLoaderRetainsOneBatch|TestLoaderReleasesReparsedBuffers|TestRetiredProgramsAreCollected' ./internal/config/ ./internal/engine/ ./internal/ingest/ ./internal/plan/ ./internal/runner/ ./internal/serve/ . || exit 1; done
 
 # Full service round trip over real processes and a loopback socket:
 # build cvserve+cvcall+cvcheck, boot the server, drive it with cvcall

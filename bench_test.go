@@ -28,7 +28,6 @@ import (
 	"confvalley/internal/experiments"
 	"confvalley/internal/infer"
 	"confvalley/internal/legacy"
-	"confvalley/internal/plan"
 	"confvalley/internal/runner"
 	"confvalley/internal/serve"
 	"confvalley/internal/simenv"
@@ -320,38 +319,44 @@ func BenchmarkDiscoveryNaiveVsTrie(b *testing.B) {
 
 // BenchmarkPlanExecution measures the executable-plan layer on the
 // inferred Type A workload: direct AST interpretation, a cold plan
-// (lowering cost included — the cache entry is evicted before each
-// run), and the cached plan.
+// (lowering cost included — each run gets a freshly compiled program,
+// compiled outside the timer, which has no plan yet), and the program's
+// warm plan.
 func BenchmarkPlanExecution(b *testing.B) {
 	c := azuregen.GenerateA(0.05, 2015)
-	res := infer.Infer(c.Store, infer.Defaults())
-	prog, err := compiler.Compile(res.GenerateCPL())
-	if err != nil {
-		b.Fatal(err)
+	src := infer.Infer(c.Store, infer.Defaults()).GenerateCPL()
+	compile := func() *compiler.Program {
+		prog, err := compiler.Compile(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return prog
 	}
-	run := func(interpret bool) {
+	run := func(prog *compiler.Program, interpret bool) {
 		eng := engine.Engine{Store: c.Store, Env: simenv.NewSim(), Opts: engine.Options{Interpret: interpret}}
 		eng.Run(prog)
 	}
+	prog := compile()
 	b.Run("interpreted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			run(true)
+			run(prog, true)
 		}
 	})
 	b.Run("plan-cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			plan.Forget(prog)
-			run(false)
+			b.StopTimer()
+			cold := compile()
+			b.StartTimer()
+			run(cold, false)
 		}
 	})
 	b.Run("plan-cached", func(b *testing.B) {
-		run(false) // prime the cache
+		run(prog, false) // lower the plan
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			run(false)
+			run(prog, false)
 		}
 	})
-	plan.Forget(prog)
 }
 
 // BenchmarkCompartmentVsCartesian is the DESIGN.md §10(3) ablation: the
@@ -388,14 +393,13 @@ func BenchmarkCompartmentVsCartesian(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(clusters), "ns/group")
 			})
 		}
-		plan.Forget(prog)
 	}
 }
 
 // expertRun returns one engine run of the hand-written Type A suite over
 // the given number of expert clusters with the benchmark's 12 injected
 // errors, against a store built fresh each call so no discovery result,
-// snapshot or verdict is reused. The plan is cached, as it is for a
+// snapshot or verdict is reused. The plan is warm, as it is for a
 // registered tenant.
 func expertRun(tb testing.TB, clusters int) func() {
 	gen := config.NewStore()
@@ -406,7 +410,6 @@ func expertRun(tb testing.TB, clusters int) func() {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() { plan.Forget(prog) })
 	env := azuregen.ExpertEnv()
 	return func() {
 		st := config.NewStore()
@@ -582,7 +585,6 @@ func BenchmarkCLIRun(b *testing.B) {
 		if err := confvalley.RenderReport(res.Report, &out); err != nil {
 			b.Fatal(err)
 		}
-		plan.Forget(res.Program)
 		if rep := res.Report; res.Data.Degraded() || rep.InstancesChecked == 0 || len(rep.SpecErrors) != 0 {
 			b.Fatalf("cli run: degraded %t, %d instances checked, spec errors %q", res.Data.Degraded(), rep.InstancesChecked, rep.SpecErrors)
 		}

@@ -30,7 +30,6 @@ import (
 	"confvalley/internal/config"
 	"confvalley/internal/infer"
 	"confvalley/internal/ingest"
-	"confvalley/internal/plan"
 	"confvalley/internal/predicate"
 	"confvalley/internal/report"
 	"confvalley/internal/simenv"
@@ -142,12 +141,6 @@ func DecodeReportWire(b []byte) (*ReportWire, error) { return report.DecodeWire(
 // parse before it degrades to quarantined (0 = forever, negative =
 // never serve stale).
 func NewLoader(maxStale int) *Loader { return ingest.NewLoader(maxStale) }
-
-// PlanCacheStats reports cumulative hits and misses of the executable
-// plan cache. A program validated repeatedly (watch mode, benchmarks,
-// long-lived sessions) is lowered once and should count one miss
-// followed by hits.
-func PlanCacheStats() (hits, misses uint64) { return plan.CacheStats() }
 
 // ---- Language extension (§4.2.6) ----
 //

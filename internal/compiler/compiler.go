@@ -15,6 +15,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"confvalley/internal/config"
 	"confvalley/internal/cpl/ast"
@@ -69,7 +70,8 @@ type Load struct {
 	Driver, Source, Scope string
 }
 
-// Program is a compiled CPL unit.
+// Program is a compiled CPL unit. It is immutable once compiled and
+// always handled by pointer, never copied.
 type Program struct {
 	Loads    []Load
 	Includes []string
@@ -79,6 +81,18 @@ type Program struct {
 
 	// Stats describes what the optimizer did (Figure 4 ablation).
 	Stats OptStats
+
+	lowerOnce sync.Once
+	lowered   any
+}
+
+// Lowered returns what lower builds from p, calling lower at most once
+// per program, however many goroutines ask first. internal/plan keeps
+// the program's executable plan here, so a plan lives and dies with its
+// program; it is typed any because this package cannot import plan.
+func (p *Program) Lowered(lower func(*Program) any) any {
+	p.lowerOnce.Do(func() { p.lowered = lower(p) })
+	return p.lowered
 }
 
 // OptStats counts optimizer rewrites.

@@ -3,9 +3,9 @@ package config
 import "sync"
 
 // discoveryCacheBound caps the entries a snapshot's discovery cache holds.
-// Past it the cache is flushed wholesale (the plan cache uses the same
-// policy): -watch mode and million-query runs must not grow without
-// limit, and the workloads that matter re-warm in one round.
+// Past it the cache is flushed wholesale: -watch mode and million-query
+// runs must not grow without limit, and the workloads that matter
+// re-warm in one round.
 const discoveryCacheBound = 16 * 4096
 
 // discoveryCache memoizes canonical pattern → result behind one RWMutex.

@@ -135,7 +135,7 @@ func TestPlanParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestPlanParallelRace exercises the shared cached plan from concurrent
+// TestPlanParallelRace exercises a program's one plan from concurrent
 // partitions while the store mutates between runs; run with -race.
 func TestPlanParallelRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))

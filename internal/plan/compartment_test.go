@@ -27,7 +27,6 @@ func TestCompartmentEvaluationIsLinear(t *testing.T) {
 	for _, sp := range specs {
 		t.Run(sp.name, func(t *testing.T) {
 			prog := mustCompile(t, sp.src)
-			defer Forget(prog)
 			node := For(prog).Specs[0]
 			allocs := make([]float64, len(sizes))
 			for i, clusters := range sizes {
@@ -62,7 +61,6 @@ func TestCompartmentEvaluationIsLinear(t *testing.T) {
 // has.
 func TestReferenceResolvedOncePerCompartmentDomain(t *testing.T) {
 	prog := mustCompile(t, "compartment Cluster { $VipStart <= $VipEnd }")
-	defer Forget(prog)
 	node := For(prog).Specs[0]
 	queries := func(clusters int) int64 {
 		st := config.NewStore()

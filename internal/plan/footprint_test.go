@@ -17,7 +17,6 @@ func fpStrings(fp Footprint) map[string]bool {
 func footprintOf(t *testing.T, src string, specIdx int) Footprint {
 	t.Helper()
 	prog := mustCompile(t, src)
-	defer Forget(prog)
 	p := For(prog)
 	if specIdx >= len(p.Specs) {
 		t.Fatalf("program has %d specs, want index %d", len(p.Specs), specIdx)

@@ -30,16 +30,13 @@ import (
 // Lower compiles a program into an executable plan. It never fails;
 // see the package comment for how evaluation-time errors are preserved.
 func Lower(prog *compiler.Program) *Plan {
-	p := &Plan{
-		Program:         prog,
-		StopOnViolation: prog.Policies["on_violation"] == "stop",
-	}
+	p := &Plan{StopOnViolation: prog.Policies["on_violation"] == "stop"}
 	lw := &lowerer{prog: prog}
 	p.Specs = make([]*SpecNode, len(prog.Specs))
 	for i, spec := range prog.Specs {
 		p.Specs[i] = lw.lowerSpec(spec, i)
 	}
-	p.Projection = projection(p)
+	p.Projection = projection(prog, p)
 	return p
 }
 
@@ -47,8 +44,8 @@ func Lower(prog *compiler.Program) *Plan {
 // through (DESIGN.md §5, "Projected ingest"): the union of every spec's
 // footprint, or nil when some read is unbounded — a Dynamic spec — or
 // the program loads data of its own, which lands in the same store.
-func projection(p *Plan) *driver.Projection {
-	if len(p.Program.Loads) > 0 {
+func projection(prog *compiler.Program, p *Plan) *driver.Projection {
+	if len(prog.Loads) > 0 {
 		return nil
 	}
 	var pats []config.Pattern

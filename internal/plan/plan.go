@@ -18,9 +18,10 @@
 //     configuration reference has no variables.
 //
 // The result is a flat, dependency-free list of SpecNodes the executor
-// can run sequentially or partition across workers, plus a per-program
-// plan cache (For) so repeated validations of the same program — cvcheck
-// --watch rounds, session reuse, benchmark loops — skip lowering
+// can run sequentially or partition across workers. A program owns its
+// plan (For): it is lowered on first use, kept in the program and freed
+// with it, so repeated validations of the same program — cvcheck --watch
+// rounds, session reuse, a service's registered specs — skip lowering
 // entirely.
 //
 // Lowering never fails: constructs whose errors the interpreter reports
@@ -35,7 +36,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"confvalley/internal/compiler"
@@ -46,10 +46,11 @@ import (
 	"confvalley/internal/value"
 )
 
-// Plan is an executable lowering of a compiled program.
+// Plan is an executable lowering of a compiled program. The program owns
+// it (For) and the plan holds no pointer back: a cycle would keep a
+// finalizer set on the program from ever running, which is how the
+// retention tests see a retired program go.
 type Plan struct {
-	// Program is the compiled unit this plan was lowered from.
-	Program *compiler.Program
 	// Specs holds one executable node per specification, in execution
 	// order. The list is dependency-free: any partition of it may run
 	// concurrently against the same store.
@@ -201,69 +202,36 @@ type domainEval struct {
 	groupRef *refNode        // base reference for compartment grouping
 }
 
-// ---- Plan cache ----
+// ---- Lowering once per program ----
 
-// The cache is keyed by program identity (*compiler.Program): a compiled
-// program is immutable after CompileStmts returns, so the pointer is a
-// sound identity. Entries are evicted wholesale past a size bound to keep
-// long sessions that compile many one-off programs from pinning them all.
-const cacheLimit = 128
+// lowerings counts the programs For has lowered in this process.
+var lowerings atomic.Uint64
 
-var (
-	planCache sync.Map // *compiler.Program -> *Plan
-	cacheLen  atomic.Int64
-	cacheHit  atomic.Uint64
-	cacheMiss atomic.Uint64
-)
-
-// For returns the plan for prog, lowering it on first use and caching the
-// result for the program's lifetime.
+// For returns prog's plan. The program owns it: the first call lowers
+// prog and keeps the plan in the program (compiler.Program.Lowered), so
+// concurrent first calls share one lowering, every later call returns the
+// same pointer, and the plan is freed with the program.
 func For(prog *compiler.Program) *Plan {
-	if p, ok := planCache.Load(prog); ok {
-		cacheHit.Add(1)
-		return p.(*Plan)
-	}
-	cacheMiss.Add(1)
-	p := Lower(prog)
-	if cacheLen.Load() >= cacheLimit {
-		// Wholesale flush: simpler than LRU bookkeeping and the workloads
-		// that matter (watch loops, session reuse) touch few programs.
-		planCache.Range(func(k, _ any) bool {
-			planCache.Delete(k)
-			cacheLen.Add(-1)
-			return true
-		})
-	}
-	if _, loaded := planCache.LoadOrStore(prog, p); !loaded {
-		cacheLen.Add(1)
-	}
-	return p
+	return prog.Lowered(func(prog *compiler.Program) any {
+		lowerings.Add(1)
+		return Lower(prog)
+	}).(*Plan)
 }
 
-// ProjectionFor is For(prog).Projection for a caller that loads the data
-// a run of prog is about to validate. A cached plan is read without
-// counting a hit, since the run counts its own lookup; a missing one is
-// lowered through For, which counts the miss.
-func ProjectionFor(prog *compiler.Program) *driver.Projection {
-	if p, ok := planCache.Load(prog); ok {
-		return p.(*Plan).Projection
-	}
-	return For(prog).Projection
-}
+// Lowerings reports how many programs For has lowered in this process.
+func Lowerings() uint64 { return lowerings.Load() }
 
-// Forget drops prog's cached plan, forcing the next For to lower again.
-// Benchmarks use it to measure cold lowering; callers that retire a
-// program early may use it to release the plan.
-func Forget(prog *compiler.Program) {
-	if _, loaded := planCache.LoadAndDelete(prog); loaded {
-		cacheLen.Add(-1)
-	}
-}
+// Forget does nothing: a plan is freed with its program.
+//
+// Deprecated: kept until the benchmark stops calling it (ROADMAP items
+// 1(b) and 1(c)).
+func Forget(*compiler.Program) {}
 
-// CacheStats reports cumulative plan-cache hits and misses.
-func CacheStats() (hits, misses uint64) {
-	return cacheHit.Load(), cacheMiss.Load()
-}
+// CacheStats reports no hits and Lowerings as misses.
+//
+// Deprecated: use Lowerings; kept until the benchmark stops calling it
+// (ROADMAP items 1(b) and 1(c)).
+func CacheStats() (hits, misses uint64) { return 0, Lowerings() }
 
 // ---- Shared evaluation helpers ----
 //

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"confvalley/internal/compiler"
@@ -43,30 +44,55 @@ func runPlan(p *Plan, st *config.Store) *report.Report {
 	return rep
 }
 
-// The cache returns one plan per program identity and counts hits and
-// misses; Forget drops the entry so the next For lowers again.
-func TestPlanCache(t *testing.T) {
+// A program owns its plan: For lowers it once and returns the same
+// pointer on every later call, and another program gets its own.
+func TestForLowersOncePerProgram(t *testing.T) {
 	prog := mustCompile(t, "$App.Timeout -> int")
-	defer Forget(prog)
-	h0, m0 := CacheStats()
+	n0 := Lowerings()
 	p1 := For(prog)
-	if _, m := CacheStats(); m != m0+1 {
-		t.Errorf("first For: misses = %d, want %d", m, m0+1)
+	if n := Lowerings(); n != n0+1 {
+		t.Errorf("first For: %d lowering(s), want 1", n-n0)
 	}
-	p2 := For(prog)
-	if p1 != p2 {
+	if p2 := For(prog); p2 != p1 {
 		t.Error("second For returned a different plan for the same program")
 	}
-	if h, _ := CacheStats(); h != h0+1 {
-		t.Errorf("second For: hits = %d, want %d", h, h0+1)
+	if n := Lowerings(); n != n0+1 {
+		t.Errorf("second For lowered again: %d lowering(s), want 1", n-n0)
 	}
-	Forget(prog)
-	p3 := For(prog)
-	if p3 == p1 {
-		t.Error("For after Forget returned the evicted plan pointer")
+	if For(mustCompile(t, "$App.Timeout -> int")) == p1 {
+		t.Error("a second program of the same text shares the first one's plan")
 	}
-	if _, m := CacheStats(); m != m0+2 {
-		t.Errorf("For after Forget: misses = %d, want %d", m, m0+2)
+	if n := Lowerings(); n != n0+2 {
+		t.Errorf("For on a second program: %d lowering(s), want 2", n-n0)
+	}
+}
+
+// Goroutines racing to run a fresh program share one lowering: all get
+// the same plan and the program is lowered exactly once.
+func TestConcurrentFirstLowering(t *testing.T) {
+	const workers = 8
+	prog := mustCompile(t, "$App.Timeout -> int & [1, 10]")
+	n0 := Lowerings()
+	plans := make([]*Plan, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			plans[i] = For(prog)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, p := range plans {
+		if p != plans[0] {
+			t.Errorf("goroutine %d got a different plan", i)
+		}
+	}
+	if n := Lowerings(); n != n0+1 {
+		t.Errorf("%d concurrent first calls lowered %d time(s), want 1", workers, n-n0)
 	}
 }
 
@@ -83,7 +109,6 @@ func TestLazyErrors(t *testing.T) {
 	}
 	// Bad regex over a populated domain: the spec errors.
 	prog := badMatch("$App.Timeout -> match('/x/')")
-	defer Forget(prog)
 	rep := runPlan(For(prog), testStore())
 	if len(rep.SpecErrors) != 1 || !strings.Contains(rep.SpecErrors[0], "bad regular expression") {
 		t.Errorf("bad regex over data: SpecErrors = %q", rep.SpecErrors)
@@ -91,7 +116,6 @@ func TestLazyErrors(t *testing.T) {
 	// The same bad regex over an empty domain never evaluates, so the
 	// spec passes vacuously — exactly like the interpreter.
 	empty := badMatch("$App.Missing -> match('/x/')")
-	defer Forget(empty)
 	rep = runPlan(For(empty), testStore())
 	if len(rep.SpecErrors) != 0 {
 		t.Errorf("bad regex over empty domain: SpecErrors = %q", rep.SpecErrors)
@@ -116,7 +140,6 @@ func TestStaticLowering(t *testing.T) {
 	for _, tc := range cases {
 		prog := mustCompile(t, tc.src)
 		rep := runPlan(For(prog), testStore())
-		Forget(prog)
 		if len(rep.SpecErrors) != 0 {
 			t.Errorf("%s: spec errors %q", tc.src, rep.SpecErrors)
 		}

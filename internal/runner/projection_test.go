@@ -65,7 +65,6 @@ func fullReport(t *testing.T, src string, kv []byte, env confvalley.Env) []byte 
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer plan.Forget(prog)
 	rep, _, err := s.RunProgram(context.Background(), prog, s.Store())
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +128,6 @@ func TestProjectedReportsMatchFull(t *testing.T) {
 		}
 		t.Logf("%s: %d of %d instances loaded; incremental run reused %d of %d specs",
 			s.name, *o.Projected, o.Instances, inc.Report.SpecsReused, inc.Report.SpecsRun)
-		plan.Forget(res.Program)
 	}
 }
 
@@ -161,7 +159,6 @@ func TestProjectionOff(t *testing.T) {
 		if o := res.Data.Outcomes[0]; o.Err != "" || o.Instances != 2 || o.Projected != nil {
 			t.Errorf("%s: outcome %+v; want both instances loaded unprojected", c.name, o)
 		}
-		plan.Forget(res.Program)
 	}
 	res, err := New(Options{}).Run(context.Background(), Job{SpecSrc: "$app.timeout -> int", Payloads: []Payload{{Name: "app.kv", Format: "kv", Data: []byte(kv)}}})
 	if err != nil {
@@ -170,25 +167,26 @@ func TestProjectionOff(t *testing.T) {
 	if o := res.Data.Outcomes[0]; o.Instances != 2 || o.Projected == nil || *o.Projected != 1 {
 		t.Errorf("static spec over kv: outcome %+v; want 1 of 2 instances loaded", o)
 	}
-	plan.Forget(res.Program)
 }
 
-// A warm run counts one plan-cache lookup: reading the projection ahead
-// of the load is not a second hit.
-func TestProjectedRunCountsOneLookup(t *testing.T) {
+// A cold run lowers its program once, reading the projection ahead of
+// the load included; a warm run of the same program lowers nothing.
+func TestWarmRunLowersNothing(t *testing.T) {
 	r := New(Options{})
 	job := Job{SpecSrc: "$app.timeout -> int", Payloads: []Payload{{Name: "app.kv", Format: "kv", Data: []byte("app.timeout = 30\n")}}}
-	res, err := r.Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plan.Forget(res.Program)
-	h0, m0 := plan.CacheStats()
+	n0 := plan.Lowerings()
 	if _, err := r.Run(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
-	if h, m := plan.CacheStats(); h != h0+1 || m != m0 {
-		t.Errorf("a warm run moved the plan cache by %d hit(s) and %d miss(es), want 1 and 0", h-h0, m-m0)
+	if n := plan.Lowerings(); n != n0+1 {
+		t.Errorf("a cold run lowered %d time(s), want 1", n-n0)
+	}
+	n1 := plan.Lowerings()
+	if _, err := r.Run(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	if n := plan.Lowerings(); n != n1 {
+		t.Errorf("a warm run lowered %d time(s), want 0", n-n1)
 	}
 }
 
@@ -204,7 +202,6 @@ func TestProjectedTypeBLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer plan.Forget(prog)
 	res, err := r.Run(context.Background(), Job{Prog: prog, Payloads: []Payload{{Name: "typeb.kv", Format: "kv", Data: kv}}})
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +210,7 @@ func TestProjectedTypeBLoad(t *testing.T) {
 		t.Fatalf("Type B load: %+v; want 44144 of 115344 instances loaded", o)
 	}
 
-	proj := plan.ProjectionFor(prog)
+	proj := plan.For(prog).Projection
 	load := func(proj *driver.Projection) (uint64, int) {
 		const runs = 3
 		var before, after runtime.MemStats

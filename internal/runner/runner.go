@@ -222,9 +222,9 @@ type Runner struct {
 	session *confvalley.Session
 
 	// mu guards the compiled-program cache. Program identity matters
-	// beyond speed: the plan cache and incremental splice state are
-	// both keyed on it, so rounds that re-read identical spec text
-	// must get the identical *Program back.
+	// beyond speed: a program owns its lowered plan, and incremental
+	// splice state is keyed on it, so rounds that re-read identical spec
+	// text must get the identical *Program back.
 	mu       sync.Mutex
 	lastSrc  string
 	lastProg *confvalley.Program
@@ -382,7 +382,7 @@ func (r *Runner) projection(prog *confvalley.Program, linted bool) *driver.Proje
 	if r.opts.Interpret || linted {
 		return nil
 	}
-	return plan.ProjectionFor(prog)
+	return plan.For(prog).Projection
 }
 
 // ingestSources merges the job's file/REST sources and in-memory

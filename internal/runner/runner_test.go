@@ -75,7 +75,8 @@ func TestRunSpecErrors(t *testing.T) {
 }
 
 // Identical spec source across runs returns the identical *Program —
-// the identity the plan cache and incremental splicing key on.
+// the identity that owns the lowered plan and that incremental splicing
+// keys on.
 func TestCompileCacheStability(t *testing.T) {
 	r := New(Options{})
 	job := Job{

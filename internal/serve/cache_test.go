@@ -18,11 +18,9 @@ import (
 	"testing"
 	"time"
 
-	"confvalley"
 	"confvalley/internal/azuregen"
 	"confvalley/internal/config"
 	"confvalley/internal/infer"
-	"confvalley/internal/plan"
 	"confvalley/internal/predicate"
 	"confvalley/internal/report"
 	"confvalley/internal/runner"
@@ -55,7 +53,7 @@ func kvRequest(data string) ValidateRequest {
 }
 
 // requestBody encodes req as the body ValidateBody takes.
-func requestBody(t *testing.T, req ValidateRequest) []byte {
+func requestBody(t testing.TB, req ValidateRequest) []byte {
 	t.Helper()
 	b, err := json.Marshal(req)
 	if err != nil {
@@ -225,7 +223,6 @@ func fullRun(t *testing.T, spec string, req ValidateRequest) ([]byte, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer plan.Forget(res.Program)
 	return wireModuloCaching(t, res.Report.Wire()), res.Code()
 }
 
@@ -666,51 +663,4 @@ func TestTenantRetainsOneSnapshotPerSpec(t *testing.T) {
 			got, requests, requests-2)
 	}
 	runtime.KeepAlive(srv)
-}
-
-// Retiring a registration releases its lowered plan: re-registering one
-// name over and over, validating each time, leaves the plan cache
-// holding the live program only — not one entry per registration until
-// the cache's wholesale flush.
-func TestRetiredSpecsReleaseTheirPlans(t *testing.T) {
-	ctx := context.Background()
-	srv := New(Config{})
-	var progs []*confvalley.Program
-	for i := 0; i < 5; i++ {
-		if _, err := srv.RegisterSpec("acme", "checks", fmt.Sprintf("$app.timeout -> int & [1, %d]", 60+i)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := srv.ValidateBody(ctx, "acme", "checks", requestBody(t, kvRequest("app.timeout = 30\n"))); err != nil {
-			t.Fatal(err)
-		}
-		tn, _ := srv.tenantFor("acme", false)
-		entry, _ := tn.spec("checks")
-		progs = append(progs, entry.prog)
-	}
-	// cached reports whether the plan cache still holds prog's plan,
-	// leaving the cache as it found it.
-	cached := func(prog *confvalley.Program) bool {
-		_, misses := plan.CacheStats()
-		plan.For(prog)
-		_, now := plan.CacheStats()
-		if now != misses {
-			plan.Forget(prog)
-		}
-		return now == misses
-	}
-	live := len(progs) - 1
-	for i, prog := range progs[:live] {
-		if cached(prog) {
-			t.Errorf("registration %d was replaced but its plan is still cached", i)
-		}
-	}
-	if !cached(progs[live]) {
-		t.Error("the live registration's plan is not cached")
-	}
-	if err := srv.DeleteSpec("acme", "checks"); err != nil {
-		t.Fatal(err)
-	}
-	if cached(progs[live]) {
-		t.Error("the deleted registration's plan is still cached")
-	}
 }

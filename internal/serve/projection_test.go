@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"confvalley/internal/ingest"
-	"confvalley/internal/plan"
 	"confvalley/internal/runner"
 )
 
@@ -22,7 +21,6 @@ func coldReference(t *testing.T, spec string, data []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer plan.Forget(res.Program)
 	return wireModuloCaching(t, res.Report.Wire())
 }
 

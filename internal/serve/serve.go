@@ -30,6 +30,7 @@ import (
 	"confvalley/internal/durable"
 	"confvalley/internal/ingest"
 	"confvalley/internal/lint"
+	"confvalley/internal/plan"
 	"confvalley/internal/report"
 	"confvalley/internal/runner"
 )
@@ -465,9 +466,10 @@ type RegisterOptions struct {
 // RegisterSpec compiles and stores a CPL program under (tenant, name),
 // creating the tenant on first use. Re-registering a name replaces its
 // program. The compiled program is retained, so validate requests skip
-// compilation and plan lowering entirely — and program identity is
-// stable across requests, which keeps the plan cache and incremental
-// splice state hot.
+// compilation, the program lowers its plan once and keeps it, and
+// program identity is stable across requests, which keeps incremental
+// splice state hot. Replacing or deleting the spec drops the program and
+// its plan with it.
 func (s *Server) RegisterSpec(tenantName, specName, src string) (SpecInfo, error) {
 	return s.RegisterSpecWith(tenantName, specName, src, RegisterOptions{})
 }
@@ -828,11 +830,10 @@ func (t *tenant) cacheInfo() TenantCaches {
 }
 
 // Stats aggregates the service and per-tenant counters: admission and
-// quota decisions, cumulative validations, the global plan cache, and
+// quota decisions, cumulative validations, the programs lowered, and
 // each tenant's current-store discovery counters plus last load
 // accounting.
 func (s *Server) Stats() StatsInfo {
-	hits, misses := confvalley.PlanCacheStats()
 	info := StatsInfo{
 		Validations:     s.validations.Load(),
 		Violations:      s.violations.Load(),
@@ -842,8 +843,7 @@ func (s *Server) Stats() StatsInfo {
 		LintRejected:    s.lintRejected.Load(),
 		InFlight:        len(s.sem),
 		Queued:          int(s.queued.Load()),
-		PlanCacheHits:   hits,
-		PlanCacheMisses: misses,
+		PlansLowered:    plan.Lowerings(),
 		Durability:      s.durabilityStats(),
 	}
 	for _, t := range s.tenantsSorted() {
@@ -967,8 +967,7 @@ type StatsInfo struct {
 	LintRejected    int64  `json:"lint_rejected"`
 	InFlight        int    `json:"in_flight"`
 	Queued          int    `json:"queued"`
-	PlanCacheHits   uint64 `json:"plan_cache_hits"`
-	PlanCacheMisses uint64 `json:"plan_cache_misses"`
+	PlansLowered    uint64 `json:"plans_lowered"` // once per program, however often it runs
 
 	// Cross-tenant cache totals. Validations counts runs that actually
 	// executed; a result-cache hit or coalesced request never increments

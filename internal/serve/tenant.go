@@ -10,7 +10,6 @@ import (
 	"confvalley"
 	"confvalley/internal/durable"
 	"confvalley/internal/lint"
-	"confvalley/internal/plan"
 	"confvalley/internal/runner"
 )
 
@@ -78,7 +77,7 @@ func newTenant(name string, opts runner.Options, resultCacheSize int) *tenant {
 // previous program registered there. Replacement invalidates every
 // cache keyed to the old registration: the fresh entry carries a new
 // nonce and empty incremental state, the old cached responses are
-// purged, and the old program's lowered plan is released. The replaced
+// purged, and the old program goes, its lowered plan with it. The replaced
 // entry (nil on first registration) comes back so a durable caller whose
 // journal append fails can roll the apply back.
 func (t *tenant) register(name, src string, maxSpecs int, diags []lint.Diagnostic) (SpecInfo, *specEntry, error) {
@@ -95,17 +94,7 @@ func (t *tenant) register(name, src string, maxSpecs int, diags []lint.Diagnosti
 	entry := &specEntry{name: name, src: src, prog: prog, diags: diags, id: specIDs.Add(1)}
 	t.specs[name] = entry
 	t.results.purge(name + keySep)
-	releasePlan(prev)
 	return entry.info(), prev, nil
-}
-
-// releasePlan drops the lowered plan of an entry leaving the registry
-// (nil when there is none). Left cached, the plan would stay pinned until
-// the plan cache's wholesale flush.
-func releasePlan(e *specEntry) {
-	if e != nil {
-		plan.Forget(e.prog)
-	}
 }
 
 // rollback undoes one apply whose journal append failed: restore the
@@ -115,7 +104,6 @@ func releasePlan(e *specEntry) {
 func (t *tenant) rollback(name string, prev *specEntry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	releasePlan(t.specs[name])
 	if prev == nil {
 		delete(t.specs, name)
 	} else {
@@ -158,7 +146,6 @@ func (t *tenant) delete(name string) (*specEntry, error) {
 	}
 	delete(t.specs, name)
 	t.results.purge(name + keySep)
-	releasePlan(entry)
 	return entry, nil
 }
 
