@@ -55,10 +55,12 @@ bench:
 # multi-round watch sessions through injected ingestion faults, the
 # serve/runner tests race concurrent tenants over shared sessions, the
 # plan-vs-interpreter compartment test races a run's shared compartment
-# numbering across four partitions, and the six retention tests wait on
-# finalizers, so a collector-timing flake shows up here first.
+# numbering across four partitions, the six retention tests wait on
+# finalizers, so a collector-timing flake shows up here first, and the two
+# payload-buffer lifetime tests hold what a pooled, poisoned decode buffer
+# leaves behind a taken and a declined delta walk to a cold interpreter run.
 stress:
-	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TestConcurrent|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos|TestCompartmentPlanMatchesInterpreter|TestTenantRetainsOneSnapshotPerSpec|TestCostsDoesNotRetainSnapshot|TestPooledCtxRetainsAtMostTheCap|TestLoaderRetainsOneBatch|TestLoaderReleasesReparsedBuffers|TestRetiredProgramsAreCollected' ./internal/config/ ./internal/engine/ ./internal/ingest/ ./internal/plan/ ./internal/runner/ ./internal/serve/ . || exit 1; done
+	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TestConcurrent|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos|TestCompartmentPlanMatchesInterpreter|TestTenantRetainsOneSnapshotPerSpec|TestCostsDoesNotRetainSnapshot|TestPooledCtxRetainsAtMostTheCap|TestLoaderRetainsOneBatch|TestLoaderReleasesReparsedBuffers|TestRetiredProgramsAreCollected|TestPayloadBufferReusedAfterTakenWalk|TestPayloadBufferKeptAfterDeclinedWalk' ./internal/config/ ./internal/engine/ ./internal/ingest/ ./internal/plan/ ./internal/runner/ ./internal/serve/ . || exit 1; done
 
 # Full service round trip over real processes and a loopback socket:
 # build cvserve+cvcall+cvcheck, boot the server, drive it with cvcall
@@ -93,7 +95,9 @@ incremental-bench:
 # executions asks a few thousand questions of both deltas and minimising
 # one new input would otherwise take most of the window), and the
 # loader's delta re-parse (against a full parse of the edited bytes, XML
-# and KV; thirty seconds), the value typer (FuzzVtype: every vtype parser
+# and KV, projected KV too, and the store built from the base's partition
+# with the re-valued instances swapped in against AddAll's; thirty
+# seconds), the value typer (FuzzVtype: every vtype parser
 # against the strconv/net originals in internal/vtype/oracle_test.go;
 # thirty seconds), the CPL front end (FuzzCompile: lexer, parser and
 # compiler must not panic; thirty seconds), the AST walks (FuzzFootprint:
@@ -151,16 +155,24 @@ profile-ingest:
 
 # The same for the whole cold request (BenchmarkColdRequest: the
 # novel_xml operation in-process through Server.ValidateBody — envelope
-# decode, the delta re-parse of a one-value change, store build, seal,
-# diff, incremental splice, report; profile-ingest is the full parse).
-# Same output layout, which it overwrites.
+# decode, load, store build, seal, diff, incremental splice, report),
+# twice: one-value, the delta re-parse of a one-value change, into
+# cpu.pprof and mem.pprof, and structural, a document one setting longer
+# per request, so every request is parsed in full (the cold_xml path),
+# into cpu-structural.pprof and mem-structural.pprof. Same output layout
+# otherwise, which it overwrites.
 profile-request:
 	mkdir -p .bench_build
-	$(GO) test -run '^$$' -bench '^BenchmarkColdRequest$$' -benchtime 10s \
+	$(GO) test -run '^$$' -bench '^BenchmarkColdRequest$$/^one-value$$' -benchtime 10s \
 		-o .bench_build/confvalley.test \
 		-cpuprofile .bench_build/cpu.pprof -memprofile .bench_build/mem.pprof .
 	$(GO) tool pprof -top -nodecount 15 .bench_build/confvalley.test .bench_build/cpu.pprof
 	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space .bench_build/confvalley.test .bench_build/mem.pprof
+	$(GO) test -run '^$$' -bench '^BenchmarkColdRequest$$/^structural$$' -benchtime 10s \
+		-o .bench_build/confvalley.test \
+		-cpuprofile .bench_build/cpu-structural.pprof -memprofile .bench_build/mem-structural.pprof .
+	$(GO) tool pprof -top -nodecount 15 .bench_build/confvalley.test .bench_build/cpu-structural.pprof
+	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space .bench_build/confvalley.test .bench_build/mem-structural.pprof
 
 # The same for the command line (BenchmarkCLIRun: the cli_kv_b operation
 # in-process — compile, lower, read and parse a Type B KV file, full run,

@@ -14,6 +14,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -483,14 +485,15 @@ func BenchmarkColdIngest(b *testing.B) {
 }
 
 // coldRequest is the repository benchmark's novel_xml operation, built
-// here because no change but a benchmark one may touch bench/: a full
-// Type A corpus as nested XML in an encoded validate request, the
-// inferred suite it is checked against, and the offset of the ten digits
-// of a setting no specification reads. Stamping them makes the body one
-// the service has never seen while the splice can still reuse every spec.
-func coldRequest(tb testing.TB) (spec string, body []byte, nonceOff int) {
+// here because no change but a benchmark one may touch bench/: a Type A
+// corpus at the given scale (1.0 is the benchmark's) as nested XML in an
+// encoded validate request, the inferred suite it is checked against, and
+// the offset of the ten digits of a setting no specification reads.
+// Stamping them makes the body one the service has never seen while the
+// splice can still reuse every spec.
+func coldRequest(tb testing.TB, scale float64) (spec string, body []byte, nonceOff int) {
 	const digits = "0000000000"
-	good := azuregen.GenerateA(1.0, 2015)
+	good := azuregen.GenerateA(scale, 2015)
 	spec = infer.Infer(good.Store, infer.Defaults()).GenerateCPL()
 	st := config.NewStore()
 	st.Add(&config.Instance{Key: config.K("BenchRun", "Nonce"), Value: digits})
@@ -514,41 +517,119 @@ func stampNonce(body []byte, off int, n int) {
 	copy(body[off+10-len(d):off+10], d)
 }
 
-// BenchmarkColdRequest is the whole novel_xml operation below the
-// transport, for profiling (make profile-request): envelope decode, load,
-// store build, seal, diff against the previous request's snapshot,
-// incremental splice, report — a request every cache layer misses on,
-// in-process through Server.ValidateBody. The payload differs from the
-// previous request's in the nonce only, so the load is the delta re-parse
-// against the first request's parse, not a full parse
-// (BenchmarkColdIngest times that), and the diff walks pointers.
-func BenchmarkColdRequest(b *testing.B) {
-	spec, body, nonceOff := coldRequest(b)
+// coldServer registers spec on a fresh server and validates body once, so
+// that the loader holds a full parse of it and the lineage a report to
+// splice from. It returns the server and the number of specs.
+func coldServer(tb testing.TB, spec string, body []byte) (*serve.Server, int) {
 	ctx := context.Background()
 	srv := serve.New(serve.Config{Runner: runner.Options{Env: azuregen.ExpertEnv()}})
 	info, err := srv.RegisterSpec("bench", "inferred", spec)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	// The first request runs every spec and leaves the lineage to splice.
 	if _, err := srv.ValidateBody(ctx, "bench", "inferred", body); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stampNonce(body, nonceOff, i+1)
+	return srv, info.Specs
+}
+
+// BenchmarkColdRequest is the whole novel_xml operation below the
+// transport, for profiling (make profile-request): envelope decode, load,
+// store build, seal, diff against the previous request's snapshot,
+// incremental splice, report — a request every cache layer misses on,
+// in-process through Server.ValidateBody. In one-value, the payload
+// differs from the previous request's in the nonce only, so the load is
+// the delta re-parse against the first request's parse (BenchmarkColdIngest
+// times a full parse), the store is that parse's partition with one class
+// copied, the diff walks pointers and the payload buffer goes back to the
+// pool. In structural, each request adds one setting to the previous
+// one's document, so the walk declines and every request is parsed in
+// full, keeps its buffer and builds its store: the cold_xml path.
+func BenchmarkColdRequest(b *testing.B) {
+	spec, template, nonceOff := coldRequest(b, 1.0)
+	ctx := context.Background()
+	b.Run("one-value", func(b *testing.B) {
+		body := bytes.Clone(template)
+		srv, specs := coldServer(b, spec, body)
+		// One re-parsed request before the clock starts: the full parse
+		// kept its buffer, so this one leaves the pool the buffer every
+		// later request decodes into.
+		for i := 0; i <= b.N; i++ {
+			if i == 1 {
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				b.ResetTimer()
+			}
+			stampNonce(body, nonceOff, i+1)
+			resp, err := srv.ValidateBody(ctx, "bench", "inferred", body)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if resp.Report.SpecsReused != specs {
+				b.Fatalf("request %d reused %d of %d specs", i+1, resp.Report.SpecsReused, specs)
+			}
+		}
+		if st := srv.Stats(); st.SourcesParsed != 1 || st.SourcesReparsed != int64(b.N)+1 {
+			b.Fatalf("%d requests after the first: %d payloads parsed, %d re-parsed; want 1, %d", b.N+1, st.SourcesParsed, st.SourcesReparsed, b.N+1)
+		}
+	})
+	b.Run("structural", func(b *testing.B) {
+		// Settings go in behind the nonce's, one more per request.
+		at := nonceOff + bytes.Index(template[nonceOff:], []byte(`\u003e`)) + len(`\u003e`)
+		body := slices.Grow(bytes.Clone(template), 64*(b.N+1))
+		srv, _ := coldServer(b, spec, body)
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			body = slices.Insert(body, at, []byte(fmt.Sprintf(`\u003cSetting Key=\"Extra%d\" Value=\"1\"/\u003e`, i))...)
+			b.StartTimer()
+			if _, err := srv.ValidateBody(ctx, "bench", "inferred", body); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if st := srv.Stats(); st.SourcesParsed != int64(b.N)+1 || st.SourcesReparsed != 0 {
+			b.Fatalf("%d requests after the first: %d payloads parsed, %d re-parsed; want %d, 0", b.N, st.SourcesParsed, st.SourcesReparsed, b.N+1)
+		}
+	})
+}
+
+// A one-value request costs its change, not its payload: at Type A scale
+// 0.2 (a 1 MB body), once a first request has been parsed in full, a
+// request that differs from the previous one in the nonce decodes into the
+// pooled payload buffer the previous request released, re-parses against
+// the first parse and builds its store from that parse's partition. It
+// allocates well under a quarter of its body — a fresh decode buffer alone
+// is the body's size, and the walk's store was a rebuild of the whole
+// partition. The cheapest of nine requests is taken: the first one finds
+// the pool empty (the full parse kept its buffer), a collection may empty
+// it again, and under the race detector sync.Pool drops a quarter of what
+// it is given on purpose.
+func TestOneValueRequestAllocs(t *testing.T) {
+	spec, body, nonceOff := coldRequest(t, 0.2)
+	srv, specs := coldServer(t, spec, body)
+	ctx := context.Background()
+	var per []uint64
+	for i := 1; i <= 9; i++ {
+		stampNonce(body, nonceOff, i)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		resp, err := srv.ValidateBody(ctx, "bench", "inferred", body)
+		runtime.ReadMemStats(&after)
 		if err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
-		if resp.Report.SpecsReused != info.Specs {
-			b.Fatalf("request %d reused %d of %d specs", i+1, resp.Report.SpecsReused, info.Specs)
+		if resp.Report.SpecsReused != specs {
+			t.Fatalf("request %d reused %d of %d specs", i, resp.Report.SpecsReused, specs)
 		}
+		per = append(per, after.TotalAlloc-before.TotalAlloc)
 	}
-	if st := srv.Stats(); st.SourcesParsed != 1 || st.SourcesReparsed != int64(b.N) {
-		b.Fatalf("%d requests after the first: %d payloads parsed, %d re-parsed; want 1, %d", b.N, st.SourcesParsed, st.SourcesReparsed, b.N)
+	if st := srv.Stats(); st.SourcesParsed != 1 || st.SourcesReparsed != 9 {
+		t.Fatalf("%d payloads parsed, %d re-parsed; want 1, 9", st.SourcesParsed, st.SourcesReparsed)
+	}
+	if least := slices.Min(per); least > uint64(len(body)/4) {
+		t.Errorf("a one-value request with a %d-byte body allocated at least %d bytes (per request: %v), want at most a quarter of the body", len(body), least, per)
 	}
 }
 

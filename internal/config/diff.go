@@ -83,32 +83,42 @@ func (sn *Snapshot) Diff(old *Snapshot) Delta {
 	// re-valued instance can hold a change: just those are recorded, still
 	// in class order, so the delta lists exactly what the full walk would.
 	changed := sn.loadOrderDiff(old)
-	for _, id := range sn.classes {
+	for g, id := range sn.idx.ids {
 		if _, ok := changed[id]; changed != nil && !ok {
 			continue
 		}
-		var oldIns []*Instance
-		if old != nil {
-			oldIns = old.byClass[id]
-		}
-		newIns := sn.byClass[id]
+		oldIns := sn.oldClass(old, g)
+		newIns := sn.lists[g]
 		if sameInstanceSlice(oldIns, newIns) {
 			// Copy-on-write fast path: the class's instance slice is the
 			// very slice sealed into the old snapshot, so not one of its
 			// instances was added, removed or re-valued in between.
 			continue
 		}
-		d.classes = append(d.classes, classDelta{old: oldIns, new: newIns, names: sn.classSegs[id]})
+		d.classes = append(d.classes, classDelta{old: oldIns, new: newIns, names: sn.idx.segs[g]})
 	}
-	if old != nil {
-		for _, id := range old.classes {
-			if _, ok := sn.byClass[id]; !ok {
-				d.classes = append(d.classes, classDelta{old: old.byClass[id], names: old.classSegs[id]})
+	if old != nil && old.idx != sn.idx {
+		for g, id := range old.idx.ids {
+			if _, ok := sn.idx.num[id]; !ok {
+				d.classes = append(d.classes, classDelta{old: old.lists[g], names: old.idx.segs[g]})
 			}
 		}
 	}
 	d.index()
 	return d
+}
+
+// oldClass returns old's instances of the receiver's class g: by number
+// when both snapshots share one class index — a store and a later one
+// built from the same partition — and by ID otherwise.
+func (sn *Snapshot) oldClass(old *Snapshot, g int) []*Instance {
+	switch {
+	case old == nil:
+		return nil
+	case old.idx == sn.idx:
+		return old.lists[g]
+	}
+	return old.class(sn.idx.ids[g])
 }
 
 // loadOrderDiff is the pass for two parses of nearly the same content: it
@@ -118,7 +128,7 @@ func (sn *Snapshot) Diff(old *Snapshot) Delta {
 // whose value differs. It returns nil, the walk abandoned, when the
 // snapshots differ in size or at the first position whose keys differ.
 func (sn *Snapshot) loadOrderDiff(old *Snapshot) map[string]struct{} {
-	if old == nil || len(sn.instances) != len(old.instances) || len(sn.classes) != len(old.classes) {
+	if old == nil || len(sn.instances) != len(old.instances) || len(sn.idx.ids) != len(old.idx.ids) {
 		return nil
 	}
 	changed := make(map[string]struct{})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -11,33 +12,47 @@ import (
 // build, the load-order pass and the lazy class-level Delta, kept verbatim
 // as the oracles the new paths are held to.
 
-// addLockedOracle is the one-instance insertion AddAll used to loop over.
+// addLockedOracle is the one-instance insertion AddAll used to loop over,
+// on the store's class-numbered layout.
 func (st *Store) addLockedOracle(in *Instance) {
-	if st.shared {
-		// A sealed snapshot aliases the staging maps: clone before the
-		// first mutation so its view stays frozen. Slices need no clone —
-		// snapshots hold full-expression headers, so staging appends
-		// never land inside a sealed view.
-		st.byClass = cloneMap(st.byClass)
-		st.classSegs = cloneMap(st.classSegs)
-		st.byLeaf = cloneMap(st.byLeaf)
-		st.shared = false
+	if st.idxShared {
+		x := &classIndex{num: make(map[string]int32), leaf: make(map[string][]string)}
+		x.ids = append(x.ids, st.idx.ids...)
+		x.segs = append(x.segs, st.idx.segs...)
+		for id, g := range st.idx.num {
+			x.num[id] = g
+		}
+		for leaf, ids := range st.idx.leaf {
+			x.leaf[leaf] = append([]string(nil), ids...)
+		}
+		st.idx, st.idxShared = x, false
+	}
+	if st.listsShared {
+		st.lists = append([][]*Instance(nil), st.lists...)
+		for g := range st.lists {
+			st.lists[g] = st.lists[g][:len(st.lists[g]):len(st.lists[g])]
+		}
+		st.listsShared = false
 	}
 	st.snap.Store(nil)
 	st.contentID = "" // content changed; any prior address is stale
 	st.instances = append(st.instances, in)
 	cp := classID(in.Key)
-	if _, seen := st.byClass[cp]; !seen {
-		st.classes = append(st.classes, cp)
+	g, seen := st.idx.num[cp]
+	if !seen {
 		names := make([]string, len(in.Key.Segs))
 		for i, seg := range in.Key.Segs {
 			names[i] = seg.Name
 		}
-		st.classSegs[cp] = names
+		g = int32(len(st.idx.ids))
+		st.idx.ids = append(st.idx.ids, cp)
+		st.idx.num[cp] = g
+		st.idx.segs = append(st.idx.segs, names)
 		leaf := in.Key.Leaf()
-		st.byLeaf[leaf] = append(st.byLeaf[leaf], cp)
+		st.idx.leaf[leaf] = append(st.idx.leaf[leaf], cp)
+		st.lists = append(st.lists, nil)
 	}
-	st.byClass[cp] = append(st.byClass[cp], in)
+	st.lists[g] = append(st.lists[g], in)
 }
 
 func (st *Store) addAllOracle(ins []*Instance) {
@@ -59,21 +74,21 @@ func diffOracle(sn, old *Snapshot) eagerDelta {
 		d.index()
 		return d
 	}
-	for _, id := range sn.classes {
+	for _, id := range sn.idx.ids {
 		var oldIns []*Instance
 		if old != nil {
-			oldIns = old.byClass[id]
+			oldIns = old.class(id)
 		}
-		newIns := sn.byClass[id]
+		newIns := sn.class(id)
 		if sameInstanceSlice(oldIns, newIns) {
 			continue
 		}
 		eagerDiffClass(oldIns, newIns, &d)
 	}
 	if old != nil {
-		for _, id := range old.classes {
-			if _, ok := sn.byClass[id]; !ok {
-				eagerDiffClass(old.byClass[id], nil, &d)
+		for _, id := range old.idx.ids {
+			if _, ok := sn.idx.num[id]; !ok {
+				eagerDiffClass(old.class(id), nil, &d)
 			}
 		}
 	}
@@ -125,15 +140,15 @@ func eagerDiff(sn, old *Snapshot) eagerDelta {
 	// re-valued instance can contribute: the walk visits just those, still
 	// in class order, so the delta lists exactly what it always did.
 	changed := sn.loadOrderDiff(old)
-	for _, id := range sn.classes {
+	for _, id := range sn.idx.ids {
 		if _, ok := changed[id]; changed != nil && !ok {
 			continue
 		}
 		var oldIns []*Instance
 		if old != nil {
-			oldIns = old.byClass[id]
+			oldIns = old.class(id)
 		}
-		newIns := sn.byClass[id]
+		newIns := sn.class(id)
 		if sameInstanceSlice(oldIns, newIns) {
 			// Copy-on-write fast path: the class's instance slice is the
 			// very slice sealed into the old snapshot, so not one of its
@@ -143,9 +158,9 @@ func eagerDiff(sn, old *Snapshot) eagerDelta {
 		eagerDiffClass(oldIns, newIns, &d)
 	}
 	if old != nil {
-		for _, id := range old.classes {
-			if _, ok := sn.byClass[id]; !ok {
-				eagerDiffClass(old.byClass[id], nil, &d)
+		for _, id := range old.idx.ids {
+			if _, ok := sn.idx.num[id]; !ok {
+				eagerDiffClass(old.class(id), nil, &d)
 			}
 		}
 	}
@@ -397,11 +412,16 @@ func sameStoreIndexes(t *testing.T, label string, got, want *Store) {
 	if !reflect.DeepEqual(got.instances, want.instances) {
 		t.Fatalf("%s: load order differs", label)
 	}
-	if len(got.byClass) != len(want.byClass) {
-		t.Fatalf("%s: %d classes indexed, oracle %d", label, len(got.byClass), len(want.byClass))
+	gx, wx := got.idx, want.idx
+	if len(gx.num) != len(wx.num) || len(got.lists) != len(want.lists) {
+		t.Fatalf("%s: %d/%d classes indexed, oracle %d/%d", label, len(gx.num), len(got.lists), len(wx.num), len(want.lists))
 	}
-	for id, w := range want.byClass {
-		g := got.byClass[id]
+	for id, wg := range wx.num {
+		gg, ok := gx.num[id]
+		if !ok {
+			t.Fatalf("%s: class %q not indexed", label, id)
+		}
+		g, w := got.lists[gg], want.lists[wg]
 		if len(g) != len(w) {
 			t.Fatalf("%s: class %q holds %d instances, oracle %d", label, id, len(g), len(w))
 		}
@@ -410,12 +430,17 @@ func sameStoreIndexes(t *testing.T, label string, got, want *Store) {
 				t.Fatalf("%s: class %q instance %d is %v, oracle %v", label, id, i, g[i], w[i])
 			}
 		}
+		if !reflect.DeepEqual(gx.segs[gg], wx.segs[wg]) {
+			t.Fatalf("%s: class %q segments %q, oracle %q", label, id, gx.segs[gg], wx.segs[wg])
+		}
 	}
-	if !reflect.DeepEqual(got.byLeaf, want.byLeaf) {
-		t.Fatalf("%s: leaf index differs:\n bulk:   %q\n oracle: %q", label, got.byLeaf, want.byLeaf)
+	if len(gx.leaf) != len(wx.leaf) {
+		t.Fatalf("%s: leaf index differs:\n bulk:   %q\n oracle: %q", label, gx.leaf, wx.leaf)
 	}
-	if !reflect.DeepEqual(got.classSegs, want.classSegs) {
-		t.Fatalf("%s: class segments differ", label)
+	for leaf, ids := range wx.leaf {
+		if !slices.Equal(gx.leaf[leaf], ids) {
+			t.Fatalf("%s: leaf index differs:\n bulk:   %q\n oracle: %q", label, gx.leaf, wx.leaf)
+		}
 	}
 	for _, p := range oraclePatterns(t) {
 		if g, w := got.Discover(p), want.Discover(p); !reflect.DeepEqual(g, w) {
@@ -477,8 +502,8 @@ func TestAddAllMatchesAdd(t *testing.T) {
 		sameStoreIndexes(t, fmt.Sprintf("seed %d via Add", seed), single, oracle)
 
 		// Appending to any class list must copy it out, not write on.
-		for id := range bulk.byClass {
-			_ = append(bulk.byClass[id], &Instance{Value: "intruder"})
+		for g := range bulk.lists {
+			_ = append(bulk.lists[g], &Instance{Value: "intruder"})
 		}
 		sameStoreIndexes(t, fmt.Sprintf("seed %d after appends", seed), bulk, oracle)
 	}
@@ -486,9 +511,9 @@ func TestAddAllMatchesAdd(t *testing.T) {
 
 // renderSnapshot spells out everything a reader of the snapshot can see.
 func renderSnapshot(sn *Snapshot) string {
-	s := fmt.Sprintf("%q\n%q\n%q\n", sn.classes, sn.classSegs, sn.byLeaf)
-	for _, id := range sn.classes {
-		s += id + ":" + render(sn.byClass[id]) + "\n"
+	s := fmt.Sprintf("%q\n%q\n%q\n", sn.idx.ids, sn.idx.segs, sn.idx.leaf)
+	for g, id := range sn.idx.ids {
+		s += id + ":" + render(sn.lists[g]) + "\n"
 	}
 	return s + render(sn.instances)
 }
@@ -618,9 +643,9 @@ func TestDiffLoadOrderMatchesClassWalk(t *testing.T) {
 // rendered every class's display path to find the one it was asked for.
 func (sn *Snapshot) classInstancesOracle(classPath string) []*Instance {
 	var out []*Instance
-	for _, id := range sn.classes {
+	for _, id := range sn.idx.ids {
 		if displayClass(id) == classPath {
-			out = append(out, sn.byClass[id]...)
+			out = append(out, sn.class(id)...)
 		}
 	}
 	return out
@@ -649,7 +674,7 @@ func TestClassInstancesMatchesOracle(t *testing.T) {
 					t.Fatalf("round %d: %q: instance %d is %v, oracle %v", round, cp, i, got[i], want[i])
 				}
 			}
-			if cp == "Cloud.Tenant.Param0" && len(want) > len(st.byClass["Cloud\x00Tenant\x00Param0"]) {
+			if cp == "Cloud.Tenant.Param0" && len(want) > len(sn.class("Cloud\x00Tenant\x00Param0")) {
 				unions++
 			}
 		}

@@ -12,11 +12,9 @@ import "sort"
 // Store mutations.
 type Snapshot struct {
 	instances []*Instance
-	byClass   map[string][]*Instance // class ID -> instances, load order
-	classes   []string               // class IDs, load order, deduplicated
-	classSegs map[string][]string    // class ID -> segment names
-	byLeaf    map[string][]string    // leaf name -> class IDs
-	trie      *trieNode              // class-name trie for wildcard queries
+	idx       *classIndex   // the classes, load order
+	lists     [][]*Instance // lists[g]: the instances of class g, load order
+	trie      *trieNode     // class-name trie for wildcard queries
 
 	cache     discoveryCache
 	stats     *DiscoveryStats // shared with the parent store
@@ -38,8 +36,8 @@ func (sn *Snapshot) Instances() []*Instance { return sn.instances }
 
 // Classes returns all class paths (dotted display form) in load order.
 func (sn *Snapshot) Classes() []string {
-	out := make([]string, len(sn.classes))
-	for i, id := range sn.classes {
+	out := make([]string, len(sn.idx.ids))
+	for i, id := range sn.idx.ids {
 		out[i] = displayClass(id)
 	}
 	return out
@@ -52,12 +50,21 @@ func (sn *Snapshot) Classes() []string {
 // returned.
 func (sn *Snapshot) ClassInstances(classPath string) []*Instance {
 	var out []*Instance
-	for _, id := range sn.classes {
+	for g, id := range sn.idx.ids {
 		if displaysAs(id, classPath) {
-			out = append(out, sn.byClass[id]...)
+			out = append(out, sn.lists[g]...)
 		}
 	}
 	return out
+}
+
+// class returns the instances of the class with ID id, nil when the
+// snapshot has none.
+func (sn *Snapshot) class(id string) []*Instance {
+	if g, ok := sn.idx.num[id]; ok {
+		return sn.lists[g]
+	}
+	return nil
 }
 
 // displaysAs reports whether displayClass(id) == path without rendering
@@ -143,7 +150,7 @@ func (sn *Snapshot) discover(p Pattern) []*Instance {
 	}
 	var out []*Instance
 	for _, cp := range classPaths {
-		for _, in := range sn.byClass[cp] {
+		for _, in := range sn.class(cp) {
 			if p.MatchKey(in.Key) {
 				out = append(out, in)
 			}
@@ -156,10 +163,10 @@ func (sn *Snapshot) discover(p Pattern) []*Instance {
 // (possibly wildcarded) leaf name.
 func (sn *Snapshot) leafClassPaths(leafPat string) []string {
 	if !hasGlob(leafPat) {
-		return sn.byLeaf[leafPat]
+		return sn.idx.leaf[leafPat]
 	}
 	var out []string
-	for leaf, cps := range sn.byLeaf {
+	for leaf, cps := range sn.idx.leaf {
 		if Glob(leafPat, leaf) {
 			out = append(out, cps...)
 		}

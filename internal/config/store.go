@@ -1,6 +1,7 @@
 package config
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,29 +14,29 @@ import (
 // paths, per-class instance lists, and a query cache per snapshot.
 //
 // Concurrency model (see DESIGN.md "Concurrency model"): mutations
-// (Add/AddAll) build into a mutable staging area under the store lock;
-// Snapshot seals the staging area into an immutable Snapshot whose
-// indexes are read with no locking. Discover routes through the current
-// snapshot. A sealed snapshot is never mutated — the first mutation
-// after a seal clones the index maps (copy-on-write), so goroutines
-// holding the old snapshot keep a consistent view. The Store is safe
-// for concurrent use: Add may race with Discover, and each Discover
-// sees either the pre- or post-Add world, never a torn one.
+// (Add/AddAll/AddPartition) build into a mutable staging area under the
+// store lock; Snapshot seals the staging area into an immutable Snapshot
+// whose indexes are read with no locking. Discover routes through the
+// current snapshot. A sealed snapshot is never mutated — the first
+// mutation after a seal copies what it writes (copy-on-write), so
+// goroutines holding the old snapshot keep a consistent view. The Store
+// is safe for concurrent use: Add may race with Discover, and each
+// Discover sees either the pre- or post-Add world, never a torn one.
 type Store struct {
 	mu sync.Mutex // guards the staging area below and sealing
 
 	instances []*Instance
-	byClass   map[string][]*Instance // class ID -> instances, load order
-	classes   []string               // class IDs, load order, deduplicated
-	classSegs map[string][]string    // class ID -> segment names
-	byLeaf    map[string][]string    // leaf name -> class IDs
+	idx       *classIndex   // the classes, load order
+	lists     [][]*Instance // lists[g]: the instances of class g, load order
+
+	// idxShared and listsShared mark that idx, or the lists slice, may be
+	// aliased — by a sealed snapshot or by the partition the store
+	// adopted — so the next write to it must copy it first.
+	idxShared, listsShared bool
 
 	// snap is the current sealed snapshot, nil when the staging area has
-	// changed since the last seal. shared marks that a sealed snapshot
-	// may still alias the staging maps, so the next mutation must clone
-	// them first.
-	snap   atomic.Pointer[Snapshot]
-	shared bool
+	// changed since the last seal.
+	snap atomic.Pointer[Snapshot]
 
 	// contentID is an optional caller-supplied content address (see
 	// SetContentID); cleared by any mutation so a stale address can never
@@ -50,14 +51,63 @@ type Store struct {
 	Stats *DiscoveryStats
 }
 
+// classIndex is a class set: the class IDs in first-appearance order and
+// what discovery looks them up by. Class g is ids[g] everywhere — in a
+// partition's parts, a store's lists, a snapshot's. An index that is
+// shared (sealed into a snapshot, or held by a partition) is never
+// written again; a store that adds a class to it copies it first.
+type classIndex struct {
+	ids  []string            // class IDs, first-appearance order
+	num  map[string]int32    // class ID -> its position in ids
+	segs [][]string          // segment names, by class number
+	leaf map[string][]string // leaf name -> class IDs, in ids order
+
+	trieOnce sync.Once
+	trie     *trieNode // the class-path trie, built at its first seal
+}
+
+// emptyIndex is the class index of a store that holds nothing yet.
+var emptyIndex = &classIndex{}
+
+// add appends class id, with segment names names, and returns its number.
+func (x *classIndex) add(id string, names []string) int32 {
+	g := int32(len(x.ids))
+	x.ids = append(x.ids, id)
+	x.num[id] = g
+	x.segs = append(x.segs, names)
+	leaf := names[len(names)-1]
+	x.leaf[leaf] = append(x.leaf[leaf], id)
+	return g
+}
+
+// clone returns a copy of x that can be added to without writing into x:
+// every slice an append could extend in place is clipped.
+func (x *classIndex) clone() *classIndex {
+	out := &classIndex{
+		ids:  slices.Clip(x.ids),
+		num:  make(map[string]int32, len(x.num)),
+		segs: slices.Clip(x.segs),
+		leaf: make(map[string][]string, len(x.leaf)),
+	}
+	for id, g := range x.num {
+		out.num[id] = g
+	}
+	for leaf, ids := range x.leaf {
+		out.leaf[leaf] = slices.Clip(ids)
+	}
+	return out
+}
+
+// classTrie returns the index's class-path trie, building it the first
+// time; the index must be shared by then, so the trie stays its own.
+func (x *classIndex) classTrie() *trieNode {
+	x.trieOnce.Do(func() { x.trie = buildTrie(x) })
+	return x.trie
+}
+
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{
-		byClass:   make(map[string][]*Instance),
-		classSegs: make(map[string][]string),
-		byLeaf:    make(map[string][]string),
-		Stats:     new(DiscoveryStats),
-	}
+	return &Store{idx: emptyIndex, idxShared: true, Stats: new(DiscoveryStats)}
 }
 
 // Add inserts an instance into the store. The next Discover (or
@@ -69,80 +119,108 @@ func (st *Store) Add(in *Instance) {
 	st.beginMutation()
 	st.instances = append(st.instances, in)
 	id := classID(in.Key)
-	if _, seen := st.byClass[id]; !seen {
-		st.addClass(id, in.Key)
+	g, seen := st.idx.num[id]
+	if !seen {
+		g = st.addClass(id, segNames(in.Key))
 	}
-	st.byClass[id] = append(st.byClass[id], in)
+	st.ownLists()
+	st.lists[g] = append(st.lists[g], in)
 }
 
-// AddAll inserts a batch of instances, in order, as Add would one by one.
-// It is a bulk build over one grouping of the batch by class: a class
-// costs one ID string and one instance list, carved from an array the
-// whole batch shares, and an instance costs no allocation at all.
+// AddAll inserts a batch of instances, in order, as Add would one by one:
+// it partitions the batch (NewPartition) and adds the partition. ins
+// stays the caller's.
 func (st *Store) AddAll(ins []*Instance) {
 	if len(ins) == 0 {
 		return
 	}
+	st.add(NewPartition(ins), true)
+}
+
+// AddPartition inserts a partitioned batch, in order, as AddAll would
+// insert its instances. An empty store adopts the partition as it is —
+// its instances, lists and class index — and allocates nothing; the
+// store copies what it later writes to.
+func (st *Store) AddPartition(p *Partition) {
+	if len(p.ins) == 0 {
+		return
+	}
+	st.add(p, false)
+}
+
+// add inserts p; copyIns says that p.ins is not p's to lend.
+func (st *Store) add(p *Partition, copyIns bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.beginMutation()
-	st.instances = append(st.instances, ins...)
-	p := groupByClass(ins)
-	for g, id := range p.order {
+	if len(st.instances) == 0 {
+		ins := p.ins
+		if copyIns {
+			ins = slices.Clone(ins)
+		}
+		st.instances = slices.Clip(ins)
+		st.idx, st.lists = p.idx, p.parts
+		st.idxShared, st.listsShared = true, true
+		return
+	}
+	st.instances = append(st.instances, p.ins...)
+	st.ownLists()
+	for g, id := range p.idx.ids {
 		list := p.parts[g]
-		old, seen := st.byClass[id]
+		sg, seen := st.idx.num[id]
 		if !seen {
-			st.addClass(id, list[0].Key)
+			sg = st.addClass(id, p.idx.segs[g])
+			st.lists[sg] = list // clipped: an append copies it
+			continue
 		}
-		if len(old) > 0 {
-			// The class already held instances: append, as Add would have.
-			list = append(old, list...)
-		}
-		st.byClass[id] = list
+		// The class already held instances: append, as Add would have.
+		st.lists[sg] = append(st.lists[sg], list...)
 	}
 }
 
 // beginMutation readies the staging area for a change, under st.mu.
 func (st *Store) beginMutation() {
-	if st.shared {
-		// A sealed snapshot aliases the staging maps: clone before the
-		// first mutation so its view stays frozen. Slices need no clone —
-		// snapshots hold full-expression headers, so staging appends
-		// never land inside a sealed view.
-		st.byClass = cloneMap(st.byClass)
-		st.classSegs = cloneMap(st.classSegs)
-		st.byLeaf = cloneMap(st.byLeaf)
-		st.shared = false
-	}
 	st.snap.Store(nil)
 	st.contentID = "" // content changed; any prior address is stale
 }
 
-// addClass registers the class of key k, seen for the first time, in every
-// index but byClass, which the caller fills.
-func (st *Store) addClass(id string, k Key) {
-	st.classes = append(st.classes, id)
+// ownLists makes the lists slice the store's own to write, under st.mu.
+// The lists in it need no copy: a partition's are clipped, so an append
+// copies one, and the store's own only grow past the length a sealed
+// snapshot holds of them.
+func (st *Store) ownLists() {
+	if st.listsShared {
+		st.lists = slices.Clone(st.lists)
+		st.listsShared = false
+	}
+}
+
+// addClass registers a class seen for the first time, with an empty
+// list, and returns its number.
+func (st *Store) addClass(id string, names []string) int32 {
+	if st.idxShared {
+		st.idx = st.idx.clone()
+		st.idxShared = false
+	}
+	st.ownLists()
+	st.lists = append(st.lists, nil)
+	return st.idx.add(id, names)
+}
+
+// segNames returns the segment names of k.
+func segNames(k Key) []string {
 	names := make([]string, len(k.Segs))
 	for i, seg := range k.Segs {
 		names[i] = seg.Name
 	}
-	st.classSegs[id] = names
-	leaf := k.Leaf()
-	st.byLeaf[leaf] = append(st.byLeaf[leaf], id)
-}
-
-func cloneMap[V any](m map[string]V) map[string]V {
-	out := make(map[string]V, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+	return names
 }
 
 // Snapshot seals the staging area into an immutable view, building the
-// class-path trie and a fresh discovery cache, and returns it. Sealing
-// is idempotent until the next mutation: repeated calls return the same
-// pointer via one atomic load.
+// class-path trie (once per class index: a store that adopted a
+// partition shares the partition's) and a fresh discovery cache, and
+// returns it. Sealing is idempotent until the next mutation: repeated
+// calls return the same pointer via one atomic load.
 func (st *Store) Snapshot() *Snapshot {
 	if sn := st.snap.Load(); sn != nil {
 		return sn
@@ -152,18 +230,16 @@ func (st *Store) Snapshot() *Snapshot {
 	if sn := st.snap.Load(); sn != nil {
 		return sn
 	}
+	st.idxShared, st.listsShared = true, true
 	sn := &Snapshot{
-		instances: st.instances[:len(st.instances):len(st.instances)],
-		byClass:   st.byClass,
-		classes:   st.classes[:len(st.classes):len(st.classes)],
-		classSegs: st.classSegs,
-		byLeaf:    st.byLeaf,
-		trie:      buildTrie(st.classes, st.classSegs),
+		instances: slices.Clip(st.instances),
+		idx:       st.idx,
+		lists:     slices.Clip(st.lists),
+		trie:      st.idx.classTrie(),
 		stats:     st.Stats,
 		contentID: st.contentID,
 	}
 	st.snap.Store(sn)
-	st.shared = true
 	return sn
 }
 
@@ -294,12 +370,12 @@ func newTrieNode() *trieNode {
 	return &trieNode{children: make(map[string]*trieNode)}
 }
 
-// buildTrie builds the class-path trie for a seal.
-func buildTrie(classes []string, classSegs map[string][]string) *trieNode {
+// buildTrie builds the class-path trie of a class index.
+func buildTrie(x *classIndex) *trieNode {
 	root := newTrieNode()
-	for _, cp := range classes {
+	for g, cp := range x.ids {
 		node := root
-		for _, name := range classSegs[cp] {
+		for _, name := range x.segs[g] {
 			child, ok := node.children[name]
 			if !ok {
 				child = newTrieNode()
@@ -342,33 +418,38 @@ func (n *trieNode) match(segs []PatSeg, depth int, out *[]string) {
 	}
 }
 
-// partition is a batch of instances grouped by class: order lists the
-// class IDs in first-appearance order and parts[g] the instances of
-// class order[g], in their original order.
-type partition struct {
-	order []string
-	parts [][]*Instance
+// Partition is a batch of instances grouped by class, in the form a
+// store is built from: the batch, its class index (class IDs in
+// first-appearance order, segment names, leaf index, trie), each class's
+// instances in batch order, and each instance's class number. A store
+// that adopts it (AddPartition) shares all of it, and the loader keeps a
+// full parse's partition so that a delta re-parse of the same document
+// (Revalue) reuses everything but the classes it re-valued. A partition
+// is immutable.
+type Partition struct {
+	ins   []*Instance
+	idx   *classIndex
+	parts [][]*Instance // parts[g]: the instances of class g, clipped
+	of    []int32       // of[i]: the class number of ins[i]
 }
 
-// groupByClass partitions instances by class ID in one pass over ins:
-// each ID is rendered into a reused scratch and a string is built per
-// distinct class, not per instance.
-func groupByClass(ins []*Instance) *partition {
-	p := &partition{}
-	index := make(map[string]int)
-	of := make([]int32, len(ins)) // class number of each instance
+// NewPartition partitions ins by class in one pass: each ID is rendered
+// into a reused scratch and a string is built per distinct class, not per
+// instance. The partition keeps ins, so nothing may write to it
+// afterwards; its instances must be distinct pointers, as a parse's are.
+func NewPartition(ins []*Instance) *Partition {
+	p := &Partition{ins: ins, idx: &classIndex{num: make(map[string]int32), leaf: make(map[string][]string)}}
+	p.of = make([]int32, len(ins))
 	var sizes []int
 	var scratch [renderScratch]byte
 	for i, in := range ins {
 		id := appendNames(scratch[:0], in.Key, classSep)
-		g, ok := index[string(id)]
+		g, ok := p.idx.num[string(id)]
 		if !ok {
-			g = len(p.order)
-			p.order = append(p.order, string(id))
-			index[p.order[g]] = g
+			g = p.idx.add(string(id), segNames(in.Key))
 			sizes = append(sizes, 0)
 		}
-		of[i] = int32(g)
+		p.of[i] = g
 		sizes[g]++
 	}
 	// One backing array carved into per-class slices, each clipped so an
@@ -381,7 +462,46 @@ func groupByClass(ins []*Instance) *partition {
 		off += size
 	}
 	for i, in := range ins {
-		p.parts[of[i]] = append(p.parts[of[i]], in)
+		p.parts[p.of[i]] = append(p.parts[p.of[i]], in)
 	}
 	return p
+}
+
+// Revalue returns the partition of ins, a batch holding p's keys in p's
+// order where each instance is p's own at that position or a re-valued
+// copy of it — what a delta re-parse of p's document returns
+// (driver.Reparser). The class index and every class without a new
+// instance are p's; a class with one is copied, the new instances in the
+// old ones' slots. Beyond one pass comparing pointers, that costs the
+// changed classes' sizes.
+func (p *Partition) Revalue(ins []*Instance) *Partition {
+	if len(ins) != len(p.ins) {
+		panic("config: Revalue of a batch of another length")
+	}
+	out := &Partition{ins: ins, idx: p.idx, parts: p.parts, of: p.of}
+	var from map[int32]int // a copied class -> where its next change is sought
+	for i, in := range ins {
+		was := p.ins[i]
+		if in == was {
+			continue
+		}
+		g := p.of[i]
+		if from == nil {
+			from = make(map[int32]int)
+			out.parts = slices.Clone(p.parts)
+		}
+		j, copied := from[g]
+		if !copied {
+			out.parts[g] = slices.Clip(slices.Clone(p.parts[g]))
+		}
+		// The class lists its instances in batch order, so the slot of
+		// position i lies after the previous change's.
+		list := out.parts[g]
+		for list[j] != was {
+			j++
+		}
+		list[j] = in
+		from[g] = j + 1
+	}
+	return out
 }

@@ -42,7 +42,146 @@ func checkReparse(t *testing.T, format, scope string, base, doc []byte) bool {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: re-parse of %q against %q:\n delta: %q\n full:  %q", format, doc, base, renderInstances(got), renderInstances(want))
 	}
+	checkRevalue(t, baseIns, got)
+	if format == "kv" {
+		checkProjectedReparse(t, scope, baseIns, base, doc)
+	}
 	return true
+}
+
+// checkProjectedReparse repeats the re-parse against a projected base, as
+// the loader does for a program that reads some classes only: the
+// projection keeps every other class of the base's full parse. The delta
+// must decline or return the projected full parse of doc, and its store
+// pass checkRevalue.
+func checkProjectedReparse(t *testing.T, scope string, full []*config.Instance, base, doc []byte) {
+	t.Helper()
+	ctx := context.Background()
+	var pats []config.Pattern
+	seen := make(map[string]bool)
+	for _, in := range full {
+		if cp := in.Key.ClassPath(); !seen[cp] {
+			seen[cp] = true
+			if len(seen)%2 == 1 {
+				pats = append(pats, exactPattern(in.Key))
+			}
+		}
+	}
+	proj := NewProjection(pats)
+	owned := bytes.Clone(base)
+	baseIns, _, err := ParseScopedOwned(ctx, "kv", owned, "fuzz-input", scope, proj)
+	if err != nil {
+		t.Fatalf("kv: a projected parse of %q fails where the full one did not: %v", base, err)
+	}
+	handed := bytes.Clone(doc)
+	got, ok := kvDriver{}.Reparse(owned, baseIns, handed)
+	if !ok {
+		return
+	}
+	scribble(handed)
+	want, _, err := ParseScopedOwned(ctx, "kv", bytes.Clone(doc), "fuzz-input", scope, proj)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("kv: projected re-parse of %q against %q:\n delta: %q\n full:  %q (%v)", doc, base, renderInstances(got), renderInstances(want), err)
+	}
+	checkRevalue(t, baseIns, got)
+}
+
+// exactPattern is the pattern matching k's class and nothing else.
+func exactPattern(k config.Key) config.Pattern {
+	p := config.Pattern{Segs: make([]config.PatSeg, len(k.Segs))}
+	for i, seg := range k.Segs {
+		p.Segs[i].Name = seg.Name
+	}
+	return p
+}
+
+// checkRevalue holds the store a loader builds for an accepted re-parse —
+// the base's partition with the re-valued instances swapped in
+// (config.Partition.Revalue), adopted by an empty store — to the store
+// AddAll builds from the re-parse's instances: the same instances, classes
+// and class lists, the same answer to discovery over each of the base's
+// classes (exactly, by leaf, and by wildcards of its length), and the same
+// diff against the base's store either way. It does the same for a store
+// that holds a second source, before and after the re-parse.
+func checkRevalue(t *testing.T, baseIns, ins []*config.Instance) {
+	t.Helper()
+	bp := config.NewPartition(baseIns)
+	wp := bp.Revalue(ins)
+	var pats []config.Pattern
+	seen := make(map[string]bool)
+	for _, in := range baseIns {
+		if cp := in.Key.ClassPath(); !seen[cp] {
+			seen[cp] = true
+			exact := exactPattern(in.Key)
+			stars := exactPattern(in.Key)
+			for i := range stars.Segs {
+				stars.Segs[i].Name = "*"
+			}
+			pats = append(pats, exact, config.Pattern{Segs: exact.Segs[len(exact.Segs)-1:]}, stars)
+		}
+	}
+	// build adds the parts in order, sealing after each when seal is set,
+	// so the next one copies on write.
+	build := func(seal bool, parts ...any) *config.Store {
+		st := config.NewStore()
+		for _, p := range parts {
+			switch p := p.(type) {
+			case *config.Partition:
+				st.AddPartition(p)
+			case []*config.Instance:
+				st.AddAll(p)
+			}
+			if seal {
+				st.Snapshot()
+			}
+		}
+		return st
+	}
+	second := []*config.Instance{{Key: config.K("Other", "knob"), Value: "1"}}
+	if len(baseIns) > 0 {
+		second = append(second, baseIns[0]) // a class the batch holds too
+	}
+	for _, c := range []struct {
+		label     string
+		got, want *config.Store
+		base, was *config.Store
+	}{
+		{"alone", build(false, wp), build(false, ins), build(false, bp), build(false, baseIns)},
+		{"after a second source", build(false, second, wp), build(false, second, ins), build(false, second, bp), build(false, second, baseIns)},
+		{"before a second source", build(true, wp, second), build(true, ins, second), build(true, bp, second), build(true, baseIns, second)},
+	} {
+		got, want := c.got.Snapshot(), c.want.Snapshot()
+		if got.Len() != want.Len() || !reflect.DeepEqual(got.Instances(), want.Instances()) {
+			t.Fatalf("%s: the revalued store holds %q, AddAll's %q", c.label, renderInstances(got.Instances()), renderInstances(want.Instances()))
+		}
+		if !reflect.DeepEqual(got.Classes(), want.Classes()) {
+			t.Fatalf("%s: the revalued store's classes are %q, AddAll's %q", c.label, got.Classes(), want.Classes())
+		}
+		for _, cp := range want.Classes() {
+			if g, w := got.ClassInstances(cp), want.ClassInstances(cp); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: class %s holds %q in the revalued store, %q in AddAll's", c.label, cp, renderInstances(g), renderInstances(w))
+			}
+		}
+		for _, p := range pats {
+			if g, w := got.Discover(p), want.Discover(p); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: Discover(%s) finds %q in the revalued store, %q in AddAll's", c.label, p, renderInstances(g), renderInstances(w))
+			}
+		}
+		base, was := c.base.Snapshot(), c.was.Snapshot()
+		for _, dir := range []struct {
+			name      string
+			got, want config.Delta
+		}{
+			{"from the base", got.Diff(base), want.Diff(was)},
+			{"to the base", base.Diff(got), was.Diff(want)},
+		} {
+			ga, gr, gm := dir.got.Keys()
+			wa, wr, wm := dir.want.Keys()
+			if !reflect.DeepEqual(ga, wa) || !reflect.DeepEqual(gr, wr) || !reflect.DeepEqual(gm, wm) {
+				t.Fatalf("%s: the diff %s differs:\n revalued: +%v -%v ~%v\n AddAll:   +%v -%v ~%v", c.label, dir.name, ga, gr, gm, wa, wr, wm)
+			}
+		}
+	}
 }
 
 // edit replaces del bytes of base at at, both clamped to base, with ins,
@@ -63,6 +202,10 @@ const (
 		`<Setting Key="k" Value="v1"><x y="z"/>text</Setting><Setting Key="d" Value="1" Value="2"/>` +
 		`<![CDATA[ c ]]><B Type="" Name="m" s="x y"/></A></r>`
 	reparseKV = "# note\napp.timeout = 30\r\napp.name = svc  \n\n  a.b = x=y\nlast = 1"
+	// A class with several instances, for the store the loader builds
+	// from the base's partition with the re-valued ones in their slots.
+	reparseXMLRepeat = `<r><A Name="a" p="1"/><A Name="b" p="2"/><B q="0"/><A Name="c" p="3"/></r>`
+	reparseKVRepeat  = "x = 1\nx = 2\ny = 0\nx = 3\n"
 )
 
 var reparseSeeds = []struct {
@@ -141,6 +284,12 @@ var reparseSeeds = []struct {
 	{false, false, reparseKV, "\r\n", 0, 1, "", false},
 	{false, false, reparseKV, "last", 0, 0, "x = 1\n", false},
 	{false, false, reparseKV, "# note", 0, 1, ";", false},
+	// Values in a class with several instances: the first, a middle one,
+	// the last, two at once.
+	{true, false, reparseXMLRepeat, `p="1`, 3, 1, "9", true},
+	{true, true, reparseXMLRepeat, `p="2`, 3, 1, "99", true},
+	{false, false, reparseKVRepeat, "x = 3", 4, 1, "0", true},
+	{false, true, reparseKVRepeat, "x = 2", 4, 7, "7\ny = 8", true},
 }
 
 // FuzzReparse is differential: a delta re-parse of an edited document

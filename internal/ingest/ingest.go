@@ -83,6 +83,11 @@ type Outcome struct {
 	// failed and no last good parse was available (or the parse outlived
 	// MaxStale).
 	Quarantined bool `json:"quarantined,omitempty"`
+	// Reparsed means the source's bytes were re-parsed against the
+	// loader's latest full parse of it (driver.Reparser): nothing the load
+	// produced or the loader keeps points into them, so whoever handed
+	// them over may reuse them. It is not part of the wire form.
+	Reparsed bool `json:"-"`
 }
 
 // LoadReport aggregates one load round's per-source outcomes.
@@ -188,7 +193,8 @@ type lastGood struct {
 }
 
 // document is a full parse of bytes the loader owns: the bytes, and the
-// instances that borrow from them.
+// instances that borrow from them, with their partition, which a delta
+// re-parse's store build starts from (config.Partition.Revalue).
 type document struct {
 	data []byte
 	parse
@@ -223,8 +229,11 @@ type ParseStats struct {
 // its latest full parse, when the loader holds one: if the new bytes
 // differ from the parsed ones inside values only, the unchanged instances
 // are reused and the changed values copied, so the new bytes are not
-// retained. Anything else is parsed in full, and that parse is what later
-// loads are measured against.
+// retained (Outcome.Reparsed), and the store is built from the full
+// parse's class partition with only the changed classes copied. Anything
+// else is parsed in full, and that parse — bytes, instances, partition —
+// is what later loads are measured against. The bytes a source hands
+// over are lent, then: a full parse keeps them, a re-parse does not.
 type Loader struct {
 	// MaxStale bounds how many consecutive rounds a failing source is
 	// served from its last good parse before it degrades to quarantined.
@@ -327,10 +336,11 @@ func (l *Loader) loadOne(ctx context.Context, st *config.Store, src Source) Outc
 	if err == nil {
 		if base != nil && doc == base {
 			l.reparsed.Add(1)
+			out.Reparsed = true
 		} else {
 			l.parsed.Add(1)
 		}
-		st.AddAll(p.ins)
+		st.AddPartition(p.part)
 		p.count(&out)
 		l.mu.Lock()
 		if l.good == nil {
@@ -365,7 +375,7 @@ func (l *Loader) loadOne(ctx context.Context, st *config.Store, src Source) Outc
 	// A projection that kept none of a document's is, as the full parse
 	// would be.
 	if stale.parsed > 0 {
-		st.AddAll(stale.ins)
+		st.AddPartition(stale.part)
 		stale.count(&out)
 		out.Stale = true
 		out.StaleRounds = rounds
@@ -378,8 +388,9 @@ func (l *Loader) loadOne(ctx context.Context, st *config.Store, src Source) Outc
 // parse is one source's instances as a load obtained them.
 type parse struct {
 	ins       []*config.Instance
-	parsed    int  // instances in the document
-	projected bool // ins holds the projection's classes only
+	part      *config.Partition // ins by class, what the store is built from
+	parsed    int               // instances in the document
+	projected bool              // ins holds the projection's classes only
 }
 
 // count records the parse's instances on the source's outcome.
@@ -421,13 +432,17 @@ func fetchAndParse(ctx context.Context, src Source, format string, base *documen
 		// re-parses to the projection of the new document; a change to a
 		// line the projection dropped is outside them and declines.
 		if ins, ok := r.Reparse(base.data, base.ins, data); ok {
-			return parse{ins, base.parsed, base.projected}, base, nil
+			return parse{ins, base.part.Revalue(ins), base.parsed, base.projected}, base, nil
 		}
 	}
 	p.ins, p.parsed, err = driver.ParseScopedOwned(ctx, format, data, src.Name, src.Scope, src.Projection)
 	p.projected = src.Projection != nil && driver.Projects(format)
-	if err != nil || !reparses {
+	if err != nil {
 		return p, nil, err
+	}
+	p.part = config.NewPartition(p.ins)
+	if !reparses {
+		return p, nil, nil
 	}
 	return p, &document{data: data, parse: p}, nil
 }

@@ -26,10 +26,11 @@ func allocatedBytes(f func()) uint64 {
 
 // A load of a Type A XML source that differs from the previous load in one
 // value re-parses it: the unchanged instances are the previous parse's,
-// and only the changed value is copied. A full parse of that document
-// allocates about 12 MB of key and instance slabs; what the re-parse
-// allocates stays under 1 MB. The store build the load ends with (about
-// 2.2 MB, the same either way) is measured apart and not counted.
+// and only the changed value is copied. Its store is the previous parse's
+// class partition with the one changed class copied, not a rebuild. A full
+// parse of that document allocates about 12 MB of key and instance slabs
+// and a store build over its instances about 2 MB; the whole re-parsed
+// load, store included, stays under 1 MB.
 func TestReparseAllocations(t *testing.T) {
 	doc := azuregen.RenderXML(azuregen.GenerateA(1.0, 2015).Store)
 	marker := []byte(` Value="`)
@@ -63,10 +64,11 @@ func TestReparseAllocations(t *testing.T) {
 	}
 	ins := l.good[goodKey{name: "corpus.xml", format: "xml"}].ins
 	build := allocatedBytes(func() { config.NewStore().AddAll(ins) })
-	if alloc < build || alloc-build > 1<<20 {
-		t.Errorf("a one-value load of %d instances allocated %.2f MB besides its store build's %.2f MB, want under 1 MB",
-			rep.Instances(), float64(alloc-build)/(1<<20), float64(build)/(1<<20))
+	if alloc > 1<<20 {
+		t.Errorf("a one-value load of %d instances allocated %.2f MB (a store build over them alone: %.2f MB), want under 1 MB",
+			rep.Instances(), float64(alloc)/(1<<20), float64(build)/(1<<20))
 	}
+	t.Logf("one-value load: %.2f MB; a store build over its instances: %.2f MB", float64(alloc)/(1<<20), float64(build)/(1<<20))
 }
 
 // A re-parse keeps no reference into the bytes it was handed: over twenty

@@ -77,11 +77,15 @@ type Payload struct {
 	Format string
 	// Scope optionally prefixes every key.
 	Scope string
-	// Data is the raw configuration bytes, handed over to the runner:
-	// the instances parsed from them may point into them for as long as
-	// the run's snapshot is retained, so the caller must not write to
-	// them after Run is called. (The server decodes a request's payloads
-	// into one buffer, so one retained snapshot pins all of them.)
+	// Data is the raw configuration bytes, lent to the runner: a full
+	// parse keeps them — its instances point into them for as long as the
+	// run's snapshot or the loader's parse is retained — and a delta
+	// re-parse against the loader's previous parse of the source keeps
+	// nothing of them. The caller must not write to them after Run is
+	// called unless the Result says the run kept none (PayloadsKept).
+	// (The server decodes a request's payloads into one buffer, so one
+	// retained snapshot pins all of them, and it reuses the buffer only
+	// when no payload was kept.)
 	Data []byte
 }
 
@@ -136,6 +140,12 @@ type Result struct {
 	// source; populated only under Options.Lint for jobs that carry
 	// spec source (not a pre-compiled program).
 	Diagnostics []lint.Diagnostic
+	// PayloadsKept reports whether anything the run produced or retains
+	// may point into the job's payload bytes. It is false only when every
+	// payload loaded and was re-parsed against the loader's latest full
+	// parse of its source (ingest.Outcome.Reparsed): the caller may then
+	// reuse the bytes once Run returns. A job without payloads keeps none.
+	PayloadsKept bool
 }
 
 // SourcesTotal counts every configuration source the run examined.
@@ -318,7 +328,7 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 	}
 
 	r.session.SwapStore(st)
-	res := &Result{Data: dataRep, Program: prog}
+	res := &Result{Data: dataRep, Program: prog, PayloadsKept: payloadsKept(job, dataRep)}
 	if linted {
 		res.Diagnostics = r.lintSpec(job, src, st)
 		for _, d := range res.Diagnostics {
@@ -333,6 +343,25 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// payloadsKept reports whether the load of job may have kept any of its
+// payloads' bytes: unless each payload has an outcome, and it says the
+// source was re-parsed, it may have. Payloads load after the job's
+// sources (ingestSources), so theirs are the report's last outcomes.
+func payloadsKept(job Job, rep *confvalley.LoadReport) bool {
+	if len(job.Payloads) == 0 {
+		return false
+	}
+	if rep == nil || len(rep.Outcomes) != len(job.Sources)+len(job.Payloads) {
+		return true
+	}
+	for _, o := range rep.Outcomes[len(job.Sources):] {
+		if !o.Reparsed {
+			return true
+		}
+	}
+	return false
 }
 
 // lintSpec runs the analyzers over the job's specification source with

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,6 +28,42 @@ func TestRunPayloadsOnly(t *testing.T) {
 	}
 	if res.SourcesTotal() != 1 || res.SourcesQuarantined() != 0 {
 		t.Errorf("accounting: total=%d quarantined=%d", res.SourcesTotal(), res.SourcesQuarantined())
+	}
+}
+
+// A run keeps its payload bytes unless every payload was re-parsed
+// against the loader's previous parse of it: the first load and a
+// structural edit are parsed in full and kept, a value edit is not, and a
+// request with a second payload parsed in full keeps the buffer both
+// share.
+func TestPayloadsKeptOnlyByAFullParse(t *testing.T) {
+	r := New(Options{})
+	run := func(docs ...string) bool {
+		t.Helper()
+		job := Job{SpecSrc: "$app.timeout -> int & [1, 60]"}
+		for i, doc := range docs {
+			job.Payloads = append(job.Payloads, Payload{Name: fmt.Sprintf("app%d.kv", i), Format: "kv", Data: []byte(doc)})
+		}
+		res, err := r.Run(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.PayloadsKept
+	}
+	for i, c := range []struct {
+		docs []string
+		kept bool
+	}{
+		{[]string{"app.timeout = 30\n"}, true},
+		{[]string{"app.timeout = 31\n"}, false},
+		{[]string{"app.timeout = 32\napp.extra = 1\n"}, true},
+		{[]string{"app.timeout = 33\napp.extra = 1\n"}, false},
+		{[]string{"app.timeout = 34\napp.extra = 1\n", "app.timeout = 9\n"}, true},
+		{[]string{"app.timeout = 35\napp.extra = 1\n", "app.timeout = 8\n"}, false},
+	} {
+		if got := run(c.docs...); got != c.kept {
+			t.Errorf("run %d: PayloadsKept = %t, want %t", i, got, c.kept)
+		}
 	}
 }
 

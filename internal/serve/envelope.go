@@ -2,9 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -57,10 +60,47 @@ type envelopeDecoder struct {
 	budget     int64 // payload bytes that may still be decoded
 
 	// data holds every payload's decoded bytes, one after the other; each
-	// payload's slice of it is clipped. name is the scratch the short
+	// payload's slice of it is clipped. buf is where data came from, and
+	// what is handed back to the pool. name is the scratch the short
 	// strings are unquoted into before they become Go strings.
 	data []byte
+	buf  *[]byte
 	name []byte
+}
+
+// payloadPool holds payload buffers nothing points into any more: the
+// buffer of a request whose every payload was re-parsed against the
+// loader's previous parse (runner.Result.PayloadsKept false), and that of
+// a request that never ran — refused, or coalesced onto another. The next
+// request's payloads are unquoted into one.
+var payloadPool sync.Pool // of *[]byte
+
+// payloadBuffer returns an empty buffer with room for reserve bytes: a
+// pooled one when the pool holds one no larger than twice that, else a
+// new one. A full parse keeps its buffer, unused tail included, so a
+// larger one is left to the collector rather than kept.
+func payloadBuffer(reserve int64) *[]byte {
+	if buf, _ := payloadPool.Get().(*[]byte); buf != nil {
+		if c := int64(cap(*buf)); reserve <= c && c <= 2*reserve {
+			*buf = (*buf)[:0]
+			return buf
+		}
+	}
+	buf := make([]byte, 0, reserve)
+	return &buf
+}
+
+// releasePayloads hands a buffer decodeEnvelope returned back to the
+// pool; the caller must know that nothing points into it. A nil buffer
+// is ignored.
+func releasePayloads(buf *[]byte) {
+	if buf == nil {
+		return
+	}
+	if poisonReleasedBodies {
+		poison(*buf)
+	}
+	payloadPool.Put(buf)
 }
 
 // decodeEnvelope decodes a validate request body without writing to it
@@ -68,11 +108,12 @@ type envelopeDecoder struct {
 // element maxSources+1 of payloads plus sources, and with ErrTooLarge as
 // soon as the payload data decoded so far passes maxPayloadBytes; every
 // other error means json.Unmarshal into ValidateRequest refuses the body
-// too.
-func decodeEnvelope(body []byte, maxSources int, maxPayloadBytes int64) ([]runner.Payload, []SourceRef, error) {
+// too. buf is the buffer the payloads' data was decoded into, nil when
+// the body has none, error or not: the payloads are lent from it, and
+// once nothing points into them the caller may release it.
+func decodeEnvelope(body []byte, maxSources int, maxPayloadBytes int64) (payloads []runner.Payload, sources []SourceRef, buf *[]byte, err error) {
 	d := envelopeDecoder{b: body, maxSources: maxSources, budget: max(maxPayloadBytes, 0)}
 	d.space()
-	var err error
 	switch d.peek() {
 	case 'n': // null decodes to the empty request
 		err = d.literal("null")
@@ -81,13 +122,16 @@ func decodeEnvelope(body []byte, maxSources int, maxPayloadBytes int64) ([]runne
 	default:
 		err = d.syntax("expected an object")
 	}
+	if d.buf != nil {
+		*d.buf = d.data // malformed UTF-8 may have grown it
+	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, d.buf, err
 	}
 	if d.space(); d.i < len(d.b) {
-		return nil, nil, d.syntax("unexpected data after the request")
+		return nil, nil, d.buf, d.syntax("unexpected data after the request")
 	}
-	return d.payloads, d.sources, nil
+	return d.payloads, d.sources, d.buf, nil
 }
 
 func (d *envelopeDecoder) request() error {
@@ -216,17 +260,19 @@ func (d *envelopeDecoder) text(dst *string) error {
 }
 
 // payloadData decodes a payload's data member into the decoder's data
-// buffer, which is allocated once, for the rest of the body: nothing
-// decodes to more bytes than it occupies except malformed UTF-8. The
-// buffer lives as long as the snapshot parsed from it (the drivers borrow
-// from runner.Payload.Data), unused tail included; DESIGN.md §12 has the
+// buffer, which is taken once, for the rest of the body: nothing decodes
+// to more bytes than it occupies except malformed UTF-8. The buffer is
+// lent to the run: a full parse keeps it as long as the snapshot parsed
+// from it (the drivers borrow from runner.Payload.Data), unused tail
+// included, and a re-parse keeps nothing of it; DESIGN.md §12 has the
 // size of that tail and what a tighter reservation would cost.
 func (d *envelopeDecoder) payloadData(p *runner.Payload) error {
 	if isNull, err := d.stringOrNull(); isNull || err != nil {
 		return err
 	}
-	if d.data == nil {
-		d.data = make([]byte, 0, min(int64(len(d.b)-d.i), d.budget))
+	if d.buf == nil {
+		d.buf = payloadBuffer(min(int64(len(d.b)-d.i), d.budget))
+		d.data = *d.buf
 	}
 	start := len(d.data)
 	out, err := d.unquote(d.data, d.budget)
@@ -405,6 +451,18 @@ var plainByte = func() (t [256]bool) {
 	return t
 }()
 
+// plainPrefix returns how many of the eight bytes of x, lowest first,
+// plainByte marks, eight when all are. The top bit of a byte flags it: set
+// in x from 0x80 up, in x − 0x20 for a byte below 0x20, and in (x ^ c) − 1
+// for a byte equal to c, the quote or the backslash; any other byte these
+// flag is at 0x80 or above already. Only a flagged byte borrows, and a
+// borrow reaches only the bytes above it, so the lowest flag is exact.
+func plainPrefix(x uint64) int {
+	const ones, high = 0x0101010101010101, 0x8080808080808080
+	special := (x | (x - 0x20*ones) | (x ^ '"'*ones - ones) | (x ^ '\\'*ones - ones)) & high
+	return bits.TrailingZeros64(special) >> 3
+}
+
 // unquote reads a string from just past its opening quote (or from where
 // an earlier call stopped with errOverLimit) through its closing quote,
 // checking it as encoding/json's scanner does and appending to dst what
@@ -417,6 +475,46 @@ func (d *envelopeDecoder) unquote(dst []byte, limit int64) ([]byte, error) {
 	b, i := d.b, d.i
 	keep := limit >= 0
 	for {
+		// Eight bytes at a time while there is room for eight: copied
+		// whole, kept as far as they are plain. The escapes a payload is
+		// full of decode to one byte and are taken in the same loop: \"
+		// \\ \n and the other one-letter ones, and \u00XX below 0x80,
+		// which is how encoders write < > & and control bytes.
+		if keep {
+			out, o := dst[:cap(dst)], len(dst)
+			for i+8 <= len(b) && o+8 <= len(out) && limit >= 8 {
+				x := binary.LittleEndian.Uint64(b[i:])
+				n := plainPrefix(x)
+				binary.LittleEndian.PutUint64(out[o:], x)
+				o += n
+				limit -= int64(n)
+				i += n
+				if n == 8 {
+					continue
+				}
+				if b[i] != '\\' || i+5 >= len(b) {
+					break
+				}
+				// One byte still fits: there was room for eight.
+				e := b[i+1]
+				if c := oneByteEscape[e]; c != 0 {
+					out[o] = c
+					o++
+					limit--
+					i += 2
+					continue
+				}
+				hi, lo := hexDigit[b[i+4]], hexDigit[b[i+5]]
+				if e != 'u' || b[i+2] != '0' || b[i+3] != '0' || hi >= 8 || lo >= 16 {
+					break
+				}
+				out[o] = hi<<4 | lo
+				o++
+				limit--
+				i += 6
+			}
+			dst = out[:o]
+		}
 		run := i
 		for i < len(b) && plainByte[b[i]] {
 			i++
@@ -448,19 +546,10 @@ func (d *envelopeDecoder) unquote(dst []byte, limit int64) ([]byte, error) {
 			d.i = i + 1
 			return dst, d.syntax("unexpected end of input in a string")
 		default: // a backslash: plainByte lets nothing else through to here
-			switch r = rune(b[i+1]); r {
-			case '"', '\\', '/':
-			case 'b':
-				r = '\b'
-			case 'f':
-				r = '\f'
-			case 'n':
-				r = '\n'
-			case 'r':
-				r = '\r'
-			case 't':
-				r = '\t'
-			case 'u':
+			switch e := b[i+1]; {
+			case oneByteEscape[e] != 0:
+				r = rune(oneByteEscape[e])
+			case e == 'u':
 				if r = hex4(b, i+2); r < 0 {
 					d.i = i
 					return dst, d.syntax("invalid \\u escape in a string")
@@ -496,6 +585,25 @@ func (d *envelopeDecoder) unquote(dst []byte, limit int64) ([]byte, error) {
 	}
 }
 
+// oneByteEscape maps the letter of each one-letter escape to the byte it
+// stands for, and every other byte to 0.
+var oneByteEscape = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
+
+// hexDigit maps a hexadecimal digit, in either case, to its value and
+// every other byte to 0xFF.
+var hexDigit = func() (t [256]byte) {
+	for c := range t {
+		t[c] = 0xFF
+	}
+	for c := byte(0); c < 10; c++ {
+		t['0'+c] = c
+	}
+	for c := byte(0); c < 6; c++ {
+		t['a'+c], t['A'+c] = 10+c, 10+c
+	}
+	return t
+}()
+
 // hex4 decodes the four hexadecimal digits at b[i:], or returns -1.
 func hex4(b []byte, i int) rune {
 	if len(b)-i < 4 {
@@ -503,17 +611,11 @@ func hex4(b []byte, i int) rune {
 	}
 	var r rune
 	for _, c := range b[i : i+4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
+		v := hexDigit[c]
+		if v > 15 {
 			return -1
 		}
-		r = r<<4 | rune(c)
+		r = r<<4 | rune(v)
 	}
 	return r
 }

@@ -98,7 +98,7 @@ func TestValidateBodyLeavesBodyIntact(t *testing.T) {
 	}
 	orig := bytes.Clone(body)
 
-	payloads, _, err := decodeEnvelope(body, math.MaxInt, math.MaxInt64)
+	payloads, _, _, err := decodeEnvelope(body, math.MaxInt, math.MaxInt64)
 	if err != nil || len(payloads) != 2 {
 		t.Fatalf("decoded %d payloads, err %v", len(payloads), err)
 	}
@@ -134,7 +134,7 @@ func TestValidateBodyLeavesBodyIntact(t *testing.T) {
 
 // Payloads are decoded into one buffer, each clipped to its own bytes.
 func TestEnvelopePayloadsDoNotShareCapacity(t *testing.T) {
-	payloads, _, err := decodeEnvelope([]byte(`{"payloads":[{"data":"first"},{"data":""},{"data":"second é"},{"data":"third"}]}`), math.MaxInt, math.MaxInt64)
+	payloads, _, _, err := decodeEnvelope([]byte(`{"payloads":[{"data":"first"},{"data":""},{"data":"second é"},{"data":"third"}]}`), math.MaxInt, math.MaxInt64)
 	if err != nil || len(payloads) != 4 {
 		t.Fatalf("decoded %d payloads, err %v", len(payloads), err)
 	}
@@ -151,11 +151,13 @@ func TestEnvelopePayloadsDoNotShareCapacity(t *testing.T) {
 	}
 }
 
-// BenchmarkEnvelopeDecode is the envelope's share of the repository
+// BenchmarkDecodeEnvelope is the envelope's share of the repository
 // benchmark's novel_xml request, and nothing else: decodeEnvelope over
 // that body — a full Type A corpus as nested XML, with the nonce setting
-// the root package's coldRequest stamps — under the default quotas.
-func BenchmarkEnvelopeDecode(b *testing.B) {
+// the root package's coldRequest stamps — under the default quotas, into
+// the pooled payload buffer a one-value request decodes into. The buffer
+// goes back unpoisoned, so what is timed is the decode.
+func BenchmarkDecodeEnvelope(b *testing.B) {
 	st := config.NewStore()
 	st.Add(&config.Instance{Key: config.K("BenchRun", "Nonce"), Value: "0000000000"})
 	st.AddAll(azuregen.GenerateA(1.0, 2015).Store.Instances())
@@ -165,13 +167,17 @@ func BenchmarkEnvelopeDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer func(poison bool) { poisonReleasedBodies = poison }(poisonReleasedBodies)
+	poisonReleasedBodies = false
 	q := DefaultQuotas()
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := decodeEnvelope(body, q.MaxSources, q.MaxPayloadBytes); err != nil {
+		_, _, buf, err := decodeEnvelope(body, q.MaxSources, q.MaxPayloadBytes)
+		if err != nil {
 			b.Fatal(err)
 		}
+		releasePayloads(buf)
 	}
 }

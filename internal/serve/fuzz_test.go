@@ -83,13 +83,24 @@ func FuzzValidateEnvelope(f *testing.F) {
 		`{"payloads":[{"name":{}}]}`, `{"payloads":[{"scope":[]}]}`, `{"payloads":[{"format":true}]}`, `{"sources":[{"name":1}]}`, `{"sources":[1]}`, `{"sources":["s"]}`, `{"sources":[[]]}`, `{"sources":{}}`, `{"sources":"s"}`, `{"sources":1}`, `{"payloads":true}`,
 		`{"payloads":[{"data":"x"}`, `{"payloads":[{"data":"x"}]`, `{"payloads":[{"data":"x"},]}`, `{"payloads":[{"data":"x",}]}`, `{"payloads":[{"data" "x"}]}`, `{"payloads":[{"data":"x"}{}]}`,
 	}
+	// Long strings, which unquote reads eight bytes at a time: every escape
+	// and every byte that ends a plain run, at each offset in a word, in a
+	// string that ends at each offset too, and one cut short.
+	const mix = `abcdefgh\"ijklmnop\\q\nr\u003cs\u003E\u007ft\u0000\/u\tv\u0080w\u00e9x\ud83d\ude00yz0123456789` + "\xc3\xa9\x7f\xff~ " + `\u003` + "c" + `\b\f\r\u00FF`
+	for off := 0; off < 8; off++ {
+		pad := strings.Repeat("p", off)
+		seeds = append(seeds,
+			`{"payloads":[{"name":"`+pad+mix+`","data":"`+strings.Repeat(pad+mix, 3)+pad+`"}]}`,
+			`{"payloads":[{"data":"`+pad+mix[:len(mix)-off*3]+`"},{"data":"`+mix+pad+`\u00"}]}`,
+			"{\"payloads\":[{\"data\":\""+pad+"plain run then a raw control \x01 byte\"}]}")
+	}
 	for _, seed := range seeds {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var want ValidateRequest
 		wantErr := json.Unmarshal(body, &want)
-		payloads, sources, gotErr := decodeEnvelope(body, math.MaxInt, math.MaxInt64)
+		payloads, sources, _, gotErr := decodeEnvelope(body, math.MaxInt, math.MaxInt64)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("verdicts differ on %.200q:\n decoder:       %v\n encoding/json: %v", body, gotErr, wantErr)
 		}
@@ -114,7 +125,7 @@ func FuzzValidateEnvelope(f *testing.F) {
 			sources int
 			bytes   int64
 		}{{n, size}, {max(n-1, 0), size}, {n, max(size-1, 0)}} {
-			qp, qs, err := decodeEnvelope(body, q.sources, q.bytes)
+			qp, qs, _, err := decodeEnvelope(body, q.sources, q.bytes)
 			if err != nil {
 				if !errors.Is(err, ErrQuota) && !errors.Is(err, ErrTooLarge) {
 					t.Fatalf("quotas %d sources, %d bytes on %.200q: %v, where quotas off accept", q.sources, q.bytes, body, err)

@@ -134,10 +134,11 @@ const retryAfterSeconds = "1"
 // worth of garbage each.
 var bodyPool sync.Pool // of *[]byte
 
-// poisonReleasedBodies makes releaseBody overwrite a buffer with 0xFF
-// before pooling it. The package's tests switch it on (TestMain), so that
-// a reference kept into a body fails a test instead of reading a later
-// request's bytes in production.
+// poisonReleasedBodies makes releaseBody and releasePayloads overwrite a
+// buffer with 0xFF before pooling it. The package's tests switch it on
+// (TestMain), so that a reference kept into a body or a released payload
+// buffer fails a test instead of reading a later request's bytes in
+// production.
 var poisonReleasedBodies bool
 
 // readBody reads a request body of at most limit bytes into one pooled
@@ -183,12 +184,17 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) (*[]byte, err
 // caller must hold no reference into it.
 func releaseBody(body *[]byte) {
 	if poisonReleasedBodies {
-		buf := (*body)[:cap(*body)]
-		for i := range buf {
-			buf[i] = 0xFF
-		}
+		poison(*body)
 	}
 	bodyPool.Put(body)
+}
+
+// poison overwrites all of buf's capacity with 0xFF.
+func poison(buf []byte) {
+	buf = buf[:cap(buf)]
+	for i := range buf {
+		buf[i] = 0xFF
+	}
 }
 
 // bodyReadError classifies a request-body read failure: only the

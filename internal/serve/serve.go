@@ -640,6 +640,12 @@ func (s *Server) DeleteSpec(tenantName, specName string) error {
 // Requests that are not pure functions of their bytes — server-side
 // sources, specs with their own load commands — skip layer 2 and are
 // never cached, and neither is a degraded or interrupted run.
+//
+// The payloads are decoded into a pooled buffer, and the buffer goes back
+// to the pool when the request returns unless a run kept it: a full parse
+// does, a re-parse of every payload against the loader's previous parse
+// does not, and a request that never ran — refused, or answered by the
+// leader it was coalesced onto — has nothing to keep.
 func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, body []byte) (*ValidateResponse, error) {
 	if err := s.checkReady(); err != nil {
 		return nil, err
@@ -660,7 +666,13 @@ func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, 
 		return resp, nil
 	}
 	q := s.cfg.Quotas
-	payloads, sources, err := decodeEnvelope(body, q.MaxSources, q.MaxPayloadBytes)
+	payloads, sources, buf, err := decodeEnvelope(body, q.MaxSources, q.MaxPayloadBytes)
+	kept := false
+	defer func() {
+		if !kept {
+			releasePayloads(buf)
+		}
+	}()
 	switch {
 	case errors.Is(err, ErrQuota), errors.Is(err, ErrTooLarge):
 		s.denied.Add(1)
@@ -678,13 +690,16 @@ func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, 
 	if len(sources) > 0 || len(payloads) == 0 || len(entry.prog.Loads) > 0 {
 		// Not a pure function of the body's bytes: never coalesced,
 		// never cached, never sealed.
-		return s.validate(ctx, t, entry, job)
+		var resp *ValidateResponse
+		resp, kept, err = s.validate(ctx, t, entry, job)
+		return resp, err
 	}
 	job.ContentID = contentID
 	for {
 		f, leader := t.results.join(key)
 		if leader {
-			resp, err := s.validate(ctx, t, entry, job)
+			var resp *ValidateResponse
+			resp, kept, err = s.validate(ctx, t, entry, job)
 			t.results.complete(key, f, resp, err, cacheableResponse(resp, err))
 			return resp, err
 		}
@@ -709,17 +724,19 @@ func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, 
 
 // validate runs one job under admission control, routing it through the
 // spec's cross-request incremental lineage and accounting the outcome.
-func (s *Server) validate(ctx context.Context, t *tenant, entry *specEntry, job runner.Job) (*ValidateResponse, error) {
+// kept reports whether the run may have kept the job's payload bytes:
+// what its Result says, and true when it failed, loaded or not.
+func (s *Server) validate(ctx context.Context, t *tenant, entry *specEntry, job runner.Job) (resp *ValidateResponse, kept bool, err error) {
 	release, err := s.acquire(ctx)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	defer release()
 
 	job.Prev = entry.state.Load()
 	res, err := t.runner.Run(ctx, job)
 	if err != nil {
-		return nil, err
+		return nil, true, err
 	}
 	if !res.Report.Interrupted {
 		entry.state.Store(res.State)
@@ -730,7 +747,7 @@ func (s *Server) validate(ctx context.Context, t *tenant, entry *specEntry, job 
 	}
 	s.validations.Add(1)
 	s.violations.Add(int64(len(res.Report.Violations)))
-	resp := &ValidateResponse{
+	resp = &ValidateResponse{
 		Tenant:           t.name,
 		Spec:             entry.name,
 		Report:           res.Report.Wire(),
@@ -740,7 +757,7 @@ func (s *Server) validate(ctx context.Context, t *tenant, entry *specEntry, job 
 		Code:             res.Code(),
 	}
 	entry.lastResp.Store(resp)
-	return resp, nil
+	return resp, res.PayloadsKept, nil
 }
 
 // cacheableResponse gates what the result cache may retain: only
