@@ -55,12 +55,14 @@ bench:
 # multi-round watch sessions through injected ingestion faults, the
 # serve/runner tests race concurrent tenants over shared sessions, the
 # plan-vs-interpreter compartment test races a run's shared compartment
-# numbering across four partitions, the six retention tests wait on
-# finalizers, so a collector-timing flake shows up here first, and the two
+# numbering across four partitions, the seven retention tests wait on
+# finalizers, so a collector-timing flake shows up here first, the two
 # payload-buffer lifetime tests hold what a pooled, poisoned decode buffer
-# leaves behind a taken and a declined delta walk to a cold interpreter run.
+# leaves behind a taken and a declined delta walk to a cold interpreter run,
+# and TestConcurrentAddressMemo holds eight goroutines sharing one spec's
+# content-address memo to the stateless chunk-tree digest.
 stress:
-	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TestConcurrent|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos|TestCompartmentPlanMatchesInterpreter|TestTenantRetainsOneSnapshotPerSpec|TestCostsDoesNotRetainSnapshot|TestPooledCtxRetainsAtMostTheCap|TestLoaderRetainsOneBatch|TestLoaderReleasesReparsedBuffers|TestRetiredProgramsAreCollected|TestPayloadBufferReusedAfterTakenWalk|TestPayloadBufferKeptAfterDeclinedWalk' ./internal/config/ ./internal/engine/ ./internal/ingest/ ./internal/plan/ ./internal/runner/ ./internal/serve/ . || exit 1; done
+	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TestConcurrent|TestConcurrentAddressMemo|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos|TestCompartmentPlanMatchesInterpreter|TestTenantRetainsOneSnapshotPerSpec|TestCostsDoesNotRetainSnapshot|TestPooledCtxRetainsAtMostTheCap|TestLoaderRetainsOneBatch|TestLoaderReleasesReparsedBuffers|TestRetiredProgramsAreCollected|TestAddressMemoDiesWithSpec|TestPayloadBufferReusedAfterTakenWalk|TestPayloadBufferKeptAfterDeclinedWalk' ./internal/config/ ./internal/engine/ ./internal/ingest/ ./internal/plan/ ./internal/runner/ ./internal/serve/ . || exit 1; done
 
 # Full service round trip over real processes and a loopback socket:
 # build cvserve+cvcall+cvcheck, boot the server, drive it with cvcall
@@ -106,8 +108,11 @@ incremental-bench:
 # source that compiles; thirty seconds) and the journal's frame decoder
 # (FuzzReadFrames: no error, a good offset that ends whole CRC-valid frames
 # and decodes the same alone, records that round-trip through frame;
-# thirty seconds). Mirrors the CI "Fuzz smoke" step; a crasher or a
-# divergence fails the target.
+# thirty seconds) and the service's content address (FuzzContentAddress:
+# one chunk-digest memo fed a sequence of edited, grown and truncated
+# bodies against the stateless tree digest in
+# internal/serve/address_test.go; thirty seconds). Mirrors the CI "Fuzz
+# smoke" step; a crasher or a divergence fails the target.
 fuzz-smoke:
 	for f in FuzzINI FuzzCSV FuzzYAML FuzzJSON FuzzXML; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/driver/ || exit 1; \
@@ -120,6 +125,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 30s ./internal/compiler/
 	$(GO) test -run '^$$' -fuzz '^FuzzFootprint$$' -fuzztime 30s ./internal/plan/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrames$$' -fuzztime 30s ./internal/durable/
+	$(GO) test -run '^$$' -fuzz '^FuzzContentAddress$$' -fuzztime 30s ./internal/serve/
 
 # One iteration of every benchmark — compile/panic smoke, no timing
 # claims. Mirrors the CI "Bench smoke" step.

@@ -2,10 +2,11 @@ package serve
 
 // The service-side result cache: the first layer of the request-caching
 // stack (DESIGN.md §12). Each tenant holds one bounded LRU mapping
-// (spec name, registration nonce, request body sha256) → the completed
-// ValidateResponse, plus a single-flight table under the same keys so
-// identical requests in flight share one validation instead of racing N
-// copies of the same work through admission control.
+// (spec name, registration nonce, request body content address — the
+// chunk tree digest of address.go) → the completed ValidateResponse,
+// plus a single-flight table under the same keys so identical requests
+// in flight share one validation instead of racing N copies of the same
+// work through admission control.
 //
 // Invalidation is strict by construction: the key embeds the spec's
 // registration nonce, so re-registering a name orphans every cached

@@ -16,8 +16,6 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"regexp"
@@ -618,7 +616,10 @@ func (s *Server) DeleteSpec(tenantName, specName string) error {
 // plus load accounting. The run goes through the tenant's runner — the
 // identical code path cvcheck uses — so a report obtained here matches
 // the CLI's for the same inputs, whichever layer serves it. The body's
-// sha256 is the request's one content address (DESIGN.md §12):
+// chunk tree digest (address.go) is the request's one content address
+// (DESIGN.md §12); the chunks equal to the spec's last body's take their
+// digests from its memo, so a byte-identical repeat hashes no chunk and a
+// one-value change the chunk it is in:
 //
 //  1. the result cache is looked up under it before the body is
 //     decoded, so a byte-identical repeat returns the cached response
@@ -658,8 +659,9 @@ func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, 
 	if err != nil {
 		return nil, err
 	}
-	sum := sha256.Sum256(body)
-	contentID := hex.EncodeToString(sum[:])
+	contentID, hashed, reused := entry.addr.address(body)
+	t.chunksHashed.Add(int64(hashed))
+	t.chunksReused.Add(int64(reused))
 	key := entry.cacheKey(contentID)
 	if resp, ok := t.results.get(key); ok {
 		entry.lastResp.Store(resp)
@@ -864,7 +866,7 @@ func (s *Server) Stats() StatsInfo {
 		Durability:      s.durabilityStats(),
 	}
 	for _, t := range s.tenantsSorted() {
-		ts := TenantStats{Name: t.name, Specs: len(t.list()), Lint: t.lintCounters()}
+		ts := TenantStats{Name: t.name, Specs: len(t.list()), Lint: t.lintCounters(), AddressStats: t.addressStats()}
 		st := t.runner.Session().Store()
 		ts.DiscoveryQueries = st.Stats.Queries()
 		ts.DiscoveryCacheHits = st.Stats.CacheHits()
@@ -885,6 +887,7 @@ func (s *Server) Stats() StatsInfo {
 		info.Lint.Errors += ts.Lint.Errors
 		info.Lint.Warnings += ts.Lint.Warnings
 		info.Lint.Infos += ts.Lint.Infos
+		info.AddressStats.add(ts.AddressStats)
 		info.Tenants = append(info.Tenants, ts)
 	}
 	return info
@@ -921,6 +924,18 @@ func (t *tenant) lintCounters() LintCounters {
 	}
 	c.Findings = c.Errors + c.Warnings + c.Infos
 	return c
+}
+
+// addressStats snapshots one tenant's content-addressing work and what
+// its specs' address memos keep resident.
+func (t *tenant) addressStats() AddressStats {
+	a := AddressStats{ChunksHashed: t.chunksHashed.Load(), ChunksReused: t.chunksReused.Load()}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, entry := range t.specs {
+		a.MemoBytes += entry.addr.resident()
+	}
+	return a
 }
 
 // HealthInfo is the health endpoint's body.
@@ -1005,6 +1020,9 @@ type StatsInfo struct {
 	// Lint totals the registration-time lint diagnostics across tenants.
 	Lint LintCounters `json:"lint"`
 
+	// AddressStats totals the content-addressing counters across tenants.
+	AddressStats
+
 	// Durability is the journal/recovery counter block (zero-valued
 	// with Enabled false for an in-memory server).
 	Durability DurabilityStats `json:"durability"`
@@ -1043,6 +1061,24 @@ type LintCounters struct {
 	Infos    int64 `json:"infos"`
 }
 
+// AddressStats counts the work of content addressing (DESIGN.md §12), in
+// StatsInfo's top level and in each TenantStats: the body chunks hashed,
+// the chunks whose digest a spec's address memo supplied (every request
+// addresses each chunk of its body once, one or the other), and the bytes
+// the registered specs' memos keep resident — a gauge that falls when a
+// spec is deleted or re-registered.
+type AddressStats struct {
+	ChunksHashed int64 `json:"address_chunks_hashed"`
+	ChunksReused int64 `json:"address_chunks_reused"`
+	MemoBytes    int64 `json:"address_memo_bytes"`
+}
+
+func (a *AddressStats) add(b AddressStats) {
+	a.ChunksHashed += b.ChunksHashed
+	a.ChunksReused += b.ChunksReused
+	a.MemoBytes += b.MemoBytes
+}
+
 // TenantStats is one tenant's counter block.
 type TenantStats struct {
 	Name               string `json:"name"`
@@ -1056,6 +1092,8 @@ type TenantStats struct {
 	// Lint counts the diagnostics this tenant's registrations drew,
 	// including strict-rejected ones.
 	Lint LintCounters `json:"lint"`
+	// AddressStats counts this tenant's content-addressing work.
+	AddressStats
 	// Caches mirrors the health endpoint's per-tenant cache block so
 	// either endpoint tells the full reuse story.
 	Caches TenantCaches `json:"caches"`

@@ -35,6 +35,11 @@ type tenant struct {
 	lintWarnings atomic.Int64
 	lintInfos    atomic.Int64
 
+	// Content addressing: body chunks hashed, and chunks whose digest a
+	// spec's address memo supplied (AddressStats).
+	chunksHashed atomic.Int64
+	chunksReused atomic.Int64
+
 	mu    sync.RWMutex
 	specs map[string]*specEntry
 }
@@ -59,6 +64,10 @@ type specEntry struct {
 	// lastResp retains the most recent validate response; readers get
 	// it lock-free from the report endpoint.
 	lastResp atomic.Pointer[ValidateResponse]
+	// addr is the registration's content-address memo: a copy of the
+	// last body validated under it and its chunk digests, which the next
+	// body's equal chunks reuse (address.go). It dies with the entry.
+	addr addressMemo
 }
 
 // specIDs issues registration nonces across all tenants.
@@ -169,7 +178,8 @@ func (t *tenant) dump() []durable.Record {
 const keySep = "\x00"
 
 // cacheKey builds the result-cache key for one request's content
-// address (its body's sha256) under this registration.
+// address (its body's chunk tree digest, address.go) under this
+// registration.
 func (e *specEntry) cacheKey(contentID string) string {
 	return e.name + keySep + strconv.FormatUint(e.id, 10) + keySep + contentID
 }
