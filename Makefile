@@ -59,10 +59,11 @@ bench:
 # finalizers, so a collector-timing flake shows up here first, the two
 # payload-buffer lifetime tests hold what a pooled, poisoned decode buffer
 # leaves behind a taken and a declined delta walk to a cold interpreter run,
-# and TestConcurrentAddressMemo holds eight goroutines sharing one spec's
-# content-address memo to the stateless chunk-tree digest.
+# and TestConcurrentAddressMemo (the TestConcurrent prefix matches it)
+# holds eight goroutines sharing one spec's content-address memo to the
+# stateless chunk-tree digest.
 stress:
-	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TestConcurrent|TestConcurrentAddressMemo|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos|TestCompartmentPlanMatchesInterpreter|TestTenantRetainsOneSnapshotPerSpec|TestCostsDoesNotRetainSnapshot|TestPooledCtxRetainsAtMostTheCap|TestLoaderRetainsOneBatch|TestLoaderReleasesReparsedBuffers|TestRetiredProgramsAreCollected|TestAddressMemoDiesWithSpec|TestPayloadBufferReusedAfterTakenWalk|TestPayloadBufferKeptAfterDeclinedWalk' ./internal/config/ ./internal/engine/ ./internal/ingest/ ./internal/plan/ ./internal/runner/ ./internal/serve/ . || exit 1; done
+	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TestConcurrent|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos|TestCompartmentPlanMatchesInterpreter|TestTenantRetainsOneSnapshotPerSpec|TestCostsDoesNotRetainSnapshot|TestPooledCtxRetainsAtMostTheCap|TestLoaderRetainsOneBatch|TestLoaderReleasesReparsedBuffers|TestRetiredProgramsAreCollected|TestAddressMemoDiesWithSpec|TestPayloadBufferReusedAfterTakenWalk|TestPayloadBufferKeptAfterDeclinedWalk' ./internal/config/ ./internal/engine/ ./internal/ingest/ ./internal/plan/ ./internal/runner/ ./internal/serve/ . || exit 1; done
 
 # Full service round trip over real processes and a loopback socket:
 # build cvserve+cvcall+cvcheck, boot the server, drive it with cvcall

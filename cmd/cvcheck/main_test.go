@@ -78,6 +78,24 @@ func TestLintFlagAdvisory(t *testing.T) {
 	}
 }
 
+// -lint resolves includes as the compile does: an absolute include path
+// is read as it is, not under the spec's directory.
+func TestLintFlagAbsoluteInclude(t *testing.T) {
+	dir := t.TempDir()
+	common := writeTestFile(t, t.TempDir(), "common.cpl", "$app.timeout -> int & [1, 60]\n")
+	spec := writeTestFile(t, dir, "main.cpl", "include '"+common+"'\n")
+	data := writeTestFile(t, dir, "conf.kv", "app.timeout = 30\n")
+	for _, args := range [][]string{
+		{"-spec", spec, "-data", "kv:" + data},
+		{"-lint", "-spec", spec, "-data", "kv:" + data},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 0 {
+			t.Errorf("%v: exit = %d, want 0\nstderr:\n%s", args, code, errOut.String())
+		}
+	}
+}
+
 // Without -lint, the same spec validates with no lint output at all.
 func TestNoLintByDefault(t *testing.T) {
 	dir := t.TempDir()

@@ -129,8 +129,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fileOpts := opts
 		fileOpts.Resolver = func(path string) (string, error) {
-			b, err := os.ReadFile(filepath.Join(filepath.Dir(f), path))
-			return string(b), err
+			return confvalley.ReadInclude(filepath.Dir(f), path)
 		}
 		res := lint.Run(f, string(src), fileOpts)
 		results = append(results, res)

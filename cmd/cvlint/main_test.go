@@ -37,6 +37,19 @@ func TestCleanFileExitsZero(t *testing.T) {
 	}
 }
 
+// Includes resolve as the compile resolves them: a relative path under
+// the file's directory, an absolute one as it is.
+func TestIncludesResolveLikeCompile(t *testing.T) {
+	dir := t.TempDir()
+	writeFile(t, dir, "rel.cpl", "$app.retries -> int\n")
+	abs := writeFile(t, t.TempDir(), "abs.cpl", "$app.timeout -> int\n")
+	spec := writeFile(t, dir, "main.cpl", "include 'rel.cpl'\ninclude '"+abs+"'\n")
+	code, out, _ := runCvlint(t, spec)
+	if code != 0 || out != "" {
+		t.Fatalf("exit = %d, output:\n%s", code, out)
+	}
+}
+
 func TestFindingsExitOne(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeFile(t, dir, "bad.cpl", "$app.timeout -> [10, 5]\n")

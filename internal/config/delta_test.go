@@ -147,7 +147,7 @@ func sealed(ins []*Instance) *Snapshot {
 // the old list), keys reordered (misaligned, the key present), duplicate
 // keys whose value sequences change, lists of unequal length, classes
 // added or removed wholesale, load-order value churn, copy-on-write
-// successive seals, and the nil, identical and content-addressed cases.
+// successive seals, and the nil and identical cases.
 func TestDeltaMatchesEagerOracle(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -249,22 +249,16 @@ func TestDeltaMatchesEagerOracle(t *testing.T) {
 		swapped[n-2].Value, swapped[n-1].Value = swapped[n-1].Value, swapped[n-2].Value
 		check("duplicate sequence reversed", sealed(swapped), sealed(dups))
 
-		// Nothing, itself, and a content address.
+		// Nothing and itself.
 		check("against nothing", old, nil)
 		check("against itself", old, old)
-		a, b := NewStore(), NewStore()
-		a.AddAll(cloneInstances(base))
-		b.AddAll(cloneInstances(base))
-		a.SetContentID("same")
-		b.SetContentID("same")
-		check("equal content IDs", b.Snapshot(), a.Snapshot())
 
 		// Successive seals of one store: shared class slices, one grown,
 		// one new class, and a reseal with nothing in between.
 		st := NewStore()
 		st.AddAll(cloneInstances(base))
 		first := st.Snapshot()
-		st.SetContentID("") // drops the seal; the maps stay shared
+		st.snap.Store(nil) // drops the seal; the maps stay shared
 		check("resealed", st.Snapshot(), first)
 		st.Add(&Instance{Key: base[0].Key, Value: "appended"})
 		st.AddAll([]*Instance{{Key: K("Extra", "Knob"), Value: "1"}})

@@ -70,14 +70,6 @@ func (sn *Snapshot) Diff(old *Snapshot) Delta {
 	if old == sn {
 		return d
 	}
-	if old != nil && sn.contentID != "" && sn.contentID == old.contentID {
-		// Content-address fast path: both snapshots were sealed from the
-		// same bytes (Store.SetContentID contract), so the delta is empty
-		// even when the snapshots come from unrelated stores — the case a
-		// service hits when a payload repeats after its cached store was
-		// evicted.
-		return d
-	}
 	// When the load-order pass finds both snapshots holding the same keys
 	// in the same order, every class does too, and only a class with a
 	// re-valued instance can hold a change: just those are recorded, still

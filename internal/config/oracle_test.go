@@ -35,7 +35,6 @@ func (st *Store) addLockedOracle(in *Instance) {
 		st.listsShared = false
 	}
 	st.snap.Store(nil)
-	st.contentID = "" // content changed; any prior address is stale
 	st.instances = append(st.instances, in)
 	cp := classID(in.Key)
 	g, seen := st.idx.num[cp]
@@ -67,10 +66,6 @@ func (st *Store) addAllOracle(ins []*Instance) {
 func diffOracle(sn, old *Snapshot) eagerDelta {
 	d := eagerDelta{}
 	if old == sn {
-		d.index()
-		return d
-	}
-	if old != nil && sn.contentID != "" && sn.contentID == old.contentID {
 		d.index()
 		return d
 	}
@@ -123,15 +118,6 @@ func (d *eagerDelta) Empty() bool { return len(d.keys) == 0 }
 func eagerDiff(sn, old *Snapshot) eagerDelta {
 	d := eagerDelta{}
 	if old == sn {
-		d.index()
-		return d
-	}
-	if old != nil && sn.contentID != "" && sn.contentID == old.contentID {
-		// Content-address fast path: both snapshots were sealed from the
-		// same bytes (Store.SetContentID contract), so the delta is empty
-		// even when the snapshots come from unrelated stores — the case a
-		// service hits when a payload repeats after its cached store was
-		// evicted.
 		d.index()
 		return d
 	}
@@ -629,7 +615,7 @@ func TestDiffLoadOrderMatchesClassWalk(t *testing.T) {
 		st := NewStore()
 		st.AddAll(cloneInstances(base))
 		first := st.Snapshot()
-		st.SetContentID("") // drops the seal; the maps stay shared
+		st.snap.Store(nil) // drops the seal; the maps stay shared
 		check(fmt.Sprintf("seed %d resealed", seed), first, st.Snapshot())
 		st.Add(&Instance{Key: base[0].Key, Value: "appended"})
 		st.AddAll([]*Instance{{Key: K("Extra", "Knob"), Value: "1"}})

@@ -16,16 +16,9 @@ type Snapshot struct {
 	lists     [][]*Instance // lists[g]: the instances of class g, load order
 	trie      *trieNode     // class-name trie for wildcard queries
 
-	cache     discoveryCache
-	stats     *DiscoveryStats // shared with the parent store
-	contentID string          // optional content address; see Store.SetContentID
+	cache discoveryCache
+	stats *DiscoveryStats // shared with the parent store
 }
-
-// ContentID returns the content address sealed into the snapshot, or ""
-// when the parent store had none at seal time. Equal non-empty IDs mean
-// identical content (the Store.SetContentID contract), which Diff and
-// the service-side caches exploit to prove "nothing changed" in O(1).
-func (sn *Snapshot) ContentID() string { return sn.contentID }
 
 // Len returns the number of instances sealed into the snapshot.
 func (sn *Snapshot) Len() int { return len(sn.instances) }

@@ -38,11 +38,6 @@ type Store struct {
 	// changed since the last seal.
 	snap atomic.Pointer[Snapshot]
 
-	// contentID is an optional caller-supplied content address (see
-	// SetContentID); cleared by any mutation so a stale address can never
-	// outlive the content it named.
-	contentID string
-
 	// Stats counts discovery work for the Figure 4 / §5.2 ablations.
 	// Counters are atomic so parallel validation runs race-free; they
 	// accumulate across snapshots. Allocated apart from the Store so
@@ -116,7 +111,7 @@ func NewStore() *Store {
 func (st *Store) Add(in *Instance) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.beginMutation()
+	st.snap.Store(nil) // the staging area changes: unseal it
 	st.instances = append(st.instances, in)
 	id := classID(in.Key)
 	g, seen := st.idx.num[id]
@@ -152,7 +147,7 @@ func (st *Store) AddPartition(p *Partition) {
 func (st *Store) add(p *Partition, copyIns bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.beginMutation()
+	st.snap.Store(nil) // the staging area changes: unseal it
 	if len(st.instances) == 0 {
 		ins := p.ins
 		if copyIns {
@@ -176,12 +171,6 @@ func (st *Store) add(p *Partition, copyIns bool) {
 		// The class already held instances: append, as Add would have.
 		st.lists[sg] = append(st.lists[sg], list...)
 	}
-}
-
-// beginMutation readies the staging area for a change, under st.mu.
-func (st *Store) beginMutation() {
-	st.snap.Store(nil)
-	st.contentID = "" // content changed; any prior address is stale
 }
 
 // ownLists makes the lists slice the store's own to write, under st.mu.
@@ -237,29 +226,17 @@ func (st *Store) Snapshot() *Snapshot {
 		lists:     slices.Clip(st.lists),
 		trie:      st.idx.classTrie(),
 		stats:     st.Stats,
-		contentID: st.contentID,
 	}
 	st.snap.Store(sn)
 	return sn
 }
 
-// SetContentID records a content address for the store's current
-// contents: a digest of the exact bytes the instances were parsed from.
-// The address is sealed into subsequent snapshots (dropping an existing
-// seal so the next Snapshot carries it) and cleared by any mutation.
+// SetContentID does nothing.
 //
-// Contract: callers must guarantee that two stores given the same
-// non-empty ID hold identical instance sequences — Snapshot.Diff trusts
-// equal IDs to mean an empty delta without walking a single key. The
-// ingest layer derives IDs from source bytes (name, format, scope,
-// payload), which satisfies the contract because parsing is
-// deterministic.
-func (st *Store) SetContentID(id string) {
-	st.mu.Lock()
-	st.contentID = id
-	st.snap.Store(nil) // shared stays true: an old snapshot may live on
-	st.mu.Unlock()
-}
+// Deprecated: a store no longer carries a content address, and
+// Snapshot.Diff walks every pair of snapshots it is given. The result
+// cache answers a byte-identical request before it is parsed.
+func (st *Store) SetContentID(string) {}
 
 // Len returns the number of instances in the store.
 func (st *Store) Len() int {

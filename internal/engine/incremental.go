@@ -73,11 +73,10 @@ func (e *Engine) RunIncrementalContext(ctx context.Context, prog *compiler.Progr
 	}
 
 	if splice && len(rerun) == 0 {
-		// Nothing to re-run — the delta touched no footprint (often because
-		// the diff's identity or content-address fast path proved the
-		// snapshots equal). Clone the previous report instead of splicing
-		// spec by spec: same bytes, none of the per-spec walk. This is the
-		// steady state of a service seeing repeated payloads.
+		// Nothing to re-run — the delta touched no footprint, often because
+		// the diff found the snapshots equal. Clone the previous report
+		// instead of splicing spec by spec: same bytes, none of the
+		// per-spec walk.
 		out := prevRep.Clone()
 		out.SpecsReused = len(prog.Specs)
 		out.Duration = time.Since(start)

@@ -3,10 +3,10 @@ package ingest
 // Content addressing for payload sets, reached only through
 // runner.HashPayloads (the service addresses a request by a sha256 tree
 // over its body's 64 KB chunks instead, internal/serve/address.go,
-// DESIGN.md §12). A source's digest covers everything
-// that influences its parse — name, driver, scope, raw bytes — so equal
-// digests imply an identical instance sequence, which is exactly the
-// Store.SetContentID contract the snapshot diff fast path relies on.
+// DESIGN.md §12). A source's digest covers everything that influences
+// its parse — name, driver, scope, raw bytes — so equal digests imply an
+// identical instance sequence. Nothing in the program trusts that: no
+// store or snapshot carries a content address.
 
 import (
 	"crypto/sha256"

@@ -1,7 +1,7 @@
 // Package lru is the repository's one bounded least-recently-used map.
-// It holds no lock and no counters: its one owner, serve's result cache
-// (the canonical table and the raw-body alias table), guards both with
-// the mutex that already guards its own hit/miss accounting.
+// It holds no lock and no counters: its one owner, serve's result cache,
+// guards it with the mutex that already guards its own hit/miss
+// accounting.
 package lru
 
 import "container/list"

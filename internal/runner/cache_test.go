@@ -2,13 +2,10 @@ package runner
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"confvalley"
 	"confvalley/internal/predicate"
 	"confvalley/internal/simenv"
 	"confvalley/internal/value"
@@ -58,58 +55,6 @@ func TestPrevThreadsIncrementalState(t *testing.T) {
 	}
 	if !res3.Report.Passed() {
 		t.Errorf("churn run violations = %+v", res3.Report.Violations)
-	}
-}
-
-// A store is sealed under the job's content address only when it is a
-// pure function of the payload bytes: server-side sources, spec-driven
-// loads and degraded parses never are, and an address the snapshot diff
-// trusted for them would splice verdicts over changed data.
-func TestContentIDSealGating(t *testing.T) {
-	ctx := context.Background()
-	path := filepath.Join(t.TempDir(), "extra.kv")
-	if err := os.WriteFile(path, []byte("app.retries = 2\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	clean := payloadJob("app.timeout = 30\n")
-	withSource := payloadJob("app.timeout = 30\n")
-	withSource.Sources = []confvalley.Source{{Name: path, Format: "kv"}}
-	withLoad := payloadJob("app.timeout = 30\n")
-	withLoad.SpecSrc = "load 'kv' '" + path + "'\n" + cacheSpec
-	degraded := Job{SpecSrc: cacheSpec, Payloads: []Payload{{Name: "app.json", Format: "json", Data: []byte("{broken")}}}
-
-	for _, tc := range []struct {
-		name   string
-		job    Job
-		sealed bool
-	}{
-		{"payload only", clean, true},
-		{"server-side source", withSource, false},
-		{"spec load command", withLoad, false},
-		{"degraded parse", degraded, false},
-	} {
-		tc.job.ContentID = HashPayloads(tc.job.Payloads)
-		r := New(Options{})
-		if _, err := r.Run(ctx, tc.job); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		want := ""
-		if tc.sealed {
-			want = tc.job.ContentID
-		}
-		if got := r.Session().Store().Snapshot().ContentID(); got != want {
-			t.Errorf("%s: snapshot content ID = %q, want %q", tc.name, got, want)
-		}
-	}
-
-	// No address supplied: nothing to seal with, and state still flows.
-	r := New(Options{})
-	res, err := r.Run(ctx, clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Session().Store().Snapshot().ContentID(); got != "" || res.State == nil {
-		t.Errorf("unaddressed job: content ID = %q, state = %v", got, res.State)
 	}
 }
 

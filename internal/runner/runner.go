@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -111,12 +110,6 @@ type Job struct {
 	// re-execute and the rest splice from the retained report. Nil runs
 	// every spec. The result's State carries this run forward.
 	Prev *confvalley.RunState
-	// ContentID is a digest that determines the payload bytes; the
-	// service passes its request body's sha256. A job that carries it,
-	// no Sources, and a program without load commands has its store
-	// sealed under that address once it loads cleanly, so a Prev derived
-	// from the same bytes diffs in O(1).
-	ContentID string
 }
 
 // Result is one completed run: the validation report plus the load
@@ -314,19 +307,6 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 	if sources := r.ingestSources(job, proj); len(sources) > 0 {
 		dataRep = r.session.LoadSources(ctx, st, sources)
 	}
-	// A store is a function of the job's content address only when its
-	// configuration is carried entirely in payload bytes — no file/REST
-	// sources (same name, new content tomorrow), no spec-driven loads
-	// appending mid-run — and the parse was clean and complete: a
-	// degraded outcome depends on the loader's last-good history and an
-	// interrupted one is missing sources. A projected store lacks
-	// classes the bytes hold, but only ones no spec of the program reads,
-	// and the address is only ever compared within one program's lineage.
-	if job.ContentID != "" && len(job.Sources) == 0 && len(job.Payloads) > 0 && len(prog.Loads) == 0 &&
-		!dataRep.Interrupted && !dataRep.Degraded() {
-		st.SetContentID(job.ContentID)
-	}
-
 	r.session.SwapStore(st)
 	res := &Result{Data: dataRep, Program: prog, PayloadsKept: payloadsKept(job, dataRep)}
 	if linted {
@@ -365,29 +345,22 @@ func payloadsKept(job Job, rep *confvalley.LoadReport) bool {
 }
 
 // lintSpec runs the analyzers over the job's specification source with
-// the freshly loaded store as the drift snapshot.
+// the freshly loaded store as the drift snapshot, resolving includes as
+// the compile does.
 func (r *Runner) lintSpec(job Job, src string, st *confvalley.Store) []lint.Diagnostic {
 	name := job.SpecPath
 	if name == "" {
 		name = "<spec>"
 	}
-	opts := lint.Options{Snapshot: st}
-	if r.opts.SpecDir != "" {
-		dir := r.opts.SpecDir
-		opts.Resolver = func(path string) (string, error) {
-			b, err := os.ReadFile(filepath.Join(dir, path))
-			return string(b), err
-		}
-	}
-	return lint.Run(name, src, opts).Diagnostics
+	return lint.Run(name, src, lint.Options{Snapshot: st, Resolver: r.session.ResolveInclude}).Diagnostics
 }
 
 // HashPayloads returns the content address of a payload set, or "" for
 // an empty one. The driver name is normalized through the same
 // extension inference loading uses, so an explicit format and an
-// inferred identical one share an address. The service does not call
-// it: a validate request is addressed by its body's sha256 (DESIGN.md
-// §12), and only the benchmark's trace and tests hash payloads.
+// inferred identical one share an address. Only the benchmark's trace
+// calls it: a validate request is addressed by its body's chunk tree
+// digest (DESIGN.md §12), and no store carries an address.
 func HashPayloads(ps []Payload) string {
 	if len(ps) == 0 {
 		return ""

@@ -113,6 +113,61 @@ func TestResultCacheRepeatByteIdentity(t *testing.T) {
 	}
 }
 
+// A registration the journal refused is rolled back: the previous entry
+// comes back with its lineage, and the cache is purged. A repeat of the
+// body validated just before is then neither a cache hit nor a new
+// payload; it diffs the repeat against the lineage's last snapshot, finds
+// nothing changed, and answers as it did the first time and as a cold
+// run of the reference interpreter does.
+func TestRepeatAfterRolledBackRegistration(t *testing.T) {
+	const data = "app.timeout = 400\napp.retries = 2\ndb.host = db1\n"
+	ctx := context.Background()
+	srv := New(Config{StateDir: t.TempDir()})
+	if err := srv.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.RegisterSpec("acme", "checks", cacheSpec); err != nil {
+		t.Fatal(err)
+	}
+	first, err := srv.ValidateBody(ctx, "acme", "checks", requestBody(t, kvRequest(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.RegisterSpec("acme", "checks", cacheSpec); err == nil {
+		t.Fatal("a registration the journal refused was acknowledged")
+	}
+	second, err := srv.ValidateBody(ctx, "acme", "checks", requestBody(t, kvRequest(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.Stats().Validations; n != 2 {
+		t.Fatalf("validations = %d, want 2 (the rollback purges the cache)", n)
+	}
+	if r := second.Report; r.SpecsReused != r.SpecsRun || r.SpecsRun == 0 {
+		t.Errorf("repeat reused %d of %d specs, want all", r.SpecsReused, r.SpecsRun)
+	}
+
+	cold, err := runner.New(runner.Options{Interpret: true}).Run(ctx, runner.Job{
+		SpecSrc:  cacheSpec,
+		Payloads: []runner.Payload{{Name: "app.kv", Format: "kv", Data: []byte(data)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wireModuloCaching(t, cold.Report.Wire())
+	for i, resp := range []*ValidateResponse{first, second} {
+		if got := wireModuloCaching(t, resp.Report); !bytes.Equal(got, want) {
+			t.Errorf("request %d diverged from a cold interpreter run:\n got: %s\nwant: %s", i, got, want)
+		}
+		if resp.Code != cold.Code() {
+			t.Errorf("request %d code = %d, cold run = %d", i, resp.Code, cold.Code())
+		}
+	}
+}
+
 // A low-churn request stream takes the incremental path (delta re-parse,
 // snapshot diff, spec-level reuse) yet stays byte-identical to running
 // every request through a fresh runner. Two inputs: a 3-key KV payload where each request changes one

@@ -292,11 +292,7 @@ func (s *Server) applyRecord(rec durable.Record) {
 	switch rec.Op {
 	case durable.OpRegister:
 		t := s.tenantForReplay(rec.Tenant)
-		lres := lint.Run(rec.Spec, rec.Src, lint.Options{})
-		le, lw, li := lres.Counts()
-		t.lintErrors.Add(int64(le))
-		t.lintWarnings.Add(int64(lw))
-		t.lintInfos.Add(int64(li))
+		lres := t.lintSpec(rec.Spec, rec.Src)
 		if _, _, err := t.register(rec.Spec, rec.Src, int(^uint(0)>>1), lres.Diagnostics); err != nil {
 			s.replaySkipped.Add(1)
 		}
@@ -497,12 +493,8 @@ func (s *Server) RegisterSpecWith(tenantName, specName, src string, opts Registe
 		s.denied.Add(1)
 		return SpecInfo{}, fmt.Errorf("%w: spec %q", ErrBadName, specName)
 	}
-	lres := lint.Run(specName, src, lint.Options{})
-	le, lw, li := lres.Counts()
-	t.lintErrors.Add(int64(le))
-	t.lintWarnings.Add(int64(lw))
-	t.lintInfos.Add(int64(li))
-	if opts.Strict && le > 0 {
+	lres := t.lintSpec(specName, src)
+	if opts.Strict && lres.Errors() > 0 {
 		s.lintRejected.Add(1)
 		return SpecInfo{}, &LintRejectedError{Diagnostics: lres.Diagnostics}
 	}
@@ -630,13 +622,12 @@ func (s *Server) DeleteSpec(tenantName, specName string) error {
 //     when the entry was stored, and quotas are fixed per server;
 //  2. on a miss, an identical body already in flight is coalesced onto
 //     it (single-flight) instead of validating twice;
-//  3. otherwise the request validates under admission control with the
-//     address as its ContentID: the payloads are parsed, the snapshot is
-//     diffed against the spec's last one, and only the specs whose
-//     footprint the delta touches re-run (cross-request incremental
-//     validation). A body whose bytes differ from a cached one's but
-//     whose payloads are equal lands here, finds no change and reuses
-//     every spec.
+//  3. otherwise the request validates under admission control: the
+//     payloads are parsed, the snapshot is diffed against the spec's
+//     last one, and only the specs whose footprint the delta touches
+//     re-run (cross-request incremental validation). A body whose bytes
+//     differ from a cached one's but whose payloads are equal lands
+//     here, finds no change and reuses every spec.
 //
 // Requests that are not pure functions of their bytes — server-side
 // sources, specs with their own load commands — skip layer 2 and are
@@ -691,12 +682,11 @@ func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, 
 	}
 	if len(sources) > 0 || len(payloads) == 0 || len(entry.prog.Loads) > 0 {
 		// Not a pure function of the body's bytes: never coalesced,
-		// never cached, never sealed.
+		// never cached.
 		var resp *ValidateResponse
 		resp, kept, err = s.validate(ctx, t, entry, job)
 		return resp, err
 	}
-	job.ContentID = contentID
 	for {
 		f, leader := t.results.join(key)
 		if leader {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -367,5 +369,48 @@ func TestRegisterStrictCompileError(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no CV002 in %v", lre.Diagnostics)
+	}
+}
+
+// Registration lint resolves includes as the compile does, at
+// registration and at journal replay: a spec whose include compiles draws
+// no CV002, so strict mode accepts it, and a recovered server counts no
+// lint error for it.
+func TestRegisterStrictResolvesIncludes(t *testing.T) {
+	dir := t.TempDir()
+	common := filepath.Join(t.TempDir(), "common.cpl")
+	if err := os.WriteFile(common, []byte("$app.timeout -> int & [1, 60]\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src := "include '" + common + "'\n$app.retries -> int\n"
+	a := New(Config{StateDir: dir})
+	if err := a.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := a.RegisterSpecWith("acme", "main", src, RegisterOptions{Strict: true})
+	if err != nil {
+		t.Fatalf("strict registration of a spec whose include compiles: %v", err)
+	}
+	if len(info.Lint) != 0 {
+		t.Errorf("registration lint = %v, want none", info.Lint)
+	}
+	resp, err := a.ValidateBody(context.Background(), "acme", "main", requestBody(t, kvRequest("app.timeout = 90\napp.retries = 2\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := resp.Report.Violations; len(v) != 1 || v[0].Key != "app.timeout" {
+		t.Errorf("violations = %+v, want the included spec's one on app.timeout", v)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b := New(Config{StateDir: dir})
+	if err := b.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if lc := b.Stats().Lint; lc.Errors != 0 {
+		t.Errorf("replayed registration counted %d lint error(s), want 0", lc.Errors)
 	}
 }

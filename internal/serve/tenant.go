@@ -82,6 +82,17 @@ func newTenant(name string, opts runner.Options, resultCacheSize int) *tenant {
 	}
 }
 
+// lintSpec lints a spec source the way the tenant compiles it, with its
+// session's include resolver, and counts the findings.
+func (t *tenant) lintSpec(name, src string) lint.Result {
+	res := lint.Run(name, src, lint.Options{Resolver: t.runner.Session().ResolveInclude})
+	le, lw, li := res.Counts()
+	t.lintErrors.Add(int64(le))
+	t.lintWarnings.Add(int64(lw))
+	t.lintInfos.Add(int64(li))
+	return res
+}
+
 // register compiles and stores a spec under name, replacing any
 // previous program registered there. Replacement invalidates every
 // cache keyed to the old registration: the fresh entry carries a new

@@ -147,28 +147,35 @@ func (s *Session) RegisterInclude(name, src string) {
 // FormatFromPath guesses a driver name from a file extension.
 func FormatFromPath(path string) string { return ingest.FormatFromPath(path) }
 
-// Compile parses and compiles CPL source, resolving includes from
-// registered in-memory files first and the spec directory second.
+// Compile parses and compiles CPL source, resolving includes with
+// ResolveInclude.
 func (s *Session) Compile(src string) (*Program, error) {
 	return compiler.CompileWith(src, compiler.Options{
 		Optimize: true,
-		Resolver: s.resolveInclude,
+		Resolver: s.ResolveInclude,
 	})
 }
 
-func (s *Session) resolveInclude(path string) (string, error) {
+// ResolveInclude returns the source of the file a CPL include command
+// names: a registered in-memory file first, then ReadInclude under
+// SpecDir. Compile resolves includes with it; a linter handed it reads
+// the same files, so lint and compile never disagree about an include.
+func (s *Session) ResolveInclude(path string) (string, error) {
 	if src, ok := s.includes[path]; ok {
 		return src, nil
 	}
-	full := path
-	if s.SpecDir != "" && !filepath.IsAbs(path) {
-		full = filepath.Join(s.SpecDir, path)
+	return ReadInclude(s.SpecDir, path)
+}
+
+// ReadInclude reads an included specification file from disk: an
+// absolute path as it is, a relative one under dir (the working
+// directory when dir is empty).
+func ReadInclude(dir, path string) (string, error) {
+	if dir != "" && !filepath.IsAbs(path) {
+		path = filepath.Join(dir, path)
 	}
-	b, err := os.ReadFile(full)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	b, err := os.ReadFile(path)
+	return string(b), err
 }
 
 // ValidateProgram executes a compiled program: load commands first (from
