@@ -30,6 +30,7 @@ import (
 	"confvalley/internal/experiments"
 	"confvalley/internal/infer"
 	"confvalley/internal/legacy"
+	"confvalley/internal/refeval"
 	"confvalley/internal/runner"
 	"confvalley/internal/serve"
 	"confvalley/internal/simenv"
@@ -320,10 +321,10 @@ func BenchmarkDiscoveryNaiveVsTrie(b *testing.B) {
 }
 
 // BenchmarkPlanExecution measures the executable-plan layer on the
-// inferred Type A workload: direct AST interpretation, a cold plan
-// (lowering cost included — each run gets a freshly compiled program,
-// compiled outside the timer, which has no plan yet), and the program's
-// warm plan.
+// inferred Type A workload: direct AST interpretation (refeval, which
+// is sequential: compare the arms at -cpu 1), a cold plan (lowering cost
+// included — each run gets a freshly compiled program, compiled outside
+// the timer, which has no plan yet), and the program's warm plan.
 func BenchmarkPlanExecution(b *testing.B) {
 	c := azuregen.GenerateA(0.05, 2015)
 	src := infer.Infer(c.Store, infer.Defaults()).GenerateCPL()
@@ -335,7 +336,11 @@ func BenchmarkPlanExecution(b *testing.B) {
 		return prog
 	}
 	run := func(prog *compiler.Program, interpret bool) {
-		eng := engine.Engine{Store: c.Store, Env: simenv.NewSim(), Opts: engine.Options{Interpret: interpret}}
+		if interpret {
+			refeval.Run(context.Background(), c.Store.Snapshot(), prog, simenv.NewSim(), refeval.Options{})
+			return
+		}
+		eng := engine.Engine{Store: c.Store, Env: simenv.NewSim()}
 		eng.Run(prog)
 	}
 	prog := compile()
@@ -743,8 +748,7 @@ func checkDiscoveryWork(t *testing.T, cfg experiments.Config, queries int64) {
 	run := func(naive bool) {
 		a.Store.InvalidateCache()
 		a.Store.ResetStats()
-		eng := engine.Engine{Store: a.Store, Env: simenv.NewSim(), Opts: engine.Options{NaiveDiscovery: naive, Interpret: true}}
-		eng.Run(prog)
+		refeval.Run(context.Background(), a.Store.Snapshot(), prog, simenv.NewSim(), refeval.Options{NaiveDiscovery: naive})
 	}
 	run(false)
 	if stats.Queries() != queries || stats.Scanned() != 0 || stats.CacheHits() == 0 {

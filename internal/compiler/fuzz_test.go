@@ -15,20 +15,37 @@ import (
 )
 
 // maxFuzzSource bounds a FuzzCompile input: specification files are a few
-// kilobytes, and a longer input only slows the fuzzer down.
+// kilobytes, and a longer input only slows the fuzzer down. The deep seeds
+// are the exception: each runs as it is, but the fuzzer's longer variants
+// of them are skipped, since one costs up to a second to compile.
 const maxFuzzSource = 4 << 10
 
 // FuzzCompile feeds arbitrary source through the CPL front end — lexer,
 // parser, and the compiler with and without the optimizer, includes
 // resolving to the source itself — which may reject it but must not
 // panic. It is seeded with the shipped specification files, the lint
-// corpus's deliberately broken ones, and the CPL embedded in the examples.
+// corpus's deliberately broken ones, the CPL embedded in the examples, and
+// specs nested to the parser's bound and one level past it.
 func FuzzCompile(f *testing.F) {
 	for _, src := range fuzzSeeds(f) {
 		f.Add(src)
 	}
+	r := strings.Repeat
+	deep := map[string]bool{}
+	for _, n := range []int{cplparser.MaxDepth, cplparser.MaxDepth + 1} {
+		for _, src := range []string{
+			"$a.b -> " + r("(", n) + "int" + r(")", n),
+			"$a.b -> int" + r("|int", n),
+			"$a.b -> int" + r("&int", n),
+			"$a.b -> " + r("~", n) + "int",
+			"$a.b" + r("+$a.b", n) + " -> int",
+		} {
+			deep[src] = true
+			f.Add(src)
+		}
+	}
 	f.Fuzz(func(t *testing.T, src string) {
-		if len(src) > maxFuzzSource {
+		if len(src) > maxFuzzSource && !deep[src] {
 			return
 		}
 		_, _ = lexer.Tokenize(src)

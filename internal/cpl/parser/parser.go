@@ -45,6 +45,13 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("cpl:%s: %s", e.Pos, e.Msg) }
 
+// MaxDepth bounds how deeply a specification may nest, as encoding/json
+// bounds a document. Every walk over the AST — the parser's own descent,
+// the compiler, lint, ast.Inspect, ast.Render, lowering, the reference
+// interpreter — recurses once per level, and no recover catches a stack
+// overflow, so a deeper spec is a positioned parse error instead.
+const MaxDepth = 10000
+
 // Parse parses a complete CPL source file into statements.
 func Parse(src string) ([]ast.Stmt, error) {
 	toks, err := lexer.Tokenize(src)
@@ -88,6 +95,49 @@ func ParsePredicate(src string) (ast.Pred, error) {
 type parser struct {
 	toks []token.Token
 	i    int
+	// depth is the nesting level of the node being parsed; deepest is the
+	// deepest level reached since the innermost open operator chain began.
+	depth, deepest int
+}
+
+// descend enters one level of nesting at the current token; the caller
+// ascends when it leaves.
+func (p *parser) descend() error {
+	p.depth++
+	return p.reach(p.depth)
+}
+
+func (p *parser) ascend() { p.depth-- }
+
+// reach records that the tree under construction nests d levels deep.
+func (p *parser) reach(d int) error {
+	p.deepest = max(p.deepest, d)
+	if d > MaxDepth {
+		return p.errf("specification nests deeper than %d levels", MaxDepth)
+	}
+	return nil
+}
+
+// chain tracks a left-deep operator chain (a | b | c, $A + $B - $C):
+// each operator pushes the chain so far one level down, so the first
+// operand ends up deepest, and the next operand is parsed one level
+// below the chain's start.
+type chain struct{ depth, deepest int }
+
+func (p *parser) openChain() chain {
+	c := chain{p.depth, p.deepest}
+	p.deepest = p.depth
+	return c
+}
+
+func (p *parser) link(c chain) error {
+	p.depth = c.depth + 1
+	return p.reach(p.deepest + 1)
+}
+
+func (p *parser) closeChain(c chain) {
+	p.depth = c.depth
+	p.deepest = max(p.deepest, c.deepest)
 }
 
 func (p *parser) cur() token.Token     { return p.toks[p.i] }
@@ -267,6 +317,10 @@ func (p *parser) blockStmt() (ast.Stmt, error) {
 
 // blockBody parses "{ statements }" or a single statement.
 func (p *parser) blockBody() ([]ast.Stmt, error) {
+	if err := p.descend(); err != nil {
+		return nil, err
+	}
+	defer p.ascend()
 	if p.peekPastNewlines() == token.LBRACE {
 		p.skipNewlines()
 		p.next() // {
@@ -446,19 +500,19 @@ func (p *parser) tryStep() (*ast.Step, bool, error) {
 	case token.IF:
 		// Guarded transform: if (pred) transform. If the body is not a
 		// transform this is a terminal IfPred, so backtrack.
-		save := p.i
+		save := *p
 		p.next() // if
 		if _, err := p.expect(token.LPAREN); err != nil {
-			p.i = save
+			*p = save
 			return nil, false, nil
 		}
 		guard, err := p.predicate()
 		if err != nil {
-			p.i = save
+			*p = save
 			return nil, false, nil
 		}
 		if _, err := p.expect(token.RPAREN); err != nil {
-			p.i = save
+			*p = save
 			return nil, false, nil
 		}
 		if p.at(token.IDENT) && IsTransform(p.cur().Text) && p.toks[p.i+1].Kind == token.LPAREN {
@@ -475,7 +529,7 @@ func (p *parser) tryStep() (*ast.Step, bool, error) {
 			}
 			return &ast.Step{P: pos, Guard: guard, T: t}, true, nil
 		}
-		p.i = save
+		*p = save
 		return nil, false, nil
 	}
 	return nil, false, nil
@@ -508,6 +562,10 @@ func (p *parser) bracketIsTuple() bool {
 }
 
 func (p *parser) transformCall() (*ast.Transform, error) {
+	if err := p.descend(); err != nil {
+		return nil, err
+	}
+	defer p.ascend()
 	name := p.next() // IDENT, verified by caller
 	t := &ast.Transform{P: name.Pos, Name: name.Text}
 	if _, err := p.expect(token.LPAREN); err != nil {
@@ -564,12 +622,17 @@ func (p *parser) domain() (ast.Domain, error) {
 }
 
 func (p *parser) domainAdd() (ast.Domain, error) {
+	c := p.openChain()
+	defer p.closeChain(c)
 	l, err := p.domainMul()
 	if err != nil {
 		return nil, err
 	}
 	for p.at(token.PLUS) || p.at(token.MINUS) {
 		op := p.next().Kind
+		if err := p.link(c); err != nil {
+			return nil, err
+		}
 		r, err := p.domainMul()
 		if err != nil {
 			return nil, err
@@ -580,6 +643,8 @@ func (p *parser) domainAdd() (ast.Domain, error) {
 }
 
 func (p *parser) domainMul() (ast.Domain, error) {
+	c := p.openChain()
+	defer p.closeChain(c)
 	l, err := p.domainPrimary()
 	if err != nil {
 		return nil, err
@@ -591,6 +656,9 @@ func (p *parser) domainMul() (ast.Domain, error) {
 		// practice ambiguity does not arise because statements are
 		// newline-separated.
 		op := p.next().Kind
+		if err := p.link(c); err != nil {
+			return nil, err
+		}
 		r, err := p.domainPrimary()
 		if err != nil {
 			return nil, err
@@ -619,6 +687,10 @@ func (p *parser) domainPrimary() (ast.Domain, error) {
 		return r, nil
 	case token.HASH:
 		pos := p.next().Pos
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
+		defer p.ascend()
 		if _, err := p.expect(token.LBRACK); err != nil {
 			return nil, err
 		}
@@ -641,6 +713,10 @@ func (p *parser) domainPrimary() (ast.Domain, error) {
 		return c, nil
 	case token.LPAREN:
 		p.next()
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
+		defer p.ascend()
 		d, err := p.domain()
 		if err != nil {
 			return nil, err
@@ -785,11 +861,16 @@ func (p *parser) predicate() (ast.Pred, error) {
 }
 
 func (p *parser) orPred() (ast.Pred, error) {
+	c := p.openChain()
+	defer p.closeChain(c)
 	l, err := p.andPred()
 	if err != nil {
 		return nil, err
 	}
 	for p.acceptContinuation(token.PIPE) {
+		if err := p.link(c); err != nil {
+			return nil, err
+		}
 		r, err := p.andPred()
 		if err != nil {
 			return nil, err
@@ -802,11 +883,16 @@ func (p *parser) orPred() (ast.Pred, error) {
 }
 
 func (p *parser) andPred() (ast.Pred, error) {
+	c := p.openChain()
+	defer p.closeChain(c)
 	l, err := p.notPred()
 	if err != nil {
 		return nil, err
 	}
 	for p.acceptContinuation(token.AMP) {
+		if err := p.link(c); err != nil {
+			return nil, err
+		}
 		r, err := p.notPred()
 		if err != nil {
 			return nil, err
@@ -822,6 +908,10 @@ func (p *parser) notPred() (ast.Pred, error) {
 	if p.at(token.TILDE) {
 		pos := p.cur().Pos
 		p.next()
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
+		defer p.ascend()
 		x, err := p.notPred()
 		if err != nil {
 			return nil, err
@@ -838,6 +928,10 @@ func (p *parser) primaryPred() (ast.Pred, error) {
 	switch p.cur().Kind {
 	case token.LPAREN:
 		p.next()
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
+		defer p.ascend()
 		inner, err := p.predicate()
 		if err != nil {
 			return nil, err
@@ -857,6 +951,10 @@ func (p *parser) primaryPred() (ast.Pred, error) {
 		return m, nil
 	case token.IF:
 		p.next()
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
+		defer p.ascend()
 		if _, err := p.expect(token.LPAREN); err != nil {
 			return nil, err
 		}
@@ -969,6 +1067,10 @@ func (p *parser) primaryPred() (ast.Pred, error) {
 			case token.ONE:
 				q = ast.QuantOne
 			}
+			if err := p.descend(); err != nil {
+				return nil, err
+			}
+			defer p.ascend()
 			x, err := p.notPred()
 			if err != nil {
 				return nil, err

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"confvalley/internal/config"
+	"confvalley/internal/refeval"
 	"confvalley/internal/report"
 	"confvalley/internal/simenv"
 )
@@ -118,27 +119,24 @@ func compartmentStore(rng *rand.Rand) *config.Store {
 func TestCompartmentPlanMatchesInterpreter(t *testing.T) {
 	prog := compileSrc(t, compartmentSuite)
 	modes := []struct {
-		name string
-		opts Options
+		name  string
+		opts  Options
+		naive bool
 	}{
-		{"parallel-1", Options{Parallel: 1}},
-		{"parallel-4", Options{Parallel: 4}},
-		{"stop-on-first", Options{StopOnFirst: true}},
-		{"naive-discovery", Options{Parallel: 1, NaiveDiscovery: true}},
+		{"parallel-1", Options{Parallel: 1}, false},
+		{"parallel-4", Options{Parallel: 4}, false},
+		{"stop-on-first", Options{StopOnFirst: true}, false},
+		{"naive-discovery", Options{Parallel: 1}, true},
 	}
 	var violations, emptyRHS, checked int
 	for seed := int64(1); seed <= 24; seed++ {
 		st := compartmentStore(rand.New(rand.NewSource(seed)))
 		for _, m := range modes {
-			iOpts := m.opts
-			iOpts.Interpret = true
-			// NaiveDiscovery runs the interpreter only: its case holds the
-			// interpreter over the naive scan to the plan over the index.
-			pOpts := m.opts
-			pOpts.NaiveDiscovery = false
-			interp := (&Engine{Store: st, Env: simenv.NewSim(), Opts: iOpts}).Run(prog)
-			planned := (&Engine{Store: st, Env: simenv.NewSim(), Opts: pOpts}).Run(prog)
-			if m.opts.NaiveDiscovery {
+			// The naive case holds the interpreter over the naive scan to
+			// the plan over the index.
+			interp := refRun(st, prog, refeval.Options{StopOnFirst: m.opts.StopOnFirst, NaiveDiscovery: m.naive})
+			planned := (&Engine{Store: st, Env: simenv.NewSim(), Opts: m.opts}).Run(prog)
+			if m.naive {
 				// The scan lists instances in store order, the index by
 				// class, so one spec's violations may come out in either
 				// order; everything else must still be byte-identical.

@@ -19,7 +19,9 @@ import (
 	"confvalley/internal/compiler"
 	"confvalley/internal/config"
 	"confvalley/internal/faultinject"
+	"confvalley/internal/plan"
 	"confvalley/internal/predicate"
+	"confvalley/internal/refeval"
 	"confvalley/internal/report"
 	"confvalley/internal/simenv"
 	"confvalley/internal/value"
@@ -122,47 +124,46 @@ func assertCancelContract(t *testing.T, prog *compiler.Program, rep *report.Repo
 
 func TestRunContextCancelStopsMidRun(t *testing.T) {
 	const nSpecs, cancelAt = 10, 4
-	for _, interpret := range []bool{false, true} {
-		for _, parallel := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("interpret=%v/parallel=%d", interpret, parallel), func(t *testing.T) {
-				st, prog := cancelFixture(t, nSpecs, cancelAt)
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				ctxHook.Store(func() { cancel() })
-				defer ctxHook.Store(func() {})
+	// The subtests keep their interpret=false names; the interpreter's
+	// own case is refeval's TestRunCancelStopsAfterPrefix.
+	for _, parallel := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("interpret=false/parallel=%d", parallel), func(t *testing.T) {
+			st, prog := cancelFixture(t, nSpecs, cancelAt)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			ctxHook.Store(func() { cancel() })
+			defer ctxHook.Store(func() {})
 
-				eng := New(st)
-				eng.Opts.Interpret = interpret
-				eng.Opts.Parallel = parallel
-				rep := eng.RunContext(ctx, prog)
-				parts := eng.partitionSpecs(eng.planFor(prog), allSpecs(prog), parallel)
-				done := assertCancelContract(t, prog, rep, parts)
-				// The cancelling spec itself runs to completion, and
-				// nothing after it in its own partition starts.
-				if !done[cancelAt] {
-					t.Fatalf("the spec that cancelled (%d) was not counted: %v", cancelAt, done)
+			eng := New(st)
+			eng.Opts.Parallel = parallel
+			rep := eng.RunContext(ctx, prog)
+			parts := eng.partitionSpecs(plan.For(prog), allSpecs(prog), parallel)
+			done := assertCancelContract(t, prog, rep, parts)
+			// The cancelling spec itself runs to completion, and
+			// nothing after it in its own partition starts.
+			if !done[cancelAt] {
+				t.Fatalf("the spec that cancelled (%d) was not counted: %v", cancelAt, done)
+			}
+			for _, part := range parts {
+				i := sort.SearchInts(part, cancelAt)
+				if i == len(part) || part[i] != cancelAt {
+					continue
 				}
-				for _, part := range parts {
-					i := sort.SearchInts(part, cancelAt)
-					if i == len(part) || part[i] != cancelAt {
-						continue
-					}
-					for _, j := range part[i+1:] {
-						if done[j] {
-							t.Fatalf("spec %d ran after the cancel in partition %v", j, part)
-						}
+				for _, j := range part[i+1:] {
+					if done[j] {
+						t.Fatalf("spec %d ran after the cancel in partition %v", j, part)
 					}
 				}
-				if parallel == 1 && rep.SpecsRun != cancelAt+1 {
-					t.Fatalf("SpecsRun = %d; cancellation during spec %d should stop after it completes", rep.SpecsRun, cancelAt)
-				}
-				var b strings.Builder
-				rep.Render(&b)
-				if !strings.Contains(b.String(), "PARTIAL REPORT") {
-					t.Fatalf("render of interrupted report lacks the partial banner:\n%s", b.String())
-				}
-			})
-		}
+			}
+			if parallel == 1 && rep.SpecsRun != cancelAt+1 {
+				t.Fatalf("SpecsRun = %d; cancellation during spec %d should stop after it completes", rep.SpecsRun, cancelAt)
+			}
+			var b strings.Builder
+			rep.Render(&b)
+			if !strings.Contains(b.String(), "PARTIAL REPORT") {
+				t.Fatalf("render of interrupted report lacks the partial banner:\n%s", b.String())
+			}
+		})
 	}
 }
 
@@ -189,7 +190,7 @@ func TestRunIncrementalContextCancelAllRerun(t *testing.T) {
 			engB := New(stB)
 			engB.Opts.Parallel = parallel
 			rep := engB.RunIncrementalContext(ctx, prog, prevSnap, prevRep)
-			assertCancelContract(t, prog, rep, engB.partitionSpecs(engB.planFor(prog), allSpecs(prog), parallel))
+			assertCancelContract(t, prog, rep, engB.partitionSpecs(plan.For(prog), allSpecs(prog), parallel))
 			if rep.SpecsRun != 0 {
 				t.Fatalf("pre-cancelled all-rerun incremental run: SpecsRun = %d, want 0", rep.SpecsRun)
 			}
@@ -222,18 +223,15 @@ func TestRunContextDeadline(t *testing.T) {
 func TestRunContextCancelParallelNoGoroutineLeak(t *testing.T) {
 	st, prog := cancelFixture(t, 40, 3)
 	before := runtime.NumGoroutine()
-	for _, interpret := range []bool{false, true} {
-		ctx, cancel := context.WithCancel(context.Background())
-		ctxHook.Store(func() { cancel() })
-		eng := New(st)
-		eng.Opts.Parallel = 4
-		eng.Opts.Interpret = interpret
-		rep := eng.RunContext(ctx, prog)
-		if !rep.Interrupted {
-			t.Fatalf("interpret=%v: parallel canceled run not marked Interrupted", interpret)
-		}
-		cancel()
+	ctx, cancel := context.WithCancel(context.Background())
+	ctxHook.Store(func() { cancel() })
+	eng := New(st)
+	eng.Opts.Parallel = 4
+	rep := eng.RunContext(ctx, prog)
+	if !rep.Interrupted {
+		t.Fatalf("parallel canceled run not marked Interrupted")
 	}
+	cancel()
 	ctxHook.Store(func() {})
 	// Workers are joined before RunContext returns; give the runtime's
 	// goroutine accounting a moment to settle, then compare.
@@ -258,11 +256,9 @@ func TestPanickingPredicateIsolated(t *testing.T) {
 	src := "$app.a -> int & [0, 9]\n$app.b -> panicboom\n$app.c -> int & [0, 8]"
 	prog := compileSrc(t, src)
 
-	var reports []*report.Report
-	for _, interpret := range []bool{false, true} {
-		eng := New(st)
-		eng.Opts.Interpret = interpret
-		rep := eng.Run(prog)
+	reports := []*report.Report{New(st).Run(prog), refRun(st, prog, refeval.Options{})}
+	for i, rep := range reports {
+		interpret := i == 1
 		if len(rep.SpecErrors) != 1 || !strings.Contains(rep.SpecErrors[0], "panic: predicate exploded on boom") {
 			t.Fatalf("interpret=%v: SpecErrors = %v", interpret, rep.SpecErrors)
 		}
@@ -275,7 +271,6 @@ func TestPanickingPredicateIsolated(t *testing.T) {
 		if o, ok := rep.Outcome(1); !ok || !o.Errored {
 			t.Fatalf("interpret=%v: outcome for panicked spec = %+v ok=%v", interpret, o, ok)
 		}
-		reports = append(reports, rep)
 	}
 	if a, b := normalizedJSON(t, reports[0]), normalizedJSON(t, reports[1]); a != b {
 		t.Fatalf("plan and interpreted paths diverge on panic containment:\n%s\nvs\n%s", a, b)

@@ -8,6 +8,7 @@ import (
 	"confvalley/internal/compiler"
 	"confvalley/internal/config"
 	"confvalley/internal/plan"
+	"confvalley/internal/refeval"
 	"confvalley/internal/report"
 	"confvalley/internal/simenv"
 )
@@ -257,7 +258,12 @@ func TestBindingVariableInStepGuard(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := (&Engine{Store: st, Env: simenv.NewSim(), Opts: Options{Interpret: interpret}}).Run(prog)
+			var rep *report.Report
+			if interpret {
+				rep = refRun(st, prog, refeval.Options{})
+			} else {
+				rep = (&Engine{Store: st, Env: simenv.NewSim()}).Run(prog)
+			}
 			if len(rep.SpecErrors) != 0 || rep.InstancesChecked != 1 || len(rep.Violations) != c.violations {
 				t.Errorf("interpret=%v, == '%s': errors %v, %d instance(s) checked, violations %v; want no error, 1 instance, %d violation(s)",
 					interpret, c.want, rep.SpecErrors, rep.InstancesChecked, rep.Violations, c.violations)
@@ -476,16 +482,15 @@ func TestNaiveDiscoveryAgrees(t *testing.T) {
 	st := config.NewStore()
 	kv(st, "Fabric.Timeout", "abc")
 	prog, _ := compiler.Compile("$Fabric.Timeout -> int")
-	naive := &Engine{Store: st, Env: simenv.NewSim(), Opts: Options{NaiveDiscovery: true}}
-	rep := naive.Run(prog)
+	rep := refRun(st, prog, refeval.Options{NaiveDiscovery: true})
 	if len(rep.Violations) != 1 {
 		t.Errorf("violations = %v", rep.Violations)
 	}
 }
 
 // TestNaiveDiscoveryInterprets: the naive scan is the paper's pre-§5.2
-// implementation, so a NaiveDiscovery run goes to the reference
-// interpreter and never lowers the program.
+// implementation, an option of the reference interpreter, which never
+// lowers the program.
 func TestNaiveDiscoveryInterprets(t *testing.T) {
 	st := config.NewStore()
 	kv(st, "Fabric.Timeout", "abc")
@@ -494,7 +499,7 @@ func TestNaiveDiscoveryInterprets(t *testing.T) {
 		t.Fatal(err)
 	}
 	n0 := plan.Lowerings()
-	(&Engine{Store: st, Env: simenv.NewSim(), Opts: Options{NaiveDiscovery: true}}).Run(prog)
+	refRun(st, prog, refeval.Options{NaiveDiscovery: true})
 	if n := plan.Lowerings(); n != n0 {
 		t.Errorf("a naive-discovery run lowered its program %d time(s)", n-n0)
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"confvalley/internal/config"
 	"confvalley/internal/driver"
 	"confvalley/internal/infer"
+	"confvalley/internal/refeval"
 	"confvalley/internal/report"
 	"confvalley/internal/simenv"
 	"confvalley/specs"
@@ -82,32 +84,34 @@ $keystone.auth_protocol -> {'http', 'https'}
 	return ws
 }
 
+// refRun answers prog over st with the reference interpreter.
+func refRun(st *config.Store, prog *compiler.Program, opts refeval.Options) *report.Report {
+	return refeval.Run(context.Background(), st.Snapshot(), prog, simenv.NewSim(), opts)
+}
+
 // TestPlanGoldenReports: the lowered-plan executor and the AST
 // interpreter produce byte-identical reports — same violations in the
 // same order with the same messages — across the specs/ corpus,
 // azuregen workloads, error-injected suites and random corpora, under
-// sequential, stop-on-first and parallel execution. NaiveDiscovery runs
-// the interpreter only, so its case holds the interpreter over the naive
-// scan to the plan over the index.
+// sequential, stop-on-first and parallel execution. The interpreter is
+// sequential; its naive-discovery case holds the interpreter over the
+// naive scan to the plan over the index.
 func TestPlanGoldenReports(t *testing.T) {
 	opts := []struct {
-		name string
-		opts Options
+		name  string
+		opts  Options
+		naive bool
 	}{
-		{"sequential", Options{}},
-		{"stop-on-first", Options{StopOnFirst: true}},
-		{"parallel-4", Options{Parallel: 4}},
-		{"naive-discovery", Options{NaiveDiscovery: true}},
+		{"sequential", Options{}, false},
+		{"stop-on-first", Options{StopOnFirst: true}, false},
+		{"parallel-4", Options{Parallel: 4}, false},
+		{"naive-discovery", Options{}, true},
 	}
 	for _, w := range goldenWorkloads(t) {
 		for _, o := range opts {
 			t.Run(w.name+"/"+o.name, func(t *testing.T) {
-				iOpts := o.opts
-				iOpts.Interpret = true
-				pOpts := o.opts
-				pOpts.NaiveDiscovery = false
-				interp := (&Engine{Store: w.store, Env: simenv.NewSim(), Opts: iOpts}).Run(w.prog)
-				planned := (&Engine{Store: w.store, Env: simenv.NewSim(), Opts: pOpts}).Run(w.prog)
+				interp := refRun(w.store, w.prog, refeval.Options{StopOnFirst: o.opts.StopOnFirst, NaiveDiscovery: o.naive})
+				planned := (&Engine{Store: w.store, Env: simenv.NewSim(), Opts: o.opts}).Run(w.prog)
 				ib, pb := goldenJSON(t, interp), goldenJSON(t, planned)
 				if !bytes.Equal(ib, pb) {
 					t.Errorf("planned report differs from interpreted\ninterpreted:\n%s\nplanned:\n%s", ib, pb)

@@ -21,6 +21,7 @@ import (
 
 	"confvalley/internal/compiler"
 	"confvalley/internal/config"
+	"confvalley/internal/plan"
 	"confvalley/internal/report"
 )
 
@@ -33,9 +34,9 @@ func (e *Engine) PinnedSnapshot() *config.Snapshot { return e.snap }
 // reusing per-spec verdicts from a previous run where the diff against
 // prevSnap proves them still valid. It falls back to a full Run when
 // reuse is unsound or unavailable: no previous state, an untagged or
-// stopped previous report, interpreted execution, or a stop-on-first
-// policy (a truncated run has no complete verdict set to splice from,
-// and its stop point depends on global execution order).
+// stopped previous report, or a stop-on-first policy (a truncated run
+// has no complete verdict set to splice from, and its stop point depends
+// on global execution order).
 func (e *Engine) RunIncremental(prog *compiler.Program, prevSnap *config.Snapshot, prevRep *report.Report) *report.Report {
 	return e.RunIncrementalContext(context.Background(), prog, prevSnap, prevRep)
 }
@@ -48,12 +49,15 @@ func (e *Engine) RunIncremental(prog *compiler.Program, prevSnap *config.Snapsho
 // re-run yields a partial report marked Interrupted without splicing — a
 // partial splice would claim reuse it cannot justify.
 func (e *Engine) RunIncrementalContext(ctx context.Context, prog *compiler.Program, prevSnap *config.Snapshot, prevRep *report.Report) *report.Report {
+	if e.Opts.Interpret {
+		return e.RunContext(ctx, prog)
+	}
 	start := time.Now()
 	e.begin(ctx, prog)
-	p := e.planFor(prog)
+	p := plan.For(prog)
 	rerun := allSpecs(prog)
 	splice := prevSnap != nil && prevRep != nil && !prevRep.Stopped && !prevRep.Interrupted &&
-		prevRep.Tagged() && p != nil && !e.Opts.StopOnFirst
+		prevRep.Tagged() && !e.Opts.StopOnFirst
 	if splice {
 		// Partition via the footprint index: a spec re-runs when it is
 		// dynamic, when any changed key matches its footprint, when the
@@ -83,7 +87,7 @@ func (e *Engine) RunIncrementalContext(ctx context.Context, prog *compiler.Progr
 		return out
 	}
 
-	fresh := e.runSpecs(prog, p, rerun)
+	fresh := e.runSpecs(p, rerun)
 	if fresh.Interrupted || len(rerun) == len(prog.Specs) {
 		// Either nothing was reusable — no usable previous state, or the
 		// delta touched every footprint — and the fresh report is the full

@@ -9,6 +9,7 @@ import (
 
 	"confvalley/internal/compiler"
 	"confvalley/internal/config"
+	"confvalley/internal/refeval"
 	"confvalley/internal/report"
 	"confvalley/internal/simenv"
 )
@@ -152,7 +153,7 @@ func TestPropNaiveDiscoveryPreservesVerdicts(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		fast := (&Engine{Store: st, Env: simenv.NewSim()}).Run(prog)
-		slow := (&Engine{Store: st, Env: simenv.NewSim(), Opts: Options{NaiveDiscovery: true}}).Run(prog)
+		slow := refRun(st, prog, refeval.Options{NaiveDiscovery: true})
 		if violationSet(fast) != violationSet(slow) {
 			t.Errorf("seed %d: naive discovery changed verdicts", seed)
 		}

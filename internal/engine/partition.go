@@ -3,9 +3,9 @@ package engine
 // Spec partitioning for parallel validation. The cost-model partitioner
 // bin-packs specs onto workers by their estimated cost (LPT — longest
 // processing time first — on footprint match counts, see plan.Costs);
-// the round-robin splitter is its fallback when the run bypasses the
-// plan layer (Interpret) or the cost model covers too little of the
-// program.
+// the round-robin splitter is its fallback when the cost model covers
+// too little of the program (mostly Dynamic specs, which have no static
+// cost).
 //
 // Partition composition never affects report content: violations carry
 // the spec's execution position and the merge restores sequential
@@ -46,17 +46,14 @@ func (e *Engine) effectiveParallel(nspecs int) int {
 // partitionSpecs splits the given spec indexes (ascending execution
 // positions) into exactly min(n, len(idxs)) non-empty partitions, each
 // kept in ascending order so every partition report is Seq-sorted by
-// construction. p may be nil (interpreted runs), which forces
-// round-robin, as does a program whose costs are mostly unknown.
+// construction. A program whose costs are mostly unknown is dealt
+// round-robin.
 func (e *Engine) partitionSpecs(p *plan.Plan, idxs []int, n int) [][]int {
 	if n > len(idxs) {
 		n = len(idxs)
 	}
 	if n <= 1 {
 		return [][]int{idxs}
-	}
-	if p == nil {
-		return roundRobin(idxs, n)
 	}
 	costs := p.Costs(e.snap)
 	if costs = fillUnknownCosts(idxs, costs); costs == nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"confvalley/internal/compiler"
+	"confvalley/internal/config"
 	"confvalley/internal/plan"
 	"confvalley/internal/report"
 	"confvalley/internal/simenv"
@@ -83,7 +85,10 @@ func TestPartitionSpecsNeverEmpty(t *testing.T) {
 		}
 	}
 	// partitionSpecs clamps n to the spec count before splitting.
-	if parts := (&Engine{}).partitionSpecs(nil, []int{0, 1, 2}, 8); len(parts) != 3 {
+	prog := compileSrc(t, "$a -> int & [0, 1]\n$b -> int & [0, 2]\n$c -> int & [0, 3]")
+	e := New(config.NewStore())
+	e.begin(context.Background(), prog)
+	if parts := e.partitionSpecs(plan.For(prog), allSpecs(prog), 8); len(parts) != 3 {
 		t.Fatalf("partitionSpecs(3 specs, n=8) = %d partitions, want 3", len(parts))
 	}
 }
@@ -181,35 +186,47 @@ func reportJSON(t *testing.T, rep *report.Report) string {
 	return string(b)
 }
 
+// dynamicSpecs returns n specs whose footprints are Dynamic, so they have
+// no static cost.
+func dynamicSpecs(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "if ($Pick%d -> nonempty) {\n  $Data::$Pick%d.Val -> nonempty\n}\n", i, i)
+	}
+	return b.String()
+}
+
 // Metamorphic property: partitioning and its width are invisible in the
 // report — LPT and round-robin parallel runs are byte-identical to the
 // sequential run, violations in the same order, not merely the same set.
-// The plan path prices each spec and bin-packs (LPT); an interpreted run
-// has no plan and deals round-robin.
+// The planner prices each spec and bin-packs (LPT); the round-robin arm
+// adds enough Dynamic specs (no static cost) that the cost model gives
+// up and deals round-robin, the only path that still reaches it.
 func TestPropPartitionStrategiesByteIdentical(t *testing.T) {
 	partitioners := []struct {
-		name string
-		opts Options
+		name  string
+		extra string
+		lpt   bool
 	}{
-		{"lpt", Options{}},
-		{"round-robin", Options{Interpret: true}},
+		{"lpt", "", true},
+		{"round-robin", dynamicSpecs(30), false},
 	}
 	for seed := int64(60); seed < 72; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		st := randomCorpus(rng, 20)
 		src := randomSuite(rng, 20)
-		prog, err := compiler.Compile(src)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
 		for _, pt := range partitioners {
-			seqOpts := pt.opts
-			seqOpts.Parallel = 1
-			seq := reportJSON(t, (&Engine{Store: st, Env: simenv.NewSim(), Opts: seqOpts}).Run(prog))
+			prog, err := compiler.Compile(src + pt.extra)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			costs := plan.For(prog).Costs(st.Snapshot())
+			if gotLPT := fillUnknownCosts(allSpecs(prog), costs) != nil; gotLPT != pt.lpt {
+				t.Fatalf("seed %d: %s: cost model usable = %t, want %t", seed, pt.name, gotLPT, pt.lpt)
+			}
+			seq := reportJSON(t, (&Engine{Store: st, Env: simenv.NewSim(), Opts: Options{Parallel: 1}}).Run(prog))
 			for _, workers := range []int{2, 3, 4, 8} {
-				opts := pt.opts
-				opts.Parallel = workers
-				par := reportJSON(t, (&Engine{Store: st, Env: simenv.NewSim(), Opts: opts}).Run(prog))
+				par := reportJSON(t, (&Engine{Store: st, Env: simenv.NewSim(), Opts: Options{Parallel: workers}}).Run(prog))
 				if par != seq {
 					t.Errorf("seed %d: %s parallel(%d) report differs from sequential\nseq: %s\npar: %s",
 						seed, pt.name, workers, seq, par)
@@ -221,23 +238,19 @@ func TestPropPartitionStrategiesByteIdentical(t *testing.T) {
 
 // The incremental subset path shares the partitioner; its spliced
 // report must stay byte-identical to a full run under both splitters.
-// An interpreted run never splices, so the subset path reaches
-// round-robin only through the cost model's fallback: the second arm
-// adds enough Dynamic specs (no static cost) to trigger it.
+// The subset path reaches round-robin through the cost model's
+// fallback: the second arm adds enough Dynamic specs (no static cost)
+// to trigger it.
 func TestIncrementalSubsetUsesPartitioner(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	st := randomCorpus(rng, 20)
 	src := randomSuite(rng, 20)
-	var dynamic strings.Builder
-	for i := 0; i < 30; i++ {
-		fmt.Fprintf(&dynamic, "if ($Pick%d -> nonempty) {\n  $Data::$Pick%d.Val -> nonempty\n}\n", i, i)
-	}
 	arms := []struct {
 		name, src string
 		lpt       bool
 	}{
 		{"lpt", src, true},
-		{"round-robin", src + dynamic.String(), false},
+		{"round-robin", src + dynamicSpecs(30), false},
 	}
 	for _, arm := range arms {
 		prog, err := compiler.Compile(arm.src)

@@ -55,8 +55,8 @@ $Cloud*.Cloud.ProxyIP -> nonempty
 // TestParallelRunColdStoreRace stress-tests a parallel run against a
 // store whose snapshot has never been sealed and whose discovery cache is
 // cold: all partitions race to seal, then hammer the discovery cache with
-// wildcard discoveries. Run with -race. It also checks parallel,
-// sequential, and interpreted runs agree on the planted violation.
+// wildcard discoveries. Run with -race. It also checks that parallel
+// and sequential runs agree on the planted violation.
 func TestParallelRunColdStoreRace(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	prog, err := compiler.Compile(wildcardSpecs())
@@ -88,18 +88,14 @@ func TestParallelRunColdStoreRace(t *testing.T) {
 		}
 	}
 
-	// The interpreted and sequential planned paths must agree with the
-	// parallel one.
-	for _, interp := range []bool{false, true} {
-		st := wideStore()
-		eng := New(st)
-		eng.Opts.Interpret = interp
-		rep := eng.Run(prog)
-		if len(rep.Violations) != 1 ||
-			rep.Violations[0].Key != want.Violations[0].Key ||
-			rep.Violations[0].Message != want.Violations[0].Message {
-			t.Fatalf("interpret=%v disagrees with parallel run: %+v", interp, rep.Violations)
-		}
+	// The sequential path must agree with the parallel one.
+	eng := New(wideStore())
+	eng.Opts.Parallel = 1
+	rep := eng.Run(prog)
+	if len(rep.Violations) != 1 ||
+		rep.Violations[0].Key != want.Violations[0].Key ||
+		rep.Violations[0].Message != want.Violations[0].Message {
+		t.Fatalf("sequential run disagrees with parallel run: %+v", rep.Violations)
 	}
 }
 

@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -22,6 +23,7 @@ import (
 	"confvalley/internal/infer"
 	"confvalley/internal/legacy"
 	"confvalley/internal/plan"
+	"confvalley/internal/refeval"
 	"confvalley/internal/report"
 	"confvalley/internal/simenv"
 	"confvalley/specs"
@@ -728,9 +730,8 @@ func Discovery(cfg Config) DiscoveryResult {
 	run := func(naive bool) time.Duration {
 		a.Store.InvalidateCache()
 		a.Store.ResetStats()
-		eng := engine.Engine{Store: a.Store, Env: simenv.NewSim(), Opts: engine.Options{NaiveDiscovery: naive, Interpret: true}}
 		start := time.Now()
-		eng.Run(prog)
+		refeval.Run(context.Background(), a.Store.Snapshot(), prog, simenv.NewSim(), refeval.Options{NaiveDiscovery: naive})
 		return time.Since(start)
 	}
 	indexed := run(false)

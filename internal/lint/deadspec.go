@@ -90,25 +90,29 @@ func runDeadSpec(p *Pass) {
 
 	// Redundant conjuncts: inside one predicate, a conjunct implied by a
 	// sibling never changes the verdict. (p implies p, so compare
-	// distinct indices only, and prefer blaming the weaker conjunct.)
+	// distinct indices only, and prefer blaming the weaker conjunct.) A
+	// repeated conjunct is reported once, against its first occurrence.
 	for _, s := range p.Prog.Specs {
 		conjuncts := compiler.FlattenAnd(s.Pred)
+		texts := make([]string, len(conjuncts))
+		for i, c := range conjuncts {
+			texts[i] = ast.Render(c)
+		}
 		for i, weak := range conjuncts {
 			for j, strong := range conjuncts {
 				if i == j {
 					continue
 				}
-				if ast.Render(weak) == ast.Render(strong) {
+				if texts[i] == texts[j] {
 					if i > j {
-						p.Reportf(weak.Pos(), "CV303", Warning,
-							"conjunct %s repeats an earlier conjunct", ast.Render(weak))
+						p.Reportf(weak.Pos(), "CV303", Warning, "conjunct %s repeats an earlier conjunct", texts[i])
+						break
 					}
 					continue
 				}
 				if compiler.Implies(strong, weak) && !compiler.Implies(weak, strong) {
 					p.Reportf(weak.Pos(), "CV303", Warning,
-						"conjunct %s is implied by %s and can be dropped",
-						ast.Render(weak), ast.Render(strong))
+						"conjunct %s is implied by %s and can be dropped", texts[i], texts[j])
 				}
 			}
 		}

@@ -210,3 +210,19 @@ func TestAnalyzerSelection(t *testing.T) {
 		t.Errorf("full run reported %v", res.Diagnostics)
 	}
 }
+
+// A conjunct repeated n times is reported n-1 times, once per repeat,
+// not once per earlier copy: a long chain of one conjunct costs linear
+// diagnostics.
+func TestRepeatedConjunctReportedOnce(t *testing.T) {
+	const n = 300
+	res := Run("rep.cpl", "$a.b -> int"+strings.Repeat(" & int", n-1), Options{Analyzers: []string{"deadspec"}})
+	if len(res.Diagnostics) != n-1 {
+		t.Fatalf("%d diagnostics for %d copies of one conjunct, want %d", len(res.Diagnostics), n, n-1)
+	}
+	for _, d := range res.Diagnostics {
+		if d.Code != "CV303" || !strings.Contains(d.Message, "repeats an earlier conjunct") {
+			t.Fatalf("unexpected diagnostic %+v", d)
+		}
+	}
+}

@@ -46,7 +46,7 @@ type Options struct {
 	Parallel int
 	// StopOnFirst aborts validation at the first violation.
 	StopOnFirst bool
-	// Interpret selects the AST interpreter over lowered plans.
+	// Deprecated: call refeval.Run, which this runs over unprojected loads.
 	Interpret bool
 	// MaxStale bounds how many consecutive rounds a failing source is
 	// served from its last good parse (0 = forever, negative = never).

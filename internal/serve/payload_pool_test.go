@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"confvalley/internal/driver"
-	"confvalley/internal/runner"
 )
 
 // poolSpec quotes a payload value in each violation: timeout and retries
@@ -37,14 +36,7 @@ func poolDoc(timeout int, host string, extra string) string {
 // modulo the fields the caching layers may change.
 func interpretRun(t *testing.T, data string) []byte {
 	t.Helper()
-	res, err := runner.New(runner.Options{Interpret: true}).Run(context.Background(), runner.Job{
-		SpecSrc:  poolSpec,
-		Payloads: []runner.Payload{{Name: "app.kv", Format: "kv", Data: []byte(data)}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wireModuloCaching(t, res.Report.Wire())
+	return coldReference(t, poolSpec, []byte(data))
 }
 
 // pooledBuffer returns the address of the first byte of the buffer the

@@ -6,22 +6,36 @@ import (
 	"fmt"
 	"testing"
 
+	"confvalley/internal/compiler"
+	"confvalley/internal/config"
+	"confvalley/internal/driver"
 	"confvalley/internal/ingest"
-	"confvalley/internal/runner"
+	"confvalley/internal/refeval"
+	"confvalley/internal/report"
+	"confvalley/internal/simenv"
 )
 
-// coldReference validates data with a fresh reference-interpreter
-// runner, which never projects.
-func coldReference(t *testing.T, spec string, data []byte) []byte {
+// referenceReport answers spec over one KV payload named app.kv with the
+// reference interpreter: a fresh store holding the whole document, with
+// no projection, cache or splice.
+func referenceReport(t *testing.T, spec string, data []byte) *report.Report {
 	t.Helper()
-	res, err := runner.New(runner.Options{Interpret: true}).Run(context.Background(), runner.Job{
-		SpecSrc:  spec,
-		Payloads: []runner.Payload{{Name: "app.kv", Format: "kv", Data: data}},
-	})
+	st := config.NewStore()
+	if _, err := driver.LoadInto(st, "kv", data, "app.kv", ""); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := compiler.Compile(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return wireModuloCaching(t, res.Report.Wire())
+	return refeval.Run(context.Background(), st.Snapshot(), prog, simenv.NewSim(), refeval.Options{})
+}
+
+// coldReference is referenceReport's wire report modulo the fields the
+// caching layers may change.
+func coldReference(t *testing.T, spec string, data []byte) []byte {
+	t.Helper()
+	return wireModuloCaching(t, referenceReport(t, spec, data).Wire())
 }
 
 // One tenant has one loader but a projection per spec. Two specs with

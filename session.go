@@ -38,9 +38,7 @@ type Session struct {
 	Parallel int
 	// StopOnFirst aborts validation at the first violation.
 	StopOnFirst bool
-	// Interpret forces direct AST interpretation instead of the lowered
-	// plan executor — an escape hatch and semantic oracle; the two paths
-	// produce identical reports.
+	// Deprecated: only internal/runner sets it, for its own Interpret.
 	Interpret bool
 	// SpecDir resolves relative include paths; defaults to the working
 	// directory.

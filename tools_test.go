@@ -1,9 +1,14 @@
 package confvalley
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -134,5 +139,47 @@ func TestCvbenchEndToEnd(t *testing.T) {
 	}
 	if _, err := goRun(t, "./cmd/cvbench", "-run", "nosuch"); err == nil {
 		t.Error("unknown experiment should fail")
+	}
+}
+
+// The reference interpreter is an oracle, not part of the product: in
+// non-test code only the experiments (the §5.2 discovery ablation) and the
+// engine import internal/refeval, and inside the engine only engine.go,
+// whose deprecated Interpret option forwards to it.
+func TestRefevalImportBoundary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tool tests need the go toolchain")
+	}
+	const refeval = "confvalley/internal/refeval"
+	out, err := exec.Command("go", "list", "-f", `{{.ImportPath}} {{join .Imports " "}}`, "./...").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, out)
+	}
+	var importers []string
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		fields := strings.Fields(line)
+		if slices.Contains(fields[1:], refeval) {
+			importers = append(importers, fields[0])
+		}
+	}
+	if want := []string{"confvalley/internal/engine", "confvalley/internal/experiments"}; !slices.Equal(importers, want) {
+		t.Errorf("non-test importers of %s = %v, want %v", refeval, importers, want)
+	}
+	files, err := filepath.Glob("internal/engine/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imports := slices.ContainsFunc(f.Imports, func(s *ast.ImportSpec) bool { return s.Path.Value == strconv.Quote(refeval) })
+		if imports != (filepath.Base(name) == "engine.go") {
+			t.Errorf("%s imports %s: %t", name, refeval, imports)
+		}
 	}
 }
