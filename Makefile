@@ -112,7 +112,10 @@ incremental-bench:
 # thirty seconds) and the service's content address (FuzzContentAddress:
 # one chunk-digest memo fed a sequence of edited, grown and truncated
 # bodies against the stateless tree digest in
-# internal/serve/address_test.go; thirty seconds). Mirrors the CI "Fuzz
+# internal/serve/address_test.go; thirty seconds) and report assembly
+# (FuzzAssemble: the parallel merge and the incremental splice against
+# the tag-and-sort merge and scan-per-spec splice kept in
+# internal/report/assemble_test.go; thirty seconds). Mirrors the CI "Fuzz
 # smoke" step; a crasher or a divergence fails the target.
 fuzz-smoke:
 	for f in FuzzINI FuzzCSV FuzzYAML FuzzJSON FuzzXML; do \
@@ -127,6 +130,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFootprint$$' -fuzztime 30s ./internal/plan/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrames$$' -fuzztime 30s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz '^FuzzContentAddress$$' -fuzztime 30s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 30s ./internal/report/
 
 # One iteration of every benchmark — compile/panic smoke, no timing
 # claims. Mirrors the CI "Bench smoke" step.

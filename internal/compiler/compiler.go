@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"regexp"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -155,7 +154,8 @@ func CompileStmts(stmts []ast.Stmt, opts Options) (*Program, error) {
 		Policies: make(map[string]string),
 		Macros:   make(map[string]ast.Pred),
 	}
-	c := &compilerCtx{prog: prog, opts: opts, seen: make(map[string]bool)}
+	c := &compilerCtx{prog: prog, opts: opts, seen: make(map[string]bool),
+		binds: make(map[*ast.IfStmt]string), active: make(map[string][]*ast.IfStmt)}
 	if err := c.stmts(stmts, scope{}); err != nil {
 		return nil, err
 	}
@@ -169,18 +169,64 @@ func CompileStmts(stmts []ast.Stmt, opts Options) (*Program, error) {
 	return prog, nil
 }
 
-// scope is the lexical compilation context.
+// scope is the lexical compilation context. The enclosing namespaces,
+// compartment segments and conditions are chains of links, so entering
+// a block costs the same at any depth.
 type scope struct {
-	namespaces  []config.Pattern
-	compartment *config.Pattern
-	conds       []Cond
+	namespaces  *link[config.Pattern]
+	compartment *link[config.PatSeg] // the compartments' scopes, one link per segment
+	conds       *link[Cond]
 	severity    report.Severity
+}
+
+// link is one enclosing block's namespace or condition, under the links
+// of the blocks around it.
+type link[T any] struct {
+	up    *link[T]
+	v     T
+	depth int // links in the chain, this one included
+	list  []T // the chain as a slice, built for the first spec under it
+}
+
+// push links v under up.
+func push[T any](up *link[T], v T) *link[T] {
+	l := &link[T]{up: up, v: v, depth: 1}
+	if up != nil {
+		l.depth += up.depth
+	}
+	return l
+}
+
+// slice returns the chain's values — innermost first when innermostFirst,
+// outermost first otherwise — or nil for no chain. Every spec directly
+// under the link shares one slice.
+func (l *link[T]) slice(innermostFirst bool) []T {
+	if l == nil {
+		return nil
+	}
+	if l.list == nil {
+		l.list = make([]T, l.depth)
+		for i, p := 0, l; p != nil; i, p = i+1, p.up {
+			if innermostFirst {
+				l.list[i] = p.v
+			} else {
+				l.list[l.depth-1-i] = p.v
+			}
+		}
+	}
+	return l.list
 }
 
 type compilerCtx struct {
 	prog *Program
 	opts Options
 	seen map[string]bool // include cycle detection
+	// binds holds the variable each if statement binds ("" for none),
+	// found by bindVariables for a whole nest of ifs at once.
+	binds map[*ast.IfStmt]string
+	// active lists, by candidate variable, the ifs around the statement
+	// bindVariables is walking, outermost first.
+	active map[string][]*ast.IfStmt
 }
 
 func (c *compilerCtx) stmts(stmts []ast.Stmt, sc scope) error {
@@ -250,28 +296,30 @@ func (c *compilerCtx) stmt(st ast.Stmt, sc *scope) error {
 	case *ast.BlockStmt:
 		inner := *sc
 		if t.Kind == ast.BlockNamespace {
-			inner.namespaces = append([]config.Pattern{t.Scope}, sc.namespaces...)
+			inner.namespaces = push(sc.namespaces, t.Scope)
 		} else {
-			comb := t.Scope
-			if sc.compartment != nil {
-				comb = t.Scope.Prefixed(*sc.compartment)
+			for _, seg := range t.Scope.Segs {
+				inner.compartment = push(inner.compartment, seg)
 			}
-			inner.compartment = &comb
 		}
 		return c.stmts(t.Body, inner)
 	case *ast.IfStmt:
 		if err := c.check(t.Cond); err != nil {
 			return err
 		}
-		bind := bindVariable(t)
+		bind, found := c.binds[t]
+		if !found {
+			c.bindVariables(t)
+			bind = c.binds[t]
+		}
 		thenScope := *sc
-		thenScope.conds = append(append([]Cond{}, sc.conds...), Cond{Spec: t.Cond, BindVar: bind})
+		thenScope.conds = push(sc.conds, Cond{Spec: t.Cond, BindVar: bind})
 		if err := c.stmts(t.Then, thenScope); err != nil {
 			return err
 		}
 		if t.Else != nil {
 			elseScope := *sc
-			elseScope.conds = append(append([]Cond{}, sc.conds...), Cond{Spec: t.Cond, Negate: true, BindVar: bind})
+			elseScope.conds = push(sc.conds, Cond{Spec: t.Cond, Negate: true, BindVar: bind})
 			if err := c.stmts(t.Else, elseScope); err != nil {
 				return err
 			}
@@ -281,13 +329,17 @@ func (c *compilerCtx) stmt(st ast.Stmt, sc *scope) error {
 		if err := c.check(t); err != nil {
 			return err
 		}
+		var comp *config.Pattern
+		if sc.compartment != nil {
+			comp = &config.Pattern{Segs: sc.compartment.slice(false)}
+		}
 		spec := &Spec{
 			Quant:       t.Quant,
 			Domains:     []ast.Domain{t.Domain},
 			Pred:        t.Pred,
-			Namespaces:  sc.namespaces,
-			Compartment: sc.compartment,
-			Conds:       sc.conds,
+			Namespaces:  sc.namespaces.slice(true),
+			Compartment: comp,
+			Conds:       sc.conds.slice(false),
 			Severity:    sc.severity,
 			Message:     t.Message,
 			Text:        t.Text,
@@ -298,35 +350,53 @@ func (c *compilerCtx) stmt(st ast.Stmt, sc *scope) error {
 	return &Error{Msg: fmt.Sprintf("unsupported statement %T", st)}
 }
 
-// bindVariable detects the Listing 5 variable-binding idiom: the condition
-// domain is a simple one-segment reference whose leaf name appears as a
-// variable in a body domain.
-func bindVariable(t *ast.IfStmt) string {
-	ref, ok := t.Cond.Domain.(*ast.Ref)
-	if !ok || len(ref.Pattern.Segs) == 0 {
-		return ""
+// bindVariables finds the variable t and every if nested in it bind, in
+// one walk. An if binds the Listing 5 variable-binding idiom: its
+// condition domain is a simple one-segment reference whose leaf name
+// appears as a variable in a reference of its body — its then or else
+// statements, conditions of ifs nested there included.
+func (c *compilerCtx) bindVariables(t *ast.IfStmt) {
+	ast.Inspect(t.Cond, c.useVars) // counts for the ifs around t only
+	c.binds[t] = ""
+	leaf := ""
+	if ref, ok := t.Cond.Domain.(*ast.Ref); ok && len(ref.Pattern.Segs) > 0 {
+		leaf = ref.Pattern.Segs[len(ref.Pattern.Segs)-1].Name
 	}
-	leaf := ref.Pattern.Segs[len(ref.Pattern.Segs)-1].Name
 	if strings.Contains(leaf, "*") {
-		return ""
+		leaf = ""
 	}
-	if bodyUsesVar(t.Then, leaf) || bodyUsesVar(t.Else, leaf) {
-		return leaf
+	if leaf != "" {
+		c.active[leaf] = append(c.active[leaf], t)
 	}
-	return ""
+	for _, body := range [][]ast.Stmt{t.Then, t.Else} {
+		for _, st := range body {
+			ast.Inspect(st, c.useVars)
+		}
+	}
+	if leaf != "" {
+		c.active[leaf] = c.active[leaf][:len(c.active[leaf])-1]
+	}
 }
 
-func bodyUsesVar(stmts []ast.Stmt, name string) bool {
-	found := false
-	for _, st := range stmts {
-		ast.Inspect(st, func(n ast.Node) bool {
-			if r, ok := n.(*ast.Ref); ok && slices.Contains(r.Pattern.Vars(), name) {
-				found = true
+// useVars is bindVariables' ast.Inspect callback: a reference's
+// variables bind the ifs around it with those candidates, and a nested
+// if is walked on its own.
+func (c *compilerCtx) useVars(n ast.Node) bool {
+	switch t := n.(type) {
+	case *ast.IfStmt:
+		c.bindVariables(t)
+		return false
+	case *ast.Ref:
+		for _, name := range t.Pattern.Vars() {
+			// Marking stops at an if already bound: whatever bound it
+			// bound every if around it with the same candidate too.
+			ifs := c.active[name]
+			for i := len(ifs) - 1; i >= 0 && c.binds[ifs[i]] == ""; i-- {
+				c.binds[ifs[i]] = name
 			}
-			return !found
-		})
+		}
 	}
-	return found
+	return true
 }
 
 // check rejects, with a position, the first predicate under n that

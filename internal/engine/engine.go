@@ -1,6 +1,6 @@
 // Package engine validates compiled CPL programs against a configuration
 // store (Figure 3 of the paper): it executes each program's lowered plan
-// over one pinned snapshot, in partitions merged back into sequential
+// over one pinned snapshot, in partitions assembled back into sequential
 // order. internal/refeval defines what the plan must compute.
 package engine
 
@@ -66,16 +66,14 @@ func (e *Engine) Run(prog *compiler.Program) *report.Report {
 // cancellation stops the run under the contract documented on runSpecs,
 // returning the partial report marked Interrupted. All worker goroutines
 // of a parallel run observe the same context and drain before RunContext
-// returns — cancellation never leaks a goroutine.
+// returns — cancellation never leaks a goroutine. A full run is an
+// incremental run with no previous state.
 func (e *Engine) RunContext(ctx context.Context, prog *compiler.Program) *report.Report {
-	start := time.Now()
-	e.begin(ctx, prog)
 	if e.Opts.Interpret {
+		e.begin(ctx, prog)
 		return refeval.Run(ctx, e.snap, prog, e.Env, refeval.Options{StopOnFirst: e.Opts.StopOnFirst})
 	}
-	rep := e.runSpecs(plan.For(prog), allSpecs(prog))
-	rep.Duration = time.Since(start)
-	return rep
+	return e.RunIncrementalContext(ctx, prog, nil, nil)
 }
 
 // begin pins what one run holds fixed: the program's stop policy, the
@@ -101,8 +99,8 @@ func allSpecs(prog *compiler.Program) []int {
 // every branch of an incremental run, partition timing — executes specs
 // by calling it with the ascending positions of p's specs to run. It
 // resolves the worker count and runs one partition inline on the calling
-// goroutine or several through runParts (cost-model LPT by default; see
-// partition.go), whose merge restores sequential order.
+// goroutine or several through runParts (cost-model LPT; see
+// partition.go), which assembles their sections in execution order.
 //
 // It is also the only place a run decides to stop early. The contract:
 // a cancelled run returns Interrupted; every spec it counts ran to
@@ -140,14 +138,14 @@ func (e *Engine) runSpecs(p *plan.Plan, idxs []int) *report.Report {
 }
 
 // reportPool recycles partition-local reports: a parallel run allocates
-// one report per partition per round, merges it and drops it, so watch
-// loops and service traffic churn violation slices and perSpec maps at
+// one report per partition per round, assembles from it and drops it, so
+// watch loops and service traffic churn violation and section slices at
 // a rate the pool absorbs. Only partition-local reports ever enter the
 // pool — reports returned to callers are never recycled.
 var reportPool = sync.Pool{New: func() any { return new(report.Report) }}
 
 // runParts executes each partition in its own goroutine against its own
-// pooled report and merges them in partition order.
+// pooled report and assembles their sections in execution order.
 func runParts(parts [][]int, runPart func(idxs []int, rep *report.Report)) *report.Report {
 	reps := make([]*report.Report, len(parts))
 	var wg sync.WaitGroup
@@ -157,16 +155,13 @@ func runParts(parts [][]int, runPart func(idxs []int, rep *report.Report)) *repo
 			defer wg.Done()
 			rep := reportPool.Get().(*report.Report)
 			rep.Reset()
-			partStart := time.Now()
 			runPart(parts[i], rep)
-			rep.Duration = time.Since(partStart)
 			reps[i] = rep
 		}(i)
 	}
 	wg.Wait()
-	out := &report.Report{}
+	out := report.Assemble(reps...)
 	for _, r := range reps {
-		out.Merge(r)
 		reportPool.Put(r)
 	}
 	return out

@@ -3,7 +3,10 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"confvalley/internal/compiler"
 	"confvalley/internal/config"
@@ -199,4 +202,81 @@ func TestIncrementalFallsBackToFullRun(t *testing.T) {
 	if normalizedJSON(t, stopInc) != normalizedJSON(t, stopFull) {
 		t.Error("StopOnFirst fallback diverged from full run")
 	}
+}
+
+// cpuBestOf returns the least CPU time this process spent over three runs
+// of f. CPU time rather than wall-clock time: a test binary that shares
+// its host with others is descheduled now and then, and that is no cost
+// of f.
+func cpuBestOf(f func()) time.Duration {
+	best := time.Duration(-1)
+	for i := 0; i < 3; i++ {
+		var before, after syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &before); err != nil {
+			panic(err)
+		}
+		f()
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &after); err != nil {
+			panic(err)
+		}
+		d := time.Duration(after.Utime.Nano() + after.Stime.Nano() - before.Utime.Nano() - before.Stime.Nano())
+		if best < 0 || d < best {
+			best = d
+		}
+	}
+	return best
+}
+
+// A splice costs what it copies, not specs × violations: re-running one
+// spec of 1,000 against a previous report of 100,000 violations costs
+// less CPU time than the full run it replaces, on any host. (Looking
+// each spec's verdicts up by scanning the whole previous report reads
+// 10⁸ violations here, several full runs' worth.)
+func TestSpliceLinearInReport(t *testing.T) {
+	const specs, per = 1000, 100
+	build := func(changed string) *config.Store {
+		st := config.NewStore()
+		for s := 0; s < specs; s++ {
+			for i := 0; i < per; i++ {
+				v := "x"
+				if s == specs/2 && i == 0 {
+					v = changed
+				}
+				st.Add(&config.Instance{Key: config.Key{Segs: []config.Seg{
+					{Name: fmt.Sprintf("S%d", s), Inst: fmt.Sprintf("i%d", i)}, {Name: "Port"},
+				}}, Value: v, Source: "splice"})
+			}
+		}
+		return st
+	}
+	var src strings.Builder
+	for s := 0; s < specs; s++ {
+		fmt.Fprintf(&src, "$S%d.Port -> int\n", s)
+	}
+	prog, err := compiler.CompileWith(src.String(), compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Parallel: 1}
+	prevEng := &Engine{Store: build("x"), Env: simenv.NewSim(), Opts: opts}
+	prev := prevEng.Run(prog)
+	if len(prev.Violations) != specs*per || len(prog.Specs) != specs {
+		t.Fatalf("previous run: %d violations of %d specs, want %d of %d", len(prev.Violations), len(prog.Specs), specs*per, specs)
+	}
+	next := build("y")
+	var full, inc *report.Report
+	fullCPU := cpuBestOf(func() { full = (&Engine{Store: next, Env: simenv.NewSim(), Opts: opts}).Run(prog) })
+	incCPU := cpuBestOf(func() {
+		inc = (&Engine{Store: next, Env: simenv.NewSim(), Opts: opts}).RunIncremental(prog, prevEng.PinnedSnapshot(), prev)
+	})
+	if inc.SpecsReused != specs-1 {
+		t.Fatalf("incremental run reused %d specs, want %d", inc.SpecsReused, specs-1)
+	}
+	if a, b := normalizedJSON(t, full), normalizedJSON(t, inc); a != b {
+		t.Fatal("incremental report differs from the full run")
+	}
+	if incCPU >= fullCPU {
+		t.Errorf("splicing 1 re-run spec into %d violations took %v of CPU, the full run %v", specs*per, incCPU, fullCPU)
+	}
+	t.Logf("full run %v, incremental %v", fullCPU, incCPU)
 }

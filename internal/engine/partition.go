@@ -1,16 +1,17 @@
 package engine
 
-// Spec partitioning for parallel validation. The cost-model partitioner
-// bin-packs specs onto workers by their estimated cost (LPT — longest
-// processing time first — on footprint match counts, see plan.Costs);
-// the round-robin splitter is its fallback when the cost model covers
-// too little of the program (mostly Dynamic specs, which have no static
-// cost).
+// Spec partitioning for parallel validation: specs are bin-packed onto
+// workers by their estimated cost (LPT — longest processing time first —
+// on footprint match counts, see plan.Costs). A Dynamic spec has no
+// static cost and is priced at the mean of the known ones; a program
+// with no known cost prices every spec at 1, which LPT deals exactly as
+// round-robin would.
 //
-// Partition composition never affects report content: violations carry
-// the spec's execution position and the merge restores sequential
-// order, so the partitioner is free to chase balance alone. Both
-// strategies are deterministic for a given (program, snapshot, n).
+// Partition composition never affects report content: each spec's
+// verdict is a section tagged with its execution position, and
+// report.Assemble puts the sections back in sequential order, so the
+// partitioner is free to chase balance alone. It is deterministic for a
+// given (program, snapshot, n).
 
 import (
 	"runtime"
@@ -45,9 +46,8 @@ func (e *Engine) effectiveParallel(nspecs int) int {
 
 // partitionSpecs splits the given spec indexes (ascending execution
 // positions) into exactly min(n, len(idxs)) non-empty partitions, each
-// kept in ascending order so every partition report is Seq-sorted by
-// construction. A program whose costs are mostly unknown is dealt
-// round-robin.
+// kept in ascending order so every partition report's sections are in
+// execution order by construction.
 func (e *Engine) partitionSpecs(p *plan.Plan, idxs []int, n int) [][]int {
 	if n > len(idxs) {
 		n = len(idxs)
@@ -55,27 +55,12 @@ func (e *Engine) partitionSpecs(p *plan.Plan, idxs []int, n int) [][]int {
 	if n <= 1 {
 		return [][]int{idxs}
 	}
-	costs := p.Costs(e.snap)
-	if costs = fillUnknownCosts(idxs, costs); costs == nil {
-		return roundRobin(idxs, n)
-	}
-	return lptPartition(idxs, costs, n)
+	return lptPartition(idxs, fillUnknownCosts(idxs, p.Costs(e.snap)), n)
 }
 
-// roundRobin deals indexes across n partitions in order.
-func roundRobin(idxs []int, n int) [][]int {
-	parts := make([][]int, n)
-	for i, j := range idxs {
-		parts[i%n] = append(parts[i%n], j)
-	}
-	return parts
-}
-
-// fillUnknownCosts substitutes the mean known cost for Dynamic specs so
-// LPT can place them, returning nil — round-robin territory — when over
-// half of the selected specs have no static cost (a mostly-dynamic
-// program gives the model nothing to balance on). The input slice is
-// never modified.
+// fillUnknownCosts prices, in place, each selected Dynamic spec at the
+// mean cost of the selected specs with a static cost, or at 1 when none
+// has one, so LPT can place them. It returns costs.
 func fillUnknownCosts(idxs []int, costs []int64) []int64 {
 	known, sum := 0, int64(0)
 	for _, j := range idxs {
@@ -84,21 +69,16 @@ func fillUnknownCosts(idxs []int, costs []int64) []int64 {
 			sum += costs[j]
 		}
 	}
-	if known*2 < len(idxs) {
-		return nil
+	mean := int64(1)
+	if known > 0 {
+		mean = sum / int64(known) // every static cost is at least 1
 	}
-	mean := sum / int64(known)
-	if mean < 1 {
-		mean = 1
-	}
-	out := make([]int64, len(costs))
-	copy(out, costs)
 	for _, j := range idxs {
-		if out[j] == plan.CostUnknown {
-			out[j] = mean
+		if costs[j] == plan.CostUnknown {
+			costs[j] = mean
 		}
 	}
-	return out
+	return costs
 }
 
 // lptPartition is greedy longest-processing-time bin-packing: visit
@@ -106,7 +86,8 @@ func fillUnknownCosts(idxs []int, costs []int64) []int64 {
 // result is deterministic) and place each on the currently lightest
 // partition (ties to the lowest partition index). LPT's makespan is
 // within 4/3 of optimal, which is ample against round-robin's worst
-// case of stacking every heavyweight spec on one worker.
+// case of stacking every heavyweight spec on one worker; over equal
+// costs it deals round-robin.
 func lptPartition(idxs []int, costs []int64, n int) [][]int {
 	order := append([]int(nil), idxs...)
 	sort.SliceStable(order, func(a, b int) bool {

@@ -40,6 +40,17 @@ func TestEffectiveParallel(t *testing.T) {
 	}
 }
 
+// roundRobin deals indexes across n partitions in order: the splitter
+// the engine used when over half of a program's costs were unknown,
+// kept as the oracle for how LPT deals specs of equal cost.
+func roundRobin(idxs []int, n int) [][]int {
+	parts := make([][]int, n)
+	for i, j := range idxs {
+		parts[i%n] = append(parts[i%n], j)
+	}
+	return parts
+}
+
 // Neither splitter may ever produce an empty partition: every partition
 // is a goroutine, and a goroutine with no work is wasted.
 func TestPartitionSpecsNeverEmpty(t *testing.T) {
@@ -151,26 +162,51 @@ func partitionLoads(parts [][]int, costs []int64) []int64 {
 
 func TestFillUnknownCosts(t *testing.T) {
 	costs := []int64{10, plan.CostUnknown, 20, plan.CostUnknown}
-	// Half known (2 of 4): the model stays usable, unknowns get the mean.
+	// Unknowns get the mean of the known costs.
 	got := fillUnknownCosts([]int{0, 1, 2, 3}, costs)
-	if got == nil {
-		t.Fatal("half-known costs should not force round-robin")
+	if got[1] != 15 || got[3] != 15 || got[0] != 10 || got[2] != 20 {
+		t.Errorf("costs = %v, want [10 15 20 15]", got)
 	}
-	if got[1] != 15 || got[3] != 15 {
-		t.Errorf("unknowns = %d,%d, want mean 15", got[1], got[3])
+	// However few are known: 1 of 4 here.
+	if got := fillUnknownCosts([]int{0, 1, 2, 3}, []int64{10, plan.CostUnknown, plan.CostUnknown, plan.CostUnknown}); fmt.Sprint(got) != "[10 10 10 10]" {
+		t.Errorf("one known cost: %v, want [10 10 10 10]", got)
 	}
-	if costs[1] != plan.CostUnknown {
-		t.Error("input slice was modified")
+	// None known: every spec costs 1.
+	if got := fillUnknownCosts([]int{0, 1}, []int64{plan.CostUnknown, plan.CostUnknown}); fmt.Sprint(got) != "[1 1]" {
+		t.Errorf("no known cost: %v, want [1 1]", got)
 	}
-	// 1 of 4 known: too dynamic, fall back.
-	if got := fillUnknownCosts([]int{0, 1, 2, 3}, []int64{10, plan.CostUnknown, plan.CostUnknown, plan.CostUnknown}); got != nil {
-		t.Errorf("mostly-unknown costs should return nil, got %v", got)
+	// The subset view matters, not the whole slice: unselected entries
+	// neither price the unknowns nor get priced.
+	if got := fillUnknownCosts([]int{1, 2}, []int64{10, plan.CostUnknown, 20, plan.CostUnknown}); got[1] != 20 || got[3] != plan.CostUnknown {
+		t.Errorf("subset {1, 2}: %v, want spec 1 at 20 and spec 3 untouched", got)
 	}
-	// The subset view matters, not the whole slice: selecting only the
-	// known entries keeps the model.
-	if got := fillUnknownCosts([]int{0, 2}, []int64{10, plan.CostUnknown, 20, plan.CostUnknown}); got == nil {
-		t.Error("fully-known subset should keep the cost model")
+}
+
+// A program with no static cost at all is dealt exactly as round-robin
+// dealt it: LPT over equal costs, ties to the lowest partition.
+func TestAllDynamicPartitionsDealRoundRobin(t *testing.T) {
+	prog := compileSrc(t, dynamicSpecs(23))
+	e := New(config.NewStore())
+	e.begin(context.Background(), prog)
+	p := plan.For(prog)
+	for _, n := range []int{2, 3, 4, 8, 23} {
+		got, want := e.partitionSpecs(p, allSpecs(prog), n), roundRobin(allSpecs(prog), n)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("n=%d: partitions %v, round-robin %v", n, got, want)
+		}
 	}
+}
+
+// mostlyDynamic reports whether over half of prog's specs have no static
+// cost — the programs the engine once dealt round-robin.
+func mostlyDynamic(prog *compiler.Program, st *config.Store) bool {
+	unknown := 0
+	for _, c := range plan.For(prog).Costs(st.Snapshot()) {
+		if c == plan.CostUnknown {
+			unknown++
+		}
+	}
+	return unknown*2 > len(prog.Specs)
 }
 
 // reportJSON canonicalizes a report for byte-identity comparison: wall
@@ -197,19 +233,19 @@ func dynamicSpecs(n int) string {
 }
 
 // Metamorphic property: partitioning and its width are invisible in the
-// report — LPT and round-robin parallel runs are byte-identical to the
-// sequential run, violations in the same order, not merely the same set.
-// The planner prices each spec and bin-packs (LPT); the round-robin arm
-// adds enough Dynamic specs (no static cost) that the cost model gives
-// up and deals round-robin, the only path that still reaches it.
+// report — parallel runs are byte-identical to the sequential run,
+// violations in the same order, not merely the same set. The planner
+// prices each spec and bin-packs (LPT); the mostly-dynamic arm adds
+// enough Dynamic specs (no static cost) that most specs are priced at
+// the mean of the rest.
 func TestPropPartitionStrategiesByteIdentical(t *testing.T) {
 	partitioners := []struct {
-		name  string
-		extra string
-		lpt   bool
+		name    string
+		extra   string
+		dynamic bool
 	}{
-		{"lpt", "", true},
-		{"round-robin", dynamicSpecs(30), false},
+		{"lpt", "", false},
+		{"mostly-dynamic", dynamicSpecs(30), true},
 	}
 	for seed := int64(60); seed < 72; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -220,9 +256,8 @@ func TestPropPartitionStrategiesByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			costs := plan.For(prog).Costs(st.Snapshot())
-			if gotLPT := fillUnknownCosts(allSpecs(prog), costs) != nil; gotLPT != pt.lpt {
-				t.Fatalf("seed %d: %s: cost model usable = %t, want %t", seed, pt.name, gotLPT, pt.lpt)
+			if got := mostlyDynamic(prog, st); got != pt.dynamic {
+				t.Fatalf("seed %d: %s: mostly dynamic = %t, want %t", seed, pt.name, got, pt.dynamic)
 			}
 			seq := reportJSON(t, (&Engine{Store: st, Env: simenv.NewSim(), Opts: Options{Parallel: 1}}).Run(prog))
 			for _, workers := range []int{2, 3, 4, 8} {
@@ -237,29 +272,27 @@ func TestPropPartitionStrategiesByteIdentical(t *testing.T) {
 }
 
 // The incremental subset path shares the partitioner; its spliced
-// report must stay byte-identical to a full run under both splitters.
-// The subset path reaches round-robin through the cost model's
-// fallback: the second arm adds enough Dynamic specs (no static cost)
-// to trigger it.
+// report must stay byte-identical to a full run, with costs known and
+// mostly unknown: the second arm adds enough Dynamic specs (no static
+// cost) to price most specs at the mean of the rest.
 func TestIncrementalSubsetUsesPartitioner(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	st := randomCorpus(rng, 20)
 	src := randomSuite(rng, 20)
 	arms := []struct {
 		name, src string
-		lpt       bool
+		dynamic   bool
 	}{
-		{"lpt", src, true},
-		{"round-robin", src + dynamicSpecs(30), false},
+		{"lpt", src, false},
+		{"mostly-dynamic", src + dynamicSpecs(30), true},
 	}
 	for _, arm := range arms {
 		prog, err := compiler.Compile(arm.src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		costs := plan.For(prog).Costs(st.Snapshot())
-		if gotLPT := fillUnknownCosts(allSpecs(prog), costs) != nil; gotLPT != arm.lpt {
-			t.Fatalf("%s: cost model usable = %t, want %t", arm.name, gotLPT, arm.lpt)
+		if got := mostlyDynamic(prog, st); got != arm.dynamic {
+			t.Fatalf("%s: mostly dynamic = %t, want %t", arm.name, got, arm.dynamic)
 		}
 		opts := Options{Parallel: 4}
 		prev := &Engine{Store: st, Env: simenv.NewSim(), Opts: opts}

@@ -15,6 +15,8 @@ package lint
 //	CV303 conjunct is implied by a sibling conjunct in the same predicate
 
 import (
+	"strings"
+
 	"confvalley/internal/compiler"
 	"confvalley/internal/cpl/ast"
 	"confvalley/internal/cpl/token"
@@ -44,20 +46,21 @@ func specAnchor(s *compiler.Spec) token.Pos {
 // specKey renders the parts of a spec that determine which elements it
 // checks: quantifier, domains, and scoping context.
 func specKey(s *compiler.Spec) string {
-	key := s.Quant.String()
+	var key strings.Builder
+	key.WriteString(s.Quant.String())
 	for _, d := range s.Domains {
-		key += "\x00" + ast.Render(d)
+		key.WriteString("\x00" + ast.Render(d))
 	}
 	for _, ns := range s.Namespaces {
-		key += "\x01" + ns.String()
+		key.WriteString("\x01" + ns.String())
 	}
 	if s.Compartment != nil {
-		key += "\x02" + s.Compartment.String()
+		key.WriteString("\x02" + s.Compartment.String())
 	}
 	for _, c := range s.Conds {
-		key += "\x03" + c.Spec.Text
+		key.WriteString("\x03" + c.Spec.Text)
 	}
-	return key
+	return key.String()
 }
 
 func runDeadSpec(p *Pass) {
@@ -66,7 +69,8 @@ func runDeadSpec(p *Pass) {
 	}
 	byDomain := map[string][]*compiler.Spec{}
 	for _, s := range p.Prog.Specs {
-		byDomain[specKey(s)] = append(byDomain[specKey(s)], s)
+		k := specKey(s)
+		byDomain[k] = append(byDomain[k], s)
 	}
 	for _, group := range byDomain {
 		for i, s := range group {

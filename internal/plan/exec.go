@@ -68,8 +68,8 @@ func (n *SpecNode) run(c *Ctx, rep *report.Report) {
 			rep.Violations = rep.Violations[:before]
 			rep.InstancesChecked = instBefore
 		}
-		rep.AddSpecError(n.Seq, fmt.Sprintf("%s: %v", n.Spec.Text, err))
-		rep.NoteSpec(n.Seq, report.SpecOutcome{Instances: rep.InstancesChecked - instBefore, Errored: true})
+		rep.AddSpecError(fmt.Sprintf("%s: %v", n.Spec.Text, err))
+		rep.CloseSection(n.Seq, report.SpecOutcome{Instances: rep.InstancesChecked - instBefore, Errored: true})
 		return
 	}
 	failed := len(rep.Violations) > before
@@ -79,7 +79,7 @@ func (n *SpecNode) run(c *Ctx, rep *report.Report) {
 			rep.Stopped = true
 		}
 	}
-	rep.NoteSpec(n.Seq, report.SpecOutcome{Instances: rep.InstancesChecked - instBefore, Failed: failed})
+	rep.CloseSection(n.Seq, report.SpecOutcome{Instances: rep.InstancesChecked - instBefore, Failed: failed})
 }
 
 // runConds applies the spec's variable-binding guards left to right, then

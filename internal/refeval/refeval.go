@@ -126,8 +126,8 @@ func (e *interp) runSpec(prog *compiler.Program, spec *compiler.Spec, seq int, r
 			rep.Violations = rep.Violations[:before]
 			rep.InstancesChecked = instBefore
 		}
-		rep.AddSpecError(seq, fmt.Sprintf("%s: %v", spec.Text, err))
-		rep.NoteSpec(seq, report.SpecOutcome{Instances: rep.InstancesChecked - instBefore, Errored: true})
+		rep.AddSpecError(fmt.Sprintf("%s: %v", spec.Text, err))
+		rep.CloseSection(seq, report.SpecOutcome{Instances: rep.InstancesChecked - instBefore, Errored: true})
 		return
 	}
 	failed := len(rep.Violations) > before
@@ -137,7 +137,7 @@ func (e *interp) runSpec(prog *compiler.Program, spec *compiler.Spec, seq int, r
 			rep.Stopped = true
 		}
 	}
-	rep.NoteSpec(seq, report.SpecOutcome{Instances: rep.InstancesChecked - instBefore, Failed: failed})
+	rep.CloseSection(seq, report.SpecOutcome{Instances: rep.InstancesChecked - instBefore, Failed: failed})
 }
 
 // runConds applies the spec's variable-binding guards left to right, then

@@ -2,6 +2,14 @@
 // automatically generated error messages (§4.4 of the paper) and the
 // aggregate report with the constraint-grouped view practitioners use to
 // triage inferred-specification noise (§6.3).
+//
+// A report records each spec's verdict as a section: the spec's
+// execution position, the violations and spec errors it appended, and
+// its contribution to the counters. Assemble builds every report made of
+// others — the partitions of a parallel run, and an incremental run's
+// splice of re-run verdicts into the previous report — by copying
+// sections in execution order, so either reads exactly as one sequential
+// run would.
 package report
 
 import (
@@ -57,9 +65,8 @@ func ParseSeverity(s string) (Severity, error) {
 // Violation is one failed check: which specification, which configuration
 // instance, and why.
 type Violation struct {
-	// Seq is the specification's position in program execution order.
-	// Parallel partition merges sort on it so a merged report lists
-	// violations exactly as a sequential run would.
+	// Seq is the specification's position in program execution order,
+	// the position of the section that holds the violation.
 	Seq      int      `json:"-"`
 	SpecID   int      `json:"spec_id"`
 	Spec     string   `json:"spec"`    // CPL source of the specification
@@ -94,16 +101,12 @@ type Report struct {
 	// is rolled back rather than reported half-checked.
 	Interrupted bool `json:"interrupted,omitempty"`
 
-	// errSeq tags each SpecErrors entry with its spec's execution
-	// position (parallel to SpecErrors when populated via AddSpecError),
-	// so Merge can restore sequential order.
-	errSeq []int
-	// perSpec records each spec's individual accounting (instance count,
-	// failed/errored), keyed by execution position. Incremental runs need
-	// it to splice cached per-spec verdicts into aggregates that match a
-	// full run exactly. Not serialized: a report parsed back from JSON is
-	// not spliceable.
-	perSpec map[int]SpecOutcome
+	// sections records each spec's verdict in the order the specs ran:
+	// ascending execution positions, each section owning a contiguous
+	// range of Violations and SpecErrors. Assemble builds reports from
+	// them, and an incremental run splices them. Not serialized: a
+	// report parsed back from JSON is not spliceable.
+	sections []section
 }
 
 // SpecOutcome is one spec's contribution to a report's aggregate
@@ -115,220 +118,129 @@ type SpecOutcome struct {
 	Errored   bool // produced SpecErrors entries (never Failed too)
 }
 
-// NoteSpec records one spec's per-run accounting.
-func (r *Report) NoteSpec(seq int, o SpecOutcome) {
-	if r.perSpec == nil {
-		r.perSpec = make(map[int]SpecOutcome)
-	}
-	r.perSpec[seq] = o
+// section is one spec's verdict: its execution position, the half-open
+// ranges [v0, v1) of Violations and [e0, e1) of SpecErrors it appended,
+// and its outcome.
+type section struct {
+	seq, v0, v1, e0, e1 int
+	SpecOutcome
 }
 
-// Outcome returns the recorded accounting for one spec, and whether the
-// report holds one.
+// CloseSection records the verdict of the spec at execution position
+// seq: every violation and spec error appended since the previous
+// section closed belongs to it. The plan executor and the reference
+// interpreter call it once per completed spec, in ascending positions.
+func (r *Report) CloseSection(seq int, o SpecOutcome) {
+	v0, e0 := 0, 0
+	if n := len(r.sections); n > 0 {
+		v0, e0 = r.sections[n-1].v1, r.sections[n-1].e1
+	}
+	r.sections = append(r.sections, section{seq: seq, v0: v0, v1: len(r.Violations), e0: e0, e1: len(r.SpecErrors), SpecOutcome: o})
+}
+
+// Outcome returns the recorded verdict of the spec at execution position
+// seq, and whether the report holds one.
 func (r *Report) Outcome(seq int) (SpecOutcome, bool) {
-	o, ok := r.perSpec[seq]
-	return o, ok
+	i := seq
+	if i >= len(r.sections) || r.sections[i].seq != seq {
+		i = sort.Search(len(r.sections), func(i int) bool { return r.sections[i].seq >= seq })
+	}
+	if i < len(r.sections) && r.sections[i].seq == seq {
+		return r.sections[i].SpecOutcome, true
+	}
+	return SpecOutcome{}, false
 }
 
-// ViolationsFor returns the violations of one spec, in report order.
-func (r *Report) ViolationsFor(seq int) []Violation {
-	var out []Violation
-	for _, v := range r.Violations {
-		if v.Seq == seq {
-			out = append(out, v)
+// Spliceable reports whether the report's sections cover a program of
+// nspecs specs, one section per position, and every violation and spec
+// error in it — whether an incremental run can reuse its verdicts.
+// Reports built through the engine always are unless the run was cut
+// short; hand-built and wire-decoded reports are not.
+func (r *Report) Spliceable(nspecs int) bool {
+	if len(r.sections) != nspecs {
+		return false
+	}
+	for i, s := range r.sections {
+		if s.seq != i {
+			return false
 		}
 	}
-	return out
-}
-
-// ErrorsFor returns the spec-error messages of one spec, in report
-// order. Meaningful only when Tagged reports true.
-func (r *Report) ErrorsFor(seq int) []string {
-	var out []string
-	for i, s := range r.errSeq {
-		if s == seq {
-			out = append(out, r.SpecErrors[i])
-		}
+	v1, e1 := 0, 0
+	if nspecs > 0 {
+		v1, e1 = r.sections[nspecs-1].v1, r.sections[nspecs-1].e1
 	}
-	return out
+	return v1 == len(r.Violations) && e1 == len(r.SpecErrors)
 }
-
-// Tagged reports whether every spec error carries its execution-position
-// tag, i.e. whether ErrorsFor can attribute all of them. Reports built
-// through the engine always are; hand-appended SpecErrors are not.
-func (r *Report) Tagged() bool { return len(r.errSeq) == len(r.SpecErrors) }
 
 // Add appends a violation.
 func (r *Report) Add(v Violation) { r.Violations = append(r.Violations, v) }
 
-// AddSpecError records a spec that could not be evaluated, tagged with
-// its execution position for deterministic merging.
-func (r *Report) AddSpecError(seq int, msg string) {
-	r.SpecErrors = append(r.SpecErrors, msg)
-	r.errSeq = append(r.errSeq, seq)
-}
+// AddSpecError records a spec that could not be evaluated.
+func (r *Report) AddSpecError(msg string) { r.SpecErrors = append(r.SpecErrors, msg) }
 
 // Passed reports whether the run found no violations and no broken specs.
 func (r *Report) Passed() bool { return len(r.Violations) == 0 && len(r.SpecErrors) == 0 }
 
-// Merge folds another report (from a parallel partition) into this one
-// and restores sequential order: violations end up sorted by spec
-// execution position, so the merged report reads identically no matter
-// how the partitions were timed. Partition reports are Seq-sorted by
-// construction (each partition runs its specs in ascending position),
-// so the common case is a linear two-way merge; hand-built reports with
-// out-of-order violations fall back to a stable sort with identical
-// semantics (equal positions keep this report's entries first). Spec
-// errors are likewise reordered when every entry carries a position tag
-// (AddSpecError); reports built with untagged appends keep their
-// arrival order.
-func (r *Report) Merge(o *Report) {
-	r.Violations = mergeViolations(r.Violations, o.Violations)
-	r.SpecsRun += o.SpecsRun
-	r.SpecsFailed += o.SpecsFailed
-	r.SpecErrors, r.errSeq = mergeSpecErrors(r.SpecErrors, r.errSeq, o.SpecErrors, o.errSeq)
-	r.InstancesChecked += o.InstancesChecked
-	r.SpecsReused += o.SpecsReused
-	if o.Duration > r.Duration {
-		r.Duration = o.Duration // parallel wall clock is the max partition time
+// Assemble builds one report from the sections of srcs: it walks
+// execution positions in ascending order and copies each spec's section
+// — its violations, spec errors and outcome — from the source that owns
+// it, so the result lists verdicts exactly as one sequential run would.
+// Where several sources hold a section for the same position, the last
+// of them owns it: an incremental run passes the previous report first
+// and the re-run subset after it. The counters are the sums over the
+// copied sections, Stopped and Interrupted are those of any source, and
+// SpecsReused and Duration are left for the caller. The parallel
+// partitions of one run and an incremental splice both assemble here.
+func Assemble(srcs ...*Report) *Report {
+	out := &Report{}
+	nv, ne, ns := 0, 0, 0
+	for _, s := range srcs {
+		nv, ne, ns = nv+len(s.Violations), ne+len(s.SpecErrors), ns+len(s.sections)
+		out.Stopped = out.Stopped || s.Stopped
+		out.Interrupted = out.Interrupted || s.Interrupted
 	}
-	r.Stopped = r.Stopped || o.Stopped
-	r.Interrupted = r.Interrupted || o.Interrupted
-	if len(o.perSpec) > 0 {
-		if r.perSpec == nil {
-			r.perSpec = make(map[int]SpecOutcome, len(o.perSpec))
-		}
-		for seq, so := range o.perSpec {
-			r.perSpec[seq] = so
-		}
+	if nv > 0 {
+		out.Violations = make([]Violation, 0, nv)
 	}
-}
-
-// mergeViolations merges two violation lists into Seq order. Both lists
-// coming out of the engine are already sorted (partitions hold ascending
-// execution positions and run them in order), so the usual path is one
-// linear pass with no re-sorting; an unsorted input falls back to the
-// equivalent append-and-stable-sort.
-func mergeViolations(a, b []Violation) []Violation {
-	if len(b) == 0 {
-		return a
+	if ne > 0 {
+		out.SpecErrors = make([]string, 0, ne)
 	}
-	if len(a) == 0 {
-		return append(a, b...)
-	}
-	if !seqSorted(a) || !seqSorted(b) {
-		out := append(a, b...)
-		sort.SliceStable(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-		return out
-	}
-	out := make([]Violation, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		// <= keeps this report's entries first on equal positions,
-		// matching what a stable sort of the concatenation produces.
-		if a[i].Seq <= b[j].Seq {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-func seqSorted(vs []Violation) bool {
-	for i := 1; i < len(vs); i++ {
-		if vs[i].Seq < vs[i-1].Seq {
-			return false
-		}
-	}
-	return true
-}
-
-// mergeSpecErrors merges two spec-error lists with their position tags.
-// Fully tagged, sorted inputs take the linear path; anything else falls
-// back to concatenation plus the stable index sort (or plain arrival
-// order when a side is untagged, as before).
-func mergeSpecErrors(ae []string, aseq []int, be []string, bseq []int) ([]string, []int) {
-	aTagged, bTagged := len(aseq) == len(ae), len(bseq) == len(be)
-	if aTagged && bTagged && intsSorted(aseq) && intsSorted(bseq) {
-		if len(be) == 0 {
-			return ae, aseq
-		}
-		if len(ae) == 0 {
-			return append(ae, be...), append(aseq, bseq...)
-		}
-		errs := make([]string, 0, len(ae)+len(be))
-		seqs := make([]int, 0, len(aseq)+len(bseq))
-		i, j := 0, 0
-		for i < len(ae) && j < len(be) {
-			if aseq[i] <= bseq[j] {
-				errs, seqs = append(errs, ae[i]), append(seqs, aseq[i])
-				i++
-			} else {
-				errs, seqs = append(errs, be[j]), append(seqs, bseq[j])
-				j++
+	out.sections = make([]section, 0, ns)
+	next := make([]int, len(srcs)) // each source's first section not yet walked past
+	for {
+		owner, seq := -1, 0
+		for i, s := range srcs {
+			if next[i] < len(s.sections) && (owner < 0 || s.sections[next[i]].seq <= seq) {
+				owner, seq = i, s.sections[next[i]].seq
 			}
 		}
-		errs = append(errs, ae[i:]...)
-		seqs = append(seqs, aseq[i:]...)
-		errs = append(errs, be[j:]...)
-		seqs = append(seqs, bseq[j:]...)
-		return errs, seqs
-	}
-	errs := append(ae, be...)
-	seqs := append(aseq, bseq...)
-	if len(seqs) == len(errs) && len(seqs) > 1 {
-		idx := make([]int, len(errs))
-		for i := range idx {
-			idx[i] = i
+		if owner < 0 {
+			// Nothing copied reads as nothing at all, as on a run
+			// that found nothing.
+			if len(out.Violations) == 0 {
+				out.Violations = nil
+			}
+			if len(out.SpecErrors) == 0 {
+				out.SpecErrors = nil
+			}
+			return out
 		}
-		sort.SliceStable(idx, func(a, b int) bool { return seqs[idx[a]] < seqs[idx[b]] })
-		oe := make([]string, len(idx))
-		os := make([]int, len(idx))
-		for i, j := range idx {
-			oe[i], os[i] = errs[j], seqs[j]
+		src := srcs[owner]
+		sec := src.sections[next[owner]]
+		for i, s := range srcs {
+			if next[i] < len(s.sections) && s.sections[next[i]].seq == seq {
+				next[i]++
+			}
 		}
-		return oe, os
-	}
-	return errs, seqs
-}
-
-func intsSorted(xs []int) bool {
-	for i := 1; i < len(xs); i++ {
-		if xs[i] < xs[i-1] {
-			return false
+		out.Violations = append(out.Violations, src.Violations[sec.v0:sec.v1]...)
+		out.SpecErrors = append(out.SpecErrors, src.SpecErrors[sec.e0:sec.e1]...)
+		out.SpecsRun++
+		out.InstancesChecked += sec.Instances
+		if sec.Failed {
+			out.SpecsFailed++
 		}
+		out.CloseSection(seq, sec.SpecOutcome)
 	}
-	return true
-}
-
-// Clone returns a deep copy: mutating the clone (or handing it to a
-// caller that will) leaves the original untouched, including the
-// per-spec splice accounting. Incremental runs whose delta touches no
-// spec return a clone of the previous report rather than re-deriving
-// it, so the clone must itself be spliceable by the next round.
-func (r *Report) Clone() *Report {
-	c := *r
-	if r.Violations != nil {
-		c.Violations = append([]Violation(nil), r.Violations...)
-	}
-	if r.SpecErrors != nil {
-		c.SpecErrors = append([]string(nil), r.SpecErrors...)
-	}
-	if r.errSeq != nil {
-		c.errSeq = append([]int(nil), r.errSeq...)
-	}
-	if r.perSpec != nil {
-		c.perSpec = make(map[int]SpecOutcome, len(r.perSpec))
-		for seq, o := range r.perSpec {
-			c.perSpec[seq] = o
-		}
-	}
-	return &c
 }
 
 // Reset clears the report for reuse, retaining allocated capacity. The
@@ -344,8 +256,7 @@ func (r *Report) Reset() {
 	r.Duration = 0
 	r.Stopped = false
 	r.Interrupted = false
-	r.errSeq = r.errSeq[:0]
-	clear(r.perSpec)
+	r.sections = r.sections[:0]
 }
 
 // ConstraintGroup is the by-specification view of violations.

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestSeverityRoundTrip(t *testing.T) {
@@ -20,19 +19,21 @@ func TestSeverityRoundTrip(t *testing.T) {
 	}
 }
 
+// Assembling two partition reports sums their sections' counters and
+// keeps either one's Stopped flag.
 func TestMerge(t *testing.T) {
-	a := &Report{SpecsRun: 2, SpecsFailed: 1, InstancesChecked: 10, Duration: 5 * time.Millisecond}
-	a.Add(Violation{SpecID: 1, Message: "m1"})
-	b := &Report{SpecsRun: 3, InstancesChecked: 20, Duration: 9 * time.Millisecond, Stopped: true}
-	b.Add(Violation{SpecID: 2, Message: "m2"})
-	a.Merge(b)
-	if a.SpecsRun != 5 || a.InstancesChecked != 30 || len(a.Violations) != 2 {
-		t.Errorf("merged = %+v", a)
+	a := &Report{SpecsRun: 1, SpecsFailed: 1, InstancesChecked: 10}
+	a.Add(Violation{Seq: 0, SpecID: 1, Message: "m1"})
+	a.CloseSection(0, SpecOutcome{Instances: 10, Failed: true})
+	b := &Report{SpecsRun: 2, InstancesChecked: 20, Stopped: true}
+	b.CloseSection(1, SpecOutcome{Instances: 5})
+	b.Add(Violation{Seq: 2, SpecID: 2, Message: "m2"})
+	b.CloseSection(2, SpecOutcome{Instances: 15, Failed: true})
+	m := Assemble(a, b)
+	if m.SpecsRun != 3 || m.SpecsFailed != 2 || m.InstancesChecked != 30 || len(m.Violations) != 2 {
+		t.Errorf("merged = %+v", m)
 	}
-	if a.Duration != 9*time.Millisecond {
-		t.Errorf("duration should be max: %v", a.Duration)
-	}
-	if !a.Stopped {
+	if !m.Stopped {
 		t.Error("stopped should propagate")
 	}
 }

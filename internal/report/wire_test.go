@@ -33,7 +33,7 @@ func wireFixture() *Report {
 		Key: "Db.Host", Value: "not a host", Source: "db.json",
 		Message: "not a hostname", Severity: Critical,
 	})
-	r.AddSpecError(2, "spec 4: unknown predicate frobnicate")
+	r.AddSpecError("spec 4: unknown predicate frobnicate")
 	return r
 }
 

@@ -52,7 +52,7 @@ func TestRunProgramIncrementalExplicitState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := rep2.Clone(), full.Clone()
+	a, b := *rep2, *full
 	a.Duration, a.SpecsReused, b.Duration = 0, 0, 0
 	aj, _ := a.JSON()
 	bj, _ := b.JSON()
