@@ -130,6 +130,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFootprint$$' -fuzztime 30s ./internal/plan/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrames$$' -fuzztime 30s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz '^FuzzContentAddress$$' -fuzztime 30s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReuse$$' -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 30s ./internal/report/
 
 # One iteration of every benchmark — compile/panic smoke, no timing
@@ -167,8 +168,9 @@ profile-ingest:
 # The same for the whole cold request (BenchmarkColdRequest: the
 # novel_xml operation in-process through Server.ValidateBody — envelope
 # decode, load, store build, seal, diff, incremental splice, report),
-# twice: one-value, the delta re-parse of a one-value change, into
-# cpu.pprof and mem.pprof, and structural, a document one setting longer
+# twice: one-value, a one-value change — the envelope decode copying the
+# unchanged chunks from the spec's address memo, then the delta re-parse —
+# into cpu.pprof and mem.pprof, and structural, a document one setting longer
 # per request, so every request is parsed in full (the cold_xml path),
 # into cpu-structural.pprof and mem-structural.pprof. Same output layout
 # otherwise, which it overwrites.

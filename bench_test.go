@@ -543,11 +543,13 @@ func coldServer(tb testing.TB, spec string, body []byte) (*serve.Server, int) {
 // store build, seal, diff against the previous request's snapshot,
 // incremental splice, report — a request every cache layer misses on,
 // in-process through Server.ValidateBody. In one-value, the payload
-// differs from the previous request's in the nonce only, so the load is
-// the delta re-parse against the first request's parse (BenchmarkColdIngest
-// times a full parse), the store is that parse's partition with one class
-// copied, the diff walks pointers and the payload buffer goes back to the
-// pool. In structural, each request adds one setting to the previous
+// differs from the previous request's in the nonce only, so the envelope
+// decode copies the decoded bytes of every chunk but the nonce's and its
+// neighbour's from the spec's address memo (BenchmarkDecodeEnvelope times
+// a decode with nothing to copy), the load is the delta re-parse against
+// the first request's parse (BenchmarkColdIngest times a full parse), the
+// store is that parse's partition with one class copied, the diff walks
+// pointers and the payload buffer goes back to the pool. In structural, each request adds one setting to the previous
 // one's document, so the walk declines and every request is parsed in
 // full, keeps its buffer and builds its store: the cold_xml path.
 func BenchmarkColdRequest(b *testing.B) {

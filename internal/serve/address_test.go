@@ -228,6 +228,58 @@ func TestRepeatHashesNoChunk(t *testing.T) {
 	}
 }
 
+// The decode's share of the memo, read from /statsz: a spec's first body
+// copies nothing, a body stamped with a new nonce in its first chunk
+// copies all its decoded bytes but those of that chunk and the last, a
+// byte-identical repeat is a result-cache hit and decodes nothing, and
+// address_memo_bytes counts the decoded copy beside the body's.
+func TestDecodeCopiesFromMemo(t *testing.T) {
+	_, c := testClient(t, Config{})
+	ctx := context.Background()
+	if _, err := c.Register(ctx, "one", timeoutSpec); err != nil {
+		t.Fatal(err)
+	}
+	var last StatsInfo
+	// send posts body and returns how many decoded bytes it copied.
+	send := func(body []byte) int64 {
+		t.Helper()
+		resp, err := c.HTTP.Post(c.url("v1", "tenants", "acme", "specs", "one", "validate"), "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		st, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Tenants) != 1 || st.Tenants[0].AddressStats != st.AddressStats {
+			t.Fatalf("the one tenant's address counters %+v are not the totals %+v", st.Tenants, st.AddressStats)
+		}
+		copied := st.BytesReused - last.BytesReused
+		last = st
+		return copied
+	}
+
+	doc := nonceDoc(0, 30, 5*addressChunk+100)
+	body := requestBody(t, kvRequest(doc))
+	if n := send(body); n != 0 {
+		t.Errorf("first body copied %d bytes", n)
+	}
+	if last.MemoBytes < int64(len(body)+len(doc)) {
+		t.Errorf("address_memo_bytes %d after a %d-byte body of %d payload bytes, want at least both", last.MemoBytes, len(body), len(doc))
+	}
+	stamped := requestBody(t, kvRequest(nonceDoc(1, 30, 5*addressChunk+100)))
+	if n := send(stamped); n < int64(len(doc)-2*addressChunk) || n > int64(len(doc)) {
+		t.Errorf("nonce stamped in the first chunk: copied %d of %d payload bytes, want all but about two chunks' worth", n, len(doc))
+	}
+	if n := send(stamped); n != 0 {
+		t.Errorf("byte-identical repeat copied %d bytes, want 0: it is a cache hit", n)
+	}
+}
+
 // Eight goroutines send three bodies in rotation to one spec: two of one
 // length that differ in one chunk, and a longer one, so the memo is
 // compared, patched and rebuilt under every interleaving. Every address
@@ -442,4 +494,12 @@ func BenchmarkContentAddress(b *testing.B) {
 			}
 		})
 	}
+}
+
+// address is addressOf for a caller that only wants the address and the
+// chunk counts.
+func (m *addressMemo) address(body []byte) (id string, hashed, reused int) {
+	var equal [stackChunks]bool
+	a := m.addressOf(body, equal[:])
+	return a.id, a.hashed, a.reused
 }

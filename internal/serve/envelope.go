@@ -66,6 +66,21 @@ type envelopeDecoder struct {
 	data []byte
 	buf  *[]byte
 	name []byte
+
+	// Set when decoding against an address memo (address.go): the memo,
+	// the generation and chunk flags of the body's addressing (equal is
+	// copied, into eq when it fits, so a decoder points at nothing on its
+	// caller's stack), the marks it leaves, the body offset of the next
+	// chunk boundary to mark, the data strings begun and the decoded
+	// bytes copied from the memo.
+	memo   *addressMemo
+	base   uint64
+	equal  []bool
+	eq     [stackChunks]bool
+	marks  []mark
+	next   int
+	str    int
+	copied int64
 }
 
 // payloadPool holds payload buffers nothing points into any more: the
@@ -113,6 +128,11 @@ func releasePayloads(buf *[]byte) {
 // once nothing points into them the caller may release it.
 func decodeEnvelope(body []byte, maxSources int, maxPayloadBytes int64) (payloads []runner.Payload, sources []SourceRef, buf *[]byte, err error) {
 	d := envelopeDecoder{b: body, maxSources: maxSources, budget: max(maxPayloadBytes, 0)}
+	return d.decode()
+}
+
+// decode is decodeEnvelope for the decoder's body, quotas and memo.
+func (d *envelopeDecoder) decode() (payloads []runner.Payload, sources []SourceRef, buf *[]byte, err error) {
 	d.space()
 	switch d.peek() {
 	case 'n': // null decodes to the empty request
@@ -250,7 +270,7 @@ func (d *envelopeDecoder) text(dst *string) error {
 	if isNull, err := d.stringOrNull(); isNull || err != nil {
 		return err
 	}
-	s, err := d.unquote(d.name[:0], keepAll)
+	s, err := d.unquote(d.name[:0], keepAll, false)
 	if err != nil {
 		return err
 	}
@@ -274,8 +294,9 @@ func (d *envelopeDecoder) payloadData(p *runner.Payload) error {
 		d.buf = payloadBuffer(min(int64(len(d.b)-d.i), d.budget))
 		d.data = *d.buf
 	}
+	d.str++
 	start := len(d.data)
-	out, err := d.unquote(d.data, d.budget)
+	out, err := d.unquote(d.data, d.budget, true)
 	if err == errOverLimit {
 		return fmt.Errorf("%w: payload bytes over the limit at offset %d", ErrTooLarge, d.i)
 	}
@@ -316,10 +337,10 @@ func (d *envelopeDecoder) member(names [][]byte, first bool) (int, error) {
 		// No known name is longer than 24 bytes under any folding, so a
 		// key that does not fit is checked to its end and matches nothing.
 		var scratch [24]byte
-		key, err := d.unquote(scratch[:0], int64(len(scratch)))
+		key, err := d.unquote(scratch[:0], int64(len(scratch)), false)
 		if err == errOverLimit {
 			key = nil
-			_, err = d.unquote(nil, discard)
+			_, err = d.unquote(nil, discard, false)
 		}
 		if err != nil {
 			return 0, err
@@ -381,7 +402,7 @@ func (d *envelopeDecoder) skip() error {
 		}
 	case c == '"':
 		d.i++
-		_, err := d.unquote(nil, discard)
+		_, err := d.unquote(nil, discard, false)
 		return err
 	case c == '-' || '0' <= c && c <= '9':
 		return d.number()
@@ -470,11 +491,23 @@ func plainPrefix(x uint64) int {
 // joined, a lone surrogate and each byte of malformed UTF-8 replaced by
 // U+FFFD. It appends at most limit bytes and returns errOverLimit, the
 // cursor on the unit that did not fit, when the string holds more; with
-// limit discard it only checks.
-func (d *envelopeDecoder) unquote(dst []byte, limit int64) ([]byte, error) {
+// limit discard it only checks. Decoding a payload's data (data) against
+// a memo, it stops at the first token boundary at or past each chunk
+// boundary — the boundary, or the end of the token straddling it — to
+// mark it and maybe copy on from the memo (markAt).
+func (d *envelopeDecoder) unquote(dst []byte, limit int64, data bool) ([]byte, error) {
 	b, i := d.b, d.i
 	keep := limit >= 0
+	next := math.MaxInt
+	if data && d.memo != nil {
+		next = d.next
+	}
 	for {
+		if i >= next {
+			i, dst, limit = d.markAt(i, dst, limit)
+			next = d.next
+		}
+		stop := min(len(b), next)
 		// Eight bytes at a time while there is room for eight: copied
 		// whole, kept as far as they are plain. The escapes a payload is
 		// full of decode to one byte and are taken in the same loop: \"
@@ -482,7 +515,7 @@ func (d *envelopeDecoder) unquote(dst []byte, limit int64) ([]byte, error) {
 		// which is how encoders write < > & and control bytes.
 		if keep {
 			out, o := dst[:cap(dst)], len(dst)
-			for i+8 <= len(b) && o+8 <= len(out) && limit >= 8 {
+			for i+8 <= stop && o+8 <= len(out) && limit >= 8 {
 				x := binary.LittleEndian.Uint64(b[i:])
 				n := plainPrefix(x)
 				binary.LittleEndian.PutUint64(out[o:], x)
@@ -516,12 +549,12 @@ func (d *envelopeDecoder) unquote(dst []byte, limit int64) ([]byte, error) {
 			dst = out[:o]
 		}
 		run := i
-		for i < len(b) && plainByte[b[i]] {
+		for i < stop && plainByte[b[i]] {
 			i++
 		}
 		if keep && i > run {
 			if int64(i-run) > limit {
-				d.i = run
+				d.i = run + int(limit)
 				return dst, errOverLimit
 			}
 			limit -= int64(i - run)
@@ -530,6 +563,9 @@ func (d *envelopeDecoder) unquote(dst []byte, limit int64) ([]byte, error) {
 		if i >= len(b) {
 			d.i = i
 			return dst, d.syntax("unexpected end of input in a string")
+		}
+		if i >= next {
+			continue // a token boundary at or past a chunk boundary: mark it
 		}
 		var r rune
 		size := 2

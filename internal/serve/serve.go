@@ -611,7 +611,9 @@ func (s *Server) DeleteSpec(tenantName, specName string) error {
 // chunk tree digest (address.go) is the request's one content address
 // (DESIGN.md §12); the chunks equal to the spec's last body's take their
 // digests from its memo, so a byte-identical repeat hashes no chunk and a
-// one-value change the chunk it is in:
+// one-value change the chunk it is in, and the decode takes their decoded
+// bytes from the memo's copy of the last decode, so a one-value change
+// unquotes about two chunks of its payload:
 //
 //  1. the result cache is looked up under it before the body is
 //     decoded, so a byte-identical repeat returns the cached response
@@ -650,16 +652,18 @@ func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, 
 	if err != nil {
 		return nil, err
 	}
-	contentID, hashed, reused := entry.addr.address(body)
-	t.chunksHashed.Add(int64(hashed))
-	t.chunksReused.Add(int64(reused))
-	key := entry.cacheKey(contentID)
+	var equal [stackChunks]bool
+	a := entry.addr.addressOf(body, equal[:])
+	t.chunksHashed.Add(int64(a.hashed))
+	t.chunksReused.Add(int64(a.reused))
+	key := entry.cacheKey(a.id)
 	if resp, ok := t.results.get(key); ok {
 		entry.lastResp.Store(resp)
 		return resp, nil
 	}
 	q := s.cfg.Quotas
-	payloads, sources, buf, err := decodeEnvelope(body, q.MaxSources, q.MaxPayloadBytes)
+	payloads, sources, buf, copied, err := entry.addr.decode(&a, body, q.MaxSources, q.MaxPayloadBytes)
+	t.bytesReused.Add(copied)
 	kept := false
 	defer func() {
 		if !kept {
@@ -919,7 +923,7 @@ func (t *tenant) lintCounters() LintCounters {
 // addressStats snapshots one tenant's content-addressing work and what
 // its specs' address memos keep resident.
 func (t *tenant) addressStats() AddressStats {
-	a := AddressStats{ChunksHashed: t.chunksHashed.Load(), ChunksReused: t.chunksReused.Load()}
+	a := AddressStats{ChunksHashed: t.chunksHashed.Load(), ChunksReused: t.chunksReused.Load(), BytesReused: t.bytesReused.Load()}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, entry := range t.specs {
@@ -1054,18 +1058,22 @@ type LintCounters struct {
 // AddressStats counts the work of content addressing (DESIGN.md §12), in
 // StatsInfo's top level and in each TenantStats: the body chunks hashed,
 // the chunks whose digest a spec's address memo supplied (every request
-// addresses each chunk of its body once, one or the other), and the bytes
-// the registered specs' memos keep resident — a gauge that falls when a
-// spec is deleted or re-registered.
+// addresses each chunk of its body once, one or the other), the decoded
+// payload bytes a request copied from the memo's decode instead of
+// unquoting them, and the bytes the registered specs' memos keep
+// resident, decoded copies included — a gauge that falls when a spec is
+// deleted or re-registered.
 type AddressStats struct {
 	ChunksHashed int64 `json:"address_chunks_hashed"`
 	ChunksReused int64 `json:"address_chunks_reused"`
+	BytesReused  int64 `json:"address_bytes_reused"`
 	MemoBytes    int64 `json:"address_memo_bytes"`
 }
 
 func (a *AddressStats) add(b AddressStats) {
 	a.ChunksHashed += b.ChunksHashed
 	a.ChunksReused += b.ChunksReused
+	a.BytesReused += b.BytesReused
 	a.MemoBytes += b.MemoBytes
 }
 

@@ -35,10 +35,12 @@ type tenant struct {
 	lintWarnings atomic.Int64
 	lintInfos    atomic.Int64
 
-	// Content addressing: body chunks hashed, and chunks whose digest a
-	// spec's address memo supplied (AddressStats).
+	// Content addressing: body chunks hashed, chunks whose digest a
+	// spec's address memo supplied, and decoded bytes copied from a memo
+	// (AddressStats).
 	chunksHashed atomic.Int64
 	chunksReused atomic.Int64
+	bytesReused  atomic.Int64
 
 	mu    sync.RWMutex
 	specs map[string]*specEntry
@@ -65,8 +67,9 @@ type specEntry struct {
 	// it lock-free from the report endpoint.
 	lastResp atomic.Pointer[ValidateResponse]
 	// addr is the registration's content-address memo: a copy of the
-	// last body validated under it and its chunk digests, which the next
-	// body's equal chunks reuse (address.go). It dies with the entry.
+	// last body validated under it, its chunk digests and a decode, which
+	// the next body's equal chunks reuse (address.go). It dies with the
+	// entry.
 	addr addressMemo
 }
 

@@ -86,26 +86,33 @@ func TestRunProgramIncrementalInterruptedKeepsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func() *config.Store {
+	// build returns the eight values, p0 set to first.
+	build := func(first string) *config.Store {
 		st := config.NewStore()
 		for i := 0; i < 8; i++ {
-			st.Add(&config.Instance{Key: config.K("App", fmt.Sprintf("p%d", i)), Value: "1"})
+			v := "1"
+			if i == 0 {
+				v = first
+			}
+			st.Add(&config.Instance{Key: config.K("App", fmt.Sprintf("p%d", i)), Value: v})
 		}
 		return st
 	}
 
-	_, _, state, err := s.RunProgramIncremental(context.Background(), prog, build(), nil)
+	_, _, state, err := s.RunProgramIncremental(context.Background(), prog, build("1"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One value changed under p0's spec, so the run has a spec to re-run
+	// and polls the context before it.
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, _, after, err := s.RunProgramIncremental(canceled, prog, build(), state)
+	rep, _, after, err := s.RunProgramIncremental(canceled, prog, build("2"), state)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Interrupted {
-		t.Skip("run completed before cancellation took effect")
+		t.Fatal("a run with a spec to re-run under a cancelled context was not interrupted")
 	}
 	if after != state {
 		t.Error("interrupted run replaced the retained state")
