@@ -138,6 +138,23 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
+# profile BENCH,CPU,MEM: run the benchmarks BENCH matches for ten seconds
+# with a CPU and an allocation profile in .bench_build/CPU and
+# .bench_build/MEM (test binary: .bench_build/confvalley.test), then print
+# the top fifteen of each. Every profile-* target below is one or two
+# calls. A backslash-newline written inside a define is joined into one
+# line, so the continued command spells its line breaks $(newline).
+define newline
+
+
+endef
+
+define profile
+	$(GO) test -run '^$$' -bench '$(1)' -benchtime 10s \$(newline)		-o .bench_build/confvalley.test \$(newline)		-cpuprofile .bench_build/$(2) -memprofile .bench_build/$(3) .
+	$(GO) tool pprof -top -nodecount 15 .bench_build/confvalley.test .bench_build/$(2)
+	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space .bench_build/confvalley.test .bench_build/$(3)
+endef
+
 # CPU and allocation profile of the evaluator on the expert_eval inputs
 # (BenchmarkExpertEval: the engine's share of that workload, nothing
 # reused between iterations). No change may touch bench/, so evaluator
@@ -146,11 +163,7 @@ bench-smoke:
 # `go tool pprof -list <regexp> .bench_build/confvalley.test .bench_build/cpu.pprof`.
 profile-expert:
 	mkdir -p .bench_build
-	$(GO) test -run '^$$' -bench '^BenchmarkExpertEval$$' -benchtime 10s \
-		-o .bench_build/confvalley.test \
-		-cpuprofile .bench_build/cpu.pprof -memprofile .bench_build/mem.pprof .
-	$(GO) tool pprof -top -nodecount 15 .bench_build/confvalley.test .bench_build/cpu.pprof
-	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space .bench_build/confvalley.test .bench_build/mem.pprof
+	$(call profile,^BenchmarkExpertEval$$,cpu.pprof,mem.pprof)
 
 # The same for ingest (BenchmarkColdIngest: a full Type A corpus as
 # nested XML from bytes to a sealed snapshot — the full driver parse,
@@ -159,11 +172,7 @@ profile-expert:
 # profile-expert, which it overwrites.
 profile-ingest:
 	mkdir -p .bench_build
-	$(GO) test -run '^$$' -bench '^BenchmarkColdIngest$$' -benchtime 10s \
-		-o .bench_build/confvalley.test \
-		-cpuprofile .bench_build/cpu.pprof -memprofile .bench_build/mem.pprof .
-	$(GO) tool pprof -top -nodecount 15 .bench_build/confvalley.test .bench_build/cpu.pprof
-	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space .bench_build/confvalley.test .bench_build/mem.pprof
+	$(call profile,^BenchmarkColdIngest$$,cpu.pprof,mem.pprof)
 
 # The same for the whole cold request (BenchmarkColdRequest: the
 # novel_xml operation in-process through Server.ValidateBody — envelope
@@ -176,16 +185,8 @@ profile-ingest:
 # otherwise, which it overwrites.
 profile-request:
 	mkdir -p .bench_build
-	$(GO) test -run '^$$' -bench '^BenchmarkColdRequest$$/^one-value$$' -benchtime 10s \
-		-o .bench_build/confvalley.test \
-		-cpuprofile .bench_build/cpu.pprof -memprofile .bench_build/mem.pprof .
-	$(GO) tool pprof -top -nodecount 15 .bench_build/confvalley.test .bench_build/cpu.pprof
-	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space .bench_build/confvalley.test .bench_build/mem.pprof
-	$(GO) test -run '^$$' -bench '^BenchmarkColdRequest$$/^structural$$' -benchtime 10s \
-		-o .bench_build/confvalley.test \
-		-cpuprofile .bench_build/cpu-structural.pprof -memprofile .bench_build/mem-structural.pprof .
-	$(GO) tool pprof -top -nodecount 15 .bench_build/confvalley.test .bench_build/cpu-structural.pprof
-	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space .bench_build/confvalley.test .bench_build/mem-structural.pprof
+	$(call profile,^BenchmarkColdRequest$$/^one-value$$,cpu.pprof,mem.pprof)
+	$(call profile,^BenchmarkColdRequest$$/^structural$$,cpu-structural.pprof,mem-structural.pprof)
 
 # The same for the command line (BenchmarkCLIRun: the cli_kv_b operation
 # in-process — compile, lower, read and parse a Type B KV file, full run,
@@ -193,22 +194,14 @@ profile-request:
 # which it overwrites.
 profile-cli:
 	mkdir -p .bench_build
-	$(GO) test -run '^$$' -bench '^BenchmarkCLIRun$$' -benchtime 10s \
-		-o .bench_build/confvalley.test \
-		-cpuprofile .bench_build/cpu.pprof -memprofile .bench_build/mem.pprof .
-	$(GO) tool pprof -top -nodecount 15 .bench_build/confvalley.test .bench_build/cpu.pprof
-	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space .bench_build/confvalley.test .bench_build/mem.pprof
+	$(call profile,^BenchmarkCLIRun$$,cpu.pprof,mem.pprof)
 
 # The same for the miner (BenchmarkInferTypeA: infer.Infer over a
 # full-scale Type A corpus, generated once outside the timer). Same output
 # layout, which it overwrites.
 profile-infer:
 	mkdir -p .bench_build
-	$(GO) test -run '^$$' -bench '^BenchmarkInferTypeA$$' -benchtime 10s \
-		-o .bench_build/confvalley.test \
-		-cpuprofile .bench_build/cpu.pprof -memprofile .bench_build/mem.pprof .
-	$(GO) tool pprof -top -nodecount 15 .bench_build/confvalley.test .bench_build/cpu.pprof
-	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space .bench_build/confvalley.test .bench_build/mem.pprof
+	$(call profile,^BenchmarkInferTypeA$$,cpu.pprof,mem.pprof)
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): the
 # measurement of record for end-to-end time and allocation. repo-bench

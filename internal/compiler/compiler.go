@@ -476,10 +476,30 @@ func optimize(prog *Program) {
 	prog.Specs = aggregateDomains(prog, prog.Specs)
 }
 
-// contextKey identifies specs that evaluate in the same context and can
-// therefore be merged.
+// ScopeKey renders what decides which elements a spec's predicate is
+// checked on, apart from its domains: namespaces, compartment, guards
+// (each with its else polarity and bound variable) and quantifier. The
+// optimizer merges only specs that share it, and the linter compares
+// only specs that share it and their domains.
+func ScopeKey(s *Spec) string {
+	var b strings.Builder
+	writeScope(&b, s)
+	fmt.Fprintf(&b, "q:%d", s.Quant)
+	return b.String()
+}
+
+// contextKey identifies specs that evaluate in the same context and
+// report alike, and can therefore be merged: ScopeKey plus severity and
+// message, written in one builder.
 func contextKey(s *Spec) string {
 	var b strings.Builder
+	writeScope(&b, s)
+	fmt.Fprintf(&b, "q:%d;sev:%d;msg:%s", s.Quant, s.Severity, s.Message)
+	return b.String()
+}
+
+// writeScope writes ScopeKey's namespaces, compartment and guards.
+func writeScope(b *strings.Builder, s *Spec) {
 	for _, n := range s.Namespaces {
 		b.WriteString("n:" + n.String() + ";")
 	}
@@ -487,18 +507,19 @@ func contextKey(s *Spec) string {
 		b.WriteString("c:" + s.Compartment.String() + ";")
 	}
 	for _, c := range s.Conds {
-		fmt.Fprintf(&b, "i:%s:%v:%s;", c.Spec.Text, c.Negate, c.BindVar)
+		fmt.Fprintf(b, "i:%s:%v:%s;", c.Spec.Text, c.Negate, c.BindVar)
 	}
-	fmt.Fprintf(&b, "q:%d;sev:%d;msg:%s", s.Quant, s.Severity, s.Message)
-	return b.String()
 }
 
-func domainsKey(s *Spec) string {
+// DomainsKey renders a spec's domains in order, NUL-separated: a
+// rendering may hold '|' (an or inside a pipeline step's guard), never a
+// NUL outside a string literal.
+func DomainsKey(s *Spec) string {
 	parts := make([]string, len(s.Domains))
 	for i, d := range s.Domains {
 		parts[i] = ast.Render(d)
 	}
-	return strings.Join(parts, "|")
+	return strings.Join(parts, "\x00")
 }
 
 // aggregatePredicates merges consecutive specs with identical domains and
@@ -512,7 +533,7 @@ func aggregatePredicates(prog *Program, specs []*Spec) []*Spec {
 			out = append(out, s)
 			continue
 		}
-		key := contextKey(s) + "|" + domainsKey(s)
+		key := contextKey(s) + "|" + DomainsKey(s)
 		if prev, ok := byKey[key]; ok {
 			prev.Pred = &ast.And{L: prev.Pred, R: s.Pred}
 			prev.Text = prev.Text + " & " + strings.TrimPrefix(s.Text, ast.Render(s.Domains[0])+" -> ")
@@ -625,7 +646,7 @@ func implies(q, p ast.Pred) bool {
 			// A more specific type implies a more general one.
 			return qq.T != pp.T && vtype.LE(qq.T, pp.T)
 		case *ast.Enum:
-			vals, ok := enumLiterals(qq)
+			vals, ok := EnumLiterals(qq)
 			if !ok {
 				return false
 			}
@@ -643,7 +664,7 @@ func implies(q, p ast.Pred) bool {
 		// Only an enumeration of nonempty members implies nonemptiness:
 		// type and range predicates pass unset values vacuously.
 		if qq, ok := q.(*ast.Enum); ok {
-			vals, ok := enumLiterals(qq)
+			vals, ok := EnumLiterals(qq)
 			if !ok {
 				return false
 			}
@@ -658,18 +679,18 @@ func implies(q, p ast.Pred) bool {
 		// Numeric containment: q admits a narrower interval than p.
 		// Whenever q holds the value is numeric and inside q's interval,
 		// hence inside p's — p holds too.
-		plo, phi, pok := numInterval(p)
+		plo, phi, pok := NumInterval(p)
 		if !pok {
 			// Non-interval relations: only an equality over the same
 			// literal follows (== 'a' implies == 'a' is identity, handled
 			// by the caller's dedup; != is never implied here).
 			return false
 		}
-		if qlo, qhi, ok := numInterval(q); ok {
+		if qlo, qhi, ok := NumInterval(q); ok {
 			return qlo >= plo && qhi <= phi && !(qlo == plo && qhi == phi)
 		}
 		if qq, ok := q.(*ast.Enum); ok {
-			vals, ok := enumLiterals(qq)
+			vals, ok := EnumLiterals(qq)
 			if !ok || len(vals) == 0 {
 				return false
 			}
@@ -683,7 +704,7 @@ func implies(q, p ast.Pred) bool {
 		}
 	case *ast.Enum:
 		// Membership containment: every value q admits is a member of p.
-		pvals, ok := enumLiterals(pp)
+		pvals, ok := EnumLiterals(pp)
 		if !ok {
 			return false
 		}
@@ -697,7 +718,7 @@ func implies(q, p ast.Pred) bool {
 		}
 		switch qq := q.(type) {
 		case *ast.Enum:
-			qvals, ok := enumLiterals(qq)
+			qvals, ok := EnumLiterals(qq)
 			if !ok || len(qvals) == 0 || len(qvals) >= len(pvals) {
 				return false
 			}
@@ -719,31 +740,36 @@ func implies(q, p ast.Pred) bool {
 	return false
 }
 
-// numInterval derives the closed numeric interval a literal-only
+// NumLit is the value of a numeric literal; ok is false for anything
+// else.
+func NumLit(e ast.Expr) (v float64, ok bool) {
+	l, isLit := e.(*ast.Lit)
+	if !isLit || (l.Kind != token.INT && l.Kind != token.FLOAT) {
+		return 0, false
+	}
+	v, err := strconv.ParseFloat(l.Text, 64)
+	return v, err == nil
+}
+
+// NumInterval derives the closed numeric interval a literal-only
 // constraint admits: a Range with numeric bounds, an ordered relation,
 // or an equality against a number. The open relational bounds (<, >)
 // are tightened to the adjacent representable float, which is exact for
-// the integer literals CPL specs use in practice.
-func numInterval(p ast.Pred) (lo, hi float64, ok bool) {
+// the integer literals CPL specs use in practice. An empty range admits
+// no interval. Implies and the linter's contradiction check both read
+// literal constraints through it.
+func NumInterval(p ast.Pred) (lo, hi float64, ok bool) {
 	lo, hi = math.Inf(-1), math.Inf(1)
-	num := func(e ast.Expr) (float64, bool) {
-		l, isLit := e.(*ast.Lit)
-		if !isLit || (l.Kind != token.INT && l.Kind != token.FLOAT) {
-			return 0, false
-		}
-		v, err := strconv.ParseFloat(l.Text, 64)
-		return v, err == nil
-	}
 	switch t := p.(type) {
 	case *ast.Range:
-		l, okLo := num(t.Lo)
-		h, okHi := num(t.Hi)
+		l, okLo := NumLit(t.Lo)
+		h, okHi := NumLit(t.Hi)
 		if !okLo || !okHi || l > h {
 			return 0, 0, false
 		}
 		return l, h, true
 	case *ast.Rel:
-		v, isNum := num(t.Rhs)
+		v, isNum := NumLit(t.Rhs)
 		if !isNum {
 			return 0, 0, false
 		}
@@ -763,7 +789,9 @@ func numInterval(p ast.Pred) (lo, hi float64, ok bool) {
 	return 0, 0, false
 }
 
-func enumLiterals(e *ast.Enum) ([]string, bool) {
+// EnumLiterals is the member texts of an enumeration whose members are
+// all literals; ok is false when one is not.
+func EnumLiterals(e *ast.Enum) ([]string, bool) {
 	out := make([]string, 0, len(e.Elems))
 	for _, el := range e.Elems {
 		l, ok := el.(*ast.Lit)

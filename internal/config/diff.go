@@ -427,7 +427,7 @@ func (d *Delta) OverlapsAny(pats []Pattern) bool {
 // says that p constrains no instance name or ordinal, so that a key
 // matches exactly when its class's names do.
 func (c *classDelta) overlaps(p Pattern, free bool) bool {
-	if !namesMatch(p, c.names) {
+	if !p.MatchClass(c.names) {
 		return false
 	}
 	if free {
@@ -442,27 +442,6 @@ func (c *classDelta) overlaps(p Pattern, free bool) bool {
 		}
 	}
 	return false
-}
-
-// namesMatch reports whether a class's segment names satisfy the
-// pattern's name globs as Pattern.MatchKey applies them: the leaf for a
-// one-segment pattern, every segment at equal length otherwise.
-func namesMatch(p Pattern, names []string) bool {
-	if len(names) == 0 {
-		return false
-	}
-	if len(p.Segs) == 1 {
-		return Glob(p.Segs[0].Name, names[len(names)-1])
-	}
-	if len(p.Segs) != len(names) {
-		return false
-	}
-	for i, s := range p.Segs {
-		if !Glob(s.Name, names[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // unconstrained reports whether the segments MatchKey reads constrain no

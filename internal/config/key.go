@@ -184,6 +184,9 @@ func (k Key) String() string { return k.PrefixString(len(k.Segs)) }
 // joined with dots.
 func (k Key) ClassPath() string { return joinNames(k, '.') }
 
+// AppendClassPath appends ClassPath() to b.
+func (k Key) AppendClassPath(b []byte) []byte { return appendNames(b, k, '.') }
+
 // joinNames joins the key's segment names with sep in one allocation.
 func joinNames(k Key, sep byte) string {
 	var scratch [renderScratch]byte
@@ -214,11 +217,12 @@ func (k Key) Leaf() string {
 // instance a key belongs to.
 func (k Key) PrefixString(n int) string {
 	var scratch [renderScratch]byte
-	return string(k.appendPrefix(scratch[:0], n))
+	return string(k.AppendPrefix(scratch[:0], n))
 }
 
-// appendPrefix appends PrefixString(n) to b.
-func (k Key) appendPrefix(b []byte, n int) []byte {
+// AppendPrefix appends PrefixString(n) to b, so a caller that renders
+// one key after another can reuse one buffer.
+func (k Key) AppendPrefix(b []byte, n int) []byte {
 	if n > len(k.Segs) {
 		n = len(k.Segs)
 	}

@@ -222,6 +222,30 @@ func (p Pattern) MatchKey(k Key) bool {
 	return true
 }
 
+// MatchClass reports whether the pattern can match some key of the class
+// with the given segment names: MatchKey's rule with instance and ordinal
+// constraints ignored, so the leaf name for a one-segment pattern and
+// every name at equal length otherwise. It is the one class-level match,
+// a superset of MatchKey over the keys of the class, that projected
+// ingest and the snapshot diff both read.
+func (p Pattern) MatchClass(names []string) bool {
+	if len(names) == 0 {
+		return false
+	}
+	if len(p.Segs) == 1 {
+		return Glob(p.Segs[0].Name, names[len(names)-1])
+	}
+	if len(p.Segs) != len(names) {
+		return false
+	}
+	for i, s := range p.Segs {
+		if !Glob(s.Name, names[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // matchSeg reports whether the pattern segment matches a concrete segment.
 // Unsubstituted variables match nothing.
 func (p PatSeg) matchSeg(s Seg) bool {

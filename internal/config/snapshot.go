@@ -177,29 +177,17 @@ func (sn *Snapshot) matchClassPaths(p Pattern) []string {
 }
 
 // DiscoverNaive is the paper's initial discovery implementation, kept
-// for the §5.2 ablation benchmark: scan every instance, filter by
-// segment count, then compare segment by segment. It bypasses all
-// indexes and the cache.
+// for the §5.2 ablation benchmark: scan every instance and test its key
+// with MatchKey. It bypasses all indexes and the cache.
 func (sn *Snapshot) DiscoverNaive(p Pattern) []*Instance {
 	sn.stats.queries.Add(1)
-	scanned := 0
 	var out []*Instance
 	for _, in := range sn.instances {
-		scanned++
-		if len(p.Segs) == 1 {
-			if p.Segs[0].matchSeg(in.Key.Segs[len(in.Key.Segs)-1]) {
-				out = append(out, in)
-			}
-			continue
-		}
-		if len(p.Segs) != len(in.Key.Segs) {
-			continue
-		}
 		if p.MatchKey(in.Key) {
 			out = append(out, in)
 		}
 	}
-	sn.stats.scanned.Add(int64(scanned))
+	sn.stats.scanned.Add(int64(len(sn.instances)))
 	return out
 }
 

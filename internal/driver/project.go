@@ -15,16 +15,12 @@ import (
 // program from the program's discovery patterns and is immutable, so
 // any number of concurrent parses share one.
 //
-// The match is at class level and a superset of config.Pattern.MatchKey:
-// a one-segment pattern keeps every key whose leaf name it globs, a
-// longer pattern every key of its length whose names it globs segment by
-// segment; instance and ordinal constraints are ignored. A store holding
-// the kept instances therefore answers every query for those patterns
-// exactly as the full store does.
+// The match is config.Pattern.MatchClass, the class-level superset of
+// MatchKey: a store holding the kept instances therefore answers every
+// query for those patterns exactly as the full store does.
 type Projection struct {
-	id     string
-	leaves []string   // one-segment patterns' names
-	paths  [][]string // longer patterns' names, one slice per pattern
+	id   string
+	pats []config.Pattern // deduplicated
 }
 
 // NewProjection builds the projection keeping every class that one of
@@ -42,15 +38,7 @@ func NewProjection(pats []config.Pattern) *Projection {
 		}
 		seen[s] = true
 		strs = append(strs, s)
-		names := make([]string, len(pat.Segs))
-		for i, seg := range pat.Segs {
-			names[i] = seg.Name
-		}
-		if len(names) == 1 {
-			p.leaves = append(p.leaves, names[0])
-		} else {
-			p.paths = append(p.paths, names)
-		}
+		p.pats = append(p.pats, pat)
 	}
 	slices.Sort(strs)
 	sum := sha256.Sum256([]byte(strings.Join(strs, "\n")))
@@ -77,32 +65,15 @@ func (p *Projection) Keeps(k config.Key) bool {
 	return p.keeps(names)
 }
 
-// keeps is the match on a class's segment names.
+// keeps reports whether some pattern matches the class with these
+// segment names.
 func (p *Projection) keeps(names []string) bool {
-	if len(names) == 0 {
-		return false
-	}
-	leaf := names[len(names)-1]
-	for _, l := range p.leaves {
-		if config.Glob(l, leaf) {
-			return true
-		}
-	}
-	for _, path := range p.paths {
-		if len(path) == len(names) && globAll(path, names) {
+	for _, pat := range p.pats {
+		if pat.MatchClass(names) {
 			return true
 		}
 	}
 	return false
-}
-
-func globAll(pats, names []string) bool {
-	for i, pat := range pats {
-		if !config.Glob(pat, names[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // filter is one parse's view of a projection: the source's scope

@@ -48,6 +48,10 @@ type Engine struct {
 	snap *config.Snapshot
 	// ctx carries the current run's deadline/cancellation.
 	ctx context.Context
+	// policyStop is the current run's program's on_violation 'stop'
+	// policy, kept apart from Opts so that an engine reused for another
+	// program does not inherit it.
+	policyStop bool
 }
 
 // New returns an engine over a store with a simulated environment.
@@ -70,6 +74,7 @@ func (e *Engine) Run(prog *compiler.Program) *report.Report {
 // incremental run with no previous state.
 func (e *Engine) RunContext(ctx context.Context, prog *compiler.Program) *report.Report {
 	if e.Opts.Interpret {
+		// refeval resolves the program's policy itself: it is the oracle.
 		e.begin(ctx, prog)
 		return refeval.Run(ctx, e.snap, prog, e.Env, refeval.Options{StopOnFirst: e.Opts.StopOnFirst})
 	}
@@ -79,12 +84,14 @@ func (e *Engine) RunContext(ctx context.Context, prog *compiler.Program) *report
 // begin pins what one run holds fixed: the program's stop policy, the
 // caller's context and the store's sealed snapshot.
 func (e *Engine) begin(ctx context.Context, prog *compiler.Program) {
-	if prog.Policies["on_violation"] == "stop" {
-		e.Opts.StopOnFirst = true
-	}
+	e.policyStop = prog.Policies["on_violation"] == "stop"
 	e.ctx = ctx
 	e.snap = e.Store.Snapshot()
 }
+
+// stopOnFirst reports whether the current run stops at its first
+// violation: the options say so, or the program's policy does.
+func (e *Engine) stopOnFirst() bool { return e.Opts.StopOnFirst || e.policyStop }
 
 // allSpecs lists every spec position of prog in execution order.
 func allSpecs(prog *compiler.Program) []int {
@@ -114,7 +121,7 @@ func allSpecs(prog *compiler.Program) []int {
 func (e *Engine) runSpecs(p *plan.Plan, idxs []int) *report.Report {
 	// One runtime for the whole run, shared by its partitions: read-only
 	// but for the compartment numbering table, which has its own lock.
-	rt := &plan.Runtime{Snap: e.snap, Env: e.Env, StopOnFirst: e.Opts.StopOnFirst, Ctx: e.ctx}
+	rt := &plan.Runtime{Snap: e.snap, Env: e.Env, StopOnFirst: e.stopOnFirst(), Ctx: e.ctx}
 	ctx := e.ctx
 	n := e.effectiveParallel(len(idxs))
 	runPart := func(idxs []int, rep *report.Report) {

@@ -443,6 +443,34 @@ func TestStopOnFirstPolicy(t *testing.T) {
 	}
 }
 
+// TestStopPolicyIsPerRun: one program's on_violation 'stop' ends that
+// run only; the same engine then runs a program without the policy to
+// the end.
+func TestStopPolicyIsPerRun(t *testing.T) {
+	st := config.NewStore()
+	kv(st, "A", "x")
+	kv(st, "B", "y")
+	eng := New(st)
+	for _, c := range []struct {
+		src     string
+		want    int
+		stopped bool
+	}{
+		{"policy on_violation 'stop'\n$A -> int\n$B -> int", 1, true},
+		{"$A -> int\n$B -> int", 2, false},
+	} {
+		prog, err := compiler.Compile(c.src)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		rep := eng.Run(prog)
+		if len(rep.Violations) != c.want || rep.Stopped != c.stopped {
+			t.Fatalf("%q: violations = %d, stopped = %t; want %d, %t",
+				c.src, len(rep.Violations), rep.Stopped, c.want, c.stopped)
+		}
+	}
+}
+
 func TestSeverityPropagates(t *testing.T) {
 	st := config.NewStore()
 	kv(st, "A", "x")

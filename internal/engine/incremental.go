@@ -61,7 +61,7 @@ func (e *Engine) RunIncrementalContext(ctx context.Context, prog *compiler.Progr
 	p := plan.For(prog)
 	rerun := allSpecs(prog)
 	splice := prevSnap != nil && prevRep != nil && !prevRep.Stopped &&
-		prevRep.Spliceable(len(prog.Specs)) && !e.Opts.StopOnFirst
+		prevRep.Spliceable(len(prog.Specs)) && !e.stopOnFirst()
 	if splice {
 		// Partition via the footprint index: a spec re-runs when it is
 		// dynamic, when any changed key matches its footprint, or when its

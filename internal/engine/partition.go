@@ -30,7 +30,7 @@ import (
 func (e *Engine) effectiveParallel(nspecs int) int {
 	n := e.Opts.Parallel
 	if n <= 0 {
-		if e.Opts.StopOnFirst {
+		if e.stopOnFirst() {
 			return 1
 		}
 		n = runtime.GOMAXPROCS(0)

@@ -385,6 +385,19 @@ func (l *Loader) loadOne(ctx context.Context, st *config.Store, src Source) Outc
 	return out
 }
 
+// LoadSource fetches and parses one source and adds its instances to
+// st: the strict load, which keeps no parse and serves nothing stale. A
+// fetch error, parse error or driver panic is returned as the error a
+// Loader would quarantine the source with.
+func LoadSource(ctx context.Context, st *config.Store, src Source) error {
+	p, _, err := fetchAndParse(ctx, src, keyOf(src).format, nil)
+	if err != nil {
+		return err
+	}
+	st.AddPartition(p.part)
+	return nil
+}
+
 // parse is one source's instances as a load obtained them.
 type parse struct {
 	ins       []*config.Instance

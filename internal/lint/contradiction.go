@@ -89,9 +89,8 @@ func (iv interval) empty() bool { return iv.lo > iv.hi }
 func checkConjunction(p *Pass, pred ast.Pred, inQuant bool) {
 	conjuncts := compiler.FlattenAnd(pred)
 	iv := newInterval()
-	var enums []*ast.Enum   // enums with all-literal members
-	var eqs []*ast.Rel      // == literal relations
-	var ranges []*ast.Range // literal-bounded ranges
+	var enums []*ast.Enum // enums with all-literal members
+	var eqs []*ast.Rel    // == literal relations
 
 	code105 := func(pos token.Pos, what string) {
 		msg := "predicate conjoins %s with its negation and can never hold"
@@ -114,43 +113,27 @@ func checkConjunction(p *Pass, pred ast.Pred, inQuant bool) {
 	}
 
 	for _, c := range conjuncts {
-		switch t := c.(type) {
-		case *ast.Range:
-			lo, okLo := litNum(t.Lo)
-			hi, okHi := litNum(t.Hi)
-			if okLo && okHi {
-				if lo > hi {
-					p.Reportf(t.Pos(), "CV101", Error,
-						"empty range [%s, %s]: lower bound exceeds upper bound",
-						litText(t.Lo), litText(t.Hi))
-					continue
-				}
-				iv.narrowLo(lo, t)
-				iv.narrowHi(hi, t)
-				ranges = append(ranges, t)
+		if r, ok := c.(*ast.Range); ok {
+			lo, okLo := compiler.NumLit(r.Lo)
+			hi, okHi := compiler.NumLit(r.Hi)
+			if okLo && okHi && lo > hi {
+				p.Reportf(r.Pos(), "CV101", Error,
+					"empty range [%s, %s]: lower bound exceeds upper bound",
+					litText(r.Lo), litText(r.Hi))
+				continue
 			}
+		}
+		if lo, hi, ok := compiler.NumInterval(c); ok {
+			iv.narrowLo(lo, c)
+			iv.narrowHi(hi, c)
+		}
+		switch t := c.(type) {
 		case *ast.Rel:
-			v, numeric := litNum(t.Rhs)
-			switch {
-			case numeric && t.Op == token.GT:
-				iv.narrowLo(math.Nextafter(v, math.Inf(1)), t)
-			case numeric && t.Op == token.GE:
-				iv.narrowLo(v, t)
-			case numeric && t.Op == token.LT:
-				iv.narrowHi(math.Nextafter(v, math.Inf(-1)), t)
-			case numeric && t.Op == token.LE:
-				iv.narrowHi(v, t)
-			case numeric && t.Op == token.EQ:
-				iv.narrowLo(v, t)
-				iv.narrowHi(v, t)
+			if _, ok := litStr(t.Rhs); ok && t.Op == token.EQ {
 				eqs = append(eqs, t)
-			case t.Op == token.EQ:
-				if _, ok := litStr(t.Rhs); ok {
-					eqs = append(eqs, t)
-				}
 			}
 		case *ast.Enum:
-			if lits, ok := enumLits(t); ok && len(lits) > 0 {
+			if lits, ok := compiler.EnumLiterals(t); ok && len(lits) > 0 {
 				enums = append(enums, t)
 			}
 		}
@@ -178,9 +161,9 @@ func checkConjunction(p *Pass, pred ast.Pred, inQuant bool) {
 
 	// Enum vs enum: empty intersection.
 	for i, a := range enums {
-		as, _ := enumLits(a)
+		as, _ := compiler.EnumLiterals(a)
 		for _, b := range enums[i+1:] {
-			bs, _ := enumLits(b)
+			bs, _ := compiler.EnumLiterals(b)
 			if disjoint(as, bs) {
 				p.Reportf(b.Pos(), "CV104", Error,
 					"enums have no common member: %s and %s can never intersect",
@@ -192,7 +175,7 @@ func checkConjunction(p *Pass, pred ast.Pred, inQuant bool) {
 
 	// Enum vs interval (from ranges and relations): no member fits.
 	for _, e := range enums {
-		lits, _ := enumLits(e)
+		lits, _ := compiler.EnumLiterals(e)
 		anyNumeric, anyFits := false, false
 		for _, s := range lits {
 			if v, err := strconv.ParseFloat(s, 64); err == nil {
@@ -202,7 +185,7 @@ func checkConjunction(p *Pass, pred ast.Pred, inQuant bool) {
 				}
 			}
 		}
-		if anyNumeric && !anyFits && (len(ranges) > 0 || iv.lo > math.Inf(-1) || iv.hi < math.Inf(1)) {
+		if anyNumeric && !anyFits && (iv.lo > math.Inf(-1) || iv.hi < math.Inf(1)) {
 			p.Reportf(e.Pos(), "CV102", Error,
 				"no enum member lies in the constrained interval [%s, %s]",
 				fmtBound(iv.lo), fmtBound(iv.hi))
@@ -212,7 +195,7 @@ func checkConjunction(p *Pass, pred ast.Pred, inQuant bool) {
 
 	// Enum vs equality: == literal not in the enum.
 	for _, e := range enums {
-		lits, _ := enumLits(e)
+		lits, _ := compiler.EnumLiterals(e)
 		set := map[string]bool{}
 		for _, s := range lits {
 			set[s] = true
@@ -230,15 +213,6 @@ func checkConjunction(p *Pass, pred ast.Pred, inQuant bool) {
 
 // ---- shared literal helpers ----
 
-func litNum(e ast.Expr) (float64, bool) {
-	l, ok := e.(*ast.Lit)
-	if !ok || (l.Kind != token.INT && l.Kind != token.FLOAT) {
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(l.Text, 64)
-	return v, err == nil
-}
-
 func litStr(e ast.Expr) (string, bool) {
 	l, ok := e.(*ast.Lit)
 	if !ok {
@@ -255,18 +229,6 @@ func litText(e ast.Expr) string {
 		return l.Text
 	}
 	return ast.Render(e)
-}
-
-func enumLits(e *ast.Enum) ([]string, bool) {
-	out := make([]string, 0, len(e.Elems))
-	for _, el := range e.Elems {
-		s, ok := litStr(el)
-		if !ok {
-			return nil, false
-		}
-		out = append(out, s)
-	}
-	return out, true
 }
 
 func disjoint(a, b []string) bool {

@@ -15,8 +15,6 @@ package lint
 //	CV303 conjunct is implied by a sibling conjunct in the same predicate
 
 import (
-	"strings"
-
 	"confvalley/internal/compiler"
 	"confvalley/internal/cpl/ast"
 	"confvalley/internal/cpl/token"
@@ -43,33 +41,13 @@ func specAnchor(s *compiler.Spec) token.Pos {
 	return token.Pos{}
 }
 
-// specKey renders the parts of a spec that determine which elements it
-// checks: quantifier, domains, and scoping context.
-func specKey(s *compiler.Spec) string {
-	var key strings.Builder
-	key.WriteString(s.Quant.String())
-	for _, d := range s.Domains {
-		key.WriteString("\x00" + ast.Render(d))
-	}
-	for _, ns := range s.Namespaces {
-		key.WriteString("\x01" + ns.String())
-	}
-	if s.Compartment != nil {
-		key.WriteString("\x02" + s.Compartment.String())
-	}
-	for _, c := range s.Conds {
-		key.WriteString("\x03" + c.Spec.Text)
-	}
-	return key.String()
-}
-
 func runDeadSpec(p *Pass) {
 	if p.Prog == nil {
 		return
 	}
 	byDomain := map[string][]*compiler.Spec{}
 	for _, s := range p.Prog.Specs {
-		k := specKey(s)
+		k := compiler.ScopeKey(s) + "|" + compiler.DomainsKey(s)
 		byDomain[k] = append(byDomain[k], s)
 	}
 	for _, group := range byDomain {

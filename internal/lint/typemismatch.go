@@ -102,7 +102,7 @@ func checkTypeConjunction(p *Pass, pred ast.Pred) {
 				continue
 			}
 			if s, ok := litStr(t.Rhs); ok {
-				if _, numeric := litNum(t.Rhs); !numeric && !numericKinds[vtype.Detect(s).Kind] {
+				if _, numeric := compiler.NumLit(t.Rhs); !numeric && !numericKinds[vtype.Detect(s).Kind] {
 					p.Reportf(t.Pos(), "CV204", Error,
 						"ordered comparison %s %s against a non-numeric literal", t.Op, litText(t.Rhs))
 					continue
@@ -116,8 +116,8 @@ func checkTypeConjunction(p *Pass, pred ast.Pred) {
 			lo, okLo := litStr(t.Lo)
 			hi, okHi := litStr(t.Hi)
 			if okLo && okHi {
-				_, loNum := litNum(t.Lo)
-				_, hiNum := litNum(t.Hi)
+				_, loNum := compiler.NumLit(t.Lo)
+				_, hiNum := compiler.NumLit(t.Hi)
 				if loNum != hiNum {
 					p.Reportf(t.Pos(), "CV205", Error,
 						"range bounds mix incompatible literal types: %s and %s", litText(t.Lo), litText(t.Hi))
@@ -141,7 +141,7 @@ func checkTypeConjunction(p *Pass, pred ast.Pred) {
 			if asserted == nil || asserted.T.IsString() {
 				continue
 			}
-			lits, ok := enumLits(t)
+			lits, ok := compiler.EnumLiterals(t)
 			if !ok || len(lits) == 0 {
 				continue
 			}

@@ -30,7 +30,7 @@ import (
 // Lower compiles a program into an executable plan. It never fails;
 // see the package comment for how evaluation-time errors are preserved.
 func Lower(prog *compiler.Program) *Plan {
-	p := &Plan{StopOnViolation: prog.Policies["on_violation"] == "stop"}
+	p := &Plan{}
 	lw := &lowerer{prog: prog}
 	p.Specs = make([]*SpecNode, len(prog.Specs))
 	for i, spec := range prog.Specs {
@@ -316,7 +316,7 @@ func (t *groupNumbers) partition(ins []*config.Instance, n int) *partition {
 		t.byDepth[n] = tab
 	}
 	for i, in := range ins {
-		id := appendPrefix(scratch[:0], in.Key, n)
+		id := in.Key.AppendPrefix(scratch[:0], n)
 		g, ok := tab[string(id)]
 		if !ok {
 			g = int32(len(tab))

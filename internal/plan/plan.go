@@ -34,7 +34,6 @@ package plan
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -55,8 +54,6 @@ type Plan struct {
 	// order. The list is dependency-free: any partition of it may run
 	// concurrently against the same store.
 	Specs []*SpecNode
-	// StopOnViolation mirrors the program's on_violation 'stop' policy.
-	StopOnViolation bool
 	// Projection keeps the configuration classes the program can read;
 	// a full run loads through it. Nil when some spec is Dynamic or the
 	// program has load commands: then every class may be read.
@@ -285,7 +282,7 @@ func PartitionByClass(elems []value.V) [][]int {
 	for i, v := range elems {
 		cp := scratch[:0]
 		if v.Inst != nil {
-			cp = appendClassPath(cp, v.Inst.Key)
+			cp = v.Inst.Key.AppendClassPath(cp)
 		}
 		g, ok := index[string(cp)]
 		if !ok {
@@ -309,40 +306,6 @@ func PartitionByClass(elems []value.V) [][]int {
 		out[g] = append(out[g], i)
 	}
 	return out
-}
-
-// appendClassPath appends k.ClassPath(), the key's segment names joined
-// with dots, to b.
-func appendClassPath(b []byte, k config.Key) []byte {
-	for i, s := range k.Segs {
-		if i > 0 {
-			b = append(b, '.')
-		}
-		b = append(b, s.Name...)
-	}
-	return b
-}
-
-// appendPrefix appends k.PrefixString(n), the rendering of the key's
-// first n segments in CPL notation (Name, "::Inst", "[Index]") joined
-// with dots, to b.
-func appendPrefix(b []byte, k config.Key, n int) []byte {
-	for i, s := range k.Segs[:min(n, len(k.Segs))] {
-		if i > 0 {
-			b = append(b, '.')
-		}
-		b = append(b, s.Name...)
-		if s.Inst != "" {
-			b = append(b, "::"...)
-			b = append(b, s.Inst...)
-		}
-		if s.Index > 0 {
-			b = append(b, '[')
-			b = strconv.AppendInt(b, int64(s.Index), 10)
-			b = append(b, ']')
-		}
-	}
-	return b
 }
 
 // Subset selects elems at the given indexes.

@@ -28,6 +28,7 @@ import (
 
 	"confvalley"
 	"confvalley/internal/driver"
+	"confvalley/internal/engine"
 	"confvalley/internal/ingest"
 	"confvalley/internal/lint"
 	"confvalley/internal/plan"
@@ -236,9 +237,7 @@ type Runner struct {
 // New returns a Runner over a fresh session configured by opts.
 func New(opts Options) *Runner {
 	s := confvalley.NewSession()
-	s.Parallel = opts.Parallel
-	s.StopOnFirst = opts.StopOnFirst
-	s.Interpret = opts.Interpret
+	s.Options = engine.Options{Parallel: opts.Parallel, StopOnFirst: opts.StopOnFirst, Interpret: opts.Interpret}
 	s.Degrade = true
 	s.MaxStale = opts.MaxStale
 	s.SpecDir = opts.SpecDir

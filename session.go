@@ -32,14 +32,12 @@ type Session struct {
 	store atomic.Pointer[config.Store]
 	env   simenv.Env
 
-	// Parallel sets the validation worker count: 0 or negative uses one
-	// worker per hardware thread, 1 forces sequential execution, and
-	// N > 1 uses exactly N workers (always clamped to the spec count).
-	Parallel int
-	// StopOnFirst aborts validation at the first violation.
-	StopOnFirst bool
-	// Deprecated: only internal/runner sets it, for its own Interpret.
-	Interpret bool
+	// Options are the engine options every validation runs under:
+	// Parallel sets the worker count (0 or negative: one per hardware
+	// thread; 1: sequential; N > 1: exactly N, clamped to the spec
+	// count), StopOnFirst aborts at the first violation, and the
+	// deprecated Interpret is set only by internal/runner, for its own.
+	engine.Options
 	// SpecDir resolves relative include paths; defaults to the working
 	// directory.
 	SpecDir string
@@ -270,7 +268,7 @@ func (s *Session) execLoads(ctx context.Context, prog *Program, st *Store) (*Loa
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := s.execLoad(ctx, ld, st); err != nil {
+		if err := ingest.LoadSource(ctx, st, s.ingestSource(ld)); err != nil {
 			return nil, err
 		}
 	}
@@ -280,15 +278,7 @@ func (s *Session) execLoads(ctx context.Context, prog *Program, st *Store) (*Loa
 // engineFor builds the engine one validation run uses, capturing the
 // session's execution options.
 func (s *Session) engineFor(st *Store) *engine.Engine {
-	return &engine.Engine{
-		Store: st,
-		Env:   s.env,
-		Opts: engine.Options{
-			StopOnFirst: s.StopOnFirst,
-			Parallel:    s.Parallel,
-			Interpret:   s.Interpret,
-		},
-	}
+	return &engine.Engine{Store: st, Env: s.env, Opts: s.Options}
 }
 
 // degradeLoads executes the program's load commands through the
@@ -359,32 +349,6 @@ func (s *Session) ingestSource(ld compiler.Load) ingest.Source {
 // LastLoadReport returns the per-source accounting of the most recent
 // Degrade-mode load, or nil when none has run.
 func (s *Session) LastLoadReport() *LoadReport { return s.loadRep.Load() }
-
-func (s *Session) execLoad(ctx context.Context, ld compiler.Load, st *Store) error {
-	src := s.ingestSource(ld)
-	data, err := []byte(nil), error(nil)
-	if src.Fetch != nil {
-		data, err = src.Fetch(ctx)
-	} else {
-		data, err = os.ReadFile(ld.Source)
-		if err != nil {
-			return fmt.Errorf("confvalley: reading %s: %w", ld.Source, err)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	format := ld.Driver
-	if format == "" {
-		format = FormatFromPath(ld.Source)
-	}
-	ins, err := driver.ParseScoped(ctx, format, data, ld.Source, ld.Scope)
-	if err != nil {
-		return err
-	}
-	st.AddAll(ins)
-	return nil
-}
 
 // Validate compiles CPL source and runs it against the session:
 // the batch scenario.

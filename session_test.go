@@ -5,8 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"confvalley/internal/config"
 	"confvalley/internal/driver"
 )
 
@@ -255,5 +257,29 @@ func TestSessionLoadCommandFromDiskAndRest(t *testing.T) {
 	}
 	if !rep.Passed() {
 		t.Errorf("violations = %v", rep.Violations)
+	}
+}
+
+// panicDriver is a plug-in driver that panics on every parse. The
+// registry is process-wide, so it is registered once however many times
+// the test runs.
+type panicDriver struct{}
+
+var registerPanicDriver sync.Once
+
+func (panicDriver) Name() string { return "panicky" }
+
+func (panicDriver) Parse([]byte, string) ([]*config.Instance, error) { panic("boom") }
+
+// TestStrictLoadContainsDriverPanic: a driver that panics fails a strict
+// load command with an error, as it quarantines the source under Degrade,
+// instead of crashing the caller.
+func TestStrictLoadContainsDriverPanic(t *testing.T) {
+	registerPanicDriver.Do(func() { driver.Register(panicDriver{}) })
+	s := NewSession()
+	s.RegisterSource("x", []byte("a = 1"))
+	_, err := s.Validate("load 'panicky' 'x'")
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("Validate = %v, want the driver's panic as an error", err)
 	}
 }
