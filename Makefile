@@ -55,15 +55,17 @@ bench:
 # multi-round watch sessions through injected ingestion faults, the
 # serve/runner tests race concurrent tenants over shared sessions, the
 # plan-vs-interpreter compartment test races a run's shared compartment
-# numbering across four partitions, the seven retention tests wait on
+# numbering across four partitions, the eight retention tests wait on
 # finalizers, so a collector-timing flake shows up here first, the two
 # payload-buffer lifetime tests hold what a pooled, poisoned decode buffer
 # leaves behind a taken and a declined delta walk to a cold interpreter run,
-# and TestConcurrentAddressMemo (the TestConcurrent prefix matches it)
+# TestConcurrentAddressMemo (the TestConcurrent prefix matches it)
 # holds eight goroutines sharing one spec's content-address memo to the
-# stateless chunk-tree digest.
+# stateless chunk-tree digest, and the two own-payload re-parse tests
+# (TestConcurrentSpecsWithOwnPayloadsReparse by prefix) hold two specs'
+# lineages apart, taking turns and concurrent.
 stress:
-	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TestConcurrent|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos|TestCompartmentPlanMatchesInterpreter|TestTenantRetainsOneSnapshotPerSpec|TestCostsDoesNotRetainSnapshot|TestPooledCtxRetainsAtMostTheCap|TestLoaderRetainsOneBatch|TestLoaderReleasesReparsedBuffers|TestRetiredProgramsAreCollected|TestAddressMemoDiesWithSpec|TestPayloadBufferReusedAfterTakenWalk|TestPayloadBufferKeptAfterDeclinedWalk' ./internal/config/ ./internal/engine/ ./internal/ingest/ ./internal/plan/ ./internal/runner/ ./internal/serve/ . || exit 1; done
+	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TestConcurrent|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos|TestCompartmentPlanMatchesInterpreter|TestTenantRetainsOneSnapshotPerSpec|TestCostsDoesNotRetainSnapshot|TestPooledCtxRetainsAtMostTheCap|TestLoaderRetainsOneBatch|TestLoaderReleasesReparsedBuffers|TestRetiredProgramsAreCollected|TestAddressMemoDiesWithSpec|TestRetiredSpecsPayloadIsCollected|TestSpecsWithOwnPayloadsReparse|TestPayloadBufferReusedAfterTakenWalk|TestPayloadBufferKeptAfterDeclinedWalk' ./internal/config/ ./internal/engine/ ./internal/ingest/ ./internal/plan/ ./internal/runner/ ./internal/serve/ . || exit 1; done
 
 # Full service round trip over real processes and a loopback socket:
 # build cvserve+cvcall+cvcheck, boot the server, drive it with cvcall

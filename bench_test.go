@@ -523,8 +523,8 @@ func stampNonce(body []byte, off int, n int) {
 }
 
 // coldServer registers spec on a fresh server and validates body once, so
-// that the loader holds a full parse of it and the lineage a report to
-// splice from. It returns the server and the number of specs.
+// that the spec's lineage holds a full parse of it and a report to splice
+// from. It returns the server and the number of specs.
 func coldServer(tb testing.TB, spec string, body []byte) (*serve.Server, int) {
 	ctx := context.Background()
 	srv := serve.New(serve.Config{Runner: runner.Options{Env: azuregen.ExpertEnv()}})

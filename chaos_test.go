@@ -133,12 +133,11 @@ func TestChaosWatchSession(t *testing.T) {
 			writeAll()
 		}
 
-		rep, _, next, err := s.RunProgramIncremental(context.Background(), prog, NewStore(), state)
+		rep, lr, next, err := s.RunProgramIncremental(context.Background(), prog, NewStore(), state)
 		if err != nil {
 			t.Fatalf("round %d: RunProgramIncremental errored under Degrade: %v", r, err)
 		}
 		state = next
-		lr := s.LastLoadReport()
 		if lr == nil || len(lr.Outcomes) != 3 {
 			t.Fatalf("round %d: load report %+v", r, lr)
 		}
@@ -198,10 +197,11 @@ func TestChaosWatchSession(t *testing.T) {
 	}
 }
 
-// Loader accounting invariants hold across many rounds of scheduled
-// random faults (error-rate, torn reads, scheduled panics): every source
-// gets an outcome, the categories partition the sources, and a source is
-// quarantined only before its first successful parse (MaxStale = 0).
+// Load accounting invariants hold along a lineage of many rounds of
+// scheduled random faults (error-rate, torn reads, scheduled panics):
+// every source gets an outcome, the categories partition the sources,
+// and a source is quarantined only before its first successful parse
+// (MaxStale = 0).
 func TestChaosLoaderScheduledFaults(t *testing.T) {
 	payload := []byte(`{"app": {"timeout": "30", "name": "svc"}}`)
 	sched := faultinject.NewSchedule(42)
@@ -221,11 +221,15 @@ func TestChaosLoaderScheduledFaults(t *testing.T) {
 		})
 	}
 
-	l := NewLoader(0)
+	// One lineage, MaxStale 0: each round's load starts from the parses
+	// the round before's returned.
+	s := NewSession()
+	var state *RunState
 	const rounds = 30
 	for r := 0; r < rounds; r++ {
 		st := NewStore()
-		rep := l.Load(context.Background(), st, sources)
+		var rep *LoadReport
+		rep, state = s.LoadSources(context.Background(), st, sources, state)
 		if len(rep.Outcomes) != nSources {
 			t.Fatalf("round %d: %d outcomes, want %d", r, len(rep.Outcomes), nSources)
 		}
@@ -267,14 +271,14 @@ func TestChaosDeadlineMidLoad(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := s.ValidateProgramContext(ctx, prog)
+	rep, lr, err := s.RunProgram(ctx, prog, s.Store())
 	if err != nil {
 		t.Fatalf("degraded canceled round errored: %v", err)
 	}
 	if !rep.Interrupted {
 		t.Fatalf("report not Interrupted: %+v", rep)
 	}
-	if lr := s.LastLoadReport(); lr == nil || !lr.Interrupted {
+	if lr == nil || !lr.Interrupted {
 		t.Fatalf("load report not Interrupted: %+v", lr)
 	}
 }

@@ -129,10 +129,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// The runner persists across watch rounds: one session (so the
 	// compiled program and its cached executable plan survive rounds
-	// where only data changed), one graceful-degradation loader (so a
-	// source torn mid-write in round N serves round N-1's parse), and
-	// the swap-in of each round's freshly built store. A watch round is
-	// incremental by handing the previous round's state to the next job.
+	// where only data changed) and the swap-in of each round's freshly
+	// built store. A watch round hands the previous round's state to the
+	// next job, which makes it incremental and starts its loads from the
+	// previous round's parses: a source torn mid-write in round N serves
+	// round N-1's parse.
 	var prev *confvalley.RunState
 	r := runner.New(runner.Options{
 		Parallel:    *parallel,

@@ -26,8 +26,9 @@
 //	POST   /v1/tenants/{tenant}/specs/{spec}/validate       run a validation
 //	GET    /v1/tenants/{tenant}/specs/{spec}/report         last report
 //
-// Each tenant gets its own runner — session, store lineage, loader and
-// plan state — so tenants are isolated structurally, not by locking.
+// Each tenant gets its own runner and spec registry — session, one
+// lineage per spec (its last run's verdicts and parses), plan state — so
+// tenants are isolated structurally, not by locking.
 // Admission control bounds concurrent validations; excess requests wait
 // in a bounded queue and overflow is rejected with 429.
 //

@@ -90,12 +90,6 @@ type (
 	// LoadReport aggregates a load round's per-source outcomes:
 	// fresh/stale/quarantined accounting for degraded ingestion.
 	LoadReport = ingest.LoadReport
-	// Loader loads source batches with graceful degradation, retaining
-	// each source's last good parse across validation rounds.
-	Loader = ingest.Loader
-	// ParseStats counts a loader's clean loads by full parse and by delta
-	// re-parse against a retained parse.
-	ParseStats = ingest.ParseStats
 )
 
 // Severity levels for validation policies.
@@ -135,12 +129,6 @@ func NewStore() *Store { return config.NewStore() }
 // Report.EncodeWire (or by cvserve / cvcheck -json), rejecting schema
 // versions newer than this build understands.
 func DecodeReportWire(b []byte) (*ReportWire, error) { return report.DecodeWire(b) }
-
-// NewLoader returns a graceful-degradation loader. maxStale bounds how
-// many consecutive rounds a failing source is served from its last good
-// parse before it degrades to quarantined (0 = forever, negative =
-// never serve stale).
-func NewLoader(maxStale int) *Loader { return ingest.NewLoader(maxStale) }
 
 // ---- Language extension (§4.2.6) ----
 //

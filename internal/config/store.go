@@ -399,7 +399,7 @@ func (n *trieNode) match(segs []PatSeg, depth int, out *[]string) {
 // store is built from: the batch, its class index (class IDs in
 // first-appearance order, segment names, leaf index, trie), each class's
 // instances in batch order, and each instance's class number. A store
-// that adopts it (AddPartition) shares all of it, and the loader keeps a
+// that adopts it (AddPartition) shares all of it, and a lineage keeps a
 // full parse's partition so that a delta re-parse of the same document
 // (Revalue) reuses everything but the classes it re-valued. A partition
 // is immutable.

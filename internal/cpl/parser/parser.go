@@ -73,25 +73,6 @@ func Parse(src string) ([]ast.Stmt, error) {
 	}
 }
 
-// ParsePredicate parses a standalone predicate expression, used by the
-// inference engine's round-trip tests and the interactive console.
-func ParsePredicate(src string) (ast.Pred, error) {
-	toks, err := lexer.Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	pred, err := p.predicate()
-	if err != nil {
-		return nil, err
-	}
-	p.skipNewlines()
-	if !p.at(token.EOF) {
-		return nil, p.errf("unexpected %s after predicate", p.cur())
-	}
-	return pred, nil
-}
-
 type parser struct {
 	toks []token.Token
 	i    int

@@ -408,19 +408,6 @@ func TestRenderRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParsePredicateStandalone(t *testing.T) {
-	p, err := ParsePredicate("unique & ip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := p.(*ast.And); !ok {
-		t.Errorf("pred = %T", p)
-	}
-	if _, err := ParsePredicate("unique & ip extra"); err == nil {
-		t.Error("trailing tokens should error")
-	}
-}
-
 func TestMultiStatementProgram(t *testing.T) {
 	src := `
 /* Prepare configuration sources */

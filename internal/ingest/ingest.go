@@ -10,11 +10,11 @@
 //   - a malformed or unreadable source is *quarantined* into a
 //     structured LoadReport entry (source, driver, error, instance
 //     count) instead of aborting the batch;
-//   - a Loader retained across validation rounds keeps the *last good
-//     parse* of every source its latest batch named, so a torn mid-write
-//     file degrades that one
-//     source to stale data instead of killing the round, with the
-//     staleness (and its age in rounds) surfaced in the report;
+//   - a load keeps the *last good parse* of every source of its batch
+//     (Parses) and the next round's load starts from them, so a torn
+//     mid-write file degrades that one source to stale data instead of
+//     killing the round, with the staleness (and its age in rounds)
+//     surfaced in the report;
 //   - loading honors a context: a deadline or Ctrl-C stops between
 //     sources and marks the report interrupted;
 //   - a driver that panics on hostile input is contained to a per-source
@@ -22,14 +22,10 @@
 package ingest
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"confvalley/internal/config"
 	"confvalley/internal/driver"
@@ -84,9 +80,9 @@ type Outcome struct {
 	// MaxStale).
 	Quarantined bool `json:"quarantined,omitempty"`
 	// Reparsed means the source's bytes were re-parsed against the
-	// loader's latest full parse of it (driver.Reparser): nothing the load
-	// produced or the loader keeps points into them, so whoever handed
-	// them over may reuse them. It is not part of the wire form.
+	// latest full parse of it the previous load kept (driver.Reparser):
+	// nothing the load produced or keeps points into them, so whoever
+	// handed them over may reuse them. It is not part of the wire form.
 	Reparsed bool `json:"-"`
 }
 
@@ -116,16 +112,6 @@ func (r *LoadReport) Instances() int {
 		n += o.Instances
 	}
 	return n
-}
-
-// AllFailed reports whether every source failed to contribute data —
-// the condition under which a round has nothing at all to validate.
-// False for an empty source list.
-func (r *LoadReport) AllFailed() bool {
-	if len(r.Outcomes) == 0 {
-		return false
-	}
-	return r.Quarantined() == len(r.Outcomes)
 }
 
 // Degraded reports whether any source failed this round (stale or
@@ -168,31 +154,17 @@ func (r *LoadReport) Render(w interface{ Write([]byte) (int, error) }) {
 // projected for one program lacks classes another reads.
 type goodKey struct{ name, format, scope, proj string }
 
-// source is the key with the projection left out: the source a parse
-// is of, whichever program it was projected for.
-func (k goodKey) source() goodKey {
-	k.proj = ""
-	return k
-}
-
-// maxViews bounds the parses one source keeps under distinct
-// projections. Each holds its own copy of the source's bytes, so the
-// bound is what stops a service whose programs keep changing from
-// accumulating one per retired program.
-const maxViews = 8
-
 // lastGood is the retained parse of one source.
 type lastGood struct {
 	parse
 	staleRounds int
-	used        uint64 // Loader.clock when it was last stored or served
 	// base is the source's latest full parse when its driver re-parses
 	// (driver.Reparser), nil otherwise: ins is base's instances or a delta
 	// re-parse of base, which shares them. Only a full parse replaces it.
 	base *document
 }
 
-// document is a full parse of bytes the loader owns: the bytes, and the
+// document is a full parse of bytes the load owns: the bytes, and the
 // instances that borrow from them, with their partition, which a delta
 // re-parse's store build starts from (config.Partition.Revalue).
 type document struct {
@@ -200,33 +172,25 @@ type document struct {
 	parse
 }
 
-// ParseStats counts a loader's clean loads by how their instances were
-// obtained; Parsed + Reparsed is every source it has loaded cleanly.
-type ParseStats struct {
-	// Parsed counts full parses.
-	Parsed int64
-	// Reparsed counts delta re-parses against a retained full parse
-	// (driver.Reparser): bytes that differed from it inside values only.
-	Reparsed int64
-}
+// Parses is what one load of a batch keeps for the next load of the
+// same sources: the last good parse of each of the batch's sources. A
+// lineage of runs hands each load the parses the one before returned, so
+// a source torn mid-write in round N serves round N-1's parse. Parses are
+// immutable once Load returns them, so concurrent loads may start from
+// the same ones. Nil is a lineage's first load, which loads cold.
+type Parses map[goodKey]*lastGood
 
-// Loader loads batches of sources with graceful degradation, retaining
-// each source's last good parse across rounds. The zero value is ready
-// to use. A Loader is safe for concurrent use; watch-style callers keep
-// one alive for the life of the session so a source torn mid-write in
-// round N serves round N-1's parse.
-//
-// A Loader retains the parses of the sources of the batch it loaded last
-// and of no other: each Load drops every parse its batch does not name.
-// A watch session loads one fixed source set every round and keeps all of
-// it; a service, whose requests name their payloads, keeps one request's
-// per concurrent load however many names it has been sent. A source
-// loaded through projections keeps one parse per projection, so programs
-// that take turns over it each keep theirs, up to maxViews of them: the
-// least recently loaded goes first.
+// Load fetches, parses and stores every source, never aborting the batch
+// on a per-source failure: a failed source is served stale from its parse
+// in prev, within maxStale rounds, or quarantined, and the returned
+// LoadReport accounts for every source examined. maxStale bounds how many
+// consecutive rounds a failing source is served its last good parse: 0
+// serves it indefinitely, negative never. Cancellation between sources
+// stops the batch with Interrupted set. The returned parses are those of
+// this batch's sources, examined or not, and of no other.
 //
 // A source whose driver re-parses (xml, kv) is first re-parsed against
-// its latest full parse, when the loader holds one: if the new bytes
+// its latest full parse in prev, when there is one: if the new bytes
 // differ from the parsed ones inside values only, the unchanged instances
 // are reused and the changed values copied, so the new bytes are not
 // retained (Outcome.Reparsed), and the store is built from the full
@@ -234,78 +198,24 @@ type ParseStats struct {
 // else is parsed in full, and that parse — bytes, instances, partition —
 // is what later loads are measured against. The bytes a source hands
 // over are lent, then: a full parse keeps them, a re-parse does not.
-type Loader struct {
-	// MaxStale bounds how many consecutive rounds a failing source is
-	// served from its last good parse before it degrades to quarantined.
-	// 0 means serve stale data indefinitely; negative disables stale
-	// serving entirely (every failure quarantines).
-	MaxStale int
-
-	mu    sync.Mutex
-	good  map[goodKey]*lastGood
-	clock uint64 // counts parses stored or served, ordering lastGood.used
-
-	parsed, reparsed atomic.Int64 // ParseStats
-}
-
-// NewLoader returns a Loader with the given staleness bound.
-func NewLoader(maxStale int) *Loader { return &Loader{MaxStale: maxStale} }
-
-// ParseStats reports how the loader's clean loads so far were parsed.
-func (l *Loader) ParseStats() ParseStats {
-	return ParseStats{Parsed: l.parsed.Load(), Reparsed: l.reparsed.Load()}
-}
-
-// Load fetches, parses and stores every source, never aborting the batch
-// on a per-source failure: failed sources are served stale (within
-// MaxStale) or quarantined, and the returned LoadReport accounts for
-// every source examined. Cancellation between sources stops the batch
-// with Interrupted set. Afterwards the loader retains the parses of this
-// batch's sources only, examined or not.
-func (l *Loader) Load(ctx context.Context, st *config.Store, sources []Source) *LoadReport {
+func Load(ctx context.Context, st *config.Store, sources []Source, prev Parses, maxStale int) (*LoadReport, Parses) {
+	keys := make([]goodKey, len(sources))
+	next := make(Parses, len(sources))
+	for i, src := range sources {
+		keys[i] = keyOf(src)
+		if g := prev[keys[i]]; g != nil {
+			next[keys[i]] = g
+		}
+	}
 	rep := &LoadReport{}
-	for _, src := range sources {
+	for i, src := range sources {
 		if ctx.Err() != nil {
 			rep.Interrupted = true
 			break
 		}
-		rep.Outcomes = append(rep.Outcomes, l.loadOne(ctx, st, src))
+		rep.Outcomes = append(rep.Outcomes, next.load(ctx, st, src, keys[i], maxStale))
 	}
-	l.retainOnly(sources)
-	return rep
-}
-
-// retainOnly drops every retained parse of a source the batch does not
-// name, whatever its projection, and a named source's least recently
-// used parses beyond maxViews.
-func (l *Loader) retainOnly(sources []Source) {
-	named := make(map[goodKey]bool, len(sources))
-	for _, src := range sources {
-		named[keyOf(src).source()] = true
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var views map[goodKey][]goodKey
-	for k := range l.good {
-		switch {
-		case !named[k.source()]:
-			delete(l.good, k)
-		case k.proj != "":
-			if views == nil {
-				views = make(map[goodKey][]goodKey)
-			}
-			views[k.source()] = append(views[k.source()], k)
-		}
-	}
-	for _, ks := range views {
-		if len(ks) <= maxViews {
-			continue
-		}
-		slices.SortFunc(ks, func(a, b goodKey) int { return cmp.Compare(l.good[b].used, l.good[a].used) })
-		for _, k := range ks[maxViews:] {
-			delete(l.good, k)
-		}
-	}
+	return rep, next
 }
 
 // keyOf is the key a source's parse is retained under.
@@ -321,74 +231,52 @@ func keyOf(src Source) goodKey {
 	return k
 }
 
-// loadOne handles one source: fetch, parse (panic-contained), store, and
-// last-good bookkeeping.
-func (l *Loader) loadOne(ctx context.Context, st *config.Store, src Source) Outcome {
-	key := keyOf(src)
+// load handles one source: fetch, parse (panic-contained), store, and
+// the source's entry in next, which holds the source's last good parse
+// on entry and its parse for the next load on return.
+func (next Parses) load(ctx context.Context, st *config.Store, src Source, key goodKey, maxStale int) Outcome {
 	out := Outcome{Source: src.Name, Driver: key.format}
+	g := next[key]
 	var base *document
-	l.mu.Lock()
-	if g := l.good[key]; g != nil {
+	if g != nil {
 		base = g.base
 	}
-	l.mu.Unlock()
 	p, doc, err := fetchAndParse(ctx, src, key.format, base)
 	if err == nil {
-		if base != nil && doc == base {
-			l.reparsed.Add(1)
-			out.Reparsed = true
-		} else {
-			l.parsed.Add(1)
-		}
+		out.Reparsed = base != nil && doc == base
 		st.AddPartition(p.part)
 		p.count(&out)
-		l.mu.Lock()
-		if l.good == nil {
-			l.good = make(map[goodKey]*lastGood)
-		}
-		l.clock++
-		l.good[key] = &lastGood{parse: p, base: doc, used: l.clock}
-		l.mu.Unlock()
+		next[key] = &lastGood{parse: p, base: doc}
 		return out
 	}
 	out.Err = err.Error()
-	// Degrade: serve the last good parse when one exists and is not too
-	// stale. Instances are immutable once parsed, so re-adding the same
-	// pointers to a fresh store is sound.
-	l.mu.Lock()
-	g := l.good[key]
-	if g != nil {
-		g.staleRounds++
-		if l.MaxStale < 0 || (l.MaxStale > 0 && g.staleRounds > l.MaxStale) {
-			g = nil
-		}
-	}
-	var stale parse
-	var rounds int
-	if g != nil {
-		l.clock++
-		g.used = l.clock
-		stale, rounds = g.parse, g.staleRounds
-	}
-	l.mu.Unlock()
-	// An empty document's parse is not served: its instances are nil.
-	// A projection that kept none of a document's is, as the full parse
-	// would be.
-	if stale.parsed > 0 {
-		st.AddPartition(stale.part)
-		stale.count(&out)
-		out.Stale = true
-		out.StaleRounds = rounds
+	if g == nil {
+		out.Quarantined = true
 		return out
 	}
-	out.Quarantined = true
+	// Degrade: serve the last good parse when it is not too stale.
+	// Instances are immutable once parsed, so re-adding the same pointers
+	// to a fresh store is sound. An empty document's parse is not served:
+	// its instances are nil. A projection that kept none of a document's
+	// is, as the full parse would be.
+	aged := *g
+	aged.staleRounds++
+	next[key] = &aged
+	if aged.parsed == 0 || maxStale < 0 || (maxStale > 0 && aged.staleRounds > maxStale) {
+		out.Quarantined = true
+		return out
+	}
+	st.AddPartition(aged.part)
+	aged.count(&out)
+	out.Stale = true
+	out.StaleRounds = aged.staleRounds
 	return out
 }
 
 // LoadSource fetches and parses one source and adds its instances to
 // st: the strict load, which keeps no parse and serves nothing stale. A
-// fetch error, parse error or driver panic is returned as the error a
-// Loader would quarantine the source with.
+// fetch error, parse error or driver panic is returned as the error Load
+// would quarantine the source with.
 func LoadSource(ctx context.Context, st *config.Store, src Source) error {
 	p, _, err := fetchAndParse(ctx, src, keyOf(src).format, nil)
 	if err != nil {
@@ -417,7 +305,7 @@ func (p parse) count(out *Outcome) {
 
 // fetchAndParse reads a source's bytes and parses them, through the
 // source's projection, converting a fetch error, parse error or driver
-// panic into a per-source error. The bytes are the loader's by now — it
+// panic into a per-source error. The bytes are the load's by now — it
 // read them, or Fetch handed them over — so the driver gets them to
 // keep. Given base, the source's latest full parse under the same
 // projection, it re-parses against that first (driver.Reparser) and
@@ -481,16 +369,4 @@ func FormatFromPath(path string) string {
 	default:
 		return "kv"
 	}
-}
-
-// Forget drops a source's retained last-good parses (test hygiene, or a
-// source administratively removed from the set).
-func (l *Loader) Forget(name string) {
-	l.mu.Lock()
-	for k := range l.good {
-		if k.name == name {
-			delete(l.good, k)
-		}
-	}
-	l.mu.Unlock()
 }

@@ -2,12 +2,12 @@ package ingest
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,8 +25,53 @@ func failSource(name, format string, err error) Source {
 
 var goodJSON = []byte(`{"app": {"timeout": "30", "name": "svc"}}`)
 
+// lineage threads loads the way a run's state does: each starts from the
+// parses the one before returned. Concurrent loads start from the latest
+// published parses and the last to finish publishes its own, as
+// concurrent requests of one registered spec do. It counts the clean
+// loads by how they were parsed.
+type lineage struct {
+	maxStale         int
+	mu               sync.Mutex
+	parses           Parses
+	parsed, reparsed atomic.Int64
+}
+
+func newLineage(maxStale int) *lineage { return &lineage{maxStale: maxStale} }
+
+// parseCounts counts clean loads: full parses and re-parses.
+type parseCounts struct{ Parsed, Reparsed int64 }
+
+func (l *lineage) Load(ctx context.Context, st *config.Store, sources []Source) *LoadReport {
+	rep, next := Load(ctx, st, sources, l.held(), l.maxStale)
+	l.mu.Lock()
+	l.parses = next
+	l.mu.Unlock()
+	for _, o := range rep.Outcomes {
+		switch {
+		case o.Err != "":
+		case o.Reparsed:
+			l.reparsed.Add(1)
+		default:
+			l.parsed.Add(1)
+		}
+	}
+	return rep
+}
+
+// held is the parses the next load starts from.
+func (l *lineage) held() Parses {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.parses
+}
+
+func (l *lineage) stats() parseCounts {
+	return parseCounts{Parsed: l.parsed.Load(), Reparsed: l.reparsed.Load()}
+}
+
 func TestLoadCleanBatch(t *testing.T) {
-	l := NewLoader(0)
+	l := newLineage(0)
 	st := config.NewStore()
 	rep := l.Load(context.Background(), st, []Source{
 		memSource("a.json", "json", goodJSON),
@@ -38,8 +83,8 @@ func TestLoadCleanBatch(t *testing.T) {
 	if rep.Instances() != 3 {
 		t.Fatalf("instances = %d, want 3", rep.Instances())
 	}
-	if rep.Degraded() || rep.AllFailed() {
-		t.Fatalf("clean batch reported degraded=%v allFailed=%v", rep.Degraded(), rep.AllFailed())
+	if rep.Degraded() {
+		t.Fatalf("clean batch reported degraded")
 	}
 	pat, _ := config.ParsePattern("app.timeout")
 	if got := len(st.Discover(pat)); got != 1 {
@@ -50,7 +95,7 @@ func TestLoadCleanBatch(t *testing.T) {
 // A malformed source with no retained parse quarantines; the rest of the
 // batch still loads.
 func TestMalformedSourceQuarantined(t *testing.T) {
-	l := NewLoader(0)
+	l := newLineage(0)
 	st := config.NewStore()
 	rep := l.Load(context.Background(), st, []Source{
 		memSource("bad.json", "json", []byte(`{"app":`)),
@@ -63,16 +108,13 @@ func TestMalformedSourceQuarantined(t *testing.T) {
 	if !o.Quarantined || o.Err == "" || o.Instances != 0 {
 		t.Fatalf("bad source outcome = %+v", o)
 	}
-	if rep.AllFailed() {
-		t.Fatalf("AllFailed with one healthy source")
-	}
 	if !rep.Degraded() {
 		t.Fatalf("Degraded not set with a quarantined source")
 	}
 }
 
 func TestStaleServingAndRecovery(t *testing.T) {
-	l := NewLoader(0) // serve stale forever
+	l := newLineage(0) // serve stale forever
 	good := memSource("s.json", "json", goodJSON)
 	bad := memSource("s.json", "json", []byte("{torn"))
 
@@ -101,7 +143,7 @@ func TestStaleServingAndRecovery(t *testing.T) {
 }
 
 func TestMaxStaleBoundsServing(t *testing.T) {
-	l := NewLoader(2)
+	l := newLineage(2)
 	good := memSource("s.json", "json", goodJSON)
 	bad := memSource("s.json", "json", []byte("{torn"))
 	load := func(src Source) Outcome {
@@ -121,7 +163,7 @@ func TestMaxStaleBoundsServing(t *testing.T) {
 }
 
 func TestNegativeMaxStaleNeverServes(t *testing.T) {
-	l := NewLoader(-1)
+	l := newLineage(-1)
 	load := func(src Source) Outcome {
 		rep := l.Load(context.Background(), config.NewStore(), []Source{src})
 		return rep.Outcomes[0]
@@ -132,24 +174,9 @@ func TestNegativeMaxStaleNeverServes(t *testing.T) {
 	}
 }
 
-func TestAllFailed(t *testing.T) {
-	l := NewLoader(0)
-	rep := l.Load(context.Background(), config.NewStore(), []Source{
-		failSource("a", "json", errors.New("down")),
-		memSource("b.json", "json", []byte("{nope")),
-	})
-	if !rep.AllFailed() {
-		t.Fatalf("AllFailed = false with every source quarantined")
-	}
-	empty := l.Load(context.Background(), config.NewStore(), nil)
-	if empty.AllFailed() {
-		t.Fatalf("AllFailed = true for an empty source list")
-	}
-}
-
 func TestLoadInterrupted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	l := NewLoader(0)
+	l := newLineage(0)
 	sources := []Source{
 		Source{Name: "a.json", Format: "json", Fetch: func(context.Context) ([]byte, error) {
 			cancel() // Ctrl-C lands while the first source is in flight
@@ -168,7 +195,7 @@ func TestLoadInterrupted(t *testing.T) {
 
 // A panicking fetch (or driver) is contained to a per-source failure.
 func TestPanickingFetchContained(t *testing.T) {
-	l := NewLoader(0)
+	l := newLineage(0)
 	rep := l.Load(context.Background(), config.NewStore(), []Source{
 		Source{Name: "p.json", Format: "json", Fetch: func(context.Context) ([]byte, error) { panic("hostile input") }},
 		memSource("ok.json", "json", goodJSON),
@@ -188,7 +215,7 @@ func TestFileSourceAndFormatInference(t *testing.T) {
 	if err := os.WriteFile(path, goodJSON, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l := NewLoader(0)
+	l := newLineage(0)
 	rep := l.Load(context.Background(), config.NewStore(), []Source{{Name: path}})
 	if o := rep.Outcomes[0]; o.Err != "" || o.Driver != "json" || o.Instances != 2 {
 		t.Fatalf("file source outcome = %+v", o)
@@ -200,14 +227,17 @@ func TestFileSourceAndFormatInference(t *testing.T) {
 	}
 }
 
+// A lineage keeps the parses of its latest batch's sources: a source that
+// a batch leaves out has no last good parse in the batch after, which
+// quarantines it when it fails.
 func TestForgetDropsLastGood(t *testing.T) {
-	l := NewLoader(0)
+	l := newLineage(0)
 	load := func(src Source) Outcome {
 		rep := l.Load(context.Background(), config.NewStore(), []Source{src})
 		return rep.Outcomes[0]
 	}
 	load(memSource("s.json", "json", goodJSON))
-	l.Forget("s.json")
+	load(memSource("other.json", "json", goodJSON))
 	if o := load(memSource("s.json", "json", []byte("{torn"))); !o.Quarantined {
 		t.Fatalf("forgotten source served stale: %+v", o)
 	}
@@ -215,11 +245,10 @@ func TestForgetDropsLastGood(t *testing.T) {
 
 // One file loaded under two scopes keeps two last-good parses: instances
 // are stored scoped, so serving one scope's parse for the other would
-// put keys under the wrong prefix. The session's single loader makes
-// this reachable — a -data flag and a spec's load command may name the
-// same file.
+// put keys under the wrong prefix. A lineage's batch may name one file
+// under two scopes.
 func TestStaleParseIsPerScope(t *testing.T) {
-	l := NewLoader(0)
+	l := newLineage(0)
 	scoped := func(scope string, data []byte) Source {
 		src := memSource("s.json", "json", data)
 		src.Scope = scope
@@ -239,7 +268,7 @@ func TestStaleParseIsPerScope(t *testing.T) {
 }
 
 func TestRenderMentionsDegradedSources(t *testing.T) {
-	l := NewLoader(0)
+	l := newLineage(0)
 	load := func(srcs ...Source) *LoadReport {
 		return l.Load(context.Background(), config.NewStore(), srcs)
 	}
@@ -257,7 +286,7 @@ func TestRenderMentionsDegradedSources(t *testing.T) {
 }
 
 func TestScopePrefixesKeys(t *testing.T) {
-	l := NewLoader(0)
+	l := newLineage(0)
 	st := config.NewStore()
 	src := memSource("a.json", "json", goodJSON)
 	src.Scope = "Prod"
@@ -281,7 +310,7 @@ func TestFormatFromPath(t *testing.T) {
 }
 
 func TestConcurrentLoadRounds(t *testing.T) {
-	l := NewLoader(0)
+	l := newLineage(0)
 	done := make(chan error, 4)
 	for w := 0; w < 4; w++ {
 		go func(w int) {
@@ -310,13 +339,13 @@ func TestConcurrentLoadRounds(t *testing.T) {
 	}
 }
 
-// A loader keeps the parses of its latest batch and no others. A service
-// tenant's requests name their own payloads, so without the bound a
-// thousand names meant a thousand retained parses, each pinning its
+// A lineage keeps the parses of its latest batch and no others. A
+// lineage whose batches each name a payload of their own would otherwise
+// keep a thousand parses after a thousand loads, each pinning its
 // payload's bytes; a source named in every batch is still served stale.
 func TestLoaderRetainsOneBatch(t *testing.T) {
 	const loads = 1000
-	l := NewLoader(0)
+	l := newLineage(0)
 	var collected atomic.Int64
 	previous := make(chan struct{})
 	for i := 0; i < loads; i++ {
@@ -332,11 +361,8 @@ func TestLoaderRetainsOneBatch(t *testing.T) {
 		if rep := l.Load(context.Background(), config.NewStore(), batch); rep.Loaded() != len(batch) {
 			t.Fatalf("load %d: %+v", i, rep.Outcomes)
 		}
-		l.mu.Lock()
-		held := len(l.good)
-		l.mu.Unlock()
-		if held > len(batch) {
-			t.Fatalf("after load %d the loader holds %d parses, want at most the batch's %d", i, held, len(batch))
+		if held := len(l.held()); held > len(batch) {
+			t.Fatalf("after load %d the lineage holds %d parses, want at most the batch's %d", i, held, len(batch))
 		}
 	}
 	// Finalizers run on their own goroutine some time after the cycle that

@@ -53,7 +53,7 @@ const projDoc = "a.x = 1\nb.y = 2\na.z = 3\nc.y = 4\n"
 // outcome counts both the document's instances and the stored ones.
 func TestProjectedLoadOutcome(t *testing.T) {
 	st := config.NewStore()
-	rep := NewLoader(0).Load(context.Background(), st, []Source{projected(memSource("d.kv", "kv", []byte(projDoc)), projectionOf(t, "y"))})
+	rep := newLineage(0).Load(context.Background(), st, []Source{projected(memSource("d.kv", "kv", []byte(projDoc)), projectionOf(t, "y"))})
 	if o := rep.Outcomes[0]; o.Err != "" || o.Instances != 4 || kept(o) != 2 {
 		t.Fatalf("outcome %+v; want 2 of 4 instances", o)
 	}
@@ -62,7 +62,7 @@ func TestProjectedLoadOutcome(t *testing.T) {
 	}
 	// A driver that does not project ignores the projection.
 	st = config.NewStore()
-	rep = NewLoader(0).Load(context.Background(), st, []Source{projected(memSource("d.json", "json", goodJSON), projectionOf(t, "y"))})
+	rep = newLineage(0).Load(context.Background(), st, []Source{projected(memSource("d.json", "json", goodJSON), projectionOf(t, "y"))})
 	if o := rep.Outcomes[0]; o.Err != "" || o.Instances != 2 || o.Projected != nil || st.Snapshot().Len() != 2 {
 		t.Fatalf("json outcome %+v, %d stored; want both instances, unprojected", o, st.Snapshot().Len())
 	}
@@ -71,16 +71,18 @@ func TestProjectedLoadOutcome(t *testing.T) {
 // A retained parse is served only to a load under the same projection:
 // the same bytes under another projection parse afresh, and a failing
 // load under a projection that never loaded finds no last good parse.
-// Loads under other projections do not cost a projection its own parse:
-// each re-parses against it, and a failing load is served it stale.
+// Programs that take turns over one source, each with a lineage of its
+// own, keep their own parses: each re-parses against its own, and a
+// failing load is served its own stale.
 func TestRetainedParsesArePerProjection(t *testing.T) {
 	ctx := context.Background()
 	pa, pb := projectionOf(t, "x"), projectionOf(t, "y")
-	l := NewLoader(0)
-	load := func(p *driver.Projection, src Source) (Outcome, string) {
+	lineages := map[*driver.Projection]*lineage{pa: newLineage(0), pb: newLineage(0), nil: newLineage(0)}
+	loadIn := func(l *lineage, p *driver.Projection, src Source) (Outcome, string) {
 		st := config.NewStore()
 		return l.Load(ctx, st, []Source{projected(src, p)}).Outcomes[0], keys(st)
 	}
+	load := func(p *driver.Projection, src Source) (Outcome, string) { return loadIn(lineages[p], p, src) }
 	doc := func(v int) Source {
 		return memSource("d.kv", "kv", []byte(fmt.Sprintf("a.x = %d\nb.y = 2\na.z = 3\nc.y = 4\n", v)))
 	}
@@ -98,12 +100,24 @@ func TestRetainedParsesArePerProjection(t *testing.T) {
 	// a and the unprojected load re-parse rounds 1 and 2 against their
 	// own parse of the round before; b dropped the line that changed, so
 	// it parses each round in full.
-	if got, want := l.ParseStats(), (ParseStats{Parsed: 5, Reparsed: 4}); got != want {
-		t.Fatalf("parse stats %+v, want %+v", got, want)
+	var sum parseCounts
+	for _, l := range lineages {
+		sum.Parsed += l.stats().Parsed
+		sum.Reparsed += l.stats().Reparsed
+	}
+	if want := (parseCounts{Parsed: 5, Reparsed: 4}); sum != want {
+		t.Fatalf("parse stats %+v, want %+v", sum, want)
 	}
 
+	// One lineage whose projection changes: the new projection parses the
+	// same bytes afresh, and fails with nothing to serve.
+	moved := newLineage(0)
+	loadIn(moved, pa, doc(2))
+	if o, got := loadIn(moved, pb, doc(2)); o.Reparsed || got != "b.y=2;c.y=4;" {
+		t.Fatalf("the same bytes under another projection: %+v, store %q; want a full parse", o, got)
+	}
 	torn := failSource("d.kv", "kv", errors.New("torn"))
-	if o, got := load(projectionOf(t, "z"), torn); !o.Quarantined || got != "" {
+	if o, got := loadIn(moved, projectionOf(t, "z"), torn); !o.Quarantined || got != "" {
 		t.Fatalf("failing load under a new projection: %+v, store %q; want quarantined", o, got)
 	}
 	for _, c := range []struct {
@@ -117,13 +131,14 @@ func TestRetainedParsesArePerProjection(t *testing.T) {
 	}
 }
 
-// A source keeps at most maxViews projected parses, dropping the least
-// recently used: the first projection's parse goes once maxViews others
-// have loaded since, and the latest ones stay.
+// A lineage keeps one parse of a source, under the projection its latest
+// batch loaded it through: after nine projections in turn it holds one
+// parse, a failing load under the first finds nothing to serve, and one
+// under the latest is served its parse, which kept no instance.
 func TestProjectedParsesAreBounded(t *testing.T) {
 	ctx := context.Background()
-	l := NewLoader(0)
-	views := make([]*driver.Projection, maxViews+1)
+	l := newLineage(0)
+	views := make([]*driver.Projection, 9)
 	for i := range views {
 		views[i] = projectionOf(t, fmt.Sprintf("k%d", i))
 	}
@@ -131,16 +146,21 @@ func TestProjectedParsesAreBounded(t *testing.T) {
 	for _, p := range views {
 		l.Load(ctx, config.NewStore(), []Source{projected(memSource("d.kv", "kv", []byte("k0 = 1\n")), p)})
 	}
-	l.mu.Lock()
-	held := len(l.good)
-	l.mu.Unlock()
-	if held != maxViews {
-		t.Fatalf("the loader holds %d parses of one source, want %d", held, maxViews)
+	if held := len(l.held()); held != 1 {
+		t.Fatalf("the lineage holds %d parses of one source, want 1", held)
 	}
 	if o := l.Load(ctx, config.NewStore(), []Source{projected(torn, views[0])}).Outcomes[0]; !o.Quarantined {
-		t.Fatalf("the least recently used projection's parse was kept: %+v", o)
+		t.Fatalf("an earlier projection's parse was kept: %+v", o)
 	}
-	if o := l.Load(ctx, config.NewStore(), []Source{projected(torn, views[maxViews])}).Outcomes[0]; !o.Stale || kept(o) != 0 {
+	if o := l.Load(ctx, config.NewStore(), []Source{projected(torn, views[len(views)-1])}).Outcomes[0]; !o.Quarantined {
+		t.Fatalf("the failing load under the first projection left the latest one's parse: %+v", o)
+	}
+	// The same again, without the detour: the latest projection's parse
+	// is served stale.
+	for _, p := range views {
+		l.Load(ctx, config.NewStore(), []Source{projected(memSource("d.kv", "kv", []byte("k0 = 1\n")), p)})
+	}
+	if o := l.Load(ctx, config.NewStore(), []Source{projected(torn, views[len(views)-1])}).Outcomes[0]; !o.Stale || kept(o) != 0 {
 		t.Fatalf("the latest projection's parse, which kept nothing, was not served stale: %+v", o)
 	}
 }
@@ -151,15 +171,15 @@ func TestProjectedParsesAreBounded(t *testing.T) {
 func TestReparseAgainstProjectedBase(t *testing.T) {
 	ctx := context.Background()
 	p := projectionOf(t, "y")
-	l := NewLoader(0)
+	l := newLineage(0)
 	steps := []struct {
 		doc, want string
-		stats     ParseStats
+		stats     parseCounts
 	}{
-		{projDoc, "b.y=2;c.y=4;", ParseStats{Parsed: 1}},
-		{"a.x = 1\nb.y = 7\na.z = 3\nc.y = 4\n", "b.y=7;c.y=4;", ParseStats{Parsed: 1, Reparsed: 1}},
-		{"a.x = 9\nb.y = 7\na.z = 3\nc.y = 4\n", "b.y=7;c.y=4;", ParseStats{Parsed: 2, Reparsed: 1}},
-		{"a.x = 9\nb.y = 7\na.z = 3\nc.y = 5\n", "b.y=7;c.y=5;", ParseStats{Parsed: 2, Reparsed: 2}},
+		{projDoc, "b.y=2;c.y=4;", parseCounts{Parsed: 1}},
+		{"a.x = 1\nb.y = 7\na.z = 3\nc.y = 4\n", "b.y=7;c.y=4;", parseCounts{Parsed: 1, Reparsed: 1}},
+		{"a.x = 9\nb.y = 7\na.z = 3\nc.y = 4\n", "b.y=7;c.y=4;", parseCounts{Parsed: 2, Reparsed: 1}},
+		{"a.x = 9\nb.y = 7\na.z = 3\nc.y = 5\n", "b.y=7;c.y=5;", parseCounts{Parsed: 2, Reparsed: 2}},
 	}
 	for i, s := range steps {
 		st := config.NewStore()
@@ -170,28 +190,28 @@ func TestReparseAgainstProjectedBase(t *testing.T) {
 		if got := keys(st); got != s.want {
 			t.Fatalf("step %d: store %q, want %q", i, got, s.want)
 		}
-		if got := l.ParseStats(); got != s.stats {
+		if got := l.stats(); got != s.stats {
 			t.Fatalf("step %d: parse stats %+v, want %+v", i, got, s.stats)
 		}
 	}
 }
 
 // One projection is shared, unlocked, by concurrent loads — scoped and
-// not, through one loader and through several: each parse keeps its own
+// not, through one lineage and through several: each parse keeps its own
 // verdicts. Run under -race.
 func TestConcurrentProjectedLoads(t *testing.T) {
 	p, scoped := projectionOf(t, "y", "S.a.*"), projectionOf(t, "S.a.x", "S.c.y")
-	shared := NewLoader(0)
+	shared := newLineage(0)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			own := NewLoader(0)
+			own := newLineage(0)
 			for round := 0; round < 20; round++ {
 				doc := fmt.Sprintf("a.x = %d\nb.y = %d\na.z = 3\nS.a.k%d = 1\nc.y = 4\n", round, g, round%3)
-				for _, l := range []*Loader{own, shared} {
+				for _, l := range []*lineage{own, shared} {
 					st := config.NewStore()
 					src := projected(memSource(fmt.Sprintf("d%d.kv", g), "kv", []byte(doc)), p)
 					if g%2 == 1 {

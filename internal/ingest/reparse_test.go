@@ -47,7 +47,7 @@ func TestReparseAllocations(t *testing.T) {
 	}
 	edited := bytes.Clone(doc)
 	edited[at] ^= 1 // another letter or digit
-	l := NewLoader(0)
+	l := newLineage(0)
 	load := func(data []byte) *LoadReport {
 		return l.Load(context.Background(), config.NewStore(), []Source{memSource("corpus.xml", "xml", data)})
 	}
@@ -59,10 +59,10 @@ func TestReparseAllocations(t *testing.T) {
 	if rep.Loaded() != 1 || rep.Instances() == 0 {
 		t.Fatalf("second load: %+v", rep.Outcomes)
 	}
-	if got := l.ParseStats(); got != (ParseStats{Parsed: 1, Reparsed: 1}) {
+	if got := l.stats(); got != (parseCounts{Parsed: 1, Reparsed: 1}) {
 		t.Fatalf("parse stats %+v, want one full parse and one re-parse", got)
 	}
-	ins := l.good[goodKey{name: "corpus.xml", format: "xml"}].ins
+	ins := l.held()[goodKey{name: "corpus.xml", format: "xml"}].ins
 	build := allocatedBytes(func() { config.NewStore().AddAll(ins) })
 	if alloc > 1<<20 {
 		t.Errorf("a one-value load of %d instances allocated %.2f MB (a store build over them alone: %.2f MB), want under 1 MB",
@@ -72,12 +72,12 @@ func TestReparseAllocations(t *testing.T) {
 }
 
 // A re-parse keeps no reference into the bytes it was handed: over twenty
-// value-only loads of one source the loader retains the first load's
+// value-only loads of one source the lineage retains the first load's
 // buffer, which the parse it re-parses against borrows from, and every
 // later buffer is collected.
 func TestLoaderReleasesReparsedBuffers(t *testing.T) {
 	const loads = 20
-	l := NewLoader(0)
+	l := newLineage(0)
 	var collected atomic.Int64
 	load := func(i int) {
 		doc := append(make([]byte, 0, 64), fmt.Sprintf("app.timeout = %d\napp.name = svc\n", 10+i)...)
@@ -91,7 +91,7 @@ func TestLoaderReleasesReparsedBuffers(t *testing.T) {
 	for i := 0; i < loads; i++ {
 		load(i)
 	}
-	if got := l.ParseStats(); got != (ParseStats{Parsed: 1, Reparsed: loads - 1}) {
+	if got := l.stats(); got != (parseCounts{Parsed: 1, Reparsed: loads - 1}) {
 		t.Fatalf("parse stats %+v, want 1 full parse and %d re-parses", got, loads-1)
 	}
 	// Finalizers run on their own goroutine some time after the cycle that
@@ -101,7 +101,7 @@ func TestLoaderReleasesReparsedBuffers(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if got := collected.Load(); got != loads-1 {
-		t.Errorf("%d of the %d buffers after the first were collected; the loader retains a re-parsed load's bytes", got, loads-1)
+		t.Errorf("%d of the %d buffers after the first were collected; the lineage retains a re-parsed load's bytes", got, loads-1)
 	}
 }
 
@@ -111,34 +111,34 @@ func TestLoaderReleasesReparsedBuffers(t *testing.T) {
 func TestParseStatsCountCleanLoads(t *testing.T) {
 	rounds := []struct {
 		batch []Source
-		want  ParseStats
+		want  parseCounts
 	}{
 		{[]Source{
 			memSource("a.kv", "kv", []byte("x = 1\n")),
 			memSource("b.json", "json", goodJSON),
 			memSource("c.xml", "xml", []byte(`<r><a v="1"/></r>`)),
-		}, ParseStats{Parsed: 3}},
+		}, parseCounts{Parsed: 3}},
 		{[]Source{ // two value edits; a torn source is no clean load
 			memSource("a.kv", "kv", []byte("x = 2\n")),
 			memSource("b.json", "json", []byte("{torn")),
 			memSource("c.xml", "xml", []byte(`<r><a v="2"/></r>`)),
-		}, ParseStats{Parsed: 3, Reparsed: 2}},
+		}, parseCounts{Parsed: 3, Reparsed: 2}},
 		{[]Source{ // a key edit and an added attribute parse in full
 			memSource("a.kv", "kv", []byte("y = 2\n")),
 			failSource("b.json", "json", errors.New("down")),
 			memSource("c.xml", "xml", []byte(`<r><a v="2" w="3"/></r>`)),
-		}, ParseStats{Parsed: 5, Reparsed: 2}},
+		}, parseCounts{Parsed: 5, Reparsed: 2}},
 		{[]Source{ // JSON is never re-parsed
 			memSource("a.kv", "kv", []byte("y = 3\n")),
 			memSource("b.json", "json", goodJSON),
 			memSource("c.xml", "xml", []byte(`<r><a v="4" w="3"/></r>`)),
-		}, ParseStats{Parsed: 6, Reparsed: 4}},
+		}, parseCounts{Parsed: 6, Reparsed: 4}},
 	}
-	l := NewLoader(0)
+	l := newLineage(0)
 	loaded := 0
 	for i, round := range rounds {
 		loaded += l.Load(context.Background(), config.NewStore(), round.batch).Loaded()
-		got := l.ParseStats()
+		got := l.stats()
 		if got != round.want {
 			t.Errorf("round %d: parse stats %+v, want %+v", i, got, round.want)
 		}
@@ -155,7 +155,7 @@ func TestRESTSourceRefetches(t *testing.T) {
 	const url = "http://config.test/app"
 	t.Cleanup(driver.ClearEndpoints)
 	src := Source{Name: url, Format: "rest", Fetch: func(context.Context) ([]byte, error) { return []byte(url), nil }}
-	l := NewLoader(0)
+	l := newLineage(0)
 	pat, err := config.ParsePattern("app.timeout")
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestRESTSourceRefetches(t *testing.T) {
 			t.Errorf("load %d: app.timeout = %v, want %s", i, got, timeout)
 		}
 	}
-	if got := l.ParseStats(); got != (ParseStats{Parsed: 4}) {
+	if got := l.stats(); got != (parseCounts{Parsed: 4}) {
 		t.Errorf("parse stats %+v, want 4 full parses", got)
 	}
 }

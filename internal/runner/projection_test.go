@@ -221,7 +221,7 @@ func TestProjectedTypeBLoad(t *testing.T) {
 			st := config.NewStore()
 			src := ingest.Source{Name: "typeb.kv", Format: "kv", Projection: proj,
 				Fetch: func(context.Context) ([]byte, error) { return kv, nil }}
-			ingest.NewLoader(0).Load(context.Background(), st, []ingest.Source{src})
+			ingest.Load(context.Background(), st, []ingest.Source{src}, nil, 0)
 			n = st.Snapshot().Len()
 		}
 		runtime.ReadMemStats(&after)

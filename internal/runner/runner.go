@@ -1,7 +1,7 @@
 // Package runner is the reusable load→compile→validate→report core
 // shared by every ConfValley front end. The orchestration that once
 // lived inline in cmd/cvcheck — building a fresh store per round,
-// loading data sources through the graceful-degradation loader,
+// loading data sources with graceful degradation,
 // caching the compiled program across rounds, swapping the store in
 // atomically, and folding the per-source accounting into an exit
 // code — is a policy any caller of the library needs, not a CLI
@@ -10,12 +10,12 @@
 // the service cannot fork behaviorally.
 //
 // A run makes one call into the session —
-// Session.RunProgramIncremental — whatever the front end: it is
-// incremental iff the Job carries the previous run's State as Prev
-// (cvcheck -watch threads it round to round, cvserve keeps one per
-// registered spec), and job sources load through the session's one
-// graceful-degradation loader, the same one a spec's own load commands
-// use.
+// Session.RunProgramIncremental — whatever the front end, after loading
+// the job's sources with Session.LoadSources. Both start from the Job's
+// Prev, the previous run's State (cvcheck -watch threads it round to
+// round, cvserve keeps one per registered spec): the run is incremental
+// iff it is set, and its loads re-parse against, or serve stale, the
+// parses that run loaded. A job without Prev loads cold.
 package runner
 
 import (
@@ -71,7 +71,7 @@ type Options struct {
 // request carries configuration in, where there is no local file.
 type Payload struct {
 	// Name is the provenance recorded on every instance and the key
-	// under which the loader retains last-good parses.
+	// under which the run's state retains its last good parse.
 	Name string
 	// Format is the driver name; empty infers from Name's extension.
 	Format string
@@ -79,10 +79,10 @@ type Payload struct {
 	Scope string
 	// Data is the raw configuration bytes, lent to the runner: a full
 	// parse keeps them — its instances point into them for as long as the
-	// run's snapshot or the loader's parse is retained — and a delta
-	// re-parse against the loader's previous parse of the source keeps
-	// nothing of them. The caller must not write to them after Run is
-	// called unless the Result says the run kept none (PayloadsKept).
+	// run's snapshot or state is retained — and a delta re-parse against
+	// Prev's parse of the source keeps nothing of them. The caller must
+	// not write to them after Run is called unless the Result says the
+	// run kept none (PayloadsKept).
 	// (The server decodes a request's payloads into one buffer, so one
 	// retained snapshot pins all of them, and it reuses the buffer only
 	// when no payload was kept.)
@@ -100,16 +100,18 @@ type Job struct {
 	// Prog runs an already-compiled program (a service's registered
 	// spec). Takes precedence over SpecPath and SpecSrc.
 	Prog *confvalley.Program
-	// Sources are configuration sources loaded by the degradation
-	// loader (file paths, REST endpoints).
+	// Sources are configuration sources loaded with graceful
+	// degradation (file paths, REST endpoints).
 	Sources []confvalley.Source
 	// Payloads are in-memory configuration sources.
 	Payloads []Payload
 	// Prev threads a previous run's retained state into this one: when
 	// it was produced by an earlier job running the *same* compiled
 	// program, only the specs whose footprint overlaps the changed keys
-	// re-execute and the rest splice from the retained report. Nil runs
-	// every spec. The result's State carries this run forward.
+	// re-execute and the rest splice from the retained report, and
+	// whatever its program, the job's sources and the spec's load
+	// commands start from the parses that run loaded. Nil runs every
+	// spec over cold loads. The result's State carries this run forward.
 	Prev *confvalley.RunState
 }
 
@@ -136,9 +138,9 @@ type Result struct {
 	Diagnostics []lint.Diagnostic
 	// PayloadsKept reports whether anything the run produced or retains
 	// may point into the job's payload bytes. It is false only when every
-	// payload loaded and was re-parsed against the loader's latest full
-	// parse of its source (ingest.Outcome.Reparsed): the caller may then
-	// reuse the bytes once Run returns. A job without payloads keeps none.
+	// payload loaded and was re-parsed against Prev's full parse of its
+	// source (ingest.Outcome.Reparsed): the caller may then reuse the
+	// bytes once Run returns. A job without payloads keeps none.
 	PayloadsKept bool
 }
 
@@ -215,12 +217,13 @@ func (e *LintError) Error() string {
 	return fmt.Sprintf("specification failed lint with %d error(s); first: %s", errs, first)
 }
 
-// Runner is a persistent validation pipeline: one session (and with it
-// one graceful-degradation loader) and one compiled-program cache, reused
-// across runs so watch rounds and service requests skip recompilation
-// and serve stale data across failures. A Runner is safe for
-// concurrent Run calls: each run builds and validates a private store,
-// and the published session store is only ever swapped whole.
+// Runner is a persistent validation pipeline: one session and one
+// compiled-program cache, reused across runs so watch rounds and service
+// requests skip recompilation. What a run inherits from the one before —
+// verdicts to splice, parses to re-parse against or serve stale — travels
+// in Job.Prev, not in the Runner. A Runner is safe for concurrent Run
+// calls: each run builds and validates a private store, and the
+// published session store is only ever swapped whole.
 type Runner struct {
 	opts    Options
 	session *confvalley.Session
@@ -302,10 +305,7 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 	linted := r.opts.Lint && haveSrc
 	proj := r.projection(prog, linted)
 	st := confvalley.NewStore()
-	var dataRep *confvalley.LoadReport
-	if sources := r.ingestSources(job, proj); len(sources) > 0 {
-		dataRep = r.session.LoadSources(ctx, st, sources)
-	}
+	dataRep, state := r.session.LoadSources(ctx, st, r.ingestSources(job, proj), job.Prev)
 	r.session.SwapStore(st)
 	res := &Result{Data: dataRep, Program: prog, PayloadsKept: payloadsKept(job, dataRep)}
 	if linted {
@@ -317,9 +317,12 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 		}
 	}
 	var err error
-	res.Report, res.SpecLoads, res.State, err = r.session.RunProgramIncremental(ctx, prog, st, job.Prev)
+	res.Report, res.SpecLoads, res.State, err = r.session.RunProgramIncremental(ctx, prog, st, state)
 	if err != nil {
 		return nil, err
+	}
+	if res.Report.Interrupted {
+		res.State = job.Prev // this run's parses too seed nothing
 	}
 	return res, nil
 }
@@ -387,7 +390,7 @@ func (r *Runner) projection(prog *confvalley.Program, linted bool) *driver.Proje
 }
 
 // ingestSources merges the job's file/REST sources and in-memory
-// payloads into one loader batch, payloads last so their accounting
+// payloads into one batch, payloads last so their accounting
 // renders after the flag-ordered sources, matching cvcheck output. Every
 // source loads through proj.
 func (r *Runner) ingestSources(job Job, proj *driver.Projection) []confvalley.Source {

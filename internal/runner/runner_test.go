@@ -32,15 +32,16 @@ func TestRunPayloadsOnly(t *testing.T) {
 }
 
 // A run keeps its payload bytes unless every payload was re-parsed
-// against the loader's previous parse of it: the first load and a
-// structural edit are parsed in full and kept, a value edit is not, and a
-// request with a second payload parsed in full keeps the buffer both
-// share.
+// against the previous run's parse of it (its state, passed as Prev): the
+// first load and a structural edit are parsed in full and kept, a value
+// edit is not, and a request with a second payload parsed in full keeps
+// the buffer both share.
 func TestPayloadsKeptOnlyByAFullParse(t *testing.T) {
 	r := New(Options{})
+	var prev *confvalley.RunState
 	run := func(docs ...string) bool {
 		t.Helper()
-		job := Job{SpecSrc: "$app.timeout -> int & [1, 60]"}
+		job := Job{SpecSrc: "$app.timeout -> int & [1, 60]", Prev: prev}
 		for i, doc := range docs {
 			job.Payloads = append(job.Payloads, Payload{Name: fmt.Sprintf("app%d.kv", i), Format: "kv", Data: []byte(doc)})
 		}
@@ -48,6 +49,7 @@ func TestPayloadsKeptOnlyByAFullParse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		prev = res.State
 		return res.PayloadsKept
 	}
 	for i, c := range []struct {
@@ -164,10 +166,11 @@ func TestRunSpecLoadAccounting(t *testing.T) {
 	}
 }
 
-// The loaders persist across runs: sources torn in round 2 are served
-// from round 1's parses. A round loads two batches — the job's sources,
-// then the spec's own load commands — and a loader keeps only its latest
-// batch's parses, so each batch needs a loader of its own.
+// A run's state carries its parses to the next run: sources torn in
+// round 2 are served from round 1's parses, when round 2's job passes
+// round 1's state as Prev, as cvcheck -watch does. A round loads two
+// batches — the job's sources, then the spec's own load commands — and
+// the state keeps the parses of each.
 func TestRunServesStaleAcrossRounds(t *testing.T) {
 	dir := t.TempDir()
 	data, loaded := filepath.Join(dir, "d.json"), filepath.Join(dir, "l.json")
@@ -184,12 +187,14 @@ func TestRunServesStaleAcrossRounds(t *testing.T) {
 		SpecSrc: "load 'json' '" + loaded + "'\n$app.timeout -> int & [1, 60]\n$db.port -> int\n",
 		Sources: []confvalley.Source{{Name: data, Format: "json"}},
 	}
-	if res, err := r.Run(context.Background(), job); err != nil || res.Code() != 0 {
+	res, err := r.Run(context.Background(), job)
+	if err != nil || res.Code() != 0 {
 		t.Fatalf("round 1: res=%+v err=%v", res, err)
 	}
 	write(data, `{"app":`)
 	write(loaded, `{"db":`)
-	res, err := r.Run(context.Background(), job)
+	job.Prev = res.State
+	res, err = r.Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +309,11 @@ func TestRunNoLintByDefault(t *testing.T) {
 }
 
 // The job cvcheck -watch submits each round, on one runner: a KV file
-// edited in place, rounds alternating between value-only edits, which the
-// loader re-parses against its latest full parse of the file, and
-// structural ones, which it parses in full and measures later rounds
-// against. Every round's report is a fresh runner's, and the parse
-// counters say which path each round took.
+// edited in place, rounds alternating between value-only edits, which
+// the load re-parses against the previous round's full parse of the
+// file, and structural ones, which it parses in full and measures later
+// rounds against. Every round's report is a fresh runner's, and the
+// outcome says which path each round took.
 func TestWatchRoundsReparseValueEdits(t *testing.T) {
 	dir := t.TempDir()
 	spec, data := filepath.Join(dir, "s.cpl"), filepath.Join(dir, "d.kv")
@@ -336,7 +341,6 @@ func TestWatchRoundsReparseValueEdits(t *testing.T) {
 	r := New(Options{})
 	sources := []confvalley.Source{{Name: data, Format: "kv"}}
 	var prev *confvalley.RunState
-	var want confvalley.ParseStats
 	for i, round := range rounds {
 		write(data, round.doc)
 		res, err := r.Run(ctx, Job{SpecPath: spec, Sources: sources, Prev: prev})
@@ -344,13 +348,8 @@ func TestWatchRoundsReparseValueEdits(t *testing.T) {
 			t.Fatal(err)
 		}
 		prev = res.State
-		if round.reparsed {
-			want.Reparsed++
-		} else {
-			want.Parsed++
-		}
-		if got := r.Session().ParseStats(); got != want {
-			t.Errorf("round %d: parse stats %+v, want %+v", i, got, want)
+		if o := res.Data.Outcomes[0]; o.Err != "" || o.Reparsed != round.reparsed {
+			t.Errorf("round %d: outcome %+v, want a clean load, re-parsed %t", i, o, round.reparsed)
 		}
 		fresh, err := New(Options{}).Run(ctx, Job{SpecPath: spec, Sources: sources})
 		if err != nil {

@@ -84,10 +84,10 @@ type envelopeDecoder struct {
 }
 
 // payloadPool holds payload buffers nothing points into any more: the
-// buffer of a request whose every payload was re-parsed against the
-// loader's previous parse (runner.Result.PayloadsKept false), and that of
-// a request that never ran — refused, or coalesced onto another. The next
-// request's payloads are unquoted into one.
+// buffer of a request whose every payload was re-parsed against the spec
+// lineage's previous parse (runner.Result.PayloadsKept false), and that
+// of a request that never ran — refused, or coalesced onto another. The
+// next request's payloads are unquoted into one.
 var payloadPool sync.Pool // of *[]byte
 
 // payloadBuffer returns an empty buffer with room for reserve bytes: a

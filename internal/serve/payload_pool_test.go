@@ -2,10 +2,11 @@ package serve
 
 // The lifetime of a pooled payload buffer. A request's payloads are
 // decoded into one buffer; a full parse keeps it, and a request whose
-// every payload was re-parsed against the loader's previous parse hands
-// it back to the pool, where the next request decodes into it. TestMain
-// poisons what is released, so any reference that survived into a cached
-// response, a lineage's report or a retained snapshot reads 0xFF here.
+// every payload was re-parsed against its spec lineage's previous parse
+// hands it back to the pool, where the next request decodes into it.
+// TestMain poisons what is released, so any reference that survived into
+// a cached response, a lineage's report or a retained snapshot reads
+// 0xFF here.
 
 import (
 	"bytes"
@@ -131,7 +132,7 @@ func TestPayloadBufferReusedAfterTakenWalk(t *testing.T) {
 }
 
 // Request S adds a line, so the walk declines and S is parsed in full: S's
-// buffer is the loader's base now, and the snapshot of every later
+// buffer is the lineage's base now, and the snapshot of every later
 // re-parse borrows its unchanged values from it. Ten taken walks release
 // and reuse their own buffers around it; S's values, as S's cached
 // response and the latest snapshot read them, survive all ten.

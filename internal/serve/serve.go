@@ -637,9 +637,9 @@ func (s *Server) DeleteSpec(tenantName, specName string) error {
 //
 // The payloads are decoded into a pooled buffer, and the buffer goes back
 // to the pool when the request returns unless a run kept it: a full parse
-// does, a re-parse of every payload against the loader's previous parse
-// does not, and a request that never ran — refused, or answered by the
-// leader it was coalesced onto — has nothing to keep.
+// does, a re-parse of every payload against the spec lineage's previous
+// parse does not, and a request that never ran — refused, or answered by
+// the leader it was coalesced onto — has nothing to keep.
 func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, body []byte) (*ValidateResponse, error) {
 	if err := s.checkReady(); err != nil {
 		return nil, err
@@ -741,6 +741,7 @@ func (s *Server) validate(ctx context.Context, t *tenant, entry *specEntry, job 
 		t.incrementalRuns.Add(1)
 		t.specsReused.Add(int64(n))
 	}
+	t.countLoads(res.Data, res.SpecLoads)
 	s.validations.Add(1)
 	s.violations.Add(int64(len(res.Report.Violations)))
 	resp = &ValidateResponse{
@@ -754,6 +755,33 @@ func (s *Server) validate(ctx context.Context, t *tenant, entry *specEntry, job 
 	}
 	entry.lastResp.Store(resp)
 	return resp, res.PayloadsKept, nil
+}
+
+// countLoads adds one run's load outcomes — its payloads and sources,
+// and its spec's load commands — to the tenant's counters.
+func (t *tenant) countLoads(reps ...*ingest.LoadReport) {
+	var parsed, reparsed, stale, quarantined int64
+	for _, rep := range reps {
+		if rep == nil {
+			continue
+		}
+		for _, o := range rep.Outcomes {
+			switch {
+			case o.Err == "" && o.Reparsed:
+				reparsed++
+			case o.Err == "":
+				parsed++
+			case o.Stale:
+				stale++
+			case o.Quarantined:
+				quarantined++
+			}
+		}
+	}
+	t.sourcesParsed.Add(parsed)
+	t.sourcesReparsed.Add(reparsed)
+	t.sourcesStale.Add(stale)
+	t.sourcesQuarantined.Add(quarantined)
 }
 
 // cacheableResponse gates what the result cache may retain: only
@@ -831,14 +859,13 @@ func (s *Server) tenantsSorted() []*tenant {
 
 // cacheInfo assembles one tenant's cache counter block.
 func (t *tenant) cacheInfo() TenantCaches {
-	ps := t.runner.Session().ParseStats()
 	return TenantCaches{
 		Name:            t.name,
 		ResultCache:     t.results.stats(),
 		IncrementalRuns: t.incrementalRuns.Load(),
 		SpecsReused:     t.specsReused.Load(),
-		SourcesParsed:   ps.Parsed,
-		SourcesReparsed: ps.Reparsed,
+		SourcesParsed:   t.sourcesParsed.Load(),
+		SourcesReparsed: t.sourcesReparsed.Load(),
 	}
 }
 
@@ -865,12 +892,10 @@ func (s *Server) Stats() StatsInfo {
 		ts.DiscoveryQueries = st.Stats.Queries()
 		ts.DiscoveryCacheHits = st.Stats.CacheHits()
 		ts.DiscoveryScanned = st.Stats.Scanned()
-		if lr := t.runner.Session().LastLoadReport(); lr != nil {
-			ts.SourcesLoaded = lr.Loaded()
-			ts.SourcesStale = lr.Stale()
-			ts.SourcesQuarantined = lr.Quarantined()
-		}
 		ts.Caches = t.cacheInfo()
+		ts.SourcesLoaded = ts.Caches.SourcesParsed + ts.Caches.SourcesReparsed
+		ts.SourcesStale = t.sourcesStale.Load()
+		ts.SourcesQuarantined = t.sourcesQuarantined.Load()
 		info.ResultCacheHits += ts.Caches.ResultCache.Hits
 		info.CoalescedRequests += ts.Caches.ResultCache.Coalesced
 		info.IncrementalRuns += ts.Caches.IncrementalRuns
@@ -968,8 +993,8 @@ type TenantCaches struct {
 	SpecsReused     int64 `json:"specs_reused"`
 	// SourcesParsed and SourcesReparsed count the sources the tenant's
 	// runs loaded cleanly, parsed in full or re-parsed against the
-	// loader's retained parse of that source (a change inside values
-	// only); together they are every source loaded cleanly.
+	// parse of that source the spec's lineage kept (a change inside
+	// values only); together they are every source loaded cleanly.
 	SourcesParsed   int64 `json:"sources_parsed"`
 	SourcesReparsed int64 `json:"sources_reparsed"`
 }
@@ -1084,9 +1109,13 @@ type TenantStats struct {
 	DiscoveryQueries   int64  `json:"discovery_queries"`
 	DiscoveryCacheHits int64  `json:"discovery_cache_hits"`
 	DiscoveryScanned   int64  `json:"discovery_scanned"`
-	SourcesLoaded      int    `json:"sources_loaded"`
-	SourcesStale       int    `json:"sources_stale"`
-	SourcesQuarantined int    `json:"sources_quarantined"`
+	// SourcesLoaded, SourcesStale and SourcesQuarantined count the
+	// sources the tenant's runs loaded — payloads, server-side sources
+	// and spec load commands — by outcome: loaded cleanly (parsed or
+	// re-parsed, as in Caches), served stale, quarantined.
+	SourcesLoaded      int64 `json:"sources_loaded"`
+	SourcesStale       int64 `json:"sources_stale"`
+	SourcesQuarantined int64 `json:"sources_quarantined"`
 	// Lint counts the diagnostics this tenant's registrations drew,
 	// including strict-rejected ones.
 	Lint LintCounters `json:"lint"`

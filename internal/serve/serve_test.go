@@ -246,10 +246,8 @@ func TestHealthAndStats(t *testing.T) {
 	if st.Tenants[0].DiscoveryQueries == 0 {
 		t.Errorf("discovery counters not surfaced: %+v", st.Tenants[0])
 	}
-	if st.Tenants[0].SourcesLoaded != 0 && st.Tenants[0].SourcesQuarantined != 0 {
-		// Request payloads are accounted per-response; session-level load
-		// counters only cover the spec's own load commands.
-		t.Logf("tenant load counters: %+v", st.Tenants[0])
+	if ts := st.Tenants[0]; ts.SourcesLoaded != 1 || ts.SourcesStale != 0 || ts.SourcesQuarantined != 0 {
+		t.Errorf("tenant load counters after one clean payload: %+v", ts)
 	}
 }
 

@@ -14,11 +14,10 @@ import (
 )
 
 // tenant is one isolated customer of the service: its own spec-program
-// registry and its own runner (hence its own session, store lineage,
-// degradation loader and plan/incremental state), plus its own result
-// cache. Nothing a tenant registers or validates is
-// visible to another tenant — isolation is structural, not checked, and
-// that extends to every cache layer.
+// registry, each spec with its own lineage, and its own runner (hence its
+// own session and published store), plus its own result cache. Nothing a
+// tenant registers or validates is visible to another tenant — isolation
+// is structural, not checked, and that extends to every cache layer.
 type tenant struct {
 	name    string
 	runner  *runner.Runner
@@ -28,6 +27,12 @@ type tenant struct {
 	// verdict, and the total verdicts spliced.
 	incrementalRuns atomic.Int64
 	specsReused     atomic.Int64
+
+	// Load accounting over every run's payloads, sources and spec load
+	// commands (countLoads): sources loaded cleanly, by how they were
+	// parsed, and sources served stale or quarantined.
+	sourcesParsed, sourcesReparsed   atomic.Int64
+	sourcesStale, sourcesQuarantined atomic.Int64
 
 	// Registration-time lint accounting, by severity; strict-rejected
 	// registrations count too (the diagnostics were observed either way).
@@ -59,9 +64,11 @@ type specEntry struct {
 	id uint64
 	// state is the spec's cross-request incremental lineage: the last
 	// completed run's (program, snapshot, report), diffed against each
-	// new request's snapshot to splice unchanged verdicts. Immutable
-	// values behind an atomic pointer; concurrent runs race benignly
-	// (last completed writer wins).
+	// new request's snapshot to splice unchanged verdicts, and the parses
+	// of the payloads it loaded, which the next request's re-parse against
+	// and serve stale. It dies with the entry. Immutable values behind an
+	// atomic pointer; concurrent runs race benignly (last completed writer
+	// wins).
 	state atomic.Pointer[confvalley.RunState]
 	// lastResp retains the most recent validate response; readers get
 	// it lock-free from the report endpoint.

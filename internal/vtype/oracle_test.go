@@ -394,23 +394,6 @@ func oracleParseDuration(s string) (float64, bool) {
 	return 0, false
 }
 
-// oracleSplitList splits a raw value on the first list separator that yields more
-// than one element, trimming whitespace. A value with no separator returns
-// a single-element slice.
-func oracleSplitList(raw string) []string {
-	for _, sep := range oracleListSeparators {
-		if strings.Contains(raw, sep) {
-			parts := strings.Split(raw, sep)
-			out := make([]string, len(parts))
-			for i, p := range parts {
-				out[i] = strings.TrimSpace(p)
-			}
-			return out
-		}
-	}
-	return []string{strings.TrimSpace(raw)}
-}
-
 // oracleCompareValues orders two raw values for range/order predicates: numeric
 // comparison when both parse as numbers, IP comparison when both are IPs,
 // version-aware comparison for versions, falling back to string order.

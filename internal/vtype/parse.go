@@ -628,23 +628,6 @@ func ParseDuration(s string) (float64, bool) {
 	return 0, false
 }
 
-// SplitList splits a raw value on the first list separator that yields more
-// than one element, trimming whitespace. A value with no separator returns
-// a single-element slice.
-func SplitList(raw string) []string {
-	for _, sep := range listSeparators {
-		if strings.Contains(raw, sep) {
-			parts := strings.Split(raw, sep)
-			out := make([]string, len(parts))
-			for i, p := range parts {
-				out[i] = strings.TrimSpace(p)
-			}
-			return out
-		}
-	}
-	return []string{strings.TrimSpace(raw)}
-}
-
 // CompareValues orders two raw values for range/order predicates: numeric
 // comparison when both parse as numbers, IP comparison when both are IPs,
 // version-aware comparison for versions, falling back to string order.

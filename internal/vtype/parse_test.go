@@ -133,21 +133,6 @@ func TestParseDuration(t *testing.T) {
 	}
 }
 
-func TestSplitList(t *testing.T) {
-	got := SplitList("a; b ;c")
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Errorf("SplitList semicolons = %q", got)
-	}
-	got = SplitList("x, y")
-	if len(got) != 2 || got[0] != "x" || got[1] != "y" {
-		t.Errorf("SplitList commas = %q", got)
-	}
-	got = SplitList(" solo ")
-	if len(got) != 1 || got[0] != "solo" {
-		t.Errorf("SplitList solo = %q", got)
-	}
-}
-
 func TestCompareValues(t *testing.T) {
 	cases := []struct {
 		a, b  string

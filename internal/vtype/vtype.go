@@ -201,19 +201,6 @@ func Join(a, b Type) Type {
 	}
 }
 
-// JoinAll folds Join over a set of types; the zero-length join is the
-// bottom placeholder KindInvalid, which Join treats as absorbing.
-func JoinAll(ts []Type) Type {
-	if len(ts) == 0 {
-		return Scalar(KindInvalid)
-	}
-	acc := ts[0]
-	for _, t := range ts[1:] {
-		acc = Join(acc, t)
-	}
-	return acc
-}
-
 // listSeparators are accepted list delimiters, in detection priority order.
 // Azure-style configuration uses both ';' and ',' heavily.
 var listSeparators = []string{";", ","}

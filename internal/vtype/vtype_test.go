@@ -120,16 +120,6 @@ func TestJoinOrdering(t *testing.T) {
 	}
 }
 
-func TestJoinAll(t *testing.T) {
-	ts := []Type{Scalar(KindPort), Scalar(KindInt), ListOf(KindPort)}
-	if got := JoinAll(ts); got != ListOf(KindInt) {
-		t.Errorf("JoinAll = %v, want list(int)", got)
-	}
-	if got := JoinAll(nil); got.Kind != KindInvalid {
-		t.Errorf("JoinAll(nil) = %v, want invalid", got)
-	}
-}
-
 func TestLEReflexiveAndTop(t *testing.T) {
 	kinds := []Kind{KindBool, KindInt, KindFloat, KindPort, KindIP, KindCIDR, KindMAC,
 		KindGUID, KindURL, KindPath, KindHostname, KindEmail, KindVersion, KindSize,

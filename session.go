@@ -42,30 +42,24 @@ type Session struct {
 	// directory.
 	SpecDir string
 	// Degrade switches the program's load commands to graceful
-	// degradation: a malformed or unreachable source is quarantined (or
-	// served from its last good parse, within MaxStale rounds) instead
-	// of aborting validation, with the per-source accounting retained in
-	// LastLoadReport. Without it, the first load failure aborts — the
-	// strict historical behavior.
+	// degradation: a malformed or unreachable source is quarantined
+	// instead of aborting validation, with the per-source accounting
+	// returned by RunProgramIncremental. A run with a lineage — a prev
+	// state whose run loaded the source — serves the source from that
+	// run's last good parse instead, within MaxStale rounds; a run
+	// without one has nothing to serve. Without Degrade, the first load
+	// failure aborts — the strict historical behavior.
 	Degrade bool
-	// MaxStale bounds how many consecutive rounds a failing source may
-	// be served from its last good parse under Degrade; 0 = forever,
-	// negative = never serve stale. Set it before the first validation.
+	// MaxStale bounds how many consecutive rounds of a lineage a failing
+	// source may be served from its last good parse, under Degrade and
+	// in LoadSources; 0 = forever, negative = never serve stale. Stale
+	// serving needs a lineage: a run with no previous state loads cold.
 	MaxStale int
 
 	// registered in-memory spec files for hermetic includes.
 	includes map[string]string
 	// registered in-memory data sources for hermetic loads.
 	sources map[string][]byte
-
-	// dataLoader retains last-good parses across LoadSources calls and
-	// specLoader across Degrade-mode load commands; each is lazily built
-	// with the session's MaxStale. A loader keeps its latest batch's
-	// parses only, so the two kinds of batch, which alternate in a runner
-	// round, each have their own.
-	dataLoader, specLoader atomic.Pointer[ingest.Loader]
-	// loadRep retains the most recent Degrade-mode load report.
-	loadRep atomic.Pointer[ingest.LoadReport]
 }
 
 // NewSession returns an empty session with a simulated environment.
@@ -128,8 +122,8 @@ func LoadFileInto(st *config.Store, format, path, scope string) (int, error) {
 // RegisterSource installs an in-memory data source that CPL load commands
 // can reference by name, keeping sessions hermetic (the rest driver's
 // endpoint registry serves the same purpose for REST loads). The session
-// keeps a copy, which every load of the source hands to the loader as
-// bytes nobody writes again; data stays the caller's.
+// keeps a copy, which every load of the source hands over as bytes
+// nobody writes again; data stays the caller's.
 func (s *Session) RegisterSource(name string, data []byte) {
 	s.sources[name] = bytes.Clone(data)
 }
@@ -183,9 +177,8 @@ func (s *Session) ValidateProgram(prog *Program) (*Report, error) {
 // ValidateProgramContext is ValidateProgram under a caller-supplied
 // context: a deadline or cancellation stops loading between sources and
 // validation between specifications, returning the partial report marked
-// Interrupted. With Degrade set, per-source load failures quarantine (or
-// serve last-good stale data) instead of aborting; the load accounting
-// lands in LastLoadReport.
+// Interrupted. With Degrade set, per-source load failures quarantine
+// instead of aborting; the run has no lineage, so nothing is served stale.
 func (s *Session) ValidateProgramContext(ctx context.Context, prog *Program) (*Report, error) {
 	rep, _, err := s.RunProgram(ctx, prog, s.store.Load())
 	return rep, err
@@ -200,16 +193,22 @@ func (s *Session) RunProgram(ctx context.Context, prog *Program, st *Store) (*Re
 	return rep, specLoads, err
 }
 
-// RunState is one completed validation run's retained (program,
-// snapshot, report) triple — the one incremental lineage type. A caller
-// threads the state RunProgramIncremental returns into its next call;
-// callers with several lineages (a multi-tenant service keeps one per
-// registered spec) hold several states against one session. A RunState
-// is immutable; sharing one across concurrent runs is safe.
+// RunState is what one completed validation run hands the next: its
+// (program, snapshot, report) triple and the parses of the sources it
+// loaded — the one incremental lineage type. A caller threads the state
+// RunProgramIncremental returns into its next call; callers with several
+// lineages (a multi-tenant service keeps one per registered spec) hold
+// several states against one session. A RunState is immutable; sharing
+// one across concurrent runs is safe.
 type RunState struct {
 	prog *compiler.Program
 	snap *config.Snapshot
 	rep  *report.Report
+	// data and loads are the last good parses of the run's sources
+	// (LoadSources) and of its program's load commands: the next run's
+	// loads of the same sources re-parse against them, and serve them
+	// stale when they fail (DESIGN.md §9).
+	data, loads ingest.Parses
 }
 
 // Report returns the state's retained validation report.
@@ -237,42 +236,48 @@ func (rs *RunState) Report() *Report {
 // the result is byte-identical to a full run (modulo Duration and
 // SpecsReused). The splice assumes the environment is unchanged since
 // prev's run: call SetEnv only before a lineage's first run. A nil or
-// mismatched prev runs every specification. The returned state reflects
-// this run, except after an interrupted run, whose incomplete verdict set
-// must not seed future splices: prev comes back unchanged.
+// mismatched prev runs every specification. Under Degrade the load
+// commands start from the parses prev's run loaded, whatever its program.
+// The returned state reflects this run, except after an interrupted run,
+// whose incomplete verdict set must not seed future splices: prev comes
+// back unchanged.
 func (s *Session) RunProgramIncremental(ctx context.Context, prog *Program, st *Store, prev *RunState) (*Report, *LoadReport, *RunState, error) {
-	specLoads, err := s.execLoads(ctx, prog, st)
+	var from RunState
+	if prev != nil {
+		from = *prev
+	}
+	specLoads, loads, err := s.execLoads(ctx, prog, st, from.loads)
 	if err != nil {
 		return nil, nil, prev, err
 	}
-	var prevSnap *config.Snapshot
-	var prevRep *report.Report
-	if prev != nil && prev.prog == prog {
-		prevSnap, prevRep = prev.snap, prev.rep
+	if from.prog != prog {
+		from.snap, from.rep = nil, nil
 	}
 	eng := s.engineFor(st)
-	rep := eng.RunIncrementalContext(ctx, prog, prevSnap, prevRep)
+	rep := eng.RunIncrementalContext(ctx, prog, from.snap, from.rep)
 	if rep.Interrupted {
 		return rep, specLoads, prev, nil
 	}
-	return rep, specLoads, &RunState{prog: prog, snap: eng.PinnedSnapshot(), rep: rep}, nil
+	return rep, specLoads, &RunState{prog: prog, snap: eng.PinnedSnapshot(), rep: rep, data: from.data, loads: loads}, nil
 }
 
 // execLoads runs the program's load commands into the store, strict or
-// degraded per the session options.
-func (s *Session) execLoads(ctx context.Context, prog *Program, st *Store) (*LoadReport, error) {
+// degraded per the session options, and returns the parses a degraded
+// load keeps.
+func (s *Session) execLoads(ctx context.Context, prog *Program, st *Store, prev ingest.Parses) (*LoadReport, ingest.Parses, error) {
 	if s.Degrade {
-		return s.degradeLoads(ctx, prog, st), nil
+		rep, next := s.degradeLoads(ctx, prog, st, prev)
+		return rep, next, nil
 	}
 	for _, ld := range prog.Loads {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := ingest.LoadSource(ctx, st, s.ingestSource(ld)); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return nil, nil
+	return nil, nil, nil
 }
 
 // engineFor builds the engine one validation run uses, capturing the
@@ -281,55 +286,39 @@ func (s *Session) engineFor(st *Store) *engine.Engine {
 	return &engine.Engine{Store: st, Env: s.env, Opts: s.Options}
 }
 
-// degradeLoads executes the program's load commands through the
-// session's graceful-degradation loader into the given store.
-func (s *Session) degradeLoads(ctx context.Context, prog *Program, st *Store) *LoadReport {
+// degradeLoads executes the program's load commands with graceful
+// degradation into the given store, starting from prev's parses of them.
+func (s *Session) degradeLoads(ctx context.Context, prog *Program, st *Store, prev ingest.Parses) (*LoadReport, ingest.Parses) {
 	if len(prog.Loads) == 0 {
-		return nil
+		return nil, nil
 	}
 	sources := make([]ingest.Source, 0, len(prog.Loads))
 	for _, ld := range prog.Loads {
 		sources = append(sources, s.ingestSource(ld))
 	}
-	rep := s.loadWith(ctx, &s.specLoader, st, sources)
-	s.loadRep.Store(rep)
-	return rep
+	return ingest.Load(ctx, st, sources, prev, s.MaxStale)
 }
 
 // LoadSources loads configuration sources into st with graceful
-// degradation, through the session's loader for them: a source that
-// fails is served stale, within MaxStale rounds, when the previous call
-// named it too, and is quarantined otherwise; the report accounts for
-// every source.
-func (s *Session) LoadSources(ctx context.Context, st *Store, sources []Source) *LoadReport {
-	return s.loadWith(ctx, &s.dataLoader, st, sources)
-}
-
-// loadWith loads sources through the loader at p, building it first if
-// none has been.
-func (s *Session) loadWith(ctx context.Context, p *atomic.Pointer[ingest.Loader], st *Store, sources []Source) *LoadReport {
-	l := p.Load()
-	if l == nil {
-		l = ingest.NewLoader(s.MaxStale)
-		if !p.CompareAndSwap(nil, l) {
-			l = p.Load()
-		}
+// degradation, for the run that is to validate st: a source that fails
+// is served stale, within MaxStale rounds, from the parse prev's run
+// loaded of it, and is quarantined when there is none; the report
+// accounts for every source and is nil when there are none. It returns
+// prev with this batch's parses in place of its own: hand that to
+// RunProgramIncremental as the run's prev, and the state the run returns
+// carries them to the next.
+func (s *Session) LoadSources(ctx context.Context, st *Store, sources []Source, prev *RunState) (*LoadReport, *RunState) {
+	var next RunState
+	if prev != nil {
+		next = *prev
 	}
-	return l.Load(ctx, st, sources)
-}
-
-// ParseStats sums how the session's loaders parsed the sources they
-// loaded cleanly: in full, or by a delta re-parse of a retained parse.
-func (s *Session) ParseStats() ParseStats {
-	var sum ParseStats
-	for _, p := range [...]*atomic.Pointer[ingest.Loader]{&s.dataLoader, &s.specLoader} {
-		if l := p.Load(); l != nil {
-			ps := l.ParseStats()
-			sum.Parsed += ps.Parsed
-			sum.Reparsed += ps.Reparsed
-		}
+	if len(sources) == 0 {
+		next.data = nil
+		return nil, &next
 	}
-	return sum
+	var rep *LoadReport
+	rep, next.data = ingest.Load(ctx, st, sources, next.data, s.MaxStale)
+	return rep, &next
 }
 
 // ingestSource maps one CPL load command to an ingest source: registered
@@ -345,10 +334,6 @@ func (s *Session) ingestSource(ld compiler.Load) ingest.Source {
 	}
 	return src
 }
-
-// LastLoadReport returns the per-source accounting of the most recent
-// Degrade-mode load, or nil when none has run.
-func (s *Session) LastLoadReport() *LoadReport { return s.loadRep.Load() }
 
 // Validate compiles CPL source and runs it against the session:
 // the batch scenario.

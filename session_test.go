@@ -47,7 +47,7 @@ func TestSessionLoadCommandFromRegisteredSource(t *testing.T) {
 }
 
 // A registered source is the session's own copy: with graceful loading the
-// instances point into the bytes the loader was handed, which must not be
+// instances point into the bytes the load was handed, which must not be
 // the slice the caller still holds.
 func TestRegisterSourceCopiesItsData(t *testing.T) {
 	s := NewSession()
