@@ -61,9 +61,12 @@ bench:
 # leaves behind a taken and a declined delta walk to a cold interpreter run,
 # TestConcurrentAddressMemo (the TestConcurrent prefix matches it)
 # holds eight goroutines sharing one spec's content-address memo to the
-# stateless chunk-tree digest, and the two own-payload re-parse tests
+# stateless chunk-tree digest, the two own-payload re-parse tests
 # (TestConcurrentSpecsWithOwnPayloadsReparse by prefix) hold two specs'
-# lineages apart, taking turns and concurrent.
+# lineages apart, taking turns and concurrent, and the counting test
+# TestConcurrentTenantCounts (by prefix) holds a tenant's counts, added
+# once per run from runner.Result.Counts, to the sum its concurrent runs'
+# responses report.
 stress:
 	for p in $(PROCS); do GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'TestConcurrent|TestParallelRun|TestSwapStore|TestSnapshotIsolation|TestChaos|TestCompartmentPlanMatchesInterpreter|TestTenantRetainsOneSnapshotPerSpec|TestCostsDoesNotRetainSnapshot|TestPooledCtxRetainsAtMostTheCap|TestLoaderRetainsOneBatch|TestLoaderReleasesReparsedBuffers|TestRetiredProgramsAreCollected|TestAddressMemoDiesWithSpec|TestRetiredSpecsPayloadIsCollected|TestSpecsWithOwnPayloadsReparse|TestPayloadBufferReusedAfterTakenWalk|TestPayloadBufferKeptAfterDeclinedWalk' ./internal/config/ ./internal/engine/ ./internal/ingest/ ./internal/plan/ ./internal/runner/ ./internal/serve/ . || exit 1; done
 

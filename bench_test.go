@@ -602,6 +602,12 @@ func BenchmarkColdRequest(b *testing.B) {
 	})
 }
 
+// oneValueRequestAllocs is what a one-value request allocates, counted in
+// objects: body addressing, decode, a re-parse that copies one value, the
+// store built from the base partition, the diff, the splice, the
+// response. Lower it when a change removes an allocation.
+const oneValueRequestAllocs = 51
+
 // A one-value request costs its change, not its payload: at Type A scale
 // 0.2 (a 1 MB body), once a first request has been parsed in full, a
 // request that differs from the previous one in the nonce decodes into the
@@ -612,12 +618,13 @@ func BenchmarkColdRequest(b *testing.B) {
 // partition. The cheapest of nine requests is taken: the first one finds
 // the pool empty (the full parse kept its buffer), a collection may empty
 // it again, and under the race detector sync.Pool drops a quarter of what
-// it is given on purpose.
+// it is given on purpose. The cheapest request's allocation count is held
+// to oneValueRequestAllocs as well.
 func TestOneValueRequestAllocs(t *testing.T) {
 	spec, body, nonceOff := coldRequest(t, 0.2)
 	srv, specs := coldServer(t, spec, body)
 	ctx := context.Background()
-	var per []uint64
+	var per, objs []uint64
 	for i := 1; i <= 9; i++ {
 		stampNonce(body, nonceOff, i)
 		var before, after runtime.MemStats
@@ -631,12 +638,16 @@ func TestOneValueRequestAllocs(t *testing.T) {
 			t.Fatalf("request %d reused %d of %d specs", i, resp.Report.SpecsReused, specs)
 		}
 		per = append(per, after.TotalAlloc-before.TotalAlloc)
+		objs = append(objs, after.Mallocs-before.Mallocs)
 	}
 	if st := srv.Stats(); st.SourcesParsed != 1 || st.SourcesReparsed != 9 {
 		t.Fatalf("%d payloads parsed, %d re-parsed; want 1, 9", st.SourcesParsed, st.SourcesReparsed)
 	}
 	if least := slices.Min(per); least > uint64(len(body)/4) {
 		t.Errorf("a one-value request with a %d-byte body allocated at least %d bytes (per request: %v), want at most a quarter of the body", len(body), least, per)
+	}
+	if least := slices.Min(objs); least > oneValueRequestAllocs {
+		t.Errorf("a one-value request made at least %d allocations (per request: %v), want at most %d", least, objs, oneValueRequestAllocs)
 	}
 }
 

@@ -141,7 +141,7 @@ func TestChaosWatchSession(t *testing.T) {
 		if lr == nil || len(lr.Outcomes) != 3 {
 			t.Fatalf("round %d: load report %+v", r, lr)
 		}
-		if got := lr.Loaded() + lr.Stale() + lr.Quarantined(); got != 3 {
+		if !oneKindEach(lr) {
 			t.Fatalf("round %d: accounting does not cover every source: %+v", r, lr.Outcomes)
 		}
 
@@ -233,7 +233,7 @@ func TestChaosLoaderScheduledFaults(t *testing.T) {
 		if len(rep.Outcomes) != nSources {
 			t.Fatalf("round %d: %d outcomes, want %d", r, len(rep.Outcomes), nSources)
 		}
-		if rep.Loaded()+rep.Stale()+rep.Quarantined() != nSources {
+		if !oneKindEach(rep) {
 			t.Fatalf("round %d: categories do not partition the sources: %+v", r, rep.Outcomes)
 		}
 		for _, o := range rep.Outcomes {
@@ -281,4 +281,21 @@ func TestChaosDeadlineMidLoad(t *testing.T) {
 	if lr == nil || !lr.Interrupted {
 		t.Fatalf("load report not Interrupted: %+v", lr)
 	}
+}
+
+// oneKindEach reports whether every outcome of rep is exactly one of
+// loaded cleanly, served stale and quarantined.
+func oneKindEach(rep *LoadReport) bool {
+	for _, o := range rep.Outcomes {
+		kinds := 0
+		for _, k := range []bool{o.Err == "", o.Stale, o.Quarantined} {
+			if k {
+				kinds++
+			}
+		}
+		if kinds != 1 {
+			return false
+		}
+	}
+	return true
 }

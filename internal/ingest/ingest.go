@@ -94,17 +94,6 @@ type LoadReport struct {
 	Interrupted bool `json:"interrupted,omitempty"`
 }
 
-// Loaded counts sources that contributed fresh instances this round.
-func (r *LoadReport) Loaded() int { return r.count(func(o Outcome) bool { return o.Err == "" }) }
-
-// Stale counts sources served from their last good parse.
-func (r *LoadReport) Stale() int { return r.count(func(o Outcome) bool { return o.Stale }) }
-
-// Quarantined counts sources that contributed nothing.
-func (r *LoadReport) Quarantined() int {
-	return r.count(func(o Outcome) bool { return o.Quarantined })
-}
-
 // Instances totals the instances contributed across all sources.
 func (r *LoadReport) Instances() int {
 	n := 0
@@ -117,17 +106,12 @@ func (r *LoadReport) Instances() int {
 // Degraded reports whether any source failed this round (stale or
 // quarantined).
 func (r *LoadReport) Degraded() bool {
-	return r.count(func(o Outcome) bool { return o.Err != "" }) > 0
-}
-
-func (r *LoadReport) count(f func(Outcome) bool) int {
-	n := 0
 	for _, o := range r.Outcomes {
-		if f(o) {
-			n++
+		if o.Err != "" {
+			return true
 		}
 	}
-	return n
+	return false
 }
 
 // Render writes a compact human-readable load summary, one line per
@@ -199,21 +183,19 @@ type Parses map[goodKey]*lastGood
 // is what later loads are measured against. The bytes a source hands
 // over are lent, then: a full parse keeps them, a re-parse does not.
 func Load(ctx context.Context, st *config.Store, sources []Source, prev Parses, maxStale int) (*LoadReport, Parses) {
-	keys := make([]goodKey, len(sources))
 	next := make(Parses, len(sources))
-	for i, src := range sources {
-		keys[i] = keyOf(src)
-		if g := prev[keys[i]]; g != nil {
-			next[keys[i]] = g
+	for _, src := range sources {
+		if key := keyOf(src); prev[key] != nil {
+			next[key] = prev[key]
 		}
 	}
 	rep := &LoadReport{}
-	for i, src := range sources {
+	for _, src := range sources {
 		if ctx.Err() != nil {
 			rep.Interrupted = true
 			break
 		}
-		rep.Outcomes = append(rep.Outcomes, next.load(ctx, st, src, keys[i], maxStale))
+		rep.Outcomes = append(rep.Outcomes, next.load(ctx, st, src, keyOf(src), maxStale))
 	}
 	return rep, next
 }

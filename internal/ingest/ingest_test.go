@@ -70,6 +70,17 @@ func (l *lineage) stats() parseCounts {
 	return parseCounts{Parsed: l.parsed.Load(), Reparsed: l.reparsed.Load()}
 }
 
+// loaded counts a report's sources loaded cleanly.
+func loaded(rep *LoadReport) int {
+	n := 0
+	for _, o := range rep.Outcomes {
+		if o.Err == "" {
+			n++
+		}
+	}
+	return n
+}
+
 func TestLoadCleanBatch(t *testing.T) {
 	l := newLineage(0)
 	st := config.NewStore()
@@ -77,8 +88,8 @@ func TestLoadCleanBatch(t *testing.T) {
 		memSource("a.json", "json", goodJSON),
 		memSource("b.kv", "kv", []byte("port = 8080\n")),
 	})
-	if rep.Loaded() != 2 || rep.Stale() != 0 || rep.Quarantined() != 0 {
-		t.Fatalf("clean batch accounting: loaded=%d stale=%d quarantined=%d", rep.Loaded(), rep.Stale(), rep.Quarantined())
+	if loaded(rep) != 2 {
+		t.Fatalf("clean batch accounting: %+v", rep.Outcomes)
 	}
 	if rep.Instances() != 3 {
 		t.Fatalf("instances = %d, want 3", rep.Instances())
@@ -101,11 +112,11 @@ func TestMalformedSourceQuarantined(t *testing.T) {
 		memSource("bad.json", "json", []byte(`{"app":`)),
 		memSource("good.json", "json", goodJSON),
 	})
-	if rep.Loaded() != 1 || rep.Quarantined() != 1 || rep.Stale() != 0 {
-		t.Fatalf("accounting: loaded=%d stale=%d quarantined=%d", rep.Loaded(), rep.Stale(), rep.Quarantined())
+	if len(rep.Outcomes) != 2 || rep.Outcomes[1].Err != "" {
+		t.Fatalf("accounting: %+v", rep.Outcomes)
 	}
 	o := rep.Outcomes[0]
-	if !o.Quarantined || o.Err == "" || o.Instances != 0 {
+	if !o.Quarantined || o.Stale || o.Err == "" || o.Instances != 0 {
 		t.Fatalf("bad source outcome = %+v", o)
 	}
 	if !rep.Degraded() {
@@ -204,7 +215,7 @@ func TestPanickingFetchContained(t *testing.T) {
 	if !o.Quarantined || !strings.Contains(o.Err, "panic") {
 		t.Fatalf("panicking source outcome = %+v", o)
 	}
-	if rep.Loaded() != 1 {
+	if loaded(rep) != 1 {
 		t.Fatalf("healthy source did not load after sibling panic")
 	}
 }
@@ -358,7 +369,7 @@ func TestLoaderRetainsOneBatch(t *testing.T) {
 			}
 		})
 		batch := []Source{memSource(fmt.Sprintf("payload-%d.kv", i), "kv", doc), memSource("fixed.json", "json", goodJSON)}
-		if rep := l.Load(context.Background(), config.NewStore(), batch); rep.Loaded() != len(batch) {
+		if rep := l.Load(context.Background(), config.NewStore(), batch); loaded(rep) != len(batch) {
 			t.Fatalf("load %d: %+v", i, rep.Outcomes)
 		}
 		if held := len(l.held()); held > len(batch) {

@@ -51,12 +51,12 @@ func TestReparseAllocations(t *testing.T) {
 	load := func(data []byte) *LoadReport {
 		return l.Load(context.Background(), config.NewStore(), []Source{memSource("corpus.xml", "xml", data)})
 	}
-	if rep := load(doc); rep.Loaded() != 1 {
+	if rep := load(doc); loaded(rep) != 1 {
 		t.Fatalf("first load: %+v", rep.Outcomes)
 	}
 	var rep *LoadReport
 	alloc := allocatedBytes(func() { rep = load(edited) })
-	if rep.Loaded() != 1 || rep.Instances() == 0 {
+	if loaded(rep) != 1 || rep.Instances() == 0 {
 		t.Fatalf("second load: %+v", rep.Outcomes)
 	}
 	if got := l.stats(); got != (parseCounts{Parsed: 1, Reparsed: 1}) {
@@ -84,7 +84,7 @@ func TestLoaderReleasesReparsedBuffers(t *testing.T) {
 		if i > 0 {
 			runtime.SetFinalizer(&doc[0], func(*byte) { collected.Add(1) })
 		}
-		if rep := l.Load(context.Background(), config.NewStore(), []Source{memSource("app.kv", "kv", doc)}); rep.Loaded() != 1 {
+		if rep := l.Load(context.Background(), config.NewStore(), []Source{memSource("app.kv", "kv", doc)}); loaded(rep) != 1 {
 			t.Fatalf("load %d: %+v", i, rep.Outcomes)
 		}
 	}
@@ -135,15 +135,15 @@ func TestParseStatsCountCleanLoads(t *testing.T) {
 		}, parseCounts{Parsed: 6, Reparsed: 4}},
 	}
 	l := newLineage(0)
-	loaded := 0
+	clean := 0
 	for i, round := range rounds {
-		loaded += l.Load(context.Background(), config.NewStore(), round.batch).Loaded()
+		clean += loaded(l.Load(context.Background(), config.NewStore(), round.batch))
 		got := l.stats()
 		if got != round.want {
 			t.Errorf("round %d: parse stats %+v, want %+v", i, got, round.want)
 		}
-		if n := got.Parsed + got.Reparsed; n != int64(loaded) {
-			t.Errorf("round %d: %d parses and re-parses for %d clean loads", i, n, loaded)
+		if n := got.Parsed + got.Reparsed; n != int64(clean) {
+			t.Errorf("round %d: %d parses and re-parses for %d clean loads", i, n, clean)
 		}
 	}
 }
@@ -163,7 +163,7 @@ func TestRESTSourceRefetches(t *testing.T) {
 	for i, timeout := range []string{"30", "45", "45", "60"} {
 		driver.RegisterEndpoint(url, []byte(`{"app": {"timeout": "`+timeout+`"}}`))
 		st := config.NewStore()
-		if rep := l.Load(context.Background(), st, []Source{src}); rep.Loaded() != 1 {
+		if rep := l.Load(context.Background(), st, []Source{src}); loaded(rep) != 1 {
 			t.Fatalf("load %d: %+v", i, rep.Outcomes)
 		}
 		if got := st.Discover(pat); len(got) != 1 || got[0].Value != timeout {

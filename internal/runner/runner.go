@@ -2,8 +2,9 @@
 // shared by every ConfValley front end. The orchestration that once
 // lived inline in cmd/cvcheck — building a fresh store per round,
 // loading data sources with graceful degradation,
-// caching the compiled program across rounds, swapping the store in
-// atomically, and folding the per-source accounting into an exit
+// caching the compiled program across rounds, counting what each run
+// did (Result.Counts, which cvserve adds up into its cumulative
+// tenant counters), and folding the per-source accounting into an exit
 // code — is a policy any caller of the library needs, not a CLI
 // detail. cvcheck is a thin flag-parsing shell over this package, and
 // cvserve drives the exact same code path per tenant, so the CLI and
@@ -15,7 +16,8 @@
 // Prev, the previous run's State (cvcheck -watch threads it round to
 // round, cvserve keeps one per registered spec): the run is incremental
 // iff it is set, and its loads re-parse against, or serve stale, the
-// parses that run loaded. A job without Prev loads cold.
+// parses that run loaded. A job without Prev loads cold. A run's store
+// is its own: Run publishes it nowhere.
 package runner
 
 import (
@@ -142,37 +144,74 @@ type Result struct {
 	// source (ingest.Outcome.Reparsed): the caller may then reuse the
 	// bytes once Run returns. A job without payloads keeps none.
 	PayloadsKept bool
-}
-
-// SourcesTotal counts every configuration source the run examined.
-func (r *Result) SourcesTotal() int {
-	n := 0
-	if r.Data != nil {
-		n += len(r.Data.Outcomes)
-	}
-	if r.SpecLoads != nil {
-		n += len(r.SpecLoads.Outcomes)
-	}
-	return n
-}
-
-// SourcesQuarantined counts sources that contributed nothing.
-func (r *Result) SourcesQuarantined() int {
-	n := 0
-	if r.Data != nil {
-		n += r.Data.Quarantined()
-	}
-	if r.SpecLoads != nil {
-		n += r.SpecLoads.Quarantined()
-	}
-	return n
+	// Counts is what the run counted, filled once, at its end.
+	Counts Counts
 }
 
 // AllSourcesFailed reports whether every source failed to load —
 // nothing at all was validated. False when the run had no sources.
 func (r *Result) AllSourcesFailed() bool {
-	t := r.SourcesTotal()
-	return t > 0 && r.SourcesQuarantined() == t
+	c := r.Counts
+	return c.Quarantined > 0 && c.Parsed+c.Reparsed+c.Stale == 0
+}
+
+// Counts is what one run counted (Result.Counts), or the sum of several
+// runs' (Add). Runs is 1 for one run. Parsed, Reparsed, Stale and
+// Quarantined count the outcomes of its loads — Data, then SpecLoads —
+// by kind: parsed in full, re-parsed against the lineage's last parse,
+// failed and served stale, failed and quarantined. SpecsReused counts
+// the verdicts it spliced, and IncrementalRuns is 1 when there were
+// any. The Discovery fields are its store's config.DiscoveryStats; a
+// spliced spec does not run, so it discovers nothing.
+type Counts struct {
+	Runs, Parsed, Reparsed, Stale, Quarantined             int64
+	SpecsReused, IncrementalRuns, Violations               int64
+	DiscoveryQueries, DiscoveryCacheHits, DiscoveryScanned int64
+}
+
+// Add adds o to c.
+func (c *Counts) Add(o Counts) {
+	c.Runs += o.Runs
+	c.Parsed += o.Parsed
+	c.Reparsed += o.Reparsed
+	c.Stale += o.Stale
+	c.Quarantined += o.Quarantined
+	c.SpecsReused += o.SpecsReused
+	c.IncrementalRuns += o.IncrementalRuns
+	c.Violations += o.Violations
+	c.DiscoveryQueries += o.DiscoveryQueries
+	c.DiscoveryCacheHits += o.DiscoveryCacheHits
+	c.DiscoveryScanned += o.DiscoveryScanned
+}
+
+// count fills the result's Counts from the run: its load reports, its
+// report, and its store's discovery counters, read after validation.
+func (r *Result) count(st *confvalley.Store) {
+	c := Counts{Runs: 1, Violations: int64(len(r.Report.Violations))}
+	for _, rep := range []*confvalley.LoadReport{r.Data, r.SpecLoads} {
+		if rep == nil {
+			continue
+		}
+		for _, o := range rep.Outcomes {
+			switch {
+			case o.Err == "" && o.Reparsed:
+				c.Reparsed++
+			case o.Err == "":
+				c.Parsed++
+			case o.Stale:
+				c.Stale++
+			default:
+				c.Quarantined++
+			}
+		}
+	}
+	if n := r.Report.SpecsReused; n > 0 {
+		c.SpecsReused, c.IncrementalRuns = int64(n), 1
+	}
+	c.DiscoveryQueries = st.Stats.Queries()
+	c.DiscoveryCacheHits = st.Stats.CacheHits()
+	c.DiscoveryScanned = st.Stats.Scanned()
+	r.Counts = c
 }
 
 // Code maps the result onto the documented exit-code contract shared
@@ -222,8 +261,8 @@ func (e *LintError) Error() string {
 // requests skip recompilation. What a run inherits from the one before —
 // verdicts to splice, parses to re-parse against or serve stale — travels
 // in Job.Prev, not in the Runner. A Runner is safe for concurrent Run
-// calls: each run builds and validates a private store, and the
-// published session store is only ever swapped whole.
+// calls: each run builds and validates a private store, which it
+// publishes nowhere, and reports what it counted in its Result.
 type Runner struct {
 	opts    Options
 	session *confvalley.Session
@@ -250,7 +289,9 @@ func New(opts Options) *Runner {
 	return &Runner{opts: opts, session: s}
 }
 
-// Session exposes the underlying session (stats, stores, inference).
+// Session exposes the underlying session: its options, compiler and
+// include resolver. A run's store is not the session's (Run publishes
+// none), and its counts are on its Result.
 func (r *Runner) Session() *confvalley.Session { return r.session }
 
 // Compile compiles CPL source through the runner's program cache:
@@ -272,11 +313,9 @@ func (r *Runner) Compile(src string) (*confvalley.Program, error) {
 
 // Run executes one job: load the job's sources and payloads into a
 // fresh store, resolve the program, validate against that store's
-// sealed snapshot, and publish the store to the session. The store is
-// swapped in *before* validation (matching cvcheck's historical
-// ordering) but validation pins the job's own store explicitly, so
-// concurrent runs each see exactly the data they loaded no matter how
-// the swaps interleave.
+// sealed snapshot, and count what the run did into Result.Counts. The
+// store is the run's alone, so concurrent runs each see exactly the
+// data they loaded, and it is retained only through Result.State.
 func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 	if r.opts.LoadTimeout > 0 {
 		var cancel context.CancelFunc
@@ -306,7 +345,6 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 	proj := r.projection(prog, linted)
 	st := confvalley.NewStore()
 	dataRep, state := r.session.LoadSources(ctx, st, r.ingestSources(job, proj), job.Prev)
-	r.session.SwapStore(st)
 	res := &Result{Data: dataRep, Program: prog, PayloadsKept: payloadsKept(job, dataRep)}
 	if linted {
 		res.Diagnostics = r.lintSpec(job, src, st)
@@ -324,6 +362,7 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 	if res.Report.Interrupted {
 		res.State = job.Prev // this run's parses too seed nothing
 	}
+	res.count(st)
 	return res, nil
 }
 

@@ -26,8 +26,8 @@ func TestRunPayloadsOnly(t *testing.T) {
 	if !res.Report.Passed() || res.Code() != 0 {
 		t.Errorf("clean run: passed=%t code=%d", res.Report.Passed(), res.Code())
 	}
-	if res.SourcesTotal() != 1 || res.SourcesQuarantined() != 0 {
-		t.Errorf("accounting: total=%d quarantined=%d", res.SourcesTotal(), res.SourcesQuarantined())
+	if c := res.Counts; c.Runs != 1 || c.Parsed != 1 || c.Reparsed+c.Stale+c.Quarantined != 0 {
+		t.Errorf("accounting: %+v, want one run with one source parsed", c)
 	}
 }
 
@@ -198,15 +198,64 @@ func TestRunServesStaleAcrossRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Code() != 0 || res.Data.Stale() != 1 || res.SpecLoads.Stale() != 1 {
-		t.Errorf("round 2 should serve both stale: code=%d sources stale=%d spec loads stale=%d",
-			res.Code(), res.Data.Stale(), res.SpecLoads.Stale())
+	if res.Code() != 0 || !res.Data.Outcomes[0].Stale || !res.SpecLoads.Outcomes[0].Stale {
+		t.Errorf("round 2 should serve both stale: code=%d sources %+v spec loads %+v",
+			res.Code(), res.Data.Outcomes, res.SpecLoads.Outcomes)
+	}
+	if c := res.Counts; c.Stale != 2 || c.Parsed+c.Reparsed+c.Quarantined != 0 {
+		t.Errorf("round 2 counts %+v, want both sources stale", c)
+	}
+}
+
+// A run's Counts are its own: the discovery work of its own store, its
+// loads and its violations, whatever the runner ran before or beside it.
+// Two specs alternate on one runner, each with its own lineage; every
+// run counts what a fresh runner counts for the same job, and the
+// lineages' sums add up with Add.
+func TestRunCountsAreItsOwn(t *testing.T) {
+	jobs := []Job{
+		{SpecSrc: "$app.*.timeout -> int & [1, 60]\n", Payloads: []Payload{{Name: "a.kv", Format: "kv", Data: []byte("app.x.timeout = 30\napp.y.timeout = 90\n")}}},
+		{SpecSrc: "$db.port -> int\n$db.host -> nonempty\n", Payloads: []Payload{{Name: "b.kv", Format: "kv", Data: []byte("db.port = 5432\ndb.host = db1\n")}}},
+	}
+	fresh := make([]Counts, len(jobs))
+	for i, job := range jobs {
+		res, err := New(Options{Parallel: 1}).Run(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Counts.DiscoveryQueries == 0 || res.Counts.Parsed != 1 {
+			t.Fatalf("job %d counted %+v, want discovery and one parse", i, res.Counts)
+		}
+		fresh[i] = res.Counts
+	}
+	r := New(Options{Parallel: 1})
+	var sum, want Counts
+	for round := 0; round < 3; round++ {
+		for i, job := range jobs {
+			res, err := r.Run(context.Background(), job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Counts != fresh[i] {
+				t.Errorf("round %d job %d counted %+v; a fresh runner counts %+v", round, i, res.Counts, fresh[i])
+			}
+			sum.Add(res.Counts)
+			want.Runs++
+			want.Parsed++
+			want.Violations += fresh[i].Violations
+			want.DiscoveryQueries += fresh[i].DiscoveryQueries
+			want.DiscoveryCacheHits += fresh[i].DiscoveryCacheHits
+			want.DiscoveryScanned += fresh[i].DiscoveryScanned
+		}
+	}
+	if sum != want {
+		t.Errorf("the runs add up to %+v, want %+v", sum, want)
 	}
 }
 
 // Concurrent runs on one runner each validate exactly the data their
-// own job loaded: the explicit-store seam prevents one run's swap from
-// leaking into another's validation. Run with -race.
+// own job loaded: each run's store is its own, so nothing one run loads
+// leaks into another's validation. Run with -race.
 func TestConcurrentRunsIsolated(t *testing.T) {
 	r := New(Options{})
 	const workers = 8

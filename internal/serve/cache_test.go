@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"confvalley"
 	"confvalley/internal/azuregen"
 	"confvalley/internal/config"
 	"confvalley/internal/infer"
@@ -678,15 +679,18 @@ func TestCoalescedFollowerOfInterruptedLeader(t *testing.T) {
 }
 
 // A tenant keeps one parsed snapshot alive per registered spec — the one
-// the next request's splice diffs against — however many distinct
-// payloads it has answered and still holds responses for.
+// the next request's splice diffs against, in the spec's lineage state —
+// however many distinct payloads it has answered and still holds
+// responses for. A lineage state is the only holder of a run's snapshot
+// (a run publishes its store nowhere), so every earlier request's state
+// must be collected.
 func TestTenantRetainsOneSnapshotPerSpec(t *testing.T) {
 	ctx := context.Background()
 	srv := New(Config{})
 	if _, err := srv.RegisterSpec("acme", "checks", cacheSpec); err != nil {
 		t.Fatal(err)
 	}
-	tn, err := srv.tenantFor("acme", false)
+	entry, err := acmeTenant(t, srv).spec("checks")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -698,20 +702,20 @@ func TestTenantRetainsOneSnapshotPerSpec(t *testing.T) {
 		if !cacheableResponse(resp, err) {
 			t.Fatalf("request %d: %+v, %v", i, resp, err)
 		}
-		runtime.SetFinalizer(tn.runner.Session().Store().Snapshot(), func(*config.Snapshot) { finalized.Add(1) })
+		runtime.SetFinalizer(entry.state.Load(), func(*confvalley.RunState) { finalized.Add(1) })
 	}
 	if got := srv.Stats().Validations; got != requests {
 		t.Fatalf("%d validations for %d distinct payloads", got, requests)
 	}
 	// Finalizers run on their own goroutine some time after the cycle
-	// that found the object dead; one slot of slack for a snapshot still
+	// that found the object dead; one slot of slack for a state still
 	// named by a dead stack slot.
 	for i := 0; i < 20 && finalized.Load() < requests-2; i++ {
 		runtime.GC()
 		time.Sleep(10 * time.Millisecond)
 	}
 	if got := finalized.Load(); got < requests-2 {
-		t.Errorf("%d of %d request snapshots were collected, want at least %d: something besides the spec's lineage retains parsed payloads",
+		t.Errorf("%d of %d request states were collected, want at least %d: something besides the spec's lineage retains parsed payloads",
 			got, requests, requests-2)
 	}
 	runtime.KeepAlive(srv)

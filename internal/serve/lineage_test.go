@@ -136,11 +136,22 @@ func TestStatsCountPayloadsServedStale(t *testing.T) {
 
 // A deleted or re-registered spec's parsed payload goes with it: with no
 // further request, nothing of the tenant's keeps it. The specs share a
-// payload name and each loads it through its own projection; the spec
-// validated last stays registered, so the tenant's published store is
-// its. The test hands the run bytes of its own, which the full parse
-// keeps, so a finalizer can watch them.
+// payload name and each loads it through its own projection. They run
+// in two orders: the spec kept validated last, and the deleted one last,
+// whose run's store nothing may keep once the spec is gone. The test
+// hands each run bytes of its own, which the full parse keeps, so a
+// finalizer can watch them.
 func TestRetiredSpecsPayloadIsCollected(t *testing.T) {
+	for _, order := range [][]string{{"deleted", "replaced", "kept"}, {"replaced", "kept", "deleted"}} {
+		retiredPayloadsCollected(t, order)
+	}
+}
+
+// retiredPayloadsCollected validates three specs in order, deletes one
+// and re-registers another, and checks that both retired specs' payloads
+// are collected.
+func retiredPayloadsCollected(t *testing.T, order []string) {
+	t.Helper()
 	ctx := context.Background()
 	srv := New(Config{})
 	specs := map[string]string{
@@ -150,7 +161,7 @@ func TestRetiredSpecsPayloadIsCollected(t *testing.T) {
 	}
 	tn := acmeTenantFor(t, srv, specs)
 	var collected atomic.Int32
-	for _, name := range []string{"deleted", "replaced", "kept"} {
+	for _, name := range order {
 		entry, err := tn.spec(name)
 		if err != nil {
 			t.Fatal(err)
@@ -175,7 +186,7 @@ func TestRetiredSpecsPayloadIsCollected(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if got := collected.Load(); got != 2 {
-		t.Errorf("%d of 2 retired specs' payloads were collected", got)
+		t.Errorf("order %v: %d of 2 retired specs' payloads were collected", order, got)
 	}
 	runtime.KeepAlive(srv)
 }

@@ -15,8 +15,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"confvalley/internal/driver"
 )
 
 // poolSpec quotes a payload value in each violation: timeout and retries
@@ -135,7 +133,9 @@ func TestPayloadBufferReusedAfterTakenWalk(t *testing.T) {
 // buffer is the lineage's base now, and the snapshot of every later
 // re-parse borrows its unchanged values from it. Ten taken walks release
 // and reuse their own buffers around it; S's values, as S's cached
-// response and the latest snapshot read them, survive all ten.
+// response reads them, survive all ten, and so do the latest snapshot's:
+// a change no spec reads then finds every value the spec reads unchanged
+// and splices every verdict.
 func TestPayloadBufferKeptAfterDeclinedWalk(t *testing.T) {
 	srv, validate := poolServer(t)
 	validate(poolDoc(400, "db-0", ""))
@@ -152,27 +152,14 @@ func TestPayloadBufferKeptAfterDeclinedWalk(t *testing.T) {
 	}
 	checkResponse(t, "request S's cached", docS, respS)
 
-	tn, err := srv.tenantFor("acme", false)
-	if err != nil {
-		t.Fatal(err)
+	// The load is projected: the store holds the 3 instances the spec
+	// reads, and the diff against the latest snapshot finds all 3 as the
+	// payload says.
+	spliced := validate(strings.Replace(last, "note = unread", "note = read", 1))
+	if spliced.Report.SpecsReused != 3 {
+		t.Errorf("a change no spec reads reused %d of 3 specs: the latest snapshot does not read as its payload", spliced.Report.SpecsReused)
 	}
-	// The store holds what the spec reads (the load is projected); each
-	// of its instances must read as a parse of the latest payload does.
-	got := tn.runner.Session().Store().Instances()
-	want, err := driver.ParseScoped(context.Background(), "kv", []byte(last), "app.kv", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	values := make(map[string]string)
-	for _, in := range want {
-		values[in.Key.String()] = in.Value
-	}
-	if len(got) != 3 {
-		t.Fatalf("the latest snapshot holds %d instances, want the 3 the spec reads", len(got))
-	}
-	for _, in := range got {
-		if w, ok := values[in.Key.String()]; !ok || in.Value != w {
-			t.Errorf("the latest snapshot reads %s = %q, its payload says %q", in.Key, in.Value, w)
-		}
+	if o := spliced.Load.Outcomes; len(o) != 1 || o[0].Projected == nil || *o[0].Projected != 3 {
+		t.Errorf("load outcomes %+v, want one payload with the 3 instances the spec reads", o)
 	}
 }

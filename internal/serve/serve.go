@@ -4,9 +4,11 @@
 // (internal/runner). The paper's deployment is a service teams submit
 // specification programs and configuration payloads to, not a one-shot
 // CLI; this package gives each tenant an isolated spec-program
-// registry and a pinned session whose store is atomically swapped per
-// request, so concurrent requests — across tenants and within one —
-// each validate against exactly the snapshot their own payloads built.
+// registry and a runner of its own, whose every run builds a private
+// store, so concurrent requests — across tenants and within one — each
+// validate against exactly the snapshot their own payloads built. What a
+// run counted comes back on its result (runner.Result.Counts), and the
+// tenant adds it up: every tenant counter on /statsz is cumulative.
 //
 // The layering is strict: serve knows nothing about HTTP status codes
 // (http.go maps its typed errors), and nothing in here forks off the
@@ -208,9 +210,8 @@ type Server struct {
 	tornTruncations atomic.Int64
 	replaySkipped   atomic.Int64
 
-	// Cumulative counters for the stats endpoint.
-	validations     atomic.Int64
-	violations      atomic.Int64
+	// Cumulative counters for the stats endpoint; what runs counted is
+	// summed per tenant (tenant.counts).
 	rejectedBusy    atomic.Int64
 	canceledWaiting atomic.Int64 // requests canceled by the client while queued
 	denied          atomic.Int64 // quota / size / name rejections
@@ -737,13 +738,9 @@ func (s *Server) validate(ctx context.Context, t *tenant, entry *specEntry, job 
 	if !res.Report.Interrupted {
 		entry.state.Store(res.State)
 	}
-	if n := res.Report.SpecsReused; n > 0 {
-		t.incrementalRuns.Add(1)
-		t.specsReused.Add(int64(n))
-	}
-	t.countLoads(res.Data, res.SpecLoads)
-	s.validations.Add(1)
-	s.violations.Add(int64(len(res.Report.Violations)))
+	t.countsMu.Lock()
+	t.counts.Add(res.Counts)
+	t.countsMu.Unlock()
 	resp = &ValidateResponse{
 		Tenant:           t.name,
 		Spec:             entry.name,
@@ -755,33 +752,6 @@ func (s *Server) validate(ctx context.Context, t *tenant, entry *specEntry, job 
 	}
 	entry.lastResp.Store(resp)
 	return resp, res.PayloadsKept, nil
-}
-
-// countLoads adds one run's load outcomes — its payloads and sources,
-// and its spec's load commands — to the tenant's counters.
-func (t *tenant) countLoads(reps ...*ingest.LoadReport) {
-	var parsed, reparsed, stale, quarantined int64
-	for _, rep := range reps {
-		if rep == nil {
-			continue
-		}
-		for _, o := range rep.Outcomes {
-			switch {
-			case o.Err == "" && o.Reparsed:
-				reparsed++
-			case o.Err == "":
-				parsed++
-			case o.Stale:
-				stale++
-			case o.Quarantined:
-				quarantined++
-			}
-		}
-	}
-	t.sourcesParsed.Add(parsed)
-	t.sourcesReparsed.Add(reparsed)
-	t.sourcesStale.Add(stale)
-	t.sourcesQuarantined.Add(quarantined)
 }
 
 // cacheableResponse gates what the result cache may retain: only
@@ -840,7 +810,7 @@ func (s *Server) Health() HealthInfo {
 	}
 	for _, t := range s.tenantsSorted() {
 		info.Tenants++
-		info.Caches = append(info.Caches, t.cacheInfo())
+		info.Caches = append(info.Caches, t.cacheInfo(t.total()))
 	}
 	return info
 }
@@ -857,26 +827,26 @@ func (s *Server) tenantsSorted() []*tenant {
 	return out
 }
 
-// cacheInfo assembles one tenant's cache counter block.
-func (t *tenant) cacheInfo() TenantCaches {
+// cacheInfo assembles one tenant's cache counter block from its runs'
+// counts c.
+func (t *tenant) cacheInfo(c runner.Counts) TenantCaches {
 	return TenantCaches{
 		Name:            t.name,
 		ResultCache:     t.results.stats(),
-		IncrementalRuns: t.incrementalRuns.Load(),
-		SpecsReused:     t.specsReused.Load(),
-		SourcesParsed:   t.sourcesParsed.Load(),
-		SourcesReparsed: t.sourcesReparsed.Load(),
+		IncrementalRuns: c.IncrementalRuns,
+		SpecsReused:     c.SpecsReused,
+		SourcesParsed:   c.Parsed,
+		SourcesReparsed: c.Reparsed,
 	}
 }
 
 // Stats aggregates the service and per-tenant counters: admission and
-// quota decisions, cumulative validations, the programs lowered, and
-// each tenant's current-store discovery counters plus last load
-// accounting.
+// quota decisions, the programs lowered, and what every run counted
+// (runner.Result.Counts), summed per tenant and over the tenants. Every
+// counter is cumulative; tenants are never removed, so neither are
+// their sums.
 func (s *Server) Stats() StatsInfo {
 	info := StatsInfo{
-		Validations:     s.validations.Load(),
-		Violations:      s.violations.Load(),
 		RejectedBusy:    s.rejectedBusy.Load(),
 		CanceledWaiting: s.canceledWaiting.Load(),
 		QuotaDenied:     s.denied.Load(),
@@ -886,22 +856,18 @@ func (s *Server) Stats() StatsInfo {
 		PlansLowered:    plan.Lowerings(),
 		Durability:      s.durabilityStats(),
 	}
+	var sum runner.Counts
 	for _, t := range s.tenantsSorted() {
-		ts := TenantStats{Name: t.name, Specs: len(t.list()), Lint: t.lintCounters(), AddressStats: t.addressStats()}
-		st := t.runner.Session().Store()
-		ts.DiscoveryQueries = st.Stats.Queries()
-		ts.DiscoveryCacheHits = st.Stats.CacheHits()
-		ts.DiscoveryScanned = st.Stats.Scanned()
-		ts.Caches = t.cacheInfo()
-		ts.SourcesLoaded = ts.Caches.SourcesParsed + ts.Caches.SourcesReparsed
-		ts.SourcesStale = t.sourcesStale.Load()
-		ts.SourcesQuarantined = t.sourcesQuarantined.Load()
+		c := t.total()
+		sum.Add(c)
+		ts := TenantStats{
+			Name: t.name, Specs: len(t.list()), Lint: t.lintCounters(), AddressStats: t.addressStats(),
+			DiscoveryQueries: c.DiscoveryQueries, DiscoveryCacheHits: c.DiscoveryCacheHits, DiscoveryScanned: c.DiscoveryScanned,
+			SourcesLoaded: c.Parsed + c.Reparsed, SourcesStale: c.Stale, SourcesQuarantined: c.Quarantined,
+			Caches: t.cacheInfo(c),
+		}
 		info.ResultCacheHits += ts.Caches.ResultCache.Hits
 		info.CoalescedRequests += ts.Caches.ResultCache.Coalesced
-		info.IncrementalRuns += ts.Caches.IncrementalRuns
-		info.SpecsReused += ts.Caches.SpecsReused
-		info.SourcesParsed += ts.Caches.SourcesParsed
-		info.SourcesReparsed += ts.Caches.SourcesReparsed
 		info.Lint.Findings += ts.Lint.Findings
 		info.Lint.Errors += ts.Lint.Errors
 		info.Lint.Warnings += ts.Lint.Warnings
@@ -909,6 +875,9 @@ func (s *Server) Stats() StatsInfo {
 		info.AddressStats.add(ts.AddressStats)
 		info.Tenants = append(info.Tenants, ts)
 	}
+	info.Validations, info.Violations = sum.Runs, sum.Violations
+	info.IncrementalRuns, info.SpecsReused = sum.IncrementalRuns, sum.SpecsReused
+	info.SourcesParsed, info.SourcesReparsed = sum.Parsed, sum.Reparsed
 	return info
 }
 
@@ -1102,13 +1071,19 @@ func (a *AddressStats) add(b AddressStats) {
 	a.MemoBytes += b.MemoBytes
 }
 
-// TenantStats is one tenant's counter block.
+// TenantStats is one tenant's counter block. Every counter in it but
+// Specs and the memo gauge is cumulative: the sum of the tenant's runs'
+// runner.Result.Counts, or of its requests' addressing and lint work.
 type TenantStats struct {
-	Name               string `json:"name"`
-	Specs              int    `json:"specs"`
-	DiscoveryQueries   int64  `json:"discovery_queries"`
-	DiscoveryCacheHits int64  `json:"discovery_cache_hits"`
-	DiscoveryScanned   int64  `json:"discovery_scanned"`
+	Name  string `json:"name"`
+	Specs int    `json:"specs"`
+	// DiscoveryQueries, DiscoveryCacheHits and DiscoveryScanned total the
+	// discovery work of every run of the tenant's specs, each run counted
+	// on its own store. A spliced spec does not run and discovers
+	// nothing, so an incremental run adds only its re-run specs' work.
+	DiscoveryQueries   int64 `json:"discovery_queries"`
+	DiscoveryCacheHits int64 `json:"discovery_cache_hits"`
+	DiscoveryScanned   int64 `json:"discovery_scanned"`
 	// SourcesLoaded, SourcesStale and SourcesQuarantined count the
 	// sources the tenant's runs loaded — payloads, server-side sources
 	// and spec load commands — by outcome: loaded cleanly (parsed or

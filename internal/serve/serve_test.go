@@ -243,8 +243,16 @@ func TestHealthAndStats(t *testing.T) {
 	if len(st.Tenants) != 1 || st.Tenants[0].Name != "acme" || st.Tenants[0].Specs != 1 {
 		t.Errorf("tenant stats = %+v", st.Tenants)
 	}
-	if st.Tenants[0].DiscoveryQueries == 0 {
-		t.Errorf("discovery counters not surfaced: %+v", st.Tenants[0])
+	// The tenant's discovery counters are its one run's, as a runner of
+	// the server's options counts the same job.
+	ref, err := runner.New(runner.Options{}).Run(ctx, runner.Job{SpecSrc: timeoutSpec,
+		Payloads: []runner.Payload{{Name: "a.kv", Data: []byte("app.timeout = 400\n")}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts, c := st.Tenants[0], ref.Counts; c.DiscoveryQueries == 0 || ts.DiscoveryQueries != c.DiscoveryQueries ||
+		ts.DiscoveryCacheHits != c.DiscoveryCacheHits || ts.DiscoveryScanned != c.DiscoveryScanned {
+		t.Errorf("discovery counters %+v, want the run's %+v", ts, c)
 	}
 	if ts := st.Tenants[0]; ts.SourcesLoaded != 1 || ts.SourcesStale != 0 || ts.SourcesQuarantined != 0 {
 		t.Errorf("tenant load counters after one clean payload: %+v", ts)

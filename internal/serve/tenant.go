@@ -15,7 +15,7 @@ import (
 
 // tenant is one isolated customer of the service: its own spec-program
 // registry, each spec with its own lineage, and its own runner (hence its
-// own session and published store), plus its own result cache. Nothing a
+// own session and program cache), plus its own result cache. Nothing a
 // tenant registers or validates is visible to another tenant — isolation
 // is structural, not checked, and that extends to every cache layer.
 type tenant struct {
@@ -23,16 +23,12 @@ type tenant struct {
 	runner  *runner.Runner
 	results *resultCache
 
-	// Incremental accounting: requests that spliced at least one cached
-	// verdict, and the total verdicts spliced.
-	incrementalRuns atomic.Int64
-	specsReused     atomic.Int64
-
-	// Load accounting over every run's payloads, sources and spec load
-	// commands (countLoads): sources loaded cleanly, by how they were
-	// parsed, and sources served stale or quarantined.
-	sourcesParsed, sourcesReparsed   atomic.Int64
-	sourcesStale, sourcesQuarantined atomic.Int64
+	// counts is the sum of every run's runner.Result.Counts — validations,
+	// load outcomes, reused specs, violations, discovery work — added once
+	// per run in Server.validate, and so cumulative like every tenant
+	// counter.
+	countsMu sync.Mutex
+	counts   runner.Counts
 
 	// Registration-time lint accounting, by severity; strict-rejected
 	// registrations count too (the diagnostics were observed either way).
@@ -78,6 +74,13 @@ type specEntry struct {
 	// the next body's equal chunks reuse (address.go). It dies with the
 	// entry.
 	addr addressMemo
+}
+
+// total returns the sum of the tenant's runs' counts so far.
+func (t *tenant) total() runner.Counts {
+	t.countsMu.Lock()
+	defer t.countsMu.Unlock()
+	return t.counts
 }
 
 // specIDs issues registration nonces across all tenants.
