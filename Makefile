@@ -10,7 +10,7 @@ GO ?= go
 # only ever met one core hid a red tier-1 for six PRs.
 PROCS ?= 1 2 4
 
-.PHONY: all build lint tier1 test bench stress incremental-bench fuzz-smoke bench-smoke e2e crash-chaos repo-bench repo-bench-smoke profile-expert profile-ingest profile-request profile-cli profile-infer
+.PHONY: all build lint tier1 test bench stress incremental-bench fuzz-smoke bench-smoke e2e crash-chaos repo-bench repo-bench-smoke profile-expert profile-ingest profile-request profile-cli profile-infer twins
 
 all: build
 
@@ -120,8 +120,14 @@ incremental-bench:
 # internal/serve/address_test.go; thirty seconds) and report assembly
 # (FuzzAssemble: the parallel merge and the incremental splice against
 # the tag-and-sort merge and scan-per-spec splice kept in
-# internal/report/assemble_test.go; thirty seconds). Mirrors the CI "Fuzz
-# smoke" step; a crasher or a divergence fails the target.
+# internal/report/assemble_test.go; thirty seconds), the key grammar
+# (FuzzAppendKey: config.AppendKey against the Cut-and-Index original in
+# internal/config/key_oracle_test.go; thirty seconds) and the CPL parser's
+# token stream (FuzzParseStream: the parser pulling tokens from the lexer
+# on demand against tokenize-then-parse in
+# internal/cpl/parser/stream_test.go, error text or statements; thirty
+# seconds). Mirrors the CI "Fuzz smoke" step; a crasher or a divergence
+# fails the target.
 fuzz-smoke:
 	for f in FuzzINI FuzzCSV FuzzYAML FuzzJSON FuzzXML; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/driver/ || exit 1; \
@@ -137,6 +143,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzContentAddress$$' -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReuse$$' -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 30s ./internal/report/
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendKey$$' -fuzztime 30s ./internal/config/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseStream$$' -fuzztime 30s ./internal/cpl/parser/
 
 # One iteration of every benchmark — compile/panic smoke, no timing
 # claims. Mirrors the CI "Bench smoke" step.
@@ -207,6 +215,43 @@ profile-cli:
 profile-infer:
 	mkdir -p .bench_build
 	$(call profile,^BenchmarkInferTypeA$$,cpu.pprof,mem.pprof)
+
+# The in-process twins of the repository benchmark's workloads, the
+# figures a performance change states its claim on (the workloads below
+# stay the measurement of record and the gate of "no worse"):
+# BenchmarkCLIRun (cli_kv_b's operation), BenchmarkKVParse (its KV scan,
+# projected and in full, in three line orders), BenchmarkExpertEval
+# (expert_eval's engine share) and BenchmarkColdRequest/one-value
+# (novel_xml's request), each at -cpu 1 and 2 and five counts. It prints
+# the median ns/op and B/op of every benchmark at each core count (a name
+# without a -N suffix ran at one); the raw output is kept in
+# .bench_build/twins.txt for benchstat or a second look. A full pass takes
+# a few minutes. Compare two commits by running it on each, alternated.
+twins:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '^(BenchmarkCLIRun|BenchmarkKVParse|BenchmarkExpertEval)$$' \
+		-cpu 1,2 -count 5 . > .bench_build/twins.txt || { cat .bench_build/twins.txt; exit 1; }
+	$(GO) test -run '^$$' -bench '^BenchmarkColdRequest$$/^one-value$$' \
+		-cpu 1,2 -count 5 . >> .bench_build/twins.txt || { cat .bench_build/twins.txt; exit 1; }
+	awk '$(twins_medians)' .bench_build/twins.txt
+
+# twins_medians is the awk program behind make twins: per benchmark name,
+# in the order first seen, the median of its ns/op and of its B/op.
+twins_medians = \
+	function median(a, name, c,   i, j, x, v) { \
+		for (i = 1; i <= c; i++) v[i] = a[name, i] + 0; \
+		for (i = 2; i <= c; i++) { x = v[i]; for (j = i - 1; j > 0 && v[j] > x; j--) v[j + 1] = v[j]; v[j + 1] = x } \
+		return c % 2 ? v[(c + 1) / 2] : (v[c / 2] + v[c / 2 + 1]) / 2 \
+	} \
+	/^Benchmark/ { \
+		if (!($$1 in n)) order[++names] = $$1; \
+		k = ++n[$$1]; \
+		for (i = 3; i < NF; i++) { if ($$(i + 1) == "ns/op") ns[$$1, k] = $$i; if ($$(i + 1) == "B/op") by[$$1, k] = $$i } \
+	} \
+	END { \
+		printf "%-48s %14s %14s %5s\n", "benchmark", "median ns/op", "median B/op", "runs"; \
+		for (j = 1; j <= names; j++) { b = order[j]; printf "%-48s %14.0f %14.0f %5d\n", b, median(ns, b, n[b]), median(by, b, n[b]), n[b] } \
+	}
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): the
 # measurement of record for end-to-end time and allocation. repo-bench

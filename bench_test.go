@@ -30,6 +30,7 @@ import (
 	"confvalley/internal/experiments"
 	"confvalley/internal/infer"
 	"confvalley/internal/legacy"
+	"confvalley/internal/plan"
 	"confvalley/internal/refeval"
 	"confvalley/internal/runner"
 	"confvalley/internal/serve"
@@ -606,7 +607,7 @@ func BenchmarkColdRequest(b *testing.B) {
 // objects: body addressing, decode, a re-parse that copies one value, the
 // store built from the base partition, the diff, the splice, the
 // response. Lower it when a change removes an allocation.
-const oneValueRequestAllocs = 51
+const oneValueRequestAllocs = 50
 
 // A one-value request costs its change, not its payload: at Type A scale
 // 0.2 (a 1 MB body), once a first request has been parsed in full, a
@@ -655,8 +656,9 @@ func TestOneValueRequestAllocs(t *testing.T) {
 // profiling (make profile-cli): what one cvcheck process does through the
 // runner it calls — compile and lower the hand-written Type B suite, read
 // and parse a Type B corpus written as a KV file, run every spec, render
-// the text report — with a fresh runner per iteration and the plan
-// forgotten after it, as a process that exits would leave things.
+// the text report — with a fresh runner per iteration, as a process that
+// exits would leave things: the program and the plan it owns die with
+// the iteration, so nothing needs releasing.
 func BenchmarkCLIRun(b *testing.B) {
 	dir := b.TempDir()
 	specPath, dataPath := filepath.Join(dir, "typeb.cpl"), filepath.Join(dir, "typeb.kv")
@@ -686,6 +688,67 @@ func BenchmarkCLIRun(b *testing.B) {
 		}
 		if rep := res.Report; res.Data.Degraded() || rep.InstancesChecked == 0 || len(rep.SpecErrors) != 0 {
 			b.Fatalf("cli run: degraded %t, %d instances checked, spec errors %q", res.Data.Degraded(), rep.InstancesChecked, rep.SpecErrors)
+		}
+	}
+}
+
+// BenchmarkKVParse is the KV scan of the repository benchmark's cli_kv_b
+// operation: the Type B document at scale 0.05 (115,344 lines over 712
+// key prefixes) parsed by the owned entry, projected through the Type B
+// suite's projection as the runner loads it and in full, in three line
+// orders. param-major is the document as generated, so each prefix
+// recurs 162 times and never on adjacent lines; scope-major is its lines
+// sorted, so a prefix's lines are adjacent; one-off-prefix gives every
+// line a prefix of its own (the cluster instance name made unique), the
+// worst case for prefix interning. Nothing writes to the documents, so
+// one buffer serves every iteration.
+func BenchmarkKVParse(b *testing.B) {
+	doc := azuregen.RenderKV(azuregen.GenerateB(0.05, 2015).Store)
+	var lines [][]byte // each with its newline
+	for rest := doc; len(rest) > 0; {
+		n := bytes.IndexByte(rest, '\n') + 1
+		if n == 0 {
+			n = len(rest)
+		}
+		lines, rest = append(lines, rest[:n]), rest[n:]
+	}
+	sorted := slices.Clone(lines)
+	slices.SortFunc(sorted, bytes.Compare)
+	var oneOff bytes.Buffer
+	for i, line := range lines {
+		rest, ok := bytes.CutPrefix(line, []byte("Cluster::"))
+		if !ok {
+			b.Fatalf("line %d does not start with a cluster: %q", i, line)
+		}
+		fmt.Fprintf(&oneOff, "Cluster::u%d-%s", i, rest)
+	}
+	prog, err := compiler.Compile(specs.AzureTypeB())
+	if err != nil {
+		b.Fatal(err)
+	}
+	proj := plan.For(prog).Projection
+	for _, order := range []struct {
+		name string
+		doc  []byte
+	}{
+		{"param-major", doc},
+		{"scope-major", bytes.Join(sorted, nil)},
+		{"one-off-prefix", oneOff.Bytes()},
+	} {
+		for _, load := range []struct {
+			name string
+			proj *driver.Projection
+		}{{"projected", proj}, {"full", nil}} {
+			b.Run(order.name+"/"+load.name, func(b *testing.B) {
+				b.SetBytes(int64(len(order.doc)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ins, parsed, err := driver.ParseScopedOwned(context.Background(), "kv", order.doc, "typeb.kv", "", load.proj)
+					if err != nil || parsed != len(lines) || len(ins) == 0 {
+						b.Fatalf("parsed %d of %d lines into %d instances: %v", parsed, len(lines), len(ins), err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -224,12 +224,12 @@ func TestChaosLoaderScheduledFaults(t *testing.T) {
 	// One lineage, MaxStale 0: each round's load starts from the parses
 	// the round before's returned.
 	s := NewSession()
-	var state *RunState
+	var state RunState
 	const rounds = 30
 	for r := 0; r < rounds; r++ {
 		st := NewStore()
 		var rep *LoadReport
-		rep, state = s.LoadSources(context.Background(), st, sources, state)
+		rep, state = s.LoadSources(context.Background(), st, sources, &state)
 		if len(rep.Outcomes) != nSources {
 			t.Fatalf("round %d: %d outcomes, want %d", r, len(rep.Outcomes), nSources)
 		}

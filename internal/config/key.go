@@ -87,54 +87,86 @@ func ParseKey(s string) (Key, error) {
 // AppendKey is ParseKey into storage the caller supplies: it appends the
 // strings.Count(s, ".")+1 segments of s to dst and returns the extended
 // slice, or nil and ParseKey's error. The segments' strings are
-// substrings of s. Flat-source drivers call it once per line with room
-// carved from a slab, so it parses each segment straight into a Seg, in
-// one pass and with no allocation.
+// substrings of s. Flat-source drivers call it once per line, or once
+// per leaf behind a prefix they have parsed before, with room carved
+// from a slab, so it parses each segment straight into a Seg with no
+// allocation and one scan for each delimiter: the '.' that ends it, the
+// "::", the '[' and a NUL byte in its name. Segments parse
+// independently, so a key's segments are its prefix's followed by its
+// leaf's, and a key's error is its first bad segment's, quoting the
+// whole key.
 func AppendKey(dst []Seg, s string) ([]Seg, error) {
 	if s == "" {
 		return nil, fmt.Errorf("config: empty key")
 	}
-	for rest, more := s, true; more; {
-		var part string
-		part, rest, more = strings.Cut(rest, ".")
-		// parsePatSeg's grammar: Name, then "::Inst", then "[Index]"; a
-		// '$' opens a variable wherever it starts a part, and a lone '$'
-		// names none (that part is left empty).
-		var seg Seg
-		name, idx := part, ""
-		if i := strings.Index(part, "::"); i >= 0 {
-			name, seg.Inst = part[:i], part[i+2:]
-			if j := strings.IndexByte(seg.Inst, '['); j >= 0 {
-				seg.Inst, idx = seg.Inst[:j], seg.Inst[j:]
-			}
-			if strings.HasPrefix(seg.Inst, "$") {
-				if len(seg.Inst) > 1 {
-					return nil, fmt.Errorf("config: key %q must not contain variables", s)
-				}
-				seg.Inst = ""
-			}
-		} else if j := strings.IndexByte(part, '['); j >= 0 {
-			name, idx = part[:j], part[j:]
+	for rest := s; ; {
+		part := rest
+		dot := strings.IndexByte(rest, '.')
+		if dot >= 0 {
+			part, rest = rest[:dot], rest[dot+1:]
 		}
-		if len(idx) >= 2 && idx[len(idx)-1] == ']' {
-			if n := idx[1 : len(idx)-1]; !strings.HasPrefix(n, "$") {
-				seg.Index = atoiOr0(n)
-			} else if len(n) > 1 {
-				return nil, fmt.Errorf("config: key %q must not contain variables", s)
-			}
+		seg, bad := parseKeySeg(part)
+		if bad != "" {
+			return nil, fmt.Errorf("config: key %q %s", s, bad)
 		}
-		if name == "" || name[0] == '$' {
-			// "A..B", and a name variable like "$x": either would produce an
-			// unaddressable instance.
-			return nil, fmt.Errorf("config: key %q has an empty segment", s)
-		}
-		if hasClassSep(name) {
-			return nil, fmt.Errorf("config: key %q has a NUL byte in a name", s)
-		}
-		seg.Name = name
 		dst = append(dst, seg)
+		if dot < 0 {
+			return dst, nil
+		}
 	}
-	return dst, nil
+}
+
+// parseKeySeg parses one segment of a key in parsePatSeg's grammar: Name,
+// then "::Inst", then "[Index]"; a '$' opens a variable wherever it
+// starts a part, and a lone '$' names none (that part is left empty).
+// bad is what is wrong with the segment, "" when nothing is.
+func parseKeySeg(part string) (seg Seg, bad string) {
+	name, idx := part, ""
+	if i := indexDoubleColon(part); i >= 0 {
+		name, seg.Inst = part[:i], part[i+2:]
+		if j := strings.IndexByte(seg.Inst, '['); j >= 0 {
+			seg.Inst, idx = seg.Inst[:j], seg.Inst[j:]
+		}
+		if seg.Inst != "" && seg.Inst[0] == '$' {
+			if len(seg.Inst) > 1 {
+				return Seg{}, "must not contain variables"
+			}
+			seg.Inst = ""
+		}
+	} else if j := strings.IndexByte(part, '['); j >= 0 {
+		name, idx = part[:j], part[j:]
+	}
+	if len(idx) >= 2 && idx[len(idx)-1] == ']' {
+		if n := idx[1 : len(idx)-1]; n == "" || n[0] != '$' {
+			seg.Index = atoiOr0(n)
+		} else if len(n) > 1 {
+			return Seg{}, "must not contain variables"
+		}
+	}
+	if name == "" || name[0] == '$' {
+		// "A..B", and a name variable like "$x": either would produce an
+		// unaddressable instance.
+		return Seg{}, "has an empty segment"
+	}
+	if hasClassSep(name) {
+		return Seg{}, "has a NUL byte in a name"
+	}
+	seg.Name = name
+	return seg, ""
+}
+
+// indexDoubleColon is strings.Index(s, "::") as one forward scan for ':'.
+func indexDoubleColon(s string) int {
+	for from := 0; ; {
+		i := strings.IndexByte(s[from:], ':')
+		if i < 0 {
+			return -1
+		}
+		if i += from; i+1 < len(s) && s[i+1] == ':' {
+			return i
+		}
+		from = i + 1
+	}
 }
 
 // CheckName refuses a scope or parameter name that a driver read from a

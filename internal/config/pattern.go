@@ -246,6 +246,18 @@ func (p Pattern) MatchClass(names []string) bool {
 	return true
 }
 
+// namesOnly reports whether the pattern constrains segment names only —
+// no instance name, no ordinal — so that MatchClass and MatchKey agree on
+// every key of a class.
+func (p Pattern) namesOnly() bool {
+	for _, s := range p.Segs {
+		if s.Inst != "" || s.Index > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // matchSeg reports whether the pattern segment matches a concrete segment.
 // Unsubstituted variables match nothing.
 func (p PatSeg) matchSeg(s Seg) bool {

@@ -95,11 +95,13 @@ func NewQuery(p Pattern) Query {
 // View finds all instances matching the query, using the sealed
 // class-path indexes and the discovery cache (§5.2 optimization #1:
 // discover once, reuse). The result is borrowed: it is the cache's own
-// canonical slice, shared with every other reader of the snapshot, so
-// callers must not write to its elements or sort it. Its capacity is
-// clipped to its length, so an append copies instead of writing into
-// the cache. The plan executor reads through View; anything that wants
-// a slice to keep or modify calls Discover.
+// canonical slice — for a pattern that matches one class by its names
+// alone, that class's sealed instance list itself — shared with every
+// other reader of the snapshot, so callers must not write to its
+// elements or sort it. Its capacity is clipped to its length, so an
+// append copies instead of writing into the cache or the class. The
+// plan executor reads through View; anything that wants a slice to keep
+// or modify calls Discover.
 func (sn *Snapshot) View(q Query) []*Instance {
 	sn.stats.queries.Add(1)
 	if hit, ok := sn.cache.get(q.key); ok {
@@ -141,13 +143,33 @@ func (sn *Snapshot) discover(p Pattern) []*Instance {
 	} else {
 		classPaths = sn.matchClassPaths(p)
 	}
-	var out []*Instance
-	for _, cp := range classPaths {
-		for _, in := range sn.class(cp) {
-			if p.MatchKey(in.Key) {
-				out = append(out, in)
+	if !p.namesOnly() {
+		var out []*Instance
+		for _, cp := range classPaths {
+			for _, in := range sn.class(cp) {
+				if p.MatchKey(in.Key) {
+					out = append(out, in)
+				}
 			}
 		}
+		return out
+	}
+	// The index matched the classes by their names, and the pattern asks
+	// nothing else, so every instance of each matches: one class is its
+	// sealed slice itself, and several are those slices end to end.
+	if len(classPaths) == 1 {
+		return sn.class(classPaths[0])
+	}
+	n := 0
+	for _, cp := range classPaths {
+		n += len(sn.class(cp))
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]*Instance, 0, n)
+	for _, cp := range classPaths {
+		out = append(out, sn.class(cp)...)
 	}
 	return out
 }

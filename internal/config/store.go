@@ -3,6 +3,7 @@ package config
 import (
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -279,12 +280,7 @@ func displayClass(id string) string {
 }
 
 func hasClassSep(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] == classSep {
-			return true
-		}
-	}
-	return false
+	return strings.IndexByte(s, classSep) >= 0
 }
 
 // Discover finds all instances matching the pattern on the current

@@ -52,13 +52,25 @@ func (e *Error) Error() string { return fmt.Sprintf("cpl:%s: %s", e.Pos, e.Msg) 
 // overflow, so a deeper spec is a positioned parse error instead.
 const MaxDepth = 10000
 
-// Parse parses a complete CPL source file into statements.
+// Parse parses a complete CPL source file into statements. The parser
+// pulls tokens from the lexer as it reads them, so a source it refuses
+// early — one nested deeper than MaxDepth — costs what was read, not the
+// whole source's tokens. A lexical error anywhere in the source still
+// wins over a parse error, as it did when the source was tokenized up
+// front: after a parse error the rest of the source is lexed, keeping no
+// tokens, and its lexical error, if it has one, is returned instead.
 func Parse(src string) ([]ast.Stmt, error) {
-	toks, err := lexer.Tokenize(src)
-	if err != nil {
-		return nil, err
+	p := &parser{ts: &tokens{lx: lexer.New(src)}}
+	p.ts.lex(0)
+	stmts, err := p.file()
+	if lexErr := p.ts.drain(); lexErr != nil {
+		return nil, lexErr
 	}
-	p := &parser{toks: toks}
+	return stmts, err
+}
+
+// file parses statements up to the end of the token stream.
+func (p *parser) file() ([]ast.Stmt, error) {
 	var out []ast.Stmt
 	for {
 		p.skipNewlines()
@@ -73,9 +85,62 @@ func Parse(src string) ([]ast.Stmt, error) {
 	}
 }
 
+// tokens is the token stream of one parse: the tokens lexed so far, which
+// the parser indexes to look ahead and to backtrack, and the lexer that
+// extends them on demand. The current token is always lexed (step), so
+// reading it is a slice index. Consecutive newlines collapse into one
+// NEWLINE token. A lexical error ends the stream with an EOF, and is
+// kept for Parse to return.
+type tokens struct {
+	lx   *lexer.Lexer
+	buf  []token.Token
+	done bool // buf ends with the stream's EOF
+	err  error
+}
+
+// at returns token i, lexing up to it; past the end of the stream, the
+// EOF that ends it.
+func (ts *tokens) at(i int) token.Token {
+	if i >= len(ts.buf) {
+		i = ts.lex(i)
+	}
+	return ts.buf[i]
+}
+
+// lex extends the stream to token i, or to its end, and returns where
+// token i is: i, or the EOF's index past the end.
+func (ts *tokens) lex(i int) int {
+	for i >= len(ts.buf) && !ts.done {
+		t, err := ts.lx.Next()
+		if err != nil {
+			ts.err, t = err, token.Token{Kind: token.EOF}
+		}
+		if t.Kind == token.NEWLINE && len(ts.buf) > 0 && ts.buf[len(ts.buf)-1].Kind == token.NEWLINE {
+			continue
+		}
+		ts.buf = append(ts.buf, t)
+		ts.done = t.Kind == token.EOF
+	}
+	return min(i, len(ts.buf)-1)
+}
+
+// drain lexes the rest of the source, keeping no tokens, and returns the
+// stream's lexical error, nil when it has none.
+func (ts *tokens) drain() error {
+	for !ts.done {
+		t, err := ts.lx.Next()
+		if err != nil {
+			ts.err = err
+			break
+		}
+		ts.done = t.Kind == token.EOF
+	}
+	return ts.err
+}
+
 type parser struct {
-	toks []token.Token
-	i    int
+	ts *tokens
+	i  int
 	// depth is the nesting level of the node being parsed; deepest is the
 	// deepest level reached since the innermost open operator chain began.
 	depth, deepest int
@@ -121,13 +186,25 @@ func (p *parser) closeChain(c chain) {
 	p.deepest = max(p.deepest, c.deepest)
 }
 
-func (p *parser) cur() token.Token     { return p.toks[p.i] }
-func (p *parser) at(k token.Kind) bool { return p.toks[p.i].Kind == k }
+func (p *parser) cur() token.Token     { return p.ts.buf[p.i] }
+func (p *parser) at(k token.Kind) bool { return p.ts.buf[p.i].Kind == k }
+
+// step moves past the current token, which is not the EOF, and lexes the
+// next one if it is not yet.
+func (p *parser) step() {
+	p.i++
+	if p.i == len(p.ts.buf) {
+		p.ts.lex(p.i)
+	}
+}
+
+// peek returns the token n places ahead of the current one.
+func (p *parser) peek(n int) token.Token { return p.ts.at(p.i + n) }
 
 func (p *parser) next() token.Token {
-	t := p.toks[p.i]
+	t := p.cur()
 	if t.Kind != token.EOF {
-		p.i++
+		p.step()
 	}
 	return t
 }
@@ -145,7 +222,7 @@ func (p *parser) errf(format string, args ...interface{}) error {
 
 func (p *parser) skipNewlines() {
 	for p.at(token.NEWLINE) {
-		p.i++
+		p.step()
 	}
 }
 
@@ -157,22 +234,22 @@ func (p *parser) peekPastNewlines() token.Kind {
 
 func (p *parser) peekPastNewlinesTok() token.Token {
 	j := p.i
-	for j < len(p.toks) && p.toks[j].Kind == token.NEWLINE {
+	for p.ts.at(j).Kind == token.NEWLINE {
 		j++
 	}
-	return p.toks[j]
+	return p.ts.at(j)
 }
 
 // acceptContinuation consumes newlines if the next meaningful token is k,
 // then consumes k. It lets pipelines and boolean chains span lines.
 func (p *parser) acceptContinuation(k token.Kind) bool {
 	if p.at(k) {
-		p.i++
+		p.step()
 		return true
 	}
 	if p.at(token.NEWLINE) && p.peekPastNewlines() == k {
 		p.skipNewlines()
-		p.i++
+		p.step()
 		return true
 	}
 	return false
@@ -459,7 +536,7 @@ func (p *parser) tryStep() (*ast.Step, bool, error) {
 	pos := p.cur().Pos
 	switch p.cur().Kind {
 	case token.IDENT:
-		if IsTransform(p.cur().Text) && p.toks[p.i+1].Kind == token.LPAREN {
+		if IsTransform(p.cur().Text) && p.peek(1).Kind == token.LPAREN {
 			t, err := p.transformCall()
 			if err != nil {
 				return nil, false, err
@@ -496,7 +573,7 @@ func (p *parser) tryStep() (*ast.Step, bool, error) {
 			*p = save
 			return nil, false, nil
 		}
-		if p.at(token.IDENT) && IsTransform(p.cur().Text) && p.toks[p.i+1].Kind == token.LPAREN {
+		if p.at(token.IDENT) && IsTransform(p.cur().Text) && p.peek(1).Kind == token.LPAREN {
 			t, err := p.transformCall()
 			if err != nil {
 				return nil, false, err
@@ -520,26 +597,23 @@ func (p *parser) tryStep() (*ast.Step, bool, error) {
 // whether an arrow follows (tuple transform) or not (range predicate).
 func (p *parser) bracketIsTuple() bool {
 	depth := 0
-	for j := p.i; j < len(p.toks); j++ {
-		switch p.toks[j].Kind {
+	for j := p.i; ; j++ {
+		switch p.ts.at(j).Kind {
 		case token.LBRACK:
 			depth++
 		case token.RBRACK:
 			depth--
 			if depth == 0 {
-				for k := j + 1; k < len(p.toks); k++ {
-					if p.toks[k].Kind == token.NEWLINE {
-						continue
-					}
-					return p.toks[k].Kind == token.ARROW
+				k := j + 1
+				for p.ts.at(k).Kind == token.NEWLINE {
+					k++
 				}
-				return false
+				return p.ts.at(k).Kind == token.ARROW
 			}
 		case token.EOF:
 			return false
 		}
 	}
-	return false
 }
 
 func (p *parser) transformCall() (*ast.Transform, error) {
@@ -708,7 +782,7 @@ func (p *parser) domainPrimary() (ast.Domain, error) {
 		return d, nil
 	case token.IDENT:
 		// Prefix transform style: lower($X).
-		if IsTransform(p.cur().Text) && p.toks[p.i+1].Kind == token.LPAREN {
+		if IsTransform(p.cur().Text) && p.peek(1).Kind == token.LPAREN {
 			pos := p.cur().Pos
 			t, err := p.transformCall()
 			if err != nil {
@@ -1233,8 +1307,8 @@ func (p *parser) exprArg() (ast.Expr, error) {
 		// Pipelines nest inside argument position:
 		// union($Pool.Members -> split(';')).
 		var steps []*ast.Step
-		for p.at(token.ARROW) && p.toks[p.i+1].Kind == token.IDENT &&
-			IsTransform(p.toks[p.i+1].Text) && p.toks[p.i+2].Kind == token.LPAREN {
+		for p.at(token.ARROW) && p.peek(1).Kind == token.IDENT &&
+			IsTransform(p.peek(1).Text) && p.peek(2).Kind == token.LPAREN {
 			p.next() // ->
 			tpos := p.cur().Pos
 			tr, err := p.transformCall()
@@ -1250,7 +1324,7 @@ func (p *parser) exprArg() (ast.Expr, error) {
 		}
 		return wrapDomain(d, pos), nil
 	case token.IDENT:
-		if IsTransform(p.cur().Text) && p.toks[p.i+1].Kind == token.LPAREN {
+		if IsTransform(p.cur().Text) && p.peek(1).Kind == token.LPAREN {
 			t, err := p.transformCall()
 			if err != nil {
 				return nil, err

@@ -110,6 +110,9 @@ var projectionSeeds = [][2]string{
 	{"a.b = 1\nz..q = 2\n", "a.b"},
 	{"S.a = 1\na = 2\n", "Sc.a\nS.a"},
 	{"x = 1\n", ""},
+	{"C::c1.N.T = 1\nC::c2.N.U = 2\nC::c1.N.T = 3\nC::c2.N.U = 4\nC::c1.N.U = 5\nC::c2.N.T = 6\nC::c1.N.T = 7\n", "C.N.T"},
+	{"A.b = 1\nA.c = 2\nA.b = 3\nA.c = 4\nA.b = 5\nA.$x = 6\n", "A.c"},
+	{"S.a.b = 1\nS.a.b = 2\nS.a.c = 3\nS.a.b = 4\n", "Sc.S.a.b\nb"},
 }
 
 var kvSeeds = []string{
@@ -125,6 +128,21 @@ var kvSeeds = []string{
 	"Cluster::c1.Node::n3[2].Timeout = 30\n", "A[1].B[x].C[] = 1\n", "A::.B = 1\n", "A::b::c.D = 1\n", "A[1][2] = 1\n", "A::b[1]x = 1\n",
 	"a..b = 1\n", ".a = 1\n", "a. = 1\n", ". = 1\n", "$a = 1\n", "a.$b = 1\n", "A::$i.b = 1\n", "A[$i].b = 1\n", "$A::x.b = 1\n", "a . b = 1\n",
 	"\u00e9.\u4e16\u754c = \u00e9\n", "a.\xff = \xc3\n",
+	// Recurring prefixes, each seen a third time and more, so later keys
+	// parse only their leaf: a bad leaf after good ones; a bad prefix that
+	// recurs; a '$' or a NUL byte inside a prefix, in a name and in an
+	// instance; ordinals that overflow; "::" behind a lone ':'; prefixes
+	// with the same names and other instances or ordinals, in runs and
+	// interleaved; a prefix whose text is another's plus a segment.
+	"A.b = 1\nA.c = 2\nA.d = 3\nA.$x = 4\n", "A.b = 1\nA.b = 2\nA.b = 3\nA. = 4\n", "A::i.b = 1\nA::i.c = 2\nA::i.d = 3\nA::i.e::$v = 4\n",
+	"A..b.c = 1\nA..b.c = 2\nA..b.c = 3\n", "x.y = 0\nA::$v.b = 1\nA::$v.b = 2\nA::$v.b = 3\n",
+	"A::$.b = 1\nA::$.c = 2\nA::$.d = 3\n", "A[$].b = 1\nA[$].c = 2\nA[$].d = 3\n", "x = 0\n$A.b = 1\n$A.b = 2\n$A.b = 3\n",
+	"A\x00B.c = 1\nA\x00B.c = 2\nA\x00B.c = 3\n", "A::x\x00y.b = 1\nA::x\x00y.c = 2\nA::x\x00y.d = 3\n",
+	"A[99999999999999999999].b = 1\nA[99999999999999999999].c = 2\nA[99999999999999999999].d = 3\nA[-7].b = 4\n",
+	"A:b::c.d = 1\nA:b::c.e = 2\nA:b::c.f = 3\nA:b::c.g[2] = 4\n",
+	"C::c1.N.T = 1\nC::c2.N.T = 2\nC::c1.N.T = 3\nC::c2.N.T = 4\nC::c1.N.U = 5\nC::c2.N.U = 6\n",
+	"C[1].N.T = 1\nC[2].N.T = 2\nC[1].N.T = 3\nC[2].N.T = 4\nC[1].N.U = 5\nC[2].N.U = 6\n",
+	"C.N.T = 1\nC.N.T = 2\nC.N.T.U = 3\nC.N.T.U = 4\nC.N.T.U = 5\nC.N = 6\n",
 }
 
 func FuzzCSV(f *testing.F) {

@@ -3,6 +3,7 @@ package driver
 import (
 	"bytes"
 	"fmt"
+	"hash/maphash"
 	"strings"
 
 	"confvalley/internal/config"
@@ -103,14 +104,14 @@ func (d kvDriver) ParseOwned(data []byte, sourceName string) ([]*config.Instance
 }
 
 // parseProjected is the scanner behind ParseOwned: with a filter it
-// still reads and checks every line, parsing each key into one scratch
-// slice, so a document fails with the same error whatever the
-// projection, but carves key room and an instance only for the lines
-// whose class f keeps. parsed counts every instance line, kept or not.
+// still reads and checks every line, so a document fails with the same
+// error whatever the projection, but carves key room and an instance
+// only for the lines whose class f keeps. parsed counts every instance
+// line, kept or not.
 func (kvDriver) parseProjected(data []byte, sourceName string, f *filter) (ins []*config.Instance, parsed int, err error) {
 	s := borrow(data)
 	var out slabs
-	var scratch []config.Seg
+	keys := kvKeys{f: f, prefixes: newPrefixes(len(s))}
 	for ln, pos := 1, 0; pos <= len(s); ln++ {
 		end := len(s)
 		if i := strings.IndexByte(s[pos:], '\n'); i >= 0 {
@@ -126,16 +127,14 @@ func (kvDriver) parseProjected(data []byte, sourceName string, f *filter) (ins [
 			return nil, 0, fmt.Errorf("kv: %s:%d: expected key=value, got %q", sourceName, ln, line)
 		}
 		keyStr := strings.TrimSpace(line[:eq])
-		if scratch, err = config.AppendKey(scratch[:0], keyStr); err != nil {
+		segs, err := keys.parse(keyStr, &out)
+		if err != nil {
 			return nil, 0, fmt.Errorf("kv: %s:%d: %w", sourceName, ln, badScope(keyStr, err))
 		}
 		parsed++
-		if f != nil && !f.keep(scratch) {
+		if segs == nil {
 			continue
 		}
-		// Room for exactly the key's segments.
-		segs := out.key(len(scratch))
-		copy(segs, scratch)
 		out.add(config.Instance{
 			Key:    config.Key{Segs: segs},
 			Value:  strings.TrimSpace(line[eq+1:]),
@@ -144,6 +143,154 @@ func (kvDriver) parseProjected(data []byte, sourceName string, f *filter) (ins [
 		})
 	}
 	return out.instances(), parsed, nil
+}
+
+// kvKeys parses the keys of one document, each recurring prefix once
+// (DESIGN.md §5, "Projected ingest"). A key's prefix is its text before
+// its last '.', and config.AppendKey parses segments independently, so
+// once one key under a prefix has parsed in full, a later key under the
+// same text parses only its leaf: its segments are the prefix's, copied
+// from the first key's, then the leaf's, and its class is the prefix's
+// class with the leaf's name, whose verdict the filter has kept. Any
+// step of that which fails parses the whole key again, so an error
+// quotes the whole key exactly as a full parse's does.
+type kvKeys struct {
+	f        *filter // nil keeps every key
+	prefixes prefixes
+	scratch  []config.Seg
+	leaf     [1]config.Seg
+}
+
+// parse parses key and returns its segments in room carved from out, or
+// nil when the filter drops its class.
+func (k *kvKeys) parse(key string, out *slabs) ([]config.Seg, error) {
+	dot := strings.LastIndexByte(key, '.')
+	var p *prefix
+	if dot > 0 {
+		p = k.prefixes.find(key[:dot])
+	}
+	if p != nil && p.learnt() {
+		if leaf, err := config.AppendKey(k.leaf[:0], key[dot+1:]); err == nil {
+			if k.f != nil && !k.f.keep(p.class, leaf[0].Name) {
+				return nil, nil
+			}
+			if p.segs != nil {
+				segs := out.key(len(p.segs) + 1)
+				segs[copy(segs, p.segs)] = leaf[0]
+				return segs, nil
+			}
+		}
+	}
+	var err error
+	if k.scratch, err = config.AppendKey(k.scratch[:0], key); err != nil {
+		return nil, err
+	}
+	n := len(k.scratch)
+	var class *prefixClass
+	if k.f != nil {
+		class = k.f.class(k.scratch[:n-1])
+		if !k.f.keep(class, k.scratch[n-1].Name) {
+			if p != nil {
+				p.class = class
+			}
+			return nil, nil
+		}
+	}
+	segs := out.key(n)
+	copy(segs, k.scratch)
+	if p != nil {
+		p.class, p.segs = class, segs[:n-1:n-1]
+	}
+	return segs, nil
+}
+
+// prefix is what the first full parse of a key under an interned prefix
+// learnt: the prefix's segments, borrowed from that key's room, once a
+// kept key has them, and its class under the filter.
+type prefix struct {
+	text  string
+	segs  []config.Seg
+	class *prefixClass
+}
+
+// learnt reports whether a full parse under the prefix has filled the
+// entry in: a projected parse always learns the class, a full one the
+// segments.
+func (p *prefix) learnt() bool { return p.segs != nil || p.class != nil }
+
+// prefixes interns the key prefixes of one parse that recur. It is a
+// direct-mapped table of prefix-hash tags, sized to the document, and a
+// prefix is admitted on its second sighting in a row at its slot, so a
+// document whose every key has a prefix of its own pays a hash and a
+// tag compare per line and interns nothing. Each slot owns at most one
+// entry, reused by the next prefix admitted there, so the entries never
+// outnumber the slots.
+type prefixes struct {
+	slots  []prefixSlot
+	chunks [][]prefix
+	used   int
+}
+
+// prefixSlot is one slot of the table: the tag of the last prefix
+// sighted there (never 0, so 0 is an empty slot) and the slot's entry,
+// 1 + its index, positive when it holds that prefix, negated when it
+// holds an earlier one, 0 before the slot has one.
+type prefixSlot struct {
+	tag uint32
+	ent int32
+}
+
+// prefixBytesPerSlot sizes the table: one slot per this many bytes of
+// document, rounded up to a power of two.
+const prefixBytesPerSlot = 1024
+
+var prefixSeed = maphash.MakeSeed()
+
+func newPrefixes(docLen int) prefixes {
+	n := 16
+	for n*prefixBytesPerSlot < docLen {
+		n *= 2
+	}
+	return prefixes{slots: make([]prefixSlot, n)}
+}
+
+// find returns the entry of prefix text, or nil when it is not interned
+// (yet). An entry it admits comes back unlearnt.
+func (t *prefixes) find(text string) *prefix {
+	h := maphash.String(prefixSeed, text)
+	sl := &t.slots[h&uint64(len(t.slots)-1)]
+	tag := uint32(h>>32) | 1
+	switch {
+	case sl.tag != tag: // a first sighting
+		sl.tag = tag
+		if sl.ent > 0 {
+			sl.ent = -sl.ent
+		}
+		return nil
+	case sl.ent > 0:
+		if p := t.entry(sl.ent); p.text == text {
+			return p
+		}
+		return nil // another prefix with the same tag
+	case sl.ent == 0:
+		t.used++
+		sl.ent = -int32(t.used)
+	}
+	sl.ent = -sl.ent
+	p := t.entry(sl.ent)
+	*p = prefix{text: text}
+	return p
+}
+
+// entry returns entry ent (1-based), growing the entries a chunk at a
+// time so that admitting one never copies the others.
+func (t *prefixes) entry(ent int32) *prefix {
+	const chunk = 32
+	i := int(ent) - 1
+	for i/chunk >= len(t.chunks) {
+		t.chunks = append(t.chunks, make([]prefix, chunk))
+	}
+	return &t.chunks[i/chunk][i%chunk]
 }
 
 // Reparse re-parses data against base, a document ParseOwned parsed into

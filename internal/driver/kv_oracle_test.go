@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -92,6 +94,86 @@ func diffProjected(t *testing.T, data []byte, pats string) {
 		if parsed != len(full) || !reflect.DeepEqual(got, want) {
 			t.Fatalf("scope %q, projection %q on %q: parsed %d of %d:\n projected: %v\n filtered:  %v",
 				scope, pats, data, parsed, len(full), got, want)
+		}
+	}
+}
+
+// filterOracle is the projection filter as it stood before it decided
+// once per (prefix class, leaf): every key's names joined, each ended by
+// NUL, into a buffer that keys one memo. It is kept verbatim as the
+// oracle TestFilterMatchesOracle holds the filter to.
+type filterOracle struct {
+	p     *Projection
+	scope []string
+	memo  map[string]bool // key names, each ended by NUL -> kept
+	buf   []byte
+}
+
+func (p *Projection) filterOracle(scope []config.Seg) *filterOracle {
+	names := make([]string, len(scope))
+	for i, s := range scope {
+		names[i] = s.Name
+	}
+	return &filterOracle{p: p, scope: names, memo: make(map[string]bool)}
+}
+
+// keep reports whether the class of scope + segs is kept, deciding each
+// class once. Names hold no NUL (config.CheckName), so ending each with
+// one keeps the memo's keys apart.
+func (f *filterOracle) keep(segs []config.Seg) bool {
+	f.buf = f.buf[:0]
+	for _, s := range segs {
+		f.buf = append(append(f.buf, s.Name...), 0)
+	}
+	v, ok := f.memo[string(f.buf)]
+	if !ok {
+		names := slices.Clip(f.scope)
+		for _, s := range segs {
+			names = append(names, s.Name)
+		}
+		v = f.p.keeps(names)
+		f.memo[string(f.buf)] = v
+	}
+	return v
+}
+
+// The filter's verdict per (prefix class, leaf), with its one-question
+// memo in front, is the oracle's per key, over generated projections and
+// key sequences that revisit classes in runs and out of them, under a
+// scope and without.
+func TestFilterMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(48, 1))
+	names := []string{"A", "Ab", "B", "Cb", "A.B"}
+	globs := []string{"*", "A*", "*b", "B", "Ab", "Sc"}
+	for iter := 0; iter < 500; iter++ {
+		var pats []config.Pattern
+		for i := rng.IntN(4); i > 0; i-- {
+			p := config.Pattern{Segs: make([]config.PatSeg, 1+rng.IntN(3))}
+			for j := range p.Segs {
+				p.Segs[j].Name = globs[rng.IntN(len(globs))]
+			}
+			pats = append(pats, p)
+		}
+		proj := NewProjection(pats)
+		var scope []config.Seg
+		if rng.IntN(2) == 0 {
+			scope = []config.Seg{{Name: "Sc"}}
+		}
+		f, oracle := proj.filter(scope), proj.filterOracle(scope)
+		var key []config.Seg
+		for j := 0; j < 100; j++ {
+			if len(key) == 0 || rng.IntN(3) == 0 {
+				key = make([]config.Seg, 1+rng.IntN(3))
+				for i := range key {
+					key[i] = config.Seg{Name: names[rng.IntN(len(names))], Inst: "x"}
+				}
+			} else {
+				key[len(key)-1].Name = names[rng.IntN(len(names))]
+			}
+			n := len(key)
+			if got, want := f.keep(f.class(key[:n-1]), key[n-1].Name), oracle.keep(key); got != want {
+				t.Fatalf("projection %v, scope %v, key %v: kept %t, oracle %t", pats, scope, config.Key{Segs: key}, got, want)
+			}
 		}
 	}
 }

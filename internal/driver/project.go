@@ -77,14 +77,27 @@ func (p *Projection) keeps(names []string) bool {
 }
 
 // filter is one parse's view of a projection: the source's scope
-// prefix, which every key is matched under, and the verdicts so far by
-// class. It belongs to the parse, so the projection it reads stays
-// shared and unlocked.
+// prefix, which every key is matched under, and the verdicts so far, one
+// per (class of a key's prefix, leaf name). It belongs to the parse, so
+// the projection it reads stays shared and unlocked.
 type filter struct {
-	p     *Projection
-	scope []string
-	memo  map[string]bool // key names, each ended by NUL -> kept
-	buf   []byte
+	p       *Projection
+	scope   []string
+	classes map[string]*prefixClass // prefix names, each ended by NUL
+	buf     []byte
+	// The last question and its verdict: a document written parameter by
+	// parameter asks the same one of the next line, under another
+	// instance of the same class.
+	last     *prefixClass
+	lastLeaf string
+	lastKept bool
+}
+
+// prefixClass is the class of a key's prefix under the scope — its
+// segment names — and the filter's verdicts so far by leaf name.
+type prefixClass struct {
+	names  []string
+	leaves map[string]bool
 }
 
 func (p *Projection) filter(scope []config.Seg) *filter {
@@ -92,26 +105,57 @@ func (p *Projection) filter(scope []config.Seg) *filter {
 	for i, s := range scope {
 		names[i] = s.Name
 	}
-	return &filter{p: p, scope: names, memo: make(map[string]bool)}
+	return &filter{p: p, scope: names, classes: make(map[string]*prefixClass)}
 }
 
-// keep reports whether the class of scope + segs is kept, deciding each
-// class once. Names hold no NUL (config.CheckName), so ending each with
-// one keeps the memo's keys apart.
-func (f *filter) keep(segs []config.Seg) bool {
+// class returns the class of a key prefix, by its names. Names hold no
+// NUL (config.CheckName), so ending each with one keeps the map's keys
+// apart.
+func (f *filter) class(prefix []config.Seg) *prefixClass {
+	if c := f.last; c != nil && namesAre(c.names[len(f.scope):], prefix) {
+		return c // the last question's class: lines of one class come in runs
+	}
 	f.buf = f.buf[:0]
-	for _, s := range segs {
+	for _, s := range prefix {
 		f.buf = append(append(f.buf, s.Name...), 0)
 	}
-	v, ok := f.memo[string(f.buf)]
+	c, ok := f.classes[string(f.buf)]
 	if !ok {
 		names := slices.Clip(f.scope)
-		for _, s := range segs {
+		for _, s := range prefix {
 			names = append(names, s.Name)
 		}
-		v = f.p.keeps(names)
-		f.memo[string(f.buf)] = v
+		c = &prefixClass{names: slices.Clip(names), leaves: make(map[string]bool)}
+		f.classes[string(f.buf)] = c
 	}
+	return c
+}
+
+// namesAre reports whether the segments carry these names.
+func namesAre(names []string, segs []config.Seg) bool {
+	if len(names) != len(segs) {
+		return false
+	}
+	for i, s := range segs {
+		if names[i] != s.Name {
+			return false
+		}
+	}
+	return true
+}
+
+// keep reports whether the class of a key under prefix class c with
+// this leaf is kept, deciding each (class, leaf) once.
+func (f *filter) keep(c *prefixClass, leaf string) bool {
+	if c == f.last && leaf == f.lastLeaf {
+		return f.lastKept
+	}
+	v, ok := c.leaves[leaf]
+	if !ok {
+		v = f.p.keeps(append(c.names, leaf))
+		c.leaves[leaf] = v
+	}
+	f.last, f.lastLeaf, f.lastKept = c, leaf, v
 	return v
 }
 

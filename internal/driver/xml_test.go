@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -113,10 +114,13 @@ func TestXMLParseAllocations(t *testing.T) {
 // cpuBestOf returns the least CPU time this process spent over three runs
 // of f. CPU time rather than wall-clock time: a test binary that shares
 // its host with others is descheduled now and then, and that is no cost
-// of f.
+// of f. The process's CPU time includes the collector's, so each run
+// starts from a collected heap: what an earlier run left behind is not
+// billed to this one.
 func cpuBestOf(f func()) time.Duration {
 	best := time.Duration(-1)
 	for i := 0; i < 3; i++ {
+		runtime.GC() // the previous run's garbage is not this one's to collect
 		start := cpuTime()
 		f()
 		if d := cpuTime() - start; best < 0 || d < best {

@@ -355,7 +355,7 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 		}
 	}
 	var err error
-	res.Report, res.SpecLoads, res.State, err = r.session.RunProgramIncremental(ctx, prog, st, state)
+	res.Report, res.SpecLoads, res.State, err = r.session.RunProgramIncremental(ctx, prog, st, &state)
 	if err != nil {
 		return nil, err
 	}

@@ -238,9 +238,11 @@ func (rs *RunState) Report() *Report {
 // prev's run: call SetEnv only before a lineage's first run. A nil or
 // mismatched prev runs every specification. Under Degrade the load
 // commands start from the parses prev's run loaded, whatever its program.
-// The returned state reflects this run, except after an interrupted run,
-// whose incomplete verdict set must not seed future splices: prev comes
-// back unchanged.
+// The returned state reflects this run. An interrupted run's incomplete
+// verdict set must not seed future splices, so it returns no state, nor
+// does a run that fails: the caller keeps the state it passed. The run
+// only reads prev, so a state LoadSources returned may live on the
+// caller's stack.
 func (s *Session) RunProgramIncremental(ctx context.Context, prog *Program, st *Store, prev *RunState) (*Report, *LoadReport, *RunState, error) {
 	var from RunState
 	if prev != nil {
@@ -248,7 +250,7 @@ func (s *Session) RunProgramIncremental(ctx context.Context, prog *Program, st *
 	}
 	specLoads, loads, err := s.execLoads(ctx, prog, st, from.loads)
 	if err != nil {
-		return nil, nil, prev, err
+		return nil, nil, nil, err
 	}
 	if from.prog != prog {
 		from.snap, from.rep = nil, nil
@@ -256,7 +258,7 @@ func (s *Session) RunProgramIncremental(ctx context.Context, prog *Program, st *
 	eng := s.engineFor(st)
 	rep := eng.RunIncrementalContext(ctx, prog, from.snap, from.rep)
 	if rep.Interrupted {
-		return rep, specLoads, prev, nil
+		return rep, specLoads, nil, nil
 	}
 	return rep, specLoads, &RunState{prog: prog, snap: eng.PinnedSnapshot(), rep: rep, data: from.data, loads: loads}, nil
 }
@@ -304,21 +306,22 @@ func (s *Session) degradeLoads(ctx context.Context, prog *Program, st *Store, pr
 // is served stale, within MaxStale rounds, from the parse prev's run
 // loaded of it, and is quarantined when there is none; the report
 // accounts for every source and is nil when there are none. It returns
-// prev with this batch's parses in place of its own: hand that to
-// RunProgramIncremental as the run's prev, and the state the run returns
-// carries them to the next.
-func (s *Session) LoadSources(ctx context.Context, st *Store, sources []Source, prev *RunState) (*LoadReport, *RunState) {
+// a copy of prev with this batch's parses in place of its own: hand its
+// address to RunProgramIncremental as the run's prev, and the state the
+// run returns carries them to the next. The copy is a value, so handing
+// the parses through allocates no state of its own.
+func (s *Session) LoadSources(ctx context.Context, st *Store, sources []Source, prev *RunState) (*LoadReport, RunState) {
 	var next RunState
 	if prev != nil {
 		next = *prev
 	}
 	if len(sources) == 0 {
 		next.data = nil
-		return nil, &next
+		return nil, next
 	}
 	var rep *LoadReport
 	rep, next.data = ingest.Load(ctx, st, sources, next.data, s.MaxStale)
-	return rep, &next
+	return rep, next
 }
 
 // ingestSource maps one CPL load command to an ingest source: registered
