@@ -117,7 +117,15 @@ incremental-bench:
 # thirty seconds) and the service's content address (FuzzContentAddress:
 # one chunk-digest memo fed a sequence of edited, grown and truncated
 # bodies against the stateless tree digest in
-# internal/serve/address_test.go; thirty seconds) and report assembly
+# internal/serve/address_test.go; thirty seconds), the decode against a
+# memo's view of the last decode (FuzzDecodeReuse: edited bodies against a
+# memo-less decode and the copying memo kept in
+# internal/serve/reuse_test.go; thirty seconds), the one-value path
+# (FuzzPatchedLoad: bodies addressed and decoded against one memo, their
+# plain or patched payloads loaded on one lineage and each decode made the
+# memo's view of the anchors the lineage keeps, against a memo-less
+# decode, a full parse and the diff of two full parses, in
+# internal/serve/patchload_test.go; thirty seconds) and report assembly
 # (FuzzAssemble: the parallel merge and the incremental splice against
 # the tag-and-sort merge and scan-per-spec splice kept in
 # internal/report/assemble_test.go; thirty seconds), the key grammar
@@ -142,6 +150,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrames$$' -fuzztime 30s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz '^FuzzContentAddress$$' -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReuse$$' -fuzztime 30s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzPatchedLoad$$' -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 30s ./internal/report/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendKey$$' -fuzztime 30s ./internal/config/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseStream$$' -fuzztime 30s ./internal/cpl/parser/
@@ -221,22 +230,26 @@ profile-infer:
 # stay the measurement of record and the gate of "no worse"):
 # BenchmarkCLIRun (cli_kv_b's operation), BenchmarkKVParse (its KV scan,
 # projected and in full, in three line orders), BenchmarkExpertEval
-# (expert_eval's engine share) and BenchmarkColdRequest/one-value
-# (novel_xml's request), each at -cpu 1 and 2 and five counts. It prints
-# the median ns/op and B/op of every benchmark at each core count (a name
-# without a -N suffix ran at one); the raw output is kept in
+# (expert_eval's engine share) and BenchmarkColdRequest (novel_xml's
+# request, one-value; moving-value, whose change moves on a chunk each
+# request; and structural: every request parsed in full), each
+# at -cpu 1 and 2 and five counts. It prints the median ns/op and B/op of
+# every benchmark at each core count (a name without a -N suffix ran at
+# one), and the median retained-MB of those that report it; the raw
+# output is kept in
 # .bench_build/twins.txt for benchstat or a second look. A full pass takes
 # a few minutes. Compare two commits by running it on each, alternated.
 twins:
 	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench '^(BenchmarkCLIRun|BenchmarkKVParse|BenchmarkExpertEval)$$' \
 		-cpu 1,2 -count 5 . > .bench_build/twins.txt || { cat .bench_build/twins.txt; exit 1; }
-	$(GO) test -run '^$$' -bench '^BenchmarkColdRequest$$/^one-value$$' \
+	$(GO) test -run '^$$' -bench '^BenchmarkColdRequest$$' \
 		-cpu 1,2 -count 5 . >> .bench_build/twins.txt || { cat .bench_build/twins.txt; exit 1; }
 	awk '$(twins_medians)' .bench_build/twins.txt
 
 # twins_medians is the awk program behind make twins: per benchmark name,
-# in the order first seen, the median of its ns/op and of its B/op.
+# in the order first seen, the median of its ns/op, of its B/op and of its
+# retained-MB ("-" when it reports none).
 twins_medians = \
 	function median(a, name, c,   i, j, x, v) { \
 		for (i = 1; i <= c; i++) v[i] = a[name, i] + 0; \
@@ -246,11 +259,18 @@ twins_medians = \
 	/^Benchmark/ { \
 		if (!($$1 in n)) order[++names] = $$1; \
 		k = ++n[$$1]; \
-		for (i = 3; i < NF; i++) { if ($$(i + 1) == "ns/op") ns[$$1, k] = $$i; if ($$(i + 1) == "B/op") by[$$1, k] = $$i } \
+		for (i = 3; i < NF; i++) { \
+			if ($$(i + 1) == "ns/op") ns[$$1, k] = $$i; \
+			if ($$(i + 1) == "B/op") by[$$1, k] = $$i; \
+			if ($$(i + 1) == "retained-MB") { rm[$$1, k] = $$i; hasrm[$$1] = 1 } \
+		} \
 	} \
 	END { \
-		printf "%-48s %14s %14s %5s\n", "benchmark", "median ns/op", "median B/op", "runs"; \
-		for (j = 1; j <= names; j++) { b = order[j]; printf "%-48s %14.0f %14.0f %5d\n", b, median(ns, b, n[b]), median(by, b, n[b]), n[b] } \
+		printf "%-48s %14s %14s %12s %5s\n", "benchmark", "median ns/op", "median B/op", "retained-MB", "runs"; \
+		for (j = 1; j <= names; j++) { \
+			b = order[j]; r = (b in hasrm) ? sprintf("%12.1f", median(rm, b, n[b])) : sprintf("%12s", "-"); \
+			printf "%-48s %14.0f %14.0f %s %5d\n", b, median(ns, b, n[b]), median(by, b, n[b]), r, n[b] \
+		} \
 	}
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): the

@@ -552,12 +552,15 @@ func coldServer(tb testing.TB, spec string, body []byte) (*serve.Server, int) {
 // store is that parse's partition with one class copied, the diff walks
 // pointers and the payload buffer goes back to the pool. In structural, each request adds one setting to the previous
 // one's document, so the walk declines and every request is parsed in
-// full, keeps its buffer and builds its store: the cold_xml path.
+// full, keeps its buffer and builds its store: the cold_xml path. Both
+// report retained-MB: what the server keeps on the heap after the last
+// request (retainedMB).
 func BenchmarkColdRequest(b *testing.B) {
 	spec, template, nonceOff := coldRequest(b, 1.0)
 	ctx := context.Background()
 	b.Run("one-value", func(b *testing.B) {
 		body := bytes.Clone(template)
+		before := heapInuse()
 		srv, specs := coldServer(b, spec, body)
 		// One re-parsed request before the clock starts: the full parse
 		// kept its buffer, so this one leaves the pool the buffer every
@@ -580,11 +583,32 @@ func BenchmarkColdRequest(b *testing.B) {
 		if st := srv.Stats(); st.SourcesParsed != 1 || st.SourcesReparsed != int64(b.N)+1 {
 			b.Fatalf("%d requests after the first: %d payloads parsed, %d re-parsed; want 1, %d", b.N+1, st.SourcesParsed, st.SourcesReparsed, b.N+1)
 		}
+		retainedMB(b, before, srv)
+	})
+	b.Run("moving-value", func(b *testing.B) {
+		// Besides the nonce, each request changes one digit of a value in a
+		// different 64 KiB stretch of the body, going round them: the
+		// change moves, and the body drifts from the one parsed in full.
+		body := bytes.Clone(template)
+		digits := movingDigits(body, 64<<10)
+		srv, _ := coldServer(b, spec, body)
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			stampNonce(body, nonceOff, i+1)
+			at := digits[i%len(digits)]
+			body[at] = '0' + (body[at]-'0'+1)%10
+			if _, err := srv.ValidateBody(ctx, "bench", "inferred", body); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 	b.Run("structural", func(b *testing.B) {
 		// Settings go in behind the nonce's, one more per request.
 		at := nonceOff + bytes.Index(template[nonceOff:], []byte(`\u003e`)) + len(`\u003e`)
 		body := slices.Grow(bytes.Clone(template), 64*(b.N+1))
+		before := heapInuse()
 		srv, _ := coldServer(b, spec, body)
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
@@ -600,14 +624,81 @@ func BenchmarkColdRequest(b *testing.B) {
 		if st := srv.Stats(); st.SourcesParsed != int64(b.N)+1 || st.SourcesReparsed != 0 {
 			b.Fatalf("%d requests after the first: %d payloads parsed, %d re-parsed; want %d, 0", b.N, st.SourcesParsed, st.SourcesReparsed, b.N+1)
 		}
+		retainedMB(b, before, srv)
 	})
 }
 
+// movingDigits returns the offset of one digit per stride of body, the
+// first digit of the first value behind the stride's start that begins
+// with one.
+func movingDigits(body []byte, stride int) []int {
+	marker := []byte(`Value=\"`)
+	var at []int
+	for lo := stride; lo < len(body); lo += stride {
+		for j := lo; ; {
+			k := bytes.Index(body[j:], marker)
+			if k < 0 {
+				return at
+			}
+			j += k + len(marker)
+			if j < len(body) && '0' <= body[j] && body[j] <= '9' {
+				at = append(at, j)
+				break
+			}
+		}
+	}
+	return at
+}
+
+// heapInuse returns the heap in use after two collections: the second
+// frees what the first's finalizers released.
+func heapInuse() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapInuse
+}
+
+// retainedMB reports as retained-MB the heap in use with srv alive beyond
+// before, the heap in use before srv was built: the server's resident
+// state after the benchmark's requests — the specs, each lineage's last
+// parse and snapshot, the address memos, the result cache — and whatever
+// the benchmark itself still holds, the request body.
+func retainedMB(b *testing.B, before uint64, srv *serve.Server) {
+	b.StopTimer()
+	after := heapInuse()
+	runtime.KeepAlive(srv)
+	b.ReportMetric(float64(int64(after)-int64(before))/(1<<20), "retained-MB")
+}
+
 // oneValueRequestAllocs is what a one-value request allocates, counted in
-// objects: body addressing, decode, a re-parse that copies one value, the
-// store built from the base partition, the diff, the splice, the
-// response. Lower it when a change removes an allocation.
-const oneValueRequestAllocs = 50
+// objects. A heap profile of BenchmarkColdRequest/one-value
+// (-memprofilerate 1) puts 46 of them in these places, by layer:
+//
+//   - serve, 17: the content address's hex string and the result cache
+//     key; the addressing's chunk flags, which escape with the addressing
+//     into the decode; the decoder, the payload list, the payload's name
+//     and the scratch it is unquoted in; the list of data strings, the
+//     payload's patch, and the view the decode becomes, its marks in it;
+//     the result cache's flight and its channel, and its two LRU
+//     entries; the admission release closure, the response and its wire
+//     report;
+//   - runner, 6: the result, the job's sources and their fetch closure,
+//     the store and its discovery counters, the run state;
+//   - ingest, 5: the batch's parses map and its one entry, the load
+//     report and its outcomes, the retained parse;
+//   - driver, 2: the changed value's region text, and the change with its
+//     instance copy (one allocation);
+//   - config, 9: the re-valued partition, its copied class list and the
+//     copied class; the snapshot; the delta's class list and its two
+//     overlap indexes, each a map that grows once;
+//   - engine and report, 7: the incremental run's state, three per spec
+//     batch, three to assemble the spliced report.
+//
+// The test, at scale 0.2, counts one more. Lower it when a change removes
+// an allocation.
+const oneValueRequestAllocs = 47
 
 // A one-value request costs its change, not its payload: at Type A scale
 // 0.2 (a 1 MB body), once a first request has been parsed in full, a

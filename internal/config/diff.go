@@ -40,7 +40,7 @@ type Delta struct {
 	// 1-based class positions; 0 ends it.
 	byLeaf map[string]int32
 	byLen  map[int]int32
-	memo   map[string]bool // pattern string -> overlap verdict
+	memo   map[string]bool // Pattern.key -> overlap verdict
 }
 
 // classDelta is one recorded class: its two instance lists (either may be
@@ -74,7 +74,13 @@ func (sn *Snapshot) Diff(old *Snapshot) Delta {
 	// in the same order, every class does too, and only a class with a
 	// re-valued instance can hold a change: just those are recorded, still
 	// in class order, so the delta lists exactly what the full walk would.
-	changed := sn.loadOrderDiff(old)
+	// Two snapshots that share a class index — stores built from one
+	// partition and its re-valued copies — need no such pass: a class's
+	// two lists are one slice unless a change copied it.
+	var changed map[string]struct{}
+	if old == nil || old.idx != sn.idx {
+		changed = sn.loadOrderDiff(old)
+	}
 	for g, id := range sn.idx.ids {
 		if _, ok := changed[id]; changed != nil && !ok {
 			continue
@@ -120,13 +126,14 @@ func (sn *Snapshot) oldClass(old *Snapshot, g int) []*Instance {
 // whose value differs. It returns nil, the walk abandoned, when the
 // snapshots differ in size or at the first position whose keys differ.
 func (sn *Snapshot) loadOrderDiff(old *Snapshot) map[string]struct{} {
-	if old == nil || len(sn.instances) != len(old.instances) || len(sn.idx.ids) != len(old.idx.ids) {
+	if old == nil || sn.n != old.n || len(sn.idx.ids) != len(old.idx.ids) {
 		return nil
 	}
 	changed := make(map[string]struct{})
 	var scratch [renderScratch]byte
-	for i, in := range sn.instances {
-		was := old.instances[i]
+	olds := old.Instances()
+	for i, in := range sn.Instances() {
+		was := olds[i]
 		if was == in {
 			continue
 		}
@@ -397,7 +404,7 @@ func (d *Delta) Overlaps(p Pattern) bool {
 	if head == 0 {
 		return false
 	}
-	ps := p.String()
+	ps := p.key()
 	if v, ok := d.memo[ps]; ok {
 		return v
 	}

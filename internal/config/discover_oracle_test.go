@@ -64,9 +64,6 @@ func discoveryPatterns(rng *rand.Rand, ins []*Instance) []Pattern {
 		if rng.Intn(3) == 0 {
 			segs = segs[len(segs)-1:]
 		}
-		if slices.ContainsFunc(segs, func(s Seg) bool { return strings.ContainsAny(s.Name, ".:") }) {
-			continue // a name a pattern cannot spell would render into another pattern's cache key
-		}
 		var p Pattern
 		for _, s := range segs {
 			ps := PatSeg{Name: s.Name}
@@ -120,4 +117,69 @@ func keysOf(ins []*Instance) string {
 		fmt.Fprintf(&b, "%s ", in.Key)
 	}
 	return b.String()
+}
+
+// The discovery cache and the delta's overlap memo key a pattern by all
+// of its fields: a one-segment name holding a '.' renders in CPL like
+// two segments, and a substituted instance name holding "::" or '.' like
+// more, but each such pattern gets its own answer, whichever is asked
+// first.
+func TestPatternKeysAreInjective(t *testing.T) {
+	ins := []*Instance{
+		{Key: Key{Segs: []Seg{{Name: "Cloud.Tenant", Index: 1}, {Name: "Param0"}}}, Value: "a"},
+		{Key: Key{Segs: []Seg{{Name: "Cloud"}, {Name: "Tenant", Index: 1}, {Name: "Param0"}}}, Value: "b"},
+		{Key: Key{Segs: []Seg{{Name: "Host", Inst: "db.east"}, {Name: "Port"}}}, Value: "c"},
+		{Key: Key{Segs: []Seg{{Name: "Host", Inst: "db"}, {Name: "east"}, {Name: "Port"}}}, Value: "d"},
+	}
+	dotted := Pattern{Segs: []PatSeg{{Name: "Cloud.Tenant", Index: 1}, {Name: "Param0"}}}
+	three := Pattern{Segs: []PatSeg{{Name: "Cloud"}, {Name: "Tenant", Index: 1}, {Name: "Param0"}}}
+	host := P("Host::$h", "Port")
+	dottedHost := host.Substitute(func(string) (string, bool) { return "db.east", true })
+	if dotted.String() != three.String() {
+		t.Fatalf("the patterns render as %q and %q; the test wants them to render alike", dotted, three)
+	}
+	pats := []Pattern{dotted, three, dottedHost, P("Host::db", "east", "Port")}
+	for first := range 2 {
+		st := NewStore()
+		st.AddAll(ins)
+		sn := st.Snapshot()
+		order := slices.Clone(pats)
+		if first == 1 {
+			slices.Reverse(order)
+		}
+		for _, p := range order {
+			if got, want := sn.View(NewQuery(p)), sn.discoverOracle(p); !slices.Equal(got, want) {
+				t.Errorf("pattern %+v: View found the instances valued %v, want %v", p.Segs, valuesOf(got), valuesOf(want))
+			}
+		}
+
+		// Re-value the dotted-name instance only: the delta overlaps the
+		// pattern naming it and not the one rendering alike.
+		changed := slices.Clone(ins)
+		cp := *ins[0]
+		cp.Value = "a2"
+		changed[0] = &cp
+		next := NewStore()
+		next.AddAll(changed)
+		d := next.Snapshot().Diff(sn)
+		pair := []Pattern{dotted, three}
+		if first == 1 {
+			slices.Reverse(pair)
+		}
+		for _, p := range pair {
+			if got, want := d.Overlaps(p), p.Segs[0].Name == "Cloud.Tenant"; got != want {
+				t.Errorf("pattern %v: Overlaps = %v, want %v", p.Segs, got, want)
+			}
+		}
+	}
+}
+
+// valuesOf returns the instances' values, which tell apart instances whose
+// keys render alike.
+func valuesOf(ins []*Instance) []string {
+	out := make([]string, len(ins))
+	for i, in := range ins {
+		out[i] = in.Value
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -134,6 +135,24 @@ func (p Pattern) String() string {
 		parts[i] = s.String()
 	}
 	return strings.Join(parts, ".")
+}
+
+// key is the pattern's identity for the memos that key on it (Query, the
+// Delta's overlap memo): every field of every segment, each string led by
+// its length, so two patterns share a key only when they are equal. The
+// CPL rendering (String) is not injective: a segment name holding a '.'
+// or "::", as a substituted instance name may, renders like more segments.
+func (p Pattern) key() string {
+	var scratch [renderScratch]byte
+	b := scratch[:0]
+	for _, s := range p.Segs {
+		for _, f := range [...]string{s.Name, s.NameVar, s.Inst, s.InstVar, s.IndexVar} {
+			b = binary.AppendUvarint(b, uint64(len(f)))
+			b = append(b, f...)
+		}
+		b = binary.AppendVarint(b, int64(s.Index))
+	}
+	return string(b)
 }
 
 // Prefixed returns a new pattern with the given prefix segments prepended;

@@ -11,21 +11,32 @@ import "sort"
 // pins a snapshot once and reads it throughout, unaffected by concurrent
 // Store mutations.
 type Snapshot struct {
+	// The instances in load order: n of them, in instances, or in lazy
+	// when the store held one adopted partition (Store.AddPartition).
 	instances []*Instance
-	idx       *classIndex   // the classes, load order
-	lists     [][]*Instance // lists[g]: the instances of class g, load order
-	trie      *trieNode     // class-name trie for wildcard queries
+	lazy      *loadOrder
+	n         int
+
+	idx   *classIndex   // the classes, load order
+	lists [][]*Instance // lists[g]: the instances of class g, load order
+	trie  *trieNode     // class-name trie for wildcard queries
 
 	cache discoveryCache
 	stats *DiscoveryStats // shared with the parent store
 }
 
 // Len returns the number of instances sealed into the snapshot.
-func (sn *Snapshot) Len() int { return len(sn.instances) }
+func (sn *Snapshot) Len() int { return sn.n }
 
-// Instances returns all instances in load order. The slice is shared;
-// callers must not modify it.
-func (sn *Snapshot) Instances() []*Instance { return sn.instances }
+// Instances returns all instances in load order, building the list the
+// first time when the snapshot is of one re-valued partition
+// (Partition.Revalue). The slice is shared; callers must not modify it.
+func (sn *Snapshot) Instances() []*Instance {
+	if sn.lazy != nil {
+		return sn.lazy.get()
+	}
+	return sn.instances
+}
 
 // Classes returns all class paths (dotted display form) in load order.
 func (sn *Snapshot) Classes() []string {
@@ -89,7 +100,7 @@ type Query struct {
 
 // NewQuery renders p's cache key.
 func NewQuery(p Pattern) Query {
-	return Query{Pattern: p, key: p.String()}
+	return Query{Pattern: p, key: p.key()}
 }
 
 // View finds all instances matching the query, using the sealed
@@ -204,12 +215,12 @@ func (sn *Snapshot) matchClassPaths(p Pattern) []string {
 func (sn *Snapshot) DiscoverNaive(p Pattern) []*Instance {
 	sn.stats.queries.Add(1)
 	var out []*Instance
-	for _, in := range sn.instances {
+	for _, in := range sn.Instances() {
 		if p.MatchKey(in.Key) {
 			out = append(out, in)
 		}
 	}
-	sn.stats.scanned.Add(int64(len(sn.instances)))
+	sn.stats.scanned.Add(int64(sn.n))
 	return out
 }
 

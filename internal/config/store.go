@@ -26,9 +26,14 @@ import (
 type Store struct {
 	mu sync.Mutex // guards the staging area below and sealing
 
+	// The instances in load order: n of them, in instances, or in lazy
+	// while the store holds one adopted partition and nothing else.
 	instances []*Instance
-	idx       *classIndex   // the classes, load order
-	lists     [][]*Instance // lists[g]: the instances of class g, load order
+	lazy      *loadOrder
+	n         int
+
+	idx   *classIndex   // the classes, load order
+	lists [][]*Instance // lists[g]: the instances of class g, load order
 
 	// idxShared and listsShared mark that idx, or the lists slice, may be
 	// aliased — by a sealed snapshot or by the partition the store
@@ -113,7 +118,9 @@ func (st *Store) Add(in *Instance) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.snap.Store(nil) // the staging area changes: unseal it
+	st.ownInstances()
 	st.instances = append(st.instances, in)
+	st.n++
 	id := classID(in.Key)
 	g, seen := st.idx.num[id]
 	if !seen {
@@ -136,9 +143,10 @@ func (st *Store) AddAll(ins []*Instance) {
 // AddPartition inserts a partitioned batch, in order, as AddAll would
 // insert its instances. An empty store adopts the partition as it is —
 // its instances, lists and class index — and allocates nothing; the
-// store copies what it later writes to.
+// store copies what it later writes to. A re-valued partition's load-order
+// list (Revalue) is not built until something asks for it.
 func (st *Store) AddPartition(p *Partition) {
-	if len(p.ins) == 0 {
+	if p.n == 0 {
 		return
 	}
 	st.add(p, false)
@@ -149,17 +157,20 @@ func (st *Store) add(p *Partition, copyIns bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.snap.Store(nil) // the staging area changes: unseal it
-	if len(st.instances) == 0 {
-		ins := p.ins
+	if st.n == 0 {
 		if copyIns {
-			ins = slices.Clone(ins)
+			st.instances = slices.Clone(p.order.get())
+		} else {
+			st.lazy = p.order
 		}
-		st.instances = slices.Clip(ins)
+		st.n = p.n
 		st.idx, st.lists = p.idx, p.parts
 		st.idxShared, st.listsShared = true, true
 		return
 	}
-	st.instances = append(st.instances, p.ins...)
+	st.ownInstances()
+	st.instances = append(st.instances, p.order.get()...)
+	st.n += p.n
 	st.ownLists()
 	for g, id := range p.idx.ids {
 		list := p.parts[g]
@@ -171,6 +182,15 @@ func (st *Store) add(p *Partition, copyIns bool) {
 		}
 		// The class already held instances: append, as Add would have.
 		st.lists[sg] = append(st.lists[sg], list...)
+	}
+}
+
+// ownInstances makes the load-order list the store's own to append to,
+// under st.mu: an adopted partition's is clipped, so an append copies it.
+func (st *Store) ownInstances() {
+	if st.lazy != nil {
+		st.instances = slices.Clip(st.lazy.get())
+		st.lazy = nil
 	}
 }
 
@@ -223,6 +243,8 @@ func (st *Store) Snapshot() *Snapshot {
 	st.idxShared, st.listsShared = true, true
 	sn := &Snapshot{
 		instances: slices.Clip(st.instances),
+		lazy:      st.lazy,
+		n:         st.n,
 		idx:       st.idx,
 		lists:     slices.Clip(st.lists),
 		trie:      st.idx.classTrie(),
@@ -243,7 +265,7 @@ func (st *Store) SetContentID(string) {}
 func (st *Store) Len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return len(st.instances)
+	return st.n
 }
 
 // Instances returns all instances in load order. The slice is shared;
@@ -400,18 +422,62 @@ func (n *trieNode) match(segs []PatSeg, depth int, out *[]string) {
 // (Revalue) reuses everything but the classes it re-valued. A partition
 // is immutable.
 type Partition struct {
-	ins   []*Instance
+	n     int        // instances in the batch
+	order *loadOrder // the batch, load order: list
+	list  loadOrder
 	idx   *classIndex
 	parts [][]*Instance // parts[g]: the instances of class g, clipped
-	of    []int32       // of[i]: the class number of ins[i]
+	of    []int32       // of[i]: the class number of the batch's instance i
 }
+
+// A Change re-values one instance of a batch: In, which has the key of
+// the batch's instance at position I and another value, replaces it.
+type Change struct {
+	I  int
+	In *Instance
+}
+
+// loadOrder is a batch's instances in load order, clipped, or how to
+// build them: another batch's with some instances replaced
+// (Partition.Revalue), built the first time they are asked for. Safe for
+// concurrent use.
+type loadOrder struct {
+	once    sync.Once
+	ins     []*Instance
+	from    *loadOrder
+	changes []Change
+}
+
+// get returns the batch, building it on the first call.
+func (o *loadOrder) get() []*Instance {
+	o.once.Do(func() {
+		if o.from == nil {
+			return
+		}
+		ins := slices.Clone(o.from.get())
+		for _, c := range o.changes {
+			ins[c.I] = c.In
+		}
+		o.ins, o.from, o.changes = slices.Clip(ins), nil, nil
+	})
+	return o.ins
+}
+
+// Len returns the number of instances in the batch.
+func (p *Partition) Len() int { return p.n }
+
+// Instances returns the batch in load order, building it first when p is
+// a re-valued partition nothing has asked yet. The slice is shared;
+// callers must not modify it.
+func (p *Partition) Instances() []*Instance { return p.order.get() }
 
 // NewPartition partitions ins by class in one pass: each ID is rendered
 // into a reused scratch and a string is built per distinct class, not per
 // instance. The partition keeps ins, so nothing may write to it
 // afterwards; its instances must be distinct pointers, as a parse's are.
 func NewPartition(ins []*Instance) *Partition {
-	p := &Partition{ins: ins, idx: &classIndex{num: make(map[string]int32), leaf: make(map[string][]string)}}
+	p := &Partition{n: len(ins), list: loadOrder{ins: slices.Clip(ins)}, idx: &classIndex{num: make(map[string]int32), leaf: make(map[string][]string)}}
+	p.order = &p.list
 	p.of = make([]int32, len(ins))
 	var sizes []int
 	var scratch [renderScratch]byte
@@ -440,41 +506,62 @@ func NewPartition(ins []*Instance) *Partition {
 	return p
 }
 
-// Revalue returns the partition of ins, a batch holding p's keys in p's
-// order where each instance is p's own at that position or a re-valued
-// copy of it — what a delta re-parse of p's document returns
-// (driver.Reparser). The class index and every class without a new
-// instance are p's; a class with one is copied, the new instances in the
-// old ones' slots. Beyond one pass comparing pointers, that costs the
-// changed classes' sizes.
-func (p *Partition) Revalue(ins []*Instance) *Partition {
-	if len(ins) != len(p.ins) {
-		panic("config: Revalue of a batch of another length")
+// Revalue returns the partition of p's batch with changes applied, in
+// increasing position order — what a delta re-parse of p's document
+// returns (driver.Reparser). The class index and every class without a
+// change are p's; a class with one is copied, the new instances in the
+// old ones' slots. That costs the changed classes' sizes; the new batch's
+// load-order list is built only if something asks for it (Instances,
+// Snapshot.Instances, naive discovery). No change returns p.
+func (p *Partition) Revalue(changes []Change) *Partition {
+	if len(changes) == 0 {
+		return p
 	}
-	out := &Partition{ins: ins, idx: p.idx, parts: p.parts, of: p.of}
-	var from map[int32]int // a copied class -> where its next change is sought
-	for i, in := range ins {
-		was := p.ins[i]
-		if in == was {
-			continue
+	ins := p.order.get()
+	out := &Partition{n: p.n, list: loadOrder{from: p.order, changes: changes}, idx: p.idx, parts: slices.Clone(p.parts), of: p.of}
+	out.order = &out.list
+	// Each copied class, and where in it its next change is sought; past
+	// a few classes, a map finds them.
+	type copied struct {
+		g    int32
+		next int
+	}
+	var stack [8]copied
+	classes := stack[:0]
+	var index map[int32]int
+	for k, c := range changes {
+		if c.I < 0 || c.I >= p.n || (k > 0 && c.I <= changes[k-1].I) {
+			panic("config: Revalue of changes out of order or out of the batch")
 		}
-		g := p.of[i]
-		if from == nil {
-			from = make(map[int32]int)
-			out.parts = slices.Clone(p.parts)
+		was := ins[c.I]
+		g := p.of[c.I]
+		at, ok := index[g]
+		if index == nil {
+			at = slices.IndexFunc(classes, func(cc copied) bool { return cc.g == g })
+			ok = at >= 0
 		}
-		j, copied := from[g]
-		if !copied {
+		if !ok {
 			out.parts[g] = slices.Clip(slices.Clone(p.parts[g]))
+			classes = append(classes, copied{g: g})
+			at = len(classes) - 1
+			if index != nil || len(classes) > len(stack) {
+				if index == nil {
+					index = make(map[int32]int)
+					for i, cc := range classes {
+						index[cc.g] = i
+					}
+				}
+				index[g] = at
+			}
 		}
 		// The class lists its instances in batch order, so the slot of
-		// position i lies after the previous change's.
-		list := out.parts[g]
+		// position c.I lies after the previous change's.
+		list, j := out.parts[g], classes[at].next
 		for list[j] != was {
 			j++
 		}
-		list[j] = in
-		from[g] = j + 1
+		list[j] = c.In
+		classes[at].next = j + 1
 	}
 	return out
 }

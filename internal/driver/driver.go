@@ -151,9 +151,14 @@ func parseScoped(ctx context.Context, format string, data []byte, sourceName, sc
 	parsed := -1
 	kv, projects := d.(kvDriver)
 	od, ownedDriver := d.(OwnedDriver)
+	sd, scopes := d.(scopedParser)
 	switch {
 	case projects && owned && proj != nil && scopeErr == nil:
-		ins, parsed, err = kv.parseProjected(data, sourceName, proj.filter(pre))
+		ins, parsed, err = kv.parseProjected(data, sourceName, proj.filter(pre), pre)
+		pre = nil // the keys start with it
+	case scopes && owned:
+		ins, err = sd.parseOwnedScoped(data, sourceName, pre)
+		pre = nil
 	case ownedDriver && owned:
 		ins, err = od.ParseOwned(data, sourceName)
 	default:
@@ -177,6 +182,14 @@ func parseScoped(ctx context.Context, format string, data []byte, sourceName, sc
 		}
 	}
 	return ins, parsed, nil
+}
+
+// scopedParser is implemented by the drivers that carve keys from slabs
+// (kv, xml): they parse a scoped document into keys that start with the
+// scope, so a scoped parse makes no key of its own per instance.
+type scopedParser interface {
+	// parseOwnedScoped is ParseOwned with every key prefixed by pre.
+	parseOwnedScoped(data []byte, sourceName string, pre []config.Seg) ([]*config.Instance, error)
 }
 
 // scopeSegs parses a dotted scope prefix like "Fabric" or "Fabric::inst1".
@@ -248,17 +261,23 @@ type slabs struct {
 	full  [][]config.Instance
 	count int
 	segs  []config.Seg
+	// pre is the scope every key starts with (the CPL "load ... as
+	// Scope" form), nil for none.
+	pre []config.Seg
 }
 
-// key returns room for a key of n segments, clipped: an append to one key
-// can never write into the next.
-func (s *slabs) key(n int) []config.Seg {
+// key returns a key of len(pre)+n segments that starts with the scope,
+// and the room for the document's n segments behind it, both clipped:
+// an append to one key can never write into the next.
+func (s *slabs) key(n int) (key, room []config.Seg) {
+	n += len(s.pre)
 	if cap(s.segs)-len(s.segs) < n {
 		s.segs = make([]config.Seg, 0, slabSize(cap(s.segs), n, 8192))
 	}
 	at := len(s.segs)
 	s.segs = s.segs[:at+n]
-	return s.segs[at : at+n : at+n]
+	key = s.segs[at : at+n : at+n]
+	return key, key[copy(key, s.pre):]
 }
 
 // add appends one instance.

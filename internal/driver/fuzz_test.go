@@ -8,7 +8,10 @@ package driver
 // fuzzer briefly (go test -fuzz) on top of the seed corpus.
 
 import (
+	"bytes"
+	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -96,6 +99,7 @@ func FuzzKV(f *testing.F) {
 		checkParse(t, "kv", kvDriver{}, data)
 		diffKV(t, data)
 		diffProjected(t, data, pats)
+		diffScoped(t, "kv", data)
 	})
 }
 
@@ -197,7 +201,32 @@ func FuzzXML(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkParse(t, "xml", xmlDriver{}, data)
 		diffXML(t, data)
+		diffScoped(t, "xml", data)
 	})
+}
+
+// diffScoped holds a scoped owned parse of data, which carves keys that
+// start with the scope, to the unscoped parse with the scope's segments
+// prepended to every key: the same verdict and the same instances.
+func diffScoped(t *testing.T, format string, data []byte) {
+	t.Helper()
+	ctx := context.Background()
+	const scope = "Sc::s.In[2]"
+	pre, err := config.ParseKey(scope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, gotErr := ParseScopedOwned(ctx, format, bytes.Clone(data), "fuzz-input", scope, nil)
+	want, _, wantErr := ParseScopedOwned(ctx, format, bytes.Clone(data), "fuzz-input", "", nil)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: verdicts differ on %q:\n scoped:   %v\n unscoped: %v", format, data, gotErr, wantErr)
+	}
+	for _, in := range want {
+		in.Key.Segs = append(slices.Clip(pre.Segs), in.Key.Segs...)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: instances differ on %q:\n scoped:   %v\n unscoped, scope prepended: %v", format, data, got, want)
+	}
 }
 
 // diffXML holds the driver to the oracle's verdict and instances on data.

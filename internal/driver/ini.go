@@ -99,7 +99,13 @@ func (d kvDriver) Parse(data []byte, sourceName string) ([]*config.Instance, err
 // ParseOwned walks data in place, line by line: key segment names and
 // values of the returned instances are substrings of it.
 func (d kvDriver) ParseOwned(data []byte, sourceName string) ([]*config.Instance, error) {
-	ins, _, err := d.parseProjected(data, sourceName, nil)
+	return d.parseOwnedScoped(data, sourceName, nil)
+}
+
+// parseOwnedScoped is ParseOwned with every key prefixed by pre
+// (scopedParser).
+func (d kvDriver) parseOwnedScoped(data []byte, sourceName string, pre []config.Seg) ([]*config.Instance, error) {
+	ins, _, err := d.parseProjected(data, sourceName, nil, pre)
 	return ins, err
 }
 
@@ -107,10 +113,10 @@ func (d kvDriver) ParseOwned(data []byte, sourceName string) ([]*config.Instance
 // still reads and checks every line, so a document fails with the same
 // error whatever the projection, but carves key room and an instance
 // only for the lines whose class f keeps. parsed counts every instance
-// line, kept or not.
-func (kvDriver) parseProjected(data []byte, sourceName string, f *filter) (ins []*config.Instance, parsed int, err error) {
+// line, kept or not. Every key starts with pre.
+func (kvDriver) parseProjected(data []byte, sourceName string, f *filter, pre []config.Seg) (ins []*config.Instance, parsed int, err error) {
 	s := borrow(data)
-	var out slabs
+	out := slabs{pre: pre}
 	keys := kvKeys{f: f, prefixes: newPrefixes(len(s))}
 	for ln, pos := 1, 0; pos <= len(s); ln++ {
 		end := len(s)
@@ -161,8 +167,8 @@ type kvKeys struct {
 	leaf     [1]config.Seg
 }
 
-// parse parses key and returns its segments in room carved from out, or
-// nil when the filter drops its class.
+// parse parses key and returns its segments, behind out's scope, in room
+// carved from out, or nil when the filter drops its class.
 func (k *kvKeys) parse(key string, out *slabs) ([]config.Seg, error) {
 	dot := strings.LastIndexByte(key, '.')
 	var p *prefix
@@ -175,8 +181,8 @@ func (k *kvKeys) parse(key string, out *slabs) ([]config.Seg, error) {
 				return nil, nil
 			}
 			if p.segs != nil {
-				segs := out.key(len(p.segs) + 1)
-				segs[copy(segs, p.segs)] = leaf[0]
+				segs, room := out.key(len(p.segs) + 1)
+				room[copy(room, p.segs)] = leaf[0]
 				return segs, nil
 			}
 		}
@@ -196,10 +202,10 @@ func (k *kvKeys) parse(key string, out *slabs) ([]config.Seg, error) {
 			return nil, nil
 		}
 	}
-	segs := out.key(n)
-	copy(segs, k.scratch)
+	segs, room := out.key(n)
+	copy(room, k.scratch)
 	if p != nil {
-		p.class, p.segs = class, segs[:n-1:n-1]
+		p.class, p.segs = class, room[:n-1:n-1]
 	}
 	return segs, nil
 }
@@ -295,8 +301,14 @@ func (t *prefixes) entry(ent int32) *prefix {
 
 // Reparse re-parses data against base, a document ParseOwned parsed into
 // ins (Reparser).
-func (kvDriver) Reparse(base []byte, ins []*config.Instance, data []byte) ([]*config.Instance, bool) {
+func (kvDriver) Reparse(base []byte, ins []*config.Instance, data []byte) ([]config.Change, bool) {
 	return reparse(borrow(base), borrow(data), ins, kvValueEnd)
+}
+
+// ReparseWindows re-parses base with ws in place against ins, the
+// instances ParseOwned parsed base into (Reparser).
+func (kvDriver) ReparseWindows(base []byte, ins []*config.Instance, ws []Window) ([]config.Change, bool) {
+	return reparseWindows(base, ins, ws, kvValueEnd, kvContext)
 }
 
 // kvValueEnd reads a changed value as ParseOwned reads any value: the new

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -61,5 +62,25 @@ func TestKVParseAllocations(t *testing.T) {
 		}
 	})) / float64(len(ins)); perInstance > 210 {
 		t.Errorf("ParseOwned: %.1f bytes allocated per instance, want under 210", perInstance)
+	}
+}
+
+// A scoped load parses into keys that start with the scope: on the
+// 10,000-line document, ParseScopedOwned under a scope makes about as many
+// allocations as without one, not one key per instance more.
+func TestScopedParseAllocations(t *testing.T) {
+	doc := flatKV(20, 25, 20)
+	ctx := context.Background()
+	allocs := func(scope string) float64 {
+		return testing.AllocsPerRun(5, func() {
+			ins, _, err := ParseScopedOwned(ctx, "kv", doc, "alloc.kv", scope, nil)
+			if err != nil || len(ins) != 10000 {
+				t.Fatalf("parsed %d instances, err %v", len(ins), err)
+			}
+		})
+	}
+	plain, scoped := allocs(""), allocs("Sc")
+	if scoped > plain+10 {
+		t.Errorf("a scoped parse made %.0f allocations, an unscoped one %.0f: want about as many", scoped, plain)
 	}
 }

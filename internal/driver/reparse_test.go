@@ -16,7 +16,9 @@ import (
 // parse of doc — keys, values, sources and line numbers — and reports
 // whether the delta was taken. The re-parse is handed a copy of doc that
 // is overwritten afterwards, so an instance borrowing from it shows up as
-// a mismatch.
+// a mismatch. The contiguous walk's changes, applied, must be what the
+// cloning walk kept in cloningReparse returns, and every windowed walk of
+// the same edit (checkWindows) must decline or return them too.
 func checkReparse(t *testing.T, format, scope string, base, doc []byte) bool {
 	t.Helper()
 	ctx := context.Background()
@@ -30,23 +32,156 @@ func checkReparse(t *testing.T, format, scope string, base, doc []byte) bool {
 		t.Fatal(err)
 	}
 	handed := bytes.Clone(doc)
-	got, ok := d.(Reparser).Reparse(owned, baseIns, handed)
+	changes, ok := d.(Reparser).Reparse(owned, baseIns, handed)
+	oracle, oracleOK := cloningReparse(borrow(owned), borrow(handed), baseIns, valueEndOf(format))
+	if ok != oracleOK {
+		t.Fatalf("%s: re-parse of %q against %q taken = %v, the cloning walk's %v", format, doc, base, ok, oracleOK)
+	}
+	want, wantErr := ParseScoped(ctx, format, doc, "fuzz-input", scope)
+	checkWindows(t, format, owned, baseIns, doc, want, wantErr)
 	if !ok {
 		return false
 	}
+	got := applyChanges(baseIns, changes)
+	if !reflect.DeepEqual(got, oracle) {
+		t.Fatalf("%s: re-parse of %q against %q:\n changes: %q\n cloning: %q", format, doc, base, renderInstances(got), renderInstances(oracle))
+	}
 	scribble(handed)
-	want, err := ParseScoped(ctx, format, doc, "fuzz-input", scope)
-	if err != nil {
-		t.Fatalf("%s: re-parse of %q against %q took what a full parse refuses: %v", format, doc, base, err)
+	if wantErr != nil {
+		t.Fatalf("%s: re-parse of %q against %q took what a full parse refuses: %v", format, doc, base, wantErr)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: re-parse of %q against %q:\n delta: %q\n full:  %q", format, doc, base, renderInstances(got), renderInstances(want))
 	}
-	checkRevalue(t, baseIns, got)
+	checkRevalue(t, baseIns, changes)
 	if format == "kv" {
 		checkProjectedReparse(t, scope, baseIns, base, doc)
 	}
 	return true
+}
+
+// valueEndOf returns the format's valueEnd.
+func valueEndOf(format string) valueEnd {
+	if format == "xml" {
+		return xmlValueEnd
+	}
+	return kvValueEnd
+}
+
+// applyChanges returns ins with changes applied, in a slice of its own.
+func applyChanges(ins []*config.Instance, changes []config.Change) []*config.Instance {
+	out := slices.Clone(ins)
+	for _, c := range changes {
+		out[c.I] = c.In
+	}
+	return out
+}
+
+// checkWindows gives doc to ReparseWindows against base, parsed into
+// ins, as windows cut three ways: one window over all of base, one over
+// the stretch between the two documents' common prefix and suffix, and —
+// for documents of one length — one per differing eight-byte block. Each
+// must decline or return the full parse of doc, want, and the windows'
+// bytes are overwritten afterwards, so a change borrowing from them shows.
+func checkWindows(t *testing.T, format string, base []byte, ins []*config.Instance, doc []byte, want []*config.Instance, wantErr error) {
+	t.Helper()
+	if !InOrder(base, ins) {
+		return
+	}
+	pre := commonPrefix(borrow(base), borrow(doc))
+	suf := commonSuffix(borrow(base[pre:]), borrow(doc[pre:]))
+	cuts := [][]Window{
+		{{Lo: 0, Hi: len(base), Data: bytes.Clone(doc)}},
+		{{Lo: pre, Hi: len(base) - suf, Data: bytes.Clone(doc[pre : len(doc)-suf])}},
+	}
+	if len(base) == len(doc) {
+		var blocks []Window
+		for lo := 0; lo < len(base); lo += 8 {
+			hi := min(lo+8, len(base))
+			if !bytes.Equal(base[lo:hi], doc[lo:hi]) {
+				blocks = append(blocks, Window{Lo: lo, Hi: hi, Data: bytes.Clone(doc[lo:hi])})
+			}
+		}
+		cuts = append(cuts, blocks)
+	}
+	d, _ := Lookup(format)
+	for k, ws := range cuts {
+		changes, ok := d.(Reparser).ReparseWindows(base, ins, ws)
+		for _, w := range ws {
+			scribble(w.Data)
+		}
+		if !ok {
+			continue
+		}
+		if wantErr != nil {
+			t.Fatalf("%s: windowed re-parse (cut %d) of %q took what a full parse refuses: %v", format, k, doc, wantErr)
+		}
+		if got := applyChanges(ins, changes); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: windowed re-parse (cut %d) of %q against %q:\n delta: %q\n full:  %q", format, k, doc, base, renderInstances(got), renderInstances(want))
+		}
+	}
+}
+
+// cloningReparse is the contiguous delta walk as it was before re-parses
+// returned changes: it clones the instance list and puts the re-valued
+// copies in it. Kept verbatim as the oracle of the walks that replaced it.
+func cloningReparse(base, doc string, ins []*config.Instance, end valueEnd) ([]*config.Instance, bool) {
+	if base == doc {
+		return ins, true
+	}
+	// The changed values, as spans of doc; nothing is copied before the
+	// walk has proved the whole document.
+	type revalue struct{ i, at, to int }
+	var changed []revalue
+	b, n := 0, 0 // base[:b] and doc[:n] are accounted for
+	i, last := 0, 0
+	for {
+		k := commonPrefix(base[b:], doc[n:])
+		b, n = b+k, n+k
+		if b == len(base) && n == len(doc) {
+			break
+		}
+		// Find the first value ending at or after the difference.
+		s, e := -1, -1
+		for ; i < len(ins); i++ {
+			off, ok := offsetIn(base, ins[i].Value)
+			if !ok {
+				continue // empty or rewritten: its bytes are compared like any other
+			}
+			if off < last {
+				return nil, false
+			}
+			last = off + len(ins[i].Value)
+			if last >= b {
+				s, e = off, last
+				break
+			}
+		}
+		if s < 0 || s > b {
+			return nil, false
+		}
+		at := n - (b - s)
+		to, ok := end(base, doc, s, at)
+		if !ok {
+			return nil, false
+		}
+		if doc[at:to] != ins[i].Value {
+			changed = append(changed, revalue{i, at, to})
+		}
+		b, n = e, to
+		i++
+	}
+	if len(changed) == 0 {
+		return ins, true
+	}
+	out := slices.Clone(ins)
+	cps := make([]config.Instance, len(changed))
+	for k, c := range changed {
+		cps[k] = *ins[c.i]
+		cps[k].Value = strings.Clone(doc[c.at:c.to])
+		out[c.i] = &cps[k]
+	}
+	return out, true
 }
 
 // checkProjectedReparse repeats the re-parse against a projected base, as
@@ -74,16 +209,18 @@ func checkProjectedReparse(t *testing.T, scope string, full []*config.Instance, 
 		t.Fatalf("kv: a projected parse of %q fails where the full one did not: %v", base, err)
 	}
 	handed := bytes.Clone(doc)
-	got, ok := kvDriver{}.Reparse(owned, baseIns, handed)
+	changes, ok := kvDriver{}.Reparse(owned, baseIns, handed)
+	want, _, wantErr := ParseScopedOwned(ctx, "kv", bytes.Clone(doc), "fuzz-input", scope, proj)
+	checkWindows(t, "kv", owned, baseIns, doc, want, wantErr)
 	if !ok {
 		return
 	}
 	scribble(handed)
-	want, _, err := ParseScopedOwned(ctx, "kv", bytes.Clone(doc), "fuzz-input", scope, proj)
-	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("kv: projected re-parse of %q against %q:\n delta: %q\n full:  %q (%v)", doc, base, renderInstances(got), renderInstances(want), err)
+	got := applyChanges(baseIns, changes)
+	if wantErr != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("kv: projected re-parse of %q against %q:\n delta: %q\n full:  %q (%v)", doc, base, renderInstances(got), renderInstances(want), wantErr)
 	}
-	checkRevalue(t, baseIns, got)
+	checkRevalue(t, baseIns, changes)
 }
 
 // exactPattern is the pattern matching k's class and nothing else.
@@ -103,10 +240,11 @@ func exactPattern(k config.Key) config.Pattern {
 // classes (exactly, by leaf, and by wildcards of its length), and the same
 // diff against the base's store either way. It does the same for a store
 // that holds a second source, before and after the re-parse.
-func checkRevalue(t *testing.T, baseIns, ins []*config.Instance) {
+func checkRevalue(t *testing.T, baseIns []*config.Instance, changes []config.Change) {
 	t.Helper()
+	ins := applyChanges(baseIns, changes)
 	bp := config.NewPartition(baseIns)
-	wp := bp.Revalue(ins)
+	wp := bp.Revalue(changes)
 	var pats []config.Pattern
 	seen := make(map[string]bool)
 	for _, in := range baseIns {
@@ -404,4 +542,61 @@ func randomValue(r *rand.Rand, format string) string {
 		}
 	}
 	return string(b)
+}
+
+// A Differ's stretches spell the edited bytes: over random documents with
+// random edits — values rewritten in place, grown, shrunk, bytes inserted
+// and deleted, runs repeated so a run may be found in the wrong place —
+// putting each stretch of data in place of the old bytes it stands for
+// gives data back, the stretches lie in order, and a document with one
+// small change in the middle comes out as one stretch of about that size.
+func TestDifferSpellsData(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pieces := []string{"<a k=\"", "\" v=\"", "\"/>\n", "0123456789", "xyzxyzxyz", "\\u003c", " "}
+	for round := 0; round < 2000; round++ {
+		var old []byte
+		for n := rng.Intn(4000); len(old) < n; {
+			old = append(old, pieces[rng.Intn(len(pieces))]...)
+		}
+		data := bytes.Clone(old)
+		for k := rng.Intn(6); k > 0 && len(data) > 0; k-- {
+			at := rng.Intn(len(data))
+			switch rng.Intn(4) {
+			case 0:
+				data[at] ^= byte(1 + rng.Intn(255))
+			case 1:
+				data = slices.Insert(data, at, []byte(pieces[rng.Intn(len(pieces))])...)
+			case 2:
+				data = slices.Delete(data, at, min(len(data), at+1+rng.Intn(20)))
+			default:
+				copy(data[at:], "~~~")
+			}
+		}
+		var got []byte
+		d, i, j := NewDiffer(old, data), 0, 0
+		for {
+			lo, hi, dlo, dhi, ok := d.Next()
+			if !ok {
+				break
+			}
+			if lo < i || hi < lo || dlo < j || dhi < dlo || hi > len(old) || dhi > len(data) || lo-i != dlo-j {
+				t.Fatalf("round %d: stretch old[%d:%d] data[%d:%d] after old[:%d] data[:%d]", round, lo, hi, dlo, dhi, i, j)
+			}
+			got = append(append(got, old[i:lo]...), data[dlo:dhi]...)
+			i, j = hi, dhi
+		}
+		if got = append(got, old[i:]...); !bytes.Equal(got, data) {
+			t.Fatalf("round %d: the stretches spell %q, want %q", round, got, data)
+		}
+	}
+	old := bytes.Repeat([]byte("<a k=\"key\" v=\"0000\"/>\n"), 5000)
+	data := bytes.Clone(old)
+	copy(data[len(data)/2:], "9")
+	d := NewDiffer(old, data)
+	if lo, hi, _, _, ok := d.Next(); !ok || hi-lo > 1 {
+		t.Fatalf("one changed byte: first stretch old[%d:%d], ok %v", lo, hi, ok)
+	}
+	if _, _, _, _, ok := d.Next(); ok {
+		t.Fatal("one changed byte: more than one stretch")
+	}
 }

@@ -25,8 +25,14 @@ func (d xmlDriver) Parse(data []byte, sourceName string) ([]*config.Instance, er
 
 // ParseOwned scans data in place: names and plain values of the returned
 // instances are substrings of it.
-func (xmlDriver) ParseOwned(data []byte, sourceName string) ([]*config.Instance, error) {
-	p := xmlParse{sc: xmlScanner{s: borrow(data)}, source: sourceName}
+func (d xmlDriver) ParseOwned(data []byte, sourceName string) ([]*config.Instance, error) {
+	return d.parseOwnedScoped(data, sourceName, nil)
+}
+
+// parseOwnedScoped is ParseOwned with every key prefixed by pre
+// (scopedParser).
+func (xmlDriver) parseOwnedScoped(data []byte, sourceName string, pre []config.Seg) ([]*config.Instance, error) {
+	p := xmlParse{sc: xmlScanner{s: borrow(data)}, source: sourceName, out: slabs{pre: pre}}
 	if err := p.run(); err != nil {
 		return nil, fmt.Errorf("xml: %w", err)
 	}
@@ -35,8 +41,14 @@ func (xmlDriver) ParseOwned(data []byte, sourceName string) ([]*config.Instance,
 
 // Reparse re-parses data against base, a document ParseOwned parsed into
 // ins (Reparser).
-func (xmlDriver) Reparse(base []byte, ins []*config.Instance, data []byte) ([]*config.Instance, bool) {
+func (xmlDriver) Reparse(base []byte, ins []*config.Instance, data []byte) ([]config.Change, bool) {
 	return reparse(borrow(base), borrow(data), ins, xmlValueEnd)
+}
+
+// ReparseWindows re-parses base with ws in place against ins, the
+// instances ParseOwned parsed base into (Reparser).
+func (xmlDriver) ReparseWindows(base []byte, ins []*config.Instance, ws []Window) ([]config.Change, bool) {
+	return reparseWindows(base, ins, ws, xmlValueEnd, xmlContext)
 }
 
 // xmlValueEnd ends a changed value where attrValue's borrowed path would:
@@ -188,8 +200,8 @@ func (p *xmlParse) scope() int {
 
 // emit appends the instance <scope path>.leaf = value.
 func (p *xmlParse) emit(leaf, value string) {
-	segs := p.out.key(len(p.stack) + 1)
-	copy(segs, p.stack)
-	segs[len(p.stack)] = config.Seg{Name: leaf}
+	segs, room := p.out.key(len(p.stack) + 1)
+	copy(room, p.stack)
+	room[len(p.stack)] = config.Seg{Name: leaf}
 	p.out.add(config.Instance{Key: config.Key{Segs: segs}, Value: value, Source: p.source})
 }

@@ -49,12 +49,52 @@ type Source struct {
 	// nothing may write to them after Fetch returns. Returning the same
 	// never-written bytes on every call is fine.
 	Fetch func(ctx context.Context) ([]byte, error)
+	// Patch, when set, gives the bytes as an edit of bytes a full parse of
+	// this source kept, and Fetch is not called.
+	Patch *Patch
 	// Projection, when set, keeps only the classes a program can read:
 	// a driver that projects (kv) builds instances for those alone, and
 	// every other driver ignores it. A projected parse is retained under
 	// the projection's identity, so one loaded under one projection is
 	// never served to a load under another.
 	Projection *driver.Projection
+}
+
+// A Patch gives a source's bytes as an edit of bytes an earlier full
+// parse of the source kept: Anchor, those bytes, with each window's bytes
+// in place of the anchor bytes it covers (driver.Window). When Anchor is
+// the very bytes the latest full parse of the source in the lineage kept,
+// the load re-parses the windows alone (driver.Reparser.ReparseWindows);
+// otherwise, or when that walk declines, it materialises the bytes once
+// (Bytes) and loads them as it loads Fetch's. Nothing may write to
+// Anchor, ever: a full parse borrows from it. A load keeps no reference
+// into the windows' bytes.
+type Patch struct {
+	Anchor  []byte
+	Windows []driver.Window
+
+	edited []byte // what Bytes built, once it has
+	built  bool
+}
+
+// Bytes returns the edited bytes, handed over as Fetch's are: built in a
+// new slice on the first call, the same slice on every later one. A patch
+// is loaded by one load at a time, so Bytes is not safe for concurrent
+// use.
+func (p *Patch) Bytes() []byte {
+	if !p.built {
+		n := len(p.Anchor)
+		for _, w := range p.Windows {
+			n += len(w.Data) - (w.Hi - w.Lo)
+		}
+		buf, at := make([]byte, 0, n), 0
+		for _, w := range p.Windows {
+			buf = append(append(buf, p.Anchor[at:w.Lo]...), w.Data...)
+			at = w.Hi
+		}
+		p.edited, p.built = append(buf, p.Anchor[at:]...), true
+	}
+	return p.edited
 }
 
 // Outcome is one source's per-round result.
@@ -150,9 +190,13 @@ type lastGood struct {
 
 // document is a full parse of bytes the load owns: the bytes, and the
 // instances that borrow from them, with their partition, which a delta
-// re-parse's store build starts from (config.Partition.Revalue).
+// re-parse's store build starts from (config.Partition.Revalue). ordered
+// records that the instances' values lie in order in the bytes
+// (driver.InOrder), which a windowed re-parse needs.
 type document struct {
-	data []byte
+	data    []byte
+	ins     []*config.Instance
+	ordered bool
 	parse
 }
 
@@ -163,6 +207,18 @@ type document struct {
 // immutable once Load returns them, so concurrent loads may start from
 // the same ones. Nil is a lineage's first load, which loads cold.
 type Parses map[goodKey]*lastGood
+
+// Anchor returns the bytes the parse of src in ps borrows from, those of
+// the source's latest full parse, which the next load's re-parse of it is
+// measured against: the bytes a patch of it must be anchored on to be
+// re-parsed window by window. It is nil when ps keeps none: no parse of
+// src, or one by a driver that does not re-parse.
+func (ps Parses) Anchor(src Source) []byte {
+	if g := ps[keyOf(src)]; g != nil && g.base != nil {
+		return g.base.data
+	}
+	return nil
+}
 
 // Load fetches, parses and stores every source, never aborting the batch
 // on a per-source failure: a failed source is served stale from its parse
@@ -270,17 +326,16 @@ func LoadSource(ctx context.Context, st *config.Store, src Source) error {
 
 // parse is one source's instances as a load obtained them.
 type parse struct {
-	ins       []*config.Instance
-	part      *config.Partition // ins by class, what the store is built from
+	part      *config.Partition // the instances by class, what the store is built from
 	parsed    int               // instances in the document
-	projected bool              // ins holds the projection's classes only
+	projected bool              // part holds the projection's classes only
 }
 
 // count records the parse's instances on the source's outcome.
 func (p parse) count(out *Outcome) {
 	out.Instances = p.parsed
 	if p.projected {
-		n := len(p.ins)
+		n := p.part.Len()
 		out.Projected = &n
 	}
 }
@@ -290,7 +345,8 @@ func (p parse) count(out *Outcome) {
 // panic into a per-source error. The bytes are the load's by now — it
 // read them, or Fetch handed them over — so the driver gets them to
 // keep. Given base, the source's latest full parse under the same
-// projection, it re-parses against that first (driver.Reparser) and
+// projection, it re-parses against that first (driver.Reparser) — a patch
+// anchored on base's bytes window by window, anything else whole — and
 // returns base itself as doc when the re-parse holds; otherwise doc is
 // this full parse when the driver re-parses, nil when it does not.
 func fetchAndParse(ctx context.Context, src Source, format string, base *document) (p parse, doc *document, err error) {
@@ -299,35 +355,54 @@ func fetchAndParse(ctx context.Context, src Source, format string, base *documen
 			p, doc, err = parse{}, nil, fmt.Errorf("driver %s: panic parsing %s: %v", format, src.Name, r)
 		}
 	}()
+	d, _ := driver.Lookup(format) // an unknown format is ParseScopedOwned's error
+	r, reparses := d.(driver.Reparser)
 	var data []byte
-	if src.Fetch != nil {
+	switch {
+	case src.Patch != nil:
+		if base != nil && reparses && base.ordered && sameBytes(src.Patch.Anchor, base.data) {
+			if changes, ok := r.ReparseWindows(base.data, base.ins, src.Patch.Windows); ok {
+				return base.revalue(changes), base, nil
+			}
+		}
+		data = src.Patch.Bytes()
+	case src.Fetch != nil:
 		data, err = src.Fetch(ctx)
-	} else {
+	default:
 		data, err = os.ReadFile(src.Name)
 	}
 	if err != nil {
 		return parse{}, nil, fmt.Errorf("reading %s: %w", src.Name, err)
 	}
-	d, _ := driver.Lookup(format) // an unknown format is ParseScopedOwned's error
-	r, reparses := d.(driver.Reparser)
 	if base != nil && reparses {
 		// Outside base's values the bytes are equal, so a projected base
 		// re-parses to the projection of the new document; a change to a
 		// line the projection dropped is outside them and declines.
-		if ins, ok := r.Reparse(base.data, base.ins, data); ok {
-			return parse{ins, base.part.Revalue(ins), base.parsed, base.projected}, base, nil
+		if changes, ok := r.Reparse(base.data, base.ins, data); ok {
+			return base.revalue(changes), base, nil
 		}
 	}
-	p.ins, p.parsed, err = driver.ParseScopedOwned(ctx, format, data, src.Name, src.Scope, src.Projection)
-	p.projected = src.Projection != nil && driver.Projects(format)
+	ins, parsed, err := driver.ParseScopedOwned(ctx, format, data, src.Name, src.Scope, src.Projection)
 	if err != nil {
-		return p, nil, err
+		return parse{}, nil, err
 	}
-	p.part = config.NewPartition(p.ins)
+	p = parse{part: config.NewPartition(ins), parsed: parsed, projected: src.Projection != nil && driver.Projects(format)}
 	if !reparses {
 		return p, nil, nil
 	}
-	return p, &document{data: data, parse: p}, nil
+	return p, &document{data: data, ins: ins, ordered: driver.InOrder(data, ins), parse: p}, nil
+}
+
+// revalue returns the parse of doc's bytes with changes applied: doc's
+// partition with the changed classes copied (config.Partition.Revalue).
+func (doc *document) revalue(changes []config.Change) parse {
+	return parse{part: doc.part.Revalue(changes), parsed: doc.parsed, projected: doc.projected}
+}
+
+// sameBytes reports whether a and b are the same bytes in memory, not
+// merely equal ones.
+func sameBytes(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // FormatFromPath guesses a driver name from a file extension; the root

@@ -62,7 +62,7 @@ func TestReparseAllocations(t *testing.T) {
 	if got := l.stats(); got != (parseCounts{Parsed: 1, Reparsed: 1}) {
 		t.Fatalf("parse stats %+v, want one full parse and one re-parse", got)
 	}
-	ins := l.held()[goodKey{name: "corpus.xml", format: "xml"}].ins
+	ins := l.held()[goodKey{name: "corpus.xml", format: "xml"}].part.Instances()
 	build := allocatedBytes(func() { config.NewStore().AddAll(ins) })
 	if alloc > 1<<20 {
 		t.Errorf("a one-value load of %d instances allocated %.2f MB (a store build over them alone: %.2f MB), want under 1 MB",

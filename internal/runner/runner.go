@@ -89,6 +89,14 @@ type Payload struct {
 	// retained snapshot pins all of them, and it reuses the buffer only
 	// when no payload was kept.)
 	Data []byte
+	// Patch, when set, gives the bytes instead of Data: as an edit of the
+	// bytes a full parse of this source kept in an earlier run
+	// (ingest.Patch). A run whose lineage's full parse of the source kept
+	// exactly Patch.Anchor — what an earlier run reported in its Anchors —
+	// re-parses the windows alone; any other run materialises the bytes
+	// once (ingest.Patch.Bytes). No run keeps a reference into the
+	// windows' bytes, and nothing may ever write to the anchor.
+	Patch *ingest.Patch
 }
 
 // Job is one validation request: a specification (by path, source
@@ -144,6 +152,14 @@ type Result struct {
 	// source (ingest.Outcome.Reparsed): the caller may then reuse the
 	// bytes once Run returns. A job without payloads keeps none.
 	PayloadsKept bool
+	// Anchors holds, per payload of the job, the bytes State's parse of it
+	// borrows from (RunState.Anchor): Payload.Data or a patch's bytes when
+	// the run parsed the payload in full, the anchor of the lineage's full
+	// parse when it re-parsed it or served it stale, nil when the state
+	// keeps none. A later job's patch of the payload is re-parsed window by
+	// window only when it is anchored on these very bytes.
+	Anchors [][]byte
+	anchors [1][]byte // Anchors' room for a one-payload job
 	// Counts is what the run counted, filled once, at its end.
 	Counts Counts
 }
@@ -344,7 +360,8 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 	linted := r.opts.Lint && haveSrc
 	proj := r.projection(prog, linted)
 	st := confvalley.NewStore()
-	dataRep, state := r.session.LoadSources(ctx, st, r.ingestSources(job, proj), job.Prev)
+	sources := r.ingestSources(job, proj)
+	dataRep, state := r.session.LoadSources(ctx, st, sources, job.Prev)
 	res := &Result{Data: dataRep, Program: prog, PayloadsKept: payloadsKept(job, dataRep)}
 	if linted {
 		res.Diagnostics = r.lintSpec(job, src, st)
@@ -361,6 +378,16 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 	}
 	if res.Report.Interrupted {
 		res.State = job.Prev // this run's parses too seed nothing
+	}
+	if len(job.Payloads) > 0 {
+		res.Anchors = res.anchors[:0]
+		if len(job.Payloads) > len(res.anchors) {
+			res.Anchors = make([][]byte, 0, len(job.Payloads))
+		}
+		res.Anchors = res.Anchors[:len(job.Payloads)]
+		for i, src := range sources[len(job.Sources):] {
+			res.Anchors[i] = res.State.Anchor(src)
+		}
 	}
 	res.count(st)
 	return res, nil
@@ -401,7 +428,8 @@ func (r *Runner) lintSpec(job Job, src string, st *confvalley.Store) []lint.Diag
 // extension inference loading uses, so an explicit format and an
 // inferred identical one share an address. Only the benchmark's trace
 // calls it: a validate request is addressed by its body's chunk tree
-// digest (DESIGN.md §12), and no store carries an address.
+// digest (DESIGN.md §12), and no store carries an address. It hashes
+// Data, so a patched payload, which has none, is refused.
 func HashPayloads(ps []Payload) string {
 	if len(ps) == 0 {
 		return ""
@@ -411,6 +439,9 @@ func HashPayloads(ps []Payload) string {
 		format := p.Format
 		if format == "" {
 			format = ingest.FormatFromPath(p.Name)
+		}
+		if p.Patch != nil {
+			panic("runner: HashPayloads of a patched payload")
 		}
 		ds[i] = ingest.SourceDigest(p.Name, format, p.Scope, p.Data)
 	}
@@ -445,6 +476,7 @@ func (r *Runner) ingestSources(job Job, proj *driver.Projection) []confvalley.So
 			Format:     p.Format,
 			Scope:      p.Scope,
 			Fetch:      func(context.Context) ([]byte, error) { return data, nil },
+			Patch:      p.Patch,
 			Projection: proj,
 		})
 	}

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -229,18 +230,20 @@ func TestRepeatHashesNoChunk(t *testing.T) {
 }
 
 // The decode's share of the memo, read from /statsz: a spec's first body
-// copies nothing, a body stamped with a new nonce in its first chunk
-// copies all its decoded bytes but those of that chunk and the last, a
+// takes nothing from an anchor, a body stamped with a new nonce in its
+// first chunk takes all its decoded bytes but those of that chunk and the
+// payload's last from the anchor the first body's full parse left, a
 // byte-identical repeat is a result-cache hit and decodes nothing, and
-// address_memo_bytes counts the decoded copy beside the body's.
-func TestDecodeCopiesFromMemo(t *testing.T) {
+// address_memo_bytes holds no decoded copy beside the body's.
+func TestDecodeTakesFromAnchor(t *testing.T) {
 	_, c := testClient(t, Config{})
 	ctx := context.Background()
 	if _, err := c.Register(ctx, "one", timeoutSpec); err != nil {
 		t.Fatal(err)
 	}
 	var last StatsInfo
-	// send posts body and returns how many decoded bytes it copied.
+	// send posts body and returns how many decoded bytes it took from
+	// the anchor.
 	send := func(body []byte) int64 {
 		t.Helper()
 		resp, err := c.HTTP.Post(c.url("v1", "tenants", "acme", "specs", "one", "validate"), "application/json", bytes.NewReader(body))
@@ -258,25 +261,115 @@ func TestDecodeCopiesFromMemo(t *testing.T) {
 		if len(st.Tenants) != 1 || st.Tenants[0].AddressStats != st.AddressStats {
 			t.Fatalf("the one tenant's address counters %+v are not the totals %+v", st.Tenants, st.AddressStats)
 		}
-		copied := st.BytesReused - last.BytesReused
+		reused := st.BytesReused - last.BytesReused
 		last = st
-		return copied
+		return reused
 	}
 
 	doc := nonceDoc(0, 30, 5*addressChunk+100)
 	body := requestBody(t, kvRequest(doc))
 	if n := send(body); n != 0 {
-		t.Errorf("first body copied %d bytes", n)
+		t.Errorf("first body took %d bytes from an anchor", n)
 	}
-	if last.MemoBytes < int64(len(body)+len(doc)) {
-		t.Errorf("address_memo_bytes %d after a %d-byte body of %d payload bytes, want at least both", last.MemoBytes, len(body), len(doc))
+	if most := memoBound(len(body)); last.MemoBytes > most {
+		t.Errorf("address_memo_bytes %d after a %d-byte body of %d payload bytes, want at most %d: the body, its digests and marks", last.MemoBytes, len(body), len(doc), most)
 	}
 	stamped := requestBody(t, kvRequest(nonceDoc(1, 30, 5*addressChunk+100)))
 	if n := send(stamped); n < int64(len(doc)-2*addressChunk) || n > int64(len(doc)) {
-		t.Errorf("nonce stamped in the first chunk: copied %d of %d payload bytes, want all but about two chunks' worth", n, len(doc))
+		t.Errorf("nonce stamped in the first chunk: took %d of %d payload bytes, want all but about two chunks' worth", n, len(doc))
 	}
 	if n := send(stamped); n != 0 {
-		t.Errorf("byte-identical repeat copied %d bytes, want 0: it is a cache hit", n)
+		t.Errorf("byte-identical repeat took %d bytes, want 0: it is a cache hit", n)
+	}
+}
+
+// memoBound is what a memo may keep resident for a body of n bytes whose
+// decode differs from its anchor in a few bytes: the body, rounded up to
+// the allocator's size, per chunk a digest and a mark, with room for
+// slice growth, and the view with a few data strings. No decoded chunk of
+// the body fits in it.
+func memoBound(n int) int64 {
+	c := chunksOf(n) + 1
+	return int64(n + n/64 + 2*c*(sha256.Size+markSize) + lastDecodeSize + 8*dataStrSize)
+}
+
+// What a spec's memo keeps after one full parse and three one-value
+// requests on a 1 MB document is its copy of the body, the digests and
+// the view of the last decode: its marks, and its string as the bytes the
+// full parse kept, its anchor, with the nonce's few bytes as a window. It
+// holds no decoded copy. Each one-value request decodes a few chunks of
+// the payload, and its patch's windows — all the re-parse compares — are
+// that much too. The anchor's bytes, which the lineage's parse borrows
+// from, never reach the payload pool: they read the same after every
+// request, though a released buffer is poisoned in this test binary.
+func TestMemoHoldsNoDecodedCopy(t *testing.T) {
+	ctx := context.Background()
+	srv := New(Config{})
+	// The spec reads the nonce, so the projected load keeps its line and
+	// a new nonce re-parses.
+	if _, err := srv.RegisterSpec("acme", "one", "$bench.nonce -> int"); err != nil {
+		t.Fatal(err)
+	}
+	const size = 1 << 20
+	validate := func(nonce int) {
+		t.Helper()
+		if _, err := srv.ValidateBody(ctx, "acme", "one", requestBody(t, kvRequest(nonceDoc(nonce, 30, size)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	validate(0)
+	entry, err := acmeTenant(t, srv).spec("one")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := entry.addr.last
+	if v == nil || len(v.strs) != 1 || v.strs[0].anchor == nil || len(v.strs[0].ws) != 0 {
+		t.Fatal("the full parse's decode did not become the memo's view, its anchor as it is")
+	}
+	anchor := v.strs[0].anchor
+	was := bytes.Clone(anchor)
+	for nonce := 1; nonce <= 3; nonce++ {
+		validate(nonce)
+		if !bytes.Equal(anchor, was) {
+			t.Fatalf("after one-value request %d the anchor's bytes changed: they went back to the pool", nonce)
+		}
+		v := entry.addr.last
+		if v == nil || !sameBytes(v.strs[0].anchor, anchor) {
+			t.Fatalf("one-value request %d moved the view off the anchor", nonce)
+		}
+		if n := len(v.bytes); n == 0 || n > 10 {
+			t.Errorf("after one-value request %d the view holds %d bytes of windows, want the nonce's few", nonce, n)
+		}
+	}
+	body := requestBody(t, kvRequest(nonceDoc(4, 30, size)))
+	st := srv.Stats()
+	if st.SourcesParsed != 1 || st.SourcesReparsed != 3 {
+		t.Fatalf("%d payloads parsed, %d re-parsed; want 1 and 3", st.SourcesParsed, st.SourcesReparsed)
+	}
+	if most := memoBound(len(body)); st.MemoBytes > most {
+		t.Errorf("address_memo_bytes %d for a %d-byte body, want at most %d: the body, its digests and the view", st.MemoBytes, len(body), most)
+	}
+
+	// The decode of a fifth body, as ValidateBody decodes it.
+	var equal [stackChunks]bool
+	a := entry.addr.addressOf(body, equal[:])
+	dec, err := entry.addr.decode(&a, body, math.MaxInt, math.MaxInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer entry.addr.finish(&dec, false, nil)
+	if len(dec.payloads) != 1 || dec.payloads[0].Patch == nil {
+		t.Fatalf("a one-value request's payload was not a patch: %+v", dec.payloads)
+	}
+	if unquoted := len(*dec.buf); unquoted > 3*addressChunk {
+		t.Errorf("a one-value request unquoted %d of %d payload bytes, want at most three chunks' worth", unquoted, len(anchor))
+	}
+	windows := 0
+	for _, w := range dec.payloads[0].Patch.Windows {
+		windows += max(len(w.Data), w.Hi-w.Lo)
+	}
+	if windows > 3*addressChunk {
+		t.Errorf("a one-value request's patch has %d bytes of windows, want at most three chunks' worth", windows)
 	}
 }
 
@@ -493,6 +586,62 @@ func BenchmarkContentAddress(b *testing.B) {
 				m.address(body)
 			}
 		})
+	}
+}
+
+// A change that moves from chunk to chunk and stays costs each request
+// its own chunks, not the changes since the full parse: after one full
+// parse of a 1 MB document, each of eight requests stamps a new nonce and
+// changes one value a chunk and a half further on than the last, and
+// each still unquotes or copies at most four chunks' worth of its payload
+// — around the nonce and around its own change — so its patch's windows,
+// all the re-parse compares, are no larger. The memo keeps the changes as
+// its view's windows, a few bytes each, beside the body.
+func TestMovingChangeCostsItsChunks(t *testing.T) {
+	ctx := context.Background()
+	srv := New(Config{})
+	if _, err := srv.RegisterSpec("acme", "one", "$bench.nonce -> int\n$pad.key -> string\n"); err != nil {
+		t.Fatal(err)
+	}
+	doc := []byte(nonceDoc(0, 30, 1<<20))
+	head := len("bench.nonce = 0000000000")
+	var last StatsInfo
+	// validate sends the document and returns the payload bytes its
+	// decode did not take from the anchor.
+	validate := func() int64 {
+		t.Helper()
+		if _, err := srv.ValidateBody(ctx, "acme", "one", requestBody(t, kvRequest(string(doc)))); err != nil {
+			t.Fatal(err)
+		}
+		st := srv.Stats()
+		n := int64(len(doc)) - (st.BytesReused - last.BytesReused)
+		last = st
+		return n
+	}
+	validate()
+	for k := 1; k <= 8; k++ {
+		copy(doc[:head], fmt.Sprintf("bench.nonce = %010d", k))
+		at := 3 * k * addressChunk / 2
+		at += bytes.Index(doc[at:], []byte("value"))
+		doc[at] = 'V'
+		if n := validate(); n > 4*addressChunk {
+			t.Errorf("change %d: the decode took %d of %d payload bytes elsewhere than from the anchor, want at most four chunks' worth", k, n, len(doc))
+		}
+	}
+	if last.SourcesParsed != 1 || last.SourcesReparsed != 8 {
+		t.Fatalf("%d payloads parsed, %d re-parsed; want 1 and 8", last.SourcesParsed, last.SourcesReparsed)
+	}
+	entry, err := acmeTenant(t, srv).spec("one")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const few = 9 * 256 // the nonce and eight values, and what surrounds each
+	if v := entry.addr.last; v == nil || len(v.bytes) > few {
+		t.Fatalf("the memo's view holds %d bytes of windows, want at most %d", len(v.bytes), few)
+	}
+	body := requestBody(t, kvRequest(string(doc)))
+	if most := memoBound(len(body)) + few; last.MemoBytes > most {
+		t.Errorf("address_memo_bytes %d for a %d-byte body, want at most %d: the body, its digests and the view", last.MemoBytes, len(body), most)
 	}
 }
 

@@ -62,25 +62,33 @@ type envelopeDecoder struct {
 	// data holds every payload's decoded bytes, one after the other; each
 	// payload's slice of it is clipped. buf is where data came from, and
 	// what is handed back to the pool. name is the scratch the short
-	// strings are unquoted into before they become Go strings.
+	// strings are unquoted into before they become Go strings, and key
+	// the one member names are.
 	data []byte
 	buf  *[]byte
 	name []byte
+	key  [24]byte
 
-	// Set when decoding against an address memo (address.go): the memo,
-	// the generation and chunk flags of the body's addressing (equal is
-	// copied, into eq when it fits, so a decoder points at nothing on its
-	// caller's stack), the marks it leaves, the body offset of the next
-	// chunk boundary to mark, the data strings begun and the decoded
-	// bytes copied from the memo.
-	memo   *addressMemo
-	base   uint64
+	// Set when decoding against an address memo (address.go): what
+	// unquote calls at each chunk boundary (mark, (*envelopeDecoder).markAt
+	// unless a test put another), the view of the last decode and the
+	// chunk flags of the body's addressing (equal is copied, into eq when
+	// it fits, so a decoder points at nothing on its caller's stack), the
+	// marks it leaves, the body offset of the next chunk boundary to mark,
+	// the data strings begun, the decoded bytes taken from the view's
+	// anchors, the patch of the string being decoded, every data string's
+	// place and bytes, and whether any string is plain.
+	mark   func(d *envelopeDecoder, i int, dst []byte, limit int64) (int, []byte, int64)
+	last   *lastDecode
 	equal  []bool
 	eq     [stackChunks]bool
 	marks  []mark
 	next   int
 	str    int
-	copied int64
+	reused int64
+	cur    patching
+	strs   []dataStr
+	plain  bool
 }
 
 // payloadPool holds payload buffers nothing points into any more: the
@@ -285,7 +293,9 @@ func (d *envelopeDecoder) text(dst *string) error {
 // lent to the run: a full parse keeps it as long as the snapshot parsed
 // from it (the drivers borrow from runner.Payload.Data), unused tail
 // included, and a re-parse keeps nothing of it; DESIGN.md §12 has the
-// size of that tail and what a tighter reservation would cost.
+// size of that tail and what a tighter reservation would cost. A string
+// that pointed at an anchor of the memo's view (markAt) is handed over as
+// a patch of the anchor instead, its windows in the buffer.
 func (d *envelopeDecoder) payloadData(p *runner.Payload) error {
 	if isNull, err := d.stringOrNull(); isNull || err != nil {
 		return err
@@ -295,7 +305,8 @@ func (d *envelopeDecoder) payloadData(p *runner.Payload) error {
 		d.data = *d.buf
 	}
 	d.str++
-	start := len(d.data)
+	start, reused := len(d.data), d.reused
+	d.cur = patching{data: start}
 	out, err := d.unquote(d.data, d.budget, true)
 	if err == errOverLimit {
 		return fmt.Errorf("%w: payload bytes over the limit at offset %d", ErrTooLarge, d.i)
@@ -303,10 +314,28 @@ func (d *envelopeDecoder) payloadData(p *runner.Payload) error {
 	if err != nil {
 		return err
 	}
-	d.budget -= int64(len(out) - start)
+	d.budget -= int64(len(out)-start) + d.reused - reused
 	d.data = out
 	// Clipped: an append to one payload never writes into the next.
-	p.Data = out[start:len(out):len(out)]
+	p.Data, p.Patch = out[start:len(out):len(out)], nil
+	if d.mark == nil {
+		return nil
+	}
+	at := span{start + int(reused), len(out) + int(d.reused)}
+	c, sp := &d.cur, d.cur.sp
+	if sp == nil {
+		d.plain = true
+		d.strs = append(d.strs, dataStr{span: at, plain: p.Data})
+		return nil
+	}
+	if c.from < len(sp.Anchor) || len(out) > c.data {
+		sp.window(c.from, len(sp.Anchor), c.data, len(out))
+	}
+	for k, at := range sp.data {
+		sp.Windows[k].Data = out[at.lo:at.hi:at.hi]
+	}
+	p.Data, p.Patch = nil, &sp.Patch
+	d.strs = append(d.strs, dataStr{span: at, patch: sp})
 	return nil
 }
 
@@ -336,8 +365,7 @@ func (d *envelopeDecoder) member(names [][]byte, first bool) (int, error) {
 		d.i++
 		// No known name is longer than 24 bytes under any folding, so a
 		// key that does not fit is checked to its end and matches nothing.
-		var scratch [24]byte
-		key, err := d.unquote(scratch[:0], int64(len(scratch)), false)
+		key, err := d.unquote(d.key[:0], int64(len(d.key)), false)
 		if err == errOverLimit {
 			key = nil
 			_, err = d.unquote(nil, discard, false)
@@ -494,17 +522,18 @@ func plainPrefix(x uint64) int {
 // limit discard it only checks. Decoding a payload's data (data) against
 // a memo, it stops at the first token boundary at or past each chunk
 // boundary — the boundary, or the end of the token straddling it — to
-// mark it and maybe copy on from the memo (markAt).
+// mark it and maybe take on from the memo's view (the decoder's mark,
+// markAt).
 func (d *envelopeDecoder) unquote(dst []byte, limit int64, data bool) ([]byte, error) {
 	b, i := d.b, d.i
 	keep := limit >= 0
 	next := math.MaxInt
-	if data && d.memo != nil {
+	if data && d.mark != nil {
 		next = d.next
 	}
 	for {
 		if i >= next {
-			i, dst, limit = d.markAt(i, dst, limit)
+			i, dst, limit = d.mark(d, i, dst, limit)
 			next = d.next
 		}
 		stop := min(len(b), next)

@@ -171,7 +171,7 @@ func retiredPayloadsCollected(t *testing.T, order []string) {
 			runtime.SetFinalizer(&doc[0], func(*byte) { collected.Add(1) })
 		}
 		job := runner.Job{Prog: entry.prog, Payloads: []runner.Payload{{Name: "app.kv", Format: "kv", Data: doc}}}
-		if _, kept, err := srv.validate(ctx, tn, entry, job); err != nil || !kept {
+		if _, kept, _, err := srv.validate(ctx, tn, entry, job); err != nil || !kept {
 			t.Fatalf("spec %s: kept=%t err=%v; want a full parse, which keeps the bytes", name, kept, err)
 		}
 	}

@@ -1,8 +1,8 @@
 package serve
 
-// The decode memo (address.go: decode, markAt) held to the memo-less
-// decoder it stands in for, alone over edited bodies and through the
-// service under concurrency.
+// The decode against the memo's anchor (address.go: decode, markAt) held
+// to the memo-less decoder it stands in for, alone over edited bodies and
+// through the service under concurrency.
 
 import (
 	"bytes"
@@ -15,6 +15,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"confvalley/internal/runner"
 )
 
 // reuseUnits are what the fuzzed payload data is made of, as they are
@@ -73,14 +75,21 @@ func unitsOf(n int, seed int) []string {
 	return us
 }
 
-// FuzzDecodeReuse feeds one memo a sequence of request bodies derived
-// from the input, each addressed and decoded against the memo as
-// ValidateBody does, and holds every decode to a memo-less decodeEnvelope
-// of the same bytes under the same byte budget: the same payloads, each
-// clipped to its bytes, and sources, or the same error text, offset
-// included. A payload handed out earlier must not change when the memo
-// takes a later decode. Each op is two bytes, a kind and an argument, and
-// edits the units at a position, persistently unless it says otherwise:
+// FuzzDecodeReuse feeds one memo, and the copying memo it replaced, a
+// sequence of request bodies derived from the input, each addressed and
+// decoded against the memo as ValidateBody does, and holds every decode
+// to a memo-less decodeEnvelope of the same bytes under the same byte
+// budget, and to the copying memo's decode: the same payloads — a plain
+// one clipped to its bytes, a patch materialising to them — and sources,
+// or the same error text, offset included. Each decode then becomes the
+// memo's view of the anchors a lineage would report: the first body, and
+// each body whose op has its top bit set, is kept as a full parse keeps
+// it, its payloads' bytes the new anchors; the others are released, as a
+// re-parse releases them, against the anchors kept last, whatever body
+// they were. The bytes of a kept decode must not change when the memo
+// takes a later one. Each op is two bytes, a kind (the low seven bits,
+// modulo 12) and an argument, and edits the units at a position,
+// persistently unless it says otherwise:
 //
 //	0 flip one byte (this body only)    6 insert `"},{"data":"`: a string ends and one begins
 //	1 change a unit, same length        7 grow: insert a chunk's worth of units
@@ -103,6 +112,13 @@ func FuzzDecodeReuse(f *testing.F) {
 	f.Add(uint32(C+17|5<<17), []byte{11, 12, 1, 12, 11, 13, 1, 12, 5, 6, 1, 1})
 	f.Add(uint32(31|6<<17), []byte{9, 3, 1, 30, 10, 2, 1, 30, 10, 0, 1, 31})
 	f.Add(uint32(3|7<<17), []byte{5, 1, 1, 64, 5, 2, 1, 100, 5, 3, 1, 65, 5, 9, 1, 70})
+	// Anchors moving on: kept bodies between one-value changes, a kept
+	// structural edit, a kept second payload.
+	f.Add(uint32(C|8<<17), []byte{1, 1, 129, 2, 1, 3, 1, 2, 131, 4, 1, 3, 1, 1, 137, 9, 1, 2, 1, 130})
+	f.Add(uint32(2*C|9<<17), []byte{1, 5, 1, 130, 129, 66, 1, 5, 1, 130, 134, 20, 1, 5, 1, 140})
+	// Changes that move from chunk to chunk and stay, against one anchor:
+	// the view's windows pile up.
+	f.Add(uint32(3*C|10<<17), []byte{1, 1, 1, 2, 1, 3, 1, 4, 2, 5, 1, 6, 1, 200, 1, 1, 1, 2})
 
 	f.Fuzz(func(t *testing.T, size uint32, ops []byte) {
 		if len(ops) > 48 {
@@ -111,44 +127,71 @@ func FuzzDecodeReuse(f *testing.F) {
 		doc := reuseDoc{units: unitsOf(2*C+int(size%(3*C/2)), int(size>>17)%64), tail: `"}]}`}
 		budget := int64(math.MaxInt64)
 		var m addressMemo
-		var lent [][]byte    // the payloads' bytes last handed out
+		var old copyingMemo
+		var anchors [][]byte // the payloads' bytes of the decode kept last
 		var lentWas []string // what they were then
-		check := func(label string, body []byte) {
+		check := func(label string, body []byte, keep bool) {
 			t.Helper()
 			var equal [stackChunks]bool
 			a := m.addressOf(body, equal[:])
-			got, gotSrc, _, _, gotErr := m.decode(&a, body, math.MaxInt, budget)
+			dec, gotErr := m.decode(&a, body, math.MaxInt, budget)
+			got, gotSrc := dec.payloads, dec.sources
 			want, wantSrc, _, wantErr := decodeEnvelope(body, math.MaxInt, budget)
-			for i, p := range lent {
+			copied, copiedSrc, copiedErr := old.decode(body, math.MaxInt, budget)
+			for i, p := range anchors {
 				if string(p) != lentWas[i] {
-					t.Fatalf("%s: payload %d of the previous decode changed under a later one", label, i)
+					t.Fatalf("%s: payload %d of a kept decode changed under a later one", label, i)
 				}
 			}
-			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-				t.Fatalf("%s: %d-byte body, budget %d: decoded with the memo to error %v, without to %v", label, len(body), budget, gotErr, wantErr)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || fmt.Sprint(copiedErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s: %d-byte body, budget %d: decoded with the memo to error %v, with the copying memo to %v, without to %v", label, len(body), budget, gotErr, copiedErr, wantErr)
 			}
 			if (got == nil) != (want == nil) || len(got) != len(want) || !reflect.DeepEqual(gotSrc, wantSrc) {
 				t.Fatalf("%s: shapes differ: %d payloads %v, want %d %v", label, len(got), gotSrc, len(want), wantSrc)
 			}
-			lent, lentWas = lent[:0], lentWas[:0]
+			if !reflect.DeepEqual(copied, want) || !reflect.DeepEqual(copiedSrc, wantSrc) {
+				t.Fatalf("%s: the copying memo decoded %d payloads %v, want %d %v", label, len(copied), copiedSrc, len(want), wantSrc)
+			}
+			var data [][]byte
 			for i, w := range want {
 				g := got[i]
-				if g.Name != w.Name || g.Format != w.Format || g.Scope != w.Scope || !bytes.Equal(g.Data, w.Data) {
+				gd := g.Data
+				if g.Patch != nil {
+					if g.Data != nil {
+						t.Fatalf("%s: payload %d is a patch with data", label, i)
+					}
+					gd = g.Patch.Bytes()
+				}
+				if g.Name != w.Name || g.Format != w.Format || g.Scope != w.Scope || !bytes.Equal(gd, w.Data) {
 					at := 0
-					for at < min(len(g.Data), len(w.Data)) && g.Data[at] == w.Data[at] {
+					for at < min(len(gd), len(w.Data)) && gd[at] == w.Data[at] {
 						at++
 					}
-					t.Fatalf("%s: payload %d differs (%d bytes, want %d; first difference at %d)", label, i, len(g.Data), len(w.Data), at)
+					t.Fatalf("%s: payload %d differs (%d bytes, want %d; first difference at %d)", label, i, len(gd), len(w.Data), at)
 				}
-				if cap(g.Data) != len(g.Data) {
-					t.Fatalf("%s: payload %d: %d bytes with capacity %d", label, i, len(g.Data), cap(g.Data))
+				if cap(gd) != len(gd) {
+					t.Fatalf("%s: payload %d: %d bytes with capacity %d", label, i, len(gd), cap(gd))
 				}
-				lent, lentWas = append(lent, g.Data), append(lentWas, string(g.Data))
+				data = append(data, gd)
+			}
+			switch {
+			case gotErr != nil:
+				m.finish(&dec, false, nil)
+			case keep:
+				m.finish(&dec, true, data)
+				anchors, lentWas = data, lentWas[:0]
+				for _, gd := range data {
+					lentWas = append(lentWas, string(gd))
+				}
+			default:
+				reported := make([][]byte, len(data))
+				copy(reported, anchors)
+				m.finish(&dec, false, reported)
 			}
 		}
-		check("first", doc.render())
+		check("first", doc.render(), true)
 		for i := 0; i+1 < len(ops); i += 2 {
-			kind, arg := ops[i]%12, int(ops[i+1])
+			kind, arg, keep := ops[i]&127%12, int(ops[i+1]), ops[i]&128 != 0
 			at := arg * 997
 			if arg < 128 {
 				at = (1+arg%3)*C - 16 + arg/4
@@ -228,7 +271,7 @@ func FuzzDecodeReuse(f *testing.F) {
 			if body == nil {
 				body = doc.render()
 			}
-			check(fmt.Sprintf("op %d (kind %d, arg %d)", i/2, kind, arg), body)
+			check(fmt.Sprintf("op %d (kind %d, arg %d, kept %v)", i/2, kind, arg, keep), body, keep)
 		}
 	})
 }
@@ -320,4 +363,142 @@ func TestConcurrentDecodeReuse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// copyingMemo is the decode memo the view replaced, kept as an oracle for
+// the decode that takes from a view: beside the last body it keeps that
+// body's decoded payload bytes, copied, with the decode's marks, and a
+// decode copies the decoded bytes of each run of chunks equal to the last
+// body's out of them (markAt) instead of unquoting them. Its markAt and
+// keep are the old ones, over the oracle's own fields and marks; it
+// addresses a body by comparing its chunks with the last one's.
+type copyingMemo struct {
+	body    []byte
+	gen     uint64
+	data    []byte
+	marks   []copyMark
+	dataGen uint64
+	spare   []copyMark
+}
+
+// A copyMark is the old mark: a mark, and same, which reports that the
+// decoded bytes from this mark to the next were copied from the memo's
+// decode at the same offsets.
+type copyMark struct {
+	at, out, str int
+	same         bool
+}
+
+// copyingDecode is one decode's state beside the decoder's: the memo,
+// the chunk flags, the generation they were compared against, the marks
+// it leaves and the bytes it copied.
+type copyingDecode struct {
+	memo   *copyingMemo
+	equal  []bool
+	base   uint64
+	marks  []copyMark
+	copied int64
+}
+
+// decode decodes body as decodeEnvelope does, through the old markAt, and
+// keeps the decode as the old memo kept it.
+func (m *copyingMemo) decode(body []byte, maxSources int, maxPayloadBytes int64) ([]runner.Payload, []SourceRef, error) {
+	n := chunksOf(len(body))
+	c := &copyingDecode{memo: m, equal: make([]bool, n), base: m.gen, marks: m.spare[:0]}
+	m.spare = nil
+	for i := range n {
+		lo := i * addressChunk
+		c.equal[i] = lo < len(m.body) && bytes.Equal(m.body[lo:chunkEnd(lo, len(m.body))], body[lo:chunkEnd(lo, len(body))])
+	}
+	if !bytes.Equal(m.body, body) {
+		m.body = bytes.Clone(body)
+		m.gen++
+	}
+	d := envelopeDecoder{b: body, maxSources: maxSources, budget: max(maxPayloadBytes, 0), mark: c.markAt}
+	payloads, sources, _, err := d.decode()
+	m.keep(m.gen, c.base, d.data, c.marks, err == nil)
+	return payloads, sources, err
+}
+
+// markAt is the old markAt: unquote's stop inside a payload's data at
+// token boundary i, at or past the next chunk boundary; dst and limit are
+// unquote's. It marks every chunk boundary up to i at i. Then, when the
+// memo's decode of the body the chunks were compared against marked i for
+// the chunk i is in, it appends that decode's bytes from there to the
+// furthest mark e such that the chunks from i's through e's are equal,
+// mark e lies in the same string and the bytes fit in limit, and returns
+// mark e's offset for the cursor. Chunk e must be equal too: the token
+// that ends at mark e was decoded looking a few bytes past it. Otherwise
+// it returns its arguments.
+func (o *copyingDecode) markAt(d *envelopeDecoder, i int, dst []byte, limit int64) (int, []byte, int64) {
+	for d.next <= i {
+		o.marks = append(o.marks, copyMark{at: i, out: len(dst), str: d.str})
+		d.next += addressChunk
+	}
+	if d.next >= len(d.b) {
+		d.next = math.MaxInt
+	}
+	c := len(o.marks) - 1
+	if c+1 >= len(o.equal) || !o.equal[c] || !o.equal[c+1] {
+		return i, dst, limit
+	}
+	m := o.memo
+	if m.dataGen != o.base || c >= len(m.marks) || m.marks[c].at != i {
+		return i, dst, limit
+	}
+	from, e := m.marks[c], c
+	for k := c + 1; k < len(m.marks) && k < len(o.equal) && o.equal[k] &&
+		m.marks[k].str == from.str && int64(m.marks[k].out-from.out) <= limit; k++ {
+		e = k
+	}
+	if e == c {
+		return i, dst, limit
+	}
+	shift := len(dst) - from.out
+	o.marks[c].same = shift == 0
+	for _, mk := range m.marks[c+1 : e] {
+		o.marks = append(o.marks, copyMark{at: mk.at, out: mk.out + shift, str: d.str, same: shift == 0})
+	}
+	to := m.marks[e]
+	dst = append(dst, m.data[from.out:to.out]...)
+	n := int64(to.out - from.out)
+	o.copied += n
+	d.next = e * addressChunk
+	return to.at, dst, limit - n
+}
+
+// keep is the old keep: it ends a decode of the body of generation own,
+// compared against generation base: when the memo still holds that body,
+// a successful decode's bytes and marks become the memo's, copied, and a
+// failed decode drops the memo's. The bytes the decode copied from the
+// memo's decode at their own offsets are not copied back when the memo
+// still holds that decode. The marks buffer the memo does not keep
+// becomes the spare.
+func (m *copyingMemo) keep(own, base uint64, data []byte, marks []copyMark, ok bool) {
+	if m.gen == own {
+		if ok && m.dataGen == base && len(m.data) == len(data) {
+			lo := 0
+			for k, mk := range marks {
+				if mk.same {
+					copy(m.data[lo:mk.out], data[lo:mk.out])
+					lo = marks[k+1].out
+				}
+			}
+			copy(m.data[lo:], data[lo:])
+		} else if ok {
+			if cap(m.data) > 2*len(data) {
+				m.data = nil
+			}
+			m.data = append(m.data[:0], data...)
+		}
+		if ok {
+			m.marks, marks = marks, m.marks
+			m.dataGen = own
+		} else {
+			m.data, m.marks, m.dataGen = nil, m.marks[:0], 0
+		}
+	}
+	if m.spare == nil {
+		m.spare = marks[:0]
+	}
 }

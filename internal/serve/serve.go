@@ -612,9 +612,11 @@ func (s *Server) DeleteSpec(tenantName, specName string) error {
 // chunk tree digest (address.go) is the request's one content address
 // (DESIGN.md §12); the chunks equal to the spec's last body's take their
 // digests from its memo, so a byte-identical repeat hashes no chunk and a
-// one-value change the chunk it is in, and the decode takes their decoded
-// bytes from the memo's copy of the last decode, so a one-value change
-// unquotes about two chunks of its payload:
+// one-value change the chunk it is in, and the decode takes the chunks
+// equal to that body's from the memo's view of its decode — pointing into
+// the bytes the lineage's full parse kept, the payload's anchor — handing
+// the payload over as a patch, so a one-value change unquotes a few
+// chunks of its payload and the run re-parses just those:
 //
 //  1. the result cache is looked up under it before the body is
 //     decoded, so a byte-identical repeat returns the cached response
@@ -638,9 +640,12 @@ func (s *Server) DeleteSpec(tenantName, specName string) error {
 //
 // The payloads are decoded into a pooled buffer, and the buffer goes back
 // to the pool when the request returns unless a run kept it: a full parse
-// does, a re-parse of every payload against the spec lineage's previous
-// parse does not, and a request that never ran — refused, or answered by
-// the leader it was coalesced onto — has nothing to keep.
+// of a plain payload does, a re-parse of every payload against the spec
+// lineage's previous parse does not, no run keeps a patch's windows, and
+// a request that never ran — refused, or answered by the leader it was
+// coalesced onto — has nothing to keep. The anchors the run reports
+// (runner.Result.Anchors) are what the memo's view of this decode points
+// into.
 func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, body []byte) (*ValidateResponse, error) {
 	if err := s.checkReady(); err != nil {
 		return nil, err
@@ -663,14 +668,10 @@ func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, 
 		return resp, nil
 	}
 	q := s.cfg.Quotas
-	payloads, sources, buf, copied, err := entry.addr.decode(&a, body, q.MaxSources, q.MaxPayloadBytes)
-	t.bytesReused.Add(copied)
-	kept := false
-	defer func() {
-		if !kept {
-			releasePayloads(buf)
-		}
-	}()
+	dec, err := entry.addr.decode(&a, body, q.MaxSources, q.MaxPayloadBytes)
+	t.bytesReused.Add(dec.reused)
+	kept, anchors := false, [][]byte(nil)
+	defer func() { entry.addr.finish(&dec, kept, anchors) }()
 	switch {
 	case errors.Is(err, ErrQuota), errors.Is(err, ErrTooLarge):
 		s.denied.Add(1)
@@ -678,6 +679,7 @@ func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, 
 	case err != nil:
 		return nil, fmt.Errorf("%w: decoding request body: %v", ErrBadRequest, err)
 	}
+	payloads, sources := dec.payloads, dec.sources
 
 	job := runner.Job{Prog: entry.prog, Payloads: payloads}
 	for _, src := range sources {
@@ -689,14 +691,14 @@ func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, 
 		// Not a pure function of the body's bytes: never coalesced,
 		// never cached.
 		var resp *ValidateResponse
-		resp, kept, err = s.validate(ctx, t, entry, job)
+		resp, kept, anchors, err = s.validate(ctx, t, entry, job)
 		return resp, err
 	}
 	for {
 		f, leader := t.results.join(key)
 		if leader {
 			var resp *ValidateResponse
-			resp, kept, err = s.validate(ctx, t, entry, job)
+			resp, kept, anchors, err = s.validate(ctx, t, entry, job)
 			t.results.complete(key, f, resp, err, cacheableResponse(resp, err))
 			return resp, err
 		}
@@ -722,18 +724,20 @@ func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, 
 // validate runs one job under admission control, routing it through the
 // spec's cross-request incremental lineage and accounting the outcome.
 // kept reports whether the run may have kept the job's payload bytes:
-// what its Result says, and true when it failed, loaded or not.
-func (s *Server) validate(ctx context.Context, t *tenant, entry *specEntry, job runner.Job) (resp *ValidateResponse, kept bool, err error) {
+// what its Result says, and true when it failed, loaded or not. anchors
+// is what the run reported of its payloads' anchors (Result.Anchors), nil
+// when it failed.
+func (s *Server) validate(ctx context.Context, t *tenant, entry *specEntry, job runner.Job) (resp *ValidateResponse, kept bool, anchors [][]byte, err error) {
 	release, err := s.acquire(ctx)
 	if err != nil {
-		return nil, false, err
+		return nil, false, nil, err
 	}
 	defer release()
 
 	job.Prev = entry.state.Load()
 	res, err := t.runner.Run(ctx, job)
 	if err != nil {
-		return nil, true, err
+		return nil, true, nil, err
 	}
 	if !res.Report.Interrupted {
 		entry.state.Store(res.State)
@@ -751,7 +755,7 @@ func (s *Server) validate(ctx context.Context, t *tenant, entry *specEntry, job 
 		Code:             res.Code(),
 	}
 	entry.lastResp.Store(resp)
-	return resp, res.PayloadsKept, nil
+	return resp, res.PayloadsKept, res.Anchors, nil
 }
 
 // cacheableResponse gates what the result cache may retain: only
@@ -1053,9 +1057,11 @@ type LintCounters struct {
 // StatsInfo's top level and in each TenantStats: the body chunks hashed,
 // the chunks whose digest a spec's address memo supplied (every request
 // addresses each chunk of its body once, one or the other), the decoded
-// payload bytes a request copied from the memo's decode instead of
-// unquoting them, and the bytes the registered specs' memos keep
-// resident, decoded copies included — a gauge that falls when a spec is
+// payload bytes a request took from its spec's anchors — the bytes a
+// lineage's full parse kept — without unquoting or copying them, and the
+// bytes the registered specs' memos keep resident: body copies, digests
+// and the views of their last decodes, marks and windows' bytes, not the
+// anchors, which are the lineages' — a gauge that falls when a spec is
 // deleted or re-registered.
 type AddressStats struct {
 	ChunksHashed int64 `json:"address_chunks_hashed"`

@@ -37,8 +37,8 @@ type tenant struct {
 	lintInfos    atomic.Int64
 
 	// Content addressing: body chunks hashed, chunks whose digest a
-	// spec's address memo supplied, and decoded bytes copied from a memo
-	// (AddressStats).
+	// spec's address memo supplied, and decoded bytes taken from the
+	// anchors a memo's view points into (AddressStats).
 	chunksHashed atomic.Int64
 	chunksReused atomic.Int64
 	bytesReused  atomic.Int64
@@ -70,9 +70,10 @@ type specEntry struct {
 	// it lock-free from the report endpoint.
 	lastResp atomic.Pointer[ValidateResponse]
 	// addr is the registration's content-address memo: a copy of the
-	// last body validated under it, its chunk digests and a decode, which
-	// the next body's equal chunks reuse (address.go). It dies with the
-	// entry.
+	// last body validated under it, its chunk digests, and the view of
+	// that body's decode — the anchors its lineage keeps, with windows —
+	// which the next body's equal chunks reuse (address.go). It dies with
+	// the entry.
 	addr addressMemo
 }
 

@@ -211,6 +211,17 @@ type RunState struct {
 	data, loads ingest.Parses
 }
 
+// Anchor returns the bytes the state's last good parse of src, one of the
+// sources its run loaded, borrows from: those of the source's latest full
+// parse, which a later run's re-parse of it is measured against. It is nil
+// when the state keeps none (ingest.Parses.Anchor).
+func (rs *RunState) Anchor(src Source) []byte {
+	if rs == nil {
+		return nil
+	}
+	return rs.data.Anchor(src)
+}
+
 // Report returns the state's retained validation report.
 func (rs *RunState) Report() *Report {
 	if rs == nil {
