@@ -94,8 +94,10 @@ incremental-bench:
 # Short coverage-guided run of each fuzzer on top of the checked-in
 # seeds: the format drivers (FuzzXML differentially, against the
 # encoding/xml oracle; FuzzKV differentially, against the strings.Split
-# oracle, and three times as long, because this run is all that holds
-# the index-walking scanner to it), the service's request-envelope
+# oracle, its projected parse against the filtered full parse and the
+# partition built from the scan's class numbers against
+# config.NewPartition, and three times as long, because this run is all
+# that holds the index-walking scanner to it), the service's request-envelope
 # decoder (against encoding/json into the public wire type; three times
 # as long for the same reason) and the snapshot diff's lazy Delta (against
 # the eager key-listing one in internal/config/oracle_test.go, on two KV
@@ -235,8 +237,10 @@ profile-infer:
 # request; and structural: every request parsed in full), each
 # at -cpu 1 and 2 and five counts. It prints the median ns/op and B/op of
 # every benchmark at each core count (a name without a -N suffix ran at
-# one), and the median retained-MB of those that report it; the raw
-# output is kept in
+# one), the median gc-cpu-% and live-MB every twin reports (the
+# collector's share of the CPU time and the heap its last cycle marked
+# live, from runtime/metrics), and the median retained-MB of those that
+# report it; the raw output is kept in
 # .bench_build/twins.txt for benchstat or a second look. A full pass takes
 # a few minutes. Compare two commits by running it on each, alternated.
 twins:
@@ -248,8 +252,9 @@ twins:
 	awk '$(twins_medians)' .bench_build/twins.txt
 
 # twins_medians is the awk program behind make twins: per benchmark name,
-# in the order first seen, the median of its ns/op, of its B/op and of its
-# retained-MB ("-" when it reports none).
+# in the order first seen, the median of its ns/op, of its B/op, of its
+# gc-cpu-%, of its live-MB and of its retained-MB ("-" for a metric it
+# does not report).
 twins_medians = \
 	function median(a, name, c,   i, j, x, v) { \
 		for (i = 1; i <= c; i++) v[i] = a[name, i] + 0; \
@@ -262,14 +267,17 @@ twins_medians = \
 		for (i = 3; i < NF; i++) { \
 			if ($$(i + 1) == "ns/op") ns[$$1, k] = $$i; \
 			if ($$(i + 1) == "B/op") by[$$1, k] = $$i; \
-			if ($$(i + 1) == "retained-MB") { rm[$$1, k] = $$i; hasrm[$$1] = 1 } \
+			if ($$(i + 1) == "gc-cpu-%") { gc[$$1, k] = $$i; has[$$1, "gc"] = 1 } \
+			if ($$(i + 1) == "live-MB") { lv[$$1, k] = $$i; has[$$1, "lv"] = 1 } \
+			if ($$(i + 1) == "retained-MB") { rm[$$1, k] = $$i; has[$$1, "rm"] = 1 } \
 		} \
 	} \
+	function col(a, b, m) { return ((b, m) in has) ? sprintf("%12.1f", median(a, b, n[b])) : sprintf("%12s", "-") } \
 	END { \
-		printf "%-48s %14s %14s %12s %5s\n", "benchmark", "median ns/op", "median B/op", "retained-MB", "runs"; \
+		printf "%-48s %14s %14s %12s %12s %12s %5s\n", "benchmark", "median ns/op", "median B/op", "gc-cpu-%", "live-MB", "retained-MB", "runs"; \
 		for (j = 1; j <= names; j++) { \
-			b = order[j]; r = (b in hasrm) ? sprintf("%12.1f", median(rm, b, n[b])) : sprintf("%12s", "-"); \
-			printf "%-48s %14.0f %14.0f %s %5d\n", b, median(ns, b, n[b]), median(by, b, n[b]), r, n[b] \
+			b = order[j]; \
+			printf "%-48s %14.0f %14.0f %s %s %s %5d\n", b, median(ns, b, n[b]), median(by, b, n[b]), col(gc, b, "gc"), col(lv, b, "lv"), col(rm, b, "rm"), n[b] \
 		} \
 	}
 
@@ -284,11 +292,12 @@ repo-bench:
 		bash bench/run.sh --workload $$w --seed 1 --seconds $$secs --trace 0 || exit 1; \
 	done
 
-# Two-second pass over a cached and an evaluation-bound workload: the
-# benchmark still builds, its set-up gates hold, and every operation's
-# response matches the reference. Mirrors the CI "Repo bench smoke" step.
+# Two-second pass over every workload — ingest-, evaluation- and
+# cache-bound service requests and the command line: the benchmark still
+# builds, its set-up gates hold, and every operation's response matches
+# the reference. Mirrors the CI "Repo bench smoke" step.
 repo-bench-smoke:
-	for w in repeat_hit expert_eval; do \
+	for w in novel_xml expert_eval repeat_hit cli_kv_b; do \
 		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0) || exit 1; \
 		echo "$$out" | tail -n 1 | grep -q '"failed": *0[,}]' || { echo "$$out"; echo "repo-bench-smoke: $$w reported failed operations"; exit 1; }; \
 	done

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/metrics"
 	"slices"
 	"strconv"
 	"testing"
@@ -432,14 +433,17 @@ func expertRun(tb testing.TB, clusters int) func() {
 // BenchmarkExpertEval is the engine's share of the repository benchmark's
 // expert_eval workload, for profiling (make profile-expert): the
 // hand-written Type A suite over 200 expert clusters — what the service
-// pays for a request whose keys it has not seen.
+// pays for a request whose keys it has not seen. It reports the
+// collector's share (collector.report).
 func BenchmarkExpertEval(b *testing.B) {
 	run := expertRun(b, 200)
 	b.ReportAllocs()
 	b.ResetTimer()
+	gc := startCollector()
 	for i := 0; i < b.N; i++ {
 		run()
 	}
+	gc.report(b)
 }
 
 // The expert suite's engine run types and groups values without
@@ -552,9 +556,9 @@ func coldServer(tb testing.TB, spec string, body []byte) (*serve.Server, int) {
 // store is that parse's partition with one class copied, the diff walks
 // pointers and the payload buffer goes back to the pool. In structural, each request adds one setting to the previous
 // one's document, so the walk declines and every request is parsed in
-// full, keeps its buffer and builds its store: the cold_xml path. Both
-// report retained-MB: what the server keeps on the heap after the last
-// request (retainedMB).
+// full, keeps its buffer and builds its store: the cold_xml path. All
+// three report retained-MB, what the server keeps on the heap after the
+// last request (retainedMB), and the collector's share (collector.report).
 func BenchmarkColdRequest(b *testing.B) {
 	spec, template, nonceOff := coldRequest(b, 1.0)
 	ctx := context.Background()
@@ -565,11 +569,13 @@ func BenchmarkColdRequest(b *testing.B) {
 		// One re-parsed request before the clock starts: the full parse
 		// kept its buffer, so this one leaves the pool the buffer every
 		// later request decodes into.
+		var gc collector
 		for i := 0; i <= b.N; i++ {
 			if i == 1 {
 				b.SetBytes(int64(len(body)))
 				b.ReportAllocs()
 				b.ResetTimer()
+				gc = startCollector()
 			}
 			stampNonce(body, nonceOff, i+1)
 			resp, err := srv.ValidateBody(ctx, "bench", "inferred", body)
@@ -583,6 +589,7 @@ func BenchmarkColdRequest(b *testing.B) {
 		if st := srv.Stats(); st.SourcesParsed != 1 || st.SourcesReparsed != int64(b.N)+1 {
 			b.Fatalf("%d requests after the first: %d payloads parsed, %d re-parsed; want 1, %d", b.N+1, st.SourcesParsed, st.SourcesReparsed, b.N+1)
 		}
+		gc.report(b)
 		retainedMB(b, before, srv)
 	})
 	b.Run("moving-value", func(b *testing.B) {
@@ -591,10 +598,12 @@ func BenchmarkColdRequest(b *testing.B) {
 		// change moves, and the body drifts from the one parsed in full.
 		body := bytes.Clone(template)
 		digits := movingDigits(body, 64<<10)
+		before := heapInuse()
 		srv, _ := coldServer(b, spec, body)
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		b.ResetTimer()
+		gc := startCollector()
 		for i := 0; i < b.N; i++ {
 			stampNonce(body, nonceOff, i+1)
 			at := digits[i%len(digits)]
@@ -603,6 +612,8 @@ func BenchmarkColdRequest(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		gc.report(b)
+		retainedMB(b, before, srv)
 	})
 	b.Run("structural", func(b *testing.B) {
 		// Settings go in behind the nonce's, one more per request.
@@ -613,6 +624,7 @@ func BenchmarkColdRequest(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		b.ResetTimer()
+		gc := startCollector()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			body = slices.Insert(body, at, []byte(fmt.Sprintf(`\u003cSetting Key=\"Extra%d\" Value=\"1\"/\u003e`, i))...)
@@ -624,6 +636,7 @@ func BenchmarkColdRequest(b *testing.B) {
 		if st := srv.Stats(); st.SourcesParsed != int64(b.N)+1 || st.SourcesReparsed != 0 {
 			b.Fatalf("%d requests after the first: %d payloads parsed, %d re-parsed; want %d, 0", b.N, st.SourcesParsed, st.SourcesReparsed, b.N+1)
 		}
+		gc.report(b)
 		retainedMB(b, before, srv)
 	})
 }
@@ -670,6 +683,45 @@ func retainedMB(b *testing.B, before uint64, srv *serve.Server) {
 	after := heapInuse()
 	runtime.KeepAlive(srv)
 	b.ReportMetric(float64(int64(after)-int64(before))/(1<<20), "retained-MB")
+}
+
+// collector holds what runtime/metrics said of the collector when a
+// benchmark's clock started, so that reportCollector can state its share
+// of the benchmark.
+type collector struct{ gcCPU, allCPU float64 }
+
+// collectorSamples are the metrics collector reads: the collector's
+// estimated CPU time, all the CPU time GOMAXPROCS made available, and the
+// heap the last cycle marked live.
+func collectorSamples() []metrics.Sample {
+	return []metrics.Sample{
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/cpu/classes/total:cpu-seconds"},
+		{Name: "/gc/heap/live:bytes"},
+	}
+}
+
+// startCollector reads the collector's counters; call it as the clock
+// starts.
+func startCollector() collector {
+	s := collectorSamples()
+	metrics.Read(s)
+	return collector{gcCPU: s[0].Value.Float64(), allCPU: s[1].Value.Float64()}
+}
+
+// report reports gc-cpu-%, the collector's share of the CPU time
+// available since start — the runtime adds to both counters as each
+// cycle ends, so this is over the cycles that ended meanwhile, 0 when
+// none did — and live-MB, the heap the last of them marked live.
+func (c collector) report(b *testing.B) {
+	s := collectorSamples()
+	metrics.Read(s)
+	share := 0.0
+	if all := s[1].Value.Float64() - c.allCPU; all > 0 {
+		share = 100 * (s[0].Value.Float64() - c.gcCPU) / all
+	}
+	b.ReportMetric(share, "gc-cpu-%")
+	b.ReportMetric(float64(s[2].Value.Uint64())/(1<<20), "live-MB")
 }
 
 // oneValueRequestAllocs is what a one-value request allocates, counted in
@@ -749,7 +801,8 @@ func TestOneValueRequestAllocs(t *testing.T) {
 // and parse a Type B corpus written as a KV file, run every spec, render
 // the text report — with a fresh runner per iteration, as a process that
 // exits would leave things: the program and the plan it owns die with
-// the iteration, so nothing needs releasing.
+// the iteration, so nothing needs releasing. It reports the collector's
+// share (collector.report).
 func BenchmarkCLIRun(b *testing.B) {
 	dir := b.TempDir()
 	specPath, dataPath := filepath.Join(dir, "typeb.cpl"), filepath.Join(dir, "typeb.kv")
@@ -765,6 +818,7 @@ func BenchmarkCLIRun(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
+	gc := startCollector()
 	for i := 0; i < b.N; i++ {
 		out.Reset()
 		res, err := runner.New(runner.Options{}).Run(ctx, runner.Job{
@@ -781,18 +835,22 @@ func BenchmarkCLIRun(b *testing.B) {
 			b.Fatalf("cli run: degraded %t, %d instances checked, spec errors %q", res.Data.Degraded(), rep.InstancesChecked, rep.SpecErrors)
 		}
 	}
+	gc.report(b)
 }
 
-// BenchmarkKVParse is the KV scan of the repository benchmark's cli_kv_b
-// operation: the Type B document at scale 0.05 (115,344 lines over 712
-// key prefixes) parsed by the owned entry, projected through the Type B
-// suite's projection as the runner loads it and in full, in three line
-// orders. param-major is the document as generated, so each prefix
-// recurs 162 times and never on adjacent lines; scope-major is its lines
-// sorted, so a prefix's lines are adjacent; one-off-prefix gives every
-// line a prefix of its own (the cluster instance name made unique), the
-// worst case for prefix interning. Nothing writes to the documents, so
-// one buffer serves every iteration.
+// BenchmarkKVParse is the KV scan and store build of the repository
+// benchmark's cli_kv_b operation: the Type B document at scale 0.05
+// (115,344 lines over 712 key prefixes) parsed into a partition by the
+// entry the loader calls (driver.ParsePartition), projected through the
+// Type B suite's projection as the runner loads it and in full, in three
+// line orders. param-major is the document as generated, so each prefix
+// recurs 162 times and never on adjacent lines, while the leaf repeats
+// from line to line; scope-major is its lines sorted, so a prefix's lines
+// are adjacent and the leaf changes on every line; one-off-prefix gives
+// every line a prefix of its own (the cluster instance name made unique),
+// the worst case for prefix interning. The last two miss the scan's
+// last-leaf reuse. Nothing writes to the documents, so one buffer serves
+// every iteration. Each reports the collector's share (collector.report).
 func BenchmarkKVParse(b *testing.B) {
 	doc := azuregen.RenderKV(azuregen.GenerateB(0.05, 2015).Store)
 	var lines [][]byte // each with its newline
@@ -833,12 +891,14 @@ func BenchmarkKVParse(b *testing.B) {
 			b.Run(order.name+"/"+load.name, func(b *testing.B) {
 				b.SetBytes(int64(len(order.doc)))
 				b.ReportAllocs()
+				gc := startCollector()
 				for i := 0; i < b.N; i++ {
-					ins, parsed, err := driver.ParseScopedOwned(context.Background(), "kv", order.doc, "typeb.kv", "", load.proj)
-					if err != nil || parsed != len(lines) || len(ins) == 0 {
-						b.Fatalf("parsed %d of %d lines into %d instances: %v", parsed, len(lines), len(ins), err)
+					part, parsed, err := driver.ParsePartition(context.Background(), "kv", order.doc, "typeb.kv", "", load.proj)
+					if err != nil || parsed != len(lines) || part.Len() == 0 {
+						b.Fatalf("parsed %d of %d lines into %v: %v", parsed, len(lines), part, err)
 					}
 				}
+				gc.report(b)
 			})
 		}
 	}

@@ -216,9 +216,6 @@ func (k Key) String() string { return k.PrefixString(len(k.Segs)) }
 // joined with dots.
 func (k Key) ClassPath() string { return joinNames(k, '.') }
 
-// AppendClassPath appends ClassPath() to b.
-func (k Key) AppendClassPath(b []byte) []byte { return appendNames(b, k, '.') }
-
 // joinNames joins the key's segment names with sep in one allocation.
 func joinNames(k Key, sep byte) string {
 	var scratch [renderScratch]byte

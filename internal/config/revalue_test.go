@@ -11,12 +11,20 @@ import (
 // revalueOracle is Partition.Revalue as it stood when a delta re-parse
 // returned the whole re-valued batch rather than its changes: one pass
 // comparing the batch's pointers with p's. Kept verbatim, as a function
-// of p reading its new fields, as the oracle Revalue is held to.
+// of p reading its new fields, as the oracle Revalue is held to; a
+// partition no longer keeps each instance's class number, so the oracle
+// finds it in p's class lists.
 func revalueOracle(p *Partition, ins []*Instance) *Partition {
 	if len(ins) != len(p.Instances()) {
 		panic("config: Revalue of a batch of another length")
 	}
-	out := &Partition{n: len(ins), list: loadOrder{ins: ins}, idx: p.idx, parts: p.parts, of: p.of}
+	classOf := make(map[*Instance]int32)
+	for g, part := range p.parts {
+		for _, in := range part {
+			classOf[in] = int32(g)
+		}
+	}
+	out := &Partition{n: len(ins), list: loadOrder{ins: ins}, idx: p.idx, parts: p.parts}
 	out.order = &out.list
 	var from map[int32]int // a copied class -> where its next change is sought
 	for i, in := range ins {
@@ -24,7 +32,7 @@ func revalueOracle(p *Partition, ins []*Instance) *Partition {
 		if in == was {
 			continue
 		}
-		g := p.of[i]
+		g := classOf[was]
 		if from == nil {
 			from = make(map[int32]int)
 			out.parts = slices.Clone(p.parts)

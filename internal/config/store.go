@@ -415,19 +415,18 @@ func (n *trieNode) match(segs []PatSeg, depth int, out *[]string) {
 
 // Partition is a batch of instances grouped by class, in the form a
 // store is built from: the batch, its class index (class IDs in
-// first-appearance order, segment names, leaf index, trie), each class's
-// instances in batch order, and each instance's class number. A store
-// that adopts it (AddPartition) shares all of it, and a lineage keeps a
-// full parse's partition so that a delta re-parse of the same document
-// (Revalue) reuses everything but the classes it re-valued. A partition
-// is immutable.
+// first-appearance order, segment names, leaf index, trie) and each
+// class's instances in batch order. A store that adopts it
+// (AddPartition) shares all of it, and a lineage keeps a full parse's
+// partition so that a delta re-parse of the same document (Revalue)
+// reuses everything but the classes it re-valued. A partition is
+// immutable.
 type Partition struct {
 	n     int        // instances in the batch
 	order *loadOrder // the batch, load order: list
 	list  loadOrder
 	idx   *classIndex
 	parts [][]*Instance // parts[g]: the instances of class g, clipped
-	of    []int32       // of[i]: the class number of the batch's instance i
 }
 
 // A Change re-values one instance of a batch: In, which has the key of
@@ -471,37 +470,74 @@ func (p *Partition) Len() int { return p.n }
 // callers must not modify it.
 func (p *Partition) Instances() []*Instance { return p.order.get() }
 
-// NewPartition partitions ins by class in one pass: each ID is rendered
-// into a reused scratch and a string is built per distinct class, not per
-// instance. The partition keeps ins, so nothing may write to it
-// afterwards; its instances must be distinct pointers, as a parse's are.
+// NewPartition partitions ins by class: it classifies each instance by
+// its class ID, rendered into a reused scratch and looked up without a
+// copy, so a string is built per distinct class, not per instance, and
+// then sorts them as NewPartitionOf does. The partition keeps ins, so
+// nothing may write to it afterwards; its instances must be distinct
+// pointers, as a parse's are.
 func NewPartition(ins []*Instance) *Partition {
-	p := &Partition{n: len(ins), list: loadOrder{ins: slices.Clip(ins)}, idx: &classIndex{num: make(map[string]int32), leaf: make(map[string][]string)}}
-	p.order = &p.list
-	p.of = make([]int32, len(ins))
-	var sizes []int
+	idx := newClassIndex()
+	of := make([]int32, len(ins))
 	var scratch [renderScratch]byte
 	for i, in := range ins {
 		id := appendNames(scratch[:0], in.Key, classSep)
-		g, ok := p.idx.num[string(id)]
+		g, ok := idx.num[string(id)]
 		if !ok {
-			g = p.idx.add(string(id), segNames(in.Key))
-			sizes = append(sizes, 0)
+			g = idx.add(string(id), segNames(in.Key))
 		}
-		p.of[i] = g
-		sizes[g]++
+		of[i] = g
 	}
-	// One backing array carved into per-class slices, each clipped so an
-	// append to one class cannot run into the next.
+	return sortPartition(ins, [][]int32{of}, idx)
+}
+
+// NewPartitionOf partitions ins by classes the caller has already
+// decided, as a scan that numbers them does (driver.ParsePartition):
+// the chunks of of, end to end, hold the class of each instance of ins
+// — a scan numbers them slab by slab — and classes[g] is the segment
+// names of class g, numbered in the order of the first instance of
+// each. It builds what NewPartition builds from ins, with one class ID
+// rendered per class, and keeps ins and the names.
+func NewPartitionOf(ins []*Instance, of [][]int32, classes [][]string) *Partition {
+	idx := newClassIndex()
+	for _, names := range classes {
+		idx.add(strings.Join(names, string(classSep)), names)
+	}
+	return sortPartition(ins, of, idx)
+}
+
+func newClassIndex() *classIndex {
+	return &classIndex{num: make(map[string]int32), leaf: make(map[string][]string)}
+}
+
+// sortPartition groups ins by their class numbers, the chunks of of end
+// to end, with one counting sort: one backing array carved into
+// per-class slices, each clipped so an append to one class cannot run
+// into the next, filled in batch order.
+func sortPartition(ins []*Instance, of [][]int32, idx *classIndex) *Partition {
+	p := &Partition{n: len(ins), list: loadOrder{ins: slices.Clip(ins)}, idx: idx}
+	p.order = &p.list
+	at := make([]int, len(idx.ids)) // at[g]: class g's size, then its next slot
+	for _, chunk := range of {
+		for _, g := range chunk {
+			at[g]++
+		}
+	}
 	backing := make([]*Instance, len(ins))
-	p.parts = make([][]*Instance, len(sizes))
+	p.parts = make([][]*Instance, len(at))
 	off := 0
-	for g, size := range sizes {
-		p.parts[g] = backing[off : off : off+size]
+	for g, size := range at {
+		p.parts[g] = backing[off : off+size : off+size]
+		at[g] = off
 		off += size
 	}
-	for i, in := range ins {
-		p.parts[p.of[i]] = append(p.parts[p.of[i]], in)
+	i := 0
+	for _, chunk := range of {
+		for _, g := range chunk {
+			backing[at[g]] = ins[i]
+			at[g]++
+			i++
+		}
 	}
 	return p
 }
@@ -518,7 +554,7 @@ func (p *Partition) Revalue(changes []Change) *Partition {
 		return p
 	}
 	ins := p.order.get()
-	out := &Partition{n: p.n, list: loadOrder{from: p.order, changes: changes}, idx: p.idx, parts: slices.Clone(p.parts), of: p.of}
+	out := &Partition{n: p.n, list: loadOrder{from: p.order, changes: changes}, idx: p.idx, parts: slices.Clone(p.parts)}
 	out.order = &out.list
 	// Each copied class, and where in it its next change is sought; past
 	// a few classes, a map finds them.
@@ -529,12 +565,13 @@ func (p *Partition) Revalue(changes []Change) *Partition {
 	var stack [8]copied
 	classes := stack[:0]
 	var index map[int32]int
+	var scratch [renderScratch]byte // a changed instance's class ID, to look it up
 	for k, c := range changes {
 		if c.I < 0 || c.I >= p.n || (k > 0 && c.I <= changes[k-1].I) {
 			panic("config: Revalue of changes out of order or out of the batch")
 		}
 		was := ins[c.I]
-		g := p.of[c.I]
+		g := p.idx.num[string(appendNames(scratch[:0], was.Key, classSep))]
 		at, ok := index[g]
 		if index == nil {
 			at = slices.IndexFunc(classes, func(cc copied) bool { return cc.g == g })

@@ -114,47 +114,71 @@ func LoadInto(st *config.Store, format string, data []byte, sourceName, scope st
 // scope prefix, returning the instances without adding them to any store.
 // data stays the caller's, as for Parse.
 func ParseScoped(ctx context.Context, format string, data []byte, sourceName, scope string) ([]*config.Instance, error) {
-	ins, _, err := parseScoped(ctx, format, data, sourceName, scope, false, nil)
+	ins, _, _, err := parseScoped(ctx, format, data, sourceName, scope, false, nil)
 	return ins, err
 }
 
-// ParseScopedOwned is ParseScoped of bytes the caller hands over, as for
-// ParseOwned: the instances may point into data, which nothing writes to
-// again. Graceful-degradation loaders use it on the bytes they have just
-// read or fetched, so a parse failure can be quarantined per source
-// instead of aborting a whole load batch and the document is not copied
-// on its way in.
+// ParseScopedOwned is ParsePartition's instances, in document order.
+func ParseScopedOwned(ctx context.Context, format string, data []byte, sourceName, scope string, proj *Projection) (ins []*config.Instance, parsed int, err error) {
+	part, parsed, err := ParsePartition(ctx, format, data, sourceName, scope, proj)
+	if err != nil {
+		return nil, 0, err
+	}
+	return part.Instances(), parsed, nil
+}
+
+// ParsePartition is ParseScoped of bytes the caller hands over, as for
+// ParseOwned, with the instances grouped by class as a store is built
+// from them (config.Partition): the instances may point into data,
+// which nothing writes to again. Graceful-degradation loaders use it on
+// the bytes they have just read or fetched, so a parse failure can be
+// quarantined per source instead of aborting a whole load batch and the
+// document is not copied on its way in.
 //
 // Given a projection, a driver that projects (Projects) returns only the
 // instances whose scoped key proj keeps; every other driver, and a nil
 // proj, parses in full. parsed counts the document's instances either
-// way, kept or not.
-func ParseScopedOwned(ctx context.Context, format string, data []byte, sourceName, scope string, proj *Projection) (ins []*config.Instance, parsed int, err error) {
-	return parseScoped(ctx, format, data, sourceName, scope, true, proj)
+// way, kept or not. The kv driver numbers the class of each line it
+// keeps as it scans (DESIGN.md §5, "Projected ingest"), so its partition
+// is a counting sort over those numbers; every other driver's instances
+// are classified by config.NewPartition.
+func ParsePartition(ctx context.Context, format string, data []byte, sourceName, scope string, proj *Projection) (part *config.Partition, parsed int, err error) {
+	ins, cl, parsed, err := parseScoped(ctx, format, data, sourceName, scope, true, proj)
+	if err != nil {
+		return nil, 0, err
+	}
+	if cl != nil {
+		return config.NewPartitionOf(ins, cl.of, cl.kept), parsed, nil
+	}
+	return config.NewPartition(ins), parsed, nil
 }
 
 // parseScoped parses data, which the instances may point into only if it
 // is owned; a driver with no owned entry copies what it keeps either way.
-// A bad scope is reported after the document's own errors, so it parses
-// in full.
-func parseScoped(ctx context.Context, format string, data []byte, sourceName, scope string, owned bool, proj *Projection) ([]*config.Instance, int, error) {
+// The kv driver scans owned data through proj's filter, a keep-all one
+// when proj is nil, and returns the classes it numbered; for every other
+// parse classes is nil. A bad scope is reported after the document's
+// own errors, so it parses in full.
+func parseScoped(ctx context.Context, format string, data []byte, sourceName, scope string, owned bool, proj *Projection) (ins []*config.Instance, classes *scanClasses, parsed int, err error) {
 	d, err := Lookup(format)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	var pre []config.Seg
 	var scopeErr error
 	if scope != "" {
 		pre, scopeErr = scopeSegs(scope)
 	}
-	var ins []*config.Instance
-	parsed := -1
+	parsed = -1
 	kv, projects := d.(kvDriver)
 	od, ownedDriver := d.(OwnedDriver)
 	sd, scopes := d.(scopedParser)
 	switch {
-	case projects && owned && proj != nil && scopeErr == nil:
-		ins, parsed, err = kv.parseProjected(data, sourceName, proj.filter(pre), pre)
+	case projects && owned:
+		f := proj.filter(pre)
+		var of [][]int32
+		ins, of, parsed, err = kv.parseProjected(data, sourceName, f, pre)
+		classes = &scanClasses{of: of, kept: f.kept}
 		pre = nil // the keys start with it
 	case scopes && owned:
 		ins, err = sd.parseOwnedScoped(data, sourceName, pre)
@@ -165,10 +189,10 @@ func parseScoped(ctx context.Context, format string, data []byte, sourceName, sc
 		ins, err = ParseWith(ctx, d, data, sourceName)
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("driver %s: parsing %s: %w", format, sourceName, err)
+		return nil, nil, 0, fmt.Errorf("driver %s: parsing %s: %w", format, sourceName, err)
 	}
 	if scopeErr != nil {
-		return nil, 0, scopeErr
+		return nil, nil, 0, scopeErr
 	}
 	if parsed < 0 {
 		parsed = len(ins)
@@ -181,7 +205,15 @@ func parseScoped(ctx context.Context, format string, data []byte, sourceName, sc
 			in.Key = config.Key{Segs: segs}
 		}
 	}
-	return ins, parsed, nil
+	return ins, classes, parsed, nil
+}
+
+// scanClasses is what a numbering scan decided: the class numbers of
+// its instances, slab by slab (config.NewPartitionOf), and kept[g] the
+// segment names of class g.
+type scanClasses struct {
+	of   [][]int32
+	kept [][]string
 }
 
 // scopedParser is implemented by the drivers that carve keys from slabs
@@ -264,6 +296,10 @@ type slabs struct {
 	// pre is the scope every key starts with (the CPL "load ... as
 	// Scope" form), nil for none.
 	pre []config.Seg
+	// A parse that numbers classes (addOf) keeps the class numbers of
+	// insts' instances in of and those of full's in fullOf, slab for slab.
+	of     []int32
+	fullOf [][]int32
 }
 
 // key returns a key of len(pre)+n segments that starts with the scope,
@@ -292,6 +328,18 @@ func (s *slabs) add(in config.Instance) {
 	s.count++
 }
 
+// addOf appends one instance of class g.
+func (s *slabs) addOf(in config.Instance, g int32) {
+	s.add(in)
+	if len(s.insts) == 1 { // a new slab
+		if s.of != nil {
+			s.fullOf = append(s.fullOf, s.of)
+		}
+		s.of = make([]int32, 0, cap(s.insts))
+	}
+	s.of = append(s.of, g)
+}
+
 // instances is the parse's result, in document order: one slice made at
 // its final size, where growing it by append would have left several
 // times that behind as garbage.
@@ -306,6 +354,15 @@ func (s *slabs) instances() []*config.Instance {
 		}
 	}
 	return out
+}
+
+// classes is the class numbers of instances(), slab by slab, when
+// every instance was added by addOf.
+func (s *slabs) classes() [][]int32 {
+	if s.count == 0 {
+		return nil
+	}
+	return append(s.fullOf, s.of)
 }
 
 // slabSize doubles the previous slab up to limit, so a small document

@@ -105,16 +105,17 @@ func (d kvDriver) ParseOwned(data []byte, sourceName string) ([]*config.Instance
 // parseOwnedScoped is ParseOwned with every key prefixed by pre
 // (scopedParser).
 func (d kvDriver) parseOwnedScoped(data []byte, sourceName string, pre []config.Seg) ([]*config.Instance, error) {
-	ins, _, err := d.parseProjected(data, sourceName, nil, pre)
+	ins, _, _, err := d.parseProjected(data, sourceName, (*Projection)(nil).filter(pre), pre)
 	return ins, err
 }
 
-// parseProjected is the scanner behind ParseOwned: with a filter it
-// still reads and checks every line, so a document fails with the same
-// error whatever the projection, but carves key room and an instance
-// only for the lines whose class f keeps. parsed counts every instance
-// line, kept or not. Every key starts with pre.
-func (kvDriver) parseProjected(data []byte, sourceName string, f *filter, pre []config.Seg) (ins []*config.Instance, parsed int, err error) {
+// parseProjected is the scanner behind ParseOwned: it reads and checks
+// every line, so a document fails with the same error whatever the
+// projection, but carves key room and an instance only for the lines
+// whose class f keeps, and of numbers each kept instance's class
+// (filter.keep), slab by slab. parsed counts every instance line, kept
+// or not. Every key starts with pre.
+func (kvDriver) parseProjected(data []byte, sourceName string, f *filter, pre []config.Seg) (ins []*config.Instance, of [][]int32, parsed int, err error) {
 	s := borrow(data)
 	out := slabs{pre: pre}
 	keys := kvKeys{f: f, prefixes: newPrefixes(len(s))}
@@ -130,25 +131,25 @@ func (kvDriver) parseProjected(data []byte, sourceName string, f *filter, pre []
 		}
 		eq := strings.IndexByte(line, '=')
 		if eq < 0 {
-			return nil, 0, fmt.Errorf("kv: %s:%d: expected key=value, got %q", sourceName, ln, line)
+			return nil, nil, 0, fmt.Errorf("kv: %s:%d: expected key=value, got %q", sourceName, ln, line)
 		}
 		keyStr := strings.TrimSpace(line[:eq])
-		segs, err := keys.parse(keyStr, &out)
+		segs, g, err := keys.parse(keyStr, &out)
 		if err != nil {
-			return nil, 0, fmt.Errorf("kv: %s:%d: %w", sourceName, ln, badScope(keyStr, err))
+			return nil, nil, 0, fmt.Errorf("kv: %s:%d: %w", sourceName, ln, badScope(keyStr, err))
 		}
 		parsed++
 		if segs == nil {
 			continue
 		}
-		out.add(config.Instance{
+		out.addOf(config.Instance{
 			Key:    config.Key{Segs: segs},
 			Value:  strings.TrimSpace(line[eq+1:]),
 			Source: sourceName,
 			Line:   ln,
-		})
+		}, g)
 	}
-	return out.instances(), parsed, nil
+	return out.instances(), out.classes(), parsed, nil
 }
 
 // kvKeys parses the keys of one document, each recurring prefix once
@@ -157,57 +158,71 @@ func (kvDriver) parseProjected(data []byte, sourceName string, f *filter, pre []
 // once one key under a prefix has parsed in full, a later key under the
 // same text parses only its leaf: its segments are the prefix's, copied
 // from the first key's, then the leaf's, and its class is the prefix's
-// class with the leaf's name, whose verdict the filter has kept. Any
-// step of that which fails parses the whole key again, so an error
-// quotes the whole key exactly as a full parse's does.
+// class with the leaf's name, whose number the filter has kept. The
+// leaf text that parsed last is kept with its segment, so in
+// parameter-major order, where the leaf repeats from line to line, it is
+// not parsed again. Any step of that which fails parses the whole key
+// again, so an error quotes the whole key exactly as a full parse's
+// does.
 type kvKeys struct {
-	f        *filter // nil keeps every key
+	f        *filter
 	prefixes prefixes
 	scratch  []config.Seg
-	leaf     [1]config.Seg
+	leafText string // the leaf text parsed last, "" before one has
+	leafSeg  config.Seg
 }
 
 // parse parses key and returns its segments, behind out's scope, in room
-// carved from out, or nil when the filter drops its class.
-func (k *kvKeys) parse(key string, out *slabs) ([]config.Seg, error) {
+// carved from out, or nil when the filter drops its class; g is the
+// number the filter gives the class.
+func (k *kvKeys) parse(key string, out *slabs) (segs []config.Seg, g int32, err error) {
 	dot := strings.LastIndexByte(key, '.')
 	var p *prefix
 	if dot > 0 {
 		p = k.prefixes.find(key[:dot])
 	}
 	if p != nil && p.learnt() {
-		if leaf, err := config.AppendKey(k.leaf[:0], key[dot+1:]); err == nil {
-			if k.f != nil && !k.f.keep(p.class, leaf[0].Name) {
-				return nil, nil
+		if leaf, ok := k.leaf(key[dot+1:]); ok {
+			if g = k.f.keep(p.class, leaf.Name); g == dropped {
+				return nil, g, nil
 			}
 			if p.segs != nil {
 				segs, room := out.key(len(p.segs) + 1)
-				room[copy(room, p.segs)] = leaf[0]
-				return segs, nil
+				room[copy(room, p.segs)] = leaf
+				return segs, g, nil
 			}
 		}
 	}
-	var err error
 	if k.scratch, err = config.AppendKey(k.scratch[:0], key); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	n := len(k.scratch)
-	var class *prefixClass
-	if k.f != nil {
-		class = k.f.class(k.scratch[:n-1])
-		if !k.f.keep(class, k.scratch[n-1].Name) {
-			if p != nil {
-				p.class = class
-			}
-			return nil, nil
+	class := k.f.class(k.scratch[:n-1])
+	if g = k.f.keep(class, k.scratch[n-1].Name); g == dropped {
+		if p != nil {
+			p.class = class
 		}
+		return nil, g, nil
 	}
 	segs, room := out.key(n)
 	copy(room, k.scratch)
 	if p != nil {
 		p.class, p.segs = class, room[:n-1:n-1]
 	}
-	return segs, nil
+	return segs, g, nil
+}
+
+// leaf parses the leaf text of a key, which holds no '.', into its one
+// segment, reusing the last one when the text is the last one's.
+func (k *kvKeys) leaf(text string) (config.Seg, bool) {
+	if text == "" || text != k.leafText {
+		var one [1]config.Seg
+		if _, err := config.AppendKey(one[:0], text); err != nil {
+			return config.Seg{}, false
+		}
+		k.leafText, k.leafSeg = text, one[0]
+	}
+	return k.leafSeg, true
 }
 
 // prefix is what the first full parse of a key under an interned prefix
@@ -220,17 +235,22 @@ type prefix struct {
 }
 
 // learnt reports whether a full parse under the prefix has filled the
-// entry in: a projected parse always learns the class, a full one the
-// segments.
-func (p *prefix) learnt() bool { return p.segs != nil || p.class != nil }
+// entry in: every one learns the class, and a kept key the segments.
+func (p *prefix) learnt() bool { return p.class != nil }
 
 // prefixes interns the key prefixes of one parse that recur. It is a
-// direct-mapped table of prefix-hash tags, sized to the document, and a
-// prefix is admitted on its second sighting in a row at its slot, so a
-// document whose every key has a prefix of its own pays a hash and a
-// tag compare per line and interns nothing. Each slot owns at most one
-// entry, reused by the next prefix admitted there, so the entries never
-// outnumber the slots.
+// table of prefix-hash tags in buckets of prefixWays slots, sized to the
+// document, and a prefix is admitted on its second sighting in its
+// bucket while its tag is still there, so a document whose every key has
+// a prefix of its own pays a hash and a tag compare or two per line and
+// interns nothing. A first sighting takes an empty slot, else the last
+// that holds no admitted prefix, else the bucket's last, so an admitted
+// prefix stays while other prefixes come and go beside it: with one slot
+// per bucket, two prefixes sharing it and used in turn, as a document
+// written parameter by parameter uses them, would each evict the other's
+// sighting and neither would ever be admitted. Each slot owns at most
+// one entry, reused by the next prefix admitted there, so the entries
+// never outnumber the slots.
 type prefixes struct {
 	slots  []prefixSlot
 	chunks [][]prefix
@@ -245,6 +265,9 @@ type prefixSlot struct {
 	tag uint32
 	ent int32
 }
+
+// prefixWays is the number of slots in a bucket of the table.
+const prefixWays = 2
 
 // prefixBytesPerSlot sizes the table: one slot per this many bytes of
 // document, rounded up to a power of two.
@@ -264,10 +287,29 @@ func newPrefixes(docLen int) prefixes {
 // (yet). An entry it admits comes back unlearnt.
 func (t *prefixes) find(text string) *prefix {
 	h := maphash.String(prefixSeed, text)
-	sl := &t.slots[h&uint64(len(t.slots)-1)]
+	at := int(h&uint64(len(t.slots)/prefixWays-1)) * prefixWays
+	bucket := t.slots[at : at+prefixWays]
 	tag := uint32(h>>32) | 1
+	var sl *prefixSlot
+	for i := range bucket {
+		if bucket[i].tag == tag {
+			sl = &bucket[i]
+			break
+		}
+	}
 	switch {
-	case sl.tag != tag: // a first sighting
+	case sl == nil: // a first sighting
+		victim := prefixWays - 1
+		for i := range bucket {
+			if bucket[i].tag == 0 {
+				victim = i
+				break
+			}
+			if bucket[i].ent <= 0 {
+				victim = i // the last slot holding no admitted prefix
+			}
+		}
+		sl = &bucket[victim]
 		sl.tag = tag
 		if sl.ent > 0 {
 			sl.ent = -sl.ent

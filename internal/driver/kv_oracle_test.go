@@ -95,6 +95,32 @@ func diffProjected(t *testing.T, data []byte, pats string) {
 			t.Fatalf("scope %q, projection %q on %q: parsed %d of %d:\n projected: %v\n filtered:  %v",
 				scope, pats, data, parsed, len(full), got, want)
 		}
+		diffPartition(t, data, scope, proj, got)
+		diffPartition(t, data, scope, nil, full)
+	}
+}
+
+// diffPartition holds the partition built from the classes a scan
+// numbered (ParsePartition) to config.NewPartition over the same
+// instances, which are want: the class IDs, their order, names and leaf
+// index, the per-class slices and each instance's class number, all
+// compared field for field by reflect.DeepEqual.
+func diffPartition(t *testing.T, data []byte, scope string, proj *Projection, want []*config.Instance) {
+	t.Helper()
+	part, _, err := ParsePartition(context.Background(), "kv", bytes.Clone(data), "fuzz-input", scope, proj)
+	if err != nil {
+		t.Fatalf("scope %q on %q: ParsePartition failed where the parse did not: %v", scope, data, err)
+	}
+	if got := part.Instances(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("scope %q on %q: partition of instances\n %v\nwant\n %v", scope, data, got, want)
+	}
+	if len(want) == 0 {
+		return // DeepEqual would tell an empty slice from a nil one
+	}
+	oracle := config.NewPartition(part.Instances())
+	oracle.Instances() // has run on both, so the load orders' sync.Once agree too
+	if !reflect.DeepEqual(part, oracle) {
+		t.Fatalf("scope %q on %q: the scan's partition differs from NewPartition's:\n scan:   %+v\n oracle: %+v", scope, data, part, oracle)
 	}
 }
 
@@ -137,10 +163,11 @@ func (f *filterOracle) keep(segs []config.Seg) bool {
 	return v
 }
 
-// The filter's verdict per (prefix class, leaf), with its one-question
-// memo in front, is the oracle's per key, over generated projections and
+// The filter's verdict per (prefix class, leaf), with the leaf asked
+// last and the one asked after it tried first, is the oracle's per key, over generated projections and
 // key sequences that revisit classes in runs and out of them, under a
-// scope and without.
+// scope and without, and the number it gives a kept class names that
+// class.
 func TestFilterMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(48, 1))
 	names := []string{"A", "Ab", "B", "Cb", "A.B"}
@@ -171,8 +198,20 @@ func TestFilterMatchesOracle(t *testing.T) {
 				key[len(key)-1].Name = names[rng.IntN(len(names))]
 			}
 			n := len(key)
-			if got, want := f.keep(f.class(key[:n-1]), key[n-1].Name), oracle.keep(key); got != want {
+			g := f.keep(f.class(key[:n-1]), key[n-1].Name)
+			if got, want := g != dropped, oracle.keep(key); got != want {
 				t.Fatalf("projection %v, scope %v, key %v: kept %t, oracle %t", pats, scope, config.Key{Segs: key}, got, want)
+			}
+			if g == dropped {
+				continue
+			}
+			// A kept class's number names its class: scope, then the key's names.
+			names := slices.Clone(oracle.scope)
+			for _, s := range key {
+				names = append(names, s.Name)
+			}
+			if !slices.Equal(f.kept[g], names) {
+				t.Fatalf("projection %v, scope %v, key %v: numbered %d, which names %v", pats, scope, config.Key{Segs: key}, g, f.kept[g])
 			}
 		}
 	}

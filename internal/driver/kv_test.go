@@ -49,19 +49,20 @@ func TestKVParseAllocations(t *testing.T) {
 	if perInstance := testing.AllocsPerRun(5, parse) / float64(len(ins)); perInstance > 0.05 {
 		t.Errorf("%.3f allocations per instance, want under 0.05", perInstance)
 	}
-	// Bytes: the slabs and the result slice come to 205 per instance here,
-	// which is all the owned entry allocates; the copying entry adds the
-	// document's 35.
-	if perInstance := float64(allocatedBytes(parse)) / float64(len(ins)); perInstance > 245 {
-		t.Errorf("Parse: %.1f bytes allocated per instance, want under 245", perInstance)
+	// Bytes: the slabs, the result slice and each instance's class number
+	// (4 bytes, which the partition is sorted by) come to 213 per instance
+	// here, which is all the owned entry allocates; the copying entry adds
+	// the document's 35.
+	if perInstance := float64(allocatedBytes(parse)) / float64(len(ins)); perInstance > 250 {
+		t.Errorf("Parse: %.1f bytes allocated per instance, want under 250", perInstance)
 	}
 	owned := bytes.Clone(doc)
 	if perInstance := float64(allocatedBytes(func() {
 		if _, err := (kvDriver{}).ParseOwned(owned, "alloc.kv"); err != nil {
 			t.Fatal(err)
 		}
-	})) / float64(len(ins)); perInstance > 210 {
-		t.Errorf("ParseOwned: %.1f bytes allocated per instance, want under 210", perInstance)
+	})) / float64(len(ins)); perInstance > 215 {
+		t.Errorf("ParseOwned: %.1f bytes allocated per instance, want under 215", perInstance)
 	}
 }
 

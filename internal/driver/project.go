@@ -66,8 +66,11 @@ func (p *Projection) Keeps(k config.Key) bool {
 }
 
 // keeps reports whether some pattern matches the class with these
-// segment names.
+// segment names; a nil projection keeps every class.
 func (p *Projection) keeps(names []string) bool {
+	if p == nil {
+		return true
+	}
 	for _, pat := range p.pats {
 		if pat.MatchClass(names) {
 			return true
@@ -78,26 +81,34 @@ func (p *Projection) keeps(names []string) bool {
 
 // filter is one parse's view of a projection: the source's scope
 // prefix, which every key is matched under, and the verdicts so far, one
-// per (class of a key's prefix, leaf name). It belongs to the parse, so
-// the projection it reads stays shared and unlocked.
+// per (class of a key's prefix, leaf name). A kept class is a number,
+// given in the order its first line was kept, so the parse hands the
+// store its classes decided (config.NewPartitionOf). It belongs to the
+// parse, so the projection it reads stays shared and unlocked.
 type filter struct {
-	p       *Projection
+	p       *Projection // nil keeps every class
 	scope   []string
 	classes map[string]*prefixClass // prefix names, each ended by NUL
 	buf     []byte
-	// The last question and its verdict: a document written parameter by
+	// kept[g] is the segment names of kept class g.
+	kept [][]string
+	// The last question and its answer: a document written parameter by
 	// parameter asks the same one of the next line, under another
 	// instance of the same class.
 	last     *prefixClass
 	lastLeaf string
-	lastKept bool
+	lastG    int32
 }
 
+// dropped is the class number of a class the projection drops.
+const dropped = -1
+
 // prefixClass is the class of a key's prefix under the scope — its
-// segment names — and the filter's verdicts so far by leaf name.
+// segment names — and the filter's answers so far by leaf name: the
+// class number, or dropped.
 type prefixClass struct {
 	names  []string
-	leaves map[string]bool
+	leaves map[string]int32
 }
 
 func (p *Projection) filter(scope []config.Seg) *filter {
@@ -125,7 +136,7 @@ func (f *filter) class(prefix []config.Seg) *prefixClass {
 		for _, s := range prefix {
 			names = append(names, s.Name)
 		}
-		c = &prefixClass{names: slices.Clip(names), leaves: make(map[string]bool)}
+		c = &prefixClass{names: slices.Clip(names), leaves: make(map[string]int32)}
 		f.classes[string(f.buf)] = c
 	}
 	return c
@@ -144,19 +155,25 @@ func namesAre(names []string, segs []config.Seg) bool {
 	return true
 }
 
-// keep reports whether the class of a key under prefix class c with
-// this leaf is kept, deciding each (class, leaf) once.
-func (f *filter) keep(c *prefixClass, leaf string) bool {
+// keep returns the number of the class of a key under prefix class c
+// with this leaf, or dropped, deciding each (class, leaf) once and
+// numbering a class when its first line is kept.
+func (f *filter) keep(c *prefixClass, leaf string) int32 {
 	if c == f.last && leaf == f.lastLeaf {
-		return f.lastKept
+		return f.lastG
 	}
-	v, ok := c.leaves[leaf]
+	g, ok := c.leaves[leaf]
 	if !ok {
-		v = f.p.keeps(append(c.names, leaf))
-		c.leaves[leaf] = v
+		names := append(c.names, leaf)
+		g = dropped
+		if f.p.keeps(names) {
+			g = int32(len(f.kept))
+			f.kept = append(f.kept, names)
+		}
+		c.leaves[leaf] = g
 	}
-	f.last, f.lastLeaf, f.lastKept = c, leaf, v
-	return v
+	f.last, f.lastLeaf, f.lastG = c, leaf, g
+	return g
 }
 
 // Projects reports whether the named format's driver applies

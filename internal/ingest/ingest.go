@@ -355,7 +355,7 @@ func fetchAndParse(ctx context.Context, src Source, format string, base *documen
 			p, doc, err = parse{}, nil, fmt.Errorf("driver %s: panic parsing %s: %v", format, src.Name, r)
 		}
 	}()
-	d, _ := driver.Lookup(format) // an unknown format is ParseScopedOwned's error
+	d, _ := driver.Lookup(format) // an unknown format is ParsePartition's error
 	r, reparses := d.(driver.Reparser)
 	var data []byte
 	switch {
@@ -382,14 +382,15 @@ func fetchAndParse(ctx context.Context, src Source, format string, base *documen
 			return base.revalue(changes), base, nil
 		}
 	}
-	ins, parsed, err := driver.ParseScopedOwned(ctx, format, data, src.Name, src.Scope, src.Projection)
+	part, parsed, err := driver.ParsePartition(ctx, format, data, src.Name, src.Scope, src.Projection)
 	if err != nil {
 		return parse{}, nil, err
 	}
-	p = parse{part: config.NewPartition(ins), parsed: parsed, projected: src.Projection != nil && driver.Projects(format)}
+	p = parse{part: part, parsed: parsed, projected: src.Projection != nil && driver.Projects(format)}
 	if !reparses {
 		return p, nil, nil
 	}
+	ins := part.Instances()
 	return p, &document{data: data, ins: ins, ordered: driver.InOrder(data, ins), parse: p}, nil
 }
 

@@ -140,13 +140,14 @@ func contiguousFetchAndParse(ctx context.Context, src Source, format string, bas
 			return base.revalue(changes), base, nil
 		}
 	}
-	ins, parsed, err := driver.ParseScopedOwned(ctx, format, data, src.Name, src.Scope, src.Projection)
+	part, parsed, err := driver.ParsePartition(ctx, format, data, src.Name, src.Scope, src.Projection)
 	if err != nil {
 		return parse{}, nil, err
 	}
-	p = parse{part: config.NewPartition(ins), parsed: parsed, projected: src.Projection != nil && driver.Projects(format)}
+	p = parse{part: part, parsed: parsed, projected: src.Projection != nil && driver.Projects(format)}
 	if !reparses {
 		return p, nil, nil
 	}
+	ins := part.Instances()
 	return p, &document{data: data, ins: ins, ordered: driver.InOrder(data, ins), parse: p}, nil
 }

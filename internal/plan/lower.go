@@ -849,48 +849,126 @@ func lowerPrim(t *ast.Prim) predFn {
 			return out, nil
 		}
 	case "unique":
-		return aggPred(func(elems, sub []value.V, part []int, out []outcome) {
+		return aggPred(func(sub []value.V, at span, out []outcome) {
 			for _, j := range predicate.UniqueViolations(sub) {
-				i := part[j]
-				out[i] = outcome{msg: fmt.Sprintf("value %q duplicates another instance's value", elems[i])}
+				out[at.pos(j)] = outcome{msg: fmt.Sprintf("value %q duplicates another instance's value", sub[j])}
 			}
 		})
 	case "consistent":
-		return aggPred(func(elems, sub []value.V, part []int, out []outcome) {
+		return aggPred(func(sub []value.V, at span, out []outcome) {
 			viols := predicate.ConsistentViolations(sub)
 			if len(viols) == 0 {
 				return
 			}
 			majority := MajorityValue(sub, viols)
 			for _, j := range viols {
-				i := part[j]
-				out[i] = outcome{msg: fmt.Sprintf("value %q is inconsistent with the majority value %q", elems[i], majority)}
+				out[at.pos(j)] = outcome{msg: fmt.Sprintf("value %q is inconsistent with the majority value %q", sub[j], majority)}
 			}
 		})
 	case "ordered":
-		return aggPred(func(elems, sub []value.V, part []int, out []outcome) {
+		return aggPred(func(sub []value.V, at span, out []outcome) {
 			for _, j := range predicate.OrderedViolations(sub) {
-				i := part[j]
-				out[i] = outcome{msg: fmt.Sprintf("value %q breaks the expected ordering (previous: %q)", elems[i], sub[j-1])}
+				out[at.pos(j)] = outcome{msg: fmt.Sprintf("value %q breaks the expected ordering (previous: %q)", sub[j], sub[j-1])}
 			}
 		})
 	}
 	return errPred(fmt.Errorf("unknown primitive predicate %q", t.Name))
 }
 
+// span places one class's elements in the element set an aggregate
+// predicate was given: element j of the class is element off+j of the
+// set for a class run, idx[j] for a class gathered by PartitionByClass.
+type span struct {
+	off int
+	idx []int
+}
+
+func (s span) pos(j int) int {
+	if s.idx != nil {
+		return s.idx[j]
+	}
+	return s.off + j
+}
+
 // aggPred runs an aggregate predicate (unique, consistent, ordered) per
-// configuration class.
-func aggPred(fill func(elems, sub []value.V, part []int, out []outcome)) predFn {
+// configuration class. A discovery result lists its classes end to end
+// (config.Snapshot.View), so each class is usually one run of the
+// element set, and fill reads the run in place; when some class recurs
+// after its run, or the runs are too many to check for that, the classes
+// are gathered by PartitionByClass and copied out.
+func aggPred(fill func(sub []value.V, at span, out []outcome)) predFn {
 	return func(c *Ctx, elems []value.V) ([]outcome, error) {
 		out := c.outcomes(len(elems))
 		for i := range out {
 			out[i] = outcome{pass: true}
 		}
+		var stack [maxRuns]int
+		if starts, ok := classRuns(elems, stack[:0]); ok {
+			for r, a := range starts {
+				b := len(elems)
+				if r+1 < len(starts) {
+					b = starts[r+1]
+				}
+				fill(elems[a:b], span{off: a}, out)
+			}
+			return out, nil
+		}
 		for _, part := range PartitionByClass(elems) {
-			fill(elems, Subset(elems, part), part, out)
+			fill(Subset(elems, part), span{idx: part}, out)
 		}
 		return out, nil
 	}
+}
+
+// maxRuns bounds the class runs classRuns checks for a recurring class,
+// each against every earlier one.
+const maxRuns = 32
+
+// classRuns appends to starts where each class run of elems starts — a
+// run being a maximal stretch of elements of one class — and reports
+// whether every class is one run and there are at most maxRuns of them.
+func classRuns(elems []value.V, starts []int) ([]int, bool) {
+	for i := range elems {
+		if i > 0 && sameClass(elems[i-1], elems[i]) {
+			continue
+		}
+		for _, a := range starts {
+			if sameClass(elems[a], elems[i]) {
+				return nil, false // the class recurs after its run
+			}
+		}
+		if len(starts) == maxRuns {
+			return nil, false
+		}
+		starts = append(starts, i)
+	}
+	return starts, true
+}
+
+// sameClass reports whether two elements belong to one class for an
+// aggregate: their keys carry the same segment names, segment by segment
+// — the store's class identity — and a value with no instance belongs
+// with the keys of no segments, as PartitionByClass groups them.
+func sameClass(a, b value.V) bool {
+	if a.Inst == b.Inst {
+		return true
+	}
+	var as, bs []config.Seg
+	if a.Inst != nil {
+		as = a.Inst.Key.Segs
+	}
+	if b.Inst != nil {
+		bs = b.Inst.Key.Segs
+	}
+	if len(as) != len(bs) {
+		return false
+	}
+	for i := range as {
+		if as[i].Name != bs[i].Name {
+			return false
+		}
+	}
+	return true
 }
 
 func lowerMatch(t *ast.Match) predFn {

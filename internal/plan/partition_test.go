@@ -29,25 +29,36 @@ func partitionElems(n int, classes ...string) []value.V {
 	return elems
 }
 
-// PartitionByClass groups by Key.ClassPath, in order of first appearance,
-// each group's indexes ascending.
+// PartitionByClass groups by class — the key's segment names, segment
+// by segment, as the store tells classes apart — in order of first
+// appearance, each group's indexes ascending. "a.b" then "c" and "a"
+// then "b.c" join to one dotted path but are two classes.
 func TestPartitionByClassGroups(t *testing.T) {
 	elems := partitionElems(57, "Timeout", "Port", "Timeout.Extra")
+	for i, names := range [][]string{{"a.b", "c"}, {"a", "b.c"}, {"a.b", "c"}} {
+		segs := make([]config.Seg, len(names))
+		for j, name := range names {
+			segs[j] = config.Seg{Name: name}
+		}
+		elems = append(elems, value.FromInstance(&config.Instance{Key: config.Key{Segs: segs}, Value: string(rune('1' + i))}))
+	}
 	byClass := map[string][]int{}
 	var order []string
 	for i, v := range elems {
-		cp := ""
+		id := ""
 		if v.Inst != nil {
-			cp = v.Inst.Key.ClassPath()
+			for _, s := range v.Inst.Key.Segs {
+				id += s.Name + "\x00"
+			}
 		}
-		if _, ok := byClass[cp]; !ok {
-			order = append(order, cp)
+		if _, ok := byClass[id]; !ok {
+			order = append(order, id)
 		}
-		byClass[cp] = append(byClass[cp], i)
+		byClass[id] = append(byClass[id], i)
 	}
 	var want [][]int
-	for _, cp := range order {
-		want = append(want, byClass[cp])
+	for _, id := range order {
+		want = append(want, byClass[id])
 	}
 	if got := PartitionByClass(elems); !reflect.DeepEqual(got, want) {
 		t.Fatalf("PartitionByClass = %v, want %v", got, want)

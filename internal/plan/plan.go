@@ -270,24 +270,29 @@ func PairBounds(los, his []value.V) [][2]value.V {
 // Aggregate predicates (unique, consistent, ordered) apply per class: a
 // predicate over class C characterizes C's instances (§4.2.1), and a
 // wildcard reference denotes a set of classes, each checked on its own.
-// Derived values with no provenance share one partition. Groups come in
-// order of first appearance. Each class path is rendered into a stack
-// buffer and looked up without a copy, so the grouping allocates one
-// string per distinct class, not one per element.
+// A class is the store's: a sequence of segment names, so "a.b" then "c"
+// is not "a" then "b.c". Derived values with no provenance share one
+// partition with keys of no segments. Groups come in order of first
+// appearance. Each class is rendered into a stack buffer, every name
+// ended by a NUL byte (which no name holds), and looked up without a
+// copy, so the grouping allocates one string per distinct class, not one
+// per element.
 func PartitionByClass(elems []value.V) [][]int {
 	index := make(map[string]int)
 	of := make([]int, len(elems)) // class number of each element
 	var sizes []int
-	var scratch [192]byte // a longer class path spills to the heap
+	var scratch [192]byte // a longer class spills to the heap
 	for i, v := range elems {
-		cp := scratch[:0]
+		id := scratch[:0]
 		if v.Inst != nil {
-			cp = v.Inst.Key.AppendClassPath(cp)
+			for _, s := range v.Inst.Key.Segs {
+				id = append(append(id, s.Name...), 0)
+			}
 		}
-		g, ok := index[string(cp)]
+		g, ok := index[string(id)]
 		if !ok {
 			g = len(sizes)
-			index[string(cp)] = g
+			index[string(id)] = g
 			sizes = append(sizes, 0)
 		}
 		of[i] = g

@@ -213,27 +213,35 @@ func ConsistentViolations(vals []value.V) []int {
 	if len(vals) < 2 {
 		return nil
 	}
-	counts := make(map[string]int)
-	order := make(map[string]int)
+	first := keyOf(vals[0])
+	i := 1
+	for i < len(vals) && keyOf(vals[i]) == first {
+		i++
+	}
+	if i == len(vals) {
+		return nil // one value throughout, counted without a map
+	}
+	type tally struct{ n, first int }
+	counts := make(map[groupKey]tally)
 	for i, v := range vals {
-		k := v.Key()
-		counts[k]++
-		if _, seen := order[k]; !seen {
-			order[k] = i
+		k := keyOf(v)
+		t, seen := counts[k]
+		if !seen {
+			t.first = i
 		}
+		t.n++
+		counts[k] = t
 	}
-	if len(counts) == 1 {
-		return nil
-	}
-	majority, best := "", -1
-	for k, c := range counts {
-		if c > best || (c == best && order[k] < order[majority]) {
-			majority, best = k, c
+	var majority groupKey
+	best := tally{n: -1}
+	for k, t := range counts {
+		if t.n > best.n || (t.n == best.n && t.first < best.first) {
+			majority, best = k, t
 		}
 	}
 	var out []int
 	for i, v := range vals {
-		if v.Key() != majority {
+		if keyOf(v) != majority {
 			out = append(out, i)
 		}
 	}
@@ -243,16 +251,31 @@ func ConsistentViolations(vals []value.V) []int {
 // UniqueViolations returns the indexes of values that duplicate an earlier
 // value; empty means all values are distinct.
 func UniqueViolations(vals []value.V) []int {
-	seen := make(map[string]bool, len(vals))
+	seen := make(map[groupKey]bool, len(vals))
 	var out []int
 	for i, v := range vals {
-		k := v.Key()
+		k := keyOf(v)
 		if seen[k] {
 			out = append(out, i)
 		}
 		seen[k] = true
 	}
 	return out
+}
+
+// groupKey is a value's identity for consistency and uniqueness: two
+// values have equal groupKeys exactly when their value.V.Keys are equal,
+// but a scalar's is its raw text, with no string built for it.
+type groupKey struct {
+	list bool
+	s    string // a scalar's Raw, a list's Key
+}
+
+func keyOf(v value.V) groupKey {
+	if v.IsList() {
+		return groupKey{list: true, s: v.Key()}
+	}
+	return groupKey{s: v.Raw}
 }
 
 // OrderedViolations returns the indexes where the sequence decreases;

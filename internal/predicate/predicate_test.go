@@ -1,6 +1,8 @@
 package predicate
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"confvalley/internal/simenv"
@@ -172,6 +174,76 @@ func TestUniqueViolations(t *testing.T) {
 	got := UniqueViolations(vs("a", "b", "a", "a"))
 	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Errorf("violations = %v, want [2 3]", got)
+	}
+}
+
+// keyedConsistent and keyedUnique are the aggregate checks as they were
+// written over value.V.Key, kept as the oracle of the ones that draw a
+// value's identity without building its key.
+func keyedConsistent(vals []value.V) []int {
+	if len(vals) < 2 {
+		return nil
+	}
+	counts := make(map[string]int)
+	order := make(map[string]int)
+	for i, v := range vals {
+		k := v.Key()
+		counts[k]++
+		if _, seen := order[k]; !seen {
+			order[k] = i
+		}
+	}
+	if len(counts) == 1 {
+		return nil
+	}
+	majority, best := "", -1
+	for k, c := range counts {
+		if c > best || (c == best && order[k] < order[majority]) {
+			majority, best = k, c
+		}
+	}
+	var out []int
+	for i, v := range vals {
+		if v.Key() != majority {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+func keyedUnique(vals []value.V) []int {
+	seen := make(map[string]bool, len(vals))
+	var out []int
+	for i, v := range vals {
+		k := v.Key()
+		if seen[k] {
+			out = append(out, i)
+		}
+		seen[k] = true
+	}
+	return out
+}
+
+// Scalars and lists whose texts collide ("l:[s:a]" is a list's key, "" an
+// empty list's elements) stay apart, as their keys do.
+func TestAggregateChecksMatchKeys(t *testing.T) {
+	pool := []value.V{
+		value.Scalar("a"), value.Scalar("b"), value.Scalar(""), value.Scalar("l:[s:a]"), value.Scalar("s:a"),
+		value.ListOf(vs("a")), value.ListOf(nil), value.ListOf(vs("a", "b")), value.ListOf(vs("")),
+		value.ListOf([]value.V{value.ListOf(vs("a"))}),
+	}
+	rng := rand.New(rand.NewSource(52))
+	for trial := 0; trial < 3000; trial++ {
+		vals := make([]value.V, rng.Intn(9))
+		for i := range vals {
+			vals[i] = pool[rng.Intn(len(pool))]
+		}
+		if got, want := ConsistentViolations(vals), keyedConsistent(vals); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ConsistentViolations(%v) = %v, want %v", vals, got, want)
+		}
+		if got, want := UniqueViolations(vals), keyedUnique(vals); !reflect.DeepEqual(got, want) {
+			t.Fatalf("UniqueViolations(%v) = %v, want %v", vals, got, want)
+		}
 	}
 }
 

@@ -422,3 +422,23 @@ func wireModuloReuse(t *testing.T, res *Result) []byte {
 	}
 	return b
 }
+
+// An aggregate groups by the store's classes, sequences of segment
+// names: {"a.b": {"c"}} and {"a": {"b.c"}} are two classes of one value
+// each, both matched by $a*.*c, though both display as a.b.c. Grouping
+// by that display merged them and reported the one "1" inconsistent with
+// the majority "2".
+func TestAggregateKeepsDottedClassesApart(t *testing.T) {
+	for _, interpret := range []bool{false, true} {
+		res, err := New(Options{Interpret: interpret}).Run(context.Background(), Job{
+			SpecSrc:  "$a*.*c -> consistent",
+			Payloads: []Payload{{Name: "dotted.json", Format: "json", Data: []byte(`{"a.b": {"c": "1"}, "a": {"b.c": "2"}}`)}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := res.Report; rep.InstancesChecked != 2 || !rep.Passed() {
+			t.Errorf("interpret %t: %d instances checked, violations %v; want 2 checked and none", interpret, rep.InstancesChecked, rep.Violations)
+		}
+	}
+}
