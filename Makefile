@@ -234,7 +234,8 @@ profile-infer:
 # projected and in full, in three line orders), BenchmarkExpertEval
 # (expert_eval's engine share) and BenchmarkColdRequest (novel_xml's
 # request, one-value; moving-value, whose change moves on a chunk each
-# request; and structural: every request parsed in full), each
+# request; structural: every request parsed in full; and renamed,
+# expert_eval's request: two expert bodies renamed apart, in turn), each
 # at -cpu 1 and 2 and five counts. It prints the median ns/op and B/op of
 # every benchmark at each core count (a name without a -N suffix ran at
 # one), the median gc-cpu-% and live-MB every twin reports (the

@@ -502,12 +502,20 @@ func BenchmarkColdIngest(b *testing.B) {
 // Stamping them makes the body one the service has never seen while the
 // splice can still reuse every spec.
 func coldRequest(tb testing.TB, scale float64) (spec string, body []byte, nonceOff int) {
-	const digits = "0000000000"
 	good := azuregen.GenerateA(scale, 2015)
 	spec = infer.Infer(good.Store, infer.Defaults()).GenerateCPL()
+	body, nonceOff = nonceRequest(tb, good.Store.Instances())
+	return spec, body, nonceOff
+}
+
+// nonceRequest returns an encoded validate request whose one payload is
+// ins, after a setting no specification reads, as nested XML, and the
+// offset of that setting's ten digits in the body (stampNonce).
+func nonceRequest(tb testing.TB, ins []*config.Instance) (body []byte, nonceOff int) {
+	const digits = "0000000000"
 	st := config.NewStore()
 	st.Add(&config.Instance{Key: config.K("BenchRun", "Nonce"), Value: digits})
-	st.AddAll(good.Store.Instances())
+	st.AddAll(ins)
 	body, err := json.Marshal(serve.ValidateRequest{Payloads: []serve.PayloadRef{
 		{Name: "corpus.xml", Format: "xml", Data: string(azuregen.RenderXML(st))},
 	}})
@@ -518,7 +526,37 @@ func coldRequest(tb testing.TB, scale float64) (spec string, body []byte, nonceO
 	if bytes.Count(body, marker) != 1 {
 		tb.Fatal("nonce setting not found exactly once in the encoded body")
 	}
-	return spec, body, bytes.Index(body, marker) + len(marker) - len(digits)
+	return body, bytes.Index(body, marker) + len(marker) - len(digits)
+}
+
+// renamedRequests is the repository benchmark's expert_eval operation,
+// built here for the same reason: the expert substrate at 200 clusters
+// with expertRun's 12 injected errors, as two request bodies whose
+// clusters are renamed apart ("a-" and "b-"), so that consecutive
+// requests share no key and the splice reuses nothing, each with the
+// offset of its nonce's digits, and how many violations the hand-written
+// suite reports over the generator's own store.
+func renamedRequests(tb testing.TB) (bodies [2][]byte, nonceOffs [2]int, violations int) {
+	gen := config.NewStore()
+	azuregen.AddExpertSubstrate(gen, 200, 2015)
+	azuregen.InjectExpertErrors(gen, 200, 12, 2016)
+	prog, err := compiler.Compile(specs.AzureTypeA())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng := engine.Engine{Store: gen, Env: azuregen.ExpertEnv()}
+	violations = len(eng.Run(prog).Violations)
+	for k, prefix := range []string{"a-", "b-"} {
+		var renamed []*config.Instance
+		for _, orig := range gen.Instances() {
+			cp := *orig
+			cp.Key.Segs = slices.Clone(orig.Key.Segs)
+			cp.Key.Segs[0].Inst = prefix + cp.Key.Segs[0].Inst
+			renamed = append(renamed, &cp)
+		}
+		bodies[k], nonceOffs[k] = nonceRequest(tb, renamed)
+	}
+	return bodies, nonceOffs, violations
 }
 
 // stampNonce overwrites the body's ten nonce digits with n.
@@ -556,13 +594,26 @@ func coldServer(tb testing.TB, spec string, body []byte) (*serve.Server, int) {
 // store is that parse's partition with one class copied, the diff walks
 // pointers and the payload buffer goes back to the pool. In structural, each request adds one setting to the previous
 // one's document, so the walk declines and every request is parsed in
-// full, keeps its buffer and builds its store: the cold_xml path. All
-// three report retained-MB, what the server keeps on the heap after the
+// full, keeps a copy of its document and builds its store: the cold_xml
+// path. In renamed, the expert_eval operation, two bodies of the expert
+// substrate whose clusters are renamed apart take turns, each with a new
+// nonce: every request is parsed in full and re-runs every spec. All
+// four report retained-MB, what the server keeps on the heap after the
 // last request (retainedMB), and the collector's share (collector.report).
 func BenchmarkColdRequest(b *testing.B) {
-	spec, template, nonceOff := coldRequest(b, 1.0)
+	// The novel_xml corpus and its inferred suite take seconds to build,
+	// so they are built once, for the first sub-benchmark that needs them.
+	var spec string
+	var template []byte
+	var nonceOff int
+	novel := func(b *testing.B) {
+		if template == nil {
+			spec, template, nonceOff = coldRequest(b, 1.0)
+		}
+	}
 	ctx := context.Background()
 	b.Run("one-value", func(b *testing.B) {
+		novel(b)
 		body := bytes.Clone(template)
 		before := heapInuse()
 		srv, specs := coldServer(b, spec, body)
@@ -596,6 +647,7 @@ func BenchmarkColdRequest(b *testing.B) {
 		// Besides the nonce, each request changes one digit of a value in a
 		// different 64 KiB stretch of the body, going round them: the
 		// change moves, and the body drifts from the one parsed in full.
+		novel(b)
 		body := bytes.Clone(template)
 		digits := movingDigits(body, 64<<10)
 		before := heapInuse()
@@ -617,6 +669,7 @@ func BenchmarkColdRequest(b *testing.B) {
 	})
 	b.Run("structural", func(b *testing.B) {
 		// Settings go in behind the nonce's, one more per request.
+		novel(b)
 		at := nonceOff + bytes.Index(template[nonceOff:], []byte(`\u003e`)) + len(`\u003e`)
 		body := slices.Grow(bytes.Clone(template), 64*(b.N+1))
 		before := heapInuse()
@@ -635,6 +688,30 @@ func BenchmarkColdRequest(b *testing.B) {
 		}
 		if st := srv.Stats(); st.SourcesParsed != int64(b.N)+1 || st.SourcesReparsed != 0 {
 			b.Fatalf("%d requests after the first: %d payloads parsed, %d re-parsed; want %d, 0", b.N, st.SourcesParsed, st.SourcesReparsed, b.N+1)
+		}
+		gc.report(b)
+		retainedMB(b, before, srv)
+	})
+	b.Run("renamed", func(b *testing.B) {
+		bodies, nonceOffs, violations := renamedRequests(b)
+		before := heapInuse()
+		srv := serve.New(serve.Config{Runner: runner.Options{Env: azuregen.ExpertEnv()}})
+		if _, err := srv.RegisterSpec("bench", "expert", specs.AzureTypeA()); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		gc := startCollector()
+		for i := 0; i < b.N; i++ {
+			k := i % 2
+			stampNonce(bodies[k], nonceOffs[k], i+1)
+			resp, err := srv.ValidateBody(ctx, "bench", "expert", bodies[k])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if resp.Report.SpecsReused != 0 || len(resp.Report.Violations) != violations {
+				b.Fatalf("request %d reused %d specs and reported %d violations, want none reused and %d", i+1, resp.Report.SpecsReused, len(resp.Report.Violations), violations)
+			}
 		}
 		gc.report(b)
 		retainedMB(b, before, srv)
@@ -759,17 +836,18 @@ const oneValueRequestAllocs = 47
 // the first parse and builds its store from that parse's partition. It
 // allocates well under a quarter of its body — a fresh decode buffer alone
 // is the body's size, and the walk's store was a rebuild of the whole
-// partition. The cheapest of nine requests is taken: the first one finds
-// the pool empty (the full parse kept its buffer), a collection may empty
-// it again, and under the race detector sync.Pool drops a quarter of what
-// it is given on purpose. The cheapest request's allocation count is held
-// to oneValueRequestAllocs as well.
+// partition. The cheapest of thirty requests is taken: a collection may
+// empty the pool, and under the race detector sync.Pool drops a quarter
+// of what it is given on purpose, so that nine requests in a row all
+// missing it was seen. The cheapest request's allocation count is held to
+// oneValueRequestAllocs as well.
 func TestOneValueRequestAllocs(t *testing.T) {
+	const requests = 30
 	spec, body, nonceOff := coldRequest(t, 0.2)
 	srv, specs := coldServer(t, spec, body)
 	ctx := context.Background()
 	var per, objs []uint64
-	for i := 1; i <= 9; i++ {
+	for i := 1; i <= requests; i++ {
 		stampNonce(body, nonceOff, i)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -784,8 +862,8 @@ func TestOneValueRequestAllocs(t *testing.T) {
 		per = append(per, after.TotalAlloc-before.TotalAlloc)
 		objs = append(objs, after.Mallocs-before.Mallocs)
 	}
-	if st := srv.Stats(); st.SourcesParsed != 1 || st.SourcesReparsed != 9 {
-		t.Fatalf("%d payloads parsed, %d re-parsed; want 1, 9", st.SourcesParsed, st.SourcesReparsed)
+	if st := srv.Stats(); st.SourcesParsed != 1 || st.SourcesReparsed != requests {
+		t.Fatalf("%d payloads parsed, %d re-parsed; want 1, %d", st.SourcesParsed, st.SourcesReparsed, requests)
 	}
 	if least := slices.Min(per); least > uint64(len(body)/4) {
 		t.Errorf("a one-value request with a %d-byte body allocated at least %d bytes (per request: %v), want at most a quarter of the body", len(body), least, per)

@@ -254,34 +254,74 @@ func (ix *indexer) next(parentKey, name string) int {
 }
 
 // ordinals assigns 1-based sibling ordinals per open element: each scope
-// element opens a scope of its own in which its children are counted by
+// element opens a frame of its own in which its children are counted by
 // name, so two parents never share a counter however their keys render.
-// One map for all scopes keeps a parent with n distinct child names
-// linear in n.
+// frames[0] counts the top level, which outlives each top-level element,
+// and frames[d] the children of the open scope element at depth d. A
+// frame's slot is reset when the next element at its depth opens, so a
+// parse keeps one frame per depth, not one counter per (element, name)
+// pair of the document. A frame counts its first frameNames names in
+// place and switches to a map past them, which keeps a parent with n
+// distinct child names linear in n.
 type ordinals struct {
-	counts map[ordinalKey]int
-	scopes int
+	frames []ordinalFrame
+	depth  int
 }
 
-type ordinalKey struct {
-	scope int
-	name  string
+// frameNames is how many distinct child names a frame counts in place:
+// the widest elements of the Type A corpus have 18.
+const frameNames = 32
+
+type ordinalFrame struct {
+	n      int
+	names  [frameNames]string
+	counts [frameNames]int
+	many   map[string]int // every name's count once there are more than frameNames
 }
 
-// open returns a fresh scope; scope 0 is the top level and needs no open.
-func (o *ordinals) open() int {
-	o.scopes++
-	return o.scopes
-}
-
-// next returns the ordinal of the next child called name in scope.
-func (o *ordinals) next(scope int, name string) int {
-	if o.counts == nil {
-		o.counts = make(map[ordinalKey]int)
+// next returns the ordinal of the next child called name of the innermost
+// open element (of the top level when none is open).
+func (o *ordinals) next(name string) int {
+	if o.depth == len(o.frames) {
+		o.frames = append(o.frames, ordinalFrame{})
 	}
-	k := ordinalKey{scope, name}
-	o.counts[k]++
-	return o.counts[k]
+	f := &o.frames[o.depth]
+	if f.many != nil {
+		f.many[name]++
+		return f.many[name]
+	}
+	for i := range f.n {
+		if f.names[i] == name {
+			f.counts[i]++
+			return f.counts[i]
+		}
+	}
+	if f.n < frameNames {
+		f.names[f.n], f.counts[f.n] = name, 1
+		f.n++
+		return 1
+	}
+	f.many = make(map[string]int, 2*frameNames)
+	for i, n := range f.names {
+		f.many[n] = f.counts[i]
+	}
+	f.many[name] = 1
+	return 1
+}
+
+// open opens a frame for the children of the element just numbered,
+// resetting the slot an earlier element at its depth left.
+func (o *ordinals) open() {
+	o.depth++
+	if o.depth < len(o.frames) {
+		f := &o.frames[o.depth]
+		f.n, f.many = 0, nil
+	}
+}
+
+// close closes the innermost open frame.
+func (o *ordinals) close() {
+	o.depth--
 }
 
 // slabs holds the instances of one parse and their key segments, carved

@@ -10,6 +10,7 @@ package driver
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -284,6 +285,23 @@ var xmlSeeds = []string{
 	"<a x=\"\x01\"/>", "<a>\x02</a>", "<a\x00/>", "<a x=\"1\"\x00/>", "<r><a x=\"\x7f\"/></r>",
 	// Sibling ordinals are per parent element, whatever the parents' keys render as.
 	`<r><A Name="x[2].B"><C q="2"/></A><A Name="x"><B><C q="1"/></B></A></r>`,
+	// A frame reused at its depth starts from nothing: the second A's and
+	// the second B's children count from 1 again.
+	`<r><A><C q="1"/><C q="2"/><B><D q="1"/><D q="2"/></B></A><A><C q="1"/><B><D q="1"/></B></A><A><C q="1"/></A></r>`,
+	`<r x="1"><A><C q="1"/></A><A><C q="1"/><C q="2"/></A></r><r x="2"><A><C q="1"/></A></r>`,
+	// Past a frame's in-place names, in a map, reused at its depth after.
+	`<r><A>` + distinctChildren(frameNames+1) + `<c0 v="2"/><c32 v="2"/><c33 v="1"/></A><A><c32 v="1"/><c0 v="1"/><c0 v="2"/></A></r>`,
+	distinctChildren(frameNames+1) + `<c31 v="2"/><c32 v="2"/>`,
+}
+
+// distinctChildren renders n sibling scope elements c0 … c(n-1), one of
+// each name.
+func distinctChildren(n int) string {
+	var b strings.Builder
+	for i := range n {
+		fmt.Fprintf(&b, `<c%d v="1"/>`, i)
+	}
+	return b.String()
 }
 
 // The never-panic contract holds for every registered driver over a

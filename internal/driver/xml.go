@@ -100,11 +100,10 @@ type xmlParse struct {
 	sc     xmlScanner
 	source string
 
-	// stack is the scope path of the open scope elements; scopes[i] is the
-	// ordinal scope in which the children of stack[i] are numbered.
-	stack  []config.Seg
-	scopes []int
-	ords   ordinals
+	// stack is the scope path of the open scope elements; ords numbers
+	// their children, one frame per open element.
+	stack []config.Seg
+	ords  ordinals
 
 	out slabs
 }
@@ -125,7 +124,8 @@ func (p *xmlParse) run() error {
 			return nil
 		case xmlEnd:
 			if n := len(p.stack); n > 0 {
-				p.stack, p.scopes = p.stack[:n-1], p.scopes[:n-1]
+				p.stack = p.stack[:n-1]
+				p.ords.close()
 			}
 			continue
 		}
@@ -170,13 +170,14 @@ func (p *xmlParse) run() error {
 		}
 		// Scope element. The first non-empty Name or Type attribute names
 		// the instance; the remaining attributes are its parameters.
-		seg := config.Seg{Name: name, Index: p.ords.next(p.scope(), name)}
+		seg := config.Seg{Name: name, Index: p.ords.next(name)}
 		for _, a := range attrs {
 			if seg.Inst == "" && (a.name == "Name" || a.name == "Type") {
 				seg.Inst = a.value
 			}
 		}
-		p.stack, p.scopes = append(p.stack, seg), append(p.scopes, p.ords.open())
+		p.stack = append(p.stack, seg)
+		p.ords.open()
 		naming := true // still inside the run of attributes that could name the instance
 		for _, a := range attrs {
 			if naming && (a.name == "Name" || a.name == "Type") {
@@ -186,16 +187,6 @@ func (p *xmlParse) run() error {
 			p.emit(a.name, a.value)
 		}
 	}
-}
-
-// scope is the ordinal scope of the innermost open scope element; the
-// top level (and an attribute-less root's children) is scope 0, which
-// persists across top-level elements.
-func (p *xmlParse) scope() int {
-	if n := len(p.scopes); n > 0 {
-		return p.scopes[n-1]
-	}
-	return 0
 }
 
 // emit appends the instance <scope path>.leaf = value.

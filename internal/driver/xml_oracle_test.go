@@ -13,7 +13,9 @@ import (
 // a strict encoding/xml token loop, kept here, outside the binary, as the
 // reference FuzzXML and the driver tests compare the scanner against. It
 // shares one thing with the driver — the ordinals rule, because numbering
-// siblings per rendered parent key was a bug in both.
+// siblings per rendered parent key was a bug in both — but not its
+// counter: the oracle keeps the one map per parse the driver used before
+// its per-depth frames (keyedOrdinals).
 type xmlOracle struct{}
 
 func (xmlOracle) Parse(data []byte, sourceName string) ([]*config.Instance, error) {
@@ -21,7 +23,7 @@ func (xmlOracle) Parse(data []byte, sourceName string) ([]*config.Instance, erro
 	var out []*config.Instance
 	var stack []config.Seg
 	var scopes []int
-	var ords ordinals
+	var ords keyedOrdinals
 	// The document root is a container, not a configuration scope: the
 	// paper parses Listing 1's MonitorNodeHealth into
 	// CloudGroup.Cloud.MonitorNodeHealth with no root segment. A root
@@ -105,4 +107,39 @@ func (xmlOracle) Parse(data []byte, sourceName string) ([]*config.Instance, erro
 		return nil, fmt.Errorf("xml: unbalanced elements in %s", sourceName)
 	}
 	return out, nil
+}
+
+// keyedOrdinals is the driver's sibling counter as it was before ordinal
+// frames, kept verbatim but for its name: every (scope, name) pair of the
+// document in one map.
+//
+// ordinals assigns 1-based sibling ordinals per open element: each scope
+// element opens a scope of its own in which its children are counted by
+// name, so two parents never share a counter however their keys render.
+// One map for all scopes keeps a parent with n distinct child names
+// linear in n.
+type keyedOrdinals struct {
+	counts map[ordinalKey]int
+	scopes int
+}
+
+type ordinalKey struct {
+	scope int
+	name  string
+}
+
+// open returns a fresh scope; scope 0 is the top level and needs no open.
+func (o *keyedOrdinals) open() int {
+	o.scopes++
+	return o.scopes
+}
+
+// next returns the ordinal of the next child called name in scope.
+func (o *keyedOrdinals) next(scope int, name string) int {
+	if o.counts == nil {
+		o.counts = make(map[ordinalKey]int)
+	}
+	k := ordinalKey{scope, name}
+	o.counts[k]++
+	return o.counts[k]
 }

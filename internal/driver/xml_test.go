@@ -52,6 +52,36 @@ func TestXMLOrdinalsAtTopLevelPersist(t *testing.T) {
 	}
 }
 
+// Sibling ordinals are counted in one frame per depth, reset as the next
+// element at its depth opens, not per (element, name) pair of the
+// document: once the frames of the document's depth exist, numbering the
+// children of another thousand clusters of three nodes each allocates
+// nothing. The map the frames replaced grew with every element.
+func TestXMLOrdinalFramesDoNotGrowWithTheDocument(t *testing.T) {
+	var o ordinals
+	walk := func() {
+		for c := 0; c < 1000; c++ {
+			o.next("Cluster")
+			o.open()
+			for n := 0; n < 3; n++ {
+				if got := o.next("Node"); got != n+1 {
+					t.Fatalf("node %d of a cluster numbered %d", n+1, got)
+				}
+				o.open()
+				if o.next("Rack") != 1 || o.next("Rack") != 2 || o.next("Disk") != 1 {
+					t.Fatal("a node's children counted on from the node before")
+				}
+				o.close()
+			}
+			o.close()
+		}
+	}
+	walk()
+	if n := testing.AllocsPerRun(5, walk); n != 0 {
+		t.Errorf("numbering 4,000 more scope elements made %.0f allocations, want none", n)
+	}
+}
+
 // nestedXML renders clusters × nodes × settings instances in the nested
 // settings form, the shape of the benchmark's Type A payload.
 func nestedXML(clusters, nodes, settings int) []byte {

@@ -83,11 +83,9 @@ type Payload struct {
 	// parse keeps them — its instances point into them for as long as the
 	// run's snapshot or state is retained — and a delta re-parse against
 	// Prev's parse of the source keeps nothing of them. The caller must
-	// not write to them after Run is called unless the Result says the
-	// run kept none (PayloadsKept).
-	// (The server decodes a request's payloads into one buffer, so one
-	// retained snapshot pins all of them, and it reuses the buffer only
-	// when no payload was kept.)
+	// not write to them after Run is called. (The server hands each
+	// payload over in a buffer of its own, exactly its size, so a kept
+	// parse pins its document's bytes and nothing else.)
 	Data []byte
 	// Patch, when set, gives the bytes instead of Data: as an edit of the
 	// bytes a full parse of this source kept in an earlier run
@@ -146,12 +144,6 @@ type Result struct {
 	// source; populated only under Options.Lint for jobs that carry
 	// spec source (not a pre-compiled program).
 	Diagnostics []lint.Diagnostic
-	// PayloadsKept reports whether anything the run produced or retains
-	// may point into the job's payload bytes. It is false only when every
-	// payload loaded and was re-parsed against Prev's full parse of its
-	// source (ingest.Outcome.Reparsed): the caller may then reuse the
-	// bytes once Run returns. A job without payloads keeps none.
-	PayloadsKept bool
 	// Anchors holds, per payload of the job, the bytes State's parse of it
 	// borrows from (RunState.Anchor): Payload.Data or a patch's bytes when
 	// the run parsed the payload in full, the anchor of the lineage's full
@@ -362,7 +354,7 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 	st := confvalley.NewStore()
 	sources := r.ingestSources(job, proj)
 	dataRep, state := r.session.LoadSources(ctx, st, sources, job.Prev)
-	res := &Result{Data: dataRep, Program: prog, PayloadsKept: payloadsKept(job, dataRep)}
+	res := &Result{Data: dataRep, Program: prog}
 	if linted {
 		res.Diagnostics = r.lintSpec(job, src, st)
 		for _, d := range res.Diagnostics {
@@ -391,25 +383,6 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 	}
 	res.count(st)
 	return res, nil
-}
-
-// payloadsKept reports whether the load of job may have kept any of its
-// payloads' bytes: unless each payload has an outcome, and it says the
-// source was re-parsed, it may have. Payloads load after the job's
-// sources (ingestSources), so theirs are the report's last outcomes.
-func payloadsKept(job Job, rep *confvalley.LoadReport) bool {
-	if len(job.Payloads) == 0 {
-		return false
-	}
-	if rep == nil || len(rep.Outcomes) != len(job.Sources)+len(job.Payloads) {
-		return true
-	}
-	for _, o := range rep.Outcomes[len(job.Sources):] {
-		if !o.Reparsed {
-			return true
-		}
-	}
-	return false
 }
 
 // lintSpec runs the analyzers over the job's specification source with

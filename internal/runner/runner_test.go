@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,44 +27,6 @@ func TestRunPayloadsOnly(t *testing.T) {
 	}
 	if c := res.Counts; c.Runs != 1 || c.Parsed != 1 || c.Reparsed+c.Stale+c.Quarantined != 0 {
 		t.Errorf("accounting: %+v, want one run with one source parsed", c)
-	}
-}
-
-// A run keeps its payload bytes unless every payload was re-parsed
-// against the previous run's parse of it (its state, passed as Prev): the
-// first load and a structural edit are parsed in full and kept, a value
-// edit is not, and a request with a second payload parsed in full keeps
-// the buffer both share.
-func TestPayloadsKeptOnlyByAFullParse(t *testing.T) {
-	r := New(Options{})
-	var prev *confvalley.RunState
-	run := func(docs ...string) bool {
-		t.Helper()
-		job := Job{SpecSrc: "$app.timeout -> int & [1, 60]", Prev: prev}
-		for i, doc := range docs {
-			job.Payloads = append(job.Payloads, Payload{Name: fmt.Sprintf("app%d.kv", i), Format: "kv", Data: []byte(doc)})
-		}
-		res, err := r.Run(context.Background(), job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev = res.State
-		return res.PayloadsKept
-	}
-	for i, c := range []struct {
-		docs []string
-		kept bool
-	}{
-		{[]string{"app.timeout = 30\n"}, true},
-		{[]string{"app.timeout = 31\n"}, false},
-		{[]string{"app.timeout = 32\napp.extra = 1\n"}, true},
-		{[]string{"app.timeout = 33\napp.extra = 1\n"}, false},
-		{[]string{"app.timeout = 34\napp.extra = 1\n", "app.timeout = 9\n"}, true},
-		{[]string{"app.timeout = 35\napp.extra = 1\n", "app.timeout = 8\n"}, false},
-	} {
-		if got := run(c.docs...); got != c.kept {
-			t.Errorf("run %d: PayloadsKept = %t, want %t", i, got, c.kept)
-		}
 	}
 }
 

@@ -51,7 +51,9 @@ import (
 	"confvalley/internal/runner"
 )
 
-// addressChunk is the tree's chunk size.
+// addressChunk is the tree's chunk size. A memo of this package's tests
+// may cut its bodies finer (addressMemo.chunk), so that a fuzzer meets
+// chunk edges in bodies of a few kilobytes.
 const addressChunk = 64 << 10
 
 // addressDomain opens every tree's top-level hash input, so an address
@@ -73,6 +75,10 @@ const stackChunks = 256
 // outside it. It never aliases a body it was given (the handler pools
 // those) and never writes to an anchor.
 type addressMemo struct {
+	// chunk is the chunk size, addressChunk when zero, which it is but in
+	// tests.
+	chunk int
+
 	mu   sync.Mutex
 	body []byte
 	sums [][sha256.Size]byte
@@ -149,10 +155,18 @@ type addressing struct {
 	own            uint64
 }
 
-// chunkEnd returns the end of the chunk starting at lo in a body of n
-// bytes.
-func chunkEnd(lo, n int) int {
-	return min(lo+addressChunk, n)
+// chunkSize returns the memo's chunk size.
+func (m *addressMemo) chunkSize() int {
+	if m.chunk == 0 {
+		return addressChunk
+	}
+	return m.chunk
+}
+
+// chunkEnd returns the end of the chunk of size c starting at lo in a
+// body of n bytes.
+func chunkEnd(lo, c, n int) int {
+	return min(lo+c, n)
 }
 
 // addressOf returns body's addressing and leaves body's bytes and digests
@@ -161,7 +175,8 @@ func chunkEnd(lo, n int) int {
 // they are set only when the memo holds a view of the body it compares
 // against, the one a decode may take from.
 func (m *addressMemo) addressOf(body []byte, equal []bool) addressing {
-	n := (len(body) + addressChunk - 1) / addressChunk
+	c := m.chunkSize()
+	n := (len(body) + c - 1) / c
 	var treeStack [addressHeader + stackChunks*sha256.Size]byte
 	var tree []byte
 	if n <= stackChunks {
@@ -184,9 +199,9 @@ func (m *addressMemo) addressOf(body []byte, equal []bool) addressing {
 	}
 	sameLen := len(m.body) == len(body)
 	for i := range n {
-		lo := i * addressChunk
-		hi := chunkEnd(lo, len(body))
-		a.equal[i] = lo < len(m.body) && bytes.Equal(m.body[lo:chunkEnd(lo, len(m.body))], body[lo:hi])
+		lo := i * c
+		hi := chunkEnd(lo, c, len(body))
+		a.equal[i] = lo < len(m.body) && bytes.Equal(m.body[lo:chunkEnd(lo, c, len(m.body))], body[lo:hi])
 		if a.equal[i] {
 			copy(sums[i*sha256.Size:], m.sums[i][:])
 			a.reused++
@@ -196,8 +211,8 @@ func (m *addressMemo) addressOf(body []byte, equal []bool) addressing {
 
 	for i := range n {
 		if !a.equal[i] {
-			lo := i * addressChunk
-			sum := sha256.Sum256(body[lo:chunkEnd(lo, len(body))])
+			lo := i * c
+			sum := sha256.Sum256(body[lo:chunkEnd(lo, c, len(body))])
 			copy(sums[i*sha256.Size:], sum[:])
 			a.hashed++
 		}
@@ -232,10 +247,11 @@ func (m *addressMemo) update(body, sums []byte, equal []bool, base uint64) uint6
 			m.sums = append(m.sums, [sha256.Size]byte(sums[i*sha256.Size:]))
 		}
 	} else {
+		c := m.chunkSize()
 		for i, eq := range equal {
 			if !eq {
-				lo := i * addressChunk
-				hi := chunkEnd(lo, len(body))
+				lo := i * c
+				hi := chunkEnd(lo, c, len(body))
 				copy(m.body[lo:hi], body[lo:hi])
 				m.sums[i] = [sha256.Size]byte(sums[i*sha256.Size:])
 			}
@@ -251,12 +267,11 @@ func (m *addressMemo) update(body, sums []byte, equal []bool, base uint64) uint6
 type decoded struct {
 	payloads []runner.Payload
 	sources  []SourceRef
-	// buf is the decode buffer, nil when the body has no payload data:
-	// every plain payload's bytes and every patch's windows. A run keeps
-	// no patch's windows, so it may be released after the run unless a
-	// plain payload was kept (plain).
-	buf   *[]byte
-	plain bool
+	// buf is the decode buffer, nil when the body has no payload data. It
+	// holds every patch's windows, which no run keeps, and nothing a
+	// plain payload points into (envelopeDecoder.own), so it is released
+	// after the run.
+	buf *[]byte
 	// reused counts the decoded bytes taken from the view's anchors.
 	reused int64
 	// ok reports that the decode succeeded; strs are then its data
@@ -279,12 +294,12 @@ func (m *addressMemo) decode(a *addressing, body []byte, maxSources int, maxPayl
 		v.marks = make([]mark, 0, len(a.equal))
 	}
 	d := envelopeDecoder{b: body, maxSources: maxSources, budget: max(maxPayloadBytes, 0),
-		mark: (*envelopeDecoder).markAt, last: a.last, marks: v.marks}
+		mark: (*envelopeDecoder).markAt, chunk: m.chunkSize(), last: a.last, marks: v.marks}
 	if a.last != nil {
 		d.equal = append(d.eq[:0], a.equal...)
 	}
 	payloads, sources, buf, err := d.decode()
-	dec := decoded{payloads: payloads, sources: sources, buf: buf, plain: d.plain, reused: d.reused, ok: err == nil, own: a.own}
+	dec := decoded{payloads: payloads, sources: sources, buf: buf, reused: d.reused, ok: err == nil, own: a.own}
 	if dec.ok {
 		v.marks, dec.strs, dec.v = d.marks, d.strs, v
 	}
@@ -296,9 +311,8 @@ func (m *addressMemo) decode(a *addressing, body []byte, maxSources int, maxPayl
 // when no run of this request reported: it was refused, coalesced onto
 // another's run, or its run failed. When the memo still holds the body,
 // a decode whose run reported becomes the memo's view, and a failed
-// decode drops the memo's. Then the decode buffer goes back to the pool
-// unless the run may have kept a plain payload's bytes (kept).
-func (m *addressMemo) finish(dec *decoded, kept bool, anchors [][]byte) {
+// decode drops the memo's. Then the decode buffer goes back to the pool.
+func (m *addressMemo) finish(dec *decoded, anchors [][]byte) {
 	if !dec.ok || anchors != nil {
 		m.mu.Lock()
 		holds := m.gen == dec.own
@@ -315,9 +329,7 @@ func (m *addressMemo) finish(dec *decoded, kept bool, anchors [][]byte) {
 			m.mu.Unlock()
 		}
 	}
-	if !kept || !dec.plain {
-		releasePayloads(dec.buf)
-	}
+	releasePayloads(dec.buf)
 }
 
 // view returns the decode as a view of the anchors its run reported, one
@@ -440,7 +452,7 @@ func sameBytes(a, b []byte) bool {
 func (d *envelopeDecoder) markAt(i int, dst []byte, limit int64) (int, []byte, int64) {
 	for d.next <= i {
 		d.marks = append(d.marks, mark{at: i, out: len(dst) + int(d.reused), str: d.str})
-		d.next += addressChunk
+		d.next += d.chunk
 	}
 	if d.next >= len(d.b) {
 		d.next = math.MaxInt
@@ -468,14 +480,17 @@ func (d *envelopeDecoder) markAt(i int, dst []byte, limit int64) (int, []byte, i
 	}
 	to := v.marks[e]
 	dst = d.take(s, from.str, from.out-s.lo, to.out-s.lo, dst)
-	d.next = e * addressChunk
+	d.next = e * d.chunk
 	return to.at, dst, limit - int64(to.out-from.out)
 }
 
 // minRef is the shortest stretch of an anchor a decode points at rather
-// than copies: shorter ones lie between windows, which are then kept far
-// enough apart for the re-parse to take each alone (driver.Reparser).
-const minRef = 4 << 10
+// than copies, a sixteenth of a chunk (4 KB at addressChunk): shorter
+// ones lie between windows, which are then kept far enough apart for the
+// re-parse to take each alone (driver.Reparser).
+func (d *envelopeDecoder) minRef() int {
+	return d.chunk / 16
+}
 
 // take puts bytes [x, y) of the view's string s, the as-th, into the
 // decode and returns dst: a stretch of its anchor at least minRef long by
@@ -510,7 +525,7 @@ func (d *envelopeDecoder) take(s *dataStr, as, x, y int, dst []byte) []byte {
 		if w < len(s.ws) {
 			z = min(z, s.ws[w].at)
 		}
-		if lo, hi := x-shift, z-shift; hi-lo < minRef {
+		if lo, hi := x-shift, z-shift; hi-lo < d.minRef() {
 			dst = append(dst, s.anchor[lo:hi]...)
 		} else {
 			d.refer(s.anchor, as, lo, hi, dst)

@@ -357,7 +357,7 @@ func TestMemoHoldsNoDecodedCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer entry.addr.finish(&dec, false, nil)
+	defer entry.addr.finish(&dec, nil)
 	if len(dec.payloads) != 1 || dec.payloads[0].Patch == nil {
 		t.Fatalf("a one-value request's payload was not a patch: %+v", dec.payloads)
 	}

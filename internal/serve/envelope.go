@@ -71,14 +71,15 @@ type envelopeDecoder struct {
 
 	// Set when decoding against an address memo (address.go): what
 	// unquote calls at each chunk boundary (mark, (*envelopeDecoder).markAt
-	// unless a test put another), the view of the last decode and the
-	// chunk flags of the body's addressing (equal is copied, into eq when
-	// it fits, so a decoder points at nothing on its caller's stack), the
-	// marks it leaves, the body offset of the next chunk boundary to mark,
-	// the data strings begun, the decoded bytes taken from the view's
-	// anchors, the patch of the string being decoded, every data string's
-	// place and bytes, and whether any string is plain.
+	// unless a test put another), the memo's chunk size, the view of the
+	// last decode and the chunk flags of the body's addressing (equal is
+	// copied, into eq when it fits, so a decoder points at nothing on its
+	// caller's stack), the marks it leaves, the body offset of the next
+	// chunk boundary to mark, the data strings begun, the decoded bytes
+	// taken from the view's anchors, the patch of the string being
+	// decoded, and every data string's place and bytes.
 	mark   func(d *envelopeDecoder, i int, dst []byte, limit int64) (int, []byte, int64)
+	chunk  int
 	last   *lastDecode
 	equal  []bool
 	eq     [stackChunks]bool
@@ -88,20 +89,19 @@ type envelopeDecoder struct {
 	reused int64
 	cur    patching
 	strs   []dataStr
-	plain  bool
 }
 
-// payloadPool holds payload buffers nothing points into any more: the
-// buffer of a request whose every payload was re-parsed against the spec
-// lineage's previous parse (runner.Result.PayloadsKept false), and that
-// of a request that never ran — refused, or coalesced onto another. The
-// next request's payloads are unquoted into one.
+// payloadPool holds the decode buffers of requests that are over. A
+// decode buffer never becomes a parse's (envelopeDecoder.own), so every
+// request hands its buffer back once its run is over, and the next
+// request's payloads are unquoted into one.
 var payloadPool sync.Pool // of *[]byte
 
 // payloadBuffer returns an empty buffer with room for reserve bytes: a
 // pooled one when the pool holds one no larger than twice that, else a
-// new one. A full parse keeps its buffer, unused tail included, so a
-// larger one is left to the collector rather than kept.
+// new one. A much larger one is left in the pool for a body its size. A
+// new one has room for a sixteenth more, so that a body that grows from
+// request to request, as an edited document does, finds it in the pool.
 func payloadBuffer(reserve int64) *[]byte {
 	if buf, _ := payloadPool.Get().(*[]byte); buf != nil {
 		if c := int64(cap(*buf)); reserve <= c && c <= 2*reserve {
@@ -109,7 +109,7 @@ func payloadBuffer(reserve int64) *[]byte {
 			return buf
 		}
 	}
-	buf := make([]byte, 0, reserve)
+	buf := make([]byte, 0, reserve+reserve/16)
 	return &buf
 }
 
@@ -159,7 +159,44 @@ func (d *envelopeDecoder) decode() (payloads []runner.Payload, sources []SourceR
 	if d.space(); d.i < len(d.b) {
 		return nil, nil, d.buf, d.syntax("unexpected data after the request")
 	}
+	d.own()
 	return d.payloads, d.sources, d.buf, nil
+}
+
+// own moves the plain payloads' bytes out of the decode buffer into one
+// allocation of their own, exactly their size, and points the payloads
+// and their data strings at it. A full parse keeps the bytes it is handed
+// for as long as the snapshot parsed from them (the drivers borrow from
+// runner.Payload.Data), while the decode buffer is reserved at the
+// length of the body, escapes and all, so a parse that kept it would keep
+// its tail too. After own the buffer holds nothing but patches' windows,
+// which no run keeps.
+func (d *envelopeDecoder) own() {
+	n := 0
+	for _, p := range d.payloads {
+		if p.Patch == nil {
+			n += len(p.Data)
+		}
+	}
+	if n == 0 {
+		return
+	}
+	kept := make([]byte, 0, n)
+	for i := range d.payloads {
+		p := &d.payloads[i]
+		if p.Patch != nil || len(p.Data) == 0 {
+			continue
+		}
+		at := len(kept)
+		kept = append(kept, p.Data...)
+		data := kept[at:len(kept):len(kept)]
+		for k := range d.strs {
+			if s := &d.strs[k]; len(s.plain) > 0 && &s.plain[0] == &p.Data[0] {
+				s.plain = data
+			}
+		}
+		p.Data = data
+	}
 }
 
 func (d *envelopeDecoder) request() error {
@@ -289,13 +326,10 @@ func (d *envelopeDecoder) text(dst *string) error {
 
 // payloadData decodes a payload's data member into the decoder's data
 // buffer, which is taken once, for the rest of the body: nothing decodes
-// to more bytes than it occupies except malformed UTF-8. The buffer is
-// lent to the run: a full parse keeps it as long as the snapshot parsed
-// from it (the drivers borrow from runner.Payload.Data), unused tail
-// included, and a re-parse keeps nothing of it; DESIGN.md §12 has the
-// size of that tail and what a tighter reservation would cost. A string
-// that pointed at an anchor of the memo's view (markAt) is handed over as
-// a patch of the anchor instead, its windows in the buffer.
+// to more bytes than it occupies except malformed UTF-8. Once the body is
+// decoded, a plain payload's bytes move to a copy of their own (own). A
+// string that pointed at an anchor of the memo's view (markAt) is handed
+// over as a patch of the anchor instead, its windows in the buffer.
 func (d *envelopeDecoder) payloadData(p *runner.Payload) error {
 	if isNull, err := d.stringOrNull(); isNull || err != nil {
 		return err
@@ -324,7 +358,6 @@ func (d *envelopeDecoder) payloadData(p *runner.Payload) error {
 	at := span{start + int(reused), len(out) + int(d.reused)}
 	c, sp := &d.cur, d.cur.sp
 	if sp == nil {
-		d.plain = true
 		d.strs = append(d.strs, dataStr{span: at, plain: p.Data})
 		return nil
 	}

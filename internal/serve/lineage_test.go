@@ -171,8 +171,8 @@ func retiredPayloadsCollected(t *testing.T, order []string) {
 			runtime.SetFinalizer(&doc[0], func(*byte) { collected.Add(1) })
 		}
 		job := runner.Job{Prog: entry.prog, Payloads: []runner.Payload{{Name: "app.kv", Format: "kv", Data: doc}}}
-		if _, kept, _, err := srv.validate(ctx, tn, entry, job); err != nil || !kept {
-			t.Fatalf("spec %s: kept=%t err=%v; want a full parse, which keeps the bytes", name, kept, err)
+		if _, anchors, err := srv.validate(ctx, tn, entry, job); err != nil || len(anchors) != 1 || !sameBytes(anchors[0], doc) {
+			t.Fatalf("spec %s: err=%v; want a full parse, which keeps the bytes as its anchor", name, err)
 		}
 	}
 	if err := srv.DeleteSpec("acme", "deleted"); err != nil {

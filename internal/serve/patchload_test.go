@@ -78,46 +78,48 @@ func (d *patchDoc) lineAt(body []byte, off int) int {
 // that its load re-parses the windows alone. Each clean load's store must
 // hold what a full parse of the memo-less decode of the same body holds,
 // and its diff against the previous clean load's store must be the diff
-// of the two full parses. Each op is two bytes, a kind and an
-// argument, at a line picked by the argument (a chunk boundary c·64 KB
-// for arg < 96, else arg·997 bytes into the body):
+// of the two full parses. The memo cuts bodies into chunks of C =
+// fuzzChunk bytes. Each op is two bytes, a kind and an argument, at a
+// line picked by the argument (a chunk boundary c·C for arg < 96, else
+// arg·C/64 bytes into the body):
 //
 //	0 a new nonce (same length)         5 spell the line's value with \u escapes, or not
 //	1 a value of another length         6 insert a line: the walk declines, the load parses in full
 //	2 a value of the same length        7 a second payload: none, a good one, a refused one, in turn
-//	3 a 300-byte value, past a margin   8 cut the byte budget to arg·4 KB (this body only)
+//	3 a 300-byte value, past a margin   8 cut the byte budget to arg·C/16 bytes (this body only)
 //	4 delete the line
 func FuzzPatchedLoad(f *testing.F) {
-	f.Add(uint16(3*addressChunk/24), []byte{0, 1, 0, 2, 2, 40, 1, 7, 0, 3})
-	f.Add(uint16(2*addressChunk/24), []byte{2, 1, 2, 130, 6, 50, 0, 0, 2, 200, 1, 1})
-	f.Add(uint16(3*addressChunk/24), []byte{5, 2, 0, 9, 5, 2, 2, 2, 3, 60, 3, 60, 2, 60})
-	f.Add(uint16(2*addressChunk/24), []byte{7, 0, 0, 1, 2, 150, 7, 0, 4, 100, 0, 2})
-	f.Add(uint16(2*addressChunk/24), []byte{8, 10, 0, 1, 8, 200, 2, 1, 0, 9})
+	const C = fuzzChunk
+	f.Add(uint16(3*C/24), []byte{0, 1, 0, 2, 2, 40, 1, 7, 0, 3})
+	f.Add(uint16(2*C/24), []byte{2, 1, 2, 130, 6, 50, 0, 0, 2, 200, 1, 1})
+	f.Add(uint16(3*C/24), []byte{5, 2, 0, 9, 5, 2, 2, 2, 3, 60, 3, 60, 2, 60})
+	f.Add(uint16(2*C/24), []byte{7, 0, 0, 1, 2, 150, 7, 0, 4, 100, 0, 2})
+	f.Add(uint16(2*C/24), []byte{8, 10, 0, 1, 8, 200, 2, 1, 0, 9})
 	// A structural edit in the last chunk while the anchor serves the
 	// rest: the patch materialises, parses in full and becomes the anchor.
-	f.Add(uint16(6*addressChunk/17), []byte{0, 1, 6, 255, 0, 1, 0, 2, 3, 250, 0, 3})
+	f.Add(uint16(6*C/17), []byte{0, 1, 6, 255, 0, 1, 0, 2, 3, 250, 0, 3})
 	// The same edit in a degraded load: the lineage parses the first
 	// payload in full, and the run reports its bytes as the new anchor.
-	f.Add(uint16(6*addressChunk/17), []byte{7, 0, 0, 1, 7, 0, 6, 255, 7, 0, 7, 0, 0, 2, 0, 3})
+	f.Add(uint16(6*C/17), []byte{7, 0, 0, 1, 7, 0, 6, 255, 7, 0, 7, 0, 0, 2, 0, 3})
 	f.Fuzz(func(t *testing.T, lines uint16, ops []byte) {
 		if len(ops) > 24 {
 			ops = ops[:24]
 		}
-		n := min(int(lines), 6*addressChunk/17) + 8
+		n := min(int(lines), 6*C/17) + 8
 		doc := patchDoc{escaped: make(map[int]bool)}
 		doc.lines = append(doc.lines, "bench.nonce = 0000000000")
 		for i := 1; i < n; i++ {
 			doc.lines = append(doc.lines, fmt.Sprintf("k%05d.v = val%d", i, i%97))
 		}
-		var r patchRun
+		r := patchRun{m: addressMemo{chunk: C}}
 		r.step(t, "first", doc.render(), math.MaxInt64)
 		nonce := 0
 		for i := 0; i+1 < len(ops); i += 2 {
 			kind, arg := ops[i]%9, int(ops[i+1])
 			body := doc.render()
-			at := arg * 997
+			at := arg * C / 64
 			if arg < 96 {
-				at = (1+arg%3)*addressChunk - 8 + arg/8
+				at = (1+arg%3)*C - 8 + arg/8
 			}
 			ln := doc.lineAt(body, at)
 			key, _, _ := strings.Cut(doc.lines[ln], " = ")
@@ -144,7 +146,7 @@ func FuzzPatchedLoad(f *testing.F) {
 			case 7:
 				doc.second = (doc.second + 1) % 3
 			case 8:
-				budget = int64(arg) * 4096
+				budget = int64(arg * C / 16)
 			}
 			r.step(t, fmt.Sprintf("op %d (kind %d, arg %d)", i/2, kind, arg), doc.render(), budget)
 		}
@@ -179,7 +181,7 @@ func (r *patchRun) step(t *testing.T, label string, body []byte, budget int64) [
 		t.Fatalf("%s: decoded with the memo to error %v, without to %v", label, err, wantErr)
 	}
 	if err != nil {
-		r.m.finish(&dec, false, nil)
+		r.m.finish(&dec, nil)
 		return nil
 	}
 	var sources []ingest.Source
@@ -194,13 +196,12 @@ func (r *patchRun) step(t *testing.T, label string, body []byte, budget int64) [
 	}
 	st := config.NewStore()
 	rep, next := ingest.Load(ctx, st, sources, r.parses, 0)
-	kept := slices.ContainsFunc(rep.Outcomes, func(o ingest.Outcome) bool { return !o.Reparsed })
 	ok := !rep.Degraded()
 	anchors := make([][]byte, len(sources))
 	for i, src := range sources {
 		anchors[i] = next.Anchor(src)
 	}
-	r.m.finish(&dec, kept, anchors)
+	r.m.finish(&dec, anchors)
 	r.parses = next // as the server keeps a degraded run's state
 
 	ref := config.NewStore()
@@ -292,8 +293,8 @@ func TestPatchesFollowTheLineage(t *testing.T) {
 	}
 	_, second := load(&decs[1])
 	first, firstAnchors := load(&decs[0])
-	r.m.finish(&decs[1], true, second)
-	r.m.finish(&decs[0], true, firstAnchors)
+	r.m.finish(&decs[1], second)
+	r.m.finish(&decs[0], firstAnchors)
 	r.parses, r.prev, r.loose = first, nil, true
 	if sameBytes(r.m.last.strs[0].anchor, r.parses.Anchor(ingest.Source{Name: "a.kv", Format: "kv"})) {
 		t.Fatal("the memo's view is of the anchor the lineage keeps: the loads did not cross")

@@ -1,12 +1,12 @@
 package serve
 
 // The lifetime of a pooled payload buffer. A request's payloads are
-// decoded into one buffer; a full parse keeps it, and a request whose
-// every payload was re-parsed against its spec lineage's previous parse
-// hands it back to the pool, where the next request decodes into it.
-// TestMain poisons what is released, so any reference that survived into
-// a cached response, a lineage's report or a retained snapshot reads
-// 0xFF here.
+// decoded into one buffer, which goes back to the pool once the request's
+// run is over, and the next request decodes into it: a plain payload
+// reaches the run as a copy of its own, which a full parse keeps, and a
+// re-parse keeps nothing. TestMain poisons what is released, so any
+// reference that survived into a cached response, a lineage's report or
+// a retained snapshot reads 0xFF here.
 
 import (
 	"bytes"
@@ -15,6 +15,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"confvalley"
 )
 
 // poolSpec quotes a payload value in each violation: timeout and retries
@@ -130,7 +132,8 @@ func TestPayloadBufferReusedAfterTakenWalk(t *testing.T) {
 }
 
 // Request S adds a line, so the walk declines and S is parsed in full: S's
-// buffer is the lineage's base now, and the snapshot of every later
+// bytes are the lineage's base now — the copy the decode handed the run,
+// while its buffer went back to the pool — and the snapshot of every later
 // re-parse borrows its unchanged values from it. Ten taken walks release
 // and reuse their own buffers around it; S's values, as S's cached
 // response reads them, survive all ten, and so do the latest snapshot's:
@@ -162,4 +165,60 @@ func TestPayloadBufferKeptAfterDeclinedWalk(t *testing.T) {
 	if o := spliced.Load.Outcomes; len(o) != 1 || o[0].Projected == nil || *o[0].Projected != 3 {
 		t.Errorf("load outcomes %+v, want one payload with the 3 instances the spec reads", o)
 	}
+}
+
+// A full parse keeps a buffer the size of its document. The decode buffer
+// is reserved at the body's length, and an XML document in a JSON string
+// carries an escape for every angle bracket, so a parse that kept the
+// decode buffer kept what the escapes took besides. The bytes the lineage
+// keeps, as the run reports them (runner.Result.Anchors, the memo's
+// view's anchor), are the document's, and all the spec holds — measured
+// as the heap its deletion frees — is, beyond the memo's copy of the
+// body, the document and at most an eighth more: its few instances, the
+// report and the rounding of pages, which read 2–7 % under the race
+// detector. The decode buffer kept would be 3.5 times the document.
+func TestFullParseKeepsDocumentSizedBuffer(t *testing.T) {
+	srv := New(Config{})
+	if _, err := srv.RegisterSpec("acme", "xml", "$App.Frontend.timeout -> int & [1, 60]\n"); err != nil {
+		t.Fatal(err)
+	}
+	// What a Setting encloses is checked and not kept: a 1 MB document of
+	// few instances, whose every byte is an element's, in a 3.5 MB body.
+	doc := `<Configuration><App><Frontend Name="f"><Setting Key="timeout" Value="30">` +
+		strings.Repeat("<x/>", 1<<18) + `</Setting></Frontend></App></Configuration>`
+	body := requestBody(t, ValidateRequest{Payloads: []PayloadRef{{Name: "app.xml", Format: "xml", Data: doc}}})
+	if len(body) < 3*len(doc) {
+		t.Fatalf("a %d-byte document encoded in %d bytes: too few escapes for the test", len(doc), len(body))
+	}
+	if _, err := srv.ValidateBody(context.Background(), "acme", "xml", body); err != nil {
+		t.Fatal(err)
+	}
+	entry, err := acmeTenant(t, srv).spec("xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := entry.addr.last
+	if v == nil || len(v.strs) != 1 || string(v.strs[0].anchor) != doc {
+		t.Fatal("the full parse did not report the document as its anchor")
+	}
+	if !sameBytes(v.strs[0].anchor, entry.state.Load().Anchor(confvalley.Source{Name: "app.xml", Format: "xml"})) {
+		t.Fatal("the memo's anchor is not the bytes the lineage keeps")
+	}
+	v, entry = nil, nil
+	held := func() int {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int(ms.HeapInuse)
+	}
+	with := held()
+	if err := srv.DeleteSpec("acme", "xml"); err != nil {
+		t.Fatal(err)
+	}
+	if kept := with - held() - len(body); kept > len(doc)+len(doc)/8 {
+		t.Errorf("besides the memo's copy of its %d-byte body, the spec held %d bytes for a %d-byte document", len(body), kept, len(doc))
+	}
+	runtime.KeepAlive(srv)
+	runtime.KeepAlive(body)
 }

@@ -33,6 +33,12 @@ var reuseUnits = []string{
 	`\ud83d\ude00`, `\ud800\udc00`,
 }
 
+// fuzzChunk is the chunk size the decode fuzzers' memos cut bodies into:
+// a body of a few kilobytes then crosses as many chunk edges as a
+// production body of a few hundred, and a fuzzer runs at the speed of
+// its edges rather than of its bytes.
+const fuzzChunk = 256
+
 // reuseHead opens the fuzzed request's one payload's data string.
 const reuseHead = `{"payloads":[{"name":"a.kv","format":"kv","data":"`
 
@@ -96,14 +102,15 @@ func unitsOf(n int, seed int) []string {
 //	2 change a unit, other length       8 delete a chunk's worth of units, or (arg odd)
 //	3 insert 1–3 units                    cut the body short (this body only)
 //	4 delete 1–3 units                  9 add a second payload after the first, or drop it
-//	5 make the unit an escape that     10 cut the byte budget to arg%4 chunks + arg·61 bytes,
+//	5 make the unit an escape that     10 cut the byte budget to arg%4 chunks + arg·C/1024 bytes,
 //	  ends arg%12 bytes past a boundary     or lift it (arg 255)
 //	11 make the unit a lone backslash, shifting how the backslashes after it pair
 //
-// A position is a chunk boundary c·64 KB − 16 … +15 (arg < 128, c =
-// 1 + arg%3), or arg·997 into the body.
+// A position is a chunk boundary c·C − 16 … +15 (arg < 128, c =
+// 1 + arg%3), or arg·C/64 into the body. Both memos cut bodies into
+// chunks of C = fuzzChunk bytes.
 func FuzzDecodeReuse(f *testing.F) {
-	const C = addressChunk
+	const C = fuzzChunk
 	f.Add(uint32(C), []byte{0, 1, 1, 2, 1, 130, 2, 5, 3, 9, 0, 200, 4, 0, 1, 3})
 	f.Add(uint32(100|1<<17), []byte{5, 0, 5, 5, 5, 11, 5, 130, 1, 4, 11, 8, 1, 0, 11, 0})
 	f.Add(uint32(7|2<<17), []byte{10, 1, 1, 40, 10, 2, 1, 130, 10, 255, 1, 3, 10, 65, 1, 66})
@@ -126,8 +133,8 @@ func FuzzDecodeReuse(f *testing.F) {
 		}
 		doc := reuseDoc{units: unitsOf(2*C+int(size%(3*C/2)), int(size>>17)%64), tail: `"}]}`}
 		budget := int64(math.MaxInt64)
-		var m addressMemo
-		var old copyingMemo
+		m := addressMemo{chunk: C}
+		old := copyingMemo{chunk: C}
 		var anchors [][]byte // the payloads' bytes of the decode kept last
 		var lentWas []string // what they were then
 		check := func(label string, body []byte, keep bool) {
@@ -176,9 +183,9 @@ func FuzzDecodeReuse(f *testing.F) {
 			}
 			switch {
 			case gotErr != nil:
-				m.finish(&dec, false, nil)
+				m.finish(&dec, nil)
 			case keep:
-				m.finish(&dec, true, data)
+				m.finish(&dec, data)
 				anchors, lentWas = data, lentWas[:0]
 				for _, gd := range data {
 					lentWas = append(lentWas, string(gd))
@@ -186,13 +193,13 @@ func FuzzDecodeReuse(f *testing.F) {
 			default:
 				reported := make([][]byte, len(data))
 				copy(reported, anchors)
-				m.finish(&dec, false, reported)
+				m.finish(&dec, reported)
 			}
 		}
 		check("first", doc.render(), true)
 		for i := 0; i+1 < len(ops); i += 2 {
 			kind, arg, keep := ops[i]&127%12, int(ops[i+1]), ops[i]&128 != 0
-			at := arg * 997
+			at := arg * C / 64
 			if arg < 128 {
 				at = (1+arg%3)*C - 16 + arg/4
 			}
@@ -256,12 +263,12 @@ func FuzzDecodeReuse(f *testing.F) {
 				body = body[:min(at, len(body))]
 			case kind == 9:
 				if doc.tail == `"}]}` {
-					doc.tail = `"},{"scope":"s","data":"` + strings.Repeat(`a\"b`, arg*50) + `"}]}`
+					doc.tail = `"},{"scope":"s","data":"` + strings.Repeat(`a\"b`, arg*C/1024) + `"}]}`
 				} else {
 					doc.tail = `"}]}`
 				}
 			case kind == 10:
-				budget = int64(arg%4*C + arg*61)
+				budget = int64(arg%4*C + arg*C/1024)
 				if arg == 255 {
 					budget = math.MaxInt64
 				}
@@ -371,8 +378,10 @@ func TestConcurrentDecodeReuse(t *testing.T) {
 // decode copies the decoded bytes of each run of chunks equal to the last
 // body's out of them (markAt) instead of unquoting them. Its markAt and
 // keep are the old ones, over the oracle's own fields and marks; it
-// addresses a body by comparing its chunks with the last one's.
+// addresses a body by comparing its chunks, of chunk bytes, with the
+// last one's.
 type copyingMemo struct {
+	chunk   int
 	body    []byte
 	gen     uint64
 	data    []byte
@@ -403,12 +412,12 @@ type copyingDecode struct {
 // decode decodes body as decodeEnvelope does, through the old markAt, and
 // keeps the decode as the old memo kept it.
 func (m *copyingMemo) decode(body []byte, maxSources int, maxPayloadBytes int64) ([]runner.Payload, []SourceRef, error) {
-	n := chunksOf(len(body))
+	n := (len(body) + m.chunk - 1) / m.chunk
 	c := &copyingDecode{memo: m, equal: make([]bool, n), base: m.gen, marks: m.spare[:0]}
 	m.spare = nil
 	for i := range n {
-		lo := i * addressChunk
-		c.equal[i] = lo < len(m.body) && bytes.Equal(m.body[lo:chunkEnd(lo, len(m.body))], body[lo:chunkEnd(lo, len(body))])
+		lo := i * m.chunk
+		c.equal[i] = lo < len(m.body) && bytes.Equal(m.body[lo:chunkEnd(lo, m.chunk, len(m.body))], body[lo:chunkEnd(lo, m.chunk, len(body))])
 	}
 	if !bytes.Equal(m.body, body) {
 		m.body = bytes.Clone(body)
@@ -433,7 +442,7 @@ func (m *copyingMemo) decode(body []byte, maxSources int, maxPayloadBytes int64)
 func (o *copyingDecode) markAt(d *envelopeDecoder, i int, dst []byte, limit int64) (int, []byte, int64) {
 	for d.next <= i {
 		o.marks = append(o.marks, copyMark{at: i, out: len(dst), str: d.str})
-		d.next += addressChunk
+		d.next += o.memo.chunk
 	}
 	if d.next >= len(d.b) {
 		d.next = math.MaxInt
@@ -463,7 +472,7 @@ func (o *copyingDecode) markAt(d *envelopeDecoder, i int, dst []byte, limit int6
 	dst = append(dst, m.data[from.out:to.out]...)
 	n := int64(to.out - from.out)
 	o.copied += n
-	d.next = e * addressChunk
+	d.next = e * m.chunk
 	return to.at, dst, limit - n
 }
 

@@ -639,11 +639,9 @@ func (s *Server) DeleteSpec(tenantName, specName string) error {
 // never cached, and neither is a degraded or interrupted run.
 //
 // The payloads are decoded into a pooled buffer, and the buffer goes back
-// to the pool when the request returns unless a run kept it: a full parse
-// of a plain payload does, a re-parse of every payload against the spec
-// lineage's previous parse does not, no run keeps a patch's windows, and
-// a request that never ran — refused, or answered by the leader it was
-// coalesced onto — has nothing to keep. The anchors the run reports
+// to the pool when the request returns: a plain payload is handed to the
+// run as a copy of its own, exactly its size, which a full parse keeps,
+// and no run keeps a patch's windows. The anchors the run reports
 // (runner.Result.Anchors) are what the memo's view of this decode points
 // into.
 func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, body []byte) (*ValidateResponse, error) {
@@ -670,8 +668,8 @@ func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, 
 	q := s.cfg.Quotas
 	dec, err := entry.addr.decode(&a, body, q.MaxSources, q.MaxPayloadBytes)
 	t.bytesReused.Add(dec.reused)
-	kept, anchors := false, [][]byte(nil)
-	defer func() { entry.addr.finish(&dec, kept, anchors) }()
+	var anchors [][]byte
+	defer func() { entry.addr.finish(&dec, anchors) }()
 	switch {
 	case errors.Is(err, ErrQuota), errors.Is(err, ErrTooLarge):
 		s.denied.Add(1)
@@ -691,14 +689,14 @@ func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, 
 		// Not a pure function of the body's bytes: never coalesced,
 		// never cached.
 		var resp *ValidateResponse
-		resp, kept, anchors, err = s.validate(ctx, t, entry, job)
+		resp, anchors, err = s.validate(ctx, t, entry, job)
 		return resp, err
 	}
 	for {
 		f, leader := t.results.join(key)
 		if leader {
 			var resp *ValidateResponse
-			resp, kept, anchors, err = s.validate(ctx, t, entry, job)
+			resp, anchors, err = s.validate(ctx, t, entry, job)
 			t.results.complete(key, f, resp, err, cacheableResponse(resp, err))
 			return resp, err
 		}
@@ -723,21 +721,19 @@ func (s *Server) ValidateBody(ctx context.Context, tenantName, specName string, 
 
 // validate runs one job under admission control, routing it through the
 // spec's cross-request incremental lineage and accounting the outcome.
-// kept reports whether the run may have kept the job's payload bytes:
-// what its Result says, and true when it failed, loaded or not. anchors
-// is what the run reported of its payloads' anchors (Result.Anchors), nil
-// when it failed.
-func (s *Server) validate(ctx context.Context, t *tenant, entry *specEntry, job runner.Job) (resp *ValidateResponse, kept bool, anchors [][]byte, err error) {
+// anchors is what the run reported of its payloads' anchors
+// (Result.Anchors), nil when it failed.
+func (s *Server) validate(ctx context.Context, t *tenant, entry *specEntry, job runner.Job) (resp *ValidateResponse, anchors [][]byte, err error) {
 	release, err := s.acquire(ctx)
 	if err != nil {
-		return nil, false, nil, err
+		return nil, nil, err
 	}
 	defer release()
 
 	job.Prev = entry.state.Load()
 	res, err := t.runner.Run(ctx, job)
 	if err != nil {
-		return nil, true, nil, err
+		return nil, nil, err
 	}
 	if !res.Report.Interrupted {
 		entry.state.Store(res.State)
@@ -755,7 +751,7 @@ func (s *Server) validate(ctx context.Context, t *tenant, entry *specEntry, job 
 		Code:             res.Code(),
 	}
 	entry.lastResp.Store(resp)
-	return resp, res.PayloadsKept, res.Anchors, nil
+	return resp, res.Anchors, nil
 }
 
 // cacheableResponse gates what the result cache may retain: only
