@@ -10,7 +10,7 @@ GO ?= go
 # only ever met one core hid a red tier-1 for six PRs.
 PROCS ?= 1 2 4
 
-.PHONY: all build lint tier1 test bench stress incremental-bench fuzz-smoke bench-smoke e2e crash-chaos repo-bench repo-bench-smoke profile-expert profile-ingest profile-request profile-cli profile-infer twins
+.PHONY: all build lint tier1 test bench stress fuzz-smoke bench-smoke e2e crash-chaos repo-bench repo-bench-smoke profile-expert profile-ingest profile-request profile-cli profile-infer twins
 
 all: build
 
@@ -86,10 +86,6 @@ crash-chaos:
 	$(GO) test -race -count=1 ./internal/durable/
 	$(GO) test -race -count=1 -run 'TestRecover|TestCrashMid|TestReadyz|TestConcurrentRegisterDrain' ./internal/serve/
 	$(GO) test -count=1 -run 'TestE2ECrashRecovery|TestE2EInMemory' -v ./cmd/cvserve/
-
-# Regenerate the churn sweep recorded in BENCH_incremental.json.
-incremental-bench:
-	$(GO) run ./cmd/cvbench -run incremental -full
 
 # Short coverage-guided run of each fuzzer on top of the checked-in
 # seeds: the format drivers (FuzzXML differentially, against the
@@ -235,27 +231,30 @@ profile-infer:
 # (expert_eval's engine share) and BenchmarkColdRequest (novel_xml's
 # request, one-value; moving-value, whose change moves on a chunk each
 # request; structural: every request parsed in full; and renamed,
-# expert_eval's request: two expert bodies renamed apart, in turn), each
-# at -cpu 1 and 2 and five counts. It prints the median ns/op and B/op of
-# every benchmark at each core count (a name without a -N suffix ran at
-# one), the median gc-cpu-% and live-MB every twin reports (the
-# collector's share of the CPU time and the heap its last cycle marked
-# live, from runtime/metrics), and the median retained-MB of those that
-# report it; the raw output is kept in
-# .bench_build/twins.txt for benchstat or a second look. A full pass takes
-# a few minutes. Compare two commits by running it on each, alternated.
+# expert_eval's request: two expert bodies renamed apart, in turn) and
+# BenchmarkChurn (novel_xml's request under 0.1 %, 1 % and 10 % churn,
+# clustered and uniform, answer-checked against full runs), each at -cpu 1
+# and 2 and five counts. It prints the median ns/op and B/op of every
+# benchmark at each core count (a name without a -N suffix ran at one),
+# the median gc-cpu-% and live-MB the twins before BenchmarkChurn report
+# (the collector's share of the CPU time and the heap its last cycle
+# marked live, from runtime/metrics), the median retained-MB of those that
+# report it, and BenchmarkChurn's median full-ms and rerun-specs; the raw
+# output is kept in .bench_build/twins.txt for benchstat or a second look.
+# A full pass takes a few minutes. Compare two commits by running it on
+# each, alternated.
 twins:
 	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench '^(BenchmarkCLIRun|BenchmarkKVParse|BenchmarkExpertEval)$$' \
 		-cpu 1,2 -count 5 . > .bench_build/twins.txt || { cat .bench_build/twins.txt; exit 1; }
-	$(GO) test -run '^$$' -bench '^BenchmarkColdRequest$$' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkColdRequest|BenchmarkChurn)$$' \
 		-cpu 1,2 -count 5 . >> .bench_build/twins.txt || { cat .bench_build/twins.txt; exit 1; }
 	awk '$(twins_medians)' .bench_build/twins.txt
 
 # twins_medians is the awk program behind make twins: per benchmark name,
 # in the order first seen, the median of its ns/op, of its B/op, of its
-# gc-cpu-%, of its live-MB and of its retained-MB ("-" for a metric it
-# does not report).
+# gc-cpu-%, of its live-MB, of its retained-MB, of its full-ms and of its
+# rerun-specs ("-" for a metric it does not report).
 twins_medians = \
 	function median(a, name, c,   i, j, x, v) { \
 		for (i = 1; i <= c; i++) v[i] = a[name, i] + 0; \
@@ -271,14 +270,16 @@ twins_medians = \
 			if ($$(i + 1) == "gc-cpu-%") { gc[$$1, k] = $$i; has[$$1, "gc"] = 1 } \
 			if ($$(i + 1) == "live-MB") { lv[$$1, k] = $$i; has[$$1, "lv"] = 1 } \
 			if ($$(i + 1) == "retained-MB") { rm[$$1, k] = $$i; has[$$1, "rm"] = 1 } \
+			if ($$(i + 1) == "full-ms") { fm[$$1, k] = $$i; has[$$1, "fm"] = 1 } \
+			if ($$(i + 1) == "rerun-specs") { rr[$$1, k] = $$i; has[$$1, "rr"] = 1 } \
 		} \
 	} \
 	function col(a, b, m) { return ((b, m) in has) ? sprintf("%12.1f", median(a, b, n[b])) : sprintf("%12s", "-") } \
 	END { \
-		printf "%-48s %14s %14s %12s %12s %12s %5s\n", "benchmark", "median ns/op", "median B/op", "gc-cpu-%", "live-MB", "retained-MB", "runs"; \
+		printf "%-48s %14s %14s %12s %12s %12s %12s %12s %5s\n", "benchmark", "median ns/op", "median B/op", "gc-cpu-%", "live-MB", "retained-MB", "full-ms", "rerun-specs", "runs"; \
 		for (j = 1; j <= names; j++) { \
 			b = order[j]; \
-			printf "%-48s %14.0f %14.0f %s %s %s %5d\n", b, median(ns, b, n[b]), median(by, b, n[b]), col(gc, b, "gc"), col(lv, b, "lv"), col(rm, b, "rm"), n[b] \
+			printf "%-48s %14.0f %14.0f %s %s %s %s %s %5d\n", b, median(ns, b, n[b]), median(by, b, n[b]), col(gc, b, "gc"), col(lv, b, "lv"), col(rm, b, "rm"), col(fm, b, "fm"), col(rr, b, "rr"), n[b] \
 		} \
 	}
 

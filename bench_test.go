@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -19,6 +20,7 @@ import (
 	"slices"
 	"strconv"
 	"testing"
+	"time"
 
 	confvalley "confvalley"
 
@@ -33,6 +35,7 @@ import (
 	"confvalley/internal/legacy"
 	"confvalley/internal/plan"
 	"confvalley/internal/refeval"
+	"confvalley/internal/report"
 	"confvalley/internal/runner"
 	"confvalley/internal/serve"
 	"confvalley/internal/simenv"
@@ -719,25 +722,186 @@ func BenchmarkColdRequest(b *testing.B) {
 }
 
 // movingDigits returns the offset of one digit per stride of body, the
-// first digit of the first value behind the stride's start that begins
-// with one.
+// first digit of the first value whose marker lies behind the stride's
+// start and that begins with one.
 func movingDigits(body []byte, stride int) []int {
-	marker := []byte(`Value=\"`)
+	values := churnValues(body, -1)
 	var at []int
+	v := 0
 	for lo := stride; lo < len(body); lo += stride {
-		for j := lo; ; {
-			k := bytes.Index(body[j:], marker)
-			if k < 0 {
-				return at
-			}
-			j += k + len(marker)
-			if j < len(body) && '0' <= body[j] && body[j] <= '9' {
-				at = append(at, j)
-				break
-			}
+		for v < len(values) && (values[v]-len(valueMarker) < lo || body[values[v]] < '0' || body[values[v]] > '9') {
+			v++
 		}
+		if v == len(values) {
+			break
+		}
+		at = append(at, values[v])
 	}
 	return at
+}
+
+// BenchmarkChurn is novel_xml's request under churn, re-validation on the
+// deployment path measured where it happens: each request differs from
+// the one before it in a seeded fraction of the document's values — 0.1 %,
+// 1 % or 10 % of them, in one contiguous run (clustered) or scattered over
+// the document (uniform) — and in its nonce, so no body is a result-cache
+// hit, and is validated through Server.ValidateBody on the spec's
+// lineage: the delta re-parse, the snapshot diff and the spec-level
+// splice. Every other request re-values a fresh selection of the
+// document's values (revalue, which keeps the body's length) and the one
+// after it puts them back, so that no body differs from the first in more
+// than the fraction: what a request costs does not depend on how many ran
+// before it. Each sub-benchmark reports ms/op and B/op of the requests,
+// rerun-specs, the specs a request re-ran on average, and full-ms, the
+// average time of a fresh full run of the same body: its payloads
+// through runner.Run with no Prev, internal/serve's fullRun oracle's
+// path, over the suite compiled once, timed outside the clock. The full
+// runs are the answer check: at the first request, which the clock
+// skips, and at seeded ones after it, the response's wire report must
+// equal the full run's but for Duration and SpecsReused, or the benchmark
+// fails.
+func BenchmarkChurn(b *testing.B) {
+	spec, template, nonceOff := coldRequest(b, 1.0)
+	values := churnValues(template, nonceOff)
+	prog, err := runner.New(runner.Options{}).Compile(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, spread := range []string{"clustered", "uniform"} {
+		for _, frac := range []float64{0.001, 0.01, 0.1} {
+			b.Run(fmt.Sprintf("%s-%g%%", spread, 100*frac), func(b *testing.B) {
+				body := bytes.Clone(template)
+				srv, _ := coldServer(b, spec, body)
+				n := max(int(frac*float64(len(values))), 1)
+				order := slices.Clone(values) // uniform's partial shuffle
+				rng := rand.New(rand.NewSource(2015))
+				var edited []int
+				var rerun, checks int
+				var full time.Duration
+				b.ReportAllocs()
+				for i := 0; i <= b.N; i++ {
+					b.StopTimer()
+					stampNonce(body, nonceOff, i+1)
+					if i%2 == 1 {
+						for _, at := range edited {
+							body[at] = template[at]
+						}
+					} else {
+						if spread == "clustered" {
+							lo := rng.Intn(len(values) - n + 1)
+							edited = values[lo : lo+n]
+						} else {
+							for k := range n {
+								j := k + rng.Intn(len(order)-k)
+								order[k], order[j] = order[j], order[k]
+							}
+							edited = order[:n]
+						}
+						for _, at := range edited {
+							revalue(body, at)
+						}
+					}
+					check := i == 0 || rng.Intn(16) == 0
+					if i == 1 {
+						b.ResetTimer()
+					}
+					b.StartTimer()
+					resp, err := srv.ValidateBody(ctx, "bench", "inferred", body)
+					b.StopTimer()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if i > 0 {
+						rerun += resp.Report.SpecsRun - resp.Report.SpecsReused
+					}
+					if check {
+						want, d := fullRunWire(b, prog, body)
+						if got := wireModuloReuse(b, resp.Report); !bytes.Equal(got, want) {
+							b.Fatalf("request %d diverged from a full run of its body:\n got: %.400s\nwant: %.400s", i, got, want)
+						}
+						full += d
+						checks++
+						runtime.GC() // the check's garbage is not the next request's mark work
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N), "ms/op")
+				b.ReportMetric(float64(rerun)/float64(b.N), "rerun-specs")
+				b.ReportMetric(float64(full)/1e6/float64(checks), "full-ms")
+			})
+		}
+	}
+}
+
+// valueMarker opens a setting's value in the encoded body.
+var valueMarker = []byte(`Value=\"`)
+
+// churnValues returns the offset of every value in body that begins with
+// a letter or a digit, in document order, but the nonce's at nonceOff:
+// the bytes BenchmarkChurn re-values.
+func churnValues(body []byte, nonceOff int) []int {
+	var at []int
+	for j := 0; ; {
+		k := bytes.Index(body[j:], valueMarker)
+		if k < 0 {
+			return at
+		}
+		j += k + len(valueMarker)
+		if c := body[j]; j != nonceOff && ('0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z') {
+			at = append(at, j)
+		}
+	}
+}
+
+// revalue changes the value at body[at] by its first byte, a letter or a
+// digit, to the next one of its kind, round: the body keeps its length and
+// its encoding.
+func revalue(body []byte, at int) {
+	switch c := body[at]; {
+	case c == '9':
+		body[at] = '0'
+	case c == 'z':
+		body[at] = 'a'
+	case c == 'Z':
+		body[at] = 'A'
+	default:
+		body[at] = c + 1
+	}
+}
+
+// fullRunWire runs body's payloads through a fresh runner with no lineage
+// — internal/serve's fullRun oracle, over prog and the environment
+// coldServer's server runs in — and returns the wire report without its
+// Duration and SpecsReused, and how long runner.Run took.
+func fullRunWire(b *testing.B, prog *confvalley.Program, body []byte) ([]byte, time.Duration) {
+	var req serve.ValidateRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		b.Fatal(err)
+	}
+	job := runner.Job{Prog: prog}
+	for _, p := range req.Payloads {
+		job.Payloads = append(job.Payloads, runner.Payload{Name: p.Name, Format: p.Format, Scope: p.Scope, Data: []byte(p.Data)})
+	}
+	r := runner.New(runner.Options{Env: azuregen.ExpertEnv()})
+	start := time.Now()
+	res, err := r.Run(context.Background(), job)
+	d := time.Since(start)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return wireModuloReuse(b, res.Report.Wire()), d
+}
+
+// wireModuloReuse encodes a wire report with the two fields a spliced run
+// may differ in from a full one zeroed: Duration and SpecsReused.
+func wireModuloReuse(b *testing.B, w *report.Wire) []byte {
+	cp := *w
+	cp.DurationNS, cp.SpecsReused = 0, 0
+	out, err := json.Marshal(&cp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return out
 }
 
 // heapInuse returns the heap in use after two collections: the second

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	cvbench [-run all|table2|table3|table4|table5|figure5|table6|table7|
-//	         table8|table9|figure4|discovery|incremental]
+//	         table8|table9|figure4|accuracy|discovery]
 //	        [-full] [-scale S] [-seed N]
 //
 // With -full the corpora are generated at paper scale (Type B holds 2.3
@@ -16,11 +16,31 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"confvalley"
 	"confvalley/internal/experiments"
 )
+
+// catalog is every experiment -run names, in the order "all" runs them:
+// the names an experiment answers to and the function that prints it.
+var catalog = []struct {
+	names []string
+	run   func(experiments.Config)
+}{
+	{[]string{"table2"}, func(c experiments.Config) { experiments.Table2(c) }},
+	{[]string{"table3"}, func(c experiments.Config) { experiments.Table3(c) }},
+	{[]string{"table4"}, func(c experiments.Config) { experiments.Table4(c) }},
+	{[]string{"table5"}, func(c experiments.Config) { experiments.Table5(c) }},
+	{[]string{"figure5"}, func(c experiments.Config) { experiments.Figure5(c) }},
+	{[]string{"table6", "table7"}, func(c experiments.Config) { experiments.BranchExperiment(c) }},
+	{[]string{"table8"}, func(c experiments.Config) { experiments.Table8(c) }},
+	{[]string{"table9"}, func(c experiments.Config) { experiments.Table9(c) }},
+	{[]string{"figure4"}, func(c experiments.Config) { experiments.Figure4(c) }},
+	{[]string{"accuracy"}, func(c experiments.Config) { experiments.InferenceAccuracy(c) }},
+	{[]string{"discovery"}, func(c experiments.Config) { experiments.Discovery(c) }},
+}
 
 func main() {
 	os.Exit(run())
@@ -49,70 +69,33 @@ func run() int {
 	}
 	cfg.Seed = *seed
 
+	// Every name must be known before anything runs, so that a list naming
+	// a removed or misspelt experiment fails instead of running the rest.
+	known := map[string]bool{"all": true}
+	for _, e := range catalog {
+		for _, n := range e.names {
+			known[n] = true
+		}
+	}
 	want := make(map[string]bool)
 	for _, w := range strings.Split(*which, ",") {
-		want[strings.TrimSpace(w)] = true
+		w = strings.TrimSpace(w)
+		if !known[w] {
+			fmt.Fprintf(os.Stderr, "cvbench: unknown experiment %q\n", w)
+			return 2
+		}
+		want[w] = true
 	}
-	all := want["all"]
 	ran := 0
-	sep := func() {
+	for _, e := range catalog {
+		if !want["all"] && !slices.ContainsFunc(e.names, func(n string) bool { return want[n] }) {
+			continue
+		}
 		if ran > 0 {
 			fmt.Println()
 		}
 		ran++
-	}
-
-	if all || want["table2"] {
-		sep()
-		experiments.Table2(cfg)
-	}
-	if all || want["table3"] {
-		sep()
-		experiments.Table3(cfg)
-	}
-	if all || want["table4"] {
-		sep()
-		experiments.Table4(cfg)
-	}
-	if all || want["table5"] {
-		sep()
-		experiments.Table5(cfg)
-	}
-	if all || want["figure5"] {
-		sep()
-		experiments.Figure5(cfg)
-	}
-	if all || want["table6"] || want["table7"] {
-		sep()
-		experiments.BranchExperiment(cfg)
-	}
-	if all || want["table8"] {
-		sep()
-		experiments.Table8(cfg)
-	}
-	if all || want["table9"] {
-		sep()
-		experiments.Table9(cfg)
-	}
-	if all || want["figure4"] {
-		sep()
-		experiments.Figure4(cfg)
-	}
-	if all || want["accuracy"] {
-		sep()
-		experiments.InferenceAccuracy(cfg)
-	}
-	if all || want["discovery"] {
-		sep()
-		experiments.Discovery(cfg)
-	}
-	if all || want["incremental"] {
-		sep()
-		experiments.Incremental(cfg)
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "cvbench: unknown experiment %q\n", *which)
-		return 2
+		e.run(cfg)
 	}
 	return 0
 }

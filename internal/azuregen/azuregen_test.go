@@ -12,6 +12,7 @@ import (
 	"confvalley/internal/engine"
 	"confvalley/internal/infer"
 	"confvalley/internal/report"
+	"confvalley/internal/simenv"
 )
 
 func TestGenerateADeterministicAndSized(t *testing.T) {
@@ -118,7 +119,7 @@ func TestGoodCorpusPassesItsOwnInferredSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("inferred CPL does not compile: %v", err)
 	}
-	rep := engine.New(a.Store).Run(prog)
+	rep := (&engine.Engine{Store: a.Store, Env: simenv.NewSim()}).Run(prog)
 	if len(rep.SpecErrors) > 0 {
 		t.Fatalf("spec errors: %v", rep.SpecErrors)
 	}
@@ -140,8 +141,7 @@ func TestExpertSubstratePassesExpertSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("expert specs do not compile: %v", err)
 	}
-	eng := engine.New(st)
-	eng.Env = ExpertEnv()
+	eng := &engine.Engine{Store: st, Env: ExpertEnv()}
 	rep := eng.Run(prog)
 	if len(rep.SpecErrors) > 0 {
 		t.Fatalf("spec errors: %v", rep.SpecErrors)
@@ -162,8 +162,7 @@ func TestExpertErrorInjectionCaught(t *testing.T) {
 		t.Fatalf("injected = %d", len(inj))
 	}
 	prog, _ := compiler.Compile(ExpertSpecs)
-	eng := engine.New(st)
-	eng.Env = ExpertEnv()
+	eng := &engine.Engine{Store: st, Env: ExpertEnv()}
 	rep := eng.Run(prog)
 	// Every injection is reported, and every reported key attributes to
 	// an injection.
@@ -210,8 +209,7 @@ func TestBranchExperimentReproducesTables6And7(t *testing.T) {
 	}
 	br := branches[0]
 	// Expert run: every expert injection reported, nothing spurious.
-	expEng := engine.New(br.Store)
-	expEng.Env = ExpertEnv()
+	expEng := &engine.Engine{Store: br.Store, Env: ExpertEnv()}
 	expRep := expEng.Run(expertProg)
 	expMatched, expUnattributed := MatchReport(br.Injected, distinctKeys(expRep))
 	expectedExpert := 0
@@ -233,8 +231,7 @@ func TestBranchExperimentReproducesTables6And7(t *testing.T) {
 		t.Errorf("expert run matched %d injections, want %d", expertMatched, expectedExpert)
 	}
 	// Inferred run: catches true + benign injections, nothing else.
-	infEng := engine.New(br.Store)
-	infEng.Env = ExpertEnv()
+	infEng := &engine.Engine{Store: br.Store, Env: ExpertEnv()}
 	infRep := infEng.Run(inferredProg)
 	if len(infRep.SpecErrors) > 0 {
 		t.Fatalf("spec errors: %v", infRep.SpecErrors)
@@ -317,7 +314,7 @@ func TestRenderXMLValidatesWhatTheStoreValidates(t *testing.T) {
 	}
 	bad := GenerateA(0.15, 5)
 	injected := InjectInferredErrors(bad, 8, 0, 6)
-	own := engine.New(bad.Store).Run(prog)
+	own := (&engine.Engine{Store: bad.Store, Env: simenv.NewSim()}).Run(prog)
 	if len(own.Violations) < len(injected) || own.InstancesChecked == 0 {
 		t.Fatalf("generator's store: %d violations for %d injected errors, %d instances checked",
 			len(own.Violations), len(injected), own.InstancesChecked)
@@ -331,7 +328,7 @@ func TestRenderXMLValidatesWhatTheStoreValidates(t *testing.T) {
 	if n != bad.Store.Len() {
 		t.Errorf("rendered %d instances, parsed back %d", bad.Store.Len(), n)
 	}
-	rep := engine.New(st).Run(prog)
+	rep := (&engine.Engine{Store: st, Env: simenv.NewSim()}).Run(prog)
 	if len(rep.SpecErrors) > 0 {
 		t.Fatalf("spec errors: %v", rep.SpecErrors)
 	}

@@ -118,15 +118,6 @@ func ParseScoped(ctx context.Context, format string, data []byte, sourceName, sc
 	return ins, err
 }
 
-// ParseScopedOwned is ParsePartition's instances, in document order.
-func ParseScopedOwned(ctx context.Context, format string, data []byte, sourceName, scope string, proj *Projection) (ins []*config.Instance, parsed int, err error) {
-	part, parsed, err := ParsePartition(ctx, format, data, sourceName, scope, proj)
-	if err != nil {
-		return nil, 0, err
-	}
-	return part.Instances(), parsed, nil
-}
-
 // ParsePartition is ParseScoped of bytes the caller hands over, as for
 // ParseOwned, with the instances grouped by class as a store is built
 // from them (config.Partition): the instances may point into data,

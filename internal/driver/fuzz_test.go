@@ -217,8 +217,8 @@ func diffScoped(t *testing.T, format string, data []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, gotErr := ParseScopedOwned(ctx, format, bytes.Clone(data), "fuzz-input", scope, nil)
-	want, _, wantErr := ParseScopedOwned(ctx, format, bytes.Clone(data), "fuzz-input", "", nil)
+	got, _, gotErr := ownedInstances(ctx, format, bytes.Clone(data), "fuzz-input", scope, nil)
+	want, _, wantErr := ownedInstances(ctx, format, bytes.Clone(data), "fuzz-input", "", nil)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("%s: verdicts differ on %q:\n scoped:   %v\n unscoped: %v", format, data, gotErr, wantErr)
 	}

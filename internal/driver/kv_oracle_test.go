@@ -77,8 +77,8 @@ func diffProjected(t *testing.T, data []byte, pats string) {
 	}
 	proj := NewProjection(ps)
 	for _, scope := range []string{"", "Sc"} {
-		got, parsed, gotErr := ParseScopedOwned(context.Background(), "kv", bytes.Clone(data), "fuzz-input", scope, proj)
-		full, _, wantErr := ParseScopedOwned(context.Background(), "kv", bytes.Clone(data), "fuzz-input", scope, nil)
+		got, parsed, gotErr := ownedInstances(context.Background(), "kv", bytes.Clone(data), "fuzz-input", scope, proj)
+		full, _, wantErr := ownedInstances(context.Background(), "kv", bytes.Clone(data), "fuzz-input", scope, nil)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("scope %q, projection %q: errors differ on %q:\n projected: %v\n full:      %v", scope, pats, data, gotErr, wantErr)
 		}

@@ -67,14 +67,14 @@ func TestKVParseAllocations(t *testing.T) {
 }
 
 // A scoped load parses into keys that start with the scope: on the
-// 10,000-line document, ParseScopedOwned under a scope makes about as many
+// 10,000-line document, ParsePartition under a scope makes about as many
 // allocations as without one, not one key per instance more.
 func TestScopedParseAllocations(t *testing.T) {
 	doc := flatKV(20, 25, 20)
 	ctx := context.Background()
 	allocs := func(scope string) float64 {
 		return testing.AllocsPerRun(5, func() {
-			ins, _, err := ParseScopedOwned(ctx, "kv", doc, "alloc.kv", scope, nil)
+			ins, _, err := ownedInstances(ctx, "kv", doc, "alloc.kv", scope, nil)
 			if err != nil || len(ins) != 10000 {
 				t.Fatalf("parsed %d instances, err %v", len(ins), err)
 			}

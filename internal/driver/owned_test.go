@@ -35,6 +35,15 @@ func renderInstances(ins []*config.Instance) []string {
 	return out
 }
 
+// ownedInstances is ParsePartition's instances, in document order.
+func ownedInstances(ctx context.Context, format string, data []byte, sourceName, scope string, proj *Projection) ([]*config.Instance, int, error) {
+	part, parsed, err := ParsePartition(ctx, format, data, sourceName, scope, proj)
+	if err != nil {
+		return nil, 0, err
+	}
+	return part.Instances(), parsed, nil
+}
+
 func scribble(b []byte) {
 	for i := range b {
 		b[i] = 'X'
@@ -73,30 +82,30 @@ func TestParseDoesNotAliasInput(t *testing.T) {
 }
 
 // The owned entries only read the buffer they are handed and return what
-// the copying entries return, and they do borrow: ParseScopedOwned
+// the copying entries return, and they do borrow: ParsePartition
 // reaches ParseOwned, whose instances point into the document (shown the
 // only way a test can without unsafe, by breaking the rule and writing to
 // it). A driver with no owned entry copies either way.
 func TestParseOwnedBorrowsInput(t *testing.T) {
 	for _, tc := range ownershipDocs {
 		data := []byte(tc.doc)
-		ins, _, err := ParseScopedOwned(context.Background(), tc.format, data, "own", "", nil)
+		ins, _, err := ownedInstances(context.Background(), tc.format, data, "own", "", nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.format, err)
 		}
 		if string(data) != tc.doc {
-			t.Errorf("%s: ParseScopedOwned wrote to the buffer it was handed", tc.format)
+			t.Errorf("%s: ParsePartition wrote to the buffer it was handed", tc.format)
 		}
 		if got := renderInstances(ins); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s:\n got %q\nwant %q", tc.format, got, tc.want)
 		}
 		scribble(data)
 		if got := renderInstances(ins); reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: instances survived the document being overwritten: ParseScopedOwned copied it", tc.format)
+			t.Errorf("%s: instances survived the document being overwritten: ParsePartition copied it", tc.format)
 		}
 	}
 	data := []byte(`{"app": {"timeout": "30"}}`)
-	ins, _, err := ParseScopedOwned(context.Background(), "json", data, "own", "", nil)
+	ins, _, err := ownedInstances(context.Background(), "json", data, "own", "", nil)
 	if err != nil || len(ins) != 1 {
 		t.Fatalf("json: %d instances, err %v", len(ins), err)
 	}

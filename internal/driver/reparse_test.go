@@ -23,7 +23,7 @@ func checkReparse(t *testing.T, format, scope string, base, doc []byte) bool {
 	t.Helper()
 	ctx := context.Background()
 	owned := bytes.Clone(base)
-	baseIns, _, err := ParseScopedOwned(ctx, format, owned, "fuzz-input", scope, nil)
+	baseIns, _, err := ownedInstances(ctx, format, owned, "fuzz-input", scope, nil)
 	if err != nil {
 		return false
 	}
@@ -204,13 +204,13 @@ func checkProjectedReparse(t *testing.T, scope string, full []*config.Instance, 
 	}
 	proj := NewProjection(pats)
 	owned := bytes.Clone(base)
-	baseIns, _, err := ParseScopedOwned(ctx, "kv", owned, "fuzz-input", scope, proj)
+	baseIns, _, err := ownedInstances(ctx, "kv", owned, "fuzz-input", scope, proj)
 	if err != nil {
 		t.Fatalf("kv: a projected parse of %q fails where the full one did not: %v", base, err)
 	}
 	handed := bytes.Clone(doc)
 	changes, ok := kvDriver{}.Reparse(owned, baseIns, handed)
-	want, _, wantErr := ParseScopedOwned(ctx, "kv", bytes.Clone(doc), "fuzz-input", scope, proj)
+	want, _, wantErr := ownedInstances(ctx, "kv", bytes.Clone(doc), "fuzz-input", scope, proj)
 	checkWindows(t, "kv", owned, baseIns, doc, want, wantErr)
 	if !ok {
 		return
@@ -490,7 +490,7 @@ func TestReparseTakesValueEdits(t *testing.T) {
 		{"kv", "", flatKV(4, 5, 6)},
 		{"kv", "Pre::p", flatKV(3, 3, 3)},
 	} {
-		ins, _, err := ParseScopedOwned(context.Background(), tc.format, tc.doc, "gen", tc.scope, nil)
+		ins, _, err := ownedInstances(context.Background(), tc.format, tc.doc, "gen", tc.scope, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

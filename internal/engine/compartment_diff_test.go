@@ -206,7 +206,7 @@ $Cluster.Lo -> nonempty
 	})
 	defer ctxHook.Store(func() {})
 
-	eng := New(st)
+	eng := &Engine{Store: st, Env: simenv.NewSim()}
 	eng.Opts.Parallel = 1
 	rep := eng.RunContext(ctx, prog)
 	done := assertCancelContract(t, prog, rep, [][]int{allSpecs(prog)})

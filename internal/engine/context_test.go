@@ -134,7 +134,7 @@ func TestRunContextCancelStopsMidRun(t *testing.T) {
 			ctxHook.Store(func() { cancel() })
 			defer ctxHook.Store(func() {})
 
-			eng := New(st)
+			eng := &Engine{Store: st, Env: simenv.NewSim()}
 			eng.Opts.Parallel = parallel
 			rep := eng.RunContext(ctx, prog)
 			parts := eng.partitionSpecs(plan.For(prog), allSpecs(prog), parallel)
@@ -175,7 +175,7 @@ func TestRunIncrementalContextCancelAllRerun(t *testing.T) {
 	for _, parallel := range []int{1, 2} {
 		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
 			stA, prog := cancelFixture(t, nSpecs, -1)
-			engA := New(stA)
+			engA := &Engine{Store: stA, Env: simenv.NewSim()}
 			engA.Opts.Parallel = parallel
 			prevRep := engA.Run(prog)
 			prevSnap := engA.PinnedSnapshot()
@@ -187,12 +187,12 @@ func TestRunIncrementalContextCancelAllRerun(t *testing.T) {
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			engB := New(stB)
+			engB := &Engine{Store: stB, Env: simenv.NewSim()}
 			engB.Opts.Parallel = parallel
 			rep := engB.RunIncrementalContext(ctx, prog, prevSnap, prevRep)
 			assertCancelContract(t, prog, rep, engB.partitionSpecs(plan.For(prog), allSpecs(prog), parallel))
 			if rep.SpecsRun != 0 {
-				t.Fatalf("pre-cancelled all-rerun incremental run: SpecsRun = %d, want 0", rep.SpecsRun)
+				t.Fatalf("pre-cancelled incremental run that re-runs every spec: SpecsRun = %d, want 0", rep.SpecsRun)
 			}
 		})
 	}
@@ -202,7 +202,7 @@ func TestRunContextPreCanceledRunsNothing(t *testing.T) {
 	st, prog := cancelFixture(t, 5, -1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep := New(st).RunContext(ctx, prog)
+	rep := (&Engine{Store: st, Env: simenv.NewSim()}).RunContext(ctx, prog)
 	if !rep.Interrupted || rep.SpecsRun != 0 || len(rep.Violations) != 0 {
 		t.Fatalf("pre-canceled run: %+v", rep)
 	}
@@ -212,7 +212,7 @@ func TestRunContextDeadline(t *testing.T) {
 	st, prog := cancelFixture(t, 5, -1)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	rep := New(st).RunContext(ctx, prog)
+	rep := (&Engine{Store: st, Env: simenv.NewSim()}).RunContext(ctx, prog)
 	if !rep.Interrupted {
 		t.Fatalf("expired deadline did not interrupt the run")
 	}
@@ -225,7 +225,7 @@ func TestRunContextCancelParallelNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	ctxHook.Store(func() { cancel() })
-	eng := New(st)
+	eng := &Engine{Store: st, Env: simenv.NewSim()}
 	eng.Opts.Parallel = 4
 	rep := eng.RunContext(ctx, prog)
 	if !rep.Interrupted {
@@ -256,7 +256,7 @@ func TestPanickingPredicateIsolated(t *testing.T) {
 	src := "$app.a -> int & [0, 9]\n$app.b -> panicboom\n$app.c -> int & [0, 8]"
 	prog := compileSrc(t, src)
 
-	reports := []*report.Report{New(st).Run(prog), refRun(st, prog, refeval.Options{})}
+	reports := []*report.Report{(&Engine{Store: st, Env: simenv.NewSim()}).Run(prog), refRun(st, prog, refeval.Options{})}
 	for i, rep := range reports {
 		interpret := i == 1
 		if len(rep.SpecErrors) != 1 || !strings.Contains(rep.SpecErrors[0], "panic: predicate exploded on boom") {
@@ -293,8 +293,8 @@ func TestPanickingPredicateParallel(t *testing.T) {
 	}
 	prog := compileSrc(t, src.String())
 
-	seq := New(st).Run(prog)
-	par := New(st)
+	seq := (&Engine{Store: st, Env: simenv.NewSim()}).Run(prog)
+	par := &Engine{Store: st, Env: simenv.NewSim()}
 	par.Opts.Parallel = 4
 	prep := par.Run(prog)
 	if a, b := normalizedJSON(t, seq), normalizedJSON(t, prep); a != b {
@@ -317,7 +317,7 @@ func TestIncrementalNeverReusesErroredVerdict(t *testing.T) {
 	defer ctxHook.Store(func() {})
 
 	prog := compileSrc(t, "$app.a -> int\n$app.b -> ctxhook")
-	eng := New(st)
+	eng := &Engine{Store: st, Env: simenv.NewSim()}
 	rep1 := eng.Run(prog)
 	if len(rep1.SpecErrors) != 1 || !strings.Contains(rep1.SpecErrors[0], "transient plug-in failure") {
 		t.Fatalf("round 1 did not capture the transient panic: %v", rep1.SpecErrors)
@@ -326,14 +326,14 @@ func TestIncrementalNeverReusesErroredVerdict(t *testing.T) {
 
 	// Round 2: nothing changed, but the errored spec must re-run (the
 	// hook no longer panics) while the clean spec's verdict is reused.
-	rep2 := eng.RunIncremental(prog, snap1, rep1)
+	rep2 := eng.RunIncrementalContext(context.Background(), prog, snap1, rep1)
 	if len(rep2.SpecErrors) != 0 {
 		t.Fatalf("round 2 still errored: %v", rep2.SpecErrors)
 	}
 	if rep2.SpecsReused != 1 {
 		t.Fatalf("round 2 SpecsReused = %d, want 1 (the clean spec)", rep2.SpecsReused)
 	}
-	full := New(st).Run(prog)
+	full := (&Engine{Store: st, Env: simenv.NewSim()}).Run(prog)
 	if a, b := normalizedJSON(t, rep2), normalizedJSON(t, full); a != b {
 		t.Fatalf("recovered incremental report diverges from full run:\n%s\nvs\n%s", a, b)
 	}
@@ -350,7 +350,7 @@ func TestIncrementalInterruptedNotSpliced(t *testing.T) {
 		fmt.Fprintf(&src, "$app.k%d -> int & [0, %d]\n", i, 100+i)
 	}
 	prog := compileSrc(t, src.String())
-	eng := New(st)
+	eng := &Engine{Store: st, Env: simenv.NewSim()}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	partial := eng.RunContext(ctx, prog)
@@ -358,7 +358,7 @@ func TestIncrementalInterruptedNotSpliced(t *testing.T) {
 		t.Fatalf("canceled full run not Interrupted")
 	}
 	// Splicing from the interrupted report must fall back to a full run.
-	rep := eng.RunIncremental(prog, eng.PinnedSnapshot(), partial)
+	rep := eng.RunIncrementalContext(context.Background(), prog, eng.PinnedSnapshot(), partial)
 	if rep.Interrupted || rep.SpecsRun != 6 || rep.SpecsReused != 0 {
 		t.Fatalf("incremental from interrupted state: %+v", rep)
 	}

@@ -54,11 +54,6 @@ type Engine struct {
 	policyStop bool
 }
 
-// New returns an engine over a store with a simulated environment.
-func New(st *config.Store) *Engine {
-	return &Engine{Store: st, Env: simenv.NewSim()}
-}
-
 // Run evaluates every specification in the program and returns the
 // report. The program is lowered to an executable plan once (it owns
 // the plan; see internal/plan) and the plan is executed.

@@ -21,7 +21,7 @@ func run(t *testing.T, st *config.Store, src string) *report.Report {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	eng := New(st)
+	eng := &Engine{Store: st, Env: simenv.NewSim()}
 	rep := eng.Run(prog)
 	for _, e := range rep.SpecErrors {
 		t.Fatalf("spec error: %s", e)
@@ -370,7 +370,7 @@ func TestPathExistsAgainstEnvironment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(st)
+	eng := &Engine{Store: st, Env: simenv.NewSim()}
 	env := simenv.NewSim()
 	env.AddPath(`\\share\OS\v2`)
 	eng.Env = env
@@ -378,7 +378,7 @@ func TestPathExistsAgainstEnvironment(t *testing.T) {
 	if !rep.Passed() {
 		t.Errorf("violations = %v", rep.Violations)
 	}
-	eng2 := New(st) // empty env: path missing
+	eng2 := &Engine{Store: st, Env: simenv.NewSim()} // empty env: path missing
 	rep = eng2.Run(prog)
 	if len(rep.Violations) != 1 || !strings.Contains(rep.Violations[0].Message, "does not exist") {
 		t.Errorf("violations = %v", rep.Violations)
@@ -450,7 +450,7 @@ func TestStopPolicyIsPerRun(t *testing.T) {
 	st := config.NewStore()
 	kv(st, "A", "x")
 	kv(st, "B", "y")
-	eng := New(st)
+	eng := &Engine{Store: st, Env: simenv.NewSim()}
 	for _, c := range []struct {
 		src     string
 		want    int
@@ -495,7 +495,7 @@ $Cluster.Timeout -> unique
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := New(st).Run(prog)
+	seq := (&Engine{Store: st, Env: simenv.NewSim()}).Run(prog)
 	par := &Engine{Store: st, Env: simenv.NewSim(), Opts: Options{Parallel: 4}}
 	parRep := par.Run(prog)
 	if len(seq.Violations) != len(parRep.Violations) {
@@ -540,7 +540,7 @@ func TestSpecErrorsReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := New(st).Run(prog)
+	rep := (&Engine{Store: st, Env: simenv.NewSim()}).Run(prog)
 	if len(rep.SpecErrors) != 1 || !strings.Contains(rep.SpecErrors[0], "out of bounds") {
 		t.Errorf("spec errors = %v", rep.SpecErrors)
 	}

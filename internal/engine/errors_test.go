@@ -18,7 +18,7 @@ func runExpectSpecError(t *testing.T, st *config.Store, src, want string) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	rep := New(st).Run(prog)
+	rep := (&Engine{Store: st, Env: simenv.NewSim()}).Run(prog)
 	if len(rep.SpecErrors) != 1 || !strings.Contains(rep.SpecErrors[0], want) {
 		t.Errorf("spec errors = %v, want one containing %q", rep.SpecErrors, want)
 	}
@@ -44,7 +44,7 @@ func TestNestedCompartmentDomainRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := New(st).Run(prog); !rep.Passed() {
+	if rep := (&Engine{Store: st, Env: simenv.NewSim()}).Run(prog); !rep.Passed() {
 		t.Errorf("piped compartment domain: %v / %v", rep.Violations, rep.SpecErrors)
 	}
 	// A compartment domain buried anywhere else must fail loudly, not
@@ -160,7 +160,7 @@ func TestPartitionTimes(t *testing.T) {
 	if len(prog.Specs) != 3 {
 		t.Fatalf("specs = %d", len(prog.Specs))
 	}
-	eng := New(st)
+	eng := &Engine{Store: st, Env: simenv.NewSim()}
 	// Asking for more partitions than specs clamps: 3 specs never produce
 	// an empty fourth partition.
 	times := eng.PartitionTimes(prog, 4)

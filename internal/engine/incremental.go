@@ -3,7 +3,7 @@ package engine
 // Incremental validation: the delta-driven path for watch rounds.
 // Configuration changes on the deployment path arrive as small deltas
 // against a mostly-stable corpus, so a revalidation round rarely needs
-// to re-execute every specification. RunIncremental diffs the new
+// to re-execute every specification. RunIncrementalContext diffs the new
 // snapshot against the previous one, re-runs only the specs whose
 // static footprint overlaps the changed keys, and assembles the report
 // from the fresh sections of those and the previous report's sections of
@@ -28,27 +28,21 @@ import (
 	"confvalley/internal/report"
 )
 
-// PinnedSnapshot returns the snapshot the engine's most recent Run or
-// RunIncremental validated against. Callers retaining state for a later
-// incremental round pair it with the run's report.
+// PinnedSnapshot returns the snapshot the engine's most recent run
+// validated against. Callers retaining state for a later incremental
+// round pair it with the run's report.
 func (e *Engine) PinnedSnapshot() *config.Snapshot { return e.snap }
 
-// RunIncremental validates prog against the store's current snapshot,
-// reusing per-spec verdicts from a previous run where the diff against
-// prevSnap proves them still valid. It runs every spec when reuse is
-// unsound or unavailable: no previous state, a previous report that is
-// not spliceable or stopped, or a stop-on-first policy (a truncated run
-// has no complete verdict set to splice from, and its stop point depends
-// on global execution order).
-func (e *Engine) RunIncremental(prog *compiler.Program, prevSnap *config.Snapshot, prevRep *report.Report) *report.Report {
-	return e.RunIncrementalContext(context.Background(), prog, prevSnap, prevRep)
-}
-
-// RunIncrementalContext is RunIncremental under a caller-supplied
-// context, and the engine's one run path: RunContext calls it with no
-// previous state. Every branch executes its specs through runSpecs, so a
-// full run, the all-rerun case and a re-run subset all stop under the
-// same cancellation contract. An interrupted previous report is never
+// RunIncrementalContext validates prog against the store's current
+// snapshot under ctx, reusing per-spec verdicts from a previous run where
+// the diff against prevSnap proves them still valid. It runs every spec
+// when reuse is unsound or unavailable: no previous state, a previous
+// report that is not spliceable or stopped, or a stop-on-first policy (a
+// truncated run has no complete verdict set to splice from, and its stop
+// point depends on global execution order). It is the engine's one run
+// path: RunContext calls it with no previous state. Every branch executes
+// its specs through runSpecs, so a full run, the all-rerun case and a
+// re-run subset all stop under the same cancellation contract. An interrupted previous report is never
 // spliced from (its sections do not cover the program), and an
 // interrupted re-run yields a partial report marked Interrupted without
 // splicing — a partial splice would claim reuse it cannot justify.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -80,7 +81,7 @@ func TestPropIncrementalMatchesFull(t *testing.T) {
 			for round := 0; round < 4; round++ {
 				st = mutateCorpus(rng, st)
 				incEng := &Engine{Store: st, Env: simenv.NewSim(), Opts: opts}
-				incRep := incEng.RunIncremental(prog, prevSnap, prevRep)
+				incRep := incEng.RunIncrementalContext(context.Background(), prog, prevSnap, prevRep)
 				totalReused += incRep.SpecsReused
 
 				fullRep := (&Engine{Store: st, Env: simenv.NewSim(), Opts: opts}).Run(prog)
@@ -110,7 +111,7 @@ func TestIncrementalNoChangeReusesAll(t *testing.T) {
 	}
 	eng := &Engine{Store: st, Env: simenv.NewSim()}
 	full := eng.Run(prog)
-	inc := (&Engine{Store: st, Env: simenv.NewSim()}).RunIncremental(prog, eng.PinnedSnapshot(), full)
+	inc := (&Engine{Store: st, Env: simenv.NewSim()}).RunIncrementalContext(context.Background(), prog, eng.PinnedSnapshot(), full)
 	if inc.SpecsReused != inc.SpecsRun || inc.SpecsRun == 0 {
 		t.Fatalf("reused %d of %d specs, want all", inc.SpecsReused, inc.SpecsRun)
 	}
@@ -153,7 +154,7 @@ if ($PickName -> nonempty) {
 	// footprint (the one static spec reads Zone.Comp0.P0; the guarded
 	// spec is dynamic, so it advertises no patterns at all).
 	st2 := build("")
-	inc := (&Engine{Store: st2, Env: simenv.NewSim()}).RunIncremental(prog, seedEng.PinnedSnapshot(), prevRep)
+	inc := (&Engine{Store: st2, Env: simenv.NewSim()}).RunIncrementalContext(context.Background(), prog, seedEng.PinnedSnapshot(), prevRep)
 	if inc.SpecsReused != 1 {
 		t.Errorf("SpecsReused = %d, want 1 (static spec reused, dynamic re-run)", inc.SpecsReused)
 	}
@@ -183,7 +184,7 @@ func TestIncrementalFallsBackToFullRun(t *testing.T) {
 	full := eng.Run(prog)
 
 	// Missing previous report.
-	inc := (&Engine{Store: st, Env: simenv.NewSim()}).RunIncremental(prog, eng.PinnedSnapshot(), nil)
+	inc := (&Engine{Store: st, Env: simenv.NewSim()}).RunIncrementalContext(context.Background(), prog, eng.PinnedSnapshot(), nil)
 	if inc.SpecsReused != 0 {
 		t.Errorf("nil prevRep: SpecsReused = %d, want 0", inc.SpecsReused)
 	}
@@ -195,7 +196,7 @@ func TestIncrementalFallsBackToFullRun(t *testing.T) {
 	stopEng := &Engine{Store: st, Env: simenv.NewSim(), Opts: Options{StopOnFirst: true}}
 	stopFull := stopEng.Run(prog)
 	stopInc := (&Engine{Store: st, Env: simenv.NewSim(), Opts: Options{StopOnFirst: true}}).
-		RunIncremental(prog, eng.PinnedSnapshot(), full)
+		RunIncrementalContext(context.Background(), prog, eng.PinnedSnapshot(), full)
 	if stopInc.SpecsReused != 0 {
 		t.Errorf("StopOnFirst: SpecsReused = %d, want 0", stopInc.SpecsReused)
 	}
@@ -267,7 +268,7 @@ func TestSpliceLinearInReport(t *testing.T) {
 	var full, inc *report.Report
 	fullCPU := cpuBestOf(func() { full = (&Engine{Store: next, Env: simenv.NewSim(), Opts: opts}).Run(prog) })
 	incCPU := cpuBestOf(func() {
-		inc = (&Engine{Store: next, Env: simenv.NewSim(), Opts: opts}).RunIncremental(prog, prevEng.PinnedSnapshot(), prev)
+		inc = (&Engine{Store: next, Env: simenv.NewSim(), Opts: opts}).RunIncrementalContext(context.Background(), prog, prevEng.PinnedSnapshot(), prev)
 	})
 	if inc.SpecsReused != specs-1 {
 		t.Fatalf("incremental run reused %d specs, want %d", inc.SpecsReused, specs-1)

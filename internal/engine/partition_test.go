@@ -97,7 +97,7 @@ func TestPartitionSpecsNeverEmpty(t *testing.T) {
 	}
 	// partitionSpecs clamps n to the spec count before splitting.
 	prog := compileSrc(t, "$a -> int & [0, 1]\n$b -> int & [0, 2]\n$c -> int & [0, 3]")
-	e := New(config.NewStore())
+	e := &Engine{Store: config.NewStore(), Env: simenv.NewSim()}
 	e.begin(context.Background(), prog)
 	if parts := e.partitionSpecs(plan.For(prog), allSpecs(prog), 8); len(parts) != 3 {
 		t.Fatalf("partitionSpecs(3 specs, n=8) = %d partitions, want 3", len(parts))
@@ -186,7 +186,7 @@ func TestFillUnknownCosts(t *testing.T) {
 // dealt it: LPT over equal costs, ties to the lowest partition.
 func TestAllDynamicPartitionsDealRoundRobin(t *testing.T) {
 	prog := compileSrc(t, dynamicSpecs(23))
-	e := New(config.NewStore())
+	e := &Engine{Store: config.NewStore(), Env: simenv.NewSim()}
 	e.begin(context.Background(), prog)
 	p := plan.For(prog)
 	for _, n := range []int{2, 3, 4, 8, 23} {
@@ -303,7 +303,7 @@ func TestIncrementalSubsetUsesPartitioner(t *testing.T) {
 		mutated := mutateCorpus(rng, st)
 		full := (&Engine{Store: mutated, Env: simenv.NewSim(), Opts: opts}).Run(prog)
 		incEng := &Engine{Store: mutated, Env: simenv.NewSim(), Opts: opts}
-		inc := incEng.RunIncremental(prog, prevSnap, prevRep)
+		inc := incEng.RunIncrementalContext(context.Background(), prog, prevSnap, prevRep)
 		if inc.SpecsReused == 0 {
 			t.Fatalf("%s: incremental run reused nothing — subset path not exercised", arm.name)
 		}

@@ -9,6 +9,7 @@ import (
 	"confvalley/internal/compiler"
 	"confvalley/internal/config"
 	"confvalley/internal/report"
+	"confvalley/internal/simenv"
 )
 
 // wideStore builds a store large enough that sealing (trie construction)
@@ -67,7 +68,7 @@ func TestParallelRunColdStoreRace(t *testing.T) {
 	var want *report.Report
 	for trial := 0; trial < 3; trial++ {
 		st := wideStore() // fresh: unsealed snapshot, cold cache
-		eng := New(st)
+		eng := &Engine{Store: st, Env: simenv.NewSim()}
 		eng.Opts.Parallel = 8
 		rep := eng.Run(prog)
 		if len(rep.SpecErrors) != 0 {
@@ -89,7 +90,7 @@ func TestParallelRunColdStoreRace(t *testing.T) {
 	}
 
 	// The sequential path must agree with the parallel one.
-	eng := New(wideStore())
+	eng := &Engine{Store: wideStore(), Env: simenv.NewSim()}
 	eng.Opts.Parallel = 1
 	rep := eng.Run(prog)
 	if len(rep.Violations) != 1 ||
@@ -116,7 +117,7 @@ func TestConcurrentEngineRunsShareStore(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			<-start
-			eng := New(st)
+			eng := &Engine{Store: st, Env: simenv.NewSim()}
 			if w%2 == 0 {
 				eng.Opts.Parallel = 4
 			}
@@ -156,7 +157,7 @@ compartment CloudGroup { $Cloud.Timeout -> consistent & ordered }
 	if len(want) != 32*32 {
 		t.Fatalf("fixture: %d instances, want %d", len(want), 32*32)
 	}
-	eng := New(st)
+	eng := &Engine{Store: st, Env: simenv.NewSim()}
 	eng.Opts.Parallel = 2
 	for round := 0; round < 4; round++ {
 		if rep := eng.Run(prog); len(rep.SpecErrors) != 0 {

@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 	"strings"
 	"time"
@@ -746,160 +745,4 @@ func Discovery(cfg Config) DiscoveryResult {
 	cfg.printf("Discovery ablation (§5.2): %d queries — naive %v vs trie+cache %v (%.1fx speedup)\n",
 		out.Queries, out.NaiveTime.Round(time.Millisecond), out.IndexedTime.Round(time.Millisecond), out.Speedup)
 	return out
-}
-
-// ---- incremental validation: churn sweep ----
-
-// IncrementalRow is one (churn rate, spread) full-vs-incremental
-// comparison.
-type IncrementalRow struct {
-	Churn       float64       // fraction of keys mutated per round
-	Spread      string        // "clustered" (contiguous block) or "uniform"
-	Changed     int           // keys actually mutated
-	Full        time.Duration // full revalidation of the mutated store
-	Incremental time.Duration // delta-driven revalidation
-	Speedup     float64
-	Rerun       int // specs re-executed by the incremental round
-	Reused      int // specs spliced from the previous report
-}
-
-// Incremental sweeps churn rates over the watch-round model: the Type A
-// corpus is revalidated against a freshly rebuilt store in which a
-// fraction of keys changed value, comparing a full run with the
-// delta-driven incremental run seeded by the previous round. Each rate
-// is measured under two spreads: "clustered" mutates one contiguous
-// block of instances — the realistic shape of a configuration edit,
-// which lands in one file or section — while "uniform" scatters the
-// mutations independently across the whole corpus, the worst case for
-// footprint-based reuse (every touched class drags its whole spec back
-// in, and uniform sampling preferentially lands in the biggest, most
-// expensive classes). Reports must agree exactly (modulo wall time and
-// the reuse counter); a divergence panics, since a fast-but-wrong
-// incremental round would poison every number downstream. Each
-// configuration takes the best of three runs to damp scheduler noise.
-func Incremental(cfg Config) []IncrementalRow {
-	a := azuregen.GenerateA(cfg.ScaleA, cfg.Seed)
-	res := infer.Infer(a.Store, infer.Defaults())
-	prog, err := compiler.Compile(res.GenerateCPL())
-	if err != nil {
-		panic(err)
-	}
-	base := a.Store.Instances()
-
-	// Seed round: one full run over the unmutated corpus provides the
-	// (snapshot, report) pair every incremental round splices from.
-	seedEng := engine.Engine{Store: a.Store, Env: simenv.NewSim()}
-	prevRep := seedEng.Run(prog)
-	prevSnap := seedEng.PinnedSnapshot()
-
-	best := func(f func() time.Duration) time.Duration {
-		min := f()
-		for i := 0; i < 2; i++ {
-			if d := f(); d < min {
-				min = d
-			}
-		}
-		return min
-	}
-
-	var rows []IncrementalRow
-	cfg.printf("Incremental validation: churn sweep, %d specs over %d instances\n",
-		len(prog.Specs), len(base))
-	cfg.printf("%8s %-10s %8s %12s %12s %9s %7s %7s\n",
-		"churn", "spread", "changed", "full", "incremental", "speedup", "rerun", "reused")
-	for _, churn := range []float64{0.001, 0.01, 0.1, 1.0} {
-		for _, spread := range []string{"clustered", "uniform"} {
-			// Rebuild the store from scratch — the watch-round reload
-			// model — mutating a deterministic selection of keys.
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(churn*1e6)))
-			n := int(churn * float64(len(base)))
-			if n == 0 {
-				n = 1
-			}
-			start := rng.Intn(len(base) - n + 1)
-			mutated := config.NewStore()
-			changed := 0
-			for i, in := range base {
-				v := in.Value
-				hit := false
-				if spread == "clustered" {
-					hit = i >= start && i < start+n
-				} else {
-					hit = rng.Float64() < churn
-				}
-				if hit {
-					v = v + "~churned"
-					changed++
-				}
-				mutated.Add(&config.Instance{Key: in.Key, Value: v, Source: in.Source})
-			}
-
-			fullEng := engine.Engine{Store: mutated, Env: simenv.NewSim()}
-			var fullRep *report.Report
-			fullTime := best(func() time.Duration {
-				start := time.Now()
-				fullRep = fullEng.Run(prog)
-				return time.Since(start)
-			})
-
-			var incRep *report.Report
-			incTime := best(func() time.Duration {
-				incEng := engine.Engine{Store: mutated, Env: simenv.NewSim()}
-				start := time.Now()
-				incRep = incEng.RunIncremental(prog, prevSnap, prevRep)
-				return time.Since(start)
-			})
-
-			if err := reportsDiverge(fullRep, incRep); err != nil {
-				panic(fmt.Sprintf("incremental churn %.3f (%s): %v", churn, spread, err))
-			}
-
-			row := IncrementalRow{
-				Churn:       churn,
-				Spread:      spread,
-				Changed:     changed,
-				Full:        fullTime,
-				Incremental: incTime,
-				Speedup:     float64(fullTime) / float64(incTime),
-				Rerun:       incRep.SpecsRun - incRep.SpecsReused,
-				Reused:      incRep.SpecsReused,
-			}
-			rows = append(rows, row)
-			cfg.printf("%7.1f%% %-10s %8d %12v %12v %8.1fx %7d %7d\n",
-				churn*100, spread, changed, fullTime.Round(time.Microsecond),
-				incTime.Round(time.Microsecond), row.Speedup, row.Rerun, row.Reused)
-		}
-	}
-	return rows
-}
-
-// reportsDiverge checks that a full and an incremental report agree on
-// everything except wall time and the reuse counter.
-func reportsDiverge(full, inc *report.Report) error {
-	if full.SpecsRun != inc.SpecsRun || full.SpecsFailed != inc.SpecsFailed ||
-		full.InstancesChecked != inc.InstancesChecked || full.Stopped != inc.Stopped {
-		return fmt.Errorf("counters diverge: full run %d/%d specs %d instances, incremental %d/%d specs %d instances",
-			full.SpecsRun, full.SpecsFailed, full.InstancesChecked,
-			inc.SpecsRun, inc.SpecsFailed, inc.InstancesChecked)
-	}
-	if len(full.Violations) != len(inc.Violations) {
-		return fmt.Errorf("violation counts diverge: full %d, incremental %d",
-			len(full.Violations), len(inc.Violations))
-	}
-	for i := range full.Violations {
-		if full.Violations[i] != inc.Violations[i] {
-			return fmt.Errorf("violation %d diverges: full %+v, incremental %+v",
-				i, full.Violations[i], inc.Violations[i])
-		}
-	}
-	if len(full.SpecErrors) != len(inc.SpecErrors) {
-		return fmt.Errorf("spec error counts diverge: full %d, incremental %d",
-			len(full.SpecErrors), len(inc.SpecErrors))
-	}
-	for i := range full.SpecErrors {
-		if full.SpecErrors[i] != inc.SpecErrors[i] {
-			return fmt.Errorf("spec error %d diverges", i)
-		}
-	}
-	return nil
 }

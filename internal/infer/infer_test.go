@@ -10,6 +10,7 @@ import (
 	"confvalley/internal/compiler"
 	"confvalley/internal/config"
 	"confvalley/internal/engine"
+	"confvalley/internal/simenv"
 )
 
 // addClass populates n instances of one class with generated values.
@@ -234,13 +235,13 @@ func TestGeneratedCPLCompilesAndValidates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("generated CPL does not compile: %v\n%s", err, src)
 	}
-	rep := engine.New(st).Run(prog)
+	rep := (&engine.Engine{Store: st, Env: simenv.NewSim()}).Run(prog)
 	if !rep.Passed() {
 		t.Errorf("good corpus violates its own inferred specs:\n%v\n%v", rep.Violations, rep.SpecErrors)
 	}
 	// A bad value is caught by the inferred specs.
 	st.Add(&config.Instance{Key: config.K("Node::x", "Port"), Value: "not-a-port"})
-	rep = engine.New(st).Run(prog)
+	rep = (&engine.Engine{Store: st, Env: simenv.NewSim()}).Run(prog)
 	if rep.Passed() {
 		t.Error("inferred specs should catch the bad value")
 	}

@@ -8,6 +8,7 @@ import (
 	"confvalley/internal/compiler"
 	"confvalley/internal/config"
 	"confvalley/internal/engine"
+	"confvalley/internal/simenv"
 )
 
 // randomTrainingCorpus builds corpora mixing every value shape inference
@@ -73,7 +74,7 @@ func TestPropInferenceSoundOnTrainingData(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: generated CPL does not compile: %v\n%s", seed, err, src)
 		}
-		rep := engine.New(st).Run(prog)
+		rep := (&engine.Engine{Store: st, Env: simenv.NewSim()}).Run(prog)
 		if len(rep.SpecErrors) > 0 {
 			t.Fatalf("seed %d: spec errors: %v", seed, rep.SpecErrors)
 		}
@@ -92,7 +93,7 @@ func TestPropInferenceSoundOnTrainingData(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: verbose CPL does not compile: %v", seed, err)
 		}
-		if rep := engine.New(st).Run(vprog); len(rep.Violations) != 0 || len(rep.SpecErrors) != 0 {
+		if rep := (&engine.Engine{Store: st, Env: simenv.NewSim()}).Run(vprog); len(rep.Violations) != 0 || len(rep.SpecErrors) != 0 {
 			t.Errorf("seed %d: verbose form disagrees: %d violations, %d errors",
 				seed, len(rep.Violations), len(rep.SpecErrors))
 		}

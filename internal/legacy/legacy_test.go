@@ -21,7 +21,7 @@ func cplKeys(t *testing.T, st *config.Store, src string, env simenv.Env) []strin
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	eng := engine.New(st)
+	eng := &engine.Engine{Store: st, Env: simenv.NewSim()}
 	if env != nil {
 		eng.Env = env
 	}

@@ -100,7 +100,7 @@ func TestLoadTimeoutInterruptsAllRerunIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Report.Interrupted || res.Report.SpecsRun != 1 {
-		t.Errorf("deadline inside an all-rerun incremental run: Interrupted=%t SpecsRun=%d, want true/1 (the stalled spec completes, nothing after it starts)",
+		t.Errorf("deadline inside an incremental run that re-runs every spec: Interrupted=%t SpecsRun=%d, want true/1 (the stalled spec completes, nothing after it starts)",
 			res.Report.Interrupted, res.Report.SpecsRun)
 	}
 	if res.State != seed.State {

@@ -282,11 +282,11 @@ type decoded struct {
 	own  uint64
 }
 
-// decode decodes body, which a addressed under the memo, as
-// decodeEnvelope does, except that it takes the decoded bytes of runs of
+// decode decodes body, which a addressed under the memo, as a memo-less
+// envelopeDecoder does, except that it takes the decoded bytes of runs of
 // chunks equal to the last decoded body's from that decode's view
 // (markAt): a payload with such a run is handed over as a patch, which
-// materialises to what decodeEnvelope decodes.
+// materialises to what the memo-less decode decodes.
 func (m *addressMemo) decode(a *addressing, body []byte, maxSources int, maxPayloadBytes int64) (decoded, error) {
 	v := &lastDecode{gen: a.own}
 	v.marks = v.marksRoom[:0]

@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -166,11 +167,12 @@ func TestRepeatAfterRolledBackRegistration(t *testing.T) {
 	}
 }
 
-// A low-churn request stream takes the incremental path (delta re-parse,
+// A churned request stream takes the incremental path (delta re-parse,
 // snapshot diff, spec-level reuse) yet stays byte-identical to running
-// every request through a fresh runner. Two inputs: a 3-key KV payload where each request changes one
-// key, and the inferred Type A suite over its corpus as XML, sent as is,
-// repeated, and with 0.1 % and 1 % of instances churned.
+// every request through a fresh runner. Two inputs: a 3-key KV payload
+// where each request changes one key, and the inferred Type A suite over
+// its corpus as XML, sent as is, repeated, and with 0.1 %, 1 % and 10 % of
+// its instances churned, in one contiguous run and scattered.
 func TestIncrementalChurnMatchesFullRuns(t *testing.T) {
 	t.Run("kv", func(t *testing.T) {
 		ctx := context.Background()
@@ -221,9 +223,28 @@ func TestIncrementalChurnMatchesFullRuns(t *testing.T) {
 		a := azuregen.GenerateA(0.05, 2015)
 		spec := infer.Infer(a.Store, infer.Defaults()).GenerateCPL()
 		base := azuregen.RenderXML(a.Store)
+		// mustSplice marks the churned payloads that have to reuse a spec.
+		// A scattered 10 % churn touches every footprint of the small suite,
+		// and so does the request after it, which reverts that scatter:
+		// those two re-run every spec.
 		payloads := [][]byte{base, base} // the repeat is a result-cache hit
+		mustSplice := []bool{false, false}
+		afterScatter := false
 		for round := 0; round < 2; round++ {
-			payloads = append(payloads, churnXML(a.Store, 0.001, round), churnXML(a.Store, 0.01, round))
+			for _, clustered := range []bool{true, false} {
+				for _, frac := range []float64{0.001, 0.01, 0.1} {
+					payloads = append(payloads, churnXML(a.Store, frac, clustered, round))
+					scatter := !clustered && frac == 0.1
+					mustSplice = append(mustSplice, !scatter && !afterScatter)
+					afterScatter = scatter
+				}
+			}
+		}
+		wantSpliced := int64(0)
+		for _, m := range mustSplice {
+			if m {
+				wantSpliced++
+			}
 		}
 
 		srv, warm := testClient(t, Config{})
@@ -239,6 +260,9 @@ func TestIncrementalChurnMatchesFullRuns(t *testing.T) {
 			if warmResp.Report.InstancesChecked == 0 {
 				t.Fatalf("payload %d: the suite checked no instance; the comparison would be vacuous", i)
 			}
+			if mustSplice[i] && warmResp.Report.SpecsReused == 0 {
+				t.Errorf("payload %d re-ran all %d specs; it must reuse some", i, warmResp.Report.SpecsRun)
+			}
 			got := wireModuloCaching(t, warmResp.Report)
 			want, _ := fullRun(t, spec, req)
 			if !bytes.Equal(got, want) {
@@ -250,9 +274,9 @@ func TestIncrementalChurnMatchesFullRuns(t *testing.T) {
 		if st.ResultCacheHits != 1 {
 			t.Errorf("result cache hits = %d, want 1 (the repeated payload)", st.ResultCacheHits)
 		}
-		if st.IncrementalRuns != 4 || st.SpecsReused == 0 {
-			t.Errorf("churned payloads took %d incremental runs reusing %d specs; want 4 runs that reuse specs",
-				st.IncrementalRuns, st.SpecsReused)
+		if st.IncrementalRuns != wantSpliced || st.SpecsReused == 0 {
+			t.Errorf("churned payloads took %d incremental runs reusing %d specs; want %d runs that reuse specs",
+				st.IncrementalRuns, st.SpecsReused, wantSpliced)
 		}
 		if st.SourcesReparsed == 0 || st.SourcesParsed+st.SourcesReparsed != st.Validations {
 			t.Errorf("parse accounting = %d parsed / %d re-parsed over %d validations; want re-parses, summing to the validations",
@@ -279,20 +303,28 @@ func fullRun(t *testing.T, spec string, req ValidateRequest) ([]byte, int) {
 	return wireModuloCaching(t, res.Report.Wire()), res.Code()
 }
 
-// churnXML renders the corpus with a round-dependent window of ~frac of
-// its instances re-valued — a low-churn request stream, deterministic
-// per (frac, round).
-func churnXML(st *config.Store, frac float64, round int) []byte {
+// churnXML renders the corpus with ~frac of its instances re-valued,
+// deterministic per (frac, clustered, round): a round-dependent window of
+// them when clustered, else a seeded scatter over the whole corpus.
+func churnXML(st *config.Store, frac float64, clustered bool, round int) []byte {
 	ins := st.Instances()
-	n := int(frac * float64(len(ins)))
-	if n < 1 {
-		n = 1
+	n := max(int(frac*float64(len(ins))), 1)
+	churned := make([]bool, len(ins))
+	if clustered {
+		lo := (round * n) % len(ins)
+		for d := 0; d < n; d++ {
+			churned[(lo+d)%len(ins)] = true
+		}
+	} else {
+		rng := rand.New(rand.NewSource(int64(frac*1e6) + int64(round)))
+		for _, i := range rng.Perm(len(ins))[:n] {
+			churned[i] = true
+		}
 	}
 	variant := config.NewStore()
-	lo := (round * n) % len(ins)
 	for i, in := range ins {
 		cp := *in
-		if d := (i - lo + len(ins)) % len(ins); d < n {
+		if churned[i] {
 			cp.Value += "~churned"
 		}
 		variant.Add(&cp)
@@ -595,7 +627,7 @@ func TestInterruptedAllRerunResponseNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !resp.Report.Interrupted || resp.Report.SpecsRun != 1 {
-		t.Fatalf("deadline inside an all-rerun incremental request: interrupted=%t specs_run=%d, want true/1",
+		t.Fatalf("deadline inside an incremental request that re-runs every spec: interrupted=%t specs_run=%d, want true/1",
 			resp.Report.Interrupted, resp.Report.SpecsRun)
 	}
 

@@ -113,8 +113,7 @@ func payloadBuffer(reserve int64) *[]byte {
 	return &buf
 }
 
-// releasePayloads hands a buffer decodeEnvelope returned back to the
-// pool; the caller must know that nothing points into it. A nil buffer
+// releasePayloads hands a buffer a decode returned back to the pool; the caller must know that nothing points into it. A nil buffer
 // is ignored.
 func releasePayloads(buf *[]byte) {
 	if buf == nil {
@@ -126,20 +125,14 @@ func releasePayloads(buf *[]byte) {
 	payloadPool.Put(buf)
 }
 
-// decodeEnvelope decodes a validate request body without writing to it
-// and without keeping a reference into it. It stops with ErrQuota at
-// element maxSources+1 of payloads plus sources, and with ErrTooLarge as
-// soon as the payload data decoded so far passes maxPayloadBytes; every
+// decode decodes the decoder's body, a validate request, without writing
+// to it and without keeping a reference into it. It stops with ErrQuota
+// at element maxSources+1 of payloads plus sources, and with ErrTooLarge
+// as soon as the payload data decoded so far passes the budget; every
 // other error means json.Unmarshal into ValidateRequest refuses the body
 // too. buf is the buffer the payloads' data was decoded into, nil when
 // the body has none, error or not: the payloads are lent from it, and
 // once nothing points into them the caller may release it.
-func decodeEnvelope(body []byte, maxSources int, maxPayloadBytes int64) (payloads []runner.Payload, sources []SourceRef, buf *[]byte, err error) {
-	d := envelopeDecoder{b: body, maxSources: maxSources, budget: max(maxPayloadBytes, 0)}
-	return d.decode()
-}
-
-// decode is decodeEnvelope for the decoder's body, quotas and memo.
 func (d *envelopeDecoder) decode() (payloads []runner.Payload, sources []SourceRef, buf *[]byte, err error) {
 	d.space()
 	switch d.peek() {

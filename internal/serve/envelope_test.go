@@ -13,7 +13,18 @@ import (
 
 	"confvalley/internal/azuregen"
 	"confvalley/internal/config"
+	"confvalley/internal/runner"
 )
+
+// decodeEnvelope is the decode with no address memo, envelopeDecoder.decode
+// under the given quotas: the oracle the memo's decode (addressMemo.decode,
+// the one ValidateBody runs) is held to by FuzzDecodeReuse and
+// FuzzPatchedLoad, and itself held to json.Unmarshal by
+// FuzzValidateEnvelope.
+func decodeEnvelope(body []byte, maxSources int, maxPayloadBytes int64) (payloads []runner.Payload, sources []SourceRef, buf *[]byte, err error) {
+	d := envelopeDecoder{b: body, maxSources: maxSources, budget: max(maxPayloadBytes, 0)}
+	return d.decode()
+}
 
 // allocatedBy reports the bytes f allocates.
 func allocatedBy(f func()) uint64 {

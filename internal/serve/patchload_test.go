@@ -207,12 +207,12 @@ func (r *patchRun) step(t *testing.T, label string, body []byte, budget int64) [
 	ref := config.NewStore()
 	refOK := true
 	for _, w := range want {
-		ins, _, err := driver.ParseScopedOwned(ctx, w.Format, bytes.Clone(w.Data), w.Name, w.Scope, nil)
+		part, _, err := driver.ParsePartition(ctx, w.Format, bytes.Clone(w.Data), w.Name, w.Scope, nil)
 		if err != nil {
 			refOK = false
 			break
 		}
-		ref.AddAll(ins)
+		ref.AddAll(part.Instances())
 	}
 	if refOK != ok {
 		t.Fatalf("%s: the load degraded = %v, the full parse failed = %v (%+v)", label, !ok, !refOK, rep.Outcomes)

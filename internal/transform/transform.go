@@ -10,7 +10,6 @@ package transform
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -67,18 +66,6 @@ func Lookup(name string) (*Func, bool) {
 	defer regMu.RUnlock()
 	f, ok := registry[name]
 	return f, ok
-}
-
-// Names returns all registered transformation names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Known reports whether name is a registered transformation. The CPL

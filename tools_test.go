@@ -137,8 +137,12 @@ func TestCvbenchEndToEnd(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := goRun(t, "./cmd/cvbench", "-run", "nosuch"); err == nil {
-		t.Error("unknown experiment should fail")
+	// An unknown name fails the run even beside a known one: the
+	// experiment it meant is not silently skipped.
+	for _, which := range []string{"nosuch", "table2,nosuch"} {
+		if out, err := goRun(t, "./cmd/cvbench", "-run", which); err == nil || strings.Contains(out, "Table 2") {
+			t.Errorf("-run %s: want a failure before any experiment runs, got err %v and:\n%s", which, err, out)
+		}
 	}
 }
 
